@@ -43,29 +43,15 @@ __all__ = [
     "DEFAULT_BAND",
     "check_allreduce",
     "spot_check_hybrid",
-    "predictable",
 ]
 
 #: Default acceptance band on simulated_time / predicted_time.  The
-#: measured ratios across the calibration grid (4 predictable
+#: measured ratios across the calibration grid (4 priced
 #: algorithms x 7 layouts x 5 sizes) span 0.53-7.14 with median 1.47,
 #: so the band flags order-of-magnitude divergence — a lost factor of
 #: p, bytes-vs-elements confusion, a dropped phase — not
 #: constant-factor modelling slack.  See docs/sanitizer.md.
 DEFAULT_BAND: tuple[float, float] = (0.2, 15.0)
-
-#: Algorithms with a calibrated closed form — the Section 5 equations
-#: plus the literature families' flat costs (everything else skips the
-#: cost check; see :meth:`CostModel.predict_allreduce`).
-predictable = (
-    "recursive_doubling",
-    "hierarchical",
-    "dpml",
-    "dpml_pipelined",
-    "dualroot_pipelined",
-    "optimal_rsag",
-    "generalized",
-)
 
 
 @dataclass

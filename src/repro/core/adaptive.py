@@ -21,10 +21,11 @@ from typing import Generator, Optional, Sequence
 
 import numpy as np
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import MAX, ReduceOp
 from repro.payload.payload import DataPayload, Payload
 
-__all__ = ["allreduce_adaptive", "AdaptiveState", "DEFAULT_CANDIDATES"]
+__all__ = ["ADAPTIVE", "allreduce_adaptive", "AdaptiveState", "DEFAULT_CANDIDATES"]
 
 #: (algorithm, kwargs) configurations the explorer tries, in order.
 #: The DPML leader ladder comes first (the paper's own tuning axis),
@@ -127,3 +128,9 @@ def allreduce_adaptive(
         )
         state.record(float(agreed.array[0]))
     return result
+
+
+ADAPTIVE = AllreduceAlgorithm(
+    "adaptive", allreduce_adaptive,
+    exempt="online selector: its cost is whichever candidate wins",
+)

@@ -24,10 +24,11 @@ and 4 verbatim and swaps only the exchange — and the driver records
 per-phase simulated-time windows into the runtime's
 :class:`~repro.core.phases.PhaseProbe` (when one is attached) so the
 hybrid-fidelity spot-check oracle can compare the exact phases against
-their macro charges.  Phase windows are recorded on the ranks that
-*drive* the phase (all ranks for the copy-in, leaders for the rest):
-non-leaders spend phases 2-4 blocked on the leaders' publishes, so
-their wall-time windows would say nothing about the phase itself.
+their macro charges (Eqs. 2-6, priced by the :data:`DPML` record).
+Phase windows are recorded on the ranks that *drive* the phase (all
+ranks for the copy-in, leaders for the rest): non-leaders spend
+phases 2-4 blocked on the leaders' publishes, so their wall-time
+windows would say nothing about the phase itself.
 
 Setting ``leaders=1`` recovers the classic MVAPICH2-style single-leader
 hierarchical algorithm (registered as ``"hierarchical"``).
@@ -37,11 +38,15 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.leaders import get_leader_plan
+from repro.core.leaders import check_leader_count, get_leader_plan
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, reduce_payloads, split_bounds
 
 __all__ = [
+    "DPML",
+    "DPML_PHASES",
+    "HIERARCHICAL",
     "PhaseState",
     "allreduce_dpml",
     "allreduce_hierarchical",
@@ -50,6 +55,9 @@ __all__ = [
     "phase_exchange",
     "phase_copy_out",
 ]
+
+#: The four DPML phases of paper Figure 2, in execution order.
+DPML_PHASES = ("copy_in", "reduce", "exchange", "copy_out")
 
 
 class PhaseState:
@@ -232,3 +240,36 @@ def allreduce_hierarchical(
         inter_algorithm=inter_algorithm, _probe_name="hierarchical",
     )
     return result
+
+
+def _phase_charges(model, p: int, h: int, l: int, n: int, exchange: float) -> tuple:
+    """Eqs. 2, 3 and 6 around a phase-3 price for ``l`` leaders."""
+    return (
+        ("copy_in", model.t_copy(l, n)),
+        ("reduce", model.t_comp(p, h, l, n)),
+        ("exchange", exchange),
+        ("copy_out", model.t_bcast(l, n)),
+    )
+
+
+def _charge_dpml(model, *, p, h, n, leaders=4, **_kw):
+    check_leader_count(leaders)
+    if h >= p:
+        # One rank per node: the implementation falls back to a flat
+        # inter-node allreduce; only the exchange phase exists.
+        return (("exchange", model.t_recursive_doubling(p, n)),)
+    l = min(leaders, p // h)
+    return _phase_charges(model, p, h, l, n, model.t_comm(h, l, n))
+
+
+def _charge_hierarchical(model, *, p, h, n, **_kw):
+    return _charge_dpml(model, p=p, h=h, n=n, leaders=1)
+
+
+DPML = AllreduceAlgorithm(
+    "dpml", allreduce_dpml, phases=DPML_PHASES, charge=_charge_dpml
+)
+HIERARCHICAL = AllreduceAlgorithm(
+    "hierarchical", allreduce_hierarchical,
+    phases=DPML_PHASES, charge=_charge_hierarchical,
+)

@@ -19,7 +19,7 @@ from typing import Generator, Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["LeaderPlan", "get_leader_plan"]
+__all__ = ["LeaderPlan", "check_leader_count", "get_leader_plan"]
 
 
 @dataclass
@@ -55,14 +55,19 @@ def _nodes_of(comm) -> dict[int, list[int]]:
     return by_node
 
 
+def check_leader_count(leaders: int) -> None:
+    """Reject a leader count below one with :class:`ConfigError`."""
+    if leaders < 1:
+        raise ConfigError(f"leader count must be >= 1, got {leaders}")
+
+
 def get_leader_plan(comm, leaders: int) -> Generator:
     """Build (or fetch from cache) the leader plan for ``leaders``.
 
     Collective over ``comm`` — every rank must call it with the same
     ``leaders`` value, in the same collective order.
     """
-    if leaders < 1:
-        raise ConfigError(f"leader count must be >= 1, got {leaders}")
+    check_leader_count(leaders)
     cached = comm.cache.get(("leader-plan", leaders))
     if cached is not None:
         return cached

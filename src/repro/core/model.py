@@ -103,72 +103,6 @@ class CostModel:
         """Eq. 6: phase 4, copies back out of shared memory."""
         return self.t_copy(l, n)
 
-    # -- literature families (competing designs, not in the paper) ---------------
-
-    def t_dualroot_pipelined(
-        self, p: int, n: int, k: "int | None" = None,
-        segment_bytes: "int | None" = None,
-    ) -> float:
-        """Träff's doubly-pipelined dual-root tree (arXiv:2109.12626).
-
-        Each half of the vector (``n / 2`` bytes in ``k`` pipeline
-        segments) flows up and back down a binary tree of depth
-        ``~lg p``; the two trees are mirror images and run
-        concurrently, so the critical path is one half's
-        ``2 (depth + k - 1)`` pipeline steps of one segment each.
-        ``k`` defaults to the implementation's segment count for ``n``.
-        """
-        if p == 1:
-            return 0.0
-        from repro.mpi.collectives.dualroot import (
-            DEFAULT_SEGMENT_BYTES,
-            dualroot_depth,
-            dualroot_segments,
-        )
-
-        if k is None:
-            k = dualroot_segments(
-                -(-n // 2), segment_bytes or DEFAULT_SEGMENT_BYTES
-            )
-        if k < 1:
-            raise ConfigError(f"pipeline depth must be >= 1, got {k}")
-        depth = dualroot_depth(p)
-        seg = n / (2 * k)
-        return 2 * (depth + k - 1) * (self.a + seg * (self.b + self.c))
-
-    def t_optimal_rsag(self, p: int, n: int) -> float:
-        """Optimal non-pipelined reduce-scatter/allgather
-        (arXiv:2410.14234): ``2 ceil(lg p)`` rounds moving the
-        bandwidth-optimal ``2 n (p-1)/p`` bytes for *any* ``p``."""
-        if p == 1:
-            return 0.0
-        rounds = _lg_ceil(p)
-        traffic = n * (p - 1) / p
-        return 2 * rounds * self.a + traffic * (2 * self.b + self.c)
-
-    def t_generalized(
-        self, p: int, n: int, radices: "tuple | None" = None
-    ) -> float:
-        """Kolmakov & Zhang's generalized allreduce (arXiv:2004.09362).
-
-        One reduce-scatter plus one allgather exchange stage per factor
-        of ``p``; stage ``i`` at radix ``r`` trades ``r - 1`` messages
-        of ``window / r`` bytes each way.  ``radices`` defaults to the
-        implementation's prime factorisation of ``p``.
-        """
-        if p == 1:
-            return 0.0
-        from repro.mpi.collectives.generalized import _resolve_radices
-
-        radices = _resolve_radices(p, radices)
-        total = 0.0
-        window = float(n)
-        for r in radices:
-            moved = window * (r - 1) / r
-            total += 2 * (r - 1) * self.a + moved * (2 * self.b + self.c)
-            window /= r
-        return total
-
     # -- Equation 7 --------------------------------------------------------------
 
     def t_dpml(self, p: int, h: int, l: int, n: int, k: int = 1) -> float:
@@ -186,51 +120,33 @@ class CostModel:
         h: int,
         n: int,
         l: "int | None" = None,
-        k: int = 1,
     ) -> "float | None":
         """Predicted allreduce time for a registry algorithm, or None.
 
-        Maps registry algorithm names onto the closed-form equations:
-        ``recursive_doubling`` uses Eq. 1, the ``hierarchical``
-        single-leader scheme is DPML with ``l = 1``, ``dpml`` /
-        ``dpml_pipelined`` use Eq. 7 with the given (or its default)
-        leader count clamped to ``p // h``, and the literature
-        families (``dualroot_pipelined`` / ``optimal_rsag`` /
-        ``generalized``) use their flat closed forms — ``h`` does not
-        enter them.  Registered algorithms the
-        model does not describe (ring, SHArP offload, socket-aware
-        multilevel, reduce+bcast compositions, the library selectors)
-        return None — the differential oracle skips the cost check for
-        those.  A name that is not in the collective registry at all
-        raises :class:`~repro.errors.UnknownAlgorithmError`: hybrid
-        mode makes a silently unpriced phase a correctness bug, not a
-        plotting nit.
+        The prediction is the sum of the algorithm's phase charges
+        (:class:`~repro.core.phases.AllreduceAlgorithm`), so it is the
+        duration hybrid fidelity macro-charges; ``l`` is passed on as
+        the ``leaders`` keyword.  Exempt algorithms return None — the
+        differential oracle skips the cost check for those.  A name
+        that is not in the collective registry at all raises
+        :class:`~repro.errors.UnknownAlgorithmError`: hybrid mode makes
+        a silently unpriced phase a correctness bug, not a plotting nit.
         """
-        ppn = p // h
-        if algorithm == "recursive_doubling":
-            return self.t_recursive_doubling(p, n)
-        if algorithm == "dualroot_pipelined":
-            return self.t_dualroot_pipelined(p, n, k if k > 1 else None)
-        if algorithm == "optimal_rsag":
-            return self.t_optimal_rsag(p, n)
-        if algorithm == "generalized":
-            return self.t_generalized(p, n)
-        if algorithm == "hierarchical":
-            l = 1
-        elif algorithm in ("dpml", "dpml_pipelined"):
-            l = min(l if l is not None else 4, ppn)
-        else:
-            from repro.mpi.collectives.registry import available_algorithms
+        from repro.mpi.collectives.registry import (
+            available_algorithms,
+            resolve_phase_plan,
+        )
 
+        record = resolve_phase_plan(algorithm)
+        if record is None:
             known = available_algorithms()
             if algorithm not in known:
                 raise UnknownAlgorithmError(algorithm, known)
             return None
-        if h >= p:
-            # One rank per node: the intra-node phases degenerate and
-            # the implementations fall back to a flat inter-node run.
-            return self.t_recursive_doubling(p, n)
-        return self.t_dpml(p, h, l, n, k)
+        kwargs = {} if l is None else {"leaders": l}
+        return sum(
+            seconds for _, seconds in record.charge(self, p=p, h=h, n=n, **kwargs)
+        )
 
     def best_leader_count(
         self, p: int, h: int, n: int, candidates=(1, 2, 4, 8, 16)

@@ -26,10 +26,11 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.leaders import get_leader_plan
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, reduce_payloads
 
-__all__ = ["allreduce_dpml_multilevel"]
+__all__ = ["DPML_MULTILEVEL", "allreduce_dpml_multilevel"]
 
 
 def allreduce_dpml_multilevel(
@@ -128,3 +129,9 @@ def allreduce_dpml_multilevel(
         yield from machine.shm_copy(me, result_j.nbytes, cross_socket=cross)
         outs.append(result_j)
     return region.concat(outs)
+
+
+DPML_MULTILEVEL = AllreduceAlgorithm(
+    "dpml_multilevel", allreduce_dpml_multilevel,
+    exempt="socket-aware multilevel layout outside Table 1",
+)

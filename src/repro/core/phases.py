@@ -1,72 +1,79 @@
-"""Phase plans: the pricing layer of hybrid-fidelity simulation.
+"""Allreduce declarations and phase probes.
 
-A :class:`PhasePlan` describes how one registered allreduce algorithm
-decomposes into named phases and how each phase is priced by the
-calibrated :class:`~repro.core.model.CostModel`.  In hybrid fidelity the
-macro executor (:mod:`repro.mpi.collectives.hybrid`) charges the sum of
-the phase prices as a single macro-event instead of running the exact
-coroutine path; the phase names line up with the exact implementations
-(:mod:`repro.core.dpml`, :mod:`repro.core.pipelined`) so the spot-check
-oracle (:func:`repro.check.oracle.spot_check_hybrid`) can re-run a
-sampled configuration exactly and compare phase-by-phase.
+An :class:`AllreduceAlgorithm` is the one declaration of a registered
+allreduce: its name, its exact coroutine, and either how the calibrated
+:class:`~repro.core.model.CostModel` prices it — named phases plus a
+charge function — or the reason the model cannot.  Each record lives
+next to its coroutine; :mod:`repro.mpi.collectives.registry` collects
+them.  In hybrid fidelity the macro executor
+(:mod:`repro.mpi.collectives.hybrid`) charges the sum of a priced
+record's phase prices as a single macro-event instead of running the
+exact coroutine path, :meth:`CostModel.predict_allreduce` returns the
+same sum, and exempt records always run exact.
 
-Only algorithms the cost model describes get a plan: ``dpml``,
-``dpml_pipelined``, ``hierarchical``, ``recursive_doubling``.
-Everything else (ring, SHArP offload, library selectors, ...) has no
-plan and falls back to exact execution even when ``fidelity="hybrid"``.
+The phase names line up with the labels the exact implementations
+record into a :class:`PhaseProbe`, so the spot-check oracle
+(:func:`repro.check.oracle.spot_check_hybrid`) can re-run a sampled
+configuration exactly and compare phase-by-phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
-from repro.core.model import CostModel
-from repro.core.pipelined import (
-    DEFAULT_MAX_K,
-    DEFAULT_PIPELINE_UNIT,
-    pipeline_depth,
-)
+from repro.errors import TuningError
 
-__all__ = [
-    "PhasePlan",
-    "PhaseProbe",
-    "DPML_PHASES",
-    "default_phase_plans",
-]
-
-#: The four DPML phases of paper Figure 2, in execution order.
-DPML_PHASES = ("copy_in", "reduce", "exchange", "copy_out")
+__all__ = ["AllreduceAlgorithm", "PhaseProbe"]
 
 
 @dataclass(frozen=True)
-class PhasePlan:
-    """Named phases of one algorithm plus their cost-model pricing.
+class AllreduceAlgorithm:
+    """One registered allreduce and its cost-model pricing.
 
     Parameters
     ----------
-    algorithm:
-        Registry name this plan prices.
-    phase_names:
+    name:
+        Registry name (``comm.allreduce(..., algorithm=name)``).
+    fn:
+        The exact coroutine ``(comm, payload, op, tag_base=0, **kw)``.
+    phases:
         Phase labels in execution order; these match the probe labels
-        the exact implementation emits.
-    charge_fn:
-        ``(model, *, p, h, n, **kwargs) -> ((name, seconds), ...)``.
-        ``kwargs`` carries the algorithm keywords the caller passed
-        (``leaders``, ``pipeline_unit``, ...); unknown keywords are the
-        charge function's to ignore.
+        the exact implementation emits.  Priced records only.
+    charge:
+        ``(model, *, p, h, n, **kwargs) -> ((phase, seconds), ...)``
+        for a ``p``-rank, ``h``-node, ``n``-byte allreduce; the sum is
+        the macro-event duration.  ``kwargs`` carries the algorithm
+        keywords the caller passed (``leaders``, ``pipeline_unit``,
+        ...); unknown keywords are the charge function's to ignore.
+    exempt:
+        Why the Section 5 model cannot price this algorithm.  Exactly
+        one of ``charge`` and ``exempt`` is given.
     """
 
-    algorithm: str
-    phase_names: tuple
-    charge_fn: Callable = field(compare=False)
+    name: str
+    fn: Callable = field(repr=False)
+    phases: tuple = ()
+    charge: Optional[Callable] = field(default=None, repr=False)
+    exempt: str = ""
 
-    def charges(
-        self, model: CostModel, *, p: int, h: int, n: int, **kwargs
-    ) -> tuple:
-        """``(phase, seconds)`` pairs for a ``p``-rank, ``h``-node,
-        ``n``-byte allreduce.  Sum = the macro-event duration."""
-        return self.charge_fn(model, p=p, h=h, n=n, **kwargs)
+    def __post_init__(self):
+        if self.priced == bool(self.exempt.strip()):
+            raise TuningError(
+                f"allreduce {self.name!r} needs exactly one of a charge "
+                "function and an exemption reason"
+            )
+        if self.priced != bool(self.phases):
+            raise TuningError(
+                f"allreduce {self.name!r}: phases name the charges of a "
+                "priced algorithm and nothing else"
+            )
+
+    @property
+    def priced(self) -> bool:
+        """Whether the cost model prices (and hybrid mode macro-charges)
+        this algorithm."""
+        return self.charge is not None
 
 
 class PhaseProbe:
@@ -104,77 +111,3 @@ class PhaseProbe:
         if window is None:
             return None
         return window[1] - window[0]
-
-
-def _clamp_leaders(leaders, p: int, h: int) -> int:
-    ppn = p // h
-    return max(1, min(leaders if leaders is not None else 4, ppn))
-
-
-def _charge_recursive_doubling(model: CostModel, *, p, h, n, **_kw):
-    return (("exchange", model.t_recursive_doubling(p, n)),)
-
-
-def _charge_dpml(
-    model: CostModel, *, p, h, n, leaders=None, _fixed_leaders=None, **_kw
-):
-    if h >= p:
-        # One rank per node: the implementation falls back to a flat
-        # inter-node allreduce; only the exchange phase exists.
-        return (("exchange", model.t_recursive_doubling(p, n)),)
-    l = _fixed_leaders if _fixed_leaders is not None else _clamp_leaders(
-        leaders, p, h
-    )
-    return (
-        ("copy_in", model.t_copy(l, n)),
-        ("reduce", model.t_comp(p, h, l, n)),
-        ("exchange", model.t_comm(h, l, n)),
-        ("copy_out", model.t_bcast(l, n)),
-    )
-
-
-def _charge_hierarchical(model: CostModel, *, p, h, n, **kw):
-    kw.pop("leaders", None)
-    return _charge_dpml(model, p=p, h=h, n=n, _fixed_leaders=1, **kw)
-
-
-def _charge_dpml_pipelined(
-    model: CostModel,
-    *,
-    p,
-    h,
-    n,
-    leaders=None,
-    pipeline_unit=DEFAULT_PIPELINE_UNIT,
-    max_k=DEFAULT_MAX_K,
-    **_kw,
-):
-    if h >= p:
-        k = pipeline_depth(n, pipeline_unit, max_k)
-        return (("exchange", model.t_comm_pipelined(p, 1, n, k)),)
-    l = _clamp_leaders(leaders, p, h)
-    # One leader carries ceil(n / l) bytes into phase 3 (Payload.split
-    # gives the first partitions the extra elements).
-    k = pipeline_depth(-(-n // l), pipeline_unit, max_k)
-    return (
-        ("copy_in", model.t_copy(l, n)),
-        ("reduce", model.t_comp(p, h, l, n)),
-        ("exchange", model.t_comm_pipelined(h, l, n, k)),
-        ("copy_out", model.t_bcast(l, n)),
-    )
-
-
-def default_phase_plans() -> dict:
-    """Name → :class:`PhasePlan` for every cost-modelled algorithm."""
-    return {
-        "recursive_doubling": PhasePlan(
-            "recursive_doubling", ("exchange",), _charge_recursive_doubling
-        ),
-        "hierarchical": PhasePlan(
-            "hierarchical", DPML_PHASES, _charge_hierarchical
-        ),
-        "dpml": PhasePlan("dpml", DPML_PHASES, _charge_dpml),
-        "dpml_pipelined": PhasePlan(
-            "dpml_pipelined", DPML_PHASES, _charge_dpml_pipelined
-        ),
-    }

@@ -24,17 +24,21 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.dpml import (
+    DPML_PHASES,
     PhaseState,
+    _phase_charges,
     _record,
     phase_copy_in,
     phase_copy_out,
     phase_reduce,
 )
-from repro.core.leaders import get_leader_plan
+from repro.core.leaders import check_leader_count, get_leader_plan
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat
 
 __all__ = [
+    "DPML_PIPELINED",
     "allreduce_dpml_pipelined",
     "phase_exchange_pipelined",
     "pipeline_depth",
@@ -131,3 +135,32 @@ def allreduce_dpml_pipelined(
     if plan.is_leader:
         _record(probe, "dpml_pipelined", "copy_out", start, sim.now)
     return result
+
+
+def _charge_dpml_pipelined(
+    model,
+    *,
+    p,
+    h,
+    n,
+    leaders=4,
+    pipeline_unit=DEFAULT_PIPELINE_UNIT,
+    max_k=DEFAULT_MAX_K,
+    **_kw,
+):
+    """Eq. 7 with the Eq. 5 exchange at the implementation's depth."""
+    check_leader_count(leaders)
+    if h >= p:
+        k = pipeline_depth(n, pipeline_unit, max_k)
+        return (("exchange", model.t_comm_pipelined(p, 1, n, k)),)
+    l = min(leaders, p // h)
+    # One leader carries ceil(n / l) bytes into phase 3 (Payload.split
+    # gives the first partitions the extra elements).
+    k = pipeline_depth(-(-n // l), pipeline_unit, max_k)
+    return _phase_charges(model, p, h, l, n, model.t_comm_pipelined(h, l, n, k))
+
+
+DPML_PIPELINED = AllreduceAlgorithm(
+    "dpml_pipelined", allreduce_dpml_pipelined,
+    phases=DPML_PHASES, charge=_charge_dpml_pipelined,
+)

@@ -23,10 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, reduce_payloads
 
-__all__ = ["allreduce_sharp_node_leader", "allreduce_sharp_socket_leader"]
+__all__ = [
+    "SHARP_NODE_LEADER",
+    "SHARP_SOCKET_LEADER",
+    "allreduce_sharp_node_leader",
+    "allreduce_sharp_socket_leader",
+]
 
 
 @dataclass
@@ -168,3 +174,13 @@ def allreduce_sharp_socket_leader(
     """SHArP allreduce with one leader per socket (HCA/NUMA aware)."""
     result = yield from _sharp_allreduce(comm, payload, op, tag_base, per_socket=True)
     return result
+
+
+_SHARP_EXEMPT = "switch-offload timing is not host alpha-beta"
+
+SHARP_NODE_LEADER = AllreduceAlgorithm(
+    "sharp_node_leader", allreduce_sharp_node_leader, exempt=_SHARP_EXEMPT
+)
+SHARP_SOCKET_LEADER = AllreduceAlgorithm(
+    "sharp_socket_leader", allreduce_sharp_socket_leader, exempt=_SHARP_EXEMPT
+)

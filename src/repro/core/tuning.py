@@ -18,10 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["TuningSpec", "TUNING_TABLES", "allreduce_dpml_tuned", "lookup_spec"]
+__all__ = [
+    "DPML_TUNED",
+    "TuningSpec",
+    "TUNING_TABLES",
+    "allreduce_dpml_tuned",
+    "lookup_spec",
+]
 
 INF = float("inf")
 
@@ -127,3 +134,9 @@ def allreduce_dpml_tuned(
     fn = resolve_allreduce(spec.algorithm, comm)
     result = yield from fn(comm, payload, op, tag_base=tag_base, **spec.kwargs())
     return result
+
+
+DPML_TUNED = AllreduceAlgorithm(
+    "dpml_tuned", allreduce_dpml_tuned,
+    exempt="size-dependent dispatch to other registered entries",
+)

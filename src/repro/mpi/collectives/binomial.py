@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import charged_reduce
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["reduce_binomial", "bcast_binomial", "allreduce_reduce_bcast"]
+__all__ = [
+    "REDUCE_BCAST",
+    "reduce_binomial",
+    "bcast_binomial",
+    "allreduce_reduce_bcast",
+]
 
 
 def reduce_binomial(
@@ -78,3 +84,9 @@ def allreduce_reduce_bcast(
     reduced = yield from reduce_binomial(comm, payload, op, root=0, tag_base=tag_base)
     result = yield from bcast_binomial(comm, reduced, root=0, tag_base=tag_base + 4)
     return result
+
+
+REDUCE_BCAST = AllreduceAlgorithm(
+    "reduce_bcast", allreduce_reduce_bcast,
+    exempt="reduce+bcast tree composition has no closed form",
+)

@@ -26,12 +26,16 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
+from repro.errors import ConfigError
 from repro.mpi.collectives.base import charged_reduce
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat
 
 __all__ = [
+    "DUALROOT_PIPELINED",
     "allreduce_dualroot_pipelined",
+    "t_dualroot_pipelined",
     "dualroot_depth",
     "dualroot_segments",
     "DEFAULT_SEGMENT_BYTES",
@@ -131,3 +135,38 @@ def allreduce_dualroot_pipelined(
             )
     results = yield from comm.waitall(requests)
     return concat(results)
+
+
+def t_dualroot_pipelined(
+    model, p: int, n: int, k: "int | None" = None,
+    segment_bytes: "int | None" = None,
+) -> float:
+    """Closed-form cost of the dual-root tree under ``model``.
+
+    Each half of the vector (``n / 2`` bytes in ``k`` pipeline
+    segments) flows up and back down a binary tree of depth
+    ``~lg p``; the two trees are mirror images and run concurrently,
+    so the critical path is one half's ``2 (depth + k - 1)`` pipeline
+    steps of one segment each.  ``k`` defaults to the implementation's
+    segment count for ``n``.
+    """
+    if p == 1:
+        return 0.0
+    if k is None:
+        k = dualroot_segments(-(-n // 2), segment_bytes or DEFAULT_SEGMENT_BYTES)
+    if k < 1:
+        raise ConfigError(f"pipeline depth must be >= 1, got {k}")
+    seg = n / (2 * k)
+    return 2 * (dualroot_depth(p) + k - 1) * (model.a + seg * (model.b + model.c))
+
+
+def _charge_dualroot_pipelined(model, *, p, h, n, segment_bytes=None, **_kw):
+    return (
+        ("exchange", t_dualroot_pipelined(model, p, n, segment_bytes=segment_bytes)),
+    )
+
+
+DUALROOT_PIPELINED = AllreduceAlgorithm(
+    "dualroot_pipelined", allreduce_dualroot_pipelined,
+    phases=("exchange",), charge=_charge_dualroot_pipelined,
+)

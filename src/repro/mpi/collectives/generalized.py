@@ -23,12 +23,18 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.errors import MPIError
 from repro.mpi.collectives.base import charged_reduce
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
-__all__ = ["allreduce_generalized", "prime_factors"]
+__all__ = [
+    "GENERALIZED",
+    "allreduce_generalized",
+    "prime_factors",
+    "t_generalized",
+]
 
 
 def prime_factors(p: int) -> tuple:
@@ -142,3 +148,34 @@ def allreduce_generalized(
         vec = concat(gathered)
 
     return vec
+
+
+def t_generalized(
+    model, p: int, n: int, radices: Optional[Sequence[int]] = None
+) -> float:
+    """Closed-form cost under ``model``.
+
+    One reduce-scatter plus one allgather exchange stage per factor of
+    ``p``; stage ``i`` at radix ``r`` trades ``r - 1`` messages of
+    ``window / r`` bytes each way.  ``radices`` defaults to the
+    implementation's prime factorisation of ``p``.
+    """
+    if p == 1:
+        return 0.0
+    total = 0.0
+    window = float(n)
+    for r in _resolve_radices(p, radices):
+        moved = window * (r - 1) / r
+        total += 2 * (r - 1) * model.a + moved * (2 * model.b + model.c)
+        window /= r
+    return total
+
+
+def _charge_generalized(model, *, p, h, n, radices=None, **_kw):
+    return (("exchange", t_generalized(model, p, n, radices)),)
+
+
+GENERALIZED = AllreduceAlgorithm(
+    "generalized", allreduce_generalized,
+    phases=("exchange",), charge=_charge_generalized,
+)

@@ -1,9 +1,9 @@
 """Hybrid-fidelity macro executor.
 
-In hybrid mode (``fidelity="hybrid"``), an allreduce whose algorithm
-has a registered :class:`~repro.core.phases.PhasePlan` is not simulated
-message-by-message.  Instead every rank arrives at a runtime gate with
-its input payload; the last arriver combines the inputs in one
+In hybrid mode (``fidelity="hybrid"``), an allreduce whose
+:class:`~repro.core.phases.AllreduceAlgorithm` record is priced is not
+simulated message-by-message.  Instead every rank arrives at a runtime
+gate with its input payload; the last arriver combines the inputs in one
 vectorised numpy reduction (:meth:`~repro.payload.ops.ReduceOp.reduce_batch`),
 prices the collective's phases with the calibrated
 :class:`~repro.core.model.CostModel`, and charges the total as a single
@@ -90,15 +90,17 @@ def _combine(items, op):
     raise PayloadError("cannot reduce a mix of data and symbolic payloads")
 
 
-def make_hybrid_allreduce(name: str, fn, plan):
-    """Wrap exact allreduce ``fn`` with the macro-charging fast path.
+def make_hybrid_allreduce(algorithm):
+    """Wrap a priced record's exact coroutine with the macro-charging
+    fast path.
 
     Returned generator has the registry signature
-    ``(comm, payload, op, tag_base=0, **kwargs)``; ``plan`` prices the
-    phases.  Called by
-    :func:`~repro.mpi.collectives.registry.resolve_collective` when the
+    ``(comm, payload, op, tag_base=0, **kwargs)``; the record's
+    ``charge`` prices the phases.  Called by
+    :func:`~repro.mpi.collectives.registry.resolve_allreduce` when the
     runtime fidelity is ``"hybrid"``.
     """
+    name, fn = algorithm.name, algorithm.fn
 
     def hybrid_allreduce(comm, payload, op, tag_base: int = 0, **kwargs) -> Generator:
         charges = None
@@ -106,7 +108,7 @@ def make_hybrid_allreduce(name: str, fn, plan):
             machine = comm.machine
             model = CostModel.from_machine(machine.config, payload.nbytes)
             try:
-                charges = plan.charges(
+                charges = algorithm.charge(
                     model,
                     p=comm.size,
                     h=machine.placement.nodes_used,
@@ -140,7 +142,6 @@ def make_hybrid_allreduce(name: str, fn, plan):
 
     hybrid_allreduce.__name__ = f"hybrid_{name}"
     hybrid_allreduce.exact_fn = fn
-    hybrid_allreduce.plan = plan
     return hybrid_allreduce
 
 

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.model import _lg_ceil
+from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import charged_reduce
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
-__all__ = ["allreduce_optimal_rsag"]
+__all__ = ["OPTIMAL_RSAG", "allreduce_optimal_rsag", "t_optimal_rsag"]
 
 
 def _halving_rounds(p: int) -> list:
@@ -136,3 +138,22 @@ def allreduce_optimal_rsag(
             vec = concat([theirs, vec])
 
     return vec
+
+
+def t_optimal_rsag(model, p: int, n: int) -> float:
+    """Closed-form cost under ``model``: ``2 ceil(lg p)`` rounds moving
+    the bandwidth-optimal ``2 n (p-1)/p`` bytes for *any* ``p``."""
+    if p == 1:
+        return 0.0
+    traffic = n * (p - 1) / p
+    return 2 * _lg_ceil(p) * model.a + traffic * (2 * model.b + model.c)
+
+
+def _charge_optimal_rsag(model, *, p, h, n, **_kw):
+    return (("exchange", t_optimal_rsag(model, p, n)),)
+
+
+OPTIMAL_RSAG = AllreduceAlgorithm(
+    "optimal_rsag", allreduce_optimal_rsag,
+    phases=("exchange",), charge=_charge_optimal_rsag,
+)

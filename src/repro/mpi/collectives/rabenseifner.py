@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import (
     IDLE,
     actual_rank,
@@ -29,7 +30,12 @@ from repro.mpi.collectives.base import (
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
-__all__ = ["allreduce_rabenseifner", "reduce_scatter_halving", "allgather_doubling"]
+__all__ = [
+    "RABENSEIFNER",
+    "allreduce_rabenseifner",
+    "reduce_scatter_halving",
+    "allgather_doubling",
+]
 
 
 def reduce_scatter_halving(
@@ -127,3 +133,9 @@ def allreduce_rabenseifner(
         )
     vec = yield from unfold_from_pof2(comm, newrank, vec, tag_base + 63)
     return vec
+
+
+RABENSEIFNER = AllreduceAlgorithm(
+    "rabenseifner", allreduce_rabenseifner,
+    exempt="pow2-fold phase structure not covered by Eq. 1-7",
+)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import (
     IDLE,
     actual_rank,
@@ -22,7 +23,7 @@ from repro.mpi.collectives.base import (
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["allreduce_recursive_doubling"]
+__all__ = ["RECURSIVE_DOUBLING", "allreduce_recursive_doubling"]
 
 
 def allreduce_recursive_doubling(
@@ -53,3 +54,13 @@ def allreduce_recursive_doubling(
             round_no += 1
     vec = yield from unfold_from_pof2(comm, newrank, vec, tag_base + 63)
     return vec
+
+
+def _charge_recursive_doubling(model, *, p, h, n, **_kw):
+    return (("exchange", model.t_recursive_doubling(p, n)),)
+
+
+RECURSIVE_DOUBLING = AllreduceAlgorithm(
+    "recursive_doubling", allreduce_recursive_doubling,
+    phases=("exchange",), charge=_charge_recursive_doubling,
+)

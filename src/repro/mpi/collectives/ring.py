@@ -15,11 +15,18 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import charged_reduce
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
-__all__ = ["allreduce_ring", "allreduce_ring_segmented", "bcast_scatter_ring"]
+__all__ = [
+    "RING",
+    "RING_SEGMENTED",
+    "allreduce_ring",
+    "allreduce_ring_segmented",
+    "bcast_scatter_ring",
+]
 
 
 def allreduce_ring(
@@ -131,3 +138,13 @@ def allreduce_ring_segmented(
     ]
     results = yield from comm.waitall(requests)
     return concat(results)
+
+
+RING = AllreduceAlgorithm(
+    "ring", allreduce_ring,
+    exempt="link-serialised ring schedule outside the Eq. 1-7 terms",
+)
+RING_SEGMENTED = AllreduceAlgorithm(
+    "ring_segmented", allreduce_ring_segmented,
+    exempt="link-serialised ring schedule outside Eq. 1-7",
+)

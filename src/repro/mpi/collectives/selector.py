@@ -25,10 +25,14 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
 __all__ = [
+    "FLAT_AUTO",
+    "INTEL_MPI",
+    "MVAPICH2",
     "allreduce_flat_auto",
     "allreduce_mvapich2",
     "allreduce_intel_mpi",
@@ -160,3 +164,16 @@ def bcast_auto(
     fn = resolve_collective("bcast", name, comm)
     result = yield from fn(comm, payload, root=root, tag_base=tag_base)
     return result
+
+
+_SELECTOR_EXEMPT = "library selector dispatching per message size"
+
+FLAT_AUTO = AllreduceAlgorithm(
+    "flat_auto", allreduce_flat_auto, exempt=_SELECTOR_EXEMPT
+)
+MVAPICH2 = AllreduceAlgorithm(
+    "mvapich2", allreduce_mvapich2, exempt=_SELECTOR_EXEMPT
+)
+INTEL_MPI = AllreduceAlgorithm(
+    "intel_mpi", allreduce_intel_mpi, exempt=_SELECTOR_EXEMPT
+)

@@ -133,10 +133,10 @@ class Runtime:
         #: Optional :class:`~repro.core.phases.PhaseProbe` recording
         #: exact-execution phase windows for the spot-check oracle.
         self.phase_probe = None
-        #: algorithm name -> times a hybrid-mode dispatch had no
-        #: registered phase plan and ran exact instead; surfaced in
-        #: ``JobResult.counters["hybrid_plan_fallbacks"]`` so planless
-        #: algorithms cannot silently defeat macro-charging.
+        #: algorithm name -> times a hybrid-mode dispatch hit an
+        #: allreduce exempt from the cost model and ran exact instead;
+        #: surfaced in ``JobResult.counters["hybrid_plan_fallbacks"]`` so
+        #: exempt algorithms cannot silently defeat macro-charging.
         self.hybrid_plan_fallbacks: dict[str, int] = {}
         self.transport = Transport(machine)
         #: Prefix for shared-memory region (and spawned process) names.

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from repro.check import reports as R
-from repro.check.oracle import DEFAULT_BAND, check_allreduce, predictable
+from repro.check.oracle import DEFAULT_BAND, check_allreduce
 from repro.check.sanitizer import Sanitizer
 from repro.core.model import CostModel
+from repro.core.phases import AllreduceAlgorithm
 from repro.machine.clusters import cluster_b
-from repro.mpi.collectives.registry import register_allreduce
+from repro.mpi.collectives import registry
 from repro.payload import DataPayload
+from tests.conftest import PRICED_ALGORITHMS
 
 
 @pytest.fixture
@@ -23,11 +25,11 @@ def broken_allreduce():
         )
         return DataPayload(out.array + 1.0)  # off-by-one everywhere
 
-    register_allreduce("_test_broken", broken)
+    registry.register_allreduce(
+        AllreduceAlgorithm("_test_broken", broken, exempt="test stub")
+    )
     yield "_test_broken"
-    from repro.mpi.collectives.registry import _REGISTRIES
-
-    del _REGISTRIES["allreduce"]["_test_broken"]
+    del registry._ALLREDUCE["_test_broken"]
 
 
 class TestNumericDifferential:
@@ -77,11 +79,8 @@ class TestCostDifferential:
             )
         assert len(sanitizer.by_kind(R.COST_DIVERGENCE)) == 2
 
-    @pytest.mark.parametrize("algorithm", predictable)
+    @pytest.mark.parametrize("algorithm", PRICED_ALGORITHMS)
     def test_every_predictable_algorithm_within_default_band(self, algorithm):
-        # `predictable` is audited against the registry by
-        # tests/check/test_registry_conformance.py, so this
-        # parametrization tracks registry growth automatically.
         outcome = check_allreduce(
             cluster_b(2), algorithm, nranks=8, ppn=4, count=256
         )

@@ -10,12 +10,13 @@ and verify it actually *fails* when the band is made impossible.
 
 import pytest
 
-from repro.check.oracle import DEFAULT_BAND, predictable, spot_check_hybrid
+from repro.check.oracle import DEFAULT_BAND, spot_check_hybrid
 from repro.check.reports import PHASE_DIVERGENCE
 from repro.machine.clusters import cluster_b
+from tests.conftest import PRICED_ALGORITHMS
 
 
-@pytest.mark.parametrize("algorithm", predictable)
+@pytest.mark.parametrize("algorithm", PRICED_ALGORITHMS)
 def test_spot_check_passes_for_plan_backed_algorithms(algorithm):
     outcome = spot_check_hybrid(
         cluster_b(4), algorithm, nranks=16, ppn=4, count=256

@@ -1,4 +1,5 @@
-"""Shared test fixtures: the canonical job-layout grid.
+"""Shared test fixtures: the canonical job-layout grid and the priced
+allreduce roster.
 
 The (nranks, ppn, nodes) layout grid is single-sourced from
 :mod:`repro.mpi.validate` (``DEFAULT_LAYOUTS`` / ``DEFAULT_COUNTS``) —
@@ -11,6 +12,10 @@ suite that iterates layouts.
 
 import pytest
 
+from repro.mpi.collectives.registry import (
+    available_algorithms,
+    resolve_phase_plan,
+)
 from repro.mpi.validate import DEFAULT_COUNTS, DEFAULT_LAYOUTS
 
 #: Degenerate shapes the validation grid leaves out (tiny jobs, a
@@ -24,6 +29,12 @@ ALL_LAYOUTS: tuple = tuple(DEFAULT_LAYOUTS) + EXTRA_LAYOUTS
 #: Collective-family grid: the two canonical multi-node shapes plus
 #: every degenerate extra.
 FAMILY_LAYOUTS: tuple = tuple(DEFAULT_LAYOUTS[:2]) + EXTRA_LAYOUTS
+
+#: Registered allreduces the cost model prices (and hybrid mode
+#: macro-charges), read off their records.
+PRICED_ALGORITHMS: tuple = tuple(
+    name for name in available_algorithms() if resolve_phase_plan(name)
+)
 
 
 def layout_id(layout) -> str:

@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 from tests.conftest import ALL_LAYOUTS, layout_id
-from repro.check.conformance import GOLDEN_EXEMPT
 from repro.faults.plan import ArrivalSkew, FaultPlan, Straggler
 from repro.machine.clusters import cluster_a, cluster_b
 from repro.mpi import run_job
@@ -38,12 +37,9 @@ from repro.sim import Simulator
 
 COUNT = 96
 
-#: The golden grid, derived from the registry at collection time; an
-#: algorithm may only opt out through the audited GOLDEN_EXEMPT ledger
-#: (tests/check/test_registry_conformance.py closes the loop).
-GOLDEN_ALGORITHMS = [
-    a for a in available_algorithms() if a not in GOLDEN_EXEMPT
-]
+#: The golden grid: every registered allreduce, derived from the
+#: registry at collection time.
+GOLDEN_ALGORITHMS = available_algorithms()
 
 #: The competing designs added alongside DPML; called out by name so a
 #: regression in one of them fails a test naming it.

@@ -20,8 +20,14 @@ from repro.mpi.collectives.dualroot import (
     MAX_SEGMENTS,
     dualroot_depth,
     dualroot_segments,
+    t_dualroot_pipelined,
 )
-from repro.mpi.collectives.generalized import _resolve_radices, prime_factors
+from repro.mpi.collectives.generalized import (
+    _resolve_radices,
+    prime_factors,
+    t_generalized,
+)
+from repro.mpi.collectives.optimal_rsag import t_optimal_rsag
 from repro.payload import SUM, make_payload
 from tests.mpi.test_collectives import allreduce_job
 
@@ -109,60 +115,56 @@ class TestOptimalRsagShapes:
 
 class TestLiteratureClosedForms:
     def test_single_rank_costs_nothing(self):
-        for fn in (
-            MODEL.t_dualroot_pipelined,
-            MODEL.t_optimal_rsag,
-            MODEL.t_generalized,
-        ):
-            assert fn(1, 4096) == 0.0
+        for fn in (t_dualroot_pipelined, t_optimal_rsag, t_generalized):
+            assert fn(MODEL, 1, 4096) == 0.0
 
     def test_predict_maps_to_closed_forms(self):
         n = 1 << 16
         assert MODEL.predict_allreduce(
             "dualroot_pipelined", p=16, h=4, n=n
-        ) == MODEL.t_dualroot_pipelined(16, n)
+        ) == t_dualroot_pipelined(MODEL, 16, n)
         assert MODEL.predict_allreduce(
             "optimal_rsag", p=16, h=4, n=n
-        ) == MODEL.t_optimal_rsag(16, n)
+        ) == t_optimal_rsag(MODEL, 16, n)
         assert MODEL.predict_allreduce(
             "generalized", p=16, h=4, n=n
-        ) == MODEL.t_generalized(16, n)
+        ) == t_generalized(MODEL, 16, n)
 
     def test_flat_forms_ignore_node_count(self):
         n = 4096
         for h in (1, 2, 8):
             assert MODEL.predict_allreduce(
                 "optimal_rsag", p=16, h=h, n=n
-            ) == MODEL.t_optimal_rsag(16, n)
+            ) == t_optimal_rsag(MODEL, 16, n)
 
     def test_dualroot_default_k_matches_implementation(self):
         n = 6 * DEFAULT_SEGMENT_BYTES  # 3 segments per half
         k = dualroot_segments(n // 2)
-        assert MODEL.t_dualroot_pipelined(16, n) == MODEL.t_dualroot_pipelined(
-            16, n, k
+        assert t_dualroot_pipelined(MODEL, 16, n) == t_dualroot_pipelined(
+            MODEL, 16, n, k
         )
 
     def test_pipelining_amortises_large_messages(self):
         # More segments -> fewer bytes per step on the critical path.
         n = 16 * DEFAULT_SEGMENT_BYTES
-        assert MODEL.t_dualroot_pipelined(64, n, 8) < (
-            MODEL.t_dualroot_pipelined(64, n, 1)
+        assert t_dualroot_pipelined(MODEL, 64, n, 8) < (
+            t_dualroot_pipelined(MODEL, 64, n, 1)
         )
 
     def test_generalized_radix_order_changes_price(self):
         # Same factors, different stage order: same traffic totals.
         n = 1 << 15
-        assert MODEL.t_generalized(12, n, (2, 2, 3)) == pytest.approx(
-            MODEL.t_generalized(12, n, (3, 2, 2))
+        assert t_generalized(MODEL, 12, n, (2, 2, 3)) == pytest.approx(
+            t_generalized(MODEL, 12, n, (3, 2, 2))
         )
         # A single direct stage trades latency for fewer rounds.
-        assert MODEL.t_generalized(12, n, (12,)) != (
-            MODEL.t_generalized(12, n, (2, 2, 3))
+        assert t_generalized(MODEL, 12, n, (12,)) != (
+            t_generalized(MODEL, 12, n, (2, 2, 3))
         )
 
     def test_generalized_rejects_bad_radices_in_model_too(self):
         with pytest.raises(MPIError):
-            MODEL.t_generalized(12, 1024, (5, 5))
+            t_generalized(MODEL, 12, 1024, (5, 5))
 
 
 def test_large_vector_end_to_end_all_families():
