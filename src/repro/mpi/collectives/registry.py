@@ -74,6 +74,14 @@ _ALLREDUCE: dict[str, AllreduceAlgorithm] = {
     if isinstance(record, AllreduceAlgorithm)
 }
 
+#: The hybrid-fidelity wrapper of every priced record, built once here
+#: so a hybrid dispatch is a lookup, not a closure per rank.
+_HYBRID: dict[str, CollectiveFn] = {
+    name: make_hybrid_allreduce(record)
+    for name, record in _ALLREDUCE.items()
+    if record.priced
+}
+
 _REGISTRIES: dict[str, dict[str, CollectiveFn]] = {
     "reduce": {
         "binomial": reduce_binomial,
@@ -119,6 +127,10 @@ _DEFAULTS = {
 def register_allreduce(algorithm: AllreduceAlgorithm) -> None:
     """Register (or override) an allreduce record under its name."""
     _ALLREDUCE[algorithm.name] = algorithm
+    if algorithm.priced:
+        _HYBRID[algorithm.name] = make_hybrid_allreduce(algorithm)
+    else:
+        _HYBRID.pop(algorithm.name, None)
 
 
 def resolve_phase_plan(name: str) -> Optional[AllreduceAlgorithm]:
@@ -134,10 +146,10 @@ def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:
     This is the single dispatch choke point for every allreduce (the
     library selectors delegate back through here), which makes it the
     natural seam for hybrid fidelity: when the communicator's runtime
-    runs with ``fidelity="hybrid"`` and the record is priced, the exact
-    coroutine is wrapped by the macro executor, which charges the whole
-    collective as one priced macro-event when eligible and falls back to
-    the wrapped exact path otherwise.
+    runs with ``fidelity="hybrid"`` and the record is priced, the
+    record's macro-executor wrapper is returned instead of the exact
+    coroutine; it charges the whole collective as one priced macro-event
+    when eligible and falls back to the wrapped exact path otherwise.
     """
     key = name or _DEFAULTS["allreduce"]
     record = _ALLREDUCE.get(key)
@@ -147,8 +159,9 @@ def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:
             f"{', '.join(sorted(_ALLREDUCE))}"
         )
     if comm is not None and getattr(comm.runtime, "fidelity", "exact") == "hybrid":
-        if record.priced:
-            return make_hybrid_allreduce(record)
+        hybrid = _HYBRID.get(key)
+        if hybrid is not None:
+            return hybrid
         # Hybrid mode asked for macro-charging but this algorithm is
         # exempt: run exact, but *count* the fallback so the silent
         # downgrade is visible in JobResult.counters.

@@ -138,6 +138,19 @@ class Runtime:
         #: surfaced in ``JobResult.counters["hybrid_plan_fallbacks"]`` so
         #: exempt algorithms cannot silently defeat macro-charging.
         self.hybrid_plan_fallbacks: dict[str, int] = {}
+        #: ``"<algorithm>:<reason>"`` -> times a hybrid-mode dispatch of
+        #: a priced collective ran exact (noise, faults, recovery, a
+        #: ragged layout, a sub-communicator, or an unpriceable
+        #: charge); surfaced in
+        #: ``JobResult.counters["hybrid_exact_fallbacks"]``.
+        self.hybrid_exact_fallbacks: dict[str, int] = {}
+        #: Per-job hybrid macro plans, filled by the first rank that
+        #: dispatches each collective (see
+        #: :mod:`repro.mpi.collectives.hybrid`): ``(algorithm, comm
+        #: size, nbytes, sorted kwargs items)`` -> ``(price, fallback)``.
+        #: Cleared by :meth:`reset`, which every change of eligibility
+        #: (new noise, faults, or a failover shrink) goes through.
+        self.macro_plans: dict = {}
         self.transport = Transport(machine)
         #: Prefix for shared-memory region (and spawned process) names.
         #: Empty for classic one-job-per-simulator runs; the traffic
@@ -171,6 +184,8 @@ class Runtime:
         self._gates.clear()
         self._done_gates.clear()
         self.hybrid_plan_fallbacks.clear()
+        self.hybrid_exact_fallbacks.clear()
+        self.macro_plans.clear()
         return self
 
     def shm_region(self, node: int) -> ShmRegion:
@@ -457,6 +472,7 @@ class Runtime:
             counters["faults"] = faults.counters()
         if self.fidelity == "hybrid":
             counters["hybrid_plan_fallbacks"] = dict(self.hybrid_plan_fallbacks)
+            counters["hybrid_exact_fallbacks"] = dict(self.hybrid_exact_fallbacks)
         return JobResult(
             values=[
                 procs[r].value if r in procs else None
