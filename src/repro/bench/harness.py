@@ -21,18 +21,111 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.noise import NoiseModel
+from repro.mpi.collectives.hybrid import Fleet, fleet_collective
 from repro.mpi.runtime import Runtime, SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
-__all__ = ["allreduce_latency", "allreduce_latency_stats", "allreduce_sweep", "LatencyStats"]
+__all__ = [
+    "allreduce_latency",
+    "allreduce_latency_stats",
+    "allreduce_sweep",
+    "latency_kernel",
+    "check_loop",
+    "LatencyStats",
+]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
 FLOAT_BYTES = 4
+
+
+def check_loop(iterations: int, warmup: int) -> None:
+    """Reject loop counts the OSU-style kernel cannot run: at least one
+    timed iteration and no negative warm-up."""
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
+
+
+def latency_kernel(
+    algorithm: Optional[str],
+    nbytes: int,
+    op: ReduceOp = SUM,
+    alg_kwargs: Optional[dict] = None,
+    *,
+    iterations: int = 3,
+    warmup: int = 1,
+    validate: bool = False,
+):
+    """The rank function :func:`allreduce_latency` launches.
+
+    Every rank runs ``warmup`` allreduces, one barrier and
+    ``iterations`` timed allreduces of ``max(1, nbytes // 4)`` floats,
+    and returns its mean timed window.  Without ``validate`` (symbolic
+    payloads) the function also carries a
+    :class:`~repro.mpi.collectives.hybrid.Fleet` form: in a hybrid job
+    where every one of those collectives is macro-chargeable, one
+    process issues the same sequence of macro-charges for all ranks and
+    returns ``[elapsed] * p`` (every rank leaves each charged
+    collective at the same instant, so every window is equal).
+    """
+    count = max(1, nbytes // FLOAT_BYTES)
+    alg_kwargs = alg_kwargs or {}
+
+    def bench(comm):
+        if validate:
+            base = np.arange(count, dtype=np.float32) + float(comm.rank)
+            payload = DataPayload(base)
+        else:
+            payload = SymbolicPayload(count, FLOAT_BYTES)
+        for _ in range(warmup):
+            result = yield from comm.allreduce(
+                payload, op, algorithm=algorithm, **alg_kwargs
+            )
+        yield from comm.barrier()
+        t0 = comm.now
+        for _ in range(iterations):
+            result = yield from comm.allreduce(
+                payload, op, algorithm=algorithm, **alg_kwargs
+            )
+        elapsed = (comm.now - t0) / iterations
+        if validate:
+            expected = (
+                np.arange(count, dtype=np.float32) * comm.size
+                + sum(range(comm.size))
+            )
+            if not np.allclose(result.array, expected):
+                raise ReproError(
+                    f"allreduce validation failed on rank {comm.rank} "
+                    f"(algorithm={algorithm!r})"
+                )
+        return elapsed
+
+    if validate:
+        return bench
+    payload = SymbolicPayload(count, FLOAT_BYTES)
+
+    def fleet(comm, plans):
+        allreduce, barrier = plans
+        sim = comm.sim
+        for _ in range(warmup):
+            yield from fleet_collective(sim, allreduce, payload)
+        yield from fleet_collective(sim, barrier)
+        t0 = comm.now
+        for _ in range(iterations):
+            yield from fleet_collective(sim, allreduce, payload)
+        return [(comm.now - t0) / iterations] * comm.size
+
+    bench.fleet = Fleet(
+        fleet,
+        (("allreduce", algorithm, payload.nbytes, alg_kwargs), ("barrier",)),
+    )
+    return bench
 
 
 def allreduce_latency(
@@ -85,41 +178,28 @@ def allreduce_latency(
     starts after every rank has arrived, so ``ArrivalSkew`` only shifts
     the job's wall clock here.  Use ``benchmarks/bench_pap_imbalance.py``
     (full-job elapsed, no barrier) to measure PAP sensitivity.
+
+    Which jobs take the fleet: a hybrid job without ``validate`` runs
+    as one process standing for every rank (see :func:`latency_kernel`)
+    when it has no noise, faults or recovery layer, fully populated
+    nodes, more than one rank, and a priced ``algorithm`` whose charge
+    succeeds.  Any other job launches one process per rank and is, in
+    hybrid mode, counted in
+    ``JobResult.counters["hybrid_fleet_fallbacks"]``; both launches
+    produce identical latencies.
+
+    ``iterations < 1`` or ``warmup < 0`` raises
+    :class:`~repro.errors.ConfigError` before anything is simulated.
     """
+    check_loop(iterations, warmup)
     if nranks is None:
         if ppn is None:
             raise ReproError("allreduce_latency needs nranks (and usually ppn)")
         nranks = config.nodes * ppn
-    count = max(1, nbytes // FLOAT_BYTES)
-
-    def bench(comm):
-        if validate:
-            base = np.arange(count, dtype=np.float32) + float(comm.rank)
-            payload = DataPayload(base)
-        else:
-            payload = SymbolicPayload(count, FLOAT_BYTES)
-        for _ in range(warmup):
-            result = yield from comm.allreduce(
-                payload, op, algorithm=algorithm, **alg_kwargs
-            )
-        yield from comm.barrier()
-        t0 = comm.now
-        for _ in range(iterations):
-            result = yield from comm.allreduce(
-                payload, op, algorithm=algorithm, **alg_kwargs
-            )
-        elapsed = (comm.now - t0) / iterations
-        if validate:
-            expected = (
-                np.arange(count, dtype=np.float32) * comm.size
-                + sum(range(comm.size))
-            )
-            if not np.allclose(result.array, expected):
-                raise ReproError(
-                    f"allreduce validation failed on rank {comm.rank} "
-                    f"(algorithm={algorithm!r})"
-                )
-        return elapsed
+    kernel = latency_kernel(
+        algorithm, nbytes, op, alg_kwargs,
+        iterations=iterations, warmup=warmup, validate=validate,
+    )
 
     if session is not None:
         if not session.matches(config, nranks, ppn):
@@ -138,7 +218,7 @@ def allreduce_latency(
                 "(pass recovery= to SimSession)"
             )
         job = session.run(
-            bench, noise=noise, timeline=timeline,
+            kernel, noise=noise, timeline=timeline,
             faults=faults, fault_seed=fault_seed,
         )
     else:
@@ -149,7 +229,7 @@ def allreduce_latency(
             from repro.mpi.runtime import _as_injector
 
             machine.faults = _as_injector(faults, machine, fault_seed)
-        job = Runtime(machine, fidelity=fidelity, recovery=recovery).launch(bench)
+        job = Runtime(machine, fidelity=fidelity, recovery=recovery).launch(kernel)
     # The slowest rank's window is the collective's completion latency
     # (matches how OSU reports max across ranks at scale).  Ranks lost
     # to a failover return None; only survivors report a window.

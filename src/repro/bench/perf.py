@@ -310,16 +310,18 @@ def _run_store_scenario(spec) -> dict:
     }
 
 
-#: Wall-clock ceilings (seconds) per scale scenario.  Measured ~0.6s /
-#: ~6s / ~10s on a dev box; ceilings carry ~10x headroom for noisy CI
-#: runners while still catching an accidental fall-back to per-message
-#: eventing (which would be many minutes at these rank counts).
+#: Wall-clock ceilings (seconds) per scale scenario.  A per-rank hybrid
+#: launch measured ~1s / ~9s / ~16s and a fleet launch well under 0.1s
+#: each on a 2-vCPU box; the ceilings catch an accidental fall-back to
+#: per-message eventing (which would be many minutes at these rank
+#: counts), not CI noise.
 SCALE_MAX_WALL = {"scale10k": 30.0, "scale50k": 120.0, "scale100k": 240.0}
 #: Every scale point issues warmup + timed allreduces plus one barrier;
 #: each must land as a macro charge.
 SCALE_MIN_MACRO_PER_POINT = 3
-#: Kernel-event ceiling per rank: the hybrid path needs ~1 event per
-#: rank per job (plus the macro gates); per-message eventing would be
+#: Kernel-event ceiling per rank.  A fleet launch needs a constant
+#: handful of events per job (one process plus the macro gates), and a
+#: per-rank hybrid launch ~1 per rank; per-message eventing would be
 #: hundreds.
 SCALE_MAX_EVENTS_PER_RANK = 4.0
 

@@ -170,6 +170,11 @@ class SamplePoint:
     #: serialised and hashed only when non-default, like ``faults``
     fidelity: str = "exact"
 
+    def __post_init__(self):
+        from repro.bench.harness import check_loop
+
+        check_loop(self.iterations, self.warmup)
+
     @property
     def nranks(self) -> int:
         """Total ranks of the job."""
@@ -335,9 +340,11 @@ class SweepSpec:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "leader_counts", tuple(self.leader_counts))
         object.__setattr__(self, "extra", _freeze_kwargs(self.extra))
+        from repro.bench.harness import check_loop
         from repro.mpi.runtime import resolve_fidelity
 
         resolve_fidelity(self.fidelity)  # reject unknown modes early
+        check_loop(self.iterations, self.warmup)
         if not self.sizes:
             raise ReproError(f"sweep {self.name!r} has no message sizes")
         if not self.algorithms:

@@ -28,20 +28,30 @@ charge raises :class:`~repro.errors.ConfigError`.
 Whether a collective is macro-charged, and at what price, is a pure
 function of the algorithm, the communicator size, the payload size and
 the algorithm keywords for the lifetime of one job.  The first rank to
-dispatch a collective therefore builds its *macro plan* — the priced
-``charges``, or the reason it runs exact — into the runtime's per-job
-table (``Runtime.macro_plans``), and every other rank does one dict
-lookup; ``Runtime.reset()`` clears the table.  Every rank sees the same
-plan, so the fleet never splits between the two paths.  Each rank that
+dispatch a collective therefore builds its *macro plan* — its
+``macro_log`` label and priced phases, or the reason it runs exact —
+into the runtime's per-job table (``Runtime.macro_plans``), and every
+other rank does one dict lookup; ``Runtime.reset()`` clears the table.
+Every rank sees the same plan, so the ranks never split between the
+two paths.  Each rank that
 falls back is counted in ``Runtime.hybrid_exact_fallbacks`` under
 ``"<algorithm>:<reason>"`` (surfaced as
 ``JobResult.counters["hybrid_exact_fallbacks"]``), so no downgrade is
 silent.
+
+A rank function may also carry a :class:`Fleet` form.  When
+:func:`plan_fleet` prices every collective it issues, the runtime runs
+that one process instead of one per rank; it issues the same charges
+through the same :func:`_charge` helper, so ``macro_log`` and every
+simulated time match the per-rank launch.  A fleet-capable job launched
+per rank is counted once in
+``JobResult.counters["hybrid_fleet_fallbacks"]``.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from dataclasses import dataclass
+from typing import Callable, Generator, Optional
 
 from repro.core.model import CostModel, _lg_ceil
 from repro.errors import ConfigError, PayloadError
@@ -51,7 +61,14 @@ from repro.payload.payload import (
     _COUNTERS,
 )
 
-__all__ = ["make_hybrid_allreduce", "hybrid_barrier", "macro_eligible"]
+__all__ = [
+    "make_hybrid_allreduce",
+    "hybrid_barrier",
+    "macro_eligible",
+    "Fleet",
+    "plan_fleet",
+    "fleet_collective",
+]
 
 
 def macro_eligible(comm) -> Optional[str]:
@@ -85,32 +102,47 @@ def macro_eligible(comm) -> Optional[str]:
     return None
 
 
-def _planned(comm, key, build, *args):
-    """The macro price planned for ``key``, or ``None`` to run exact.
+def _plan(comm, key, build, *args):
+    """``(plan, fallback)`` for ``key`` from the runtime's per-job table.
 
-    ``build(comm, *args)`` returns ``(price, fallback)`` and runs once
-    per key per job; later ranks read the runtime's plan table.  A
-    ``None`` price is tallied per rank under its ``fallback`` key.
+    ``build(comm, *args)`` returns ``(plan, fallback)`` and runs once
+    per key per job; later lookups read the table.  A ``plan`` is the
+    ``(label, phases)`` pair :func:`_charge` takes; a ``None`` plan means
+    the collective runs exact, for the ``fallback`` reason.
     """
-    runtime = comm.runtime
-    plans = runtime.macro_plans
+    plans = comm.runtime.macro_plans
     try:
-        price, fallback = plans[key]
+        return plans[key]
     except KeyError:
-        price, fallback = plans[key] = build(comm, *args)
+        entry = plans[key] = build(comm, *args)
+        return entry
     except TypeError:
         # An unhashable keyword value (e.g. a radices list): price it
         # on every dispatch instead.
-        price, fallback = build(comm, *args)
-    if price is None:
-        counts = runtime.hybrid_exact_fallbacks
+        return build(comm, *args)
+
+
+def _planned(comm, key, build, *args):
+    """The macro plan for ``key``, or ``None`` to run exact; a ``None``
+    plan is tallied per rank under its ``fallback`` key."""
+    plan, fallback = _plan(comm, key, build, *args)
+    if plan is None:
+        counts = comm.runtime.hybrid_exact_fallbacks
         counts[fallback] = counts.get(fallback, 0) + 1
-    return price
+    return plan
+
+
+def _allreduce_key(name: str, p: int, nbytes: int, kwargs: dict) -> tuple:
+    return (name, p, nbytes, tuple(sorted(kwargs.items())))
+
+
+def _barrier_key(p: int) -> tuple:
+    return ("barrier", p, 0, ())
 
 
 def _allreduce_plan(comm, algorithm, nbytes: int, kwargs: dict):
-    """``(charges, None)`` for a macro-chargeable allreduce, else
-    ``(None, "<algorithm>:<reason>")``."""
+    """``((label, charges), None)`` for a macro-chargeable allreduce,
+    else ``(None, "<algorithm>:<reason>")``."""
     reason = macro_eligible(comm)
     if reason is None:
         machine = comm.machine
@@ -123,10 +155,25 @@ def _allreduce_plan(comm, algorithm, nbytes: int, kwargs: dict):
                 n=nbytes,
                 **kwargs,
             )
-            return charges, None
+            return (f"{algorithm.name}[p={comm.size},n={nbytes}]", charges), None
         except ConfigError:
             reason = "unpriceable"  # the exact path raises the error
     return None, f"{algorithm.name}:{reason}"
+
+
+def _charge(sim, event, value, plan) -> None:
+    """Fire ``event`` with ``value`` after ``plan``'s summed phases, as
+    one :meth:`~repro.sim.engine.Simulator.macro_charge`.
+
+    The one body shared by the last arriver of a per-rank gate and by
+    each collective of a fleet process, so the two launch paths append
+    the same ``macro_log`` entries.
+    """
+    label, phases = plan
+    total = 0.0
+    for _, seconds in phases:
+        total += seconds
+    sim.macro_charge(event, value, total, label=label, phases=phases)
 
 
 def _combine(items, op):
@@ -166,12 +213,11 @@ def make_hybrid_allreduce(algorithm):
 
     def hybrid_allreduce(comm, payload, op, tag_base: int = 0, **kwargs) -> Generator:
         nbytes = payload.nbytes
-        charges = _planned(
-            comm,
-            (name, comm.size, nbytes, tuple(sorted(kwargs.items()))),
+        plan = _planned(
+            comm, _allreduce_key(name, comm.size, nbytes, kwargs),
             _allreduce_plan, algorithm, nbytes, kwargs,
         )
-        if charges is None:
+        if plan is None:
             result = yield from fn(comm, payload, op, tag_base=tag_base, **kwargs)
             return result
 
@@ -180,17 +226,7 @@ def make_hybrid_allreduce(algorithm):
             key, comm.size, (comm.rank, payload)
         )
         if is_last:
-            result = _combine(items, op)
-            total = 0.0
-            for _, seconds in charges:
-                total += seconds
-            comm.sim.macro_charge(
-                event,
-                result,
-                total,
-                label=f"{name}[p={comm.size},n={nbytes}]",
-                phases=charges,
-            )
+            _charge(comm.sim, event, _combine(items, op), plan)
         result = yield event
         return result
 
@@ -200,14 +236,15 @@ def make_hybrid_allreduce(algorithm):
 
 
 def _barrier_plan(comm):
-    """``(seconds, None)`` for a macro-chargeable barrier, else
+    """``((label, phases), None)`` for a macro-chargeable barrier, else
     ``(None, "barrier:<reason>")``: ``ceil(lg p)`` rounds of one
     zero-byte message each."""
     reason = macro_eligible(comm)
     if reason is not None:
         return None, f"barrier:{reason}"
     model = CostModel.from_machine(comm.machine.config, 0)
-    return _lg_ceil(comm.size) * model.a, None
+    seconds = _lg_ceil(comm.size) * model.a
+    return (f"barrier[p={comm.size}]", (("barrier", seconds),)), None
 
 
 def hybrid_barrier(comm, tag_base: int) -> Generator:
@@ -219,18 +256,85 @@ def hybrid_barrier(comm, tag_base: int) -> Generator:
     from the same per-job plan table as the allreduce charges.
     """
     p = comm.size
-    duration = _planned(comm, ("barrier", p, 0, ()), _barrier_plan)
-    if duration is None:
+    plan = _planned(comm, _barrier_key(p), _barrier_plan)
+    if plan is None:
         return False
     key = ("macro", "barrier", comm.group.context, tag_base)
     event, is_last = comm.runtime.gate(key, p)
     if is_last:
-        comm.sim.macro_charge(
-            event,
-            None,
-            duration,
-            label=f"barrier[p={p}]",
-            phases=(("barrier", duration),),
-        )
+        _charge(comm.sim, event, None, plan)
     yield event
     return True
+
+
+# -- fleet launch ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fleet:
+    """The one-process form of an SPMD rank function.
+
+    A rank function that carries a ``fleet`` attribute declares that,
+    in a fully macro-eligible hybrid job, one process running
+    ``run(comm, plans, *args, **kwargs)`` stands for every rank:
+    ``comm`` is the world view of the first rank, ``plans[i]`` is the
+    macro plan of ``collectives[i]``, and the generator returns the
+    per-rank values list, in world-rank order.  Each entry of
+    ``collectives`` is one distinct collective the process issues,
+    ``("allreduce", algorithm, nbytes, kwargs)`` or ``("barrier",)``.
+    :meth:`~repro.mpi.runtime.Runtime.launch` prices them all before
+    any process starts (:func:`plan_fleet`) and launches per rank when
+    any cannot be priced.
+    """
+
+    run: Callable[..., Generator]
+    collectives: tuple
+
+
+def plan_fleet(comm, collectives) -> tuple[Optional[list], Optional[str]]:
+    """``(plans, None)`` pricing every entry of ``collectives`` for a
+    fleet on world view ``comm``, or ``(None, reason)`` when the job
+    must launch per rank.
+
+    ``reason`` is a :func:`macro_eligible` reason, ``"single-rank"``
+    (a 1-rank barrier charges nothing), ``"<algorithm>:exempt"`` (no
+    priced record of that name) or ``"<algorithm>:unpriceable"``.
+    Plans go through the same per-job table as per-rank dispatch, so
+    a per-rank launch after a fallback reads the same plans, but a
+    failed plan is not tallied here: per-rank dispatch tallies its own.
+    """
+    from repro.mpi.collectives.registry import allreduce_name, resolve_phase_plan
+
+    reason = macro_eligible(comm)
+    if reason is not None:
+        return None, reason
+    p = comm.size
+    if p == 1:
+        return None, "single-rank"
+    plans = []
+    for kind, *args in collectives:
+        if kind == "barrier":
+            plan, fallback = _plan(comm, _barrier_key(p), _barrier_plan)
+        else:
+            algorithm, nbytes, kwargs = args
+            name = allreduce_name(algorithm)
+            record = resolve_phase_plan(name)
+            if record is None:
+                return None, f"{name}:exempt"
+            plan, fallback = _plan(
+                comm, _allreduce_key(name, p, nbytes, kwargs),
+                _allreduce_plan, record, nbytes, kwargs,
+            )
+        if plan is None:
+            return None, fallback
+        plans.append(plan)
+    return plans, None
+
+
+def fleet_collective(sim, plan, value=None) -> Generator:
+    """One collective of a fleet process: charge ``plan`` and wait for
+    it; returns ``value``, the collective's result."""
+    event = sim.event()
+    _charge(sim, event, value, plan)
+    result = yield event
+    return result

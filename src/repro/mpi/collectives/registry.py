@@ -62,6 +62,7 @@ __all__ = [
     "resolve_collective",
     "available_collectives",
     "resolve_phase_plan",
+    "allreduce_name",
 ]
 
 CollectiveFn = Callable[..., Generator]
@@ -140,6 +141,11 @@ def resolve_phase_plan(name: str) -> Optional[AllreduceAlgorithm]:
     return record if record is not None and record.priced else None
 
 
+def allreduce_name(name: Optional[str]) -> str:
+    """The allreduce ``name`` selects: itself, or the default for ``None``."""
+    return name or _DEFAULTS["allreduce"]
+
+
 def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:
     """Look up an allreduce; ``None`` selects the default.
 
@@ -151,7 +157,7 @@ def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:
     coroutine; it charges the whole collective as one priced macro-event
     when eligible and falls back to the wrapped exact path otherwise.
     """
-    key = name or _DEFAULTS["allreduce"]
+    key = allreduce_name(name)
     record = _ALLREDUCE.get(key)
     if record is None:
         raise TuningError(

@@ -144,10 +144,15 @@ class Runtime:
         #: charge); surfaced in
         #: ``JobResult.counters["hybrid_exact_fallbacks"]``.
         self.hybrid_exact_fallbacks: dict[str, int] = {}
+        #: reason -> jobs whose rank function has a fleet form (see
+        #: :class:`~repro.mpi.collectives.hybrid.Fleet`) but which were
+        #: launched per rank; surfaced in
+        #: ``JobResult.counters["hybrid_fleet_fallbacks"]``.
+        self.hybrid_fleet_fallbacks: dict[str, int] = {}
         #: Per-job hybrid macro plans, filled by the first rank that
-        #: dispatches each collective (see
-        #: :mod:`repro.mpi.collectives.hybrid`): ``(algorithm, comm
-        #: size, nbytes, sorted kwargs items)`` -> ``(price, fallback)``.
+        #: dispatches each collective or by a fleet launch's preflight
+        #: (see :mod:`repro.mpi.collectives.hybrid`): ``(algorithm, comm
+        #: size, nbytes, sorted kwargs items)`` -> ``(plan, fallback)``.
         #: Cleared by :meth:`reset`, which every change of eligibility
         #: (new noise, faults, or a failover shrink) goes through.
         self.macro_plans: dict = {}
@@ -185,6 +190,7 @@ class Runtime:
         self._done_gates.clear()
         self.hybrid_plan_fallbacks.clear()
         self.hybrid_exact_fallbacks.clear()
+        self.hybrid_fleet_fallbacks.clear()
         self.macro_plans.clear()
         return self
 
@@ -439,6 +445,36 @@ class Runtime:
             )
         return procs
 
+    def _spawn_fleet(self, fn: RankFn, args, kwargs):
+        """One process standing for every rank of ``fn``, or ``None``
+        to launch per rank.
+
+        Only a hybrid job whose rank function has a ``fleet`` form
+        (:class:`~repro.mpi.collectives.hybrid.Fleet`) qualifies, and
+        only when every collective the fleet issues is macro-chargeable
+        on the world communicator
+        (:func:`~repro.mpi.collectives.hybrid.plan_fleet`); any other
+        job keeps the per-rank launch, the reference.  Eligibility
+        excludes a recovery layer, so the fleet always runs the full
+        world with no start delay.  A fleet-capable job launched per
+        rank is counted in :attr:`hybrid_fleet_fallbacks`.
+        """
+        form = getattr(fn, "fleet", None)
+        if form is None or self.fidelity != "hybrid":
+            return None
+        from repro.mpi.collectives.hybrid import plan_fleet
+
+        comm = self.world_comm(self._world_group.ranks[0])
+        plans, reason = plan_fleet(comm, form.collectives)
+        if plans is None:
+            counts = self.hybrid_fleet_fallbacks
+            counts[reason] = counts.get(reason, 0) + 1
+            return None
+        return self.sim.process(
+            form.run(comm, plans, *args, **kwargs),
+            name=f"{self.namespace}fleet",
+        )
+
     def _launch_attempt(
         self,
         fn: RankFn,
@@ -446,12 +482,19 @@ class Runtime:
         kwargs,
         start_delay: float = 0.0,
     ) -> "JobResult":
-        """One simulation of ``fn`` on the current world group."""
+        """One simulation of ``fn`` on the current world group.
+
+        A hybrid job whose rank function carries a fleet form runs as
+        one process when :meth:`_spawn_fleet` can price it, and per rank
+        otherwise.
+        """
         machine = self.machine
         faults = machine.faults
-        procs = self.spawn(
-            fn, args=args, kwargs=kwargs, start_delay=start_delay
-        )
+        fleet = self._spawn_fleet(fn, args, kwargs)
+        if fleet is None:
+            procs = self.spawn(
+                fn, args=args, kwargs=kwargs, start_delay=start_delay
+            )
         sanitizer = getattr(self.sim, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.begin_run()
@@ -473,11 +516,16 @@ class Runtime:
         if self.fidelity == "hybrid":
             counters["hybrid_plan_fallbacks"] = dict(self.hybrid_plan_fallbacks)
             counters["hybrid_exact_fallbacks"] = dict(self.hybrid_exact_fallbacks)
-        return JobResult(
-            values=[
+            counters["hybrid_fleet_fallbacks"] = dict(self.hybrid_fleet_fallbacks)
+        if fleet is None:
+            values = [
                 procs[r].value if r in procs else None
                 for r in range(machine.nranks)
-            ],
+            ]
+        else:
+            values = list(fleet.value)
+        return JobResult(
+            values=values,
             elapsed=self.sim.now,
             machine=machine,
             tracer=machine.tracer,

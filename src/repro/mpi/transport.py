@@ -29,7 +29,40 @@ from repro.mpi.matching import ANY, EAGER, RTS, Envelope, Matcher
 from repro.mpi.request import Request
 from repro.payload.payload import Payload
 
-__all__ = ["Transport", "RndvState"]
+__all__ = ["Transport", "RndvState", "MatcherTable"]
+
+
+class MatcherTable(dict):
+    """Rank -> :class:`~repro.mpi.matching.Matcher`, each built on first
+    access.
+
+    A hybrid job whose collectives are all macro-charged never touches
+    a matcher, so building ``nranks`` of them per job is pure overhead
+    at 10k+ ranks.  Indexing a rank in ``range(nranks)`` builds its
+    matcher on first use (a plain dict hit afterwards); any other rank
+    raises :class:`IndexError`, as the list this replaces did.
+    Iterating yields the *built* matchers in rank order, so sanitizer
+    and metering reports keep their order (an unbuilt matcher has
+    nothing to report).
+    """
+
+    __slots__ = ("nranks", "sanitizer")
+
+    def __init__(self, nranks: int, sanitizer=None):
+        super().__init__()
+        self.nranks = nranks
+        self.sanitizer = sanitizer
+
+    def __missing__(self, rank: int) -> Matcher:
+        if not 0 <= rank < self.nranks:
+            raise IndexError(
+                f"rank {rank} out of range for {self.nranks} matcher(s)"
+            )
+        matcher = self[rank] = Matcher(rank, sanitizer=self.sanitizer)
+        return matcher
+
+    def __iter__(self):
+        return iter([self[rank] for rank in sorted(self.keys())])
 
 
 class RndvState:
@@ -49,10 +82,7 @@ class Transport:
     def __init__(self, machine: Machine):
         self.machine = machine
         self.sim = machine.sim
-        self.matchers = [
-            Matcher(r, sanitizer=machine.sim.sanitizer)
-            for r in range(machine.nranks)
-        ]
+        self.matchers = MatcherTable(machine.nranks, machine.sim.sanitizer)
         self._seq: dict[tuple[int, int], int] = {}
 
     # -- public API (called by Comm) -------------------------------------------

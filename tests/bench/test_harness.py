@@ -5,7 +5,7 @@ import pytest
 from repro.bench.harness import allreduce_latency, allreduce_sweep
 from repro.bench.report import format_size, format_table, format_us, speedup
 from repro.bench.sweep import algorithm_sweep, leader_sweep
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_b
 
 
@@ -33,6 +33,19 @@ class TestHarness:
     def test_missing_ranks_and_ppn_rejected(self):
         with pytest.raises(ReproError):
             allreduce_latency(cluster_b(2), "ring", 64)
+
+    @pytest.mark.parametrize(
+        "loop", [{"iterations": 0}, {"iterations": -1}, {"warmup": -1}]
+    )
+    def test_invalid_loop_knobs_rejected_before_simulation(self, loop):
+        from repro.mpi.runtime import SimSession
+
+        session = SimSession(cluster_b(2), 4, 2)
+        with pytest.raises(ConfigError, match=next(iter(loop))):
+            allreduce_latency(
+                cluster_b(2), "dpml", 64, ppn=2, session=session, **loop
+            )
+        assert session.runs == 0
 
     def test_explicit_nranks(self):
         t = allreduce_latency(cluster_b(4), "ring", 1024, nranks=6, ppn=2)

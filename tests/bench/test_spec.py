@@ -66,6 +66,17 @@ class TestExpansion:
         with pytest.raises(ReproError, match="repeats"):
             small_spec(repeats=0)
 
+    @pytest.mark.parametrize(
+        "loop", [{"iterations": 0}, {"iterations": -1}, {"warmup": -1}]
+    )
+    def test_invalid_loop_knobs_rejected_at_construction(self, loop):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=next(iter(loop))):
+            small_spec(**loop)
+        with pytest.raises(ConfigError, match=next(iter(loop))):
+            SamplePoint("b", 2, 2, "dpml", 1024, **loop)
+
     def test_nranks_and_session_key(self):
         point = small_spec().points()[0]
         assert point.nranks == 4
