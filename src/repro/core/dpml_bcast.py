@@ -60,10 +60,7 @@ def bcast_dpml(
     if plan.is_leader:
         j = plan.leader_index
         leader_comm = plan.leader_comm
-        node_order = sorted(
-            {machine.node_of(comm.translate(r)) for r in range(comm.size)}
-        )
-        root_leader = node_order.index(root_node)
+        root_leader = comm.layout.nodes.index(root_node)
         if leader_comm.rank == root_leader:
             part_j = yield region.take((ctx, tag_base, "root-in", j))
             yield from machine.flag_sync()

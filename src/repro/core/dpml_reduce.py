@@ -76,10 +76,7 @@ def reduce_dpml(
         # The leader communicator was built with key=node, so its rank
         # order follows the sorted node ids.
         leader_comm = plan.leader_comm
-        node_order = sorted(
-            {machine.node_of(comm.translate(r)) for r in range(comm.size)}
-        )
-        root_leader = node_order.index(root_node)
+        root_leader = comm.layout.nodes.index(root_node)
         fn = resolve_collective("reduce", inter_algorithm or "binomial", comm)
         result_j = yield from fn(
             leader_comm, reduced, op, root=root_leader, tag_base=tag_base

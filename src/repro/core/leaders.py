@@ -6,6 +6,12 @@ inter-node leader communicators (leader ``j`` of every node forms one
 communicator).  Plans are built collectively (they call ``comm.split``)
 and cached on the communicator, so repeated collectives pay nothing.
 
+Node membership is not scanned here: it comes from the communicator's
+:class:`~repro.mpi.layout.Layout` (``comm.layout``), which is built
+once per group and shared by every rank's view.  A plan holds only the
+per-rank part — this rank's leader index and leader communicator — and
+``node_ranks`` is the layout's own tuple.
+
 Leader choice is socket-aware: local ranks are already laid out
 round-robin across sockets by the default ``"scatter"`` placement, so
 taking the first ``l`` local ranks spreads leaders over sockets, which
@@ -28,7 +34,7 @@ class LeaderPlan:
 
     leaders: int  #: effective leader count l (clamped to min ppn)
     node: int  #: this rank's node id
-    node_ranks: list[int]  #: comm ranks on this node, local order
+    node_ranks: tuple[int, ...]  #: comm ranks on this node, local order (shared)
     local_index: int  #: this rank's index within node_ranks
     leader_index: Optional[int]  #: j if this rank is leader j, else None
     leader_comm: Optional[object]  #: comm of leader j across nodes (leaders only)
@@ -43,16 +49,6 @@ class LeaderPlan:
     def ppn(self) -> int:
         """Local ranks on this node."""
         return len(self.node_ranks)
-
-
-def _nodes_of(comm) -> dict[int, list[int]]:
-    """Node id → comm ranks, in placement order."""
-    machine = comm.machine
-    by_node: dict[int, list[int]] = {}
-    for local in range(comm.size):
-        node = machine.node_of(comm.translate(local))
-        by_node.setdefault(node, []).append(local)
-    return by_node
 
 
 def check_leader_count(leaders: int) -> None:
@@ -72,15 +68,13 @@ def get_leader_plan(comm, leaders: int) -> Generator:
     if cached is not None:
         return cached
 
-    by_node = _nodes_of(comm)
-    min_ppn = min(len(ranks) for ranks in by_node.values())
+    layout = comm.layout
     # Every node must field a leader for every partition, otherwise the
     # inter-node allreduce for that partition would miss contributions.
-    eff_leaders = min(leaders, min_ppn)
+    eff_leaders = min(leaders, layout.min_ppn)
 
-    machine = comm.machine
-    my_node = machine.node_of(comm.world_rank)
-    node_ranks = by_node[my_node]
+    my_node = layout.node[comm.rank]
+    node_ranks = layout.node_ranks[my_node]
     local_index = node_ranks.index(comm.rank)
     leader_index = local_index if local_index < eff_leaders else None
 
@@ -96,7 +90,7 @@ def get_leader_plan(comm, leaders: int) -> Generator:
         local_index=local_index,
         leader_index=leader_index,
         leader_comm=leader_comm,
-        n_nodes=len(by_node),
+        n_nodes=len(layout.nodes),
     )
     comm.cache[("leader-plan", leaders)] = plan
     return plan

@@ -59,14 +59,11 @@ def allreduce_dpml_multilevel(
     my_loc = machine.loc(me)
     ppn = plan.ppn
 
-    # Group local ranks by socket; the first rank of each socket group
-    # acts as that socket's sub-leader for every partition.
-    by_socket: dict[int, list[int]] = {}
-    for idx, local in enumerate(plan.node_ranks):
-        sock = machine.loc(comm.translate(local)).socket
-        by_socket.setdefault(sock, []).append(idx)
-    my_socket_members = by_socket[my_loc.socket]
-    my_socket_pos = my_socket_members.index(plan.local_index)
+    # The first rank of each socket group acts as that socket's
+    # sub-leader for every partition.
+    socket_ranks = comm.layout.socket_ranks
+    my_socket_members = socket_ranks[(plan.node, my_loc.socket)]
+    my_socket_pos = my_socket_members.index(comm.rank)
     i_am_sub_leader = my_socket_pos == 0
 
     # --- Level 1a: deposit each partition with the socket sub-leader
@@ -102,7 +99,7 @@ def allreduce_dpml_multilevel(
 
     if plan.is_leader:
         j = plan.leader_index
-        sockets = sorted(by_socket)
+        sockets = sorted(sock for node, sock in socket_ranks if node == plan.node)
         gathered = []
         for sock in sockets:
             part = yield region.take((ctx, tag_base, "in", j, sock))

@@ -16,6 +16,13 @@ Both keep the number of switch-side participants small because SHArP
 supports only a few outstanding operations
 (:class:`~repro.machine.sharp.SharpTree` enforces this), which is the
 paper's argument for not using all DPML leaders here.
+
+The gather groups are not scanned here: a node group is
+``comm.layout.node_ranks[node]`` and a socket group is
+``comm.layout.socket_ranks[(node, socket)]``, read from the
+communicator's :class:`~repro.mpi.layout.Layout`, which is built once
+per group and shared by every rank's view.  Each rank caches only its
+own plan (its group, leader and socket crossing) in ``comm.cache``.
 """
 
 from __future__ import annotations
@@ -39,37 +46,36 @@ __all__ = [
 class _SharpPlan:
     """Gather-group layout for one rank (cached per communicator)."""
 
-    group_ranks: list[int]  #: comm ranks whose data my leader gathers (incl. me)
+    group_ranks: tuple[int, ...]  #: comm ranks whose data my leader gathers (incl. me)
     my_index: int  #: my position within group_ranks
     leader_rank: int  #: comm rank of my leader
     is_leader: bool
     n_leaders: int  #: total leaders across the communicator
     node: int
-    cross_socket_gather: bool  #: whether the gather crosses sockets
+    cross: bool  #: whether my leader sits on another socket
 
 
 def _build_plan(comm, per_socket: bool) -> _SharpPlan:
+    """This rank's gather group, read from the communicator's layout."""
+    layout = comm.layout
     machine = comm.machine
-    by_group: dict[tuple, list[int]] = {}
-    for local in range(comm.size):
-        world = comm.translate(local)
-        loc = machine.loc(world)
-        key = (loc.node, loc.socket) if per_socket else (loc.node,)
-        by_group.setdefault(key, []).append(local)
-
-    world = comm.world_rank
-    loc = machine.loc(world)
-    my_key = (loc.node, loc.socket) if per_socket else (loc.node,)
-    group_ranks = by_group[my_key]
+    node = layout.node[comm.rank]
+    socket = machine.loc(comm.world_rank).socket
+    if per_socket:
+        groups = layout.socket_ranks
+        group_ranks = groups[(node, socket)]
+    else:
+        groups = layout.node_ranks
+        group_ranks = groups[node]
     leader_rank = group_ranks[0]
     return _SharpPlan(
         group_ranks=group_ranks,
         my_index=group_ranks.index(comm.rank),
         leader_rank=leader_rank,
         is_leader=comm.rank == leader_rank,
-        n_leaders=len(by_group),
-        node=loc.node,
-        cross_socket_gather=not per_socket and machine.config.node.sockets > 1,
+        n_leaders=len(groups),
+        node=node,
+        cross=machine.loc(comm.translate(leader_rank)).socket != socket,
     )
 
 
@@ -92,14 +98,11 @@ def _sharp_allreduce(
     region = comm.runtime.shm_region(plan.node)
     ctx = comm.group.context
     nbytes = payload.nbytes
-    my_loc = machine.loc(me)
     group_size = len(plan.group_ranks)
 
     # --- Gather: deposit the full vector at the leader.
     if not plan.is_leader:
-        leader_world = comm.translate(plan.leader_rank)
-        cross = machine.loc(leader_world).socket != my_loc.socket
-        yield from machine.shm_copy(me, nbytes, cross_socket=cross)
+        yield from machine.shm_copy(me, nbytes, cross_socket=plan.cross)
         region.put((ctx, tag_base, "gather", plan.leader_rank, plan.my_index), payload)
     else:
         gathered = [payload]
@@ -144,9 +147,7 @@ def _sharp_allreduce(
         (ctx, tag_base, "bcast", plan.leader_rank), readers=group_size
     )
     if not plan.is_leader:
-        leader_world = comm.translate(plan.leader_rank)
-        cross = machine.loc(leader_world).socket != my_loc.socket
-        yield from machine.shm_copy(me, nbytes, cross_socket=cross)
+        yield from machine.shm_copy(me, nbytes, cross_socket=plan.cross)
     return result
 
 

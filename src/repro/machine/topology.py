@@ -69,9 +69,16 @@ class Placement:
         self._sockets = config.node.sockets
         self._cps = config.node.cores_per_socket
         self._scatter = config.placement == "scatter"
+        # Locs are frozen, so one per rank is shared by every caller.
+        # Only valid ranks are stored: a bad rank raises on every call.
+        self._locs: dict[int, Loc] = {}
 
     def loc(self, rank: int) -> Loc:
-        """Physical location of ``rank``."""
+        """Physical location of ``rank`` (memoised per rank)."""
+        try:
+            return self._locs[rank]
+        except KeyError:
+            pass
         if not (0 <= rank < self.nranks):
             raise ConfigError(f"rank {rank} out of range [0, {self.nranks})")
         node, local = divmod(rank, self.ppn)
@@ -86,7 +93,10 @@ class Placement:
                 f"placement overflow: local rank {local} maps to core {core} "
                 f"of socket {socket} (only {self._cps} cores per socket)"
             )
-        return Loc(rank=rank, node=node, local_rank=local, socket=socket, core=core)
+        loc = self._locs[rank] = Loc(
+            rank=rank, node=node, local_rank=local, socket=socket, core=core
+        )
+        return loc
 
     def node_of(self, rank: int) -> int:
         """Node index of ``rank`` (cheap path, no Loc allocation)."""

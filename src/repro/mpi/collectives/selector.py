@@ -42,15 +42,7 @@ __all__ = [
 
 def is_multinode(comm) -> bool:
     """Whether the communicator spans more than one node."""
-    cached = comm.cache.get("is-multinode")
-    if cached is None:
-        machine = comm.machine
-        first = machine.node_of(comm.translate(0))
-        cached = any(
-            machine.node_of(comm.translate(r)) != first for r in range(1, comm.size)
-        )
-        comm.cache["is-multinode"] = cached
-    return cached
+    return comm.layout.multinode
 
 
 def _delegate(comm, payload, op, tag_base, name, **kwargs) -> Generator:

@@ -24,6 +24,7 @@ import itertools
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.errors import CommRevokedError, MPIError
+from repro.mpi.layout import Layout, build_layout
 from repro.mpi.matching import ANY
 from repro.mpi.request import Request
 from repro.payload.ops import ReduceOp
@@ -44,7 +45,7 @@ class Group:
 
     __slots__ = (
         "ranks", "context", "index_of", "_split_calls", "_coll_calls",
-        "revoked",
+        "revoked", "layout",
     )
 
     def __init__(self, ranks: Sequence[int], context: int):
@@ -58,6 +59,8 @@ class Group:
         # ULFM-style revocation flag (see Comm.revoke): a revoked
         # communicator refuses new traffic on every rank's view.
         self.revoked = False
+        # Node/socket membership, built on first use (see Comm.layout).
+        self.layout: Optional[Layout] = None
 
 
 class Comm:
@@ -98,6 +101,18 @@ class Comm:
     def machine(self):
         """The machine this job runs on."""
         return self.runtime.machine
+
+    @property
+    def layout(self) -> Layout:
+        """Node and socket membership of this communicator.
+
+        Built once per group by the first view that asks and shared by
+        every other view (see :mod:`repro.mpi.layout`).
+        """
+        group = self.group
+        if group.layout is None:
+            group.layout = build_layout(group.ranks, self.machine)
+        return group.layout
 
     @property
     def sim(self):

@@ -178,6 +178,7 @@ class TenantMachine(Machine):
         self.mem = fabric.mem
         self.sharp = fabric.sharp
         self.fabric_tree = fabric.fabric_tree
+        self._locs: dict[int, Loc] = {}
 
     # -- local -> global node translation ------------------------------------
 
@@ -186,15 +187,21 @@ class TenantMachine(Machine):
         return self.tenant_nodes[self.placement.node_of(rank)]
 
     def loc(self, rank: int) -> Loc:
-        """Physical location of ``rank``, with the global node id."""
+        """Physical location of ``rank``, with the global node id
+        (memoised per rank, like :meth:`Placement.loc`)."""
+        try:
+            return self._locs[rank]
+        except KeyError:
+            pass
         local = self.placement.loc(rank)
-        return Loc(
+        loc = self._locs[rank] = Loc(
             rank=local.rank,
             node=self.tenant_nodes[local.node],
             local_rank=local.local_rank,
             socket=local.socket,
             core=local.core,
         )
+        return loc
 
     def reset(self, **kwargs) -> "Machine":
         raise TrafficError(
