@@ -27,12 +27,10 @@ Commands
     verified byte-identical against a serial reference.
 ``autotune --cluster c [--ppn 28]``
     Regenerate the DPML tuning table for one cluster preset.
-``perf [scenario] [--gate] [--baseline BENCH_PERF.json] [--output out.json]``
-    Run the perf-regression suite: compat vs fast mode on figure-shaped
-    scenarios, plus hybrid-fidelity scale scenarios at 10k-100k ranks
-    (``scale10k``/``scale50k``/``scale100k``).  ``--canonical-output``
-    writes the deterministic portion as byte-stable canonical JSON; see
-    :mod:`repro.bench.perf`.
+``experiments [--output EXPERIMENTS.md]``
+    Regenerate the experiments report (every figure and ablation; slow).
+``validate``
+    Run the collective validation matrix; exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -255,7 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "command",
-        help="'list', 'all', 'run', 'autotune', or a figure name (e.g. fig9b)",
+        help="'list', 'all', 'run', 'cache', 'serve', 'experiments', "
+        "'autotune', 'validate', or a figure name (e.g. fig9b)",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -303,16 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print per-point progress for 'run' (stderr)",
     )
     parser.add_argument(
-        "--gate", action="store_true",
-        help="for 'perf': fail unless the fig5-shaped scenario clears the "
-        "counter-improvement floors",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="for 'perf': committed BENCH_PERF.json to diff deterministic "
-        "counters against (wall-clock excluded)",
-    )
-    parser.add_argument(
         "--canonical", action="store_true",
         help="write 'run' JSON without volatile metadata (diff-friendly)",
     )
@@ -320,11 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fidelity", default="exact", choices=("exact", "hybrid"),
         help="collective execution fidelity for 'run' sweeps (hybrid "
         "macro-charges validated collectives through the cost model)",
-    )
-    parser.add_argument(
-        "--canonical-output", default=None, metavar="PATH", dest="canonical_output",
-        help="for 'perf': also write the deterministic portion of the "
-        "report as canonical JSON (byte-stable across identical runs)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -391,10 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bench.service import main as serve_main
 
         return serve_main(args)
-    if command == "perf":
-        from repro.bench.perf import main as perf_main
-
-        return perf_main(args)
     if command == "experiments":
         from repro.bench.experiments import generate_experiments_report
 

@@ -15,8 +15,8 @@ digests exactly those inputs.  This module provides that cache:
   deterministic canonical encoding, so a warm sweep is byte-identical
   to a cold one;
 * :func:`store_from_env` / :func:`resolve_store` — ``REPRO_RESULT_STORE``
-  and ``--store``/``--no-store`` resolution shared by the CLI, the
-  figure regenerators, and the perf harness.
+  and ``--store``/``--no-store`` resolution shared by the CLI and the
+  figure regenerators.
 
 Corrupt blobs (bit flips, truncation, foreign files) are treated as
 misses: the entry is dropped, the point re-executes, and the write-back
@@ -71,9 +71,9 @@ def _kernel_compat() -> bool:
     """Whether the heap-only compat kernel is forced via the environment.
 
     Mirrors the simulator's own ``REPRO_KERNEL_COMPAT`` parsing; the
-    perf harness flips compat per-session instead (and never routes
-    those runs through a store), so the environment default is the
-    honest execution-mode fact for cached sweeps.
+    golden counter tests flip compat per-session instead (and never
+    route those runs through a store), so the environment default is
+    the honest execution-mode fact for cached sweeps.
     """
     return os.environ.get("REPRO_KERNEL_COMPAT", "").lower() in _TRUTHY
 
@@ -290,11 +290,6 @@ class ResultStore:
                 pass
             raise
         self.session_counters["stored"] += 1
-
-    def put_many(self, outcomes: dict[str, dict]) -> None:
-        """Store a batch of outcomes."""
-        for key, result in outcomes.items():
-            self.put(key, result)
 
     def put_result(self, key: str, result: PointResult) -> bool:
         """Store a :class:`PointResult` if it is cacheable (succeeded).

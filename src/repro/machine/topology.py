@@ -102,18 +102,6 @@ class Placement:
         """Node index of ``rank`` (cheap path, no Loc allocation)."""
         return rank // self.ppn
 
-    def ranks_on_node(self, node: int) -> list[int]:
-        """Global ranks living on ``node``, in local-rank order."""
-        lo = node * self.ppn
-        hi = min(lo + self.ppn, self.nranks)
-        if lo >= self.nranks:
-            return []
-        return list(range(lo, hi))
-
-    def ranks_on_socket(self, node: int, socket: int) -> list[int]:
-        """Global ranks of ``node`` placed on ``socket``."""
-        return [r for r in self.ranks_on_node(node) if self.loc(r).socket == socket]
-
     def same_node(self, a: int, b: int) -> bool:
         """Whether two ranks share a node."""
         return self.node_of(a) == self.node_of(b)

@@ -62,7 +62,7 @@ def _skewed_start(sim: Simulator, delay: float, gen: Generator) -> Generator:
     The wrapper is applied only to ranks with a positive delay, so
     fault-free jobs (and on-time ranks inside faulted ones) schedule
     exactly the same events as before — the deterministic kernel
-    counters gating the perf-smoke CI job stay untouched.
+    counters pinned by the golden counter tests stay untouched.
     """
     yield sim.timeout(delay)
     value = yield from gen

@@ -21,8 +21,8 @@ multi-leader design relies on.  ``REPRO_PAYLOAD_COMPAT=1`` (or
 behaviour; results are bit-identical either way.
 
 The module keeps deterministic byte counters (:func:`payload_counters`)
-so the perf harness can report data-movement savings that do not depend
-on the host machine.
+so the golden counter tests can pin data-movement savings that do not
+depend on the host machine.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def set_payload_compat(flag: bool) -> None:
     """Force (or lift) copy-everywhere compatibility mode.
 
     Overrides the ``REPRO_PAYLOAD_COMPAT`` environment default for the
-    rest of the process; the perf harness flips this to measure honest
-    before/after byte counters in one interpreter.
+    rest of the process; the golden counter tests flip this to pin
+    honest before/after byte counters in one interpreter.
     """
     global _COMPAT
     _COMPAT = bool(flag)

@@ -462,8 +462,8 @@ class Simulator:
     ``compat=True`` (or ``REPRO_KERNEL_COMPAT=1``) disables every fast
     path — all scheduling goes through the heap and no event is pooled —
     reproducing the original kernel's allocation behaviour exactly.
-    Results are bit-identical either way; compat exists so the perf
-    harness can measure honest before/after counters.
+    Results are bit-identical either way; compat exists so the golden
+    counter tests can pin honest before/after counters.
     """
 
     def __init__(
@@ -528,8 +528,8 @@ class Simulator:
         bit-identical to the same run on a newly constructed one.  The
         event free pools are deliberately *kept* — reuse never changes
         results, but it does mean ``events_allocated`` on a reused
-        session reads lower than on a cold one (the perf harness uses
-        fresh sessions for exactly this reason).  Objects holding their
+        session reads lower than on a cold one (the golden counter tests
+        use fresh sessions for exactly this reason).  Objects holding their
         own state against this simulator (queues, resources, stores)
         must be reset by their owners — see
         :meth:`repro.machine.machine.Machine.reset`.

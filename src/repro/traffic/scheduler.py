@@ -176,10 +176,6 @@ class TrafficScheduler:
         """Currently-running job records in trace order (deterministic)."""
         return [self._running[i] for i in sorted(self._running)]
 
-    @property
-    def finished_count(self) -> int:
-        return self._finished
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:

@@ -122,6 +122,12 @@ class TestCli:
 
         assert main(["nope"]) == 2
 
+    def test_perf_command_is_gone(self, capsys):
+        from repro.bench.cli import main
+
+        assert main(["perf"]) == 2
+        assert "unknown command" in capsys.readouterr().err
+
     def test_single_figure_runs(self, capsys):
         from repro.bench.cli import main
 

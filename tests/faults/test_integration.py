@@ -157,7 +157,7 @@ class TestFaultEffects:
 
     def test_fault_free_plan_changes_nothing(self):
         # An empty plan must be byte-for-byte invisible, kernel
-        # counters included (the perf-smoke gate depends on this).
+        # counters included (the golden counter tests depend on this).
         clean = run_job(cluster_b(2), 8, allreduce_fn, ppn=4)
         empty = run_job(
             cluster_b(2), 8, allreduce_fn, ppn=4, faults=FaultPlan()

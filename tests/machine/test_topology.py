@@ -47,16 +47,8 @@ class TestPlacement:
     def test_partial_last_node(self):
         p = Placement(_config(), nranks=10, ppn=8)
         assert p.nodes_used == 2
-        assert p.ranks_on_node(1) == [8, 9]
-
-    def test_ranks_on_node_empty_beyond_job(self):
-        p = Placement(_config(), nranks=8, ppn=8)
-        assert p.ranks_on_node(1) == []
-
-    def test_ranks_on_socket(self):
-        p = Placement(_config(placement="scatter"), nranks=8, ppn=8)
-        assert p.ranks_on_socket(0, 0) == [0, 2, 4, 6]
-        assert p.ranks_on_socket(0, 1) == [1, 3, 5, 7]
+        assert [p.node_of(r) for r in range(8, 10)] == [1, 1]
+        assert p.node_of(7) == 0
 
     def test_same_node(self):
         p = Placement(_config(), nranks=16, ppn=8)
