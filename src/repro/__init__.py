@@ -39,11 +39,14 @@ Layout
 
 Quickstart
 ----------
+DPML with eight leaders per node against recursive doubling, for a
+256 KB allreduce on eight nodes of cluster B at eight ranks per node:
+
 >>> from repro.machine.clusters import cluster_b
 >>> from repro.bench.harness import allreduce_latency
->>> machine = cluster_b(nodes=8, ppn=8)
->>> t_dpml = allreduce_latency(machine, "dpml", count=65536, leaders=8)
->>> t_rd = allreduce_latency(machine, "recursive_doubling", count=65536)
+>>> config = cluster_b(8)
+>>> t_dpml = allreduce_latency(config, "dpml", 262144, ppn=8, leaders=8)
+>>> t_rd = allreduce_latency(config, "recursive_doubling", 262144, ppn=8)
 >>> t_dpml < t_rd
 True
 """

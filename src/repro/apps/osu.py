@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ReproError
 from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine
-from repro.mpi.runtime import Runtime
+from repro.mpi.runtime import run_job
 from repro.payload.payload import SymbolicPayload
 
 __all__ = [
@@ -91,8 +90,7 @@ def multi_pair_bandwidth(
             yield from comm.send(peer, ack, tag=1 << 19)
         return 0.0
 
-    machine = Machine(config, nranks, ppn)
-    job = Runtime(machine).launch(bench)
+    job = run_job(config, nranks, bench, ppn=ppn)
     slowest = max(job.values[:pairs])
     if slowest <= 0:
         raise ReproError("benchmark produced no timed window")
@@ -157,8 +155,7 @@ def pingpong_latency(
             yield from comm.send(peer, payload, tag=it)
         return 0.0
 
-    machine = Machine(config, 2, 1 if inter_node else 2)
-    job = Runtime(machine).launch(bench)
+    job = run_job(config, 2, bench, ppn=1 if inter_node else 2)
     return float(job.values[0])
 
 
@@ -173,14 +170,6 @@ def unidirectional_bandwidth(
 ) -> float:
     """``osu_bw`` / ``osu_bibw``: windowed streaming bandwidth (bytes/s)
     of one pair across nodes."""
-    return _streaming_bandwidth(
-        config, nbytes, window=window, iterations=iterations, warmup=warmup,
-        bidirectional=bidirectional,
-    )
-
-
-def _streaming_bandwidth(config, nbytes, *, window, iterations, warmup,
-                         bidirectional):
     payload = SymbolicPayload(max(1, nbytes), 1)
     ack = SymbolicPayload(0, 1)
     total = warmup + iterations
@@ -212,9 +201,7 @@ def _streaming_bandwidth(config, nbytes, *, window, iterations, warmup,
                 timed += comm.now - t0
         return timed
 
-    machine = Machine(config, 2, 1)
-    job = Runtime(machine).launch(bench)
-    elapsed = max(job.values)
+    elapsed = max(run_job(config, 2, bench, ppn=1).values)
     directions = 2 if bidirectional else 1
     return directions * window * iterations * nbytes / elapsed
 
@@ -232,38 +219,37 @@ def osu_collective_latency(
     **alg_kwargs,
 ) -> float:
     """``osu_allreduce`` / ``osu_reduce`` / ``osu_bcast``: average
-    collective latency over a timed loop (max across ranks)."""
+    collective latency over a timed loop (max across ranks).
+
+    ``kind="allreduce"`` is :func:`~repro.bench.harness.allreduce_latency`
+    (and so takes the hybrid fleet where that applies).
+    """
+    from repro.bench.harness import allreduce_latency
     from repro.payload.ops import SUM
 
-    count = max(1, nbytes // 4)
-    payload = SymbolicPayload(count, 4)
+    if kind == "allreduce":
+        return allreduce_latency(
+            config, algorithm, nbytes, nranks=nranks, ppn=ppn,
+            iterations=iterations, warmup=warmup, **alg_kwargs,
+        )
+    if kind not in ("reduce", "bcast"):
+        raise ReproError(f"unknown collective kind {kind!r}")
+    payload = SymbolicPayload(max(1, nbytes // 4), 4)
+
+    def one(comm):
+        if kind == "reduce":
+            return comm.reduce(
+                payload, SUM, root=0, algorithm=algorithm, **alg_kwargs
+            )
+        return comm.bcast(payload, root=0, algorithm=algorithm, **alg_kwargs)
 
     def bench(comm):
-        def one():
-            if kind == "allreduce":
-                result = yield from comm.allreduce(
-                    payload, SUM, algorithm=algorithm, **alg_kwargs
-                )
-            elif kind == "reduce":
-                result = yield from comm.reduce(
-                    payload, SUM, root=0, algorithm=algorithm, **alg_kwargs
-                )
-            elif kind == "bcast":
-                result = yield from comm.bcast(
-                    payload, root=0, algorithm=algorithm, **alg_kwargs
-                )
-            else:
-                raise ReproError(f"unknown collective kind {kind!r}")
-            return result
-
         for _ in range(warmup):
-            yield from one()
+            yield from one(comm)
         yield from comm.barrier()
         t0 = comm.now
         for _ in range(iterations):
-            yield from one()
+            yield from one(comm)
         return (comm.now - t0) / iterations
 
-    machine = Machine(config, nranks, ppn)
-    job = Runtime(machine).launch(bench)
-    return float(max(job.values))
+    return float(max(run_job(config, nranks, bench, ppn=ppn).values))

@@ -1,15 +1,20 @@
 """Experiment harness: sweeps, tables, and the figure regenerators.
 
-* :mod:`repro.bench.harness` — run one measurement (e.g. the latency of
-  one allreduce configuration at one message size), optionally on a
-  reusable :class:`~repro.mpi.runtime.SimSession`;
+* :mod:`repro.bench.harness` — the OSU-style allreduce latency kernel
+  and :func:`~repro.bench.harness.allreduce_latency`, which runs it once
+  (one configuration, one message size), optionally on a reusable
+  :class:`~repro.mpi.runtime.SimSession`;
 * :mod:`repro.bench.spec` — declarative sweeps: a
   :class:`~repro.bench.spec.SweepSpec` expands into
   :class:`~repro.bench.spec.SamplePoint` measurements and executors
-  return a JSON-serialisable :class:`~repro.bench.spec.SweepResult`;
+  return a JSON-serialisable :class:`~repro.bench.spec.SweepResult`.
+  Every multi-point measurement is one: figure sweeps, noisy repeats
+  (``repeats=``, ``sigma=``; read them back with
+  :meth:`~repro.bench.spec.SweepResult.samples`) and the autotuner;
 * :mod:`repro.bench.executor` — serial and process-parallel sweep
   execution with per-point error capture;
-* :mod:`repro.bench.sweep` — the historical dict-shaped sweep wrappers;
+* :mod:`repro.bench.store` — the content-addressed result store that
+  ``REPRO_RESULT_STORE`` selects;
 * :mod:`repro.bench.report` — fixed-width tables matching the paper's
   figure axes;
 * :mod:`repro.bench.figures` — one entry point per paper figure
@@ -24,8 +29,9 @@ from repro.bench.executor import (
     default_executor,
     get_executor,
     run_point,
+    run_sweep,
 )
-from repro.bench.harness import allreduce_latency, allreduce_sweep
+from repro.bench.harness import allreduce_latency
 from repro.bench.report import format_table, sweep_table
 from repro.bench.spec import (
     PointResult,
@@ -39,7 +45,6 @@ from repro.bench.spec import (
 
 __all__ = [
     "allreduce_latency",
-    "allreduce_sweep",
     "format_table",
     "sweep_table",
     "SweepSpec",
@@ -54,4 +59,5 @@ __all__ = [
     "get_executor",
     "default_executor",
     "run_point",
+    "run_sweep",
 ]

@@ -203,8 +203,7 @@ def parse_duration(text: str) -> float:
 
 def _cache(args) -> int:
     """The ``cache`` command: stats / verify / gc over a result store."""
-    import json as _json
-
+    from repro import canonical
     from repro.bench.store import resolve_store
 
     store = resolve_store(args.store, args.no_store)
@@ -239,7 +238,7 @@ def _cache(args) -> int:
             file=sys.stderr,
         )
         return 2
-    print(_json.dumps(report, sort_keys=True, separators=(",", ":")))
+    print(canonical.dumps(report))
     if action == "verify" and report["corrupt"]:
         return 1
     return 0

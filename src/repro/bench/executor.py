@@ -45,6 +45,7 @@ __all__ = [
     "ParallelExecutor",
     "get_executor",
     "default_executor",
+    "run_sweep",
 ]
 
 #: ``progress(done, total, result)`` — called after every finished point.
@@ -285,3 +286,11 @@ def default_executor() -> _BaseExecutor:
     except ValueError as e:
         raise ReproError(f"REPRO_BENCH_JOBS must be an integer, got {raw!r}") from e
     return get_executor(jobs)
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Run ``spec`` on the ``REPRO_BENCH_JOBS`` executor, reading through
+    the ``REPRO_RESULT_STORE`` store so only uncached points simulate."""
+    from repro.bench.store import store_from_env
+
+    return default_executor().run(spec, store=store_from_env())

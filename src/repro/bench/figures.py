@@ -23,13 +23,14 @@ from typing import Callable, Optional, Sequence
 from repro.apps.hpcg import run_hpcg
 from repro.apps.miniamr import run_miniamr
 from repro.apps.osu import relative_throughput
+from repro.bench.executor import run_sweep
 from repro.bench.report import format_size, format_table, format_us
 from repro.bench.spec import (
-    SweepResult,
     SweepSpec,
     algorithm_sweep_spec,
     leader_sweep_spec,
     paper_scale,
+    resolve_config,
 )
 from repro.core.model import CostModel
 from repro.machine.clusters import cluster_a, cluster_b, cluster_c, cluster_d
@@ -50,20 +51,6 @@ __all__ = [
     "traffic_tenancy",
     "FIGURES",
 ]
-
-
-def _run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute a figure's spec (``REPRO_BENCH_JOBS`` selects the executor).
-
-    Reads through the result store when ``REPRO_RESULT_STORE`` names a
-    directory, so regenerating a figure twice — or regenerating after a
-    sweep/CI run already measured its points — only simulates what is
-    missing.
-    """
-    from repro.bench.executor import default_executor
-    from repro.bench.store import store_from_env
-
-    return default_executor().run(spec, store=store_from_env())
 
 
 @dataclass
@@ -148,7 +135,7 @@ def fig4_to_7_leaders(
 ) -> FigureResult:
     """Figs. 4-7: DPML latency vs leader count per message size."""
     spec = leader_sweep_spec(which, sizes=sizes, iterations=iterations)
-    result = _run_sweep(spec)
+    result = run_sweep(spec)
     data = result.by_size_leaders()
     leader_counts = list(spec.effective_leader_counts)
     rows = [
@@ -178,7 +165,7 @@ def fig8_sharp(
     spec = algorithm_sweep_spec(
         "fig8", sizes=sizes, iterations=iterations
     ).with_overrides(ppn=ppn)
-    result = _run_sweep(spec)
+    result = run_sweep(spec)
     data = result.by_size_algorithm()
     rows = []
     for s in spec.sizes:
@@ -223,7 +210,7 @@ def fig9_libraries(
     variant = variant.lower()
     title = _LIBRARY_TITLES[variant]
     spec = algorithm_sweep_spec(f"fig9{variant}", sizes=sizes, iterations=iterations)
-    result = _run_sweep(spec)
+    result = run_sweep(spec)
     data = result.by_size_algorithm()
     algorithms = list(spec.algorithms)
     with_intel = "intel_mpi" in algorithms
@@ -259,7 +246,7 @@ def fig10_scale(
     Paper scale: 160 nodes x 64 ppn = 10,240 ranks.  Reduced: 64 x 32.
     """
     spec = algorithm_sweep_spec("fig10", sizes=sizes, iterations=iterations)
-    result = _run_sweep(spec)
+    result = run_sweep(spec)
     data = result.by_size_algorithm()
     algorithms = list(spec.algorithms)
     rows = []
@@ -297,7 +284,7 @@ def families_comparison(
     fares against the designs it competes with in the literature.
     """
     spec = algorithm_sweep_spec("families", sizes=sizes, iterations=iterations)
-    result = _run_sweep(spec)
+    result = run_sweep(spec)
     data = result.by_size_algorithm()
     algorithms = list(spec.algorithms)
     rows = []
@@ -415,19 +402,19 @@ def model_validation(iterations: int = 2) -> FigureResult:
     expect order-of-magnitude agreement and identical *trends* (both
     monotone decreasing in l for large n), not equality.
     """
-    from repro.bench.harness import allreduce_latency
-
-    config = cluster_b(16)
-    model = CostModel.from_machine(config)
-    ppn, nodes = 28, 16
+    spec = SweepSpec(
+        name="model-validation", cluster="b", nodes=16, ppn=28,
+        sizes=(16384, 131072, 1048576), leader_counts=(1, 4, 16),
+        iterations=iterations,
+    )
+    simulated = run_sweep(spec).by_size_leaders()
+    model = CostModel.from_machine(resolve_config(spec.cluster, spec.nodes))
     rows = []
     data = []
-    for size in (16384, 131072, 1048576):
-        for l in (1, 4, 16):
-            sim_t = allreduce_latency(
-                config, "dpml", size, ppn=ppn, iterations=iterations, leaders=l
-            )
-            model_t = model.t_dpml(p=ppn * nodes, h=nodes, l=l, n=size)
+    for size in spec.sizes:
+        for l in spec.leader_counts:
+            sim_t = simulated[size][l]
+            model_t = model.t_dpml(p=spec.nodes * spec.ppn, h=spec.nodes, l=l, n=size)
             rows.append(
                 {
                     "size": format_size(size),
@@ -442,8 +429,12 @@ def model_validation(iterations: int = 2) -> FigureResult:
         name="Section 5: analytical model (Eq. 7) vs simulation, Cluster B",
         rows=rows,
         columns=["size", "leaders", "model(us)", "simulated(us)", "ratio"],
-        meta={"data": data, "scale": f"{nodes} nodes x {ppn} ppn"},
+        meta={"data": data, "scale": f"{spec.nodes} nodes x {spec.ppn} ppn"},
     )
+
+
+#: Pipeline unit sizes of the E13 ablation.
+_PIPELINE_UNITS = (8192, 16384, 65536)
 
 
 def ablation_pipeline(iterations: int = 1) -> FigureResult:
@@ -454,37 +445,35 @@ def ablation_pipeline(iterations: int = 1) -> FigureResult:
     any gain must come from overlap, which only matters once phase 3
     dominates — see EXPERIMENTS.md).
     """
-    from repro.bench.harness import allreduce_latency
-
-    nodes = 64 if paper_scale() else 32
-    config = cluster_c(nodes)
-    ppn, leaders = 28, 16
-    rows = []
-    data = {}
-    for size in (524288, 2097152):
-        plain = allreduce_latency(
-            config, "dpml", size, ppn=ppn, iterations=iterations, leaders=leaders
+    plain = SweepSpec(
+        name="ablation-pipeline", cluster="c",
+        nodes=64 if paper_scale() else 32, ppn=28,
+        sizes=(524288, 2097152), leader_counts=(16,), iterations=iterations,
+    )
+    series = {"plain": plain} | {
+        unit: plain.with_overrides(
+            algorithms=("dpml_pipelined",), extra={"pipeline_unit": unit}
         )
-        row = {"size": format_size(size), "plain": format_us(plain)}
-        data[size] = {"plain": plain}
-        for unit in (8192, 16384, 65536):
-            piped = allreduce_latency(
-                config,
-                "dpml_pipelined",
-                size,
-                ppn=ppn,
-                iterations=iterations,
-                leaders=leaders,
-                pipeline_unit=unit,
-            )
-            row[f"k-unit={format_size(unit)}"] = format_us(piped)
-            data[size][unit] = piped
-        rows.append(row)
+        for unit in _PIPELINE_UNITS
+    }
+    measured = {key: run_sweep(spec).by_size_leaders() for key, spec in series.items()}
+    data = {
+        size: {key: measured[key][size][16] for key in series}
+        for size in plain.sizes
+    }
+    columns = ["plain"] + [f"k-unit={format_size(u)}" for u in _PIPELINE_UNITS]
+    rows = [
+        {
+            "size": format_size(size),
+            **{col: format_us(data[size][key]) for col, key in zip(columns, series)},
+        }
+        for size in plain.sizes
+    ]
     return FigureResult(
         name="Ablation: DPML vs DPML-Pipelined, Cluster C (us)",
         rows=rows,
-        columns=["size", "plain"] + [f"k-unit={format_size(u)}" for u in (8192, 16384, 65536)],
-        meta={"data": data, **_scale_meta(nodes, ppn)},
+        columns=["size"] + columns,
+        meta={"data": data, **_scale_meta(plain.nodes, plain.ppn)},
     )
 
 

@@ -7,37 +7,27 @@ simulated time is identical and the host-side numpy work is skipped);
 pass ``validate=True`` to carry real data and assert the result against
 the numpy reference on every rank.
 
-Repeated measurements on the same layout (sweeps, noisy repeats) should
-pass a reusable :class:`~repro.mpi.runtime.SimSession` so each sample
-skips machine construction; the session is reset before every run and
-produces bit-identical timings to a fresh build.
+Multi-point measurements (message sizes, leader counts, noisy
+repeats) are a :class:`~repro.bench.spec.SweepSpec` run through an
+executor, which reuses one :class:`~repro.mpi.runtime.SimSession` per
+layout.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError, ReproError
 from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine
 from repro.machine.noise import NoiseModel
 from repro.mpi.collectives.hybrid import Fleet, fleet_collective
-from repro.mpi.runtime import Runtime, SimSession
+from repro.mpi.runtime import SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
-__all__ = [
-    "allreduce_latency",
-    "allreduce_latency_stats",
-    "allreduce_sweep",
-    "latency_kernel",
-    "check_loop",
-    "LatencyStats",
-]
+__all__ = ["allreduce_latency", "latency_kernel", "check_loop"]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
 FLOAT_BYTES = 4
@@ -169,8 +159,9 @@ def allreduce_latency(
 
     ``session`` optionally supplies a pre-built
     :class:`~repro.mpi.runtime.SimSession` whose layout must match
-    ``(config, nranks, ppn)``; the measurement then reuses its machine
-    instead of constructing a fresh one.
+    ``(config, nranks, ppn)``; the measurement then reuses its machine.
+    Without one, a one-shot session is built for this call (a run on a
+    reused session is bit-identical to one on a fresh session).
 
     ``faults`` injects a :class:`~repro.faults.plan.FaultPlan` (realised
     with ``fault_seed``) or a pre-realised injector into the run.  Note
@@ -201,140 +192,31 @@ def allreduce_latency(
         iterations=iterations, warmup=warmup, validate=validate,
     )
 
-    if session is not None:
-        if not session.matches(config, nranks, ppn):
-            raise ReproError(
-                f"session layout {session.key} does not match the requested "
-                f"point ({config.name!r}, nranks={nranks}, ppn={ppn})"
-            )
-        if fidelity is not None and session.fidelity != fidelity:
-            raise ReproError(
-                f"session fidelity {session.fidelity!r} does not match the "
-                f"requested {fidelity!r}"
-            )
-        if recovery is not None and session.recovery is None:
-            raise ReproError(
-                "recovery= needs a session built with the recovery layer "
-                "(pass recovery= to SimSession)"
-            )
-        job = session.run(
-            kernel, noise=noise, timeline=timeline,
-            faults=faults, fault_seed=fault_seed,
+    if session is None:
+        session = SimSession(
+            config, nranks, ppn, trace=trace, fidelity=fidelity,
+            recovery=recovery,
         )
-    else:
-        machine = Machine(
-            config, nranks, ppn, trace=trace, noise=noise, timeline=timeline
+    elif not session.matches(config, nranks, ppn):
+        raise ReproError(
+            f"session layout {session.key} does not match the requested "
+            f"point ({config.name!r}, nranks={nranks}, ppn={ppn})"
         )
-        if faults is not None:
-            from repro.mpi.runtime import _as_injector
-
-            machine.faults = _as_injector(faults, machine, fault_seed)
-        job = Runtime(machine, fidelity=fidelity, recovery=recovery).launch(kernel)
+    elif fidelity is not None and session.fidelity != fidelity:
+        raise ReproError(
+            f"session fidelity {session.fidelity!r} does not match the "
+            f"requested {fidelity!r}"
+        )
+    elif recovery is not None and session.recovery is None:
+        raise ReproError(
+            "recovery= needs a session built with the recovery layer "
+            "(pass recovery= to SimSession)"
+        )
+    job = session.run(
+        kernel, noise=noise, timeline=timeline,
+        faults=faults, fault_seed=fault_seed,
+    )
     # The slowest rank's window is the collective's completion latency
     # (matches how OSU reports max across ranks at scale).  Ranks lost
     # to a failover return None; only survivors report a window.
     return float(max(v for v in job.values if v is not None))
-
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Latency distribution over repeated noisy runs."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    samples: tuple[float, ...]
-
-    @property
-    def ci95(self) -> float:
-        """Half-width of the 95% confidence interval of the mean."""
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        return 1.96 * self.std / n**0.5
-
-
-def allreduce_latency_stats(
-    config: MachineConfig,
-    algorithm: Optional[str],
-    nbytes: int,
-    *,
-    repeats: int = 5,
-    sigma: float = 0.05,
-    base_seed: int = 0,
-    session: Optional[SimSession] = None,
-    **kwargs,
-) -> LatencyStats:
-    """Latency statistics over ``repeats`` jittered runs.
-
-    Mirrors the paper's methodology ("averages of a minimum of five
-    runs"): each repeat uses a different noise seed; ``sigma=0``
-    degenerates to ``repeats`` identical deterministic runs.  All
-    repeats share one simulation session (the caller's, or one built
-    here), so only the first pays machine construction.
-    """
-    if repeats < 1:
-        raise ReproError("allreduce_latency_stats needs repeats >= 1")
-    if session is None:
-        nranks = kwargs.get("nranks")
-        ppn = kwargs.get("ppn")
-        if nranks is None and ppn is not None:
-            nranks = config.nodes * ppn
-        if nranks is not None:
-            session = SimSession(config, nranks, ppn)
-    samples = tuple(
-        allreduce_latency(
-            config,
-            algorithm,
-            nbytes,
-            noise=NoiseModel(sigma=sigma, seed=base_seed + i),
-            session=session,
-            **kwargs,
-        )
-        for i in range(repeats)
-    )
-    arr = np.asarray(samples)
-    return LatencyStats(
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if repeats > 1 else 0.0,
-        min=float(arr.min()),
-        max=float(arr.max()),
-        samples=samples,
-    )
-
-
-def allreduce_sweep(
-    config: MachineConfig,
-    algorithm: Optional[str],
-    sizes: Sequence[int],
-    *,
-    nranks: Optional[int] = None,
-    ppn: Optional[int] = None,
-    iterations: int = 3,
-    warmup: int = 1,
-    session: Optional[SimSession] = None,
-    **kwargs,
-) -> dict[int, float]:
-    """Latency (seconds) per message size in ``sizes``.
-
-    All sizes share one layout, so a single session serves the sweep.
-    """
-    if session is None and (nranks is not None or ppn is not None):
-        session = SimSession(
-            config, nranks if nranks is not None else config.nodes * ppn, ppn
-        )
-    return {
-        size: allreduce_latency(
-            config,
-            algorithm,
-            size,
-            nranks=nranks,
-            ppn=ppn,
-            iterations=iterations,
-            warmup=warmup,
-            session=session,
-            **kwargs,
-        )
-        for size in sizes
-    }

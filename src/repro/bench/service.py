@@ -31,13 +31,13 @@ concurrent mixed sweeps.
 from __future__ import annotations
 
 import asyncio
-import json
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
+from repro import canonical
 from repro.bench.executor import SerialExecutor, _session_for, run_point
 from repro.bench.spec import PointResult, SamplePoint, SweepResult, SweepSpec
 from repro.bench.store import ResultStore, compat_snapshot, point_key
@@ -415,7 +415,7 @@ def main(args) -> int:
     except ReproError as e:
         print(str(e), file=sys.stderr)
         return 2
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    print(canonical.dumps(report))
     if report["mismatched"]:
         print(
             f"{report['mismatched']}/{report['requests']} request(s) "

@@ -21,12 +21,12 @@ and skip per-sample machine construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
+from repro import canonical
 from repro.errors import ReproError
 from repro.machine.clusters import get_cluster
 from repro.machine.config import (
@@ -466,10 +466,7 @@ class SweepSpec:
         (:mod:`repro.bench.store`); :meth:`spec_hash` is its 16-char
         display prefix, kept short for filenames and EXPERIMENTS.md.
         """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical.sha256(self.to_dict())
 
     def spec_hash(self) -> str:
         """Stable content hash: two equal specs measure the same thing.

@@ -33,7 +33,6 @@ repro.bench cache`` exposes :meth:`ResultStore.stats`,
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -41,6 +40,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from repro import canonical
 from repro._version import __version__
 from repro.bench.spec import PointResult, SamplePoint, SweepSpec
 from repro.errors import ReproError
@@ -88,11 +88,6 @@ def compat_snapshot() -> dict:
     return {"kernel": _kernel_compat(), "payload": payload_compat()}
 
 
-def _canonical(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace — the hashing form."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def point_key(
     point: SamplePoint,
     *,
@@ -126,7 +121,7 @@ def point_key(
         "fault_seed": point.seed,
         "compat": compat if compat is not None else compat_snapshot(),
     }
-    return hashlib.sha256(_canonical(key).encode()).hexdigest()
+    return canonical.sha256(key)
 
 
 def spec_keys(spec: SweepSpec, *, compat: Optional[dict] = None) -> list[str]:
@@ -206,9 +201,9 @@ class ResultStore:
             "repro": __version__,
             "schema": STORE_SCHEMA,
         }
-        integrity = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        integrity = canonical.sha256(payload)
         return (
-            _canonical({"integrity": integrity, "payload": payload}) + "\n"
+            canonical.dumps({"integrity": integrity, "payload": payload}) + "\n"
         ).encode()
 
     @staticmethod
@@ -218,10 +213,7 @@ class ResultStore:
             data = json.loads(raw.decode())
             payload = data["payload"]
             integrity = data["integrity"]
-            recomputed = hashlib.sha256(
-                _canonical(payload).encode()
-            ).hexdigest()
-            if recomputed != integrity:
+            if canonical.sha256(payload) != integrity:
                 return None
             if payload["key"] != key:
                 return None
@@ -442,7 +434,7 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".counters-")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(_canonical(merged) + "\n")
+                fh.write(canonical.dumps(merged) + "\n")
             os.replace(tmp, self.counters_path)
         except OSError:
             try:

@@ -9,8 +9,9 @@
 * :mod:`repro.core.model` — the analytical cost model (Section 5);
 * :mod:`repro.core.tuning` — per-cluster leader-count tables and the
   hybrid DPML-tuned selector used in the Figure 9/10 comparisons;
-* :mod:`repro.core.autotune` — empirical sweep that regenerates those
-  tables.
+* :mod:`repro.core.autotune` — the empirical search behind those
+  tables: one :class:`~repro.bench.spec.SweepSpec` per candidate group,
+  then the fastest candidate per message size.
 """
 
 from repro.core.adaptive import allreduce_adaptive

@@ -3,17 +3,20 @@
 "We performed empirical evaluation of different configurations on the
 four clusters and chose the best configuration for each message size."
 
-:func:`autotune_cluster` sweeps the candidate configurations (leader
+:func:`autotune_cluster` measures the candidate configurations (leader
 counts, plain vs pipelined DPML, SHArP designs where available) over a
 set of message sizes on the simulator and returns a tuning table in the
-format :data:`repro.core.tuning.TUNING_TABLES` uses.  The tables shipped
-there were produced by this sweep at 16 nodes full subscription; rerun
-with ``python -m repro.bench autotune --cluster c`` to regenerate.
+format :data:`repro.core.tuning.TUNING_TABLES` uses.  Each candidate
+group is one :class:`~repro.bench.spec.SweepSpec` run through
+:func:`~repro.bench.executor.run_sweep`, so ``REPRO_BENCH_JOBS`` fans it
+out and ``REPRO_RESULT_STORE`` answers a repeated call from the store.
+``docs/calibration.md`` records how the shipped tables compare with
+``python -m repro.bench autotune --cluster c`` output.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.tuning import TuningSpec
 from repro.machine.config import MachineConfig
@@ -54,31 +57,45 @@ def autotune_cluster(
     verbose: bool = False,
 ) -> list[tuple[float, TuningSpec]]:
     """Measure every candidate at every size; return the best-per-size
-    table (``[(max_bytes, spec), ..., (inf, spec)]``)."""
-    from repro.bench.harness import allreduce_latency
+    table (``[(max_bytes, spec), ..., (inf, spec)]``).
 
-    specs = candidate_specs(config, leader_counts, ppn)
+    Ties go to the candidate listed first by :func:`candidate_specs`.
+    """
+    from repro.bench.executor import run_sweep
+    from repro.bench.spec import SweepSpec
+
+    candidates = candidate_specs(config, leader_counts, ppn)
+    # One sweep per group: the dpml ladder, the dpml_pipelined ladder,
+    # and the leaderless SHArP designs.
+    groups: dict[str, list[TuningSpec]] = {}
+    for spec in candidates:
+        family = spec.algorithm if spec.kwargs() else "sharp"
+        groups.setdefault(family, []).append(spec)
+    latency: dict[tuple[TuningSpec, int], float] = {}
+    for family, members in groups.items():
+        result = run_sweep(SweepSpec(
+            name=f"autotune-{family}", cluster=config, nodes=config.nodes,
+            ppn=ppn, sizes=tuple(sizes), iterations=iterations,
+            algorithms=tuple(dict.fromkeys(s.algorithm for s in members)),
+            leader_counts=tuple(
+                dict.fromkeys(s.kwargs().get("leaders") for s in members)
+            ),
+        ))
+        for spec in members:
+            for size in sizes:
+                latency[spec, size] = result.samples(
+                    nbytes=size, algorithm=spec.algorithm, **spec.kwargs()
+                )[0]
     table: list[tuple[float, TuningSpec]] = []
     for size in sizes:
-        best_spec = None
-        best_time = float("inf")
-        for spec in specs:
-            t = allreduce_latency(
-                config,
-                spec.algorithm,
-                size,
-                ppn=ppn,
-                iterations=iterations,
-                **spec.kwargs(),
-            )
-            if verbose:
+        timed = [(latency[spec, size], spec) for spec in candidates]
+        best_spec = min(timed, key=lambda pair: pair[0])[1]
+        if verbose:
+            for t, spec in timed:
                 print(f"  {size:>9}B {spec.algorithm:>20}(l={spec.leaders}) "
                       f"{t * 1e6:10.2f} us")
-            if t < best_time:
-                best_time, best_spec = t, spec
-        table.append((float(size), best_spec))
-        if verbose:
             print(f"{size:>9}B -> {best_spec}")
+        table.append((float(size), best_spec))
     # The last row covers everything larger.
     table[-1] = (float("inf"), table[-1][1])
     return table

@@ -16,7 +16,7 @@ empirically on the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
@@ -47,9 +47,9 @@ class TuningSpec:
         return {}
 
 
-# Ordered (max_bytes, spec) rows per cluster, produced by
-# repro.core.autotune at 16 nodes full subscription (see
-# ``python -m repro.bench autotune``).  The qualitative pattern matches
+# Ordered (max_bytes, spec) rows per cluster.  A-C equal
+# repro.core.autotune's output at 16 nodes x 28 ppn; D differs in one
+# row (docs/calibration.md has the comparison).  The pattern matches
 # Section 6.2: one/few leaders for small messages, more leaders as the
 # message grows, SHArP for tiny messages where available, pipelined
 # DPML for very large messages.
@@ -114,23 +114,16 @@ def allreduce_dpml_tuned(
     payload: Payload,
     op: ReduceOp,
     tag_base: int = 0,
-    table: Optional[list[tuple[float, TuningSpec]]] = None,
 ) -> Generator:
     """The proposed hybrid design: per-size best DPML/SHArP variant."""
     from repro.mpi.collectives.registry import resolve_allreduce
 
     machine = comm.machine
-    nbytes = payload.nbytes
-    if table is not None:
-        spec = next(
-            (s for max_bytes, s in table if nbytes <= max_bytes), table[-1][1]
-        )
-    else:
-        spec = lookup_spec(
-            machine.config.name,
-            nbytes,
-            sharp_available=machine.sharp is not None,
-        )
+    spec = lookup_spec(
+        machine.config.name,
+        payload.nbytes,
+        sharp_available=machine.sharp is not None,
+    )
     fn = resolve_allreduce(spec.algorithm, comm)
     result = yield from fn(comm, payload, op, tag_base=tag_base, **spec.kwargs())
     return result

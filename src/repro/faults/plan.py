@@ -40,12 +40,12 @@ re-realising (session reuse) restores the exact same schedule.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Optional, Union
 
+from repro import canonical
 from repro.errors import FaultError
 
 __all__ = [
@@ -459,7 +459,4 @@ class FaultPlan:
 
     def plan_hash(self) -> str:
         """Stable content hash: equal plans inject the same faults."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return canonical.sha256(self.to_dict())[:12]

@@ -4,9 +4,11 @@ The simulator is deterministic, which is great for debugging but
 unlike a real cluster, where OS noise, cache state, and adaptive
 routing perturb every operation.  A :class:`NoiseModel` attaches a
 seeded lognormal multiplier to charged service times, so repeated runs
-with different seeds produce a latency *distribution* — the harness's
-``allreduce_latency_stats`` reports mean/std/CI the way the paper's
-"averages of a minimum of five runs" do.
+with different seeds produce a latency *distribution*.  A noisy repeat
+is ``SweepSpec(repeats=n, sigma=s)``: repeat ``i`` runs under
+``NoiseModel(s, seed=base_seed + i)`` and
+:meth:`~repro.bench.spec.SweepResult.samples` returns the ``n``
+latencies, the paper's "averages of a minimum of five runs".
 
 Lognormal keeps multipliers positive with median 1; ``sigma`` around
 0.02-0.10 matches typical microbenchmark variance.

@@ -139,6 +139,7 @@ class RecoveryPolicy:
 
     def policy_hash(self) -> str:
         """Stable content hash (first 12 hex chars of sha256)."""
+        # Default separators, not repro.canonical: soak records carry this hash.
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

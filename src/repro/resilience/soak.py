@@ -250,4 +250,5 @@ def soak(
 
 def canonical_json(record: dict) -> str:
     """Sorted-keys JSON with a trailing newline (CI byte-diff format)."""
+    # indent=2, not repro.canonical: benchmarks/e2e hashes these bytes.
     return json.dumps(record, sort_keys=True, indent=2) + "\n"

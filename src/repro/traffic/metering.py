@@ -28,10 +28,10 @@ canonical JSON (the CI ``traffic-smoke`` job ``cmp``'s exactly that).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from repro import canonical
 from repro.errors import TrafficError
 
 __all__ = ["JobMeter", "Scraper", "TrafficResult", "percentile"]
@@ -224,10 +224,7 @@ class TrafficResult:
 
     def to_canonical_json(self) -> str:
         """Byte-stable canonical JSON (sorted keys, no whitespace)."""
-        return (
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-            + "\n"
-        )
+        return canonical.dumps(self.to_dict()) + "\n"
 
     def describe(self) -> str:
         """Human-readable run summary."""

@@ -24,13 +24,13 @@ is what the metering layer's percentiles are computed over.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Generator, Optional
 
 import numpy as np
 
+from repro import canonical
 from repro.errors import TrafficError
 from repro.payload import SUM, make_payload
 
@@ -223,10 +223,7 @@ class TrafficTrace:
 
     def trace_hash(self) -> str:
         """Stable content hash: equal traces schedule the same jobs."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return canonical.sha256(self.to_dict())[:12]
 
 
 # -- the Poisson generator ---------------------------------------------------

@@ -106,7 +106,7 @@ class TestCollectiveLatency:
         via_harness = allreduce_latency(
             cluster_b(4), "recursive_doubling", 4096, ppn=4
         )
-        assert via_osu == pytest.approx(via_harness, rel=0.05)
+        assert via_osu == via_harness
 
     def test_reduce_cheaper_than_allreduce(self):
         from repro.apps.osu import osu_collective_latency

@@ -1,10 +1,9 @@
-"""Tests for the measurement harness, sweeps, and reporting."""
+"""Tests for the measurement harness, reporting, and the CLI."""
 
 import pytest
 
-from repro.bench.harness import allreduce_latency, allreduce_sweep
+from repro.bench.harness import allreduce_latency
 from repro.bench.report import format_size, format_table, format_us, speedup
-from repro.bench.sweep import algorithm_sweep, leader_sweep
 from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_b
 
@@ -50,32 +49,6 @@ class TestHarness:
     def test_explicit_nranks(self):
         t = allreduce_latency(cluster_b(4), "ring", 1024, nranks=6, ppn=2)
         assert t > 0
-
-    def test_sweep_covers_sizes(self):
-        out = allreduce_sweep(
-            cluster_b(2), "recursive_doubling", [64, 1024], ppn=2
-        )
-        assert set(out) == {64, 1024}
-
-
-class TestSweeps:
-    def test_leader_sweep_shape(self):
-        data = leader_sweep(
-            cluster_b(2), ppn=4, sizes=[1024], leader_counts=[1, 2, 4]
-        )
-        assert set(data[1024]) == {1, 2, 4}
-
-    def test_leader_sweep_clamps_to_ppn(self):
-        data = leader_sweep(
-            cluster_b(2), ppn=2, sizes=[64], leader_counts=[1, 2, 16]
-        )
-        assert set(data[64]) == {1, 2}
-
-    def test_algorithm_sweep_shape(self):
-        data = algorithm_sweep(
-            cluster_b(2), ["ring", "recursive_doubling"], ppn=2, sizes=[256]
-        )
-        assert set(data[256]) == {"ring", "recursive_doubling"}
 
 
 class TestReport:

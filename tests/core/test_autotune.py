@@ -48,3 +48,29 @@ class TestAutotune:
             leader_counts=(1, 4), iterations=1,
         )
         assert all(isinstance(spec, TuningSpec) for _, spec in table)
+
+    def test_second_call_reads_every_point_from_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import executor
+
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
+        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        executed = []
+        run_point = executor.run_point
+
+        def counting_run_point(point, session=None):
+            executed.append(point)
+            return run_point(point, session=session)
+
+        monkeypatch.setattr(executor, "run_point", counting_run_point)
+        kwargs = dict(
+            ppn=4, sizes=(64, 65536), leader_counts=(1, 4), iterations=1
+        )
+        cold = autotune_cluster(cluster_a(2), **kwargs)
+        # dpml l=1,4 + dpml_pipelined l=4 + two SHArP designs, two sizes
+        assert len(executed) == 10
+        executed.clear()
+        warm = autotune_cluster(cluster_a(2), **kwargs)
+        assert executed == []
+        assert warm == cold

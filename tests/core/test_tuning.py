@@ -1,10 +1,9 @@
 """Tests for the tuning tables and the hybrid selector."""
 
 import numpy as np
-import pytest
 
 from repro.core.tuning import TUNING_TABLES, TuningSpec, lookup_spec
-from repro.machine.clusters import cluster_a, cluster_b
+from repro.machine.clusters import cluster_a
 from repro.mpi import run_job
 from repro.payload import SUM, make_payload
 
@@ -50,19 +49,6 @@ class TestLookup:
 
 
 class TestTunedSelectorEndToEnd:
-    def test_explicit_table_override(self):
-        table = [(float("inf"), TuningSpec("dpml", leaders=2))]
-
-        def fn(comm):
-            data = make_payload(16, data=np.full(16, float(comm.rank)))
-            result = yield from comm.allreduce(
-                data, SUM, algorithm="dpml_tuned", table=table
-            )
-            return result.array[0]
-
-        res = run_job(cluster_b(2), 8, fn, ppn=4)
-        assert all(v == sum(range(8)) for v in res.values)
-
     def test_tuned_on_sharp_cluster_small_message(self):
         def fn(comm):
             data = make_payload(4, data=np.full(4, 1.0))

@@ -1,9 +1,11 @@
-"""Tests for the noise model and the statistics harness."""
+"""Tests for the noise model and noisy repeats."""
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import allreduce_latency, allreduce_latency_stats
+from repro.bench.executor import run_sweep
+from repro.bench.harness import allreduce_latency
+from repro.bench.spec import SweepSpec
 from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_b
 from repro.machine.noise import NoiseModel
@@ -105,25 +107,27 @@ class TestNoisyRuns:
         )
         assert noisy != clean
 
+    @staticmethod
+    def _repeats(algorithm, nbytes, ppn, repeats, sigma):
+        spec = SweepSpec(
+            name="noisy-repeats", cluster="b", nodes=2, ppn=ppn,
+            sizes=(nbytes,), algorithms=(algorithm,), iterations=3,
+            repeats=repeats, sigma=sigma,
+        )
+        return np.array(run_sweep(spec).samples(nbytes=nbytes))
+
     def test_stats_mean_near_deterministic(self):
         clean = allreduce_latency(cluster_b(2), "dpml", 16384, ppn=4)
-        stats = allreduce_latency_stats(
-            cluster_b(2), "dpml", 16384, ppn=4, repeats=5, sigma=0.03
-        )
-        assert stats.mean == pytest.approx(clean, rel=0.1)
-        assert stats.min <= stats.mean <= stats.max
-        assert stats.std >= 0
-        assert stats.ci95 >= 0
+        samples = self._repeats("dpml", 16384, ppn=4, repeats=5, sigma=0.03)
+        assert len(samples) == 5
+        assert samples.mean() == pytest.approx(clean, rel=0.1)
+        assert samples.std(ddof=1) > 0
 
     def test_zero_sigma_stats_degenerate(self):
-        stats = allreduce_latency_stats(
-            cluster_b(2), "ring", 1024, ppn=2, repeats=3, sigma=0.0
-        )
-        assert stats.std == 0.0
-        assert stats.min == stats.max == stats.mean
+        samples = self._repeats("ring", 1024, ppn=2, repeats=3, sigma=0.0)
+        clean = allreduce_latency(cluster_b(2), "ring", 1024, ppn=2)
+        assert list(samples) == [clean] * 3
 
     def test_zero_repeats_rejected(self):
-        with pytest.raises(ReproError):
-            allreduce_latency_stats(
-                cluster_b(2), "ring", 64, ppn=2, repeats=0
-            )
+        with pytest.raises(ReproError, match="repeats"):
+            self._repeats("ring", 64, ppn=2, repeats=0, sigma=0.05)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import allreduce_latency, allreduce_latency_stats
+from repro.bench import executor
+from repro.bench.harness import allreduce_latency
+from repro.bench.spec import SweepSpec
 from repro.errors import ReproError
 from repro.machine.clusters import cluster_a, cluster_b
 from repro.machine.machine import Machine
@@ -141,17 +143,25 @@ class TestSessionDeterminism:
         )
         assert a == b == fresh
 
-    def test_stats_reuse_one_session(self):
-        config = cluster_b(2)
-        session = SimSession(config, nranks=4, ppn=2)
-        stats = allreduce_latency_stats(
-            config, "dpml", 4096, ppn=2, iterations=1,
-            repeats=3, sigma=0.05, session=session,
+    def test_stats_reuse_one_session(self, monkeypatch):
+        sessions = []
+
+        class CountingSession(SimSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(executor, "SimSession", CountingSession)
+        spec = SweepSpec(
+            name="noisy-repeats", cluster="b", nodes=2, ppn=2,
+            sizes=(4096,), algorithms=("dpml",), iterations=1,
+            repeats=3, sigma=0.05,
         )
-        assert session.runs == 3
-        assert len(stats.samples) == 3
+        samples = executor.SerialExecutor().run(spec).samples(nbytes=4096)
+        assert [s.runs for s in sessions] == [3]
+        assert len(samples) == 3
         # distinct seeds -> distinct jitter
-        assert len(set(stats.samples)) > 1
+        assert len(set(samples)) > 1
 
 
 class TestRuntimeReset:
