@@ -218,5 +218,9 @@ def allreduce_latency(
     )
     # The slowest rank's window is the collective's completion latency
     # (matches how OSU reports max across ranks at scale).  Ranks lost
-    # to a failover return None; only survivors report a window.
-    return float(max(v for v in job.values if v is not None))
+    # to a failover return None; only survivors report a window, and
+    # only a session with a recovery layer can fail over.
+    values = job.values
+    if session.recovery is not None:
+        values = [v for v in values if v is not None]
+    return float(max(values))

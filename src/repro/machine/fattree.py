@@ -103,12 +103,6 @@ class FatTree:
             for leaf in range(self.leaves)
         ]
 
-    def reset(self) -> None:
-        """Clear every link queue's horizon (for simulator reuse)."""
-        for row in (*self.up, *self.down):
-            for queue in row:
-                queue.reset()
-
     def leaf_of(self, node: int) -> int:
         """Leaf switch a node attaches to."""
         if not (0 <= node < self.nodes):

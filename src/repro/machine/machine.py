@@ -1,4 +1,4 @@
-"""The live machine: binds a :class:`MachineConfig` to a simulation.
+r"""The live machine: binds a :class:`MachineConfig` to a simulation.
 
 A :class:`Machine` owns, per job:
 
@@ -11,6 +11,10 @@ A :class:`Machine` owns, per job:
 * one **memory engine** per node — caps aggregate intra-node copy
   bandwidth;
 * optionally a :class:`~repro.machine.sharp.SharpTree`.
+
+The per-rank and per-node queues live in
+:class:`~repro.sim.table.LazyTable`\ s, so a queue exists only once a
+job has indexed it: a macro-charged fleet job at 10k ranks builds none.
 
 The generator methods (``compute``, ``shm_copy``) are meant to be
 ``yield from``-ed inside a rank coroutine; they advance simulated time
@@ -26,7 +30,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
 from repro.machine.sharp import SharpTree
 from repro.machine.topology import Loc, Placement
-from repro.sim import FCFSQueue, Simulator, Tracer
+from repro.sim import FCFSQueue, LazyTable, Simulator, Tracer
 from repro.sim.timeline import Timeline
 
 __all__ = ["Machine"]
@@ -87,13 +91,14 @@ class Machine:
         self.noise = noise
         self.faults = faults
 
+        sim = self.sim
         nodes = self.placement.nodes_used
-        self.engine = [
-            FCFSQueue(self.sim, f"engine[r{r}]") for r in range(nranks)
-        ]
-        self.nic_tx = [FCFSQueue(self.sim, f"nic_tx[n{n}]") for n in range(nodes)]
-        self.nic_rx = [FCFSQueue(self.sim, f"nic_rx[n{n}]") for n in range(nodes)]
-        self.mem = [FCFSQueue(self.sim, f"mem[n{n}]") for n in range(nodes)]
+        self.engine = LazyTable(
+            nranks, lambda r: FCFSQueue(sim, f"engine[r{r}]")
+        )
+        self.nic_tx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_tx[n{n}]"))
+        self.nic_rx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_rx[n{n}]"))
+        self.mem = LazyTable(nodes, lambda n: FCFSQueue(sim, f"mem[n{n}]"))
         self.sharp: Optional[SharpTree] = (
             SharpTree(self.sim, config.sharp, nodes) if config.sharp else None
         )
@@ -114,9 +119,11 @@ class Machine:
         """Rewind to a pristine pre-job state, reusing the layout.
 
         Keeps the validated config, the placement map, and every queue
-        object (the expensive part of construction) while rewinding the
-        simulator clock, zeroing all queue horizons and the tracer, and
-        installing fresh per-run ``noise``/``timeline``/``faults``.  A
+        built so far while rewinding the simulator — which zeroes the
+        horizons of exactly the queues the last job submitted to — the
+        tracer and the SHArP contexts, and installing fresh per-run
+        ``noise``/``timeline``/``faults``.  The cost follows what the
+        last job touched, not the machine's rank and node count.  A
         passed-in noise model is rewound to its seed, and a passed-in
         fault injector is re-realised from its seed with zeroed
         counters, so a run on a reset machine is bit-identical to the
@@ -132,12 +139,8 @@ class Machine:
             faults.reset()
         self.faults = faults
         self.timeline = timeline
-        for queue in (*self.engine, *self.nic_tx, *self.nic_rx, *self.mem):
-            queue.reset()
         if self.sharp is not None:
             self.sharp.reset()
-        if self.fabric_tree is not None:
-            self.fabric_tree.reset()
         return self
 
     # -- placement shortcuts -------------------------------------------------

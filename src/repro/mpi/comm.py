@@ -48,10 +48,21 @@ class Group:
         "revoked", "layout",
     )
 
-    def __init__(self, ranks: Sequence[int], context: int):
+    def __init__(
+        self,
+        ranks: Sequence[int],
+        context: int,
+        index_of: Optional[dict[int, int]] = None,
+    ):
         self.ranks = tuple(ranks)
         self.context = context
-        self.index_of = {g: i for i, g in enumerate(self.ranks)}
+        # ``index_of`` may be passed in (read-only, matching ``ranks``)
+        # so a runtime builds its world membership once, not per job.
+        self.index_of = (
+            {g: i for i, g in enumerate(self.ranks)}
+            if index_of is None
+            else index_of
+        )
         # split-coordination: call number -> {"args": {rank: (color, key)},
         # "event": Event fired with {global_rank: Group}}
         self._split_calls: dict[int, dict] = {}

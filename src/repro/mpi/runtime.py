@@ -164,7 +164,12 @@ class Runtime:
         #: wait graphs.
         self.namespace = ""
         self._context_counter = itertools.count(1)
-        self._world_group = Group(range(machine.nranks), context=0)
+        # World membership, built once: every reset hands it to a fresh
+        # world Group (one dict of nranks entries per runtime, not per
+        # job).
+        self._world_ranks = tuple(range(machine.nranks))
+        self._world_index = {rank: rank for rank in self._world_ranks}
+        self._world_group = self._fresh_world()
         self._shm_regions: dict[int, ShmRegion] = {}
         # Rendezvous gates for operations coordinated outside the p2p
         # matching path (e.g. one SHArP tree operation shared by all
@@ -184,7 +189,7 @@ class Runtime:
         """
         self.transport = Transport(self.machine)
         self._context_counter = itertools.count(1)
-        self._world_group = Group(range(self.machine.nranks), context=0)
+        self._world_group = self._fresh_world()
         self._shm_regions.clear()
         self._gates.clear()
         self._done_gates.clear()
@@ -193,6 +198,10 @@ class Runtime:
         self.hybrid_fleet_fallbacks.clear()
         self.macro_plans.clear()
         return self
+
+    def _fresh_world(self) -> Group:
+        """A new full-world Group on the runtime's one membership table."""
+        return Group(self._world_ranks, context=0, index_of=self._world_index)
 
     def shm_region(self, node: int) -> ShmRegion:
         """The shared-memory rendezvous region of ``node``."""
@@ -560,14 +569,15 @@ class SimSession:
     """A reusable Machine + Runtime pair for repeated simulations.
 
     Constructing a :class:`~repro.machine.machine.Machine` validates the
-    config, computes the rank placement, and allocates every per-rank
-    and per-node queue (plus SHArP / fat-tree structures when
+    config, computes the rank placement, and sets up the per-rank and
+    per-node queue tables (plus SHArP / fat-tree structures when
     configured).  For sweeps — repeats, message sizes, and algorithms on
     the *same* layout — that construction cost is pure per-sample
     overhead.  A session pays it once; :meth:`reset` rewinds the
-    simulator clock, queue horizons, tracer, matching engines, gates,
-    and shared-memory regions while reusing the topology, cluster
-    config, and placement.
+    simulator clock, the horizons of the queues the last job touched,
+    tracer, matching engines, gates, and shared-memory regions while
+    reusing the topology, cluster config, placement, world membership
+    and every queue built so far.
 
     Determinism guarantee: a run on a reset session is bit-identical to
     the same run on a freshly built machine (covered by the session

@@ -28,41 +28,9 @@ from repro.machine.machine import Machine
 from repro.mpi.matching import ANY, EAGER, RTS, Envelope, Matcher
 from repro.mpi.request import Request
 from repro.payload.payload import Payload
+from repro.sim import LazyTable
 
-__all__ = ["Transport", "RndvState", "MatcherTable"]
-
-
-class MatcherTable(dict):
-    """Rank -> :class:`~repro.mpi.matching.Matcher`, each built on first
-    access.
-
-    A hybrid job whose collectives are all macro-charged never touches
-    a matcher, so building ``nranks`` of them per job is pure overhead
-    at 10k+ ranks.  Indexing a rank in ``range(nranks)`` builds its
-    matcher on first use (a plain dict hit afterwards); any other rank
-    raises :class:`IndexError`, as the list this replaces did.
-    Iterating yields the *built* matchers in rank order, so sanitizer
-    and metering reports keep their order (an unbuilt matcher has
-    nothing to report).
-    """
-
-    __slots__ = ("nranks", "sanitizer")
-
-    def __init__(self, nranks: int, sanitizer=None):
-        super().__init__()
-        self.nranks = nranks
-        self.sanitizer = sanitizer
-
-    def __missing__(self, rank: int) -> Matcher:
-        if not 0 <= rank < self.nranks:
-            raise IndexError(
-                f"rank {rank} out of range for {self.nranks} matcher(s)"
-            )
-        matcher = self[rank] = Matcher(rank, sanitizer=self.sanitizer)
-        return matcher
-
-    def __iter__(self):
-        return iter([self[rank] for rank in sorted(self.keys())])
+__all__ = ["Transport", "RndvState"]
 
 
 class RndvState:
@@ -82,7 +50,12 @@ class Transport:
     def __init__(self, machine: Machine):
         self.machine = machine
         self.sim = machine.sim
-        self.matchers = MatcherTable(machine.nranks, machine.sim.sanitizer)
+        # Rank -> Matcher, built on first use: a macro-charged job never
+        # matches a message, so its ranks never build one.
+        sanitizer = machine.sim.sanitizer
+        self.matchers = LazyTable(
+            machine.nranks, lambda rank: Matcher(rank, sanitizer=sanitizer)
+        )
         self._seq: dict[tuple[int, int], int] = {}
 
     # -- public API (called by Comm) -------------------------------------------

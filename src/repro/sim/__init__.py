@@ -20,6 +20,9 @@ simpy, specialised for the needs of the cluster models in
 * :class:`~repro.sim.resources.Resource` — counting semaphore with FIFO
   waiters (used for SHArP operation contexts).
 * :class:`~repro.sim.resources.Store` — an unbounded FIFO mailbox.
+* :class:`~repro.sim.table.LazyTable` — a dense index -> item table
+  whose items (per-rank engines, per-node queues, matchers) are built
+  on first access.
 """
 
 from repro.sim.engine import (
@@ -31,6 +34,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import FCFSQueue, Resource, Store
+from repro.sim.table import LazyTable
 from repro.sim.timeline import Span, Timeline
 from repro.sim.trace import Tracer
 
@@ -39,6 +43,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "FCFSQueue",
+    "LazyTable",
     "Process",
     "Resource",
     "Simulator",

@@ -246,8 +246,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay: {delay}")
         super().__init__(sim)
         self._value = value
         self._ok = True
@@ -486,6 +486,9 @@ class Simulator:
         self._pool_event: list[Event] = []
         self._pool_timeout: list[Timeout] = []
         self._pool_allof: list[AllOf] = []
+        # FCFS queues submitted to since the last reset(); each queue
+        # appends itself on its first submit (see FCFSQueue.submit).
+        self._queues: list = []
         # Deterministic perf counters (see ``counters()``).
         self._n_events: int = 0
         self._n_heap_push: int = 0
@@ -529,10 +532,14 @@ class Simulator:
         event free pools are deliberately *kept* — reuse never changes
         results, but it does mean ``events_allocated`` on a reused
         session reads lower than on a cold one (the golden counter tests
-        use fresh sessions for exactly this reason).  Objects holding their
-        own state against this simulator (queues, resources, stores)
-        must be reset by their owners — see
-        :meth:`repro.machine.machine.Machine.reset`.
+        use fresh sessions for exactly this reason).
+
+        Every :class:`~repro.sim.resources.FCFSQueue` submitted to since
+        the last reset is rewound here, and no other: a queue registers
+        itself on its first submit, so the cost is that of the queues
+        the last run touched, not of every queue built against this
+        simulator.  Resources and stores must still be reset by their
+        owners — see :meth:`repro.machine.machine.Machine.reset`.
         """
         self.now = 0.0
         self._heap.clear()
@@ -549,6 +556,9 @@ class Simulator:
         self._n_pool_evict = 0
         self._n_macro = 0
         self.macro_log.clear()
+        for queue in self._queues:
+            queue.reset()
+        self._queues.clear()
         if self._sanitizer is not None:
             self._sanitizer.reset()
 
@@ -587,8 +597,8 @@ class Simulator:
         """Create an event that fires after ``delay``."""
         pool = self._pool_timeout
         if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
+            if not delay >= 0:
+                raise SimulationError(f"invalid timeout delay: {delay}")
             self._n_pool_hit += 1
             t = pool.pop()
             t._value = value
@@ -620,8 +630,8 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule with delay {delay}")
         self._seq += 1
         if delay == 0.0 and not self._compat:
             self._n_nowq += 1

@@ -35,7 +35,9 @@ class FCFSQueue:
 
     The queue keeps only a scalar ``busy_until`` horizon, so submitting a
     job is O(log n) (one heap push) regardless of backlog.  Total served
-    work is tracked for utilisation accounting.
+    work is tracked for utilisation accounting.  The first submit after
+    a rewind registers the queue with its simulator, whose
+    :meth:`~repro.sim.engine.Simulator.reset` rewinds it.
 
     Parameters
     ----------
@@ -56,24 +58,33 @@ class FCFSQueue:
 
     def submit(self, service: float) -> Event:
         """Enqueue a job needing ``service`` seconds; returns its completion event."""
-        if service < 0:
+        sim = self.sim
+        if not service >= 0:
             _report_misuse(
-                self.sim, f"negative service time {service} on {self.name}",
+                sim, f"invalid service time {service} on {self.name}",
                 resource=self.name, service=service,
             )
-            raise SimulationError(f"negative service time {service} on {self.name}")
-        now = self.sim.now
+            raise SimulationError(f"invalid service time {service} on {self.name}")
+        if not self.job_count:
+            # First job since the last rewind: register, so that
+            # Simulator.reset rewinds this queue.
+            sim._queues.append(self)
+        now = sim.now
         start = self.busy_until if self.busy_until > now else now
         done_at = start + service
         self.busy_until = done_at
         self.served_time += service
         self.job_count += 1
-        ev = self.sim.event()
+        ev = sim.event()
         ev.succeed(value=done_at, delay=done_at - now)
         return ev
 
     def reset(self) -> None:
-        """Clear the horizon and accounting (for simulator reuse)."""
+        """Clear the horizon and accounting.
+
+        :meth:`Simulator.reset` calls this for every queue submitted to
+        since its last rewind; untouched queues are already pristine.
+        """
         self.busy_until = 0.0
         self.served_time = 0.0
         self.job_count = 0

@@ -32,7 +32,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.sharp import SharpTree
 from repro.machine.topology import Loc, Placement
-from repro.sim import FCFSQueue, Simulator, Tracer
+from repro.sim import FCFSQueue, LazyTable, Simulator, Tracer
 
 __all__ = ["SharedFabric", "TenantMachine"]
 
@@ -40,12 +40,14 @@ __all__ = ["SharedFabric", "TenantMachine"]
 class SharedFabric:
     """One cluster's worth of contended resources, hosting many tenants.
 
-    Builds the full ``config.nodes``-wide queue set (unlike
+    Builds the full ``config.nodes``-wide queue set eagerly, because
+    the scraper reads every NIC and link (unlike
     :class:`~repro.machine.machine.Machine`, which sizes itself to one
-    job's footprint).  :meth:`reset` rewinds everything to the
-    constructed state, giving the same session-reuse determinism
-    guarantee as :class:`~repro.mpi.runtime.SimSession`: a traffic run
-    on a reset fabric is bit-identical to one on a fresh build.
+    job's footprint and builds each queue on first use).
+    :meth:`reset` rewinds everything to the constructed state, giving
+    the same session-reuse determinism guarantee as
+    :class:`~repro.mpi.runtime.SimSession`: a traffic run on a reset
+    fabric is bit-identical to one on a fresh build.
     """
 
     def __init__(
@@ -97,14 +99,11 @@ class SharedFabric:
         return self.fabric_tree.leaf_of(node)
 
     def reset(self) -> "SharedFabric":
-        """Rewind clock, queues, SHArP, and fat tree for fabric reuse."""
+        """Rewind the clock, every queue the last run touched (the
+        simulator's reset does that), and SHArP, for fabric reuse."""
         self.sim.reset()
-        for queue in (*self.nic_tx, *self.nic_rx, *self.mem):
-            queue.reset()
         if self.sharp is not None:
             self.sharp.reset()
-        if self.fabric_tree is not None:
-            self.fabric_tree.reset()
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -168,11 +167,12 @@ class TenantMachine(Machine):
         self.noise = noise
         self.faults = faults
         self.tenant_nodes = nodes
-        # Private per-rank injection engines; shared per-node queues.
-        self.engine = [
-            FCFSQueue(self.sim, f"{namespace}engine[r{r}]")
-            for r in range(nranks)
-        ]
+        # Private per-rank injection engines, built on first use;
+        # shared per-node queues.
+        sim = self.sim
+        self.engine = LazyTable(
+            nranks, lambda r: FCFSQueue(sim, f"{namespace}engine[r{r}]")
+        )
         self.nic_tx = fabric.nic_tx
         self.nic_rx = fabric.nic_rx
         self.mem = fabric.mem

@@ -10,7 +10,9 @@ committed :data:`GOLDEN` entry exactly:
   (now-queue, event pools, copy-on-write views).  Kernel and payload
   counters of both modes, their totals and the compat/fast ratios.
 * ``scale10k``/``scale50k``/``scale100k`` — hybrid-fidelity DPML jobs
-  at 10k-100k ranks on scaled cluster B, each on a fresh session.
+  at 10k-100k ranks on scaled cluster B, each on a fresh session: the
+  kernel and payload counters, and how many queues and matchers the job
+  built.
 * ``store_fig5`` — a fig5-shaped sweep run cold then warm through a
   throwaway result store.
 * ``traffic_smoke`` — a tiny Poisson tenant stream on a fresh shared
@@ -60,6 +62,8 @@ KERNEL_KEYS = (
 )
 SCALE_KERNEL_KEYS = KERNEL_KEYS + ("macro_events", "pool_evictions")
 PAYLOAD_KEYS = ("bytes_copied", "bytes_viewed", "bytes_reduced")
+#: The machine's per-rank and per-node queue tables, built on first use.
+QUEUE_TABLES = ("engine", "nic_tx", "nic_rx", "mem")
 
 #: fig5 floors on the compat/fast ratios: the fast paths must allocate
 #: at least 3x fewer events and copy at least 5x fewer payload bytes.
@@ -370,6 +374,9 @@ GOLDEN = {
             "pool_evictions": 0, "bytes_copied": 0, "bytes_viewed": 0,
             "bytes_reduced": 0,
         },
+        "built": {
+            "engine": 0, "nic_tx": 0, "nic_rx": 0, "mem": 0, "matchers": 0,
+        },
     },
     "scale50k": {
         "point": "b-x6250/ppn8/dpml/65536B/hybrid",
@@ -381,6 +388,9 @@ GOLDEN = {
             "pool_evictions": 0, "bytes_copied": 0, "bytes_viewed": 0,
             "bytes_reduced": 0,
         },
+        "built": {
+            "engine": 0, "nic_tx": 0, "nic_rx": 0, "mem": 0, "matchers": 0,
+        },
     },
     "scale100k": {
         "point": "b-x12500/ppn8/dpml_pipelined/65536B/hybrid",
@@ -391,6 +401,9 @@ GOLDEN = {
             "nowq_entries": 2, "pool_reuses": 1, "macro_events": 3,
             "pool_evictions": 0, "bytes_copied": 0, "bytes_viewed": 0,
             "bytes_reduced": 0,
+        },
+        "built": {
+            "engine": 0, "nic_tx": 0, "nic_rx": 0, "mem": 0, "matchers": 0,
         },
     },
     "store_fig5": {
@@ -497,13 +510,16 @@ def _run_scale(name: str):
         reset_payload_counters()
     counters = {k: kernel[k] for k in SCALE_KERNEL_KEYS}
     counters.update((k, payload[k]) for k in PAYLOAD_KEYS)
+    runtime = session.runtime
+    built = {name: len(getattr(session.machine, name)) for name in QUEUE_TABLES}
+    built["matchers"] = len(runtime.transport.matchers)
     record = {
         "point": f"b-x{nodes}/ppn8/{algorithm}/{nbytes}B/hybrid",
         "nranks": nodes * 8,
         "latency": latency,
         "counters": counters,
+        "built": built,
     }
-    runtime = session.runtime
     return record, (
         runtime.hybrid_fleet_fallbacks, runtime.hybrid_exact_fallbacks
     )
@@ -641,6 +657,14 @@ def test_scale_jobs_launch_as_one_fleet(scale, name):
     assert counters["events_allocated"] == 3, counters
     assert counters["macro_events"] == 3, counters
     assert fallbacks == ({}, {})
+
+
+@pytest.mark.parametrize("name", list(SCALE))
+def test_scale_jobs_build_no_queues(scale, name):
+    """A fleet job touches no rank's engine or matcher and no node's
+    NIC or memory queue, so none is built."""
+    record, _ = scale[name]
+    assert set(record["built"].values()) == {0}, record["built"]
 
 
 def test_store_counters(store):

@@ -44,6 +44,28 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout(float("nan"))
+        assert sim.now == 0.0
+
+    def test_nan_delay_rejected_on_the_pooled_path(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+
+        sim.process(proc())
+        sim.run()
+        assert sim._pool_timeout, "the processed timeout was not pooled"
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout(float("nan"))
+        assert sim.now == 1.0
+
+    def test_nan_succeed_delay_rejected(self, sim):
+        with pytest.raises(SimulationError, match="nan"):
+            sim.event().succeed(delay=float("nan"))
+        sim.run()
+        assert sim.now == 0.0
+
     def test_sequential_timeouts_accumulate(self, sim):
         def proc():
             for _ in range(5):

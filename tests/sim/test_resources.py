@@ -80,6 +80,30 @@ class TestFCFSQueue:
         with pytest.raises(SimulationError):
             q.submit(-0.1)
 
+    def test_nan_service_rejected_and_clock_untouched(self, sim):
+        q = FCFSQueue(sim, "q")
+        with pytest.raises(SimulationError, match="nan"):
+            q.submit(float("nan"))
+        assert (q.busy_until, q.served_time, q.job_count) == (0.0, 0.0, 0)
+
+        def proc():
+            yield q.submit(1.0)
+
+        sim.process(proc())
+        sim.run()
+        assert sim.now == 1.0
+
+    def test_nan_service_reported_by_sanitizer(self):
+        from repro.check import reports as R
+        from repro.check.sanitizer import Sanitizer
+
+        san = Sanitizer(strict=False)
+        q = FCFSQueue(Simulator(sanitize=san), "nic")
+        with pytest.raises(SimulationError):
+            q.submit(float("nan"))
+        (report,) = san.by_kind(R.RESOURCE_MISUSE)
+        assert report.details["resource"] == "nic"
+
     def test_delay_until_free(self, sim):
         q = FCFSQueue(sim, "q")
         log = []

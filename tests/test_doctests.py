@@ -8,6 +8,7 @@ import pytest
 MODULES = (
     "repro",
     "repro.sim.engine",
+    "repro.sim.table",
     "repro.mpi.runtime",
     "repro.payload.payload",
 )
