@@ -24,14 +24,22 @@ resulting event order is bit-identical to an all-heap kernel
 
 Fast paths
 ----------
-The hot paths avoid allocation wherever the slow kernel used a
-throwaway ``Event``:
+The hot paths avoid Python calls and allocation wherever the slow
+kernel paid for them:
 
+* :meth:`Simulator.run` is the only dispatcher: each entry is popped,
+  fired, handed to its waiting processes and recycled in one frame —
+  a process waiting on an event is resumed inline, not through a call;
+* a waiting :class:`Process` or :class:`AllOf` is stored as itself in
+  the event's waiter slots, so waiting allocates no bound method;
+* the hot producers (:meth:`Event.succeed`, :meth:`Simulator.timeout`,
+  :meth:`~repro.sim.resources.FCFSQueue.submit` and process
+  completion) push their own heap or now-queue entry;
 * zero-delay wakeups append a tuple to the now-queue instead of a heap
   push;
 * process start and :meth:`Process.interrupt` enqueue a direct resume
-  (no starter/proxy ``Event``);
-* waiting on an already-processed event enqueues the callback itself;
+  (no starter/proxy ``Event``), and so does waiting on an
+  already-processed event;
 * the first waiter of an event is stored in a slot (``_cb1``); the
   callback list is only allocated for the second waiter;
 * processed one-shot events (``Event``/``Timeout``/``AllOf``) that no
@@ -49,11 +57,12 @@ Sanitizing
 ``Simulator(sanitize=True)`` (or the ``REPRO_SANITIZE=1`` environment
 variable, consulted by every constructor) installs a
 :class:`~repro.check.sanitizer.Sanitizer` on ``self.sanitizer``.  The
-kernel then checks event-time monotonicity on every step and hands the
-sanitizer the blocked-process wait graph when a deadlock is detected;
-the MPI layers above feed the same sanitizer their own invariants (see
-:mod:`repro.check`).  The hot loop pays a single ``is None`` test for
-this when the sanitizer is off.
+kernel then checks event-time monotonicity on every heap pop and hands
+the sanitizer the blocked-process wait graph when a deadlock is
+detected; the MPI layers above feed the same sanitizer their own
+invariants (see :mod:`repro.check`).  :meth:`Simulator.run` reads the
+sanitizer once per call, so the loop pays one local truth test per heap
+pop for this when the sanitizer is off.
 """
 
 from __future__ import annotations
@@ -78,21 +87,27 @@ __all__ = [
 # Event lifecycle states.
 _PENDING = 0  # not yet triggered
 _SCHEDULED = 1  # value decided, sitting in the heap or now-queue
-_PROCESSED = 2  # callbacks have run; .value is final
+_PROCESSED = 2  # waiters have run; .value is final
 
-# Now-queue entry kinds.  Entries are (seq, kind, a, b, c) tuples; the
-# payload fields depend on the kind.
-_NQ_EVENT = 0  # a: scheduled Event -> a._process()
-_NQ_CB = 1  # a: callback, b: processed source event -> a(b)
-_NQ_RESUME = 2  # a: Process, b: value, c: ok -> a._resume_with(b, c)
+# Now-queue entries are ``(seq, event, waiter, value, ok)`` tuples:
+#
+# * ``(seq, event, None, None, None)`` fires ``event``, exactly like a
+#   heap entry;
+# * ``(seq, source, waiter, value, ok)`` hands one outcome to one
+#   waiter: a process is resumed with ``(value, ok)``, any other waiter
+#   is called with ``source`` (the already-processed event it attached
+#   to; ``None`` for a process start or interrupt).
+#
+# Besides this module, FCFSQueue.submit (repro.sim.resources) pushes
+# fire entries inline.
 
-# Free-pool tuning.  ``_POOLED_REFS`` is the refcount of an event whose
-# only remaining references are the dispatcher's local, the
-# ``_recycle`` parameter, and ``getrefcount``'s own argument — i.e.
-# nobody retained it.  If a future interpreter counts differently the
-# comparison simply never matches and recycling is skipped (safe);
+# Free-pool tuning.  ``_POOLED_REFS`` is the refcount of a fired event
+# whose only remaining references are :meth:`Simulator.run`'s loop
+# local and ``getrefcount``'s own argument — i.e. nobody retained it.
+# If a future interpreter counts differently the comparison simply
+# never matches and recycling is skipped (safe);
 # tests/sim/test_engine.py asserts reuse actually happens on CPython.
-_POOLED_REFS = 3
+_POOLED_REFS = 2
 _POOL_CAP = 4096
 _getrefcount = getattr(sys, "getrefcount", None)
 
@@ -111,13 +126,15 @@ class Event:
 
     An event starts *pending*; calling :meth:`succeed` or :meth:`fail`
     schedules it on the simulator's heap (optionally after a delay), and
-    once the loop reaches it, its callbacks run and it becomes
+    once the loop reaches it, its waiters run and it becomes
     *processed*.  Waiting on an already-processed event resumes the
     waiter immediately (at the current simulation time).
 
-    The first waiter lives in the ``_cb1`` slot; ``callbacks`` stays
-    ``None`` until a second waiter arrives, so the common single-waiter
-    case allocates no list.
+    A waiter is a :class:`Process` (resumed by the loop), an
+    :class:`AllOf` (called with the event) or any other callable taking
+    the event.  The first waiter lives in the ``_cb1`` slot;
+    ``callbacks`` stays ``None`` until a second waiter arrives, so the
+    common single-waiter case allocates no list.
     """
 
     __slots__ = ("sim", "_cb1", "callbacks", "_value", "_ok", "_state", "__weakref__")
@@ -140,7 +157,7 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once callbacks have run."""
+        """True once waiters have run."""
         return self._state == _PROCESSED
 
     @property
@@ -162,7 +179,16 @@ class Event:
         self._value = value
         self._ok = True
         self._state = _SCHEDULED
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        if delay == 0.0 and not sim._compat:
+            sim._seq = seq = sim._seq + 1
+            sim._nowq.append((seq, self, None, None, None))
+        elif delay >= 0:
+            sim._seq = seq = sim._seq + 1
+            sim._n_heap_push += 1
+            heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+        else:
+            raise SimulationError(f"cannot schedule with delay {delay}")
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -179,22 +205,10 @@ class Event:
 
     # -- internal ----------------------------------------------------------
 
-    def _process(self) -> None:
-        """Run callbacks.  Called exactly once by the event loop."""
-        self._state = _PROCESSED
-        cb1 = self._cb1
-        callbacks = self.callbacks
-        self._cb1 = None
-        self.callbacks = None
-        if cb1 is not None:
-            cb1(self)
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-
     def _add_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Attach ``cb``; fires immediately (at the current time, in
-        schedule order) if the event has already been processed."""
+        """Attach waiter ``cb``; it runs immediately (at the current
+        time, in schedule order) if the event has already been
+        processed."""
         if self._state == _PROCESSED:
             sim = self.sim
             if sim._compat:
@@ -208,8 +222,7 @@ class Event:
                 sim._schedule(proxy, 0.0)
             else:
                 sim._seq += 1
-                sim._n_nowq += 1
-                sim._nowq.append((sim._seq, _NQ_CB, cb, self, None))
+                sim._nowq.append((sim._seq, self, cb, self._value, self._ok))
         elif self._cb1 is None and self.callbacks is None:
             self._cb1 = cb
         elif self.callbacks is None:
@@ -218,8 +231,8 @@ class Event:
             self.callbacks.append(cb)
 
     def _remove_callback(self, cb: Callable[["Event"], None]) -> None:
-        """Detach the first callback equal to ``cb`` (no-op if absent)."""
-        if self._cb1 is not None and self._cb1 == cb:
+        """Detach waiter ``cb`` (no-op if absent)."""
+        if self._cb1 is cb:
             lst = self.callbacks
             if lst:
                 self._cb1 = lst.pop(0)
@@ -260,7 +273,9 @@ class Process(Event):
 
     A process is itself an event: it triggers with the generator's
     return value when the generator finishes (or with the exception if
-    it raises), so processes can be ``yield``-ed to join them.
+    it raises), so processes can be ``yield``-ed to join them.  While it
+    waits, the process itself sits in the awaited event's waiter slots;
+    :meth:`Simulator.run` resumes it there.
     """
 
     __slots__ = ("_gen", "_waiting_on", "name")
@@ -288,12 +303,11 @@ class Process(Event):
             starter._value = None
             starter._ok = True
             starter._state = _SCHEDULED
-            starter._cb1 = self._resume
+            starter._cb1 = self
             sim._schedule(starter, 0.0)
         else:
             sim._seq += 1
-            sim._n_nowq += 1
-            sim._nowq.append((sim._seq, _NQ_RESUME, self, None, True))
+            sim._nowq.append((sim._seq, None, self, None, True))
 
     @property
     def is_alive(self) -> bool:
@@ -305,13 +319,13 @@ class Process(Event):
 
         The process is resumed at the current simulation time regardless
         of what it was waiting for (the original wait target stays
-        triggered-able; its resumption of this process is disarmed).
+        triggered-able; this process is detached from its waiters).
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         target = self._waiting_on
         if target is not None:
-            target._remove_callback(self._resume)
+            target._remove_callback(self)
         self._waiting_on = None
         sim = self.sim
         if sim._compat:
@@ -319,64 +333,11 @@ class Process(Event):
             proxy._value = InterruptError(cause)
             proxy._ok = False
             proxy._state = _SCHEDULED
-            proxy._cb1 = self._resume
+            proxy._cb1 = self
             sim._schedule(proxy, 0.0)
         else:
             sim._seq += 1
-            sim._n_nowq += 1
-            sim._nowq.append(
-                (sim._seq, _NQ_RESUME, self, InterruptError(cause), False)
-            )
-
-    # -- internal ----------------------------------------------------------
-
-    def _resume(self, trigger: Event) -> None:
-        """Advance the generator with the trigger's outcome."""
-        self._resume_with(trigger._value, trigger._ok)
-
-    def _resume_with(self, value: Any, ok: bool) -> None:
-        """Advance the generator with an outcome (value + success flag)."""
-        self._waiting_on = None
-        sim = self.sim
-        sim._active_process = self
-        try:
-            if ok:
-                target = self._gen.send(value)
-            else:
-                target = self._gen.throw(value)
-        except StopIteration as stop:
-            sim._active_process = None
-            sim._live_processes.discard(self)
-            self._value = stop.value
-            self._ok = True
-            self._state = _SCHEDULED
-            sim._schedule(self, 0.0)
-            return
-        except BaseException as exc:
-            sim._active_process = None
-            sim._live_processes.discard(self)
-            if (
-                self._cb1 is None
-                and not self.callbacks
-                and not sim._catch_process_errors
-            ):
-                # Nobody is joining this process: surface the failure.
-                raise
-            self._value = exc
-            self._ok = False
-            self._state = _SCHEDULED
-            sim._schedule(self, 0.0)
-            return
-        sim._active_process = None
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Event instances (Timeout, Process, AllOf, ...)"
-            )
-        if target.sim is not sim:
-            raise SimulationError("yielded an event belonging to another Simulator")
-        self._waiting_on = target
-        target._add_callback(self._resume)
+            sim._nowq.append((sim._seq, None, self, InterruptError(cause), False))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else "finished"
@@ -387,10 +348,11 @@ class AllOf(Event):
     """Fires once every child event has fired.
 
     Succeeds with the list of child values (in the order the children
-    were given).  Fails fast with the first child failure.
+    were given).  Fails fast with the first child failure.  The
+    composite is its own waiter on every child (see :meth:`__call__`).
     """
 
-    __slots__ = ("_children", "_remaining", "_failed")
+    __slots__ = ("_children", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -399,18 +361,17 @@ class AllOf(Event):
     def _arm(self, events: Iterable[Event]) -> None:
         self._children = list(events)
         self._remaining = len(self._children)
-        self._failed = False
         if self._remaining == 0:
             self.succeed([])
             return
         for child in self._children:
-            child._add_callback(self._on_child)
+            child._add_callback(self)
 
-    def _on_child(self, child: Event) -> None:
-        if self._state != _PENDING or self._failed:
+    def __call__(self, child: Event) -> None:
+        """Count one fired child."""
+        if self._state != _PENDING:
             return
         if not child._ok:
-            self._failed = True
             self.fail(child._value)
             return
         self._remaining -= 1
@@ -476,7 +437,6 @@ class Simulator:
         self._nowq: deque = deque()
         self._seq: int = 0
         self._live_processes: set[Process] = set()
-        self._active_process: Optional[Process] = None
         # When True, a process that dies with an exception stores it on
         # the Process event instead of propagating out of run().  The MPI
         # runtime enables this so one failing rank reports cleanly.
@@ -546,7 +506,6 @@ class Simulator:
         self._nowq.clear()
         self._seq = 0
         self._live_processes.clear()
-        self._active_process = None
         self._catch_process_errors = False
         self._n_events = 0
         self._n_heap_push = 0
@@ -567,11 +526,13 @@ class Simulator:
 
         ``events_allocated`` counts ``Event.__init__`` calls (pool
         reuses skip it); ``pool_reuses`` counts factory hits on the
-        free pools; ``nowq_entries`` counts zero-delay dispatches that
-        bypassed the heap; ``pool_evictions`` counts recyclable events
-        dropped because their pool was at :data:`_POOL_CAP` (bounded
-        pool memory at 10k+ ranks); ``macro_events`` counts
-        :meth:`macro_charge` dispatches (hybrid-fidelity phase charges).
+        free pools; ``heap_pops`` and ``nowq_entries`` count the heap
+        and zero-delay now-queue entries :meth:`run` dispatched (they
+        are written back when ``run`` returns or raises);
+        ``pool_evictions`` counts recyclable events dropped because
+        their pool was at :data:`_POOL_CAP` (bounded pool memory at
+        10k+ ranks); ``macro_events`` counts :meth:`macro_charge`
+        dispatches (hybrid-fidelity phase charges).
         """
         return {
             "events_allocated": self._n_events,
@@ -596,16 +557,21 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay``."""
         pool = self._pool_timeout
-        if pool:
-            if not delay >= 0:
-                raise SimulationError(f"invalid timeout delay: {delay}")
-            self._n_pool_hit += 1
-            t = pool.pop()
-            t._value = value
-            t._state = _SCHEDULED
-            self._schedule(t, delay)
-            return t
-        return Timeout(self, delay, value)
+        if not pool:
+            return Timeout(self, delay, value)
+        if not delay >= 0:
+            raise SimulationError(f"invalid timeout delay: {delay}")
+        self._n_pool_hit += 1
+        t = pool.pop()
+        t._value = value
+        t._state = _SCHEDULED
+        self._seq = seq = self._seq + 1
+        if delay == 0.0 and not self._compat:
+            self._nowq.append((seq, t, None, None, None))
+        else:
+            self._n_heap_push += 1
+            heapq.heappush(self._heap, (self.now + delay, seq, t))
+        return t
 
     def process(
         self, gen: Generator[Event, Any, Any], name: str = ""
@@ -630,12 +596,13 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
+        """Schedule ``event`` to fire after ``delay`` (the cold path; the
+        hot producers push their entries inline)."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule with delay {delay}")
         self._seq += 1
         if delay == 0.0 and not self._compat:
-            self._n_nowq += 1
-            self._nowq.append((self._seq, _NQ_EVENT, event, None, None))
+            self._nowq.append((self._seq, event, None, None, None))
         else:
             self._n_heap_push += 1
             heapq.heappush(self._heap, (self.now + delay, self._seq, event))
@@ -666,102 +633,177 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _dispatch_heap(self) -> None:
-        """Pop and process the heap head."""
-        when, _, event = heapq.heappop(self._heap)
-        self._n_heap_pop += 1
-        if self._sanitizer is not None and when < self.now:
-            self._sanitizer.heap_regression(self.now, when, event)
-            raise SimulationError(
-                f"event-time regression: next event at t={when} but the "
-                f"clock already reached t={self.now}"
-            )
-        self.now = when
-        event._process()
-        self._recycle(event)
-
-    def _dispatch_nowq(self) -> None:
-        """Run the now-queue head (always at the current time)."""
-        _, kind, a, b, c = self._nowq.popleft()
-        if kind == _NQ_EVENT:
-            a._process()
-            self._recycle(a)
-        elif kind == _NQ_RESUME:
-            a._resume_with(b, c)
-        else:  # _NQ_CB: late-attached callback, original event as trigger
-            a(b)
-
-    def _recycle(self, event: Event) -> None:
-        """Return a processed, otherwise-unreferenced event to its pool."""
-        if _getrefcount is None or self._compat:
-            return
-        cls = event.__class__
-        if cls is Event:
-            pool = self._pool_event
-        elif cls is Timeout:
-            pool = self._pool_timeout
-        elif cls is AllOf:
-            pool = self._pool_allof
-        else:
-            return
-        if _getrefcount(event) != _POOLED_REFS:
-            return
-        if len(pool) >= _POOL_CAP:
-            # Recyclable but the pool is full: drop it so pool memory
-            # stays bounded instead of growing to the high-water mark.
-            self._n_pool_evict += 1
-            return
-        event._cb1 = None
-        event.callbacks = None
-        event._value = None
-        event._ok = True
-        event._state = _PENDING
-        if cls is AllOf:
-            event._children = []
-        pool.append(event)
-
-    def step(self) -> None:
-        """Process the single next event.
-
-        The now-queue head runs unless a heap entry is both due
-        (``time <= now``) and older (smaller sequence number) — the
-        comparison that makes the split queues equivalent to one
-        totally-ordered ``(time, sequence)`` heap.
-        """
-        nowq = self._nowq
-        heap = self._heap
-        if nowq and not (
-            heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]
-        ):
-            self._dispatch_nowq()
-        else:
-            self._dispatch_heap()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queues drain or ``until`` is reached.
 
-        Raises :class:`DeadlockError` if the queues drain while
-        processes are still alive (blocked on events nobody will
-        trigger).
+        Each iteration dispatches the globally smallest ``(time,
+        sequence)`` entry: the now-queue head runs unless a heap entry
+        is both due (``time <= now``) and older (smaller sequence
+        number) — the comparison that makes the split queues equivalent
+        to one totally-ordered heap.  Firing an event resumes its
+        waiting processes, calls its other waiters, and recycles the
+        event into its free pool when nobody else holds it, all in
+        this one frame.
+
+        Raises :class:`SimulationError` if ``until`` is not a time at
+        or after :attr:`now`, and :class:`DeadlockError` if the queues
+        drain while processes are still alive (blocked on events
+        nobody will trigger).
         """
+        now = self.now
+        if until is not None and not until >= now:
+            raise SimulationError(
+                f"cannot run until t={until}: the clock already reached t={now}"
+            )
         heap = self._heap
         nowq = self._nowq
-        while nowq or heap:
-            if nowq and not (
-                heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]
-            ):
-                self._dispatch_nowq()
-            elif until is not None and heap[0][0] > until:
-                self.now = until
-                return
-            else:
-                self._dispatch_heap()
-        if self._live_processes:
-            blocked = sorted(p.name for p in self._live_processes)
+        live = self._live_processes
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        popleft = nowq.popleft
+        append = nowq.append
+        compat = self._compat
+        sanitizer = self._sanitizer
+        pooling = not compat and _getrefcount is not None
+        getrefcount = _getrefcount
+        pool_event = self._pool_event
+        pool_timeout = self._pool_timeout
+        pool_allof = self._pool_allof
+        n_pops = n_nowq = n_evict = 0
+        try:
+            while True:
+                if nowq and not (
+                    heap and heap[0][0] <= now and heap[0][1] < nowq[0][0]
+                ):
+                    _, event, waiter, value, ok = popleft()
+                    n_nowq += 1
+                elif heap:
+                    if until is not None and heap[0][0] > until:
+                        self.now = until
+                        return
+                    now, _, event = heappop(heap)
+                    n_pops += 1
+                    if sanitizer is not None and now < self.now:
+                        sanitizer.heap_regression(self.now, now, event)
+                        raise SimulationError(
+                            f"event-time regression: next event at t={now} "
+                            f"but the clock already reached t={self.now}"
+                        )
+                    self.now = now
+                    waiter = None
+                else:
+                    break
+                if waiter is None:
+                    # Fire the event: its waiters get its outcome.
+                    event._state = _PROCESSED
+                    waiter = event._cb1
+                    rest = event.callbacks
+                    if waiter is not None:
+                        event._cb1 = None
+                    if rest is not None:
+                        event.callbacks = None
+                        rest = iter(rest)
+                        if waiter is None:
+                            waiter = next(rest, None)
+                    value = event._value
+                    ok = event._ok
+                    fired = pooling
+                else:
+                    rest = None
+                    fired = False
+                while waiter is not None:
+                    if waiter.__class__ is not Process:
+                        waiter(event)
+                    else:
+                        # Resume the waiting process in this frame.
+                        waiter._waiting_on = None
+                        try:
+                            if ok:
+                                target = waiter._gen.send(value)
+                            else:
+                                target = waiter._gen.throw(value)
+                        except StopIteration as stop:
+                            live.discard(waiter)
+                            waiter._value = stop.value
+                            waiter._ok = True
+                            waiter._state = _SCHEDULED
+                            self._seq = seq = self._seq + 1
+                            if compat:
+                                self._n_heap_push += 1
+                                heappush(heap, (now, seq, waiter))
+                            else:
+                                append((seq, waiter, None, None, None))
+                        except BaseException as exc:
+                            live.discard(waiter)
+                            if (
+                                waiter._cb1 is None
+                                and not waiter.callbacks
+                                and not self._catch_process_errors
+                            ):
+                                # Nobody is joining this process:
+                                # surface the failure.
+                                raise
+                            waiter._value = exc
+                            waiter._ok = False
+                            waiter._state = _SCHEDULED
+                            self._schedule(waiter, 0.0)
+                        else:
+                            if not isinstance(target, Event):
+                                raise SimulationError(
+                                    f"process {waiter.name!r} yielded "
+                                    f"{target!r}; processes may only yield "
+                                    "Event instances (Timeout, Process, "
+                                    "AllOf, ...)"
+                                )
+                            if target.sim is not self:
+                                raise SimulationError(
+                                    "yielded an event belonging to another "
+                                    "Simulator"
+                                )
+                            waiter._waiting_on = target
+                            if (
+                                target._cb1 is None
+                                and target._state != _PROCESSED
+                                and target.callbacks is None
+                            ):
+                                target._cb1 = waiter
+                            else:
+                                target._add_callback(waiter)
+                            target = None
+                    waiter = next(rest, None) if rest is not None else None
+                if fired:
+                    # Recycle the event if nobody else references it.
+                    cls = event.__class__
+                    if cls is Event:
+                        pool = pool_event
+                    elif cls is Timeout:
+                        pool = pool_timeout
+                    elif cls is AllOf:
+                        pool = pool_allof
+                    else:
+                        continue
+                    if getrefcount(event) != _POOLED_REFS:
+                        continue
+                    if len(pool) >= _POOL_CAP:
+                        # Recyclable but the pool is full: drop it so
+                        # pool memory stays bounded instead of growing
+                        # to the high-water mark.
+                        n_evict += 1
+                        continue
+                    event._value = None
+                    event._ok = True
+                    event._state = _PENDING
+                    if cls is AllOf:
+                        event._children = []
+                    pool.append(event)
+        finally:
+            self._n_heap_pop += n_pops
+            self._n_nowq += n_nowq
+            self._n_pool_evict += n_evict
+        if live:
+            blocked = sorted(p.name for p in live)
             wait_graph = (
-                self._sanitizer.on_deadlock(self)
-                if self._sanitizer is not None
-                else None
+                sanitizer.on_deadlock(self) if sanitizer is not None else None
             )
             preview = ", ".join(blocked[:8])
             more = "" if len(blocked) <= 8 else f" (+{len(blocked) - 8} more)"

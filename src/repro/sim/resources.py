@@ -22,10 +22,11 @@ models:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _SCHEDULED, Event, Simulator
 
 __all__ = ["FCFSQueue", "Resource", "Store"]
 
@@ -75,8 +76,23 @@ class FCFSQueue:
         self.busy_until = done_at
         self.served_time += service
         self.job_count += 1
-        ev = sim.event()
-        ev.succeed(value=done_at, delay=done_at - now)
+        # The completion event, scheduled inline (the hot path of
+        # Simulator.event() followed by Event.succeed()).
+        pool = sim._pool_event
+        if pool:
+            sim._n_pool_hit += 1
+            ev = pool.pop()
+        else:
+            ev = Event(sim)
+        ev._value = done_at
+        ev._state = _SCHEDULED
+        delay = done_at - now
+        sim._seq = seq = sim._seq + 1
+        if delay == 0.0 and not sim._compat:
+            sim._nowq.append((seq, ev, None, None, None))
+        else:
+            sim._n_heap_push += 1
+            heappush(sim._heap, (now + delay, seq, ev))
         return ev
 
     def reset(self) -> None:

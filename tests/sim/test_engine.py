@@ -403,8 +403,52 @@ class TestRunControl:
             yield sim.timeout(4.0)
 
         sim.process(proc())
-        sim.step()  # process start event
+        sim.run(until=0.0)  # process start event
         assert sim.peek() == 4.0
+
+    def test_run_until_in_the_past_is_rejected(self, sim):
+        fired = []
+
+        def proc():
+            yield sim.timeout(5.0)
+            fired.append(sim.now)
+
+        sim.process(proc())
+        sim.run(until=3.0)
+        assert sim.now == 3.0
+        with pytest.raises(SimulationError, match="until"):
+            sim.run(until=1.0)
+        # The clock did not move backwards and the t=5 event still fires.
+        assert sim.now == 3.0
+        assert sim.peek() == 5.0
+        sim.run()
+        assert fired == [5.0]
+
+    def test_run_until_nan_is_rejected_before_dispatching(self, sim):
+        started = []
+
+        def proc():
+            started.append(sim.now)
+            yield sim.timeout(1.0)
+
+        sim.process(proc())
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert started == []
+        assert sim.now == 0.0
+        assert sim.counters()["nowq_entries"] == 0
+        sim.run()
+        assert started == [0.0]
+
+    def test_run_until_now_is_allowed(self, sim):
+        def proc():
+            yield sim.timeout(2.0)
+
+        sim.process(proc())
+        sim.run(until=0.0)
+        sim.run(until=0.0)
+        assert sim.now == 0.0
+        assert sim.peek() == 2.0
 
     def test_peek_sees_pending_now_queue_work(self, sim):
         def proc():
@@ -417,13 +461,17 @@ class TestRunControl:
         assert sim.peek() == sim.now == 0.0
 
 
-def _mixed_scenario(sim):
+def _mixed_scenario(sim, stops=()):
     """A workload touching every kernel path; returns its event log.
 
     Same-time timeouts, manual events with multiple waiters, late
-    attachment to an already-processed event, composites, and an
-    interrupt — the paths whose fast-mode rewrites must preserve the
-    seed's deterministic tie order exactly.
+    attachment to an already-processed event, composites (one over
+    processes), a joined child that raises, a process waiting ahead of
+    plain callbacks, and interrupts of a process in an event's first
+    waiter slot and in its waiter list — the paths whose fast-mode
+    rewrites must preserve the seed's deterministic tie order exactly.
+    The simulation is run with ``run(until=t)`` for each of ``stops``,
+    then to completion.
     """
     log = []
 
@@ -468,6 +516,60 @@ def _mixed_scenario(sim):
         victim.interrupt(cause="stop")
         log.append(("killer", sim.now))
 
+    def failing_child():
+        yield sim.timeout(1.5)
+        raise ValueError("child failed")
+
+    def catching_parent():
+        try:
+            yield sim.process(failing_child())
+        except ValueError as exc:
+            log.append(("caught", sim.now, str(exc)))
+
+    shared = sim.event()
+
+    def first_waiter():
+        val = yield shared
+        log.append(("first", sim.now, val))
+
+    def attach_callbacks():
+        # The process above already waits on ``shared``; these plain
+        # callbacks queue up behind it.
+        yield sim.timeout(0.5)
+        for tag in ("cb-a", "cb-b"):
+            shared._add_callback(
+                lambda e, tag=tag: log.append((tag, sim.now, e.value))
+            )
+        yield sim.timeout(1.5)
+        shared.succeed("s")
+
+    def worker(i):
+        yield sim.timeout(0.25 * (i + 1))
+        return i * 10
+
+    def gather():
+        values = yield sim.all_of([sim.process(worker(i)) for i in range(3)])
+        log.append(("gathered", sim.now, tuple(values)))
+
+    gate = sim.event()
+
+    def gate_first():
+        val = yield gate
+        log.append(("gate-first", sim.now, val))
+
+    def gate_second():
+        try:
+            val = yield gate
+            log.append(("gate-second", sim.now, val))
+        except InterruptError as exc:
+            log.append(("gate-second-interrupted", sim.now, exc.cause))
+
+    def gate_keeper(second):
+        yield sim.timeout(1.25)
+        second.interrupt(cause="detach")
+        yield sim.timeout(1.0)
+        gate.succeed("open")
+
     for tag in ("t1", "t2"):
         sim.process(racer(tag, 1.0))
     for i in range(3):
@@ -476,6 +578,14 @@ def _mixed_scenario(sim):
     sim.process(trigger())
     sim.process(composite())
     sim.process(killer())
+    sim.process(catching_parent())
+    sim.process(first_waiter())
+    sim.process(attach_callbacks())
+    sim.process(gather())
+    sim.process(gate_first())
+    sim.process(gate_keeper(sim.process(gate_second())))
+    for until in stops:
+        sim.run(until=until)
     sim.run()
     return log
 
@@ -485,6 +595,27 @@ class TestFastKernelEquivalence:
         fast = _mixed_scenario(Simulator())
         compat = _mixed_scenario(Simulator(compat=True))
         assert fast == compat
+
+    def test_mixed_scenario_reaches_every_waiter_path(self):
+        log = _mixed_scenario(Simulator())
+        assert ("caught", 1.5, "child failed") in log
+        assert ("gathered", 0.75, (0, 10, 20)) in log
+        # The waiting process runs before the callbacks queued behind it.
+        at = log.index(("first", 2.0, "s"))
+        assert log[at + 1 : at + 3] == [("cb-a", 2.0, "s"), ("cb-b", 2.0, "s")]
+        # The interrupted process left the gate's waiter list: it is
+        # resumed once, by the interrupt, and the gate wakes only the
+        # process ahead of it.
+        assert ("gate-second-interrupted", 1.25, "detach") in log
+        assert ("gate-first", 2.25, "open") in log
+        assert not [entry for entry in log if entry[0] == "gate-second"]
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_split_runs_match_one_run(self, compat):
+        whole = Simulator(compat=compat)
+        split = Simulator(compat=compat)
+        assert _mixed_scenario(split, stops=(1.0, 2.5)) == _mixed_scenario(whole)
+        assert split.counters() == whole.counters()
 
     def test_compat_mode_never_uses_fast_paths(self):
         sim = Simulator(compat=True)
@@ -507,6 +638,59 @@ class TestFastKernelEquivalence:
         sim = Simulator()
         _mixed_scenario(sim)
         assert sim.counters()["nowq_entries"] == 0
+
+
+class TestEscapingError:
+    """A process error nobody joins leaves ``run``; the kernel counters
+    must still be exact and the simulator reusable."""
+
+    @staticmethod
+    def _crash(sim):
+        def bad():
+            yield sim.timeout(1.0)
+            for _ in range(3):
+                sim.event().succeed()  # queued, never dispatched
+            raise RuntimeError("kaput")
+
+        def bystander():
+            yield sim.timeout(2.0)
+
+        sim.process(bad())
+        sim.process(bystander())
+        with pytest.raises(RuntimeError, match="kaput"):
+            sim.run()
+
+    @pytest.mark.parametrize(
+        "compat, heap_pops, nowq_entries",
+        # fast: two process starts from the now-queue, then the t=1
+        # timeout from the heap; compat: two starters and the timeout.
+        [(False, 1, 2), (True, 3, 0)],
+    )
+    def test_counters_count_only_dispatched_entries(
+        self, compat, heap_pops, nowq_entries
+    ):
+        sim = Simulator(compat=compat)
+        self._crash(sim)
+        counters = sim.counters()
+        assert counters["heap_pops"] == heap_pops
+        assert counters["nowq_entries"] == nowq_entries
+        assert counters["heap_pushes"] - len(sim._heap) == heap_pops
+        assert len(sim._nowq) == (0 if compat else 3)
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_reset_after_escape_matches_fresh(self, compat):
+        reused = Simulator(compat=compat)
+        self._crash(reused)
+        reused.reset()
+        fresh = Simulator(compat=compat)
+        assert _mixed_scenario(reused) == _mixed_scenario(fresh)
+        got, want = reused.counters(), fresh.counters()
+        # The kept free pools turn some allocations into reuses.
+        assert (
+            got.pop("events_allocated") + got.pop("pool_reuses")
+            == want.pop("events_allocated") + want.pop("pool_reuses")
+        )
+        assert got == want
 
 
 class TestEventPool:
