@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro import canonical
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import get_cluster
 from repro.machine.config import (
     FabricConfig,
@@ -174,6 +174,12 @@ class SamplePoint:
         from repro.bench.harness import check_loop
 
         check_loop(self.iterations, self.warmup)
+        if self.leaders is not None and not 1 <= self.leaders <= self.ppn:
+            # Checked here, not in the simulation: an oversized count
+            # would run clamped to ppn yet be stored and hashed as given.
+            raise ConfigError(
+                f"leaders must be in [1, ppn={self.ppn}], got {self.leaders}"
+            )
 
     @property
     def nranks(self) -> int:

@@ -4,11 +4,12 @@ A small, deterministic, generator-coroutine event kernel in the style of
 simpy, specialised for the needs of the cluster models in
 :mod:`repro.machine`:
 
-* :class:`~repro.sim.engine.Simulator` — the event loop (heap of
-  ``(time, seq, event)`` with a monotonically increasing sequence number
-  so same-time events fire in creation order, making every run
-  bit-reproducible; zero-delay wakeups take a FIFO now-queue fast path
-  that preserves exactly that order — see ``docs/performance.md``).
+* :class:`~repro.sim.engine.Simulator` — the event loop (an event
+  calendar: the FIFO of entries due now, each later pending time's
+  entries in creation order and a heap of those times, so same-time
+  events fire in creation order, making every run bit-reproducible;
+  zero-delay wakeups are tuple entries in the due FIFO — see
+  ``docs/performance.md``).
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout`
   / :class:`~repro.sim.engine.Process` — the waitables a coroutine can
   ``yield``.

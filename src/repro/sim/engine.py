@@ -1,26 +1,30 @@
 r"""The discrete-event loop: events, processes, and the simulator.
 
 The kernel is deliberately tiny.  A *process* is a Python generator that
-``yield``\ s *waitables* (events).  The simulator owns a binary heap of
-``(time, sequence, event)`` triples plus a FIFO *now-queue* of
-zero-delay work; when an event fires, every process waiting on it is
-resumed with the event's value (or has the event's exception thrown
-into it).
+``yield``\ s *waitables* (events).  The simulator owns an *event
+calendar*: a FIFO ``deque`` of the entries due at the current time,
+and a dict from each later pending time to its entry (or to a list of
+its entries, once a second one shares the time), plus a heap of those
+times as plain floats.  When an event fires, every process waiting on
+it is resumed with the event's value (or has the event's exception
+thrown into it).
 
 Determinism
 -----------
 Two events scheduled for the same timestamp fire in the order they were
-scheduled (ties broken by a monotone sequence counter), so a simulation
-is a pure function of its inputs — crucial for reproducing the paper's
-figures and for debugging collective algorithms.
+scheduled, so a simulation is a pure function of its inputs — crucial
+for reproducing the paper's figures and for debugging collective
+algorithms.
 
-The now-queue preserves this guarantee exactly.  Every schedule —
-heap-bound or not — consumes one sequence number, and the dispatcher
-always runs the globally smallest ``(time, sequence)`` pair next: a
-heap entry pre-empts the now-queue head only when its timestamp has
-already been reached *and* its sequence number is smaller.  The
-resulting event order is bit-identical to an all-heap kernel
-(``REPRO_KERNEL_COMPAT=1`` forces that kernel for differential runs).
+The calendar gives this order by construction: an entry is appended
+to its time's entries when it is scheduled, the loop drains the due
+FIFO before it moves on, and the next time's entries then join the
+due FIFO in that order.  Entries
+for the current time, zero-delay ones included, join the due FIFO
+behind those already there, so they run before time advances.  The
+dispatch order is that of a heap of ``(time, seq, event)`` triples with
+a monotone tie-breaking ``seq``, without the ``seq``; compat mode (see
+:class:`Simulator`) turns the fast paths off for differential runs.
 
 Fast paths
 ----------
@@ -32,11 +36,12 @@ kernel paid for them:
   a process waiting on an event is resumed inline, not through a call;
 * a waiting :class:`Process` or :class:`AllOf` is stored as itself in
   the event's waiter slots, so waiting allocates no bound method;
-* the hot producers (:meth:`Event.succeed`, :meth:`Simulator.timeout`,
-  :meth:`~repro.sim.resources.FCFSQueue.submit` and process
-  completion) push their own heap or now-queue entry;
-* zero-delay wakeups append a tuple to the now-queue instead of a heap
-  push;
+* zero-delay wakeups, the most common schedule, are tuple entries
+  appended to the due FIFO: no event is allocated, and neither the
+  dict nor the time heap is touched;
+* many delayed entries share a pending time and are appended to its
+  list, and a time nothing else shares holds its one entry bare, with
+  no list;
 * process start and :meth:`Process.interrupt` enqueue a direct resume
   (no starter/proxy ``Event``), and so does waiting on an
   already-processed event;
@@ -48,29 +53,31 @@ kernel paid for them:
 Deadlock detection
 ------------------
 :meth:`Simulator.run` raises :class:`~repro.errors.DeadlockError` when
-the event heap drains while processes are still alive and blocked.  This
-is the simulated analogue of an MPI job hanging on an unmatched receive,
-and it turns subtle collective-algorithm bugs into crisp test failures.
+the event calendar drains while processes are still alive and
+blocked.  This is the simulated analogue of an MPI job hanging on an
+unmatched receive, and it turns subtle collective-algorithm bugs into
+crisp test failures.
 
 Sanitizing
 ----------
 ``Simulator(sanitize=True)`` (or the ``REPRO_SANITIZE=1`` environment
 variable, consulted by every constructor) installs a
 :class:`~repro.check.sanitizer.Sanitizer` on ``self.sanitizer``.  The
-kernel then checks event-time monotonicity on every heap pop and hands
-the sanitizer the blocked-process wait graph when a deadlock is
-detected; the MPI layers above feed the same sanitizer their own
-invariants (see :mod:`repro.check`).  :meth:`Simulator.run` reads the
-sanitizer once per call, so the loop pays one local truth test per heap
-pop for this when the sanitizer is off.
+kernel then checks event-time monotonicity each time the loop advances
+to a new pending time and hands the sanitizer the blocked-process wait
+graph when a deadlock is detected; the MPI layers above feed the same
+sanitizer their own invariants (see :mod:`repro.check`).
+:meth:`Simulator.run` reads the sanitizer once per call, so the loop
+pays one local truth test per time advance for this when the sanitizer
+is off.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import sys
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.errors import DeadlockError, InterruptError, SimulationError
@@ -86,20 +93,25 @@ __all__ = [
 
 # Event lifecycle states.
 _PENDING = 0  # not yet triggered
-_SCHEDULED = 1  # value decided, sitting in the heap or now-queue
+_SCHEDULED = 1  # value decided, sitting in the event calendar
 _PROCESSED = 2  # waiters have run; .value is final
 
-# Now-queue entries are ``(seq, event, waiter, value, ok)`` tuples:
+# Calendar entries come in two kinds, told apart by their class:
 #
-# * ``(seq, event, None, None, None)`` fires ``event``, exactly like a
-#   heap entry;
-# * ``(seq, source, waiter, value, ok)`` hands one outcome to one
-#   waiter: a process is resumed with ``(value, ok)``, any other waiter
-#   is called with ``source`` (the already-processed event it attached
-#   to; ``None`` for a process start or interrupt).
+# * a bare event is a *delayed* entry: it fires the event (counted by
+#   ``heap_pushes`` when scheduled and ``heap_pops`` when dispatched);
+# * an ``(event, waiter, value, ok)`` tuple is a *zero-delay* entry
+#   (counted by ``nowq_entries`` when dispatched).  With ``waiter``
+#   None it fires ``event`` like a delayed entry; otherwise it hands
+#   one outcome to one waiter: a process is resumed with ``(value,
+#   ok)``, any other waiter is called with ``event``, the
+#   already-processed event it attached to.  A process start names no
+#   event (``(None, process, None, True)``) and an interrupt names its
+#   own error (``(error, process, error, False)``).
 #
-# Besides this module, FCFSQueue.submit (repro.sim.resources) pushes
-# fire entries inline.
+# Compat mode schedules only delayed entries.  Simulator._schedule
+# places delayed entries; zero-delay entries are appended to
+# Simulator._due, in this module only (other modules call _schedule).
 
 # Free-pool tuning.  ``_POOLED_REFS`` is the refcount of a fired event
 # whose only remaining references are :meth:`Simulator.run`'s loop
@@ -125,8 +137,8 @@ class Event:
     """A one-shot occurrence that processes can wait on.
 
     An event starts *pending*; calling :meth:`succeed` or :meth:`fail`
-    schedules it on the simulator's heap (optionally after a delay), and
-    once the loop reaches it, its waiters run and it becomes
+    schedules it on the simulator's calendar (optionally after a delay),
+    and once the loop reaches it, its waiters run and it becomes
     *processed*.  Waiting on an already-processed event resumes the
     waiter immediately (at the current simulation time).
 
@@ -181,14 +193,9 @@ class Event:
         self._state = _SCHEDULED
         sim = self.sim
         if delay == 0.0 and not sim._compat:
-            sim._seq = seq = sim._seq + 1
-            sim._nowq.append((seq, self, None, None, None))
-        elif delay >= 0:
-            sim._seq = seq = sim._seq + 1
-            sim._n_heap_push += 1
-            heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+            sim._due.append((self, None, None, None))
         else:
-            raise SimulationError(f"cannot schedule with delay {delay}")
+            sim._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -212,17 +219,19 @@ class Event:
         if self._state == _PROCESSED:
             sim = self.sim
             if sim._compat:
-                # Late waiter: resume it through a fresh zero-delay
-                # event so ordering stays heap-mediated.
+                # Late waiter: resume it through a fresh delayed entry
+                # at the current time.  A process waits on the proxy
+                # instead, so an interrupt detaches it from the proxy.
                 proxy = Event(sim)
                 proxy._cb1 = cb
                 proxy._value = self._value
                 proxy._ok = self._ok
                 proxy._state = _SCHEDULED
+                if cb.__class__ is Process:
+                    cb._waiting_on = proxy
                 sim._schedule(proxy, 0.0)
             else:
-                sim._seq += 1
-                sim._nowq.append((sim._seq, self, cb, self._value, self._ok))
+                sim._due.append((self, cb, self._value, self._ok))
         elif self._cb1 is None and self.callbacks is None:
             self._cb1 = cb
         elif self.callbacks is None:
@@ -306,8 +315,7 @@ class Process(Event):
             starter._cb1 = self
             sim._schedule(starter, 0.0)
         else:
-            sim._seq += 1
-            sim._nowq.append((sim._seq, None, self, None, True))
+            sim._due.append((None, self, None, True))
 
     @property
     def is_alive(self) -> bool:
@@ -320,24 +328,51 @@ class Process(Event):
         The process is resumed at the current simulation time regardless
         of what it was waiting for (the original wait target stays
         triggered-able; this process is detached from its waiters).
+        The interrupt is delivered in schedule order: if the process
+        waits on something else by then (it had not started yet), it is
+        detached from that too, and if it has finished by then, the
+        interrupt is dropped.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished {self!r}")
-        target = self._waiting_on
-        if target is not None:
-            target._remove_callback(self)
-        self._waiting_on = None
+        self._detach()
         sim = self.sim
+        error = InterruptError(cause)
         if sim._compat:
             proxy = Event(sim)
-            proxy._value = InterruptError(cause)
+            proxy._value = error
             proxy._ok = False
             proxy._state = _SCHEDULED
             proxy._cb1 = self
             sim._schedule(proxy, 0.0)
         else:
-            sim._seq += 1
-            sim._nowq.append((sim._seq, None, self, InterruptError(cause), False))
+            sim._due.append((error, self, error, False))
+
+    def _detach(self) -> None:
+        """Stop waiting: leave the waiter slots of the awaited event."""
+        target = self._waiting_on
+        if target is not None:
+            target._remove_callback(self)
+            self._waiting_on = None
+
+    def _accepts(self, source: Any, value: Any, ok: bool) -> bool:
+        """Whether a hand-off from ``source``, which this process does
+        not wait on, resumes it (the loop's cold path).
+
+        Three hand-offs get here.  An interrupt (in fast mode an entry
+        naming its own error as the source, in compat mode a failing
+        proxy event) is dropped if the process has finished, and
+        otherwise detaches it from whatever it waits on now.  A compat
+        mode process start resumes it.  A fast-mode wake-up for an
+        event the process no longer waits on is dropped.
+        """
+        compat = self.sim._compat
+        if source is value or (compat and not ok):
+            if self._state != _PENDING:
+                return False
+            self._detach()
+            return True
+        return compat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else "finished"
@@ -421,8 +456,9 @@ class Simulator:
     3.0
 
     ``compat=True`` (or ``REPRO_KERNEL_COMPAT=1``) disables every fast
-    path — all scheduling goes through the heap and no event is pooled —
-    reproducing the original kernel's allocation behaviour exactly.
+    path — every calendar entry is a delayed entry and no event is
+    pooled — reproducing the original kernel's allocation behaviour
+    exactly.
     Results are bit-identical either way; compat exists so the golden
     counter tests can pin honest before/after counters.
     """
@@ -433,14 +469,14 @@ class Simulator:
         compat: Optional[bool] = None,
     ) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
-        self._nowq: deque = deque()
-        self._seq: int = 0
+        # The event calendar: the FIFO of the entries due now, and for
+        # each later pending time its entry, or the list of its entries
+        # once a second one shares the time (see _schedule), with a
+        # heap of those times (each time once).
+        self._due: deque = deque()
+        self._cal: dict[float, Any] = {}
+        self._times: list[float] = []
         self._live_processes: set[Process] = set()
-        # When True, a process that dies with an exception stores it on
-        # the Process event instead of propagating out of run().  The MPI
-        # runtime enables this so one failing rank reports cleanly.
-        self._catch_process_errors: bool = False
         self._compat: bool = _env_compat() if compat is None else bool(compat)
         # Free pools of processed, unreferenced one-shot events.
         self._pool_event: list[Event] = []
@@ -484,10 +520,9 @@ class Simulator:
     def reset(self) -> None:
         """Rewind to the pristine ``t=0`` state of a fresh simulator.
 
-        Drops every scheduled event and registered process, restarts
-        the tie-breaking sequence counter, and zeroes the perf
-        counters, so the next run is again a pure function of its
-        inputs: a run on a reset simulator produces results
+        Drops every scheduled event and registered process and zeroes
+        the perf counters, so the next run is again a pure function of
+        its inputs: a run on a reset simulator produces results
         bit-identical to the same run on a newly constructed one.  The
         event free pools are deliberately *kept* — reuse never changes
         results, but it does mean ``events_allocated`` on a reused
@@ -502,11 +537,10 @@ class Simulator:
         owners — see :meth:`repro.machine.machine.Machine.reset`.
         """
         self.now = 0.0
-        self._heap.clear()
-        self._nowq.clear()
-        self._seq = 0
+        self._due.clear()
+        self._cal.clear()
+        self._times.clear()
         self._live_processes.clear()
-        self._catch_process_errors = False
         self._n_events = 0
         self._n_heap_push = 0
         self._n_heap_pop = 0
@@ -526,9 +560,11 @@ class Simulator:
 
         ``events_allocated`` counts ``Event.__init__`` calls (pool
         reuses skip it); ``pool_reuses`` counts factory hits on the
-        free pools; ``heap_pops`` and ``nowq_entries`` count the heap
-        and zero-delay now-queue entries :meth:`run` dispatched (they
-        are written back when ``run`` returns or raises);
+        free pools; ``heap_pushes`` counts delayed calendar entries
+        scheduled, and ``heap_pops`` and ``nowq_entries`` count the
+        delayed and zero-delay entries :meth:`run` dispatched (they
+        are written back when ``run`` returns or raises; the names
+        predate the calendar);
         ``pool_evictions`` counts recyclable events dropped because
         their pool was at :data:`_POOL_CAP` (bounded pool memory at
         10k+ ranks); ``macro_events`` counts :meth:`macro_charge`
@@ -565,12 +601,7 @@ class Simulator:
         t = pool.pop()
         t._value = value
         t._state = _SCHEDULED
-        self._seq = seq = self._seq + 1
-        if delay == 0.0 and not self._compat:
-            self._nowq.append((seq, t, None, None, None))
-        else:
-            self._n_heap_push += 1
-            heapq.heappush(self._heap, (self.now + delay, seq, t))
+        self._schedule(t, delay)
         return t
 
     def process(
@@ -596,16 +627,35 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
-        """Schedule ``event`` to fire after ``delay`` (the cold path; the
-        hot producers push their entries inline)."""
+        """Schedule ``event`` to fire after ``delay``, behind every entry
+        already pending for that time.
+
+        In fast mode a zero delay makes a zero-delay entry in the due
+        FIFO (:meth:`Event.succeed` and process completion append that
+        themselves); anything else is a delayed entry, the bare event.
+        A time's first delayed entry is stored bare, and only a second
+        one opens a list for the time, so a time nobody shares costs a
+        dict key and a float in the time heap.  An entry for :attr:`now`
+        (compat mode's zero delays, or a delay too small to move the
+        clock) joins the due FIFO.
+        """
+        if delay == 0.0 and not self._compat:
+            self._due.append((event, None, None, None))
+            return
         if not delay >= 0:
             raise SimulationError(f"cannot schedule with delay {delay}")
-        self._seq += 1
-        if delay == 0.0 and not self._compat:
-            self._nowq.append((self._seq, event, None, None, None))
+        self._n_heap_push += 1
+        at = self.now + delay
+        if at == self.now:
+            self._due.append(event)
+            return
+        slot = self._cal.setdefault(at, event)
+        if slot is event:
+            heappush(self._times, at)
+        elif slot.__class__ is list:
+            slot.append(event)
         else:
-            self._n_heap_push += 1
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+            self._cal[at] = [slot, event]
 
     def macro_charge(
         self,
@@ -621,9 +671,9 @@ class Simulator:
         Hybrid-fidelity mode replaces the per-message coroutine dance of
         a collective phase with a single scheduled completion: ``event``
         fires with ``value`` after ``delay`` simulated seconds, exactly
-        as if the exact path had run — but in one heap push instead of
-        thousands.  ``label`` and ``phases`` (``(name, seconds)`` pairs
-        that sum to ``delay``) are appended to :attr:`macro_log` so the
+        as if the exact path had run — but in one calendar entry
+        instead of thousands.  ``label`` and ``phases`` (``(name,
+        seconds)`` pairs that sum to ``delay``) are appended to :attr:`macro_log` so the
         spot-check oracle can compare each charge against an exact
         re-execution.
         """
@@ -634,20 +684,18 @@ class Simulator:
     # -- execution ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the event queues drain or ``until`` is reached.
+        """Run until the event calendar drains or ``until`` is reached.
 
-        Each iteration dispatches the globally smallest ``(time,
-        sequence)`` entry: the now-queue head runs unless a heap entry
-        is both due (``time <= now``) and older (smaller sequence
-        number) — the comparison that makes the split queues equivalent
-        to one totally-ordered heap.  Firing an event resumes its
-        waiting processes, calls its other waiters, and recycles the
-        event into its free pool when nobody else holds it, all in
-        this one frame.
+        Each iteration dispatches the head of the due FIFO; once it
+        drains, the loop advances the clock to the earliest pending
+        time, whose entries join the due FIFO.  Firing an event
+        resumes its waiting processes, calls its other waiters, and
+        recycles the event into its free pool when nobody else holds
+        it, all in this one frame.
 
         Raises :class:`SimulationError` if ``until`` is not a time at
-        or after :attr:`now`, and :class:`DeadlockError` if the queues
-        drain while processes are still alive (blocked on events
+        or after :attr:`now`, and :class:`DeadlockError` if the calendar
+        drains while processes are still alive (blocked on events
         nobody will trigger).
         """
         now = self.now
@@ -655,13 +703,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until t={until}: the clock already reached t={now}"
             )
-        heap = self._heap
-        nowq = self._nowq
+        due = self._due
+        cal = self._cal
+        times = self._times
         live = self._live_processes
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        popleft = nowq.popleft
-        append = nowq.append
         compat = self._compat
         sanitizer = self._sanitizer
         pooling = not compat and _getrefcount is not None
@@ -672,27 +717,39 @@ class Simulator:
         n_pops = n_nowq = n_evict = 0
         try:
             while True:
-                if nowq and not (
-                    heap and heap[0][0] <= now and heap[0][1] < nowq[0][0]
-                ):
-                    _, event, waiter, value, ok = popleft()
-                    n_nowq += 1
-                elif heap:
-                    if until is not None and heap[0][0] > until:
+                if due:
+                    event = due.popleft()
+                else:
+                    # Everything due now has run: advance the clock to
+                    # the next pending time.
+                    if not times:
+                        break
+                    at = times[0]
+                    if until is not None and at > until:
                         self.now = until
                         return
-                    now, _, event = heappop(heap)
-                    n_pops += 1
-                    if sanitizer is not None and now < self.now:
-                        sanitizer.heap_regression(self.now, now, event)
+                    if sanitizer is not None and at < now:
+                        event = cal[at]
+                        if event.__class__ is list:
+                            event = event[0]
+                        sanitizer.heap_regression(now, at, event)
                         raise SimulationError(
-                            f"event-time regression: next event at t={now} "
-                            f"but the clock already reached t={self.now}"
+                            f"event-time regression: next event at t={at} "
+                            f"but the clock already reached t={now}"
                         )
-                    self.now = now
-                    waiter = None
+                    heappop(times)
+                    self.now = now = at
+                    event = cal.pop(at)
+                    if event.__class__ is list:
+                        # The time's entries join the due FIFO.
+                        due.extend(event)
+                        event = due.popleft()
+                if event.__class__ is tuple:
+                    event, waiter, value, ok = event
+                    n_nowq += 1
                 else:
-                    break
+                    n_pops += 1
+                    waiter = None
                 if waiter is None:
                     # Fire the event: its waiters get its outcome.
                     event._state = _PROCESSED
@@ -714,7 +771,9 @@ class Simulator:
                 while waiter is not None:
                     if waiter.__class__ is not Process:
                         waiter(event)
-                    else:
+                    elif waiter._waiting_on is event or waiter._accepts(
+                        event, value, ok
+                    ):
                         # Resume the waiting process in this frame.
                         waiter._waiting_on = None
                         try:
@@ -727,19 +786,15 @@ class Simulator:
                             waiter._value = stop.value
                             waiter._ok = True
                             waiter._state = _SCHEDULED
-                            self._seq = seq = self._seq + 1
+                            # Its completion is due now.
                             if compat:
                                 self._n_heap_push += 1
-                                heappush(heap, (now, seq, waiter))
+                                due.append(waiter)
                             else:
-                                append((seq, waiter, None, None, None))
+                                due.append((waiter, None, None, None))
                         except BaseException as exc:
                             live.discard(waiter)
-                            if (
-                                waiter._cb1 is None
-                                and not waiter.callbacks
-                                and not self._catch_process_errors
-                            ):
+                            if waiter._cb1 is None and not waiter.callbacks:
                                 # Nobody is joining this process:
                                 # surface the failure.
                                 raise
@@ -816,6 +871,6 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event (inf if none)."""
-        if self._nowq:
+        if self._due:
             return self.now
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._times[0] if self._times else float("inf")

@@ -22,7 +22,6 @@ models:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
@@ -35,7 +34,8 @@ class FCFSQueue:
     """Work-conserving first-come-first-served server.
 
     The queue keeps only a scalar ``busy_until`` horizon, so submitting a
-    job is O(log n) (one heap push) regardless of backlog.  Total served
+    job is one calendar append (plus a heap push of its time when no
+    other entry is pending then) regardless of backlog.  Total served
     work is tracked for utilisation accounting.  The first submit after
     a rewind registers the queue with its simulator, whose
     :meth:`~repro.sim.engine.Simulator.reset` rewinds it.
@@ -86,13 +86,10 @@ class FCFSQueue:
             ev = Event(sim)
         ev._value = done_at
         ev._state = _SCHEDULED
-        delay = done_at - now
-        sim._seq = seq = sim._seq + 1
-        if delay == 0.0 and not sim._compat:
-            sim._nowq.append((seq, ev, None, None, None))
-        else:
-            sim._n_heap_push += 1
-            heappush(sim._heap, (now + delay, seq, ev))
+        # Scheduled after ``done_at - now``, so keyed on ``now + (done_at
+        # - now)``: with a busy horizon that can differ from ``done_at``
+        # in the last bit.
+        sim._schedule(ev, done_at - now)
         return ev
 
     def reset(self) -> None:

@@ -77,6 +77,26 @@ class TestExpansion:
         with pytest.raises(ConfigError, match=next(iter(loop))):
             SamplePoint("b", 2, 2, "dpml", 1024, **loop)
 
+    @pytest.mark.parametrize("leaders", [0, -1, 3, 64])
+    def test_invalid_leader_count_rejected_at_construction(self, leaders):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="leaders"):
+            SamplePoint("b", 2, 2, "dpml", 1024, leaders=leaders)
+
+    @pytest.mark.parametrize("leaders", [None, 1, 2])
+    def test_leader_counts_up_to_ppn_accepted(self, leaders):
+        point = SamplePoint("b", 2, 2, "dpml", 1024, leaders=leaders)
+        assert point.leaders == leaders
+
+    def test_sweep_drops_oversized_counts_but_rejects_zero(self):
+        from repro.errors import ConfigError
+
+        spec = small_spec(leader_counts=(1, 2, 4))
+        assert [p.leaders for p in spec.points()] == [1, 2, 1, 2]
+        with pytest.raises(ConfigError, match="leaders"):
+            small_spec(leader_counts=(0, 1)).points()
+
     def test_nranks_and_session_key(self):
         point = small_spec().points()[0]
         assert point.nranks == 4

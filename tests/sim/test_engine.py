@@ -121,6 +121,27 @@ class TestEventOrdering:
 
         assert build() == build()
 
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_delay_too_small_to_move_the_clock_keeps_creation_order(
+        self, compat
+    ):
+        sim = Simulator(compat=compat)
+        order = []
+
+        def proc():
+            yield sim.timeout(1.0)
+            # 1.0 + 1e-20 == 1.0: this timeout is due now, and was
+            # scheduled before the zero-delay event below.
+            sim.timeout(1e-20)._add_callback(lambda _e: order.append("tiny"))
+            ev = sim.event()
+            ev._add_callback(lambda _e: order.append("zero"))
+            ev.succeed()
+
+        sim.process(proc())
+        sim.run()
+        assert order == ["tiny", "zero"]
+        assert sim.now == 1.0
+
 
 class TestEvents:
     def test_manual_event_succeed(self, sim):
@@ -307,6 +328,89 @@ class TestProcess:
             p.interrupt()
 
 
+@pytest.mark.parametrize("compat", [False, True])
+class TestInterruptDelivery:
+    """An interrupt resumes its process exactly once, at delivery."""
+
+    def test_interrupt_before_first_step_detaches_at_delivery(self, compat):
+        sim = Simulator(compat=compat)
+        log = []
+
+        def proc():
+            try:
+                yield sim.timeout(1.0)
+            except InterruptError:
+                log.append(("caught", sim.now))
+            yield sim.timeout(5.0)
+            log.append(("woke", sim.now))
+
+        sim.process(proc()).interrupt()
+        sim.run()
+        # Thrown at the first yield, and the process no longer waits on
+        # that timeout: it wakes from the 5 s sleep, not at t=1.
+        assert log == [("caught", 0.0), ("woke", 5.0)]
+
+    def test_interrupt_drops_queued_wakeup_for_processed_event(self, compat):
+        sim = Simulator(compat=compat)
+        log = []
+        ev = sim.event()
+        ev.succeed("v")
+
+        def proc():
+            yield sim.timeout(0.5)
+            try:
+                value = yield ev  # queues a wake-up; the interrupt follows
+                log.append(("got", sim.now, value))
+                yield sim.timeout(1.0)
+            except InterruptError:
+                log.append(("caught", sim.now))
+            yield sim.timeout(5.0)
+            log.append(("woke", sim.now))
+
+        victim = sim.process(proc())
+
+        def killer():
+            yield sim.timeout(0.5)
+            victim.interrupt()
+
+        sim.process(killer())
+        sim.run()
+        assert log == [("caught", 0.5), ("woke", 5.5)]
+
+    def test_interrupt_to_finished_process_is_dropped(self, compat):
+        sim = Simulator(compat=compat)
+
+        def quick():
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        proc = sim.process(quick())
+        proc.interrupt()
+        sim.run()
+        assert proc.value == "done"
+
+    def test_second_interrupt_after_recovery_is_dropped(self, compat):
+        sim = Simulator(compat=compat)
+
+        def once():
+            try:
+                yield sim.timeout(3.0)
+            except InterruptError as exc:
+                return exc.cause
+
+        proc = sim.process(once())
+
+        def killer():
+            yield sim.timeout(1.0)
+            proc.interrupt(cause="first")
+            proc.interrupt(cause="second")
+
+        sim.process(killer())
+        sim.run()
+        assert proc.value == "first"
+        assert sim.now == 3.0
+
+
 class TestComposites:
     def test_all_of_waits_for_slowest(self, sim):
         def parent():
@@ -455,10 +559,20 @@ class TestRunControl:
             yield sim.timeout(4.0)
 
         sim.process(proc())
-        # In fast mode the process-start wakeup sits in the now-queue,
-        # not the heap; peek must still report it as due *now*.
-        assert sim._nowq
+        # In fast mode the process-start wakeup is a zero-delay entry in
+        # the due FIFO; peek must still report it as due *now*.
+        assert _pending(sim)[1]
         assert sim.peek() == sim.now == 0.0
+
+
+def _pending(sim):
+    """The calendar's pending ``(delayed, zero_delay)`` entries."""
+    entries = list(sim._due)
+    for slot in sim._cal.values():
+        entries.extend(slot if isinstance(slot, list) else [slot])
+    zero_delay = [e for e in entries if isinstance(e, tuple)]
+    delayed = [e for e in entries if not isinstance(e, tuple)]
+    return delayed, zero_delay
 
 
 def _mixed_scenario(sim, stops=()):
@@ -662,8 +776,9 @@ class TestEscapingError:
 
     @pytest.mark.parametrize(
         "compat, heap_pops, nowq_entries",
-        # fast: two process starts from the now-queue, then the t=1
-        # timeout from the heap; compat: two starters and the timeout.
+        # fast: two process starts as zero-delay entries, then the t=1
+        # timeout as a delayed entry; compat: two starters and the
+        # timeout, all delayed entries.
         [(False, 1, 2), (True, 3, 0)],
     )
     def test_counters_count_only_dispatched_entries(
@@ -674,8 +789,31 @@ class TestEscapingError:
         counters = sim.counters()
         assert counters["heap_pops"] == heap_pops
         assert counters["nowq_entries"] == nowq_entries
-        assert counters["heap_pushes"] - len(sim._heap) == heap_pops
-        assert len(sim._nowq) == (0 if compat else 3)
+        delayed, zero_delay = _pending(sim)
+        assert counters["heap_pushes"] - len(delayed) == heap_pops
+        assert len(zero_delay) == (0 if compat else 3)
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_escape_from_a_drained_time_leaves_no_empty_slot(self, compat):
+        sim = Simulator(compat=compat)
+
+        def bad():
+            yield sim.timeout(1.0)
+            raise RuntimeError("kaput")  # the last entry due at t=1
+
+        def bystander():
+            yield sim.timeout(2.0)
+
+        sim.process(bad())
+        sim.process(bystander())
+        with pytest.raises(RuntimeError, match="kaput"):
+            sim.run()
+        assert sim._times == sorted(sim._cal) == [2.0]
+        assert all(sim._cal.values())
+        assert sim.peek() == 2.0
+        sim.run()
+        assert sim.now == 2.0
+        assert sim._cal == {} and sim._times == []
 
     @pytest.mark.parametrize("compat", [False, True])
     def test_reset_after_escape_matches_fresh(self, compat):
