@@ -168,6 +168,26 @@ class TestDeadlocks:
         with pytest.raises(DeadlockError):
             run_job(config, n, fn, ppn=ppn)
 
+    @pytest.mark.parametrize("nodes, ppn", [(1, 2), (2, 1)], ids=["intra", "inter"])
+    def test_unreceived_rendezvous_isend_deadlocks_with_named_send(
+        self, nodes, ppn
+    ):
+        """A rendezvous send nobody receives or waits on still hangs the
+        job, and the deadlock names the send."""
+        config = cluster_b(nodes)
+        big = config.fabric.eager_threshold + 1
+
+        def fn(comm):
+            if comm.rank == 0:
+                comm.isend(1, SymbolicPayload(big, 1), tag=5)
+            yield comm.sim.timeout(0.0)
+
+        with pytest.raises(DeadlockError, match="send r0->r1 tag=5") as info:
+            run_job(config, 2, fn, ppn=ppn)
+        assert info.value.blocked == ["send r0->r1 tag=5"]
+        if info.value.wait_graph:
+            assert list(info.value.wait_graph) == ["send r0->r1 tag=5"]
+
 
 class TestTiming:
     def test_inter_node_slower_than_intra_node(self):
