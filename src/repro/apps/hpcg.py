@@ -150,7 +150,7 @@ def run_hpcg(
 
         def ddot(a3, b3_):
             """Global dot product: local partial + 8-byte allreduce."""
-            yield from machine.compute(me, int(vec_bytes * _DOT_STREAMS / 3))
+            yield machine.compute(me, int(vec_bytes * _DOT_STREAMS / 3))
             if data_mode:
                 local = float(np.dot(a3.ravel(), b3_.ravel()))
                 payload = DataPayload(np.array([local]))
@@ -174,15 +174,15 @@ def run_hpcg(
             t0 = comm.now
             halos = yield from halo_exchange(p3 if data_mode else None)
             state["halo"] += comm.now - t0
-            yield from machine.compute(me, int(vec_bytes * _SPMV_STREAMS / 3))
+            yield machine.compute(me, int(vec_bytes * _SPMV_STREAMS / 3))
             if data_mode:
                 ap3 = _laplacian_apply(p3, halos[0], halos[1])
             # alpha = rtr / (p, Ap)
             pap = yield from ddot(
                 p3 if data_mode else None, ap3 if data_mode else None
             )
-            yield from machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
-            yield from machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
+            yield machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
+            yield machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
             if data_mode:
                 alpha = rtr / pap
                 x3 += alpha * p3
@@ -190,7 +190,7 @@ def run_hpcg(
             rtr_new = yield from ddot(
                 r3 if data_mode else None, r3 if data_mode else None
             )
-            yield from machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
+            yield machine.compute(me, int(vec_bytes * _AXPY_STREAMS / 3))
             if data_mode:
                 residual = float(np.sqrt(rtr_new))
                 if residual < tolerance:

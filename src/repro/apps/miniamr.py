@@ -90,7 +90,7 @@ def run_miniamr(
         for step in range(steps):
             # Error indicators: one sweep over the local cells.
             local_cells = len(levels) * block_cells
-            yield from machine.compute(
+            yield machine.compute(
                 me, int(local_cells * cell_bytes * _INDICATOR_STREAMS / 3)
             )
 

@@ -127,7 +127,7 @@ def run_sgd(
         start = comm.now
         for _ in range(steps):
             # Local forward/backward (charged compute).
-            yield from machine.compute(
+            yield machine.compute(
                 me, int(param_count * 8 * _GRAD_STREAMS / 3)
             )
             if data_mode:

@@ -107,7 +107,7 @@ def phase_copy_in(st: PhaseState) -> Generator:
     for j in range(st.ell):
         leader_world = st.comm.translate(st.plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != st.my_loc.socket
-        yield from machine.shm_copy(st.me, st.parts[j].nbytes, cross_socket=cross)
+        yield machine.shm_copy(st.me, st.parts[j].nbytes, cross_socket=cross)
         st.region.put(
             (st.ctx, st.tag_base, "in", j, st.plan.local_index),
             st.parts[j],
@@ -127,10 +127,10 @@ def phase_reduce(st: PhaseState) -> Generator:
     for i in range(st.ppn):
         part = yield st.region.take((st.ctx, st.tag_base, "in", j, i))
         gathered.append(part)
-    yield from machine.gather_sync(st.me, st.ppn)
+    yield machine.gather_sync(st.me, st.ppn)
     part_bytes = gathered[0].nbytes
     if st.ppn > 1:
-        yield from machine.compute(st.me, part_bytes, combines=st.ppn - 1)
+        yield machine.compute(st.me, part_bytes, combines=st.ppn - 1)
     return reduce_payloads(gathered, st.op)
 
 
@@ -161,7 +161,7 @@ def phase_copy_out(st: PhaseState) -> Generator:
         leader_world = st.comm.translate(st.plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != st.my_loc.socket
         result_j = yield st.region.read((st.ctx, st.tag_base, "out", j), readers=st.ppn)
-        yield from machine.shm_copy(st.me, result_j.nbytes, cross_socket=cross)
+        yield machine.shm_copy(st.me, result_j.nbytes, cross_socket=cross)
         outs.append(result_j)
     # Reassembly through the region memo: the ppn co-located readers
     # share one materialization of the result vector.
@@ -219,7 +219,7 @@ def allreduce_dpml(
         yield from phase_exchange(st, reduced, inter_algorithm or "flat_auto")
         _record(probe, _probe_name, "exchange", start, sim.now)
 
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     start = sim.now
     result = yield from phase_copy_out(st)
     if plan.is_leader:

@@ -54,7 +54,7 @@ def bcast_dpml(
         for j in range(ell):
             leader_world = comm.translate(plan.node_ranks[j])
             cross = machine.loc(leader_world).socket != my_loc.socket
-            yield from machine.shm_copy(me, parts[j].nbytes, cross_socket=cross)
+            yield machine.shm_copy(me, parts[j].nbytes, cross_socket=cross)
             region.put((ctx, tag_base, "root-in", j), parts[j])
 
     if plan.is_leader:
@@ -63,7 +63,7 @@ def bcast_dpml(
         root_leader = comm.layout.nodes.index(root_node)
         if leader_comm.rank == root_leader:
             part_j = yield region.take((ctx, tag_base, "root-in", j))
-            yield from machine.flag_sync()
+            yield machine.flag_sync()
         else:
             part_j = None
         fn = resolve_collective("bcast", inter_algorithm or "binomial", comm)
@@ -73,12 +73,12 @@ def bcast_dpml(
         region.put((ctx, tag_base, "out", j), part_j)
 
     # Phase 4: everyone copies the partitions out.
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     outs = []
     for j in range(ell):
         leader_world = comm.translate(plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != my_loc.socket
         part_j = yield region.read((ctx, tag_base, "out", j), readers=ppn)
-        yield from machine.shm_copy(me, part_j.nbytes, cross_socket=cross)
+        yield machine.shm_copy(me, part_j.nbytes, cross_socket=cross)
         outs.append(part_j)
     return region.concat(outs)

@@ -58,7 +58,7 @@ def reduce_dpml(
     for j in range(ell):
         leader_world = comm.translate(plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != my_loc.socket
-        yield from machine.shm_copy(me, parts[j].nbytes, cross_socket=cross)
+        yield machine.shm_copy(me, parts[j].nbytes, cross_socket=cross)
         region.put((ctx, tag_base, "in", j, plan.local_index), parts[j])
 
     if plan.is_leader:
@@ -67,9 +67,9 @@ def reduce_dpml(
         for i in range(ppn):
             part = yield region.take((ctx, tag_base, "in", j, i))
             gathered.append(part)
-        yield from machine.gather_sync(me, ppn)
+        yield machine.gather_sync(me, ppn)
         if ppn > 1:
-            yield from machine.compute(me, gathered[0].nbytes, combines=ppn - 1)
+            yield machine.compute(me, gathered[0].nbytes, combines=ppn - 1)
         reduced = reduce_payloads(gathered, op)
 
         # Phase 3: inter-node reduce rooted at the root node's leader j.
@@ -89,12 +89,12 @@ def reduce_dpml(
     if comm.rank != root:
         return None
     region_root = comm.runtime.shm_region(root_node)
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     outs = []
     for j in range(ell):
         result_j = yield region_root.read((ctx, tag_base, "out", j), readers=1)
         leader_world = comm.translate(plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != my_loc.socket
-        yield from machine.shm_copy(me, result_j.nbytes, cross_socket=cross)
+        yield machine.shm_copy(me, result_j.nbytes, cross_socket=cross)
         outs.append(result_j)
     return region_root.concat(outs)

@@ -69,7 +69,7 @@ def allreduce_dpml_multilevel(
     # --- Level 1a: deposit each partition with the socket sub-leader
     # (never crosses a socket).
     for j in range(ell):
-        yield from machine.shm_copy(me, parts[j].nbytes, cross_socket=False)
+        yield machine.shm_copy(me, parts[j].nbytes, cross_socket=False)
         region.put(
             (ctx, tag_base, "sock", my_loc.socket, j, my_socket_pos), parts[j]
         )
@@ -85,16 +85,16 @@ def allreduce_dpml_multilevel(
                     (ctx, tag_base, "sock", my_loc.socket, j, pos)
                 )
                 gathered.append(part)
-            yield from machine.gather_sync(me, members)
+            yield machine.gather_sync(me, members)
             if members > 1:
-                yield from machine.compute(
+                yield machine.compute(
                     me, gathered[0].nbytes, combines=members - 1
                 )
             partial = reduce_payloads(gathered, op)
             # Forward to the node leader (cross-socket for one socket).
             leader_world = comm.translate(plan.node_ranks[j])
             cross = machine.loc(leader_world).socket != my_loc.socket
-            yield from machine.shm_copy(me, partial.nbytes, cross_socket=cross)
+            yield machine.shm_copy(me, partial.nbytes, cross_socket=cross)
             region.put((ctx, tag_base, "in", j, my_loc.socket), partial)
 
     if plan.is_leader:
@@ -104,9 +104,9 @@ def allreduce_dpml_multilevel(
         for sock in sockets:
             part = yield region.take((ctx, tag_base, "in", j, sock))
             gathered.append(part)
-        yield from machine.gather_sync(me, len(sockets))
+        yield machine.gather_sync(me, len(sockets))
         if len(sockets) > 1:
-            yield from machine.compute(
+            yield machine.compute(
                 me, gathered[0].nbytes, combines=len(sockets) - 1
             )
         reduced = reduce_payloads(gathered, op)
@@ -117,13 +117,13 @@ def allreduce_dpml_multilevel(
         region.put((ctx, tag_base, "out", j), result_j)
 
     # --- Fan-out: identical to flat DPML.
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     outs = []
     for j in range(ell):
         leader_world = comm.translate(plan.node_ranks[j])
         cross = machine.loc(leader_world).socket != my_loc.socket
         result_j = yield region.read((ctx, tag_base, "out", j), readers=ppn)
-        yield from machine.shm_copy(me, result_j.nbytes, cross_socket=cross)
+        yield machine.shm_copy(me, result_j.nbytes, cross_socket=cross)
         outs.append(result_j)
     return region.concat(outs)
 

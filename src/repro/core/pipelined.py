@@ -129,7 +129,7 @@ def allreduce_dpml_pipelined(
         )
         _record(probe, "dpml_pipelined", "exchange", start, sim.now)
 
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     start = sim.now
     result = yield from phase_copy_out(st)
     if plan.is_leader:

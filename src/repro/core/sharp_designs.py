@@ -102,7 +102,7 @@ def _sharp_allreduce(
 
     # --- Gather: deposit the full vector at the leader.
     if not plan.is_leader:
-        yield from machine.shm_copy(me, nbytes, cross_socket=plan.cross)
+        yield machine.shm_copy(me, nbytes, cross_socket=plan.cross)
         region.put((ctx, tag_base, "gather", plan.leader_rank, plan.my_index), payload)
     else:
         gathered = [payload]
@@ -110,8 +110,8 @@ def _sharp_allreduce(
             part = yield region.take((ctx, tag_base, "gather", plan.leader_rank, i))
             gathered.append(part)
         if group_size > 1:
-            yield from machine.gather_sync(me, group_size)
-            yield from machine.compute(me, nbytes, combines=group_size - 1)
+            yield machine.gather_sync(me, group_size)
+            yield machine.compute(me, nbytes, combines=group_size - 1)
         partial = reduce_payloads(gathered, op)
 
         # --- Switch phase: inject, aggregate in-network, receive.  The
@@ -142,12 +142,12 @@ def _sharp_allreduce(
         region.put((ctx, tag_base, "bcast", plan.leader_rank), result)
 
     # --- Broadcast: every group member copies the result out.
-    yield from machine.flag_sync()
+    yield machine.flag_sync()
     result = yield region.read(
         (ctx, tag_base, "bcast", plan.leader_rank), readers=group_size
     )
     if not plan.is_leader:
-        yield from machine.shm_copy(me, nbytes, cross_socket=plan.cross)
+        yield machine.shm_copy(me, nbytes, cross_socket=plan.cross)
     return result
 
 

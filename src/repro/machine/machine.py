@@ -16,21 +16,24 @@ The per-rank and per-node queues live in
 :class:`~repro.sim.table.LazyTable`\ s, so a queue exists only once a
 job has indexed it: a macro-charged fleet job at 10k ranks builds none.
 
-The generator methods (``compute``, ``shm_copy``) are meant to be
-``yield from``-ed inside a rank coroutine; they advance simulated time
-according to the config and charge the tracer.
+The charged primitives (``compute``, ``shm_copy``, ``flag_sync``,
+``gather_sync``) charge the tracer and return the event a rank
+coroutine ``yield``\ s.  A copy or a combine returns its core's leg with
+the memory engine's job as a follow-on stage (see
+:meth:`repro.sim.engine.Event.then`), so the loop hands the waiter from
+one leg to the next without resuming it in between.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
 from repro.machine.sharp import SharpTree
 from repro.machine.topology import Loc, Placement
-from repro.sim import FCFSQueue, LazyTable, Simulator, Tracer
+from repro.sim import Event, FCFSQueue, LazyTable, Simulator, Tracer
 from repro.sim.timeline import Timeline
 
 __all__ = ["Machine"]
@@ -189,12 +192,17 @@ class Machine:
             self.timeline.record(label, label, rank, done_at - service, done_at)
         return ev
 
-    def compute(self, rank: int, nbytes: int, combines: int = 1) -> Generator:
+    def compute(
+        self, rank: int, nbytes: int, combines: int = 1
+    ) -> Optional[Event]:
         """Reduction compute: ``combines`` combines over ``nbytes`` each.
 
         The core is busy for ``combines * nbytes * c``; the node memory
         engine is charged the streamed traffic so many concurrent
-        leaders eventually hit the memory-bandwidth wall.
+        leaders eventually hit the memory-bandwidth wall.  Returns the
+        event to ``yield``: the core's leg, followed by the memory
+        engine's (None when there is nothing to charge, which a process
+        yields to go on at once).
         """
         node_cfg = self.config.node
         busy = combines * nbytes * node_cfg.reduce_byte_time
@@ -202,23 +210,28 @@ class Machine:
         if faults is not None and faults.has_compute_faults:
             busy *= faults.compute_factor(rank, self.sim.now)
         self.tracer.charge("compute", busy, combines)
-        if busy > 0:
-            # Serialize on the rank's engine: one core cannot combine
-            # two overlapped collectives' data at the same time.
-            yield self.engine_submit(rank, busy, "compute")
         mem_service = (
             combines * nbytes * _REDUCE_MEM_STREAMS * node_cfg.mem_byte_time
         )
+        if busy > 0:
+            # Serialize on the rank's engine: one core cannot combine
+            # two overlapped collectives' data at the same time.
+            done = self.engine_submit(rank, busy, "compute")
+            if mem_service > 0:
+                done.then(self.mem[self.node_of(rank)], mem_service)
+            return done
         if mem_service > 0:
-            yield self.mem[self.node_of(rank)].submit(mem_service)
+            return self.mem[self.node_of(rank)].submit(mem_service)
+        return None
 
     def shm_copy(
         self, rank: int, nbytes: int, cross_socket: bool = False
-    ) -> Generator:
+    ) -> Event:
         """Blocking shared-memory copy of ``nbytes`` performed by ``rank``.
 
         Models the paper's ``a' + n * b'`` with an inter-socket premium,
-        plus contention on the node memory engine.
+        plus contention on the node memory engine: the returned event is
+        the core's leg, followed by the memory engine's.
         """
         node_cfg = self.config.node
         startup = node_cfg.copy_latency
@@ -235,23 +248,24 @@ class Machine:
             self.timeline.record(
                 "copy", "shm_copy", rank, self.sim.now, self.sim.now + busy
             )
-        yield self.sim.timeout(busy)
+        done = self.sim.timeout(busy)
         mem_service = nbytes * node_cfg.mem_byte_time
         if mem_service > 0:
-            yield self.mem[self.node_of(rank)].submit(mem_service)
+            done.then(self.mem[self.node_of(rank)], mem_service)
+        return done
 
-    def flag_sync(self) -> Generator:
+    def flag_sync(self) -> Event:
         """One shared-memory flag post/wait hop."""
         latency = self.config.node.flag_latency
         self.tracer.charge("sync", latency)
-        yield self.sim.timeout(latency)
+        return self.sim.timeout(latency)
 
-    def gather_sync(self, rank: int, parties: int) -> Generator:
+    def gather_sync(self, rank: int, parties: int) -> Event:
         """A leader confirming arrival flags from ``parties`` local ranks."""
         node_cfg = self.config.node
         latency = node_cfg.flag_latency + parties * node_cfg.poll_latency
         self.tracer.charge("sync", latency)
-        yield self.sim.timeout(latency)
+        return self.sim.timeout(latency)
 
     # -- fabric cost helpers (used by the transport layer) ---------------------
 

@@ -42,7 +42,7 @@ def charged_reduce(
     comm, mine: Payload, theirs: Payload, op: ReduceOp
 ) -> Generator:
     """One combine: charge the compute cost, return the reduced payload."""
-    yield from comm.machine.compute(comm.world_rank, theirs.nbytes)
+    yield comm.machine.compute(comm.world_rank, theirs.nbytes)
     return mine.reduce(theirs, op)
 
 

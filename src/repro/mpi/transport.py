@@ -263,7 +263,7 @@ class Transport:
         if machine.same_node(env.src, rank) and env.src != rank:
             # Copy out of the shm FIFO into the user buffer.
             cross = not machine.same_socket(env.src, rank)
-            yield from machine.shm_copy(rank, env.nbytes, cross_socket=cross)
+            yield machine.shm_copy(rank, env.nbytes, cross_socket=cross)
         else:
             service = machine.reception_service(env.nbytes)
             if env.was_unexpected and env.nbytes:
@@ -277,10 +277,10 @@ class Transport:
         rndv = env.rndv
         if machine.same_node(env.src, rank):
             # Post the "ready" flag in shared memory.
-            yield from machine.flag_sync()
+            yield machine.flag_sync()
             rndv.cts.succeed()
             payload = yield rndv.data_done
-            yield from machine.flag_sync()
+            yield machine.flag_sync()
         else:
             # CTS control message back to the sender.
             yield machine.engine_submit(rank, machine.injection_service(0), "net-ctrl")
@@ -320,7 +320,7 @@ class Transport:
         nbytes = payload.nbytes
         rndv = RndvState(self)
         env = Envelope(src, dst, tag, context, RTS, None, nbytes, seq, rndv=rndv)
-        yield from machine.flag_sync()
+        yield machine.flag_sync()
         self.matchers[dst].arrive(env)
         yield rndv.cts
         # Single copy straight into the receiver's buffer (CMA-style).

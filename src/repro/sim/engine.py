@@ -149,7 +149,10 @@ class Event:
     common single-waiter case allocates no list.
     """
 
-    __slots__ = ("sim", "_cb1", "callbacks", "_value", "_ok", "_state", "__weakref__")
+    __slots__ = (
+        "sim", "_cb1", "callbacks", "_value", "_ok", "_state", "_then",
+        "__weakref__",
+    )
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -158,6 +161,8 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._state: int = _PENDING
+        # The follow-on FCFS stage, ``(queue, service)``, or None.
+        self._then: Optional[tuple] = None
         sim._n_events += 1
 
     # -- state inspection -------------------------------------------------
@@ -208,6 +213,19 @@ class Event:
         self._ok = False
         self._state = _SCHEDULED
         self.sim._schedule(self, delay)
+        return self
+
+    def then(self, queue, service: float) -> "Event":
+        """Follow this event with one job of ``service`` seconds on the
+        FCFS ``queue``; returns the event.
+
+        When the event fires, :meth:`Simulator.run` submits the job in
+        the same dispatch and moves the event's waiters, unresumed, to
+        the job's completion event, so a waiter resumes only once both
+        legs are done.  That is how a copy or a combine hands its
+        waiter to the node memory engine without a resume in between.
+        """
+        self._then = (queue, service)
         return self
 
     # -- internal ----------------------------------------------------------
@@ -626,6 +644,23 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
+    def hop(self, callback: Callable[[Any], None]) -> None:
+        """Call ``callback`` from an entry due now, behind every entry
+        already due: a continuation's step takes the calendar slot a
+        process start or completion would.
+
+        In fast mode the entry is a zero-delay tuple and ``callback``
+        gets None; in compat mode it is a delayed proxy event, passed
+        to ``callback`` when it fires.
+        """
+        if self._compat:
+            proxy = Event(self)
+            proxy._cb1 = callback
+            proxy._state = _SCHEDULED
+            self._schedule(proxy, 0.0)
+        else:
+            self._due.append((None, callback, None, True))
+
     def _schedule(self, event: Event, delay: float) -> None:
         """Schedule ``event`` to fire after ``delay``, behind every entry
         already pending for that time.
@@ -759,6 +794,22 @@ class Simulator:
                         event._cb1 = None
                     if rest is not None:
                         event.callbacks = None
+                    then = event._then
+                    if then is not None:
+                        # Submit the follow-on stage and hand it the
+                        # waiters, unresumed.
+                        event._then = None
+                        nxt = then[0].submit(then[1])
+                        nxt._cb1 = waiter
+                        nxt.callbacks = rest
+                        if waiter.__class__ is Process:
+                            waiter._waiting_on = nxt
+                        if rest is not None:
+                            for other in rest:
+                                if other.__class__ is Process:
+                                    other._waiting_on = nxt
+                        nxt = waiter = rest = None
+                    elif rest is not None:
                         rest = iter(rest)
                         if waiter is None:
                             waiter = next(rest, None)
@@ -781,6 +832,9 @@ class Simulator:
                                 target = waiter._gen.send(value)
                             else:
                                 target = waiter._gen.throw(value)
+                            while target is None:
+                                # Nothing to wait for: go on at once.
+                                target = waiter._gen.send(None)
                         except StopIteration as stop:
                             live.discard(waiter)
                             waiter._value = stop.value

@@ -329,7 +329,7 @@ def _sgd_fn(comm, meter, job: JobSpec) -> Generator:
     machine = comm.machine
     bucket = max(4, job.nbytes // 2)
     for _ in range(job.iterations):
-        yield from machine.compute(comm.world_rank, job.nbytes, combines=1)
+        yield machine.compute(comm.world_rank, job.nbytes, combines=1)
         yield from _timed_allreduce(comm, meter, job, bucket)
         yield from _timed_allreduce(comm, meter, job, bucket)
     return comm.now
@@ -339,7 +339,7 @@ def _hpcg_fn(comm, meter, job: JobSpec) -> Generator:
     """HPCG-flavoured iteration: local SpMV compute, two tiny DDOTs."""
     machine = comm.machine
     for _ in range(job.iterations):
-        yield from machine.compute(comm.world_rank, job.nbytes, combines=1)
+        yield machine.compute(comm.world_rank, job.nbytes, combines=1)
         yield from _timed_allreduce(comm, meter, job, 8)
         yield from _timed_allreduce(comm, meter, job, 8)
     return comm.now

@@ -16,8 +16,16 @@ def make_machine(nranks=8, ppn=4, nodes=2, **cfg_kw):
     return Machine(config, nranks, ppn)
 
 
-def run_gen(machine, gen):
-    proc = machine.sim.process(gen)
+def run_gen(machine, work):
+    """Run a process body, or one primitive's event, to the end."""
+    if not hasattr(work, "send"):
+        primitive = work
+
+        def wait_once():
+            yield primitive
+
+        work = wait_once()
+    machine.sim.process(work)
     machine.sim.run()
     return machine.sim.now
 
@@ -57,7 +65,7 @@ class TestChargedPrimitives:
         m = make_machine()
 
         def one(rank):
-            yield from m.compute(rank, 1_000_000)
+            yield m.compute(rank, 1_000_000)
 
         def both_same_rank():
             a = m.sim.process(one(0))
@@ -68,7 +76,7 @@ class TestChargedPrimitives:
         m2 = make_machine()
 
         def one2(rank):
-            yield from m2.compute(rank, 1_000_000)
+            yield m2.compute(rank, 1_000_000)
 
         def different_ranks():
             a = m2.sim.process(one2(0))
