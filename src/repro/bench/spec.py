@@ -180,6 +180,34 @@ class SamplePoint:
             raise ConfigError(
                 f"leaders must be in [1, ppn={self.ppn}], got {self.leaders}"
             )
+        if self.extra:
+            self._check_extra()
+
+    def _check_extra(self) -> None:
+        """Reject, before any simulation, keywords the named allreduce
+        does not take and ``radices`` that do not factor the job."""
+        from repro.errors import MPIError
+        from repro.mpi.collectives.generalized import _resolve_radices
+        from repro.mpi.collectives.registry import allreduce_keywords
+
+        keys = [key for key, _ in self.extra]
+        accepted = (
+            None if self.algorithm is None
+            else allreduce_keywords(self.algorithm)
+        )
+        unknown = sorted(set(keys) - accepted) if accepted is not None else ()
+        if unknown:
+            raise ConfigError(
+                f"allreduce {self.algorithm!r} takes no keyword(s) "
+                f"{', '.join(unknown)}; it takes: "
+                f"{', '.join(sorted(accepted)) or 'none'}"
+            )
+        radices = dict(self.extra).get("radices")
+        if radices is not None:
+            try:
+                _resolve_radices(self.nranks, radices)
+            except MPIError as err:
+                raise ConfigError(str(err)) from None
 
     @property
     def nranks(self) -> int:

@@ -11,6 +11,7 @@ function tables.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Generator, Optional
 
 from repro.core.adaptive import ADAPTIVE
@@ -63,6 +64,7 @@ __all__ = [
     "available_collectives",
     "resolve_phase_plan",
     "allreduce_name",
+    "allreduce_keywords",
 ]
 
 CollectiveFn = Callable[..., Generator]
@@ -144,6 +146,23 @@ def resolve_phase_plan(name: str) -> Optional[AllreduceAlgorithm]:
 def allreduce_name(name: Optional[str]) -> str:
     """The allreduce ``name`` selects: itself, or the default for ``None``."""
     return name or _DEFAULTS["allreduce"]
+
+
+def allreduce_keywords(name: str) -> Optional[frozenset]:
+    """The public keywords the allreduce ``name`` takes after ``(comm,
+    payload, op)``, or ``None`` when it is not registered or takes
+    ``**kwargs``."""
+    record = _ALLREDUCE.get(name)
+    if record is None:
+        return None
+    params = list(inspect.signature(record.fn).parameters.values())[3:]
+    if any(param.kind is param.VAR_KEYWORD for param in params):
+        return None
+    return frozenset(
+        param.name for param in params
+        if param.kind is not param.VAR_POSITIONAL
+        and not param.name.startswith("_")
+    )
 
 
 def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:

@@ -1,4 +1,4 @@
-"""Message transport: moves payloads between ranks, charging time.
+r"""Message transport: moves payloads between ranks, charging time.
 
 Protocol selection mirrors MVAPICH2:
 
@@ -17,15 +17,37 @@ and the destination's RX pipeline.  Intra-node messages cost
 shared-memory copies on the participating cores plus the node memory
 engine (eager uses the classic double copy through a shm FIFO;
 rendezvous does a single copy).
+
+How a message moves
+-------------------
+No message is a process.  The sender's side, the receiver's side from
+the match on, each trip over the wire and each NIC chunk of a trip is a
+small continuation object.  Each of its *stages* is one FCFS-queue or
+timeout event that charges time, and its next step is that event's
+callable waiter, run inside the dispatch that fires the event.  A
+chunk's link and RX legs are timeouts with the leg's queue as their
+follow-on stage (:meth:`repro.sim.engine.Event.then`).
+
+A message also takes a *hop* (:meth:`repro.sim.engine.Simulator.hop`,
+one zero-delay calendar entry) where each side starts, where each chunk
+starts and finishes, where a trip's last chunk is in, and where each
+side ends.  Those are the calendar slots of a process start, a process
+completion and an ``AllOf`` firing, so a run dispatches the same entries
+in the same order as a transport built from one process per side and
+per chunk would.
+
+A side that waits on its peer (a rendezvous sender on the CTS, a
+rendezvous receiver on the data) counts as a live process while it
+waits, named ``send r<src>->r<dst> tag=<tag>`` or ``recv r<rank> rndv``:
+a send nobody receives still ends the run with
+:class:`~repro.errors.DeadlockError`.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-from repro.errors import MPIError, TransportError
+from repro.errors import TransportError
 from repro.machine.machine import Machine
-from repro.mpi.matching import ANY, EAGER, RTS, Envelope, Matcher
+from repro.mpi.matching import EAGER, RTS, Envelope, Matcher
 from repro.mpi.request import Request
 from repro.payload.payload import Payload
 from repro.sim import LazyTable
@@ -78,37 +100,16 @@ class Transport:
         machine = self.machine
         eager = nbytes <= machine.config.fabric.eager_threshold
         if machine.same_node(src, dst):
-            gen = (
-                self._send_eager_intra(src, dst, payload, tag, context, seq, req)
-                if eager
-                else self._send_rndv_intra(src, dst, payload, tag, context, seq, req)
-            )
+            side = _EagerIntra if eager else _RndvIntra
         else:
-            gen = (
-                self._send_eager_inter(src, dst, payload, tag, context, seq, req)
-                if eager
-                else self._send_rndv_inter(src, dst, payload, tag, context, seq, req)
-            )
-        self.sim.process(gen, name=f"send r{src}->r{dst} tag={tag}")
+            side = _EagerInter if eager else _RndvInter
+        self.sim.hop(side(self, src, dst, payload, tag, context, seq, req).start)
         return req
 
     def irecv(self, rank: int, src: int, tag: int, context: int) -> Request:
         """Post a non-blocking receive; completes with the payload."""
         req = Request(self.sim, "recv", source=src, tag=tag)
-
-        def on_match(env: Envelope) -> None:
-            if env.kind == EAGER:
-                self.sim.process(
-                    self._finish_eager_recv(rank, env, req),
-                    name=f"recv r{rank} finish",
-                )
-            else:
-                self.sim.process(
-                    self._rndv_receiver(rank, env, req),
-                    name=f"recv r{rank} rndv",
-                )
-
-        self.matchers[rank].post(src, tag, context, on_match)
+        self.matchers[rank].post(src, tag, context, _Recv(self, rank, req))
         return req
 
     # -- sequence numbers -------------------------------------------------------
@@ -119,59 +120,333 @@ class Transport:
         self._seq[key] = seq + 1
         return seq
 
-    # -- inter-node paths ---------------------------------------------------------
+    # -- introspection -------------------------------------------------------------
 
-    def _wire(
-        self, src_node: int, dst_node: int, nbytes: int, rank: int = 0
-    ) -> Generator:
-        """Chunked NIC TX → fabric links → NIC RX pipeline for one message.
+    def matcher(self, rank: int) -> Matcher:
+        """The matching engine of ``rank`` (tests and deadlock reports)."""
+        return self.matchers[rank]
 
-        Without a link-level topology the fabric is a pure
-        ``wire_latency`` delay; with one, every chunk also queues on the
-        routed uplink/downlink stages (cut-through at chunk
-        granularity).
 
-        When the machine carries a fault injector with link faults,
-        entering the edge first waits out any active
-        :class:`~repro.faults.plan.LinkOutage` with the plan's capped
-        exponential backoff (raising
-        :class:`~repro.errors.TransportError` once retries exhaust,
-        attributed to ``rank`` and the edge), and any active
-        :class:`~repro.faults.plan.LinkDegrade` scales the wire latency
-        and per-chunk service — sampled once per message at injection
-        time, so one message sees one consistent degradation level.
-        """
-        machine = self.machine
-        sim = self.sim
-        tx = machine.nic_tx[src_node]
-        latency = machine.config.fabric.wire_latency
-        fabric_stages = machine.fabric_stages(src_node, dst_node)
-        service_factor = 1.0
-        faults = machine.faults
-        if faults is not None and faults.has_link_faults:
-            if faults.has_link_outage:
-                yield from self._await_link(faults, rank, src_node, dst_node)
-            if faults.has_link_degrade:
-                latency_factor, service_factor = faults.link_factors(
-                    src_node, dst_node, sim.now
-                )
-                latency *= latency_factor
-        rx_chunks = []
-        for chunk in machine.nic_chunks(nbytes):
-            service = machine.nic_service(chunk)
-            if service_factor != 1.0:
-                service *= service_factor
-            yield tx.submit(service)
-            rx_chunks.append(
-                sim.process(
-                    self._chunk_path(dst_node, chunk, service, latency, fabric_stages)
-                )
+def _finished(_) -> None:
+    """A side's last hop: nothing is left to do."""
+
+
+class _Side:
+    """One side of a message: the sender's, or the receiver's."""
+
+    __slots__ = ("transport", "_waiting_on")
+
+    def await_peer(self, event, step) -> None:
+        """Run ``step`` once the peer fires ``event``; until then this
+        side counts as a live process blocked on ``event``."""
+        self.transport.sim._live_processes.add(self)
+        self._waiting_on = event
+        event._add_callback(step)
+
+    def peer_arrived(self) -> None:
+        """The awaited peer event fired: no longer blocked."""
+        self._waiting_on = None
+        self.transport.sim._live_processes.discard(self)
+
+
+class _Send(_Side):
+    """The sender's side of one message; the subclasses are its four
+    paths, each starting with ``start`` from the hop
+    :meth:`Transport.isend` takes.  Rendezvous paths define
+    ``cts_arrived``, and paths that copy define ``stored``."""
+
+    __slots__ = (
+        "src", "dst", "payload", "tag", "context", "seq", "req", "service",
+        "env",
+    )
+
+    def __init__(self, transport, src, dst, payload, tag, context, seq, req):
+        self.transport = transport
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.tag = tag
+        self.context = context
+        self.seq = seq
+        self.req = req
+
+    @property
+    def name(self) -> str:
+        """The live-process name while waiting on the receiver."""
+        return f"send r{self.src}->r{self.dst} tag={self.tag}"
+
+    def deliver_eager(self, _) -> None:
+        """The eager payload is at the receiver: match it."""
+        env = Envelope(
+            self.src, self.dst, self.tag, self.context, EAGER, self.payload,
+            self.payload.nbytes, self.seq,
+        )
+        transport = self.transport
+        transport.matchers[self.dst].arrive(env)
+        transport.sim.hop(_finished)
+
+    def make_rts(self) -> None:
+        """The RTS envelope and the exchange's out-of-band events."""
+        self.env = Envelope(
+            self.src, self.dst, self.tag, self.context, RTS, None,
+            self.payload.nbytes, self.seq, rndv=RndvState(self.transport),
+        )
+
+    def deliver_rts(self, _) -> None:
+        """The RTS is at the receiver: match it, then wait for the CTS."""
+        self.transport.matchers[self.dst].arrive(self.env)
+        self.await_peer(self.env.rndv.cts, self.cts_arrived)
+
+    def copy(self, _) -> None:
+        """Copy the payload on the sender's core: into the shm FIFO, or
+        straight into the receiver's buffer."""
+        machine = self.transport.machine
+        cross = not machine.same_socket(self.src, self.dst)
+        node = machine.config.node
+        byte_time = node.copy_byte_time * (
+            node.intersocket_byte_factor if cross else 1.0
+        )
+        self.service = node.copy_latency + self.payload.nbytes * byte_time
+        machine.engine_submit(self.src, self.service, "copy")._add_callback(
+            self.copied
+        )
+
+    def copied(self, _) -> None:
+        """The core's copy is done; the node memory engine streams it."""
+        machine = self.transport.machine
+        machine.tracer.charge("copy", self.service)
+        mem_service = self.payload.nbytes * machine.config.node.mem_byte_time
+        if mem_service > 0:
+            machine.mem[machine.node_of(self.src)].submit(
+                mem_service
+            )._add_callback(self.stored)
+        else:
+            self.stored(None)
+
+    def inject(self, nbytes: int, label: str, step) -> None:
+        """Queue ``nbytes`` of injection work on the sender's engine."""
+        machine = self.transport.machine
+        self.service = machine.injection_service(nbytes)
+        machine.engine_submit(self.src, self.service, label)._add_callback(step)
+
+    def send_payload(self, step) -> None:
+        """The payload left the sender's engine: the request completes
+        and the payload goes over the wire."""
+        machine = self.transport.machine
+        machine.tracer.charge("net-send", self.service)
+        self.req.complete()
+        _Wire(
+            self.transport, machine.node_of(self.src),
+            machine.node_of(self.dst), self.payload.nbytes, self.src, step,
+        )
+
+
+class _EagerInter(_Send):
+    """Inject, one trip over the wire, match at the receiver."""
+
+    __slots__ = ()
+
+    def start(self, _) -> None:
+        self.inject(self.payload.nbytes, "net-send", self.injected)
+
+    def injected(self, _) -> None:
+        self.send_payload(self.deliver_eager)
+
+
+class _RndvInter(_Send):
+    """The RTS's trip, wait for the CTS, then the payload's trip."""
+
+    __slots__ = ()
+
+    def start(self, _) -> None:
+        self.make_rts()
+        # RTS control message (zero bytes) travels the ordered stream.
+        self.inject(0, "net-ctrl", self.rts_injected)
+
+    def rts_injected(self, _) -> None:
+        machine = self.transport.machine
+        _Wire(
+            self.transport, machine.node_of(self.src),
+            machine.node_of(self.dst), 0, self.src, self.deliver_rts,
+        )
+
+    def cts_arrived(self, _) -> None:
+        self.peer_arrived()
+        self.inject(self.payload.nbytes, "net-send", self.injected)
+
+    def injected(self, _) -> None:
+        self.send_payload(self.delivered)
+
+    def delivered(self, _) -> None:
+        self.env.rndv.data_done.succeed(self.payload)
+        self.transport.sim.hop(_finished)
+
+
+class _EagerIntra(_Send):
+    """Copy into the shm FIFO, then raise the arrival flag."""
+
+    __slots__ = ()
+
+    start = _Send.copy
+
+    def stored(self, _) -> None:
+        self.req.complete()
+        transport = self.transport
+        transport.sim.timeout(
+            transport.machine.config.node.flag_latency
+        )._add_callback(self.deliver_eager)
+
+
+class _RndvIntra(_Send):
+    """The RTS flag, wait for the CTS, then one copy (CMA-style)."""
+
+    __slots__ = ()
+
+    def start(self, _) -> None:
+        self.make_rts()
+        self.transport.machine.flag_sync()._add_callback(self.deliver_rts)
+
+    def cts_arrived(self, _) -> None:
+        self.peer_arrived()
+        self.copy(None)
+
+    def stored(self, _) -> None:
+        self.req.complete()
+        self.env.rndv.data_done.succeed(self.payload)
+        self.transport.sim.hop(_finished)
+
+
+class _Recv(_Side):
+    """The receiver's side of one message.  The object is its posted
+    receive's ``on_match`` callback; the side starts from the hop the
+    match takes."""
+
+    __slots__ = ("rank", "req", "env", "payload")
+
+    def __init__(self, transport, rank, req):
+        self.transport = transport
+        self.rank = rank
+        self.req = req
+
+    @property
+    def name(self) -> str:
+        """The live-process name while waiting on the sender's data."""
+        return f"recv r{self.rank} rndv"
+
+    def __call__(self, env: Envelope) -> None:
+        self.env = env
+        self.transport.sim.hop(
+            self.finish_eager if env.kind == EAGER else self.start_rndv
+        )
+
+    def finish_eager(self, _) -> None:
+        """Move a matched eager message into the user buffer."""
+        machine = self.transport.machine
+        env = self.env
+        rank = self.rank
+        if machine.same_node(env.src, rank) and env.src != rank:
+            # Copy out of the shm FIFO into the user buffer.
+            cross = not machine.same_socket(env.src, rank)
+            done = machine.shm_copy(rank, env.nbytes, cross_socket=cross)
+        else:
+            service = machine.reception_service(env.nbytes)
+            if env.was_unexpected and env.nbytes:
+                # Extra copy out of the bounce buffer.
+                service += env.nbytes * machine.config.node.copy_byte_time
+            done = machine.engine_submit(rank, service, "net-recv")
+        self.payload = env.payload
+        done._add_callback(self.received)
+
+    def start_rndv(self, _) -> None:
+        """Answer a matched RTS with the CTS."""
+        machine = self.transport.machine
+        if machine.same_node(self.env.src, self.rank):
+            # Post the "ready" flag in shared memory.
+            machine.flag_sync()._add_callback(self.cts_posted)
+        else:
+            # CTS control message back to the sender.
+            machine.engine_submit(
+                self.rank, machine.injection_service(0), "net-ctrl"
+            )._add_callback(self.cts_injected)
+
+    def cts_injected(self, _) -> None:
+        machine = self.transport.machine
+        _Wire(
+            self.transport, machine.node_of(self.rank),
+            machine.node_of(self.env.src), 0, self.rank, self.cts_posted,
+        )
+
+    def cts_posted(self, _) -> None:
+        rndv = self.env.rndv
+        rndv.cts.succeed()
+        self.await_peer(rndv.data_done, self.data_arrived)
+
+    def data_arrived(self, data_done) -> None:
+        self.peer_arrived()
+        self.payload = data_done._value
+        machine = self.transport.machine
+        if machine.same_node(self.env.src, self.rank):
+            done = machine.flag_sync()
+        else:
+            done = machine.engine_submit(
+                self.rank, machine.reception_service(self.env.nbytes),
+                "net-recv",
             )
-        yield sim.all_of(rx_chunks)
+        done._add_callback(self.received)
 
-    def _await_link(
-        self, faults, rank: int, src_node: int, dst_node: int
-    ) -> Generator:
+    def received(self, _) -> None:
+        self.req.complete(self.payload)
+        self.transport.sim.hop(_finished)
+
+
+class _Wire:
+    """One trip from a node's NIC to another's; ``then`` runs from a hop
+    once every chunk is in.
+
+    Chunks leave through the source NIC's TX pipeline one after
+    another, and each then takes its own :class:`_Chunk` path.
+
+    When the machine carries a fault injector with link faults, the
+    trip first waits out any active
+    :class:`~repro.faults.plan.LinkOutage` with the plan's capped
+    exponential backoff (raising :class:`~repro.errors.TransportError`
+    once retries exhaust, attributed to ``rank`` and the edge), and
+    any active :class:`~repro.faults.plan.LinkDegrade` scales the wire
+    latency and per-chunk service — sampled once per message at
+    injection time, so one message sees one consistent degradation
+    level.
+    """
+
+    __slots__ = (
+        "transport", "src_node", "dst_node", "nbytes", "rank", "then", "tx",
+        "latency", "stages", "factor", "attempts", "chunks", "sent",
+        "service", "remaining", "early",
+    )
+
+    def __init__(self, transport, src_node, dst_node, nbytes, rank, then):
+        machine = transport.machine
+        self.transport = transport
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.nbytes = nbytes
+        self.rank = rank
+        self.then = then
+        self.tx = machine.nic_tx[src_node]
+        self.latency = machine.config.fabric.wire_latency
+        self.stages = machine.fabric_stages(src_node, dst_node)
+        self.factor = 1.0
+        # Chunks still to land once the last one has left (None before).
+        self.remaining = None
+        # Chunks whose path finished before the last one left.
+        self.early = 0
+        faults = machine.faults
+        if faults is not None and faults.has_link_outage:
+            self.attempts = 0
+            self.await_link(None)
+        else:
+            self.inject()
+
+    def await_link(self, _) -> None:
         """Spin on an outaged edge with capped exponential backoff.
 
         Each failed attempt is counted against ``rank`` and the blocked
@@ -183,161 +458,117 @@ class Transport:
         the send — or, when a recovery policy is attached to the
         runtime, feeds the failure detector and triggers a failover.
 
-        Loop structure (audited for ISSUE 7): each iteration either
-        returns (edge open), raises (budget spent while still blocked),
-        or performs exactly one counted retry followed by one backoff
-        sleep — the retry is counted *before* the sleep so an
-        interrupted backoff can never lose a performed retry, and no
-        statement is reachable after the raise.
+        Each call either injects (edge open), raises (budget spent
+        while still blocked), or performs exactly one counted retry
+        followed by one backoff sleep, after which it runs again: the
+        retry is counted *before* the sleep, so an aborted backoff can
+        never lose a performed retry.
         """
-        sim = self.sim
+        sim = self.transport.sim
+        faults = self.transport.machine.faults
+        src_node, dst_node = self.src_node, self.dst_node
+        blocked = faults.link_blocked_until(src_node, dst_node, sim.now)
+        if blocked is None:
+            self.inject()
+            return
+        rank = self.rank
         edge = (src_node, dst_node)
-        attempts = 0
-        while True:
-            blocked = faults.link_blocked_until(src_node, dst_node, sim.now)
-            if blocked is None:
-                return
-            if attempts >= faults.retry_limit:
-                faults.count_exhausted(rank, edge)
-                sanitizer = sim.sanitizer
-                if sanitizer is not None:
-                    sanitizer.fault_retries_exhausted(
-                        rank, src_node, dst_node, attempts, sim.now,
-                        blocked_until=blocked,
-                    )
-                raise TransportError(
-                    f"rank {rank}: send over link {src_node}->{dst_node} "
-                    f"still failing after {attempts} retry(ies); link down "
-                    f"until t={blocked:g}",
-                    rank=rank, edge=edge, sim_time=sim.now, attempts=attempts,
+        attempts = self.attempts
+        if attempts >= faults.retry_limit:
+            faults.count_exhausted(rank, edge)
+            sanitizer = sim.sanitizer
+            if sanitizer is not None:
+                sanitizer.fault_retries_exhausted(
+                    rank, src_node, dst_node, attempts, sim.now,
+                    blocked_until=blocked,
                 )
-            faults.count_retry(rank, edge)
-            yield sim.timeout(faults.backoff(attempts))
-            attempts += 1
-
-    def _chunk_path(
-        self, dst_node: int, chunk: int, nic_service: float, latency: float,
-        fabric_stages,
-    ) -> Generator:
-        for stage in fabric_stages:
-            yield self.sim.timeout(stage.latency)
-            yield stage.queue.submit(stage.service(chunk))
-        yield self.sim.timeout(latency)
-        yield self.machine.nic_rx[dst_node].submit(nic_service)
-
-    def _send_eager_inter(self, src, dst, payload, tag, context, seq, req) -> Generator:
-        machine = self.machine
-        nbytes = payload.nbytes
-        service = machine.injection_service(nbytes)
-        yield machine.engine_submit(src, service, "net-send")
-        machine.tracer.charge("net-send", service)
-        req.complete()
-        yield from self._wire(
-            machine.node_of(src), machine.node_of(dst), nbytes, src
-        )
-        env = Envelope(src, dst, tag, context, EAGER, payload, nbytes, seq)
-        self.matchers[dst].arrive(env)
-
-    def _send_rndv_inter(self, src, dst, payload, tag, context, seq, req) -> Generator:
-        machine = self.machine
-        nbytes = payload.nbytes
-        rndv = RndvState(self)
-        env = Envelope(src, dst, tag, context, RTS, None, nbytes, seq, rndv=rndv)
-        # RTS control message (zero bytes) travels the ordered stream.
-        yield machine.engine_submit(src, machine.injection_service(0), "net-ctrl")
-        yield from self._wire(machine.node_of(src), machine.node_of(dst), 0, src)
-        self.matchers[dst].arrive(env)
-        # Wait for the receiver's clear-to-send.
-        yield rndv.cts
-        service = machine.injection_service(nbytes)
-        yield machine.engine_submit(src, service, "net-send")
-        machine.tracer.charge("net-send", service)
-        req.complete()
-        yield from self._wire(
-            machine.node_of(src), machine.node_of(dst), nbytes, src
-        )
-        rndv.data_done.succeed(payload)
-
-    def _finish_eager_recv(self, rank: int, env: Envelope, req: Request) -> Generator:
-        machine = self.machine
-        if machine.same_node(env.src, rank) and env.src != rank:
-            # Copy out of the shm FIFO into the user buffer.
-            cross = not machine.same_socket(env.src, rank)
-            yield machine.shm_copy(rank, env.nbytes, cross_socket=cross)
-        else:
-            service = machine.reception_service(env.nbytes)
-            if env.was_unexpected and env.nbytes:
-                # Extra copy out of the bounce buffer.
-                service += env.nbytes * machine.config.node.copy_byte_time
-            yield machine.engine_submit(rank, service, "net-recv")
-        req.complete(env.payload)
-
-    def _rndv_receiver(self, rank: int, env: Envelope, req: Request) -> Generator:
-        machine = self.machine
-        rndv = env.rndv
-        if machine.same_node(env.src, rank):
-            # Post the "ready" flag in shared memory.
-            yield machine.flag_sync()
-            rndv.cts.succeed()
-            payload = yield rndv.data_done
-            yield machine.flag_sync()
-        else:
-            # CTS control message back to the sender.
-            yield machine.engine_submit(rank, machine.injection_service(0), "net-ctrl")
-            yield from self._wire(
-                machine.node_of(rank), machine.node_of(env.src), 0, rank
+            raise TransportError(
+                f"rank {rank}: send over link {src_node}->{dst_node} "
+                f"still failing after {attempts} retry(ies); link down "
+                f"until t={blocked:g}",
+                rank=rank, edge=edge, sim_time=sim.now, attempts=attempts,
             )
-            rndv.cts.succeed()
-            payload = yield rndv.data_done
-            yield machine.engine_submit(
-                rank, machine.reception_service(env.nbytes), "net-recv"
+        faults.count_retry(rank, edge)
+        self.attempts = attempts + 1
+        sim.timeout(faults.backoff(attempts))._add_callback(self.await_link)
+
+    def inject(self) -> None:
+        """The edge is open: sample its degradation, send chunk one."""
+        machine = self.transport.machine
+        faults = machine.faults
+        if faults is not None and faults.has_link_degrade:
+            latency_factor, self.factor = faults.link_factors(
+                self.src_node, self.dst_node, self.transport.sim.now
             )
-        req.complete(payload)
+            self.latency *= latency_factor
+        self.chunks = machine.nic_chunks(self.nbytes)
+        self.sent = 0
+        self.submit_chunk()
 
-    # -- intra-node paths ----------------------------------------------------------
+    def submit_chunk(self) -> None:
+        service = self.transport.machine.nic_service(self.chunks[self.sent])
+        if self.factor != 1.0:
+            service *= self.factor
+        self.service = service
+        self.tx.submit(service)._add_callback(self.chunk_sent)
 
-    def _send_eager_intra(self, src, dst, payload, tag, context, seq, req) -> Generator:
-        machine = self.machine
-        nbytes = payload.nbytes
-        cross = not machine.same_socket(src, dst)
-        # Copy into the shm FIFO (the sender's core does the work, so we
-        # serialize it on the sender's engine).
-        node = machine.config.node
-        byte_time = node.copy_byte_time * (node.intersocket_byte_factor if cross else 1.0)
-        service = node.copy_latency + nbytes * byte_time
-        yield machine.engine_submit(src, service, "copy")
-        machine.tracer.charge("copy", service)
-        mem_service = nbytes * node.mem_byte_time
-        if mem_service > 0:
-            yield machine.mem[machine.node_of(src)].submit(mem_service)
-        req.complete()
-        yield self.sim.timeout(node.flag_latency)
-        env = Envelope(src, dst, tag, context, EAGER, payload, nbytes, seq)
-        self.matchers[dst].arrive(env)
+    def chunk_sent(self, _) -> None:
+        """A chunk left the TX pipeline: start its path, send the next."""
+        chunk = _Chunk(self, self.chunks[self.sent], self.service)
+        self.transport.sim.hop(chunk.start)
+        self.sent += 1
+        if self.sent < len(self.chunks):
+            self.submit_chunk()
+            return
+        # The last chunk left: wait for every chunk to land.  Each chunk
+        # whose path already finished takes one more hop to count.
+        self.remaining = self.sent
+        for _ in range(self.early):
+            self.transport.sim.hop(self.chunk_landed)
 
-    def _send_rndv_intra(self, src, dst, payload, tag, context, seq, req) -> Generator:
-        machine = self.machine
-        nbytes = payload.nbytes
-        rndv = RndvState(self)
-        env = Envelope(src, dst, tag, context, RTS, None, nbytes, seq, rndv=rndv)
-        yield machine.flag_sync()
-        self.matchers[dst].arrive(env)
-        yield rndv.cts
-        # Single copy straight into the receiver's buffer (CMA-style).
-        cross = not machine.same_socket(src, dst)
-        node = machine.config.node
-        byte_time = node.copy_byte_time * (node.intersocket_byte_factor if cross else 1.0)
-        service = node.copy_latency + nbytes * byte_time
-        yield machine.engine_submit(src, service, "copy")
-        machine.tracer.charge("copy", service)
-        mem_service = nbytes * node.mem_byte_time
-        if mem_service > 0:
-            yield machine.mem[machine.node_of(src)].submit(mem_service)
-        req.complete()
-        rndv.data_done.succeed(payload)
+    def chunk_finished(self, _) -> None:
+        """A chunk's path is done (run from its last hop)."""
+        if self.remaining is None:
+            self.early += 1
+        else:
+            self.chunk_landed(None)
 
-    # -- introspection -------------------------------------------------------------
+    def chunk_landed(self, _) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.transport.sim.hop(self.then)
 
-    def matcher(self, rank: int) -> Matcher:
-        """The matching engine of ``rank`` (tests and deadlock reports)."""
-        return self.matchers[rank]
+
+class _Chunk:
+    """One NIC chunk's path: each routed fabric link stage (cut-through
+    at chunk granularity; none without a link-level topology), then the
+    wire latency into the destination's RX pipeline.  Each leg is a
+    timeout with the leg's queue as its follow-on stage."""
+
+    __slots__ = ("wire", "nbytes", "service", "leg")
+
+    def __init__(self, wire: _Wire, nbytes: int, service: float):
+        self.wire = wire
+        self.nbytes = nbytes
+        self.service = service
+        self.leg = 0
+
+    def start(self, _) -> None:
+        """Run the next leg (the first from the chunk's hop)."""
+        wire = self.wire
+        leg = self.leg
+        self.leg = leg + 1
+        stages = wire.stages
+        sim = wire.transport.sim
+        if leg < len(stages):
+            stage = stages[leg]
+            sim.timeout(stage.latency).then(
+                stage.queue, stage.service(self.nbytes)
+            )._add_callback(self.start)
+        elif leg == len(stages):
+            rx = wire.transport.machine.nic_rx[wire.dst_node]
+            sim.timeout(wire.latency).then(rx, self.service)._add_callback(
+                self.start
+            )
+        else:
+            sim.hop(wire.chunk_finished)

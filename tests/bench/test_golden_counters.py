@@ -108,9 +108,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1013, "heap_pushes": 1348,
+                    "events_allocated": 498, "heap_pushes": 1348,
                     "heap_pops": 1348, "nowq_entries": 1893,
-                    "pool_reuses": 1712, "bytes_copied": 0,
+                    "pool_reuses": 1627, "bytes_copied": 0,
                     "bytes_viewed": 442368, "bytes_reduced": 147456,
                 },
             },
@@ -123,9 +123,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1369, "heap_pushes": 3112,
+                    "events_allocated": 642, "heap_pushes": 3112,
                     "heap_pops": 3112, "nowq_entries": 3189,
-                    "pool_reuses": 4200, "bytes_copied": 49152,
+                    "pool_reuses": 4039, "bytes_copied": 49152,
                     "bytes_viewed": 393216, "bytes_reduced": 147456,
                 },
             },
@@ -138,9 +138,9 @@ GOLDEN = {
                     "bytes_reduced": 1376256,
                 },
                 "fast": {
-                    "events_allocated": 1229, "heap_pushes": 1660,
+                    "events_allocated": 594, "heap_pushes": 1660,
                     "heap_pops": 1660, "nowq_entries": 2325,
-                    "pool_reuses": 2120, "bytes_copied": 1179648,
+                    "pool_reuses": 1963, "bytes_copied": 1179648,
                     "bytes_viewed": 8257536, "bytes_reduced": 1376256,
                 },
             },
@@ -153,9 +153,9 @@ GOLDEN = {
                     "bytes_reduced": 1376256,
                 },
                 "fast": {
-                    "events_allocated": 1853, "heap_pushes": 3592,
+                    "events_allocated": 834, "heap_pushes": 3592,
                     "heap_pops": 3592, "nowq_entries": 4149,
-                    "pool_reuses": 4868, "bytes_copied": 1966080,
+                    "pool_reuses": 4615, "bytes_copied": 1966080,
                     "bytes_viewed": 7471104, "bytes_reduced": 1376256,
                 },
             },
@@ -168,13 +168,13 @@ GOLDEN = {
                 "bytes_reduced": 3047424,
             },
             "fast": {
-                "events_allocated": 5464, "heap_pushes": 9712,
-                "heap_pops": 9712, "nowq_entries": 11556, "pool_reuses": 12900,
+                "events_allocated": 2568, "heap_pushes": 9712,
+                "heap_pops": 9712, "nowq_entries": 11556, "pool_reuses": 12244,
                 "bytes_copied": 3194880, "bytes_viewed": 16564224,
                 "bytes_reduced": 3047424,
             },
         },
-        "ratios": {"events_allocated": 3.8924, "bytes_copied": 9.8462},
+        "ratios": {"events_allocated": 8.2819, "bytes_copied": 9.8462},
     },
     "fig5": {
         "points": {
@@ -187,9 +187,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1013, "heap_pushes": 1348,
+                    "events_allocated": 498, "heap_pushes": 1348,
                     "heap_pops": 1348, "nowq_entries": 1893,
-                    "pool_reuses": 1712, "bytes_copied": 0,
+                    "pool_reuses": 1627, "bytes_copied": 0,
                     "bytes_viewed": 442368, "bytes_reduced": 147456,
                 },
             },
@@ -202,9 +202,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1129, "heap_pushes": 1936,
+                    "events_allocated": 546, "heap_pushes": 1936,
                     "heap_pops": 1936, "nowq_entries": 2325,
-                    "pool_reuses": 2544, "bytes_copied": 49152,
+                    "pool_reuses": 2431, "bytes_copied": 49152,
                     "bytes_viewed": 393216, "bytes_reduced": 147456,
                 },
             },
@@ -217,9 +217,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1369, "heap_pushes": 3112,
+                    "events_allocated": 642, "heap_pushes": 3112,
                     "heap_pops": 3112, "nowq_entries": 3189,
-                    "pool_reuses": 4200, "bytes_copied": 49152,
+                    "pool_reuses": 4039, "bytes_copied": 49152,
                     "bytes_viewed": 393216, "bytes_reduced": 147456,
                 },
             },
@@ -232,9 +232,9 @@ GOLDEN = {
                     "bytes_reduced": 147456,
                 },
                 "fast": {
-                    "events_allocated": 1853, "heap_pushes": 5464,
+                    "events_allocated": 834, "heap_pushes": 5464,
                     "heap_pops": 5464, "nowq_entries": 4917,
-                    "pool_reuses": 7508, "bytes_copied": 49152,
+                    "pool_reuses": 7255, "bytes_copied": 49152,
                     "bytes_viewed": 393216, "bytes_reduced": 147456,
                 },
             },
@@ -247,9 +247,9 @@ GOLDEN = {
                     "bytes_reduced": 1376256,
                 },
                 "fast": {
-                    "events_allocated": 1229, "heap_pushes": 1660,
+                    "events_allocated": 594, "heap_pushes": 1660,
                     "heap_pops": 1660, "nowq_entries": 2325,
-                    "pool_reuses": 2120, "bytes_copied": 1179648,
+                    "pool_reuses": 1963, "bytes_copied": 1179648,
                     "bytes_viewed": 8257536, "bytes_reduced": 1376256,
                 },
             },
@@ -262,9 +262,9 @@ GOLDEN = {
                     "bytes_reduced": 1376256,
                 },
                 "fast": {
-                    "events_allocated": 1373, "heap_pushes": 2176,
+                    "events_allocated": 642, "heap_pushes": 2176,
                     "heap_pops": 2176, "nowq_entries": 2805,
-                    "pool_reuses": 2876, "bytes_copied": 1966080,
+                    "pool_reuses": 2719, "bytes_copied": 1966080,
                     "bytes_viewed": 7471104, "bytes_reduced": 1376256,
                 },
             },
@@ -277,9 +277,9 @@ GOLDEN = {
                     "bytes_reduced": 1376256,
                 },
                 "fast": {
-                    "events_allocated": 1853, "heap_pushes": 3592,
+                    "events_allocated": 834, "heap_pushes": 3592,
                     "heap_pops": 3592, "nowq_entries": 4149,
-                    "pool_reuses": 4868, "bytes_copied": 1966080,
+                    "pool_reuses": 4615, "bytes_copied": 1966080,
                     "bytes_viewed": 7471104, "bytes_reduced": 1376256,
                 },
             },
@@ -292,9 +292,9 @@ GOLDEN = {
                     "bytes_reduced": 2359296,
                 },
                 "fast": {
-                    "events_allocated": 1853, "heap_pushes": 5464,
+                    "events_allocated": 834, "heap_pushes": 5464,
                     "heap_pops": 5464, "nowq_entries": 4917,
-                    "pool_reuses": 7508, "bytes_copied": 786432,
+                    "pool_reuses": 7255, "bytes_copied": 786432,
                     "bytes_viewed": 6291456, "bytes_reduced": 2359296,
                 },
             },
@@ -307,13 +307,13 @@ GOLDEN = {
                 "bytes_reduced": 7077888,
             },
             "fast": {
-                "events_allocated": 11672, "heap_pushes": 24752,
+                "events_allocated": 5424, "heap_pushes": 24752,
                 "heap_pops": 24752, "nowq_entries": 26520,
-                "pool_reuses": 33336, "bytes_copied": 6045696,
+                "pool_reuses": 31904, "bytes_copied": 6045696,
                 "bytes_viewed": 31113216, "bytes_reduced": 7077888,
             },
         },
-        "ratios": {"events_allocated": 4.3927, "bytes_copied": 10.0163},
+        "ratios": {"events_allocated": 9.4528, "bytes_copied": 10.0163},
     },
     "fig10": {
         "points": {
@@ -326,9 +326,9 @@ GOLDEN = {
                     "bytes_reduced": 393216,
                 },
                 "fast": {
-                    "events_allocated": 1529, "heap_pushes": 3864,
+                    "events_allocated": 706, "heap_pushes": 3864,
                     "heap_pops": 3864, "nowq_entries": 3765,
-                    "pool_reuses": 5272, "bytes_copied": 131072,
+                    "pool_reuses": 5079, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
@@ -341,9 +341,9 @@ GOLDEN = {
                     "bytes_reduced": 3670016,
                 },
                 "fast": {
-                    "events_allocated": 3789, "heap_pushes": 6040,
+                    "events_allocated": 1826, "heap_pushes": 6040,
                     "heap_pops": 6040, "nowq_entries": 8053,
-                    "pool_reuses": 8196, "bytes_copied": 7340032,
+                    "pool_reuses": 7607, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
@@ -356,13 +356,13 @@ GOLDEN = {
                 "bytes_reduced": 4063232,
             },
             "fast": {
-                "events_allocated": 5318, "heap_pushes": 9904,
-                "heap_pops": 9904, "nowq_entries": 11818, "pool_reuses": 13468,
+                "events_allocated": 2532, "heap_pushes": 9904,
+                "heap_pops": 9904, "nowq_entries": 11818, "pool_reuses": 12686,
                 "bytes_copied": 7471104, "bytes_viewed": 23068672,
                 "bytes_reduced": 4063232,
             },
         },
-        "ratios": {"events_allocated": 4.0846, "bytes_copied": 6.1754},
+        "ratios": {"events_allocated": 8.579, "bytes_copied": 6.1754},
     },
     "scale10k": {
         "point": "b-x1250/ppn8/dpml/4096B/hybrid",
@@ -424,13 +424,13 @@ GOLDEN = {
         "n_samples": 12,
         "total_queue_wait": 0.00120545642,
         "fresh": {
-            "events_allocated": 1404, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 4409, "pool_reuses": 9239, "pool_evictions": 0,
+            "events_allocated": 648, "heap_pushes": 7034, "heap_pops": 7034,
+            "nowq_entries": 4409, "pool_reuses": 8939, "pool_evictions": 0,
             "macro_events": 0,
         },
         "reused": {
-            "events_allocated": 1352, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 4409, "pool_reuses": 9291, "pool_evictions": 0,
+            "events_allocated": 608, "heap_pushes": 7034, "heap_pops": 7034,
+            "nowq_entries": 4409, "pool_reuses": 8979, "pool_evictions": 0,
             "macro_events": 0,
         },
         "byte_identical": True,

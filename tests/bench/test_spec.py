@@ -103,9 +103,66 @@ class TestExpansion:
         assert point.session_key == ("b", 2, 2)
 
     def test_extra_kwargs_flow_to_algorithm(self):
-        spec = small_spec(extra={"pipeline_unit": 8192})
+        spec = small_spec(
+            algorithms=("dpml_pipelined",), extra={"pipeline_unit": 8192}
+        )
         point = spec.points()[0]
         assert point.alg_kwargs() == {"pipeline_unit": 8192, "leaders": 1}
+
+    @pytest.mark.parametrize(
+        "algorithm, extra",
+        [
+            ("ring", (("bogus", 1),)),
+            ("dpml", (("bogus", 1),)),
+            ("dpml", (("pipeline_unit", 8192),)),
+            ("recursive_doubling", (("radices", (2, 2, 2)),)),
+        ],
+    )
+    def test_unknown_algorithm_keyword_rejected_at_construction(
+        self, algorithm, extra
+    ):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="takes no keyword"):
+            SamplePoint("a", 2, 4, algorithm, 4096, extra=extra)
+
+    def test_unknown_keyword_rejected_when_a_sweep_expands(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="bogus"):
+            small_spec(extra={"bogus": 1}).points()
+
+    @pytest.mark.parametrize("radices", [(3,), (2, 2), (2, 2, 3), (1, 8)])
+    def test_radices_that_do_not_factor_the_job_rejected(self, radices):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="radices"):
+            SamplePoint(
+                "a", 2, 4, "generalized", 4096, extra=(("radices", radices),)
+            )
+
+    @pytest.mark.parametrize("radices", [(8,), (2, 4), (2, 2, 2)])
+    def test_radices_that_factor_the_job_accepted(self, radices):
+        point = SamplePoint(
+            "a", 2, 4, "generalized", 4096, extra=(("radices", radices),)
+        )
+        assert point.alg_kwargs() == {"radices": radices}
+
+    def test_keywords_unchecked_without_a_named_algorithm(self):
+        point = SamplePoint("a", 2, 4, None, 4096, extra=(("bogus", 1),))
+        assert point.alg_kwargs() == {"bogus": 1}
+
+    def test_keywords_unchecked_when_the_algorithm_takes_any(self, monkeypatch):
+        from repro.core.phases import AllreduceAlgorithm
+        from repro.mpi.collectives import registry
+
+        def anything(comm, payload, op, **kwargs):
+            yield from ()
+
+        record = AllreduceAlgorithm("anything", anything, exempt="test only")
+        monkeypatch.setitem(registry._ALLREDUCE, "anything", record)
+        point = SamplePoint("a", 2, 4, "anything", 4096, extra=(("bogus", 1),))
+        assert point.alg_kwargs() == {"bogus": 1}
 
 
 class TestHashing:

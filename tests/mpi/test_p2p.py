@@ -6,7 +6,8 @@ import pytest
 from repro.errors import DeadlockError
 from repro.machine.clusters import cluster_b
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_job
-from repro.payload import DataPayload, SymbolicPayload, make_payload
+from repro.payload import SUM, DataPayload, SymbolicPayload, make_payload
+from repro.sim import Simulator
 
 
 def job(nranks=4, ppn=2, nodes=4):
@@ -187,6 +188,34 @@ class TestDeadlocks:
         assert info.value.blocked == ["send r0->r1 tag=5"]
         if info.value.wait_graph:
             assert list(info.value.wait_graph) == ["send r0->r1 tag=5"]
+
+
+class TestProcesses:
+    def test_only_rank_coroutines_are_processes(self, monkeypatch):
+        """Messages, copies and combines run as continuations: a job of
+        barriers and allreduces (eager and rendezvous, intra- and
+        inter-node) starts one process per rank and no other."""
+        names = []
+        process = Simulator.process
+
+        def counting(sim, gen, name=""):
+            names.append(name)
+            return process(sim, gen, name=name)
+
+        monkeypatch.setattr(Simulator, "process", counting)
+
+        def fn(comm):
+            yield from comm.barrier()
+            out = []
+            for count in (8, 8192):
+                data = make_payload(count, data=np.full(count, float(comm.rank)))
+                result = yield from comm.allreduce(data, SUM)
+                out.append(float(result.array[0]))
+            return out
+
+        res = run_job(cluster_b(2), 8, fn, ppn=4)
+        assert res.values == [[28.0, 28.0]] * 8
+        assert sorted(names) == [f"rank{r}" for r in range(8)]
 
 
 class TestTiming:
