@@ -7,7 +7,21 @@ and a dict from each later pending time to its entry (or to a list of
 its entries, once a second one shares the time), plus a heap of those
 times as plain floats.  When an event fires, every process waiting on
 it is resumed with the event's value (or has the event's exception
-thrown into it).
+thrown into it), and every other waiter is called with the event.
+
+Continuations
+-------------
+Not everything that waits is a process.  A callable waiter is a
+*continuation* step: it runs inside the dispatch that fires its event,
+and :meth:`Simulator.hop` calls one from a zero-delay entry, the slot a
+process start takes.  :mod:`repro.mpi.transport` moves every message
+this way.  An event may also carry one follow-on FCFS stage
+(:meth:`Event.then`): when it fires, the loop submits the stage's job in
+the same dispatch and moves the event's waiters, unresumed, to the
+job's completion event.  That is how a copy or a combine hands its
+waiter to the node memory engine.  A process that yields None goes on
+at once, without a calendar entry (a charged primitive with nothing to
+charge returns None).
 
 Determinism
 -----------
@@ -56,7 +70,9 @@ Deadlock detection
 the event calendar drains while processes are still alive and
 blocked.  This is the simulated analogue of an MPI job hanging on an
 unmatched receive, and it turns subtle collective-algorithm bugs into
-crisp test failures.
+crisp test failures.  A continuation that waits on a peer joins the
+same live set while it waits, with a ``name`` and a ``_waiting_on``
+like a process, so the report names it too.
 
 Sanitizing
 ----------
@@ -105,9 +121,10 @@ _PROCESSED = 2  # waiters have run; .value is final
 #   None it fires ``event`` like a delayed entry; otherwise it hands
 #   one outcome to one waiter: a process is resumed with ``(value,
 #   ok)``, any other waiter is called with ``event``, the
-#   already-processed event it attached to.  A process start names no
-#   event (``(None, process, None, True)``) and an interrupt names its
-#   own error (``(error, process, error, False)``).
+#   already-processed event it attached to.  A process start and a
+#   continuation's hop name no event (``(None, process, None, True)``,
+#   ``(None, callback, None, True)``) and an interrupt names its own
+#   error (``(error, process, error, False)``).
 #
 # Compat mode schedules only delayed entries.  Simulator._schedule
 # places delayed entries; zero-delay entries are appended to
@@ -494,7 +511,8 @@ class Simulator:
         self._due: deque = deque()
         self._cal: dict[float, Any] = {}
         self._times: list[float] = []
-        self._live_processes: set[Process] = set()
+        # Live processes, and continuations blocked on a peer.
+        self._live_processes: set = set()
         self._compat: bool = _env_compat() if compat is None else bool(compat)
         # Free pools of processed, unreferenced one-shot events.
         self._pool_event: list[Event] = []

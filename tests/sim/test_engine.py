@@ -892,3 +892,110 @@ class TestEventPool:
         assert sim.counters()["events_allocated"] > 0
         sim.reset()
         assert all(v == 0 for v in sim.counters().values())
+
+
+class TestContinuations:
+    """Callable waiters, hops and follow-on FCFS stages: the parts of
+    the kernel the transport's continuations and the machine's charged
+    primitives run on."""
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_follow_on_stage_hands_the_waiter_to_the_queue(self, compat):
+        from repro.sim import FCFSQueue
+
+        sim = Simulator(compat=compat)
+        queue = FCFSQueue(sim, "mem")
+        log = []
+
+        def proc():
+            got = yield sim.timeout(1.0).then(queue, 2.0)
+            log.append(("proc", sim.now, got))
+
+        def busy():
+            yield sim.timeout(2.0)
+            queue.submit(0.5)
+
+        sim.process(proc())
+        sim.process(busy())
+        sim.timeout(1.0).then(queue, 0.25)._add_callback(
+            lambda ev: log.append(("callback", sim.now, ev.value))
+        )
+        sim.run()
+        # Each stage is submitted when its timeout fires (t=1, the
+        # callback's first: its timeout was scheduled before the process
+        # started), so both queue ahead of the job submitted at t=2, and
+        # each waiter resumes with its stage's completion time.
+        assert log == [("callback", 1.25, 1.25), ("proc", 3.25, 3.25)]
+        assert queue.job_count == 3
+
+    def test_follow_on_stage_costs_no_resume(self):
+        from repro.sim import FCFSQueue
+
+        def run(chained):
+            sim = Simulator()
+            queue = FCFSQueue(sim, "mem")
+
+            def proc():
+                if chained:
+                    yield sim.timeout(1.0).then(queue, 2.0)
+                else:
+                    yield sim.timeout(1.0)
+                    yield queue.submit(2.0)
+                return sim.now
+
+            p = sim.process(proc())
+            sim.run()
+            return p.value, sim.counters()
+
+        assert run(chained=True) == run(chained=False)
+
+    def test_chained_event_is_recycled(self):
+        from repro.sim import FCFSQueue
+
+        sim = Simulator()
+        queue = FCFSQueue(sim, "mem")
+
+        def proc():
+            yield sim.timeout(1.0).then(queue, 1.0)
+
+        sim.process(proc())
+        sim.run()
+        assert len(sim._pool_timeout) == 1
+        assert sim._pool_timeout[0]._then is None
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_hop_runs_behind_entries_already_due(self, compat):
+        sim = Simulator(compat=compat)
+        log = []
+
+        def proc():
+            log.append("process")
+            yield sim.timeout(0.0)
+            log.append("process resumed")
+
+        sim.process(proc())
+        sim.hop(lambda _: log.append("hop"))
+        sim.run()
+        assert log == ["process", "hop", "process resumed"]
+        counters = sim.counters()
+        entries = counters["heap_pops"] + counters["nowq_entries"]
+        assert entries == 4  # start, hop, timeout, completion
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_yielding_none_goes_on_without_an_entry(self, compat):
+        def run(with_none):
+            sim = Simulator(compat=compat)
+
+            def proc():
+                yield sim.timeout(1.0)
+                if with_none:
+                    got = yield None
+                    assert got is None
+                yield sim.timeout(1.0)
+                return sim.now
+
+            p = sim.process(proc())
+            sim.run()
+            return p.value, sim.counters()
+
+        assert run(with_none=True) == run(with_none=False)
