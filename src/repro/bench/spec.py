@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro import canonical
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, MPIError, ReproError
 from repro.machine.clusters import get_cluster
 from repro.machine.config import (
     FabricConfig,
@@ -186,26 +186,21 @@ class SamplePoint:
     def _check_extra(self) -> None:
         """Reject, before any simulation, keywords the named allreduce
         does not take and ``radices`` that do not factor the job."""
-        from repro.errors import MPIError
         from repro.mpi.collectives.generalized import _resolve_radices
         from repro.mpi.collectives.registry import allreduce_keywords
 
-        keys = [key for key, _ in self.extra]
-        accepted = (
-            None if self.algorithm is None
-            else allreduce_keywords(self.algorithm)
-        )
-        unknown = sorted(set(keys) - accepted) if accepted is not None else ()
-        if unknown:
-            raise ConfigError(
-                f"allreduce {self.algorithm!r} takes no keyword(s) "
-                f"{', '.join(unknown)}; it takes: "
-                f"{', '.join(sorted(accepted)) or 'none'}"
-            )
-        radices = dict(self.extra).get("radices")
-        if radices is not None:
+        kwargs = dict(self.extra)
+        if self.algorithm is not None:
+            accepted = allreduce_keywords(self.algorithm)
+            if accepted is not None and not accepted.issuperset(kwargs):
+                raise ConfigError(
+                    f"allreduce {self.algorithm!r} takes no keyword(s) "
+                    f"{', '.join(sorted(set(kwargs) - accepted))}; it "
+                    f"takes: {', '.join(sorted(accepted)) or 'none'}"
+                )
+        if kwargs.get("radices") is not None:
             try:
-                _resolve_radices(self.nranks, radices)
+                _resolve_radices(self.nranks, kwargs["radices"])
             except MPIError as err:
                 raise ConfigError(str(err)) from None
 

@@ -98,12 +98,17 @@ class Transport:
             return req
 
         machine = self.machine
-        eager = nbytes <= machine.config.fabric.eager_threshold
-        if machine.same_node(src, dst):
-            side = _EagerIntra if eager else _RndvIntra
+        intra = machine.same_node(src, dst)
+        if nbytes <= machine.config.fabric.eager_threshold:
+            env = Envelope(src, dst, tag, context, EAGER, payload, nbytes, seq)
+            side = _EagerIntra if intra else _EagerInter
         else:
-            side = _EagerInter if eager else _RndvInter
-        self.sim.hop(side(self, src, dst, payload, tag, context, seq, req).start)
+            env = Envelope(
+                src, dst, tag, context, RTS, None, nbytes, seq,
+                rndv=RndvState(self),
+            )
+            side = _RndvIntra if intra else _RndvInter
+        self.sim.hop(side(self, env, payload, req).start)
         return req
 
     def irecv(self, rank: int, src: int, tag: int, context: int) -> Request:
@@ -155,59 +160,48 @@ class _Send(_Side):
     :meth:`Transport.isend` takes.  Rendezvous paths define
     ``cts_arrived``, and paths that copy define ``stored``."""
 
-    __slots__ = (
-        "src", "dst", "payload", "tag", "context", "seq", "req", "service",
-        "env",
-    )
+    __slots__ = ("env", "payload", "req", "service")
 
-    def __init__(self, transport, src, dst, payload, tag, context, seq, req):
+    def __init__(self, transport, env, payload, req):
         self.transport = transport
-        self.src = src
-        self.dst = dst
+        self.env = env
         self.payload = payload
-        self.tag = tag
-        self.context = context
-        self.seq = seq
         self.req = req
 
     @property
     def name(self) -> str:
         """The live-process name while waiting on the receiver."""
-        return f"send r{self.src}->r{self.dst} tag={self.tag}"
+        env = self.env
+        return f"send r{env.src}->r{env.dst} tag={env.tag}"
 
-    def deliver_eager(self, _) -> None:
-        """The eager payload is at the receiver: match it."""
-        env = Envelope(
-            self.src, self.dst, self.tag, self.context, EAGER, self.payload,
-            self.payload.nbytes, self.seq,
-        )
+    def deliver(self, _) -> None:
+        """The eager payload or the RTS is at the receiver: match it;
+        an RTS then waits for the CTS."""
         transport = self.transport
-        transport.matchers[self.dst].arrive(env)
-        transport.sim.hop(_finished)
+        env = self.env
+        transport.matchers[env.dst].arrive(env)
+        if env.rndv is None:
+            transport.sim.hop(_finished)
+        else:
+            self.await_peer(env.rndv.cts, self.cts_arrived)
 
-    def make_rts(self) -> None:
-        """The RTS envelope and the exchange's out-of-band events."""
-        self.env = Envelope(
-            self.src, self.dst, self.tag, self.context, RTS, None,
-            self.payload.nbytes, self.seq, rndv=RndvState(self.transport),
-        )
-
-    def deliver_rts(self, _) -> None:
-        """The RTS is at the receiver: match it, then wait for the CTS."""
-        self.transport.matchers[self.dst].arrive(self.env)
-        self.await_peer(self.env.rndv.cts, self.cts_arrived)
+    def hand_over(self, _) -> None:
+        """The rendezvous payload is in the receiver's buffer."""
+        self.env.rndv.data_done.succeed(self.payload)
+        self.transport.sim.hop(_finished)
 
     def copy(self, _) -> None:
         """Copy the payload on the sender's core: into the shm FIFO, or
         straight into the receiver's buffer."""
         machine = self.transport.machine
-        cross = not machine.same_socket(self.src, self.dst)
+        env = self.env
+        cross = not machine.same_socket(env.src, env.dst)
         node = machine.config.node
         byte_time = node.copy_byte_time * (
             node.intersocket_byte_factor if cross else 1.0
         )
-        self.service = node.copy_latency + self.payload.nbytes * byte_time
-        machine.engine_submit(self.src, self.service, "copy")._add_callback(
+        self.service = node.copy_latency + env.nbytes * byte_time
+        machine.engine_submit(env.src, self.service, "copy")._add_callback(
             self.copied
         )
 
@@ -215,9 +209,9 @@ class _Send(_Side):
         """The core's copy is done; the node memory engine streams it."""
         machine = self.transport.machine
         machine.tracer.charge("copy", self.service)
-        mem_service = self.payload.nbytes * machine.config.node.mem_byte_time
+        mem_service = self.env.nbytes * machine.config.node.mem_byte_time
         if mem_service > 0:
-            machine.mem[machine.node_of(self.src)].submit(
+            machine.mem[machine.node_of(self.env.src)].submit(
                 mem_service
             )._add_callback(self.stored)
         else:
@@ -227,18 +221,17 @@ class _Send(_Side):
         """Queue ``nbytes`` of injection work on the sender's engine."""
         machine = self.transport.machine
         self.service = machine.injection_service(nbytes)
-        machine.engine_submit(self.src, self.service, label)._add_callback(step)
+        machine.engine_submit(self.env.src, self.service, label)._add_callback(
+            step
+        )
 
     def send_payload(self, step) -> None:
         """The payload left the sender's engine: the request completes
         and the payload goes over the wire."""
-        machine = self.transport.machine
-        machine.tracer.charge("net-send", self.service)
+        self.transport.machine.tracer.charge("net-send", self.service)
         self.req.complete()
-        _Wire(
-            self.transport, machine.node_of(self.src),
-            machine.node_of(self.dst), self.payload.nbytes, self.src, step,
-        )
+        env = self.env
+        _Wire(self.transport, env.src, env.dst, env.nbytes, step)
 
 
 class _EagerInter(_Send):
@@ -247,10 +240,10 @@ class _EagerInter(_Send):
     __slots__ = ()
 
     def start(self, _) -> None:
-        self.inject(self.payload.nbytes, "net-send", self.injected)
+        self.inject(self.env.nbytes, "net-send", self.injected)
 
     def injected(self, _) -> None:
-        self.send_payload(self.deliver_eager)
+        self.send_payload(self.deliver)
 
 
 class _RndvInter(_Send):
@@ -259,27 +252,18 @@ class _RndvInter(_Send):
     __slots__ = ()
 
     def start(self, _) -> None:
-        self.make_rts()
         # RTS control message (zero bytes) travels the ordered stream.
         self.inject(0, "net-ctrl", self.rts_injected)
 
     def rts_injected(self, _) -> None:
-        machine = self.transport.machine
-        _Wire(
-            self.transport, machine.node_of(self.src),
-            machine.node_of(self.dst), 0, self.src, self.deliver_rts,
-        )
+        _Wire(self.transport, self.env.src, self.env.dst, 0, self.deliver)
 
     def cts_arrived(self, _) -> None:
         self.peer_arrived()
-        self.inject(self.payload.nbytes, "net-send", self.injected)
+        self.inject(self.env.nbytes, "net-send", self.injected)
 
     def injected(self, _) -> None:
-        self.send_payload(self.delivered)
-
-    def delivered(self, _) -> None:
-        self.env.rndv.data_done.succeed(self.payload)
-        self.transport.sim.hop(_finished)
+        self.send_payload(self.hand_over)
 
 
 class _EagerIntra(_Send):
@@ -294,7 +278,7 @@ class _EagerIntra(_Send):
         transport = self.transport
         transport.sim.timeout(
             transport.machine.config.node.flag_latency
-        )._add_callback(self.deliver_eager)
+        )._add_callback(self.deliver)
 
 
 class _RndvIntra(_Send):
@@ -303,8 +287,7 @@ class _RndvIntra(_Send):
     __slots__ = ()
 
     def start(self, _) -> None:
-        self.make_rts()
-        self.transport.machine.flag_sync()._add_callback(self.deliver_rts)
+        self.transport.machine.flag_sync()._add_callback(self.deliver)
 
     def cts_arrived(self, _) -> None:
         self.peer_arrived()
@@ -312,8 +295,7 @@ class _RndvIntra(_Send):
 
     def stored(self, _) -> None:
         self.req.complete()
-        self.env.rndv.data_done.succeed(self.payload)
-        self.transport.sim.hop(_finished)
+        self.hand_over(None)
 
 
 class _Recv(_Side):
@@ -370,11 +352,7 @@ class _Recv(_Side):
             )._add_callback(self.cts_injected)
 
     def cts_injected(self, _) -> None:
-        machine = self.transport.machine
-        _Wire(
-            self.transport, machine.node_of(self.rank),
-            machine.node_of(self.env.src), 0, self.rank, self.cts_posted,
-        )
+        _Wire(self.transport, self.rank, self.env.src, 0, self.cts_posted)
 
     def cts_posted(self, _) -> None:
         rndv = self.env.rndv
@@ -400,7 +378,7 @@ class _Recv(_Side):
 
 
 class _Wire:
-    """One trip from a node's NIC to another's; ``then`` runs from a hop
+    """One trip from ``src``'s NIC to ``dst``'s; ``then`` runs from a hop
     once every chunk is in.
 
     Chunks leave through the source NIC's TX pipeline one after
@@ -410,30 +388,30 @@ class _Wire:
     trip first waits out any active
     :class:`~repro.faults.plan.LinkOutage` with the plan's capped
     exponential backoff (raising :class:`~repro.errors.TransportError`
-    once retries exhaust, attributed to ``rank`` and the edge), and
-    any active :class:`~repro.faults.plan.LinkDegrade` scales the wire
+    once retries exhaust, attributed to ``src`` and the edge), and any
+    active :class:`~repro.faults.plan.LinkDegrade` scales the wire
     latency and per-chunk service — sampled once per message at
     injection time, so one message sees one consistent degradation
     level.
     """
 
     __slots__ = (
-        "transport", "src_node", "dst_node", "nbytes", "rank", "then", "tx",
-        "latency", "stages", "factor", "attempts", "chunks", "sent",
-        "service", "remaining", "early",
+        "transport", "rank", "src_node", "dst_node", "then", "tx", "latency",
+        "stages", "chunks", "factor", "attempts", "sent", "service",
+        "remaining", "early",
     )
 
-    def __init__(self, transport, src_node, dst_node, nbytes, rank, then):
+    def __init__(self, transport, src, dst, nbytes, then):
         machine = transport.machine
         self.transport = transport
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.nbytes = nbytes
-        self.rank = rank
+        self.rank = src
+        self.src_node = src_node = machine.node_of(src)
+        self.dst_node = dst_node = machine.node_of(dst)
         self.then = then
         self.tx = machine.nic_tx[src_node]
         self.latency = machine.config.fabric.wire_latency
         self.stages = machine.fabric_stages(src_node, dst_node)
+        self.chunks = machine.nic_chunks(nbytes)
         self.factor = 1.0
         # Chunks still to land once the last one has left (None before).
         self.remaining = None
@@ -494,14 +472,12 @@ class _Wire:
 
     def inject(self) -> None:
         """The edge is open: sample its degradation, send chunk one."""
-        machine = self.transport.machine
-        faults = machine.faults
+        faults = self.transport.machine.faults
         if faults is not None and faults.has_link_degrade:
             latency_factor, self.factor = faults.link_factors(
                 self.src_node, self.dst_node, self.transport.sim.now
             )
             self.latency *= latency_factor
-        self.chunks = machine.nic_chunks(self.nbytes)
         self.sent = 0
         self.submit_chunk()
 
@@ -515,7 +491,7 @@ class _Wire:
     def chunk_sent(self, _) -> None:
         """A chunk left the TX pipeline: start its path, send the next."""
         chunk = _Chunk(self, self.chunks[self.sent], self.service)
-        self.transport.sim.hop(chunk.start)
+        self.transport.sim.hop(chunk.advance)
         self.sent += 1
         if self.sent < len(self.chunks):
             self.submit_chunk()
@@ -553,8 +529,9 @@ class _Chunk:
         self.service = service
         self.leg = 0
 
-    def start(self, _) -> None:
-        """Run the next leg (the first from the chunk's hop)."""
+    def advance(self, _) -> None:
+        """Run the next leg (the first from the chunk's hop); after the
+        last, hop to the wire."""
         wire = self.wire
         leg = self.leg
         self.leg = leg + 1
@@ -564,11 +541,11 @@ class _Chunk:
             stage = stages[leg]
             sim.timeout(stage.latency).then(
                 stage.queue, stage.service(self.nbytes)
-            )._add_callback(self.start)
+            )._add_callback(self.advance)
         elif leg == len(stages):
             rx = wire.transport.machine.nic_rx[wire.dst_node]
             sim.timeout(wire.latency).then(rx, self.service)._add_callback(
-                self.start
+                self.advance
             )
         else:
             sim.hop(wire.chunk_finished)

@@ -12,7 +12,9 @@ simpy, specialised for the needs of the cluster models in
   ``docs/performance.md``).
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout`
   / :class:`~repro.sim.engine.Process` — the waitables a coroutine can
-  ``yield``.
+  ``yield``; a callable waiting on an event is a continuation step,
+  ``Simulator.hop`` schedules one, and ``Event.then`` chains an FCFS
+  stage behind an event.
 * :class:`~repro.sim.engine.AllOf` / :class:`~repro.sim.engine.AnyOf` —
   composite waits (used by ``MPI_Waitall`` / ``MPI_Waitany``).
 * :class:`~repro.sim.resources.FCFSQueue` — a work-conserving

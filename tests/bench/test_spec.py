@@ -152,7 +152,9 @@ class TestExpansion:
         point = SamplePoint("a", 2, 4, None, 4096, extra=(("bogus", 1),))
         assert point.alg_kwargs() == {"bogus": 1}
 
-    def test_keywords_unchecked_when_the_algorithm_takes_any(self, monkeypatch):
+    def test_keywords_unchecked_when_the_algorithm_takes_any(
+        self, monkeypatch
+    ):
         from repro.core.phases import AllreduceAlgorithm
         from repro.mpi.collectives import registry
 

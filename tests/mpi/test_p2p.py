@@ -169,7 +169,9 @@ class TestDeadlocks:
         with pytest.raises(DeadlockError):
             run_job(config, n, fn, ppn=ppn)
 
-    @pytest.mark.parametrize("nodes, ppn", [(1, 2), (2, 1)], ids=["intra", "inter"])
+    @pytest.mark.parametrize(
+        "nodes, ppn", [(1, 2), (2, 1)], ids=["intra", "inter"]
+    )
     def test_unreceived_rendezvous_isend_deadlocks_with_named_send(
         self, nodes, ppn
     ):
@@ -208,7 +210,9 @@ class TestProcesses:
             yield from comm.barrier()
             out = []
             for count in (8, 8192):
-                data = make_payload(count, data=np.full(count, float(comm.rank)))
+                data = make_payload(
+                    count, data=np.full(count, float(comm.rank))
+                )
                 result = yield from comm.allreduce(data, SUM)
                 out.append(float(result.array[0]))
             return out
