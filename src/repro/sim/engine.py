@@ -239,8 +239,7 @@ class Event:
         When the event fires, :meth:`Simulator.run` submits the job in
         the same dispatch and moves the event's waiters, unresumed, to
         the job's completion event, so a waiter resumes only once both
-        legs are done.  That is how a copy or a combine hands its
-        waiter to the node memory engine without a resume in between.
+        legs are done.
         """
         self._then = (queue, service)
         return self
