@@ -65,10 +65,15 @@ PAYLOAD_KEYS = ("bytes_copied", "bytes_viewed", "bytes_reduced")
 #: The machine's per-rank and per-node queue tables, built on first use.
 QUEUE_TABLES = ("engine", "nic_tx", "nic_rx", "mem")
 
-#: fig5 floors on the compat/fast ratios: the fast paths must allocate
-#: at least 3x fewer events and copy at least 5x fewer payload bytes.
+#: fig5 floors on the seed/fast ratios: the fast paths must allocate
+#: at least 3x fewer events and copy at least 5x fewer payload bytes
+#: than the seed's heap-only kernel and copy-always payloads did.
 MIN_EVENTS_RATIO = 3.0
 MIN_BYTES_COPIED_RATIO = 5.0
+
+#: The fig5 grid's totals as the seed ran it (heap-only kernel,
+#: copy-always payloads), frozen: the denominators of the floors.
+SEED_FIG5_TOTALS = {"events_allocated": 51272, "bytes_copied": 60555264}
 
 #: Figure-shaped grids on 4 nodes x 8 ppn:
 #: (cluster, algorithm, nbytes, leaders, iterations).
@@ -637,7 +642,12 @@ def test_compat_and_fast_latency_identical(grids, name):
 
 
 def test_fig5_floors(grids):
-    ratios = grids["fig5"][0]["ratios"]
+    totals = grids["fig5"][0]["totals"]
+    for key, seed in SEED_FIG5_TOTALS.items():
+        assert totals["compat"][key] == seed
+    ratios = {
+        key: seed / totals["fast"][key] for key, seed in SEED_FIG5_TOTALS.items()
+    }
     assert ratios["events_allocated"] >= MIN_EVENTS_RATIO, ratios
     assert ratios["bytes_copied"] >= MIN_BYTES_COPIED_RATIO, ratios
 
