@@ -40,7 +40,7 @@ from typing import Optional
 from repro import canonical
 from repro.bench.executor import SerialExecutor, _session_for, run_point
 from repro.bench.spec import PointResult, SamplePoint, SweepResult, SweepSpec
-from repro.bench.store import ResultStore, compat_snapshot, point_key
+from repro.bench.store import ResultStore, point_key
 from repro.errors import ReproError
 
 __all__ = ["SweepService", "demo_specs", "run_demo", "main"]
@@ -173,10 +173,7 @@ class SweepService:
         t0 = time.perf_counter()
         points = spec.points()
         spec_hash = spec.full_hash()
-        compat = compat_snapshot()
-        keys = [
-            point_key(p, spec_hash=spec_hash, compat=compat) for p in points
-        ]
+        keys = [point_key(p, spec_hash=spec_hash) for p in points]
         results: list[Optional[PointResult]] = [None] * len(points)
         hits = 0
         if self.store is not None:

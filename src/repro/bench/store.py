@@ -1,13 +1,13 @@
 """Content-addressed result store: never simulate the same point twice.
 
 Every :class:`~repro.bench.spec.SamplePoint` is a pure function of its
-fields, the execution environment's compat switches, and the code
-version — so its measurement can be cached forever under a key that
-digests exactly those inputs.  This module provides that cache:
+fields and the code version — so its measurement can be cached forever
+under a key that digests exactly those inputs.  This module provides
+that cache:
 
 * :func:`point_key` — the full (untruncated) sha256 digest of the
   canonical JSON encoding of ``(spec full hash, point, fault plan hash,
-  fault seed, fidelity, compat modes, repro version, schema)``;
+  fault seed, fidelity, repro version, schema)``;
 * :class:`ResultStore` — a persistent directory of content-addressed
   blobs with atomic writes (temp file + ``os.replace``), integrity
   verification on every read (the blob's canonical payload is re-hashed
@@ -44,12 +44,10 @@ from repro import canonical
 from repro._version import __version__
 from repro.bench.spec import PointResult, SamplePoint, SweepSpec
 from repro.errors import ReproError
-from repro.payload.payload import payload_compat
 
 __all__ = [
     "STORE_SCHEMA",
     "STORE_ENV",
-    "compat_snapshot",
     "point_key",
     "spec_keys",
     "StoreEntry",
@@ -59,41 +57,13 @@ __all__ = [
 ]
 
 #: Bumping this invalidates every existing key (format migrations).
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 #: Environment variable naming the default store directory.
 STORE_ENV = "REPRO_RESULT_STORE"
 
-_TRUTHY = ("1", "true", "yes", "on")
 
-
-def _kernel_compat() -> bool:
-    """Whether the heap-only compat kernel is forced via the environment.
-
-    Mirrors the simulator's own ``REPRO_KERNEL_COMPAT`` parsing; the
-    golden counter tests flip compat per-session instead (and never
-    route those runs through a store), so the environment default is
-    the honest execution-mode fact for cached sweeps.
-    """
-    return os.environ.get("REPRO_KERNEL_COMPAT", "").lower() in _TRUTHY
-
-
-def compat_snapshot() -> dict:
-    """The execution-mode facts that join every store key.
-
-    Compat modes must be keyed: they are bit-identical in *simulated
-    time* but not in counters, and a store shared between modes must
-    never let one mode's blob answer for the other.
-    """
-    return {"kernel": _kernel_compat(), "payload": payload_compat()}
-
-
-def point_key(
-    point: SamplePoint,
-    *,
-    spec_hash: str,
-    compat: Optional[dict] = None,
-) -> str:
+def point_key(point: SamplePoint, *, spec_hash: str) -> str:
     """Full sha256 store key for one measurement.
 
     ``spec_hash`` is the owning spec's **untruncated**
@@ -119,19 +89,14 @@ def point_key(
             point.faults.plan_hash() if point.faults is not None else None
         ),
         "fault_seed": point.seed,
-        "compat": compat if compat is not None else compat_snapshot(),
     }
     return canonical.sha256(key)
 
 
-def spec_keys(spec: SweepSpec, *, compat: Optional[dict] = None) -> list[str]:
+def spec_keys(spec: SweepSpec) -> list[str]:
     """Store keys for every point of ``spec``, in expansion order."""
     spec_hash = spec.full_hash()
-    snap = compat if compat is not None else compat_snapshot()
-    return [
-        point_key(p, spec_hash=spec_hash, compat=snap)
-        for p in spec.iter_points()
-    ]
+    return [point_key(p, spec_hash=spec_hash) for p in spec.iter_points()]
 
 
 class StoreEntry:
@@ -156,7 +121,7 @@ class ResultStore:
         {"integrity": "<sha256 of canonical payload>",
          "payload": {"key": "<full key>",
                      "result": {"error": null, "latency": 1.2e-05},
-                     "repro": "<version>", "schema": 1}}
+                     "repro": "<version>", "schema": 2}}
 
     serialised canonically (sorted keys, no whitespace, trailing
     newline).  A read re-hashes the payload and checks both the

@@ -120,10 +120,7 @@ class ShmRegion:
         reuse impossible while an entry lives.
         """
         from repro.payload.payload import concat as _concat
-        from repro.payload.payload import payload_compat
 
-        if payload_compat():
-            return _concat(parts)
         key = tuple(parts)
         cached = self._concat_cache.get(key)
         if cached is None:

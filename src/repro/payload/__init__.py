@@ -26,7 +26,6 @@ from repro.payload.payload import (
     payload_counters,
     reduce_payloads,
     reset_payload_counters,
-    set_payload_compat,
     split_bounds,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "payload_counters",
     "reduce_payloads",
     "reset_payload_counters",
-    "set_payload_compat",
     "split_bounds",
 ]

@@ -16,9 +16,7 @@ result), so :meth:`DataPayload.slice` hands out read-only numpy *views*
 instead of copies, and :func:`concat` of adjacent sibling views returns
 a view of the shared parent range without touching the data — the
 simulated analogue of the zero-copy shared-memory discipline the
-multi-leader design relies on.  ``REPRO_PAYLOAD_COMPAT=1`` (or
-:func:`set_payload_compat`) restores the historical copy-everywhere
-behaviour; results are bit-identical either way.
+multi-leader design relies on.
 
 The module keeps deterministic byte counters (:func:`payload_counters`)
 so the golden counter tests can pin data-movement savings that do not
@@ -28,7 +26,6 @@ depend on the host machine.
 from __future__ import annotations
 
 import functools
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,33 +41,8 @@ __all__ = [
     "make_payload",
     "payload_counters",
     "reset_payload_counters",
-    "set_payload_compat",
     "split_bounds",
 ]
-
-_COMPAT = os.environ.get("REPRO_PAYLOAD_COMPAT", "").lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-
-def set_payload_compat(flag: bool) -> None:
-    """Force (or lift) copy-everywhere compatibility mode.
-
-    Overrides the ``REPRO_PAYLOAD_COMPAT`` environment default for the
-    rest of the process; the golden counter tests flip this to pin
-    honest before/after byte counters in one interpreter.
-    """
-    global _COMPAT
-    _COMPAT = bool(flag)
-
-
-def payload_compat() -> bool:
-    """Whether the copy-everywhere compatibility mode is active."""
-    return _COMPAT
-
 
 class _Counters:
     """Deterministic byte counters for the payload layer."""
@@ -93,8 +65,7 @@ def payload_counters() -> dict[str, int]:
     """Snapshot of the module-wide byte counters.
 
     ``bytes_copied`` counts every physical duplication of payload data
-    (slice copies in compat mode, ``concat`` materializations,
-    :meth:`Payload.copy`); ``bytes_viewed`` counts bytes shared through
+    (``concat`` materializations, :meth:`Payload.copy`); ``bytes_viewed`` counts bytes shared through
     zero-copy views instead; ``bytes_reduced`` counts reduction output
     bytes (fresh workspace, reported separately because it is not data
     movement).  Counters are process-global — reset around the region
@@ -229,10 +200,6 @@ class DataPayload(Payload):
         return int(self.array.dtype.itemsize)
 
     def slice(self, start: int, stop: int) -> "DataPayload":
-        if _COMPAT:
-            out = self.array[start:stop].copy()
-            _COUNTERS.bytes_copied += out.nbytes
-            return DataPayload(out)
         # Normalize python-slice semantics (clamping) so the recorded
         # offset matches what numpy actually sliced.
         a, b, _ = slice(start, stop).indices(self.array.shape[0])
@@ -381,11 +348,10 @@ def concat(parts: Sequence[Payload]) -> Payload:
     if all(isinstance(p, SymbolicPayload) for p in parts):
         return SymbolicPayload(sum(p.count for p in parts), parts[0].itemsize)
     if all(isinstance(p, DataPayload) for p in parts):
-        if not _COMPAT:
-            joined = _sibling_range(parts)
-            if joined is not None:
-                root, start, stop = joined
-                return DataPayload._view(root, start, stop)
+        joined = _sibling_range(parts)
+        if joined is not None:
+            root, start, stop = joined
+            return DataPayload._view(root, start, stop)
         out = np.concatenate([p.array for p in parts])
         _COUNTERS.bytes_copied += out.nbytes
         return DataPayload(out)

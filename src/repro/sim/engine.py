@@ -37,8 +37,7 @@ due FIFO in that order.  Entries
 for the current time, zero-delay ones included, join the due FIFO
 behind those already there, so they run before time advances.  The
 dispatch order is that of a heap of ``(time, seq, event)`` triples with
-a monotone tie-breaking ``seq``, without the ``seq``; compat mode (see
-:class:`Simulator`) turns the fast paths off for differential runs.
+a monotone tie-breaking ``seq``, without the ``seq``.
 
 Fast paths
 ----------
@@ -90,7 +89,6 @@ is off.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import deque
 from heapq import heappop, heappush
@@ -126,9 +124,9 @@ _PROCESSED = 2  # waiters have run; .value is final
 #   ``(None, callback, None, True)``) and an interrupt names its own
 #   error (``(error, process, error, False)``).
 #
-# Compat mode schedules only delayed entries.  Simulator._schedule
-# places delayed entries; zero-delay entries are appended to
-# Simulator._due, in this module only (other modules call _schedule).
+# Simulator._schedule places delayed entries; zero-delay entries are
+# appended to Simulator._due, in this module only (other modules call
+# _schedule).
 
 # Free-pool tuning.  ``_POOLED_REFS`` is the refcount of a fired event
 # whose only remaining references are :meth:`Simulator.run`'s loop
@@ -139,15 +137,6 @@ _PROCESSED = 2  # waiters have run; .value is final
 _POOLED_REFS = 2
 _POOL_CAP = 4096
 _getrefcount = getattr(sys, "getrefcount", None)
-
-
-def _env_compat() -> bool:
-    return os.environ.get("REPRO_KERNEL_COMPAT", "").lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 class Event:
@@ -213,11 +202,10 @@ class Event:
         self._value = value
         self._ok = True
         self._state = _SCHEDULED
-        sim = self.sim
-        if delay == 0.0 and not sim._compat:
-            sim._due.append((self, None, None, None))
+        if delay == 0.0:
+            self.sim._due.append((self, None, None, None))
         else:
-            sim._schedule(self, delay)
+            self.sim._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -251,21 +239,7 @@ class Event:
         time, in schedule order) if the event has already been
         processed."""
         if self._state == _PROCESSED:
-            sim = self.sim
-            if sim._compat:
-                # Late waiter: resume it through a fresh delayed entry
-                # at the current time.  A process waits on the proxy
-                # instead, so an interrupt detaches it from the proxy.
-                proxy = Event(sim)
-                proxy._cb1 = cb
-                proxy._value = self._value
-                proxy._ok = self._ok
-                proxy._state = _SCHEDULED
-                if cb.__class__ is Process:
-                    cb._waiting_on = proxy
-                sim._schedule(proxy, 0.0)
-            else:
-                sim._due.append((self, cb, self._value, self._ok))
+            self.sim._due.append((self, cb, self._value, self._ok))
         elif self._cb1 is None and self.callbacks is None:
             self._cb1 = cb
         elif self.callbacks is None:
@@ -341,15 +315,7 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         sim._live_processes.add(self)
         # Kick off at the current time.
-        if sim._compat:
-            starter = Event(sim)
-            starter._value = None
-            starter._ok = True
-            starter._state = _SCHEDULED
-            starter._cb1 = self
-            sim._schedule(starter, 0.0)
-        else:
-            sim._due.append((None, self, None, True))
+        sim._due.append((None, self, None, True))
 
     @property
     def is_alive(self) -> bool:
@@ -370,17 +336,8 @@ class Process(Event):
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         self._detach()
-        sim = self.sim
         error = InterruptError(cause)
-        if sim._compat:
-            proxy = Event(sim)
-            proxy._value = error
-            proxy._ok = False
-            proxy._state = _SCHEDULED
-            proxy._cb1 = self
-            sim._schedule(proxy, 0.0)
-        else:
-            sim._due.append((error, self, error, False))
+        self.sim._due.append((error, self, error, False))
 
     def _detach(self) -> None:
         """Stop waiting: leave the waiter slots of the awaited event."""
@@ -389,24 +346,19 @@ class Process(Event):
             target._remove_callback(self)
             self._waiting_on = None
 
-    def _accepts(self, source: Any, value: Any, ok: bool) -> bool:
+    def _accepts(self, source: Any, value: Any) -> bool:
         """Whether a hand-off from ``source``, which this process does
         not wait on, resumes it (the loop's cold path).
 
-        Three hand-offs get here.  An interrupt (in fast mode an entry
-        naming its own error as the source, in compat mode a failing
-        proxy event) is dropped if the process has finished, and
-        otherwise detaches it from whatever it waits on now.  A compat
-        mode process start resumes it.  A fast-mode wake-up for an
-        event the process no longer waits on is dropped.
+        Two hand-offs get here.  An interrupt (an entry naming its own
+        error as the source) is dropped if the process has finished,
+        and otherwise detaches it from whatever it waits on now.  A
+        wake-up for an event the process no longer waits on is dropped.
         """
-        compat = self.sim._compat
-        if source is value or (compat and not ok):
-            if self._state != _PENDING:
-                return False
-            self._detach()
-            return True
-        return compat
+        if source is not value or self._state != _PENDING:
+            return False
+        self._detach()
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else "finished"
@@ -488,20 +440,9 @@ class Simulator:
     >>> sim.run()
     >>> proc.value
     3.0
-
-    ``compat=True`` (or ``REPRO_KERNEL_COMPAT=1``) disables every fast
-    path — every calendar entry is a delayed entry and no event is
-    pooled — reproducing the original kernel's allocation behaviour
-    exactly.
-    Results are bit-identical either way; compat exists so the golden
-    counter tests can pin honest before/after counters.
     """
 
-    def __init__(
-        self,
-        sanitize: Union[bool, Any, None] = None,
-        compat: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, sanitize: Union[bool, Any, None] = None) -> None:
         self.now: float = 0.0
         # The event calendar: the FIFO of the entries due now, and for
         # each later pending time its entry, or the list of its entries
@@ -512,7 +453,6 @@ class Simulator:
         self._times: list[float] = []
         # Live processes, and continuations blocked on a peer.
         self._live_processes: set = set()
-        self._compat: bool = _env_compat() if compat is None else bool(compat)
         # Free pools of processed, unreferenced one-shot events.
         self._pool_event: list[Event] = []
         self._pool_timeout: list[Timeout] = []
@@ -664,34 +604,25 @@ class Simulator:
     def hop(self, callback: Callable[[Any], None]) -> None:
         """Call ``callback`` from an entry due now, behind every entry
         already due: a continuation's step takes the calendar slot a
-        process start or completion would.
-
-        In fast mode the entry is a zero-delay tuple and ``callback``
-        gets None; in compat mode it is a delayed proxy event, passed
-        to ``callback`` when it fires.
+        process start or completion would.  The entry is a zero-delay
+        tuple; ``callback`` gets None.
         """
-        if self._compat:
-            proxy = Event(self)
-            proxy._cb1 = callback
-            proxy._state = _SCHEDULED
-            self._schedule(proxy, 0.0)
-        else:
-            self._due.append((None, callback, None, True))
+        self._due.append((None, callback, None, True))
 
     def _schedule(self, event: Event, delay: float) -> None:
         """Schedule ``event`` to fire after ``delay``, behind every entry
         already pending for that time.
 
-        In fast mode a zero delay makes a zero-delay entry in the due
-        FIFO (:meth:`Event.succeed` and process completion append that
+        A zero delay makes a zero-delay entry in the due FIFO
+        (:meth:`Event.succeed` and process completion append that
         themselves); anything else is a delayed entry, the bare event.
         A time's first delayed entry is stored bare, and only a second
         one opens a list for the time, so a time nobody shares costs a
-        dict key and a float in the time heap.  An entry for :attr:`now`
-        (compat mode's zero delays, or a delay too small to move the
-        clock) joins the due FIFO.
+        dict key and a float in the time heap.  A delay too small to
+        move the clock makes a delayed entry for :attr:`now`, which
+        joins the due FIFO.
         """
-        if delay == 0.0 and not self._compat:
+        if delay == 0.0:
             self._due.append((event, None, None, None))
             return
         if not delay >= 0:
@@ -759,9 +690,8 @@ class Simulator:
         cal = self._cal
         times = self._times
         live = self._live_processes
-        compat = self._compat
         sanitizer = self._sanitizer
-        pooling = not compat and _getrefcount is not None
+        pooling = _getrefcount is not None
         getrefcount = _getrefcount
         pool_event = self._pool_event
         pool_timeout = self._pool_timeout
@@ -840,7 +770,7 @@ class Simulator:
                     if waiter.__class__ is not Process:
                         waiter(event)
                     elif waiter._waiting_on is event or waiter._accepts(
-                        event, value, ok
+                        event, value
                     ):
                         # Resume the waiting process in this frame.
                         waiter._waiting_on = None
@@ -858,11 +788,7 @@ class Simulator:
                             waiter._ok = True
                             waiter._state = _SCHEDULED
                             # Its completion is due now.
-                            if compat:
-                                self._n_heap_push += 1
-                                due.append(waiter)
-                            else:
-                                due.append((waiter, None, None, None))
+                            due.append((waiter, None, None, None))
                         except BaseException as exc:
                             live.discard(waiter)
                             if waiter._cb1 is None and not waiter.callbacks:

@@ -4,11 +4,9 @@ Each scenario runs here directly and its observed record must equal the
 committed :data:`GOLDEN` entry exactly:
 
 * ``fig4``/``fig5``/``fig10`` — small figure-shaped DPML points (real
-  numpy data), each on two fresh sessions: once with the kernel and
-  payload layers in **compat** mode (heap-only event kernel,
-  copy-always payloads) and once in the default **fast** mode
-  (now-queue, event pools, copy-on-write views).  Kernel and payload
-  counters of both modes, their totals and the compat/fast ratios.
+  numpy data), each on a fresh session: the latency, the kernel and
+  payload counters of the fast paths (zero-delay entries, event pools,
+  copy-on-write views), and their totals.
 * ``scale10k``/``scale50k``/``scale100k`` — hybrid-fidelity DPML jobs
   at 10k-100k ranks on scaled cluster B, each on a fresh session: the
   kernel and payload counters, and how many queues and matchers the job
@@ -25,8 +23,8 @@ on history.  Host wall time is never asserted.
 When a change shifts a counter on purpose, copy the observed record
 printed by the failing test into :data:`GOLDEN` and say why in the
 change description.  The floors and identities checked by the other
-tests (fig5 savings, compat == fast latency, fleet launch at scale,
-warm store, traffic replay) hold whatever the table says.
+tests (fig5 savings against the frozen seed totals, fleet launch at
+scale, warm store, traffic replay) hold whatever the table says.
 """
 
 from __future__ import annotations
@@ -44,11 +42,7 @@ from repro.bench.store import ResultStore
 from repro.machine.clusters import get_cluster, scaled_cluster
 from repro.machine.fattree import FatTreeConfig
 from repro.mpi.runtime import SimSession
-from repro.payload.payload import (
-    payload_counters,
-    reset_payload_counters,
-    set_payload_compat,
-)
+from repro.payload.payload import payload_counters, reset_payload_counters
 from repro.traffic.fabric import SharedFabric
 from repro.traffic.runner import run_traffic
 from repro.traffic.workload import poisson_trace
@@ -106,12 +100,6 @@ GOLDEN = {
         "points": {
             "a/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.3095159999999986e-05,
-                "compat": {
-                    "events_allocated": 3241, "heap_pushes": 3241,
-                    "heap_pops": 3241, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 498, "heap_pushes": 1348,
                     "heap_pops": 1348, "nowq_entries": 1893,
@@ -121,12 +109,6 @@ GOLDEN = {
             },
             "a/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.338640000000001e-05,
-                "compat": {
-                    "events_allocated": 6301, "heap_pushes": 6301,
-                    "heap_pops": 6301, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 642, "heap_pushes": 3112,
                     "heap_pops": 3112, "nowq_entries": 3189,
@@ -136,12 +118,6 @@ GOLDEN = {
             },
             "a/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.0002497140799999998,
-                "compat": {
-                    "events_allocated": 3985, "heap_pushes": 3985,
-                    "heap_pops": 3985, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 14942208, "bytes_viewed": 0,
-                    "bytes_reduced": 1376256,
-                },
                 "fast": {
                     "events_allocated": 594, "heap_pushes": 1660,
                     "heap_pops": 1660, "nowq_entries": 2325,
@@ -151,12 +127,6 @@ GOLDEN = {
             },
             "a/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010230903999999999,
-                "compat": {
-                    "events_allocated": 7741, "heap_pushes": 7741,
-                    "heap_pops": 7741, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 14942208, "bytes_viewed": 0,
-                    "bytes_reduced": 1376256,
-                },
                 "fast": {
                     "events_allocated": 834, "heap_pushes": 3592,
                     "heap_pops": 3592, "nowq_entries": 4149,
@@ -166,12 +136,6 @@ GOLDEN = {
             },
         },
         "totals": {
-            "compat": {
-                "events_allocated": 21268, "heap_pushes": 21268,
-                "heap_pops": 21268, "nowq_entries": 0, "pool_reuses": 0,
-                "bytes_copied": 31457280, "bytes_viewed": 0,
-                "bytes_reduced": 3047424,
-            },
             "fast": {
                 "events_allocated": 2568, "heap_pushes": 9712,
                 "heap_pops": 9712, "nowq_entries": 11556, "pool_reuses": 12244,
@@ -179,18 +143,11 @@ GOLDEN = {
                 "bytes_reduced": 3047424,
             },
         },
-        "ratios": {"events_allocated": 8.2819, "bytes_copied": 9.8462},
     },
     "fig5": {
         "points": {
             "b/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.3095159999999986e-05,
-                "compat": {
-                    "events_allocated": 3241, "heap_pushes": 3241,
-                    "heap_pops": 3241, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 498, "heap_pushes": 1348,
                     "heap_pops": 1348, "nowq_entries": 1893,
@@ -200,12 +157,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/4096B/l2": {
                 "latency": 1.6246760000000026e-05,
-                "compat": {
-                    "events_allocated": 4261, "heap_pushes": 4261,
-                    "heap_pops": 4261, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 546, "heap_pushes": 1936,
                     "heap_pops": 1936, "nowq_entries": 2325,
@@ -215,12 +166,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.338640000000001e-05,
-                "compat": {
-                    "events_allocated": 6301, "heap_pushes": 6301,
-                    "heap_pops": 6301, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 642, "heap_pushes": 3112,
                     "heap_pops": 3112, "nowq_entries": 3189,
@@ -230,12 +175,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/4096B/l8": {
                 "latency": 1.4631160000000022e-05,
-                "compat": {
-                    "events_allocated": 10381, "heap_pushes": 10381,
-                    "heap_pops": 10381, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 786432, "bytes_viewed": 0,
-                    "bytes_reduced": 147456,
-                },
                 "fast": {
                     "events_allocated": 834, "heap_pushes": 5464,
                     "heap_pops": 5464, "nowq_entries": 4917,
@@ -245,12 +184,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.0002497140799999998,
-                "compat": {
-                    "events_allocated": 3985, "heap_pushes": 3985,
-                    "heap_pops": 3985, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 14942208, "bytes_viewed": 0,
-                    "bytes_reduced": 1376256,
-                },
                 "fast": {
                     "events_allocated": 594, "heap_pushes": 1660,
                     "heap_pops": 1660, "nowq_entries": 2325,
@@ -260,12 +193,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/65536B/l2": {
                 "latency": 0.00015106223999999997,
-                "compat": {
-                    "events_allocated": 4981, "heap_pushes": 4981,
-                    "heap_pops": 4981, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 14942208, "bytes_viewed": 0,
-                    "bytes_reduced": 1376256,
-                },
                 "fast": {
                     "events_allocated": 642, "heap_pushes": 2176,
                     "heap_pops": 2176, "nowq_entries": 2805,
@@ -275,12 +202,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010230903999999999,
-                "compat": {
-                    "events_allocated": 7741, "heap_pushes": 7741,
-                    "heap_pops": 7741, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 14942208, "bytes_viewed": 0,
-                    "bytes_reduced": 1376256,
-                },
                 "fast": {
                     "events_allocated": 834, "heap_pushes": 3592,
                     "heap_pops": 3592, "nowq_entries": 4149,
@@ -290,12 +211,6 @@ GOLDEN = {
             },
             "b/n4/ppn8/dpml/65536B/l8": {
                 "latency": 8.533898000000017e-05,
-                "compat": {
-                    "events_allocated": 10381, "heap_pushes": 10381,
-                    "heap_pops": 10381, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 12582912, "bytes_viewed": 0,
-                    "bytes_reduced": 2359296,
-                },
                 "fast": {
                     "events_allocated": 834, "heap_pushes": 5464,
                     "heap_pops": 5464, "nowq_entries": 4917,
@@ -305,12 +220,6 @@ GOLDEN = {
             },
         },
         "totals": {
-            "compat": {
-                "events_allocated": 51272, "heap_pushes": 51272,
-                "heap_pops": 51272, "nowq_entries": 0, "pool_reuses": 0,
-                "bytes_copied": 60555264, "bytes_viewed": 0,
-                "bytes_reduced": 7077888,
-            },
             "fast": {
                 "events_allocated": 5424, "heap_pushes": 24752,
                 "heap_pops": 24752, "nowq_entries": 26520,
@@ -318,18 +227,11 @@ GOLDEN = {
                 "bytes_viewed": 31113216, "bytes_reduced": 7077888,
             },
         },
-        "ratios": {"events_allocated": 9.4528, "bytes_copied": 10.0163},
     },
     "fig10": {
         "points": {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 4.826975999999977e-05,
-                "compat": {
-                    "events_allocated": 7629, "heap_pushes": 7629,
-                    "heap_pops": 7629, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 2097152, "bytes_viewed": 0,
-                    "bytes_reduced": 393216,
-                },
                 "fast": {
                     "events_allocated": 706, "heap_pushes": 3864,
                     "heap_pops": 3864, "nowq_entries": 3765,
@@ -339,12 +241,6 @@ GOLDEN = {
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.0004725753536000017,
-                "compat": {
-                    "events_allocated": 14093, "heap_pushes": 14093,
-                    "heap_pops": 14093, "nowq_entries": 0, "pool_reuses": 0,
-                    "bytes_copied": 44040192, "bytes_viewed": 0,
-                    "bytes_reduced": 3670016,
-                },
                 "fast": {
                     "events_allocated": 1826, "heap_pushes": 6040,
                     "heap_pops": 6040, "nowq_entries": 8053,
@@ -354,12 +250,6 @@ GOLDEN = {
             },
         },
         "totals": {
-            "compat": {
-                "events_allocated": 21722, "heap_pushes": 21722,
-                "heap_pops": 21722, "nowq_entries": 0, "pool_reuses": 0,
-                "bytes_copied": 46137344, "bytes_viewed": 0,
-                "bytes_reduced": 4063232,
-            },
             "fast": {
                 "events_allocated": 2532, "heap_pushes": 9904,
                 "heap_pops": 9904, "nowq_entries": 11818, "pool_reuses": 12686,
@@ -367,7 +257,6 @@ GOLDEN = {
                 "bytes_reduced": 4063232,
             },
         },
-        "ratios": {"events_allocated": 8.579, "bytes_copied": 6.1754},
     },
     "scale10k": {
         "point": "b-x1250/ppn8/dpml/4096B/hybrid",
@@ -448,14 +337,12 @@ def _label(cluster, algorithm, nbytes, leaders) -> str:
     return f"{cluster}/n4/ppn8/{algorithm}/{nbytes}B/{lead}"
 
 
-def _measure(cluster, algorithm, nbytes, leaders, iterations, compat):
+def _measure(cluster, algorithm, nbytes, leaders, iterations):
     """One fig point on a fresh session: (latency, counters)."""
-    set_payload_compat(compat)
     reset_payload_counters()
     try:
         config = get_cluster(cluster, 4)
         session = SimSession(config, 32, ppn=8)
-        session.machine.sim._compat = compat
         kwargs = {} if leaders is None else {"leaders": leaders}
         latency = allreduce_latency(
             config, algorithm, nbytes, ppn=8, iterations=iterations,
@@ -464,7 +351,6 @@ def _measure(cluster, algorithm, nbytes, leaders, iterations, compat):
         kernel = session.machine.sim.counters()
         payload = payload_counters()
     finally:
-        set_payload_compat(False)
         reset_payload_counters()
     counters = {k: kernel[k] for k in KERNEL_KEYS}
     counters.update((k, payload[k]) for k in PAYLOAD_KEYS)
@@ -472,29 +358,18 @@ def _measure(cluster, algorithm, nbytes, leaders, iterations, compat):
 
 
 def _run_grid(name: str):
-    """Observed record of one fig grid, plus each point's fast latency."""
-    points, fast_latency = {}, {}
-    totals = {
-        mode: dict.fromkeys(KERNEL_KEYS + PAYLOAD_KEYS, 0)
-        for mode in ("compat", "fast")
-    }
+    """Observed record of one fig grid."""
+    points = {}
+    totals = dict.fromkeys(KERNEL_KEYS + PAYLOAD_KEYS, 0)
     for cluster, algorithm, nbytes, leaders, iterations in GRIDS[name]:
         label = _label(cluster, algorithm, nbytes, leaders)
-        latency, compat = _measure(
-            cluster, algorithm, nbytes, leaders, iterations, compat=True
+        latency, fast = _measure(
+            cluster, algorithm, nbytes, leaders, iterations
         )
-        fast_latency[label], fast = _measure(
-            cluster, algorithm, nbytes, leaders, iterations, compat=False
-        )
-        points[label] = {"latency": latency, "compat": compat, "fast": fast}
-        for mode, counters in (("compat", compat), ("fast", fast)):
-            for key, value in counters.items():
-                totals[mode][key] += value
-    ratios = {
-        key: round(totals["compat"][key] / totals["fast"][key], 4)
-        for key in ("events_allocated", "bytes_copied")
-    }
-    return {"points": points, "totals": totals, "ratios": ratios}, fast_latency
+        points[label] = {"latency": latency, "fast": fast}
+        for key, value in fast.items():
+            totals[key] += value
+    return {"points": points, "totals": {"fast": totals}}
 
 
 def _run_scale(name: str):
@@ -629,25 +504,12 @@ def test_golden_table_covers_every_scenario():
 
 @pytest.mark.parametrize("name", list(GRIDS))
 def test_grid_counters(grids, name):
-    _check(name, grids[name][0])
-
-
-@pytest.mark.parametrize("name", list(GRIDS))
-def test_compat_and_fast_latency_identical(grids, name):
-    record, fast_latency = grids[name]
-    compat_latency = {
-        label: point["latency"] for label, point in record["points"].items()
-    }
-    assert fast_latency == compat_latency
+    _check(name, grids[name])
 
 
 def test_fig5_floors(grids):
-    totals = grids["fig5"][0]["totals"]
-    for key, seed in SEED_FIG5_TOTALS.items():
-        assert totals["compat"][key] == seed
-    ratios = {
-        key: seed / totals["fast"][key] for key, seed in SEED_FIG5_TOTALS.items()
-    }
+    totals = grids["fig5"]["totals"]["fast"]
+    ratios = {key: seed / totals[key] for key, seed in SEED_FIG5_TOTALS.items()}
     assert ratios["events_allocated"] >= MIN_EVENTS_RATIO, ratios
     assert ratios["bytes_copied"] >= MIN_BYTES_COPIED_RATIO, ratios
 

@@ -11,7 +11,6 @@ from repro.bench.spec import PointResult, SweepSpec
 from repro.bench.store import (
     STORE_ENV,
     ResultStore,
-    compat_snapshot,
     point_key,
     resolve_store,
     spec_keys,
@@ -53,7 +52,7 @@ class TestKeys:
         assert keys[0] == point_key(point, spec_hash=spec.full_hash())
 
     def test_variations_never_alias(self):
-        """fidelity / compat / fault-plan / seed each move the key."""
+        """fidelity / fault-plan / seed each move the key."""
         plan = FaultPlan(faults=(ArrivalSkew(magnitude=1e-4),))
         specs = {
             "base": tiny_spec(),
@@ -61,13 +60,8 @@ class TestKeys:
             "seeded": tiny_spec(base_seed=7),
             "faulty": tiny_spec(faults=plan),
         }
-        keys = {name: spec_keys(s)[0] for name, s in specs.items()}
-        compat_keys = {
-            name: spec_keys(s, compat={"kernel": True, "payload": False})[0]
-            for name, s in specs.items()
-        }
-        everything = list(keys.values()) + list(compat_keys.values())
-        assert len(set(everything)) == len(everything)
+        keys = [spec_keys(s)[0] for s in specs.values()]
+        assert len(set(keys)) == len(keys)
 
     def test_same_point_same_key(self):
         spec = tiny_spec()
@@ -299,9 +293,3 @@ class TestResolution:
         explicit = resolve_store(str(tmp_path / "flag"), False)
         assert explicit.root == tmp_path / "flag"
         assert resolve_store(None, False).root == tmp_path / "env"
-
-    def test_compat_snapshot_tracks_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_COMPAT", raising=False)
-        assert compat_snapshot()["kernel"] is False
-        monkeypatch.setenv("REPRO_KERNEL_COMPAT", "1")
-        assert compat_snapshot()["kernel"] is True

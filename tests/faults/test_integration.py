@@ -24,7 +24,6 @@ from repro.faults import (
 from repro.machine.clusters import cluster_b
 from repro.mpi.runtime import SimSession, run_job
 from repro.payload import SUM, make_payload
-from repro.sim import Simulator
 
 #: A plan exercising every fault kind that lets the job complete.
 MIXED_PLAN = FaultPlan(
@@ -83,19 +82,12 @@ class TestGoldenDeterminism:
         ]
         assert fingerprint(runs[0]) == fingerprint(runs[1])
 
-    def test_fast_and_compat_kernels_agree(self):
-        fast = run_job(
+    def test_fingerprint_matches_seed(self):
+        job = run_job(
             cluster_b(2), 8, allreduce_fn, ppn=4,
             faults=MIXED_PLAN, fault_seed=3,
         )
-        compat = run_job(
-            cluster_b(2), 8, allreduce_fn, ppn=4,
-            sim=Simulator(compat=True), faults=MIXED_PLAN, fault_seed=3,
-        )
-        # Kernel-internal counters legitimately differ between modes;
-        # the simulated outcome must not.
-        assert fingerprint(fast) == MIXED_FINGERPRINT
-        assert fingerprint(compat) == MIXED_FINGERPRINT
+        assert fingerprint(job) == MIXED_FINGERPRINT
 
     def test_session_reuse_matches_fresh_build(self):
         fresh = run_job(

@@ -1,7 +1,7 @@
-"""Golden event-order determinism: every mode against committed records.
+"""Golden event-order determinism: every job against committed records.
 
-The PR-4 hot-path work (now-queue zero-delay dispatch, event pooling,
-copy-on-write payload views) must be *invisible* to simulated results:
+The kernel's fast paths (zero-delay dispatch, event pooling) and the
+copy-on-write payload views must be *invisible* to simulated results:
 every :class:`~repro.mpi.runtime.JobResult` — per-rank values and the
 simulated elapsed time — must be bit-identical to what the seed's
 heap-only, copy-always implementation produced.  That output is
@@ -9,8 +9,6 @@ committed here as the reference: each case's ``elapsed`` as a float
 literal captured from the seed's run, and its per-rank ``values``
 checked against the numpy sum of the inputs (integer-valued float64,
 so the sum is exact and every summation order agrees bit for bit).
-Both kernel and payload modes (``Simulator(compat=...)`` and
-``set_payload_compat``) must reproduce the records.
 
 The grid is the shared conftest layout grid (the same shapes as
 ``python -m repro.check``), and the sanitized variants re-run the
@@ -35,8 +33,7 @@ from repro.faults.plan import ArrivalSkew, FaultPlan, Straggler
 from repro.machine.clusters import cluster_a, cluster_b
 from repro.mpi import run_job
 from repro.mpi.collectives.registry import available_algorithms
-from repro.payload import SUM, make_payload, set_payload_compat
-from repro.sim import Simulator
+from repro.payload import SUM, make_payload
 
 COUNT = 96
 
@@ -90,12 +87,6 @@ TWO_LEADER_ELAPSED = 4.598400000000001e-06
 SEED_COUNTERS_16X4 = {"events_allocated": 1025, "heap_pushes": 1025}
 
 
-@pytest.fixture(autouse=True)
-def _restore_payload_mode():
-    yield
-    set_payload_compat(False)
-
-
 def _inputs(nranks, seed=7):
     rng = np.random.default_rng(seed)
     return [
@@ -113,27 +104,20 @@ def _allreduce_fn(inputs, algorithm, **kw):
 
 
 def _run(
-    layout, algorithm, *, compat, sanitize=False, fidelity=None, faults=None,
+    layout, algorithm, *, sanitize=False, fidelity=None, faults=None,
     cluster=cluster_b, seed=7, **kw
 ):
-    """One job with kernel *and* payload layer in the given mode."""
+    """One allreduce job on real data (seeded integer-valued inputs)."""
     nranks, ppn, nodes = layout
-    inputs = _inputs(nranks, seed)
-    set_payload_compat(compat)
-    try:
-        job = run_job(
-            cluster(nodes),
-            nranks,
-            _allreduce_fn(inputs, algorithm, **kw),
-            ppn=ppn,
-            sim=Simulator(compat=compat),
-            sanitize=sanitize,
-            fidelity=fidelity,
-            faults=faults,
-        )
-    finally:
-        set_payload_compat(False)
-    return job
+    return run_job(
+        cluster(nodes),
+        nranks,
+        _allreduce_fn(_inputs(nranks, seed), algorithm, **kw),
+        ppn=ppn,
+        sanitize=sanitize,
+        fidelity=fidelity,
+        faults=faults,
+    )
 
 
 def _assert_identical(golden, fast):
@@ -153,16 +137,14 @@ def _assert_record(job, elapsed, seed=7):
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=layout_id)
 def test_fast_mode_matches_seed_on_layout_grid(layout):
-    for compat in (True, False):
-        _assert_record(_run(layout, "dpml", compat=compat), LAYOUT_ELAPSED[layout])
+    _assert_record(_run(layout, "dpml"), LAYOUT_ELAPSED[layout])
 
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS[:3], ids=layout_id)
 def test_fast_mode_matches_seed_under_sanitizer(layout):
-    for compat in (True, False):
-        job = _run(layout, "dpml", compat=compat, sanitize=True)
-        _assert_record(job, LAYOUT_ELAPSED[layout])
-        assert not job.reports
+    job = _run(layout, "dpml", sanitize=True)
+    _assert_record(job, LAYOUT_ELAPSED[layout])
+    assert not job.reports
 
 
 @pytest.mark.parametrize(
@@ -171,29 +153,13 @@ def test_fast_mode_matches_seed_under_sanitizer(layout):
     + list(LITERATURE_FAMILIES),
 )
 def test_fast_mode_matches_seed_across_algorithms(algorithm):
-    for compat in (True, False):
-        job = _run((16, 4, 4), algorithm, compat=compat)
-        _assert_record(job, ALGORITHM_ELAPSED["exact"][algorithm])
+    job = _run((16, 4, 4), algorithm)
+    _assert_record(job, ALGORITHM_ELAPSED["exact"][algorithm])
 
 
-@pytest.mark.parametrize("kernel_compat", [True, False])
-@pytest.mark.parametrize("payload_compat", [True, False])
-def test_mixed_modes_agree(kernel_compat, payload_compat):
-    """The kernel and payload switches are independent: any combination
-    of the two reproduces the committed two-leader record."""
-    layout = (8, 4, 2)
-    nranks, ppn, nodes = layout
-    set_payload_compat(payload_compat)
-    try:
-        job = run_job(
-            cluster_b(nodes),
-            nranks,
-            _allreduce_fn(_inputs(nranks, 3), "dpml", leaders=2),
-            ppn=ppn,
-            sim=Simulator(compat=kernel_compat),
-        )
-    finally:
-        set_payload_compat(False)
+def test_two_leader_record():
+    """dpml with an explicit leader count reproduces its record."""
+    job = _run((8, 4, 2), "dpml", seed=3, leaders=2)
     _assert_record(job, TWO_LEADER_ELAPSED, seed=3)
 
 
@@ -206,8 +172,8 @@ def test_hybrid_matches_exact_values_across_algorithms(algorithm):
     layout = (16, 4, 4)
     # SHArP designs require the Cluster-A fabric (Section 6.1).
     cluster = cluster_a if algorithm.startswith("sharp") else cluster_b
-    exact = _run(layout, algorithm, fidelity="exact", compat=False, cluster=cluster)
-    hybrid = _run(layout, algorithm, fidelity="hybrid", compat=False, cluster=cluster)
+    exact = _run(layout, algorithm, fidelity="exact", cluster=cluster)
+    hybrid = _run(layout, algorithm, fidelity="hybrid", cluster=cluster)
     for rank, (want, got) in enumerate(zip(exact.values, hybrid.values)):
         np.testing.assert_array_equal(want, got, err_msg=f"rank {rank}")
 
@@ -218,8 +184,8 @@ def test_hybrid_timing_is_deterministic(layout):
     same macro charges, same buffers.  Only homogeneous layouts are
     macro-eligible; ragged ones must deterministically fall back."""
     nranks, ppn, nodes = layout
-    first = _run(layout, "dpml", fidelity="hybrid", compat=False)
-    second = _run(layout, "dpml", fidelity="hybrid", compat=False)
+    first = _run(layout, "dpml", fidelity="hybrid")
+    second = _run(layout, "dpml", fidelity="hybrid")
     _assert_identical(first, second)
     assert first.counters["macro_events"] == second.counters["macro_events"]
     if nranks == ppn * nodes:
@@ -235,14 +201,8 @@ def test_hybrid_falls_back_to_exact_under_faults():
     and bit-identical to an exact faulted run, elapsed included."""
     layout = (16, 4, 4)
     plan = FaultPlan(faults=(Straggler(rank=3, factor=8.0),))
-    exact = _run(
-        layout, "dpml", fidelity="exact", compat=False,
-        faults=plan, sanitize=True,
-    )
-    hybrid = _run(
-        layout, "dpml", fidelity="hybrid", compat=False,
-        faults=plan, sanitize=True,
-    )
+    exact = _run(layout, "dpml", fidelity="exact", faults=plan, sanitize=True)
+    hybrid = _run(layout, "dpml", fidelity="hybrid", faults=plan, sanitize=True)
     _assert_identical(exact, hybrid)
     assert not exact.reports
     assert not hybrid.reports
@@ -251,28 +211,27 @@ def test_hybrid_falls_back_to_exact_under_faults():
 
 class TestLiteratureFamilyGoldens:
     """The competing literature designs ride every determinism contract
-    the DPML family does: compat x fidelity bit-identity, session
+    the DPML family does: committed records in both fidelities, session
     reuse, and seeded fault replays."""
 
     LAYOUT = (16, 4, 4)
 
     @pytest.mark.parametrize("algorithm", LITERATURE_FAMILIES)
     @pytest.mark.parametrize("fidelity", ["exact", "hybrid"])
-    def test_compat_matches_fast_in_both_fidelities(self, algorithm, fidelity):
+    def test_matches_seed_in_both_fidelities(self, algorithm, fidelity):
         """Every family reproduces its committed record in both
         fidelities (hybrid intentionally re-times, so each fidelity has
-        its own elapsed), in both kernel and payload modes."""
-        for compat in (True, False):
-            job = _run(self.LAYOUT, algorithm, compat=compat, fidelity=fidelity)
-            _assert_record(job, ALGORITHM_ELAPSED[fidelity][algorithm])
+        its own elapsed)."""
+        job = _run(self.LAYOUT, algorithm, fidelity=fidelity)
+        _assert_record(job, ALGORITHM_ELAPSED[fidelity][algorithm])
 
     @pytest.mark.parametrize("algorithm", LITERATURE_FAMILIES)
     def test_hybrid_macro_charges_on_homogeneous_layout(self, algorithm):
         """The new plans actually engage: one macro event per call on
         the homogeneous golden layout, zero on a ragged one."""
-        hybrid = _run(self.LAYOUT, algorithm, compat=False, fidelity="hybrid")
+        hybrid = _run(self.LAYOUT, algorithm, fidelity="hybrid")
         assert hybrid.counters["macro_events"] == 1
-        ragged = _run((10, 4, 3), algorithm, compat=False, fidelity="hybrid")
+        ragged = _run((10, 4, 3), algorithm, fidelity="hybrid")
         assert ragged.counters["macro_events"] == 0
 
     @pytest.mark.parametrize("algorithm", LITERATURE_FAMILIES)
@@ -334,29 +293,25 @@ class TestHybridPlanFallbackCounter:
     never silent (the negative-space check of the phase-plan audit)."""
 
     def test_planless_algorithm_increments_counter(self):
-        job = _run((16, 4, 4), "ring", compat=False, fidelity="hybrid")
+        job = _run((16, 4, 4), "ring", fidelity="hybrid")
         assert job.counters["macro_events"] == 0
         assert job.counters["hybrid_plan_fallbacks"] == {"ring": 16}
 
     def test_planned_algorithm_does_not(self):
-        job = _run((16, 4, 4), "dpml", compat=False, fidelity="hybrid")
+        job = _run((16, 4, 4), "dpml", fidelity="hybrid")
         assert job.counters["macro_events"] == 1
         assert job.counters["hybrid_plan_fallbacks"] == {}
 
     def test_exact_mode_keeps_historical_counter_shape(self):
-        job = _run((16, 4, 4), "ring", compat=False, fidelity="exact")
+        job = _run((16, 4, 4), "ring", fidelity="exact")
         assert "hybrid_plan_fallbacks" not in job.counters
 
 
 def test_counters_reflect_modes():
-    """Fast mode actually takes the fast paths; compat mode never does."""
-    layout = (16, 4, 4)
-    golden = _run(layout, "dpml", compat=True)
-    fast = _run(layout, "dpml", compat=False)
-    assert golden.counters["nowq_entries"] == 0
-    assert golden.counters["pool_reuses"] == 0
-    for key, seed in SEED_COUNTERS_16X4.items():
-        assert golden.counters[key] == seed
+    """The kernel actually takes the fast paths: zero-delay entries,
+    pool reuses, and fewer allocations and delayed entries than the
+    seed's heap-only kernel."""
+    fast = _run((16, 4, 4), "dpml")
     assert fast.counters["nowq_entries"] > 0
     assert fast.counters["pool_reuses"] > 0
     for key, seed in SEED_COUNTERS_16X4.items():

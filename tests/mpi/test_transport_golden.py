@@ -8,8 +8,8 @@ its record must equal the committed :data:`GOLDEN` entry exactly:
 * ``elapsed`` — :attr:`~repro.mpi.runtime.JobResult.elapsed`;
 * ``tracer`` — :meth:`~repro.sim.trace.Tracer.as_dict`;
 * ``spans`` — every :class:`~repro.sim.timeline.Timeline` span;
-* ``fast``/``compat`` — the kernel's calendar counts
-  (``heap_pushes``/``heap_pops``/``nowq_entries``) in each kernel mode.
+* ``fast`` — the kernel's calendar counts
+  (``heap_pushes``/``heap_pops``/``nowq_entries``).
 
 The scenarios cover the paths the golden determinism grid reaches only
 in passing or not at all: eager and rendezvous on the same socket,
@@ -43,7 +43,6 @@ from repro.machine.fattree import FatTreeConfig
 from repro.machine.machine import Machine
 from repro.mpi import ANY_SOURCE, run_job
 from repro.payload import SymbolicPayload
-from repro.sim import Simulator
 from repro.sim.timeline import Timeline
 
 CALENDAR_KEYS = ("heap_pushes", "heap_pops", "nowq_entries")
@@ -221,14 +220,11 @@ SCENARIOS = {
 }
 
 
-def _observe(name: str, compat: bool) -> dict:
-    """Run one scenario on a fresh machine; its record and counters."""
+def observed(name: str) -> dict:
+    """Run one scenario on a fresh machine; its full record."""
     config, nranks, ppn, fn, kwargs, plan = SCENARIOS[name]
     timeline = Timeline()
-    machine = Machine(
-        config, nranks, ppn, sim=Simulator(compat=compat), trace=True,
-        timeline=timeline,
-    )
+    machine = Machine(config, nranks, ppn, trace=True, timeline=timeline)
     record: dict = {}
     try:
         job = run_job(machine, nranks, fn, faults=plan, kwargs=kwargs)
@@ -245,16 +241,8 @@ def _observe(name: str, compat: bool) -> dict:
     record["tracer"] = machine.tracer.as_dict()
     record["spans"] = [dataclasses.astuple(span) for span in timeline.spans]
     counters = machine.sim.counters()
-    return record, {key: counters[key] for key in CALENDAR_KEYS}
-
-
-def observed(name: str) -> dict:
-    """The full record of one scenario: both kernel modes must agree on
-    everything but the calendar counts."""
-    record, fast = _observe(name, compat=False)
-    compat_record, compat = _observe(name, compat=True)
-    assert compat_record == record, f"{name}: compat mode differs from fast"
-    return {**record, "fast": fast, "compat": compat}
+    record["fast"] = {key: counters[key] for key in CALENDAR_KEYS}
+    return record
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -271,8 +259,7 @@ def test_every_scenario_is_pinned():
 
 GOLDEN = {
     "any_source":
-        {"compat": {"heap_pops": 41, "heap_pushes": 41, "nowq_entries": 0},
-         "elapsed": 5.562879999999999e-06,
+        {"elapsed": 5.562879999999999e-06,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 31},
          "spans": [("copy", "copy", 1, 0.0, 1.51328e-06),
                    ("net-send", "net-send", 4, 0.0, 3.7024e-06),
@@ -286,8 +273,7 @@ GOLDEN = {
                     [1.56458e-06], None, None, [3.7024e-06], None, None,
                     None]},
     "eager_cross_socket":
-        {"compat": {"heap_pops": 38, "heap_pushes": 38, "nowq_entries": 0},
-         "elapsed": 5.03456e-06,
+        {"elapsed": 5.03456e-06,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
          "spans": [("copy", "copy", 0, 0.0, 1.5107200000000001e-06),
                    ("copy", "copy", 0, 1.5107200000000001e-06,
@@ -300,8 +286,7 @@ GOLDEN = {
                     [(3.5238400000000003e-06, 4096), (5.03456e-06, 4096)],
                     None, None, None, None, None, None]},
     "eager_inter_node":
-        {"compat": {"heap_pops": 44, "heap_pushes": 44, "nowq_entries": 0},
-         "elapsed": 9.208960000000002e-06,
+        {"elapsed": 9.208960000000002e-06,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 34},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-send", "net-send", 0, 3.6768e-06, 7.3536e-06),
@@ -315,8 +300,7 @@ GOLDEN = {
                      (9.208960000000002e-06, 4096)],
                     None, None, None]},
     "eager_same_socket":
-        {"compat": {"heap_pops": 38, "heap_pushes": 38, "nowq_entries": 0},
-         "elapsed": 3.2599999999999997e-06,
+        {"elapsed": 3.2599999999999997e-06,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
          "spans": [("copy", "copy", 0, 0.0, 1.0192e-06),
                    ("copy", "copy", 0, 1.0192e-06, 2.0384e-06),
@@ -329,8 +313,7 @@ GOLDEN = {
                     [(2.2408e-06, 4096), (3.2599999999999997e-06, 4096)],
                     None, None, None, None, None]},
     "fat_tree_fan_in":
-        {"compat": {"heap_pops": 270, "heap_pushes": 270, "nowq_entries": 0},
-         "elapsed": 8.636296000000004e-05,
+        {"elapsed": 8.636296000000004e-05,
          "fast": {"heap_pops": 144, "heap_pushes": 144, "nowq_entries": 126},
          "spans": [("net-send", "net-send", 1, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 1, 3.6767999999999997e-06,
@@ -385,8 +368,7 @@ GOLDEN = {
                     [3.6768e-06, 6.197e-05], [3.6768e-06, 6.237e-05],
                     [3.6768e-06, 6.127e-05]]},
     "link_degrade":
-        {"compat": {"heap_pops": 88, "heap_pushes": 88, "nowq_entries": 0},
-         "elapsed": 0.0001759988000000001,
+        {"elapsed": 0.0001759988000000001,
          "fast": {"heap_pops": 33, "heap_pushes": 33, "nowq_entries": 55},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 0, 3.6767999999999997e-06,
@@ -403,8 +385,7 @@ GOLDEN = {
                     [(7.98752e-06, 4096), (0.0001759988000000001, 164640)],
                     None, None, None]},
     "link_outage_exhausted":
-        {"compat": {"heap_pops": 21, "heap_pushes": 21, "nowq_entries": 0},
-         "error": {"attempts": 3,
+        {"error": {"attempts": 3,
                    "edge": (0, 1),
                    "rank": 0,
                    "sim_time": 1.0676799999999999e-05},
@@ -412,8 +393,7 @@ GOLDEN = {
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06)],
          "tracer": {"net-send": {"count": 1.0, "time": 3.6768e-06}}},
     "link_outage_recovered":
-        {"compat": {"heap_pops": 70, "heap_pushes": 70, "nowq_entries": 0},
-         "elapsed": 7.090344e-05,
+        {"elapsed": 7.090344e-05,
          "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 42},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 0, 3.6767999999999997e-06,
@@ -429,8 +409,7 @@ GOLDEN = {
                     [(3.653215999999999e-05, 4096), (7.090344e-05, 32768)],
                     None, None, None]},
     "multi_chunk":
-        {"compat": {"heap_pops": 74, "heap_pushes": 74, "nowq_entries": 0},
-         "elapsed": 0.00015173263999999995,
+        {"elapsed": 0.00015173263999999995,
          "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 46},
          "spans": [("net-ctrl", "net-ctrl", 0, 0.0, 4e-07),
                    ("net-ctrl", "net-ctrl", 4, 1.314e-06, 1.714e-06),
@@ -442,8 +421,7 @@ GOLDEN = {
          "values": [[0.00013474], None, None, None,
                     [(0.00015173263999999995, 164640)], None, None, None]},
     "rndv_cross_socket":
-        {"compat": {"heap_pops": 42, "heap_pushes": 42, "nowq_entries": 0},
-         "elapsed": 2.2081120000000002e-05,
+        {"elapsed": 2.2081120000000002e-05,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 32},
          "spans": [("copy", "copy", 0, 1.9999999999999978e-07, 1.088576e-05),
                    ("copy", "copy", 0, 1.0885760000000002e-05,
@@ -455,8 +433,7 @@ GOLDEN = {
                      (2.2081120000000002e-05, 32768)],
                     None, None, None, None, None, None]},
     "rndv_inter_node":
-        {"compat": {"heap_pops": 76, "heap_pushes": 76, "nowq_entries": 0},
-         "elapsed": 6.229968e-05,
+        {"elapsed": 6.229968e-05,
          "fast": {"heap_pops": 26, "heap_pushes": 26, "nowq_entries": 50},
          "spans": [("net-ctrl", "net-ctrl", 0, 0.0, 4e-07),
                    ("net-ctrl", "net-ctrl", 0, 4e-07, 8e-07),
@@ -474,8 +451,7 @@ GOLDEN = {
                     [(3.568528e-05, 32768), (6.229968e-05, 32768)], None,
                     None, None]},
     "rndv_same_socket":
-        {"compat": {"heap_pops": 42, "heap_pushes": 42, "nowq_entries": 0},
-         "elapsed": 1.42168e-05,
+        {"elapsed": 1.42168e-05,
          "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 32},
          "spans": [("copy", "copy", 0, 1.9999999999999978e-07, 6.9536e-06),
                    ("copy", "copy", 0, 6.9536e-06, 1.37072e-05)],
@@ -485,8 +461,7 @@ GOLDEN = {
                     [(7.4632e-06, 32768), (1.42168e-05, 32768)], None, None,
                     None, None, None]},
     "rts_overtakes_eager":
-        {"compat": {"heap_pops": 114, "heap_pushes": 114, "nowq_entries": 0},
-         "elapsed": 4.843012e-05,
+        {"elapsed": 4.843012e-05,
          "fast": {"heap_pops": 48, "heap_pushes": 48, "nowq_entries": 66},
          "spans": [("net-send", "net-send", 0, 0.0, 1.35072e-05),
                    ("net-ctrl", "net-ctrl", 0, 1.35072e-05, 1.39072e-05),
@@ -503,8 +478,7 @@ GOLDEN = {
                     [(1.6352600000000003e-05, 16384), (4.843012e-05, 32768)],
                     None, None, None]},
     "self_send":
-        {"compat": {"heap_pops": 26, "heap_pushes": 26, "nowq_entries": 0},
-         "elapsed": 7.9728e-06,
+        {"elapsed": 7.9728e-06,
          "fast": {"heap_pops": 2, "heap_pushes": 2, "nowq_entries": 24},
          "spans": [("net-recv", "net-recv", 0, 0.0, 6.8536e-06),
                    ("net-recv", "net-recv", 0, 6.853599999999999e-06,
@@ -513,8 +487,7 @@ GOLDEN = {
          "values": [[0.0, 0.0, 6.8536e-06, 7.9728e-06], None, None, None,
                     None, None, None, None]},
     "unexpected_bounce":
-        {"compat": {"heap_pops": 45, "heap_pushes": 45, "nowq_entries": 0},
-         "elapsed": 5.2238400000000005e-05,
+        {"elapsed": 5.2238400000000005e-05,
          "fast": {"heap_pops": 11, "heap_pushes": 11, "nowq_entries": 34},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-send", "net-send", 0, 3.6768e-06, 7.3536e-06),

@@ -19,17 +19,8 @@ from repro.payload import (
     payload_counters,
     reduce_payloads,
     reset_payload_counters,
-    set_payload_compat,
     split_bounds,
 )
-
-
-@pytest.fixture
-def compat_mode():
-    """Copy-everywhere payload mode for the duration of one test."""
-    set_payload_compat(True)
-    yield
-    set_payload_compat(False)
 
 
 class TestSplitBounds:
@@ -87,14 +78,6 @@ class TestDataPayload:
         with pytest.raises(ValueError):
             s.array[:] = -1  # views are immutable
         assert arr[2] == 2.0
-
-    def test_slice_copies_in_compat_mode(self, compat_mode):
-        arr = np.arange(10.0)
-        p = DataPayload(arr)
-        s = p.slice(2, 5)
-        assert not np.shares_memory(s.array, arr)
-        s.array[:] = -1
-        assert arr[2] == 2.0  # original untouched
 
     def test_slice_of_slice_tracks_root_offset(self):
         p = DataPayload(np.arange(10.0))
@@ -213,14 +196,6 @@ class TestCounters:
         assert counters["bytes_copied"] == 32
         reset_payload_counters()
         assert payload_counters()["bytes_copied"] == 0
-
-    def test_compat_mode_counts_slice_copies(self, compat_mode):
-        reset_payload_counters()
-        p = DataPayload(np.arange(16, dtype=np.float64))
-        p.slice(0, 8)
-        counters = payload_counters()
-        assert counters["bytes_copied"] == 64
-        assert counters["bytes_viewed"] == 0
 
     def test_reduction_workspace_counted_separately(self):
         reset_payload_counters()

@@ -5,8 +5,7 @@ permanent outage isolating node 2 (one of the leaders).  With recovery
 enabled the job completes via failover with result buffers
 bit-identical to a fault-free run on the surviving layout; with it
 disabled the same scenario raises the typed transport error — the same
-decision at the same simulated time under both kernel compat modes and
-both fidelities.
+decision at the same simulated time in both fidelities.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.machine.clusters import cluster_b
 from repro.mpi.runtime import run_job
 from repro.payload import SUM, make_payload
 from repro.resilience import RecoveryManager, RecoveryPolicy, isolation_plan
-from repro.sim import Simulator
 
 POLICY = RecoveryPolicy()
 
@@ -95,15 +93,12 @@ class TestAcceptance:
 
 
 class TestMatrix:
-    """Same decision at the same sim time across compat modes and fidelities."""
+    """Same decision at the same sim time in both fidelities."""
 
     @pytest.mark.parametrize("fidelity", ["exact", "hybrid"])
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_recover_decision_matches(self, fidelity, compat):
+    def test_recover_decision_matches(self, fidelity):
         baseline = run_recovered()
-        job = run_recovered(
-            sim=Simulator(compat=True) if compat else None, fidelity=fidelity,
-        )
+        job = run_recovered(fidelity=fidelity)
         assert job.values == baseline.values
         assert job.elapsed == baseline.elapsed
         assert (
@@ -112,14 +107,12 @@ class TestMatrix:
         )
 
     @pytest.mark.parametrize("fidelity", ["exact", "hybrid"])
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_abort_decision_matches(self, fidelity, compat):
+    def test_abort_decision_matches(self, fidelity):
         with pytest.raises(TransportError) as base_info:
             run_job(cluster_b(3), 6, allreduce_fn, ppn=2, faults=ISOLATE_NODE2)
         with pytest.raises(TransportError) as info:
             run_job(
                 cluster_b(3), 6, allreduce_fn, ppn=2, faults=ISOLATE_NODE2,
-                sim=Simulator(compat=True) if compat else None,
                 fidelity=fidelity,
             )
         assert info.value.sim_time == base_info.value.sim_time

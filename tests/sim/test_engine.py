@@ -121,11 +121,8 @@ class TestEventOrdering:
 
         assert build() == build()
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_delay_too_small_to_move_the_clock_keeps_creation_order(
-        self, compat
-    ):
-        sim = Simulator(compat=compat)
+    def test_delay_too_small_to_move_the_clock_keeps_creation_order(self):
+        sim = Simulator()
         order = []
 
         def proc():
@@ -328,12 +325,11 @@ class TestProcess:
             p.interrupt()
 
 
-@pytest.mark.parametrize("compat", [False, True])
 class TestInterruptDelivery:
     """An interrupt resumes its process exactly once, at delivery."""
 
-    def test_interrupt_before_first_step_detaches_at_delivery(self, compat):
-        sim = Simulator(compat=compat)
+    def test_interrupt_before_first_step_detaches_at_delivery(self):
+        sim = Simulator()
         log = []
 
         def proc():
@@ -350,8 +346,8 @@ class TestInterruptDelivery:
         # that timeout: it wakes from the 5 s sleep, not at t=1.
         assert log == [("caught", 0.0), ("woke", 5.0)]
 
-    def test_interrupt_drops_queued_wakeup_for_processed_event(self, compat):
-        sim = Simulator(compat=compat)
+    def test_interrupt_drops_queued_wakeup_for_processed_event(self):
+        sim = Simulator()
         log = []
         ev = sim.event()
         ev.succeed("v")
@@ -377,8 +373,8 @@ class TestInterruptDelivery:
         sim.run()
         assert log == [("caught", 0.5), ("woke", 5.5)]
 
-    def test_interrupt_to_finished_process_is_dropped(self, compat):
-        sim = Simulator(compat=compat)
+    def test_interrupt_to_finished_process_is_dropped(self):
+        sim = Simulator()
 
         def quick():
             return "done"
@@ -389,8 +385,8 @@ class TestInterruptDelivery:
         sim.run()
         assert proc.value == "done"
 
-    def test_second_interrupt_after_recovery_is_dropped(self, compat):
-        sim = Simulator(compat=compat)
+    def test_second_interrupt_after_recovery_is_dropped(self):
+        sim = Simulator()
 
         def once():
             try:
@@ -559,8 +555,8 @@ class TestRunControl:
             yield sim.timeout(4.0)
 
         sim.process(proc())
-        # In fast mode the process-start wakeup is a zero-delay entry in
-        # the due FIFO; peek must still report it as due *now*.
+        # The process-start wakeup is a zero-delay entry in the due
+        # FIFO; peek must still report it as due *now*.
         assert _pending(sim)[1]
         assert sim.peek() == sim.now == 0.0
 
@@ -582,7 +578,7 @@ def _mixed_scenario(sim, stops=()):
     attachment to an already-processed event, composites (one over
     processes), a joined child that raises, a process waiting ahead of
     plain callbacks, and interrupts of a process in an event's first
-    waiter slot and in its waiter list — the paths whose fast-mode
+    waiter slot and in its waiter list — the paths whose fast-path
     rewrites must preserve the seed's deterministic tie order exactly.
     The simulation is run with ``run(until=t)`` for each of ``stops``,
     then to completion.
@@ -728,9 +724,8 @@ MIXED_LOG = [
 
 
 class TestFastKernelEquivalence:
-    def test_fast_and_compat_event_logs_identical(self):
+    def test_mixed_scenario_log_matches_seed(self):
         assert _mixed_scenario(Simulator()) == MIXED_LOG
-        assert _mixed_scenario(Simulator(compat=True)) == MIXED_LOG
 
     def test_mixed_scenario_reaches_every_waiter_path(self):
         log = _mixed_scenario(Simulator())
@@ -746,20 +741,11 @@ class TestFastKernelEquivalence:
         assert ("gate-first", 2.25, "open") in log
         assert not [entry for entry in log if entry[0] == "gate-second"]
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_split_runs_match_one_run(self, compat):
-        whole = Simulator(compat=compat)
-        split = Simulator(compat=compat)
+    def test_split_runs_match_one_run(self):
+        whole = Simulator()
+        split = Simulator()
         assert _mixed_scenario(split, stops=(1.0, 2.5)) == _mixed_scenario(whole)
         assert split.counters() == whole.counters()
-
-    def test_compat_mode_never_uses_fast_paths(self):
-        sim = Simulator(compat=True)
-        _mixed_scenario(sim)
-        counters = sim.counters()
-        assert counters["nowq_entries"] == 0
-        assert counters["pool_reuses"] == 0
-        assert counters["heap_pushes"] == counters["heap_pops"]
 
     def test_fast_mode_routes_zero_delay_through_now_queue(self):
         sim = Simulator()
@@ -768,12 +754,6 @@ class TestFastKernelEquivalence:
         assert counters["nowq_entries"] > 0
         assert counters["heap_pushes"] < counters["events_allocated"] + 1
         assert counters["pool_reuses"] > 0
-
-    def test_compat_env_variable_selects_compat(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_COMPAT", "1")
-        sim = Simulator()
-        _mixed_scenario(sim)
-        assert sim.counters()["nowq_entries"] == 0
 
 
 class TestEscapingError:
@@ -796,28 +776,20 @@ class TestEscapingError:
         with pytest.raises(RuntimeError, match="kaput"):
             sim.run()
 
-    @pytest.mark.parametrize(
-        "compat, heap_pops, nowq_entries",
-        # fast: two process starts as zero-delay entries, then the t=1
-        # timeout as a delayed entry; compat: two starters and the
-        # timeout, all delayed entries.
-        [(False, 1, 2), (True, 3, 0)],
-    )
-    def test_counters_count_only_dispatched_entries(
-        self, compat, heap_pops, nowq_entries
-    ):
-        sim = Simulator(compat=compat)
+    def test_counters_count_only_dispatched_entries(self):
+        sim = Simulator()
         self._crash(sim)
         counters = sim.counters()
-        assert counters["heap_pops"] == heap_pops
-        assert counters["nowq_entries"] == nowq_entries
+        # Two process starts as zero-delay entries, then the t=1
+        # timeout as a delayed entry.
+        assert counters["heap_pops"] == 1
+        assert counters["nowq_entries"] == 2
         delayed, zero_delay = _pending(sim)
-        assert counters["heap_pushes"] - len(delayed) == heap_pops
-        assert len(zero_delay) == (0 if compat else 3)
+        assert counters["heap_pushes"] - len(delayed) == 1
+        assert len(zero_delay) == 3
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_escape_from_a_drained_time_leaves_no_empty_slot(self, compat):
-        sim = Simulator(compat=compat)
+    def test_escape_from_a_drained_time_leaves_no_empty_slot(self):
+        sim = Simulator()
 
         def bad():
             yield sim.timeout(1.0)
@@ -837,12 +809,11 @@ class TestEscapingError:
         assert sim.now == 2.0
         assert sim._cal == {} and sim._times == []
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_reset_after_escape_matches_fresh(self, compat):
-        reused = Simulator(compat=compat)
+    def test_reset_after_escape_matches_fresh(self):
+        reused = Simulator()
         self._crash(reused)
         reused.reset()
-        fresh = Simulator(compat=compat)
+        fresh = Simulator()
         assert _mixed_scenario(reused) == _mixed_scenario(fresh)
         got, want = reused.counters(), fresh.counters()
         # The kept free pools turn some allocations into reuses.
@@ -921,11 +892,10 @@ class TestContinuations:
     the kernel the transport's continuations and the machine's charged
     primitives run on."""
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_follow_on_stage_hands_the_waiter_to_the_queue(self, compat):
+    def test_follow_on_stage_hands_the_waiter_to_the_queue(self):
         from repro.sim import FCFSQueue
 
-        sim = Simulator(compat=compat)
+        sim = Simulator()
         queue = FCFSQueue(sim, "mem")
         log = []
 
@@ -985,9 +955,8 @@ class TestContinuations:
         assert len(sim._pool_timeout) == 1
         assert sim._pool_timeout[0]._then is None
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_hop_runs_behind_entries_already_due(self, compat):
-        sim = Simulator(compat=compat)
+    def test_hop_runs_behind_entries_already_due(self):
+        sim = Simulator()
         log = []
 
         def proc():
@@ -1003,10 +972,9 @@ class TestContinuations:
         entries = counters["heap_pops"] + counters["nowq_entries"]
         assert entries == 4  # start, hop, timeout, completion
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_yielding_none_goes_on_without_an_entry(self, compat):
+    def test_yielding_none_goes_on_without_an_entry(self):
         def run(with_none):
-            sim = Simulator(compat=compat)
+            sim = Simulator()
 
             def proc():
                 yield sim.timeout(1.0)

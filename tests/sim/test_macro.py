@@ -59,9 +59,8 @@ def test_macro_charge_is_one_heap_push():
     assert sim.counters()["heap_pushes"] == before + 1
 
 
-@pytest.mark.parametrize("compat", [True, False])
-def test_macro_charge_works_in_both_kernel_modes(compat):
-    sim = Simulator(compat=compat)
+def test_zero_delay_macro_charge_wakes_its_waiter():
+    sim = Simulator()
     event = sim.event()
     got = []
 

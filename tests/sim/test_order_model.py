@@ -4,8 +4,8 @@ Hypothesis draws a random schedule — processes made of sleeps with
 forced ties, zero-delay and delayed ``succeed`` calls, waits on manual
 events (late ones included), plain callbacks, ``AllOf`` waits, FCFS
 submits that build a busy horizon, joins and spawns — and runs it on
-:class:`~repro.sim.engine.Simulator` in fast and compat mode, split
-into ``run(until=...)`` calls.  The same schedule also runs on
+:class:`~repro.sim.engine.Simulator`, split into ``run(until=...)``
+calls.  The same schedule also runs on
 :class:`RefSim` below: a reference kernel with no fast paths that
 orders every entry by an explicit ``(time, seq)`` heap, a monotone
 counter breaking ties.  The two event logs must be identical.
@@ -235,12 +235,11 @@ stop_lists = st.lists(
 ).map(sorted)
 
 
-@pytest.mark.parametrize("compat", [False, True])
 @settings(max_examples=150, deadline=None)
 @given(scripts=schedules, stops=stop_lists)
-def test_dispatch_log_matches_time_seq_heap(compat, scripts, stops):
+def test_dispatch_log_matches_time_seq_heap(scripts, stops):
     want = _drive(RefSim(), RefQueue, scripts, stops)
-    got = _drive(Simulator(compat=compat), FCFSQueue, scripts, stops)
+    got = _drive(Simulator(), FCFSQueue, scripts, stops)
     assert got == want
 
 
@@ -254,7 +253,6 @@ def test_reference_model_sees_ties_and_late_waiters():
     for sim, make_queue in (
         (RefSim(), RefQueue),
         (Simulator(), FCFSQueue),
-        (Simulator(compat=True), FCFSQueue),
     ):
         log = _drive(sim, make_queue, scripts, stops=[0.5])
         assert log == [
