@@ -19,15 +19,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, MPIError, ReproError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
+from repro.mpi.collectives.generalized import _resolve_radices
 from repro.mpi.collectives.hybrid import Fleet, fleet_collective
+from repro.mpi.collectives.registry import allreduce_keywords
 from repro.mpi.runtime import SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
-__all__ = ["allreduce_latency", "latency_kernel", "check_loop"]
+__all__ = ["allreduce_latency", "latency_kernel", "check_loop", "check_knobs"]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
 FLOAT_BYTES = 4
@@ -40,6 +42,31 @@ def check_loop(iterations: int, warmup: int) -> None:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
+
+
+def check_knobs(
+    algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict
+) -> None:
+    """Reject allreduce keywords a job cannot run as given: a ``leaders``
+    count outside ``[1, ppn]`` (it would run clamped to ``ppn``),
+    keywords the named allreduce does not take, and ``radices`` that do
+    not factor ``nranks``."""
+    leaders = alg_kwargs.get("leaders")
+    if leaders is not None and not 1 <= leaders <= ppn:
+        raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
+    if algorithm is not None:
+        accepted = allreduce_keywords(algorithm)
+        if accepted is not None and not accepted.issuperset(alg_kwargs):
+            raise ConfigError(
+                f"allreduce {algorithm!r} takes no keyword(s) "
+                f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
+                f"takes: {', '.join(sorted(accepted)) or 'none'}"
+            )
+    if alg_kwargs.get("radices") is not None:
+        try:
+            _resolve_radices(nranks, alg_kwargs["radices"])
+        except MPIError as err:
+            raise ConfigError(str(err)) from None
 
 
 def latency_kernel(
@@ -179,8 +206,9 @@ def allreduce_latency(
     ``JobResult.counters["hybrid_fleet_fallbacks"]``; both launches
     produce identical latencies.
 
-    ``iterations < 1`` or ``warmup < 0`` raises
-    :class:`~repro.errors.ConfigError` before anything is simulated.
+    ``iterations < 1``, ``warmup < 0`` and the knobs
+    :func:`check_knobs` rejects raise :class:`~repro.errors.ConfigError`
+    before anything is simulated.
     """
     check_loop(iterations, warmup)
     if nranks is None:
@@ -212,6 +240,7 @@ def allreduce_latency(
             "recovery= needs a session built with the recovery layer "
             "(pass recovery= to SimSession)"
         )
+    check_knobs(algorithm, nranks, session.ppn, alg_kwargs)
     job = session.run(
         kernel, noise=noise, timeline=timeline,
         faults=faults, fault_seed=fault_seed,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro import canonical
-from repro.errors import ConfigError, MPIError, ReproError
+from repro.errors import ReproError
 from repro.machine.clusters import get_cluster
 from repro.machine.config import (
     FabricConfig,
@@ -171,38 +171,12 @@ class SamplePoint:
     fidelity: str = "exact"
 
     def __post_init__(self):
-        from repro.bench.harness import check_loop
+        from repro.bench.harness import check_knobs, check_loop
 
+        # Checked here, not in the simulation: an oversized leader count
+        # would run clamped to ppn yet be stored and hashed as given.
         check_loop(self.iterations, self.warmup)
-        if self.leaders is not None and not 1 <= self.leaders <= self.ppn:
-            # Checked here, not in the simulation: an oversized count
-            # would run clamped to ppn yet be stored and hashed as given.
-            raise ConfigError(
-                f"leaders must be in [1, ppn={self.ppn}], got {self.leaders}"
-            )
-        if self.extra:
-            self._check_extra()
-
-    def _check_extra(self) -> None:
-        """Reject, before any simulation, keywords the named allreduce
-        does not take and ``radices`` that do not factor the job."""
-        from repro.mpi.collectives.generalized import _resolve_radices
-        from repro.mpi.collectives.registry import allreduce_keywords
-
-        kwargs = dict(self.extra)
-        if self.algorithm is not None:
-            accepted = allreduce_keywords(self.algorithm)
-            if accepted is not None and not accepted.issuperset(kwargs):
-                raise ConfigError(
-                    f"allreduce {self.algorithm!r} takes no keyword(s) "
-                    f"{', '.join(sorted(set(kwargs) - accepted))}; it "
-                    f"takes: {', '.join(sorted(accepted)) or 'none'}"
-                )
-        if kwargs.get("radices") is not None:
-            try:
-                _resolve_radices(self.nranks, kwargs["radices"])
-            except MPIError as err:
-                raise ConfigError(str(err)) from None
+        check_knobs(self.algorithm, self.nranks, self.ppn, self.alg_kwargs())
 
     @property
     def nranks(self) -> int:

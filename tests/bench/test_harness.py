@@ -46,6 +46,40 @@ class TestHarness:
             )
         assert session.runs == 0
 
+    @pytest.mark.parametrize(
+        "algorithm, knobs",
+        [
+            ("dpml", {"leaders": 64}),
+            ("dpml", {"leaders": 0}),
+            ("dpml", {"bogus": 1}),
+            ("generalized", {"radices": (3,)}),
+        ],
+        ids=["leaders-above-ppn", "no-leaders", "unknown-keyword", "radices"],
+    )
+    def test_invalid_algorithm_knobs_rejected_before_simulation(
+        self, algorithm, knobs
+    ):
+        """The harness and a sample point reject the same knobs with
+        the same message, before anything is simulated."""
+        from repro.bench.spec import SamplePoint
+        from repro.mpi.runtime import SimSession
+
+        session = SimSession(cluster_b(2), 8, 4)
+        with pytest.raises(ConfigError) as direct:
+            allreduce_latency(cluster_b(2), algorithm, 4096, ppn=4, **knobs)
+        with pytest.raises(ConfigError) as reused:
+            allreduce_latency(
+                cluster_b(2), algorithm, 4096, ppn=4, session=session, **knobs
+            )
+        assert session.runs == 0
+        leaders = knobs.pop("leaders", None)
+        with pytest.raises(ConfigError) as point:
+            SamplePoint(
+                "b", 2, 4, algorithm, 4096, leaders=leaders,
+                extra=tuple(knobs.items()),
+            )
+        assert str(direct.value) == str(reused.value) == str(point.value)
+
     def test_explicit_nranks(self):
         t = allreduce_latency(cluster_b(4), "ring", 1024, nranks=6, ppn=2)
         assert t > 0
