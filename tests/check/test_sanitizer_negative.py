@@ -82,7 +82,9 @@ class TestGateViolations:
     def test_unsanitized_mismatch_keeps_overfill_semantics(self):
         # Without a sanitizer the historical behaviour is preserved:
         # the disagreement surfaces as an overfill, not a new error.
-        runtime = Runtime(Machine(cluster_b(2), 2, 1))
+        runtime = Runtime(
+            Machine(cluster_b(2), 2, 1, sim=Simulator(sanitize=False))
+        )
         runtime.gate("g", parties=3)
         with pytest.raises(MPIError, match="overfilled"):
             runtime.gate("g", parties=1)

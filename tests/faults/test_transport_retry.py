@@ -1,7 +1,7 @@
 """The transport retry loop: typed exhaustion, per-edge telemetry.
 
-Covers the audited ``_await_link`` control flow: every iteration either
-returns (link clear), raises the typed
+Covers the audited ``_Wire.await_link`` control flow: every call either
+injects (link clear), raises the typed
 :class:`~repro.errors.TransportError` (budget exhausted on a live
 outage), or performs exactly one counted retry followed by one backoff
 sleep — and the counters record each of those outcomes per edge.
