@@ -51,6 +51,8 @@ def check_knobs(
     count outside ``[1, ppn]`` (it would run clamped to ``ppn``),
     keywords the named allreduce does not take, and ``radices`` that do
     not factor ``nranks``."""
+    if not alg_kwargs:
+        return
     leaders = alg_kwargs.get("leaders")
     if leaders is not None and not 1 <= leaders <= ppn:
         raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")

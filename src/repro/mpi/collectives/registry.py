@@ -11,6 +11,7 @@ function tables.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Callable, Generator, Optional
 
@@ -153,9 +154,14 @@ def allreduce_keywords(name: str) -> Optional[frozenset]:
     payload, op)``, or ``None`` when it is not registered or takes
     ``**kwargs``."""
     record = _ALLREDUCE.get(name)
-    if record is None:
-        return None
-    params = list(inspect.signature(record.fn).parameters.values())[3:]
+    return None if record is None else _public_keywords(record.fn)
+
+
+@functools.lru_cache(maxsize=None)
+def _public_keywords(fn: Callable) -> Optional[frozenset]:
+    # Cached: every sample point and allreduce_latency call checks its
+    # keywords, and inspect.signature costs tens of microseconds.
+    params = list(inspect.signature(fn).parameters.values())[3:]
     if any(param.kind is param.VAR_KEYWORD for param in params):
         return None
     return frozenset(
