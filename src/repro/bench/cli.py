@@ -21,10 +21,6 @@ Commands
     Inspect or maintain a result store: entry/byte totals and hit
     counters, full integrity re-hash, or eviction by ``--older-than``
     age and/or ``--max-bytes`` budget.  Output is canonical JSON.
-``serve --demo [--requests N] [--workers N]``
-    Drive the async sweep service: N concurrent mixed sweep requests
-    multiplexed over a bounded worker pool with in-flight dedup, each
-    verified byte-identical against a serial reference.
 ``autotune --cluster c [--ppn 28]``
     Regenerate the DPML tuning table for one cluster preset.
 ``experiments [--output EXPERIMENTS.md]``
@@ -223,14 +219,14 @@ def _cache(args) -> int:
             older_than = (
                 parse_duration(args.older_than) if args.older_than else None
             )
+            report = store.gc(
+                older_than=older_than,
+                max_bytes=args.max_bytes,
+                dry_run=args.dry_run,
+            )
         except ReproError as e:
             print(str(e), file=sys.stderr)
             return 2
-        report = store.gc(
-            older_than=older_than,
-            max_bytes=args.max_bytes,
-            dry_run=args.dry_run,
-        )
     else:
         print(
             f"unknown cache action {args.target!r}; "
@@ -252,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "command",
-        help="'list', 'all', 'run', 'cache', 'serve', 'experiments', "
+        help="'list', 'all', 'run', 'cache', 'experiments', "
         "'autotune', 'validate', or a figure name (e.g. fig9b)",
     )
     parser.add_argument(
@@ -317,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="content-addressed result store directory for 'run' / "
-        "'cache' / 'serve' (default: the REPRO_RESULT_STORE environment "
+        "'cache' (default: the REPRO_RESULT_STORE environment "
         "variable; cached points are answered without simulating)",
     )
     parser.add_argument(
@@ -335,19 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--dry-run", action="store_true", dest="dry_run",
         help="for 'cache gc': report what would be evicted, unlink nothing",
-    )
-    parser.add_argument(
-        "--demo", action="store_true",
-        help="for 'serve': run the concurrent mixed-sweep demo and verify "
-        "every request against a serial reference",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=6,
-        help="for 'serve --demo': number of concurrent sweep requests",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="for 'serve': worker threads in the session pool",
     )
     args = parser.parse_args(argv)
     if args.sanitize:
@@ -370,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_sweep(args)
     if command == "cache":
         return _cache(args)
-    if command == "serve":
-        from repro.bench.service import main as serve_main
-
-        return serve_main(args)
     if command == "experiments":
         from repro.bench.experiments import generate_experiments_report
 

@@ -29,7 +29,10 @@ from repro.mpi.runtime import SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
-__all__ = ["allreduce_latency", "latency_kernel", "check_loop", "check_knobs"]
+__all__ = [
+    "allreduce_latency", "latency_kernel", "check_loop", "check_sample",
+    "check_knobs",
+]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
 FLOAT_BYTES = 4
@@ -42,6 +45,17 @@ def check_loop(iterations: int, warmup: int) -> None:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
+
+
+def check_sample(sizes, sigma: float = 0.0) -> None:
+    """Reject a negative message size (it would run as one element yet
+    be stored and hashed as given) and negative noise (it would run
+    noise-free yet be keyed apart from ``sigma=0``)."""
+    for nbytes in sizes:
+        if nbytes < 0:
+            raise ConfigError(f"message size must be >= 0 bytes, got {nbytes}")
+    if sigma < 0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
 
 
 def check_knobs(
@@ -208,11 +222,12 @@ def allreduce_latency(
     ``JobResult.counters["hybrid_fleet_fallbacks"]``; both launches
     produce identical latencies.
 
-    ``iterations < 1``, ``warmup < 0`` and the knobs
+    ``iterations < 1``, ``warmup < 0``, ``nbytes < 0`` and the knobs
     :func:`check_knobs` rejects raise :class:`~repro.errors.ConfigError`
     before anything is simulated.
     """
     check_loop(iterations, warmup)
+    check_sample((nbytes,))
     if nranks is None:
         if ppn is None:
             raise ReproError("allreduce_latency needs nranks (and usually ppn)")

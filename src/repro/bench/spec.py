@@ -171,11 +171,12 @@ class SamplePoint:
     fidelity: str = "exact"
 
     def __post_init__(self):
-        from repro.bench.harness import check_knobs, check_loop
+        from repro.bench.harness import check_knobs, check_loop, check_sample
 
         # Checked here, not in the simulation: an oversized leader count
         # would run clamped to ppn yet be stored and hashed as given.
         check_loop(self.iterations, self.warmup)
+        check_sample((self.nbytes,), self.sigma)
         check_knobs(self.algorithm, self.nranks, self.ppn, self.alg_kwargs())
 
     @property
@@ -343,11 +344,12 @@ class SweepSpec:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "leader_counts", tuple(self.leader_counts))
         object.__setattr__(self, "extra", _freeze_kwargs(self.extra))
-        from repro.bench.harness import check_loop
+        from repro.bench.harness import check_loop, check_sample
         from repro.mpi.runtime import resolve_fidelity
 
         resolve_fidelity(self.fidelity)  # reject unknown modes early
         check_loop(self.iterations, self.warmup)
+        check_sample(self.sizes, self.sigma)
         if not self.sizes:
             raise ReproError(f"sweep {self.name!r} has no message sizes")
         if not self.algorithms:

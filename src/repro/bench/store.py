@@ -25,10 +25,9 @@ outcome re-executes on every run so transient failures self-heal.
 
 The executors (:mod:`repro.bench.executor`) thread a store through
 :meth:`~repro.bench.executor._BaseExecutor.run` as a read-through /
-write-back layer; the async front-end (:mod:`repro.bench.service`)
-batches lookups across concurrent sweep requests.  ``python -m
-repro.bench cache`` exposes :meth:`ResultStore.stats`,
-:meth:`ResultStore.verify`, and :meth:`ResultStore.gc`.
+write-back layer.  ``python -m repro.bench cache`` exposes
+:meth:`ResultStore.stats`, :meth:`ResultStore.verify`, and
+:meth:`ResultStore.gc`.
 """
 
 from __future__ import annotations
@@ -332,8 +331,12 @@ class ResultStore:
         oldest-first until the remainder fits.  Both criteria compose;
         with neither this is a no-op report.  ``dry_run`` runs the same
         selection but unlinks nothing — the report shows what *would*
-        be evicted (``evicted_bytes`` sums the selected sizes).
+        be evicted (``evicted_bytes`` sums the selected sizes).  A
+        negative ``max_bytes`` raises :class:`~repro.errors.ReproError`
+        before anything is selected.
         """
+        if max_bytes is not None and max_bytes < 0:
+            raise ReproError(f"max_bytes must be >= 0, got {max_bytes}")
         entries = list(self.entries())
         now = time.time() if now is None else now
         evict: list[StoreEntry] = []

@@ -80,6 +80,16 @@ class TestHarness:
             )
         assert str(direct.value) == str(reused.value) == str(point.value)
 
+    def test_negative_size_rejected_before_simulation(self):
+        from repro.mpi.runtime import SimSession
+
+        session = SimSession(cluster_b(2), 8, 4)
+        with pytest.raises(ConfigError, match="message size"):
+            allreduce_latency(cluster_b(2), "dpml", -5, ppn=4)
+        with pytest.raises(ConfigError, match="message size"):
+            allreduce_latency(cluster_b(2), "dpml", -5, ppn=4, session=session)
+        assert session.runs == 0
+
     def test_explicit_nranks(self):
         t = allreduce_latency(cluster_b(4), "ring", 1024, nranks=6, ppn=2)
         assert t > 0
@@ -129,11 +139,35 @@ class TestCli:
 
         assert main(["nope"]) == 2
 
-    def test_perf_command_is_gone(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["perf"], ["serve"], ["serve", "--demo"]],
+        ids=["perf", "serve", "serve-demo"],
+    )
+    def test_perf_command_is_gone(self, argv, capsys):
         from repro.bench.cli import main
 
-        assert main(["perf"]) == 2
-        assert "unknown command" in capsys.readouterr().err
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the retired options
+            code = e.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown command" in err or "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sizes", "-5"], "message size"),
+            (["--sizes", "4096", "--sigma", "-1"], "sigma"),
+        ],
+        ids=["negative-size", "negative-sigma"],
+    )
+    def test_run_rejects_negative_size_and_sigma(self, argv, message, capsys):
+        from repro.bench.cli import main
+
+        assert main(["run", "fig5", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_single_figure_runs(self, capsys):
         from repro.bench.cli import main

@@ -77,6 +77,21 @@ class TestExpansion:
         with pytest.raises(ConfigError, match=next(iter(loop))):
             SamplePoint("b", 2, 2, "dpml", 1024, **loop)
 
+    def test_negative_size_and_sigma_rejected_at_construction(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="message size"):
+            small_spec(sizes=(1024, -5))
+        with pytest.raises(ConfigError, match="message size"):
+            SamplePoint("b", 2, 2, "dpml", -5)
+        with pytest.raises(ConfigError, match="sigma"):
+            small_spec(sigma=-1.0)
+        with pytest.raises(ConfigError, match="sigma"):
+            SamplePoint("b", 2, 2, "dpml", 1024, sigma=-1.0)
+        # Zero stays legal for both.
+        assert small_spec(sizes=(0,), sigma=0.0).n_points == 2
+        assert SamplePoint("b", 2, 2, "dpml", 0).nbytes == 0
+
     @pytest.mark.parametrize("leaders", [0, -1, 3, 64])
     def test_invalid_leader_count_rejected_at_construction(self, leaders):
         from repro.errors import ConfigError

@@ -154,8 +154,35 @@ class TestExecutorIntegration:
             include_meta=False
         )
 
-    def test_serial_parallel_cached_all_equivalent(self, tmp_path):
-        spec = tiny_spec()
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tiny_spec(),
+            SweepSpec(
+                name="leaders-b", cluster="b", nodes=2, ppn=4,
+                sizes=(1024, 16384), algorithms=("dpml",),
+                leader_counts=(1, 2, 4), iterations=1,
+            ),
+            SweepSpec(
+                name="leaders-a", cluster="a", nodes=2, ppn=4,
+                sizes=(4096,), algorithms=("dpml",),
+                leader_counts=(1, 4), iterations=1,
+            ),
+            SweepSpec(
+                name="algorithms", cluster="b", nodes=2, ppn=2,
+                sizes=(1024, 4096),
+                algorithms=("mvapich2", "recursive_doubling"),
+                leader_counts=(None,), iterations=1,
+            ),
+            SweepSpec(
+                name="hybrid", cluster="b", nodes=2, ppn=4,
+                sizes=(16384,), algorithms=("dpml",),
+                leader_counts=(2,), iterations=1, fidelity="hybrid",
+            ),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_serial_parallel_cached_all_equivalent(self, tmp_path, spec):
         plain = SerialExecutor().run(spec)
         store = ResultStore(tmp_path)
         parallel_cold = ParallelExecutor(2).run(spec, store=store)
@@ -267,6 +294,18 @@ class TestMaintenance:
         assert {e.key for e in store.entries()} == {
             e.key for e in entries[2:]
         }
+
+    def test_gc_negative_budget_rejected(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        store = self._filled(tmp_path)
+        before = {e.key for e in store.entries()}
+        with pytest.raises(ReproError, match="max_bytes"):
+            store.gc(max_bytes=-1)
+        argv = ["cache", "gc", "--store", str(tmp_path), "--max-bytes", "-1"]
+        assert main(argv) == 2
+        assert "max_bytes" in capsys.readouterr().err
+        assert {e.key for e in store.entries()} == before
 
     def test_counters_persist_across_instances(self, tmp_path):
         store = self._filled(tmp_path)

@@ -227,7 +227,7 @@ print(sorted(seen))
 
 def test_concurrent_first_touch_sees_the_full_table():
     """Threads racing to be the registry's first user all see every
-    allreduce (the sweep service's workers do exactly this)."""
+    allreduce (any caller that simulates from a thread pool does this)."""
     src = Path(repro.__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-c", _FIRST_TOUCH_RACE],
