@@ -15,7 +15,7 @@ layout.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def check_loop(iterations: int, warmup: int) -> None:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
 
 
-def check_sample(sizes, sigma: float = 0.0) -> None:
+def check_sample(sizes: Iterable[int], sigma: float = 0.0) -> None:
     """Reject a negative message size (it would run as one element yet
     be stored and hashed as given) and negative noise (it would run
     noise-free yet be keyed apart from ``sigma=0``)."""
