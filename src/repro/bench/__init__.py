@@ -18,9 +18,9 @@
 * :mod:`repro.bench.report` — fixed-width tables matching the paper's
   figure axes;
 * :mod:`repro.bench.figures` — one entry point per paper figure
-  (Fig. 1 throughput study through Fig. 11 applications);
-* :mod:`repro.bench.cli` — ``python -m repro.bench fig9b`` /
-  ``python -m repro.bench run fig5 --jobs 4``.
+  (Fig. 1 throughput study through Fig. 11 applications), run from
+  the command line as ``python -m repro bench fig9b`` /
+  ``python -m repro bench run fig5 --jobs 4`` (:mod:`repro.cli`).
 """
 
 from repro.bench.executor import (

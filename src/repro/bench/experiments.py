@@ -5,7 +5,7 @@ Runs each figure regenerator, extracts the quantity the paper reports
 the paper's published claim, and emits a markdown report.  The shipped
 EXPERIMENTS.md is the output of::
 
-    python -m repro.bench experiments --output EXPERIMENTS.md
+    python -m repro bench experiments --output EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def generate_experiments_report(out=None, selected=None) -> str:
     )
     buf.write(
         "# EXPERIMENTS — paper vs. measured\n\n"
-        f"Generated by `python -m repro.bench experiments` (repro {__version__}),\n"
+        f"Generated by `python -m repro bench experiments` (repro {__version__}),\n"
         f"scale: **{scale}**.  {store_note}"
         "Absolute times are simulated microseconds on\n"
         "the calibrated cluster models; the reproduction targets are the\n"

@@ -4,7 +4,7 @@ Every ``fig*`` function runs the corresponding experiment and returns a
 :class:`FigureResult` whose ``rows`` hold the same series the paper
 plots and whose ``table`` is a printable rendition.  The benchmark
 suite (``benchmarks/``) calls these and asserts the qualitative shapes;
-the CLI (``python -m repro.bench``) prints them.
+the CLI (``python -m repro bench``) prints them.
 
 Scale
 -----

@@ -1,6 +1,6 @@
 """Terminal (ASCII) charts for the figure regenerators.
 
-No plotting stack is available offline, so ``python -m repro.bench
+No plotting stack is available offline, so ``python -m repro bench
 fig5 --plot`` renders the figure as a log-log ASCII chart — good
 enough to eyeball the crossovers and slopes the paper's plots show.
 """

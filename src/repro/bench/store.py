@@ -25,7 +25,7 @@ outcome re-executes on every run so transient failures self-heal.
 
 The executors (:mod:`repro.bench.executor`) thread a store through
 :meth:`~repro.bench.executor._BaseExecutor.run` as a read-through /
-write-back layer.  ``python -m repro.bench cache`` exposes
+write-back layer.  ``python -m repro bench cache`` exposes
 :meth:`ResultStore.stats`, :meth:`ResultStore.verify`, and
 :meth:`ResultStore.gc`.
 """

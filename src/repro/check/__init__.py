@@ -1,4 +1,4 @@
-"""SimSan: the always-on simulator sanitizer (``python -m repro.check``).
+"""SimSan: the always-on simulator sanitizer (``python -m repro check``).
 
 Structural invariant checking for simulated MPI jobs (gate lifecycle,
 shared-memory partition spans, matcher leaks, event-time monotonicity,

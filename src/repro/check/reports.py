@@ -4,7 +4,7 @@ Every invariant violation the sanitizer detects — whether it aborts the
 run or is collected at finalize — is recorded as one
 :class:`SanitizerReport`.  Reports are plain data (kind, simulated
 time, message, detail mapping) so they serialise to JSON for the
-``python -m repro.check`` CLI and diff cleanly in CI logs.
+``python -m repro check`` CLI and diff cleanly in CI logs.
 
 The ``kind`` vocabulary is closed: each constant below names one
 invariant class (see ``docs/sanitizer.md`` for the catalogue).

@@ -11,7 +11,7 @@ group is one :class:`~repro.bench.spec.SweepSpec` run through
 :func:`~repro.bench.executor.run_sweep`, so ``REPRO_BENCH_JOBS`` fans it
 out and ``REPRO_RESULT_STORE`` answers a repeated call from the store.
 ``docs/calibration.md`` records how the shipped tables compare with
-``python -m repro.bench autotune --cluster c`` output.
+``python -m repro bench autotune --cluster c`` output.
 """
 
 from __future__ import annotations

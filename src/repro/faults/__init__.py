@@ -4,7 +4,7 @@ A :class:`FaultPlan` (typed list of scheduled faults) plus a seed
 replays bit-identically; a :class:`FaultInjector` realises a plan for
 one job layout.  See ``docs/faults.md`` for the schema, the determinism
 contract, and the retry/backoff semantics, and
-``python -m repro.faults --help`` for the plan tooling CLI.
+``python -m repro faults --help`` for the plan tooling CLI.
 """
 
 from repro.faults.inject import FaultInjector

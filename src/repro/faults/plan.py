@@ -40,7 +40,6 @@ re-realising (session reuse) restores the exact same schedule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Optional, Union
@@ -314,7 +313,7 @@ def _fault_from_dict(data: dict) -> Fault:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(canonical.JsonRecord):
     """A typed, ordered list of scheduled faults plus the retry policy.
 
     The plan is pure data: frozen, hashable, picklable, and JSON
@@ -336,6 +335,9 @@ class FaultPlan:
     retry_limit: int = 6
     backoff_base: float = 1e-6
     backoff_cap: float = 1e-4
+
+    noun = "fault plan"
+    error = FaultError
 
     def __post_init__(self):
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -437,25 +439,6 @@ class FaultPlan:
             backoff_base=data.get("backoff_base", 1e-6),
             backoff_cap=data.get("backoff_cap", 1e-4),
         )
-
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        """JSON rendition (sorted keys, so equal plans diff clean)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise FaultError(f"fault plan is not valid JSON: {e}") from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        """Read and validate a plan file."""
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     def plan_hash(self) -> str:
         """Stable content hash: equal plans inject the same faults."""

@@ -4,7 +4,7 @@ Runs every registered algorithm of every collective kind across a grid
 of job layouts (including non-power-of-two rank counts, partial last
 nodes, counts smaller than the rank count) with real numpy payloads and
 checks the results element-wise against numpy references.  This is the
-library's self-check — exposed as ``python -m repro.bench validate``
+library's self-check — exposed as ``python -m repro bench validate``
 and reused by the integration test suite.
 """
 

@@ -15,7 +15,7 @@ Entry points:
   job (also accepted by :class:`~repro.mpi.runtime.SimSession` and the
   bench harness).
 * :func:`~repro.resilience.soak.soak` /
-  ``python -m repro.resilience soak`` — the seeded chaos harness
+  ``python -m repro resilience soak`` — the seeded chaos harness
   asserting recover-or-abort on every scenario.
 """
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.canonical import JsonRecord
 from repro.errors import ConfigError
 
 __all__ = ["RecoveryPolicy"]
@@ -36,7 +36,7 @@ _FIELDS = (
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(JsonRecord):
     """How a job responds to confirmed transport failures.
 
     Attributes
@@ -72,6 +72,9 @@ class RecoveryPolicy:
     restart_latency: float = 5e-4
     heartbeat_timeout: float = 5e-3
     fallback_algorithm: str = "recursive_doubling"
+
+    noun = "recovery policy"
+    error = ConfigError
 
     def __post_init__(self):
         if self.max_failovers < 0:
@@ -118,24 +121,6 @@ class RecoveryPolicy:
                 f"unknown recovery policy field(s): {', '.join(sorted(unknown))}"
             )
         return cls(**data)
-
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        """Canonical JSON rendition."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RecoveryPolicy":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"recovery policy is not valid JSON: {e}") from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "RecoveryPolicy":
-        """Read a policy from a JSON file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
     def policy_hash(self) -> str:
         """Stable content hash (first 12 hex chars of sha256)."""

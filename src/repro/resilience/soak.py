@@ -1,6 +1,6 @@
 """Seeded chaos harness: recover-or-abort, deterministically.
 
-``python -m repro.resilience soak`` generates a seeded batch of
+``python -m repro resilience soak`` generates a seeded batch of
 kill-window scenarios (a permanent link outage isolating one node,
 injected at a random time into a running allreduce) and checks the
 resilience contract on every one:
@@ -28,7 +28,7 @@ import json
 
 import numpy as np
 
-from repro.errors import RecoveryError, TransportError
+from repro.errors import ConfigError, RecoveryError, TransportError
 from repro.faults.plan import FaultPlan, LinkOutage
 from repro.machine.clusters import cluster_b
 from repro.mpi.runtime import run_job
@@ -207,7 +207,13 @@ def soak(
     diffs).
     """
     if nodes < 2:
-        raise ValueError("soak needs at least 2 nodes (inter-node outages)")
+        raise ConfigError(
+            f"soak needs at least 2 nodes (inter-node outages), got {nodes}"
+        )
+    if scenarios < 1:
+        raise ConfigError(f"soak needs at least 1 scenario, got {scenarios}")
+    if nbytes < 0:
+        raise ConfigError(f"soak nbytes must be non-negative, got {nbytes}")
     rng = np.random.default_rng(seed)
     results = []
     for i in range(scenarios):

@@ -24,7 +24,6 @@ is what the metering layer's percentiles are computed over.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Generator, Optional
 
@@ -130,7 +129,7 @@ def _job_from_dict(data: dict) -> JobSpec:
 
 
 @dataclass(frozen=True)
-class TrafficTrace:
+class TrafficTrace(canonical.JsonRecord):
     """A typed, time-ordered stream of tenant jobs (pure data).
 
     Frozen, hashable, JSON round-trippable (:meth:`to_dict` /
@@ -141,6 +140,9 @@ class TrafficTrace:
     """
 
     jobs: tuple[JobSpec, ...] = field(default_factory=tuple)
+
+    noun = "traffic trace"
+    error = TrafficError
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
@@ -201,25 +203,6 @@ class TrafficTrace:
         if not isinstance(raw, (list, tuple)):
             raise TrafficError("traffic trace 'jobs' must be a list")
         return cls(jobs=tuple(_job_from_dict(entry) for entry in raw))
-
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        """JSON rendition (sorted keys, so equal traces diff clean)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrafficTrace":
-        """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise TrafficError(f"traffic trace is not valid JSON: {e}") from None
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str) -> "TrafficTrace":
-        """Read and validate a trace file."""
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     def trace_hash(self) -> str:
         """Stable content hash: equal traces schedule the same jobs."""

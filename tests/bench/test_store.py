@@ -296,13 +296,16 @@ class TestMaintenance:
         }
 
     def test_gc_negative_budget_rejected(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.cli import main
 
         store = self._filled(tmp_path)
         before = {e.key for e in store.entries()}
         with pytest.raises(ReproError, match="max_bytes"):
             store.gc(max_bytes=-1)
-        argv = ["cache", "gc", "--store", str(tmp_path), "--max-bytes", "-1"]
+        argv = [
+            "bench", "cache", "gc", "--store", str(tmp_path),
+            "--max-bytes", "-1",
+        ]
         assert main(argv) == 2
         assert "max_bytes" in capsys.readouterr().err
         assert {e.key for e in store.entries()} == before

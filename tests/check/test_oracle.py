@@ -116,18 +116,18 @@ class TestPredictAllreduce:
 
 class TestCheckCli:
     def test_oracle_only_run_is_clean(self, capsys):
-        from repro.check.cli import main
+        from repro.cli import main
 
-        assert main(["--skip-validate", "--counts", "64"]) == 0
+        assert main(["check", "--skip-validate", "--counts", "64"]) == 0
         out = capsys.readouterr().out
         assert "0 divergent" in out
 
     def test_json_report_written(self, tmp_path, capsys):
-        from repro.check.cli import main
+        from repro.cli import main
 
         path = tmp_path / "findings.json"
         code = main(
-            ["--skip-validate", "--counts", "16", "--json", str(path)]
+            ["check", "--skip-validate", "--counts", "16", "--json", str(path)]
         )
         assert code == 0
         findings = json.loads(path.read_text())
@@ -135,17 +135,17 @@ class TestCheckCli:
         assert all(case["ok"] for case in findings["oracle"])
 
     def test_absurd_band_fails_with_nonzero_exit(self, capsys):
-        from repro.check.cli import main
+        from repro.cli import main
 
         assert main(
-            ["--skip-validate", "--counts", "64", "--band", "1e6,2e6"]
+            ["check", "--skip-validate", "--counts", "64", "--band", "1e6,2e6"]
         ) == 1
         captured = capsys.readouterr()
         assert "cost-model-divergence" in captured.err
         assert "divergent" in captured.out
 
-    def test_bad_band_rejected(self):
-        from repro.check.cli import main
+    def test_bad_band_rejected(self, capsys):
+        from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["--band", "nonsense"])
+        assert main(["check", "--band", "nonsense"]) == 2
+        assert "--band" in capsys.readouterr().err

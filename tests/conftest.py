@@ -3,8 +3,8 @@ allreduce roster.
 
 The (nranks, ppn, nodes) layout grid is single-sourced from
 :mod:`repro.mpi.validate` (``DEFAULT_LAYOUTS`` / ``DEFAULT_COUNTS``) —
-the same shapes the ``python -m repro.bench validate`` self-check and
-the ``python -m repro.check`` sanitizer CLI sweep.  Tests import the
+the same shapes the ``python -m repro bench validate`` self-check and
+the ``python -m repro check`` sanitizer CLI sweep.  Tests import the
 grids from here instead of re-declaring their own copies, so adding a
 tricky layout to the validation matrix automatically widens every
 suite that iterates layouts.

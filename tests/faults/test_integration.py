@@ -252,7 +252,7 @@ class TestSpecIntegration:
         assert a.canonical_dict() == b.canonical_dict()
 
     def test_faults_cli_flag_loads_plan_into_spec_hash(self, tmp_path, capsys):
-        from repro.bench.cli import main as bench_cli
+        from repro.cli import main
 
         path = tmp_path / "plan.json"
         path.write_text(
@@ -261,8 +261,8 @@ class TestSpecIntegration:
             ).to_json()
         )
         out = tmp_path / "result.json"
-        rc = bench_cli([
-            "run", "fig5", "--sizes", "1024", "--faults", str(path),
+        rc = main([
+            "bench", "run", "fig5", "--sizes", "1024", "--faults", str(path),
             "--seed", "7", "--output", str(out), "--canonical",
         ])
         assert rc == 0
@@ -272,8 +272,8 @@ class TestSpecIntegration:
         assert record["spec"]["faults"]["faults"][0]["kind"] == "arrival-skew"
         assert record["spec"]["base_seed"] == 7
         # A fault-free run of the same sweep hashes differently.
-        rc = bench_cli([
-            "run", "fig5", "--sizes", "1024", "--output", str(out),
+        rc = main([
+            "bench", "run", "fig5", "--sizes", "1024", "--output", str(out),
             "--canonical",
         ])
         assert rc == 0
@@ -282,11 +282,11 @@ class TestSpecIntegration:
         assert "faults" not in clean["spec"]
 
     def test_bench_cli_rejects_bad_plan_file(self, tmp_path):
-        from repro.bench.cli import main as bench_cli
+        from repro.cli import main
 
         bad = tmp_path / "bad.json"
         bad.write_text('{"faults": [{"kind": "meteor-strike"}]}')
-        assert bench_cli(["run", "fig5", "--faults", str(bad)]) == 2
-        assert bench_cli(
-            ["run", "fig5", "--faults", str(tmp_path / "nope.json")]
+        assert main(["bench", "run", "fig5", "--faults", str(bad)]) == 2
+        assert main(
+            ["bench", "run", "fig5", "--faults", str(tmp_path / "nope.json")]
         ) == 2

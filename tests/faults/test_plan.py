@@ -15,7 +15,7 @@ from repro.faults import (
     NodeSlowdown,
     Straggler,
 )
-from repro.faults.cli import main as faults_cli
+from repro.cli import main
 
 
 def full_plan() -> FaultPlan:
@@ -161,41 +161,42 @@ class TestCli:
     def test_validate_describe_sample(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
         path.write_text(full_plan().to_json())
-        assert faults_cli(["validate", str(path)]) == 0
-        assert faults_cli(["describe", str(path)]) == 0
-        assert faults_cli(
-            ["sample", str(path), "--nranks", "8", "--ppn", "4", "--seed", "3"]
-        ) == 0
+        assert main(["faults", "validate", str(path)]) == 0
+        assert main(["faults", "describe", str(path)]) == 0
+        assert main([
+            "faults", "sample", str(path),
+            "--nranks", "8", "--ppn", "4", "--seed", "3",
+        ]) == 0
         out = capsys.readouterr().out
         assert "rank   7" in out
         assert "DOWN" in out  # the outage window is visible at t=0
 
-    def test_validate_rejects_bad_plan(self, tmp_path):
+    def test_validate_rejects_bad_plan(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"faults": [{"kind": "meteor-strike"}]}')
-        with pytest.raises(SystemExit):
-            faults_cli(["validate", str(path)])
+        assert main(["faults", "validate", str(path)]) == 2
+        assert "invalid fault plan" in capsys.readouterr().err
 
-    def test_validate_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit):
-            faults_cli(["validate", str(tmp_path / "nope.json")])
+    def test_validate_missing_file(self, tmp_path, capsys):
+        assert main(["faults", "validate", str(tmp_path / "nope.json")]) == 2
+        assert "No such file" in capsys.readouterr().err
 
     def test_example_emits_valid_plans(self, capsys):
-        assert faults_cli(["example"]) == 0
+        assert main(["faults", "example"]) == 0
         plan = FaultPlan.from_json(capsys.readouterr().out)
         assert len(plan) == len(FAULT_KINDS)
-        assert faults_cli(["example", "link-outage"]) == 0
+        assert main(["faults", "example", "link-outage"]) == 0
         plan = FaultPlan.from_json(capsys.readouterr().out)
         assert len(plan) == 1
 
-    def test_example_rejects_unknown_kind(self):
-        with pytest.raises(SystemExit):
-            faults_cli(["example", "meteor-strike"])
+    def test_example_rejects_unknown_kind(self, capsys):
+        assert main(["faults", "example", "meteor-strike"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_sample_layout_mismatch(self, tmp_path):
+    def test_sample_layout_mismatch(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
         path.write_text(
             FaultPlan(faults=(Straggler(rank=64, factor=2.0),)).to_json()
         )
-        with pytest.raises(SystemExit):
-            faults_cli(["sample", str(path), "--nranks", "4"])
+        assert main(["faults", "sample", str(path), "--nranks", "4"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -11,7 +11,7 @@ checked against the numpy sum of the inputs (integer-valued float64,
 so the sum is exact and every summation order agrees bit for bit).
 
 The grid is the shared conftest layout grid (the same shapes as
-``python -m repro.check``), and the sanitized variants re-run the
+``python -m repro check``), and the sanitized variants re-run the
 records with the invariant sanitizer attached, since sanitizer
 bookkeeping rides the same hot paths.
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.resilience.cli import main
+from repro.cli import main
+from repro.errors import ConfigError
 from repro.resilience.soak import canonical_json, soak
 
 
@@ -56,16 +57,26 @@ class TestDeterminism:
 
 
 class TestValidationErrors:
-    def test_single_node_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 nodes"):
-            soak(nodes=1)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": 1}, "at least 2 nodes"),
+            ({"scenarios": 0}, "at least 1 scenario"),
+            ({"nbytes": -1}, "non-negative"),
+        ],
+        ids=["one-node", "no-scenarios", "negative-nbytes"],
+    )
+    def test_bad_batch_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            soak(**kwargs)
 
 
 class TestCli:
     def test_soak_writes_canonical_record(self, tmp_path):
         out = tmp_path / "soak.json"
         code = main([
-            "soak", "--seed", "3", "--scenarios", "3", "--output", str(out),
+            "resilience", "soak", "--seed", "3", "--scenarios", "3",
+            "--output", str(out),
         ])
         assert code == 0
         record = json.loads(out.read_text())
@@ -73,15 +84,16 @@ class TestCli:
         assert record["summary"]["failures"] == 0
 
     def test_policy_round_trip(self, tmp_path, capsys):
-        assert main(["example"]) == 0
+        assert main(["resilience", "example"]) == 0
         text = capsys.readouterr().out
         path = tmp_path / "policy.json"
         path.write_text(text)
-        assert main(["validate", str(path)]) == 0
+        assert main(["resilience", "validate", str(path)]) == 0
         assert "ok:" in capsys.readouterr().out
-        assert main(["describe", str(path)]) == 0
+        assert main(["resilience", "describe", str(path)]) == 0
         assert "recovery policy" in capsys.readouterr().out
 
-    def test_validate_missing_file_exits(self):
-        with pytest.raises(SystemExit, match="no such file"):
-            main(["validate", "/nonexistent/policy.json"])
+    def test_validate_missing_file_exits(self, capsys):
+        argv = ["resilience", "validate", "/nonexistent/policy.json"]
+        assert main(argv) == 2
+        assert "No such file" in capsys.readouterr().err

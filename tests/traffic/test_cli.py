@@ -1,15 +1,13 @@
-"""The ``python -m repro.traffic`` command line."""
+"""The ``python -m repro traffic`` commands."""
 
 import json
 
-import pytest
-
 from repro.traffic import TrafficTrace
-from repro.traffic.cli import main as traffic_cli
+from repro.cli import main
 
 
 def test_example_emits_valid_trace(capsys):
-    assert traffic_cli(["example"]) == 0
+    assert main(["traffic", "example"]) == 0
     trace = TrafficTrace.from_json(capsys.readouterr().out)
     assert len(trace.jobs) == 4
     arrivals = [job.arrival for job in trace.jobs]
@@ -17,29 +15,29 @@ def test_example_emits_valid_trace(capsys):
 
 
 def test_describe_trace_file(tmp_path, capsys):
-    assert traffic_cli(["example"]) == 0
+    assert main(["traffic", "example"]) == 0
     path = tmp_path / "trace.json"
     path.write_text(capsys.readouterr().out)
-    assert traffic_cli(["describe", "--trace", str(path)]) == 0
+    assert main(["traffic", "describe", "--trace", str(path)]) == 0
     out = capsys.readouterr().out
     assert "traffic trace" in out and "osu#0" in out
 
 
 def test_describe_generated_poisson(capsys):
-    assert traffic_cli(["describe", "--poisson", "3", "--rate", "20000"]) == 0
+    assert main(["traffic", "describe", "--poisson", "3", "--rate", "20000"]) == 0
     assert "3 job(s)" in capsys.readouterr().out
 
 
 def test_run_writes_byte_stable_canonical_output(tmp_path, capsys):
     args = [
-        "run", "--poisson", "3", "--rate", "30000", "--cluster", "a",
+        "traffic", "run", "--poisson", "3", "--rate", "30000", "--cluster", "a",
         "--sanitize", "--leaf-nodes", "2",
     ]
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    assert traffic_cli(args + ["--output", str(out1)]) == 0
+    assert main([*args, "--output", str(out1)]) == 0
     assert "traffic run" in capsys.readouterr().out
-    assert traffic_cli(args + ["--output", str(out2)]) == 0
+    assert main([*args, "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     blob = json.loads(out1.read_text())
     assert blob["suite"] == "repro.traffic"
@@ -60,29 +58,30 @@ def test_run_with_fault_plan(tmp_path, capsys):
             }
         )
     )
-    assert traffic_cli(
-        [
-            "run", "--poisson", "2", "--rate", "20000", "--cluster", "a",
-            "--faults", str(plan_path),
-        ]
-    ) == 0
+    assert main([
+        "traffic", "run", "--poisson", "2", "--rate", "20000",
+        "--cluster", "a", "--faults", str(plan_path),
+    ]) == 0
     assert "traffic run" in capsys.readouterr().out
 
 
-def test_missing_trace_file():
-    with pytest.raises(SystemExit, match="no such trace"):
-        traffic_cli(["describe", "--trace", "/nonexistent/trace.json"])
+def test_missing_trace_file(capsys):
+    argv = ["traffic", "describe", "--trace", "/nonexistent/trace.json"]
+    assert main(argv) == 2
+    assert "cannot read traffic trace" in capsys.readouterr().err
 
 
-def test_invalid_trace_file(tmp_path):
+def test_invalid_trace_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"jobs": [{"app": "warp", "arrival": 0.0}]}')
-    with pytest.raises(SystemExit, match="invalid traffic trace"):
-        traffic_cli(["run", "--trace", str(path)])
+    assert main(["traffic", "run", "--trace", str(path)]) == 2
+    assert "invalid traffic trace" in capsys.readouterr().err
 
 
-def test_missing_fault_plan(tmp_path):
-    with pytest.raises(SystemExit, match="no such fault plan"):
-        traffic_cli(
-            ["run", "--poisson", "2", "--faults", str(tmp_path / "no.json")]
-        )
+def test_missing_fault_plan(tmp_path, capsys):
+    argv = [
+        "traffic", "run", "--poisson", "2",
+        "--faults", str(tmp_path / "no.json"),
+    ]
+    assert main(argv) == 2
+    assert "cannot read fault plan" in capsys.readouterr().err
