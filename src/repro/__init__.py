@@ -51,6 +51,6 @@ DPML with eight leaders per node against recursive doubling, for a
 True
 """
 
-from repro._version import __version__
+from repro._version import MODEL_ID, __version__
 
-__all__ = ["__version__"]
+__all__ = ["MODEL_ID", "__version__"]

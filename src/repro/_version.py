@@ -1,3 +1,11 @@
-"""Version of the repro package."""
+"""Version of the repro package and identity of its simulated model."""
 
 __version__ = "1.0.0"
+
+#: The canonical sha256 of the committed golden literal tables (the
+#: golden determinism grid, the golden transport records and the
+#: simulated-time records of the golden counters).  Every simulated
+#: number that can move moves one of them, so a change that re-pins a
+#: golden value must set this to the new hash (``tests/test_model_id.py``
+#: prints it); the result store keys every point on it.
+MODEL_ID = "d291034c66bee9538f8fd090008824dd1e28004a3f6572e3dbcefb29cce94ff6"

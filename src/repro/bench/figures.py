@@ -2,9 +2,10 @@
 
 Every ``fig*`` function runs the corresponding experiment and returns a
 :class:`FigureResult` whose ``rows`` hold the same series the paper
-plots and whose ``table`` is a printable rendition.  The benchmark
-suite (``benchmarks/``) calls these and asserts the qualitative shapes;
-the CLI (``python -m repro bench``) prints them.
+plots and whose ``table`` is a printable rendition.  The claim records
+of :mod:`repro.bench.experiments` check the paper's numbers against
+the results' ``meta["data"]``; the CLI (``python -m repro bench``)
+prints them.
 
 Scale
 -----
@@ -556,7 +557,8 @@ def traffic_tenancy(
     )
 
 
-#: CLI registry: name -> zero-argument callable.
+#: CLI registry: name -> callable (every argument has a default;
+#: ``fig8`` takes ``ppn``).
 FIGURES: dict[str, Callable[[], FigureResult]] = {
     "fig1a": lambda: fig1_throughput("a"),
     "fig1b": lambda: fig1_throughput("b"),

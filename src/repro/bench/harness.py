@@ -19,19 +19,17 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, MPIError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
-from repro.mpi.collectives.generalized import _resolve_radices
 from repro.mpi.collectives.hybrid import Fleet, fleet_collective
-from repro.mpi.collectives.registry import allreduce_keywords
+from repro.mpi.collectives.registry import check_knobs
 from repro.mpi.runtime import SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
 __all__ = [
     "allreduce_latency", "latency_kernel", "check_loop", "check_sample",
-    "check_knobs",
 ]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
@@ -56,33 +54,6 @@ def check_sample(sizes: Iterable[int], sigma: float = 0.0) -> None:
             raise ConfigError(f"message size must be >= 0 bytes, got {nbytes}")
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
-
-
-def check_knobs(
-    algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict
-) -> None:
-    """Reject allreduce keywords a job cannot run as given: a ``leaders``
-    count outside ``[1, ppn]`` (it would run clamped to ``ppn``),
-    keywords the named allreduce does not take, and ``radices`` that do
-    not factor ``nranks``."""
-    if not alg_kwargs:
-        return
-    leaders = alg_kwargs.get("leaders")
-    if leaders is not None and not 1 <= leaders <= ppn:
-        raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
-    if algorithm is not None:
-        accepted = allreduce_keywords(algorithm)
-        if accepted is not None and not accepted.issuperset(alg_kwargs):
-            raise ConfigError(
-                f"allreduce {algorithm!r} takes no keyword(s) "
-                f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
-                f"takes: {', '.join(sorted(accepted)) or 'none'}"
-            )
-    if alg_kwargs.get("radices") is not None:
-        try:
-            _resolve_radices(nranks, alg_kwargs["radices"])
-        except MPIError as err:
-            raise ConfigError(str(err)) from None
 
 
 def latency_kernel(
@@ -223,8 +194,8 @@ def allreduce_latency(
     produce identical latencies.
 
     ``iterations < 1``, ``warmup < 0``, ``nbytes < 0`` and the knobs
-    :func:`check_knobs` rejects raise :class:`~repro.errors.ConfigError`
-    before anything is simulated.
+    :func:`~repro.mpi.collectives.registry.check_knobs` rejects raise
+    :class:`~repro.errors.ConfigError` before anything is simulated.
     """
     check_loop(iterations, warmup)
     check_sample((nbytes,))

@@ -171,10 +171,11 @@ class SamplePoint:
     fidelity: str = "exact"
 
     def __post_init__(self):
-        from repro.bench.harness import check_knobs, check_loop, check_sample
+        from repro.bench.harness import check_loop, check_sample
+        from repro.mpi.collectives.registry import check_knobs
 
-        # Checked here, not in the simulation: an oversized leader count
-        # would run clamped to ppn yet be stored and hashed as given.
+        # Checked here as well as at dispatch: a point with bad knobs is
+        # rejected before it is simulated, stored or hashed.
         check_loop(self.iterations, self.warmup)
         check_sample((self.nbytes,), self.sigma)
         check_knobs(self.algorithm, self.nranks, self.ppn, self.alg_kwargs())

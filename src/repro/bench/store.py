@@ -1,13 +1,14 @@
 """Content-addressed result store: never simulate the same point twice.
 
 Every :class:`~repro.bench.spec.SamplePoint` is a pure function of its
-fields and the code version — so its measurement can be cached forever
+fields and the simulated model (:data:`repro.MODEL_ID`, the hash of the
+committed golden tables) — so its measurement can be cached forever
 under a key that digests exactly those inputs.  This module provides
 that cache:
 
 * :func:`point_key` — the full (untruncated) sha256 digest of the
   canonical JSON encoding of ``(spec full hash, point, fault plan hash,
-  fault seed, fidelity, repro version, schema)``;
+  fault seed, fidelity, model id, schema)``;
 * :class:`ResultStore` — a persistent directory of content-addressed
   blobs with atomic writes (temp file + ``os.replace``), integrity
   verification on every read (the blob's canonical payload is re-hashed
@@ -40,7 +41,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro import canonical
-from repro._version import __version__
+from repro._version import MODEL_ID, __version__
 from repro.bench.spec import PointResult, SamplePoint, SweepSpec
 from repro.errors import ReproError
 
@@ -55,7 +56,8 @@ __all__ = [
     "resolve_store",
 ]
 
-#: Bumping this invalidates every existing key (format migrations).
+#: Bumping this invalidates every existing key; it covers the blob
+#: layout only (a model change moves ``MODEL_ID`` instead).
 STORE_SCHEMA = 2
 
 #: Environment variable naming the default store directory.
@@ -80,7 +82,7 @@ def point_key(point: SamplePoint, *, spec_hash: str) -> str:
         )
     key = {
         "schema": STORE_SCHEMA,
-        "repro": __version__,
+        "model": MODEL_ID,
         "spec": spec_hash,
         "point": point.to_dict(),
         "fidelity": point.fidelity,

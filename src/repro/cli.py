@@ -235,12 +235,14 @@ def _cache(args) -> int:
 def _experiments(args) -> int:
     from repro.bench.experiments import generate_experiments_report
 
-    report = generate_experiments_report(out=args.output)
+    report, bad = generate_experiments_report(out=args.output)
     if args.output:
         print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     else:
         print(report)
-    return 0
+    for line in bad:
+        print(f"claim {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _autotune(args) -> int:
@@ -379,7 +381,8 @@ def _add_bench(sub) -> None:
 
     p = bench.add_parser(
         "experiments", parents=[sanitize],
-        help="regenerate the experiments report (slow)",
+        help="regenerate the experiments report and check the paper's "
+        "claims; exits 1 if a claim fails (slow)",
     )
     p.add_argument("--output", default=None, help="write the report here")
     p.set_defaults(func=_experiments)

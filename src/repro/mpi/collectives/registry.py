@@ -24,7 +24,7 @@ from repro.core.phases import AllreduceAlgorithm
 from repro.core.pipelined import DPML_PIPELINED
 from repro.core.sharp_designs import SHARP_NODE_LEADER, SHARP_SOCKET_LEADER
 from repro.core.tuning import DPML_TUNED
-from repro.errors import TuningError
+from repro.errors import ConfigError, MPIError, TuningError
 from repro.mpi.collectives.allgather import (
     allgather_bruck,
     allgather_recursive_doubling,
@@ -38,7 +38,7 @@ from repro.mpi.collectives.binomial import (
 )
 from repro.mpi.collectives.dualroot import DUALROOT_PIPELINED
 from repro.mpi.collectives.gather_scatter import gather_binomial, scatter_binomial
-from repro.mpi.collectives.generalized import GENERALIZED
+from repro.mpi.collectives.generalized import GENERALIZED, _resolve_radices
 from repro.mpi.collectives.hybrid import make_hybrid_allreduce
 from repro.mpi.collectives.knomial import bcast_knomial, reduce_knomial
 from repro.mpi.collectives.optimal_rsag import OPTIMAL_RSAG
@@ -66,6 +66,8 @@ __all__ = [
     "resolve_phase_plan",
     "allreduce_name",
     "allreduce_keywords",
+    "check_knobs",
+    "check_call",
 ]
 
 CollectiveFn = Callable[..., Generator]
@@ -169,6 +171,62 @@ def _public_keywords(fn: Callable) -> Optional[frozenset]:
         if param.kind is not param.VAR_POSITIONAL
         and not param.name.startswith("_")
     )
+
+
+def check_knobs(
+    algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict
+) -> None:
+    """Reject allreduce keywords a job cannot run as given: a ``leaders``
+    count outside ``[1, ppn]`` (it would run clamped to ``ppn``),
+    keywords the named allreduce does not take, and ``radices`` that do
+    not factor ``nranks``."""
+    if not alg_kwargs:
+        return
+    leaders = alg_kwargs.get("leaders")
+    if leaders is not None and not 1 <= leaders <= ppn:
+        raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
+    if algorithm is not None:
+        accepted = allreduce_keywords(algorithm)
+        if accepted is not None and not accepted.issuperset(alg_kwargs):
+            raise ConfigError(
+                f"allreduce {algorithm!r} takes no keyword(s) "
+                f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
+                f"takes: {', '.join(sorted(accepted)) or 'none'}"
+            )
+    if alg_kwargs.get("radices") is not None:
+        try:
+            _resolve_radices(nranks, alg_kwargs["radices"])
+        except MPIError as err:
+            raise ConfigError(str(err)) from None
+
+
+def check_call(comm, algorithm: Optional[str], kwargs: dict) -> None:
+    """:func:`check_knobs` for an allreduce a rank function issues on the
+    world communicator, once per job for each (algorithm, keywords)
+    pair.  Calls on sub-communicators are the interior steps of a
+    collective and are not checked.
+
+    A leader count below 1 is left to the algorithm, which raises
+    :class:`~repro.errors.ConfigError` for it in both fidelities (a
+    hybrid job counts it as an unpriceable downgrade); only the silent
+    clamp above ``ppn`` is a leader error here.
+    """
+    if not kwargs or comm.group.context != 0:
+        return
+    checked = comm.runtime.checked_calls
+    key = (algorithm, comm.size, tuple(kwargs.items()))
+    try:
+        if key in checked:
+            return
+    except TypeError:  # an unhashable keyword value, e.g. a list
+        key = (algorithm, comm.size, repr(key[2]))
+        if key in checked:
+            return
+    leaders = kwargs.get("leaders")
+    if leaders is not None and leaders < 1:
+        kwargs = {**kwargs, "leaders": 1}
+    check_knobs(algorithm, comm.size, comm.machine.ppn, kwargs)
+    checked.add(key)
 
 
 def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:

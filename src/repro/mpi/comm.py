@@ -292,8 +292,9 @@ class Comm:
     def _allreduce_impl(
         self, payload: Payload, op: ReduceOp, algorithm: Optional[str], kwargs
     ) -> Generator:
-        from repro.mpi.collectives.registry import resolve_allreduce
+        from repro.mpi.collectives.registry import check_call, resolve_allreduce
 
+        check_call(self, algorithm, kwargs)
         fn = resolve_allreduce(algorithm, self)
         tag_base = self._alloc_coll_tags()
         result = yield from fn(self, payload, op, tag_base=tag_base, **kwargs)
@@ -320,8 +321,9 @@ class Comm:
         self, payload: Payload, op: ReduceOp, algorithm: Optional[str] = None, **kwargs
     ) -> Request:
         """Non-blocking allreduce; the request completes with the result."""
-        from repro.mpi.collectives.registry import resolve_allreduce
+        from repro.mpi.collectives.registry import check_call, resolve_allreduce
 
+        check_call(self, algorithm, kwargs)
         fn = resolve_allreduce(algorithm, self)
         tag_base = self._alloc_coll_tags()
         return self.icoll(fn, payload, op, tag_base=tag_base, **kwargs)

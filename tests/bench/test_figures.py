@@ -1,7 +1,8 @@
 """Structural tests for the figure regenerators (fast, tiny sweeps).
 
-The full-size shape assertions live in ``benchmarks/``; here we check
-the FigureResult plumbing itself with minimal parameter grids.
+The paper's claims about the full-size figures are the records of
+:mod:`repro.bench.experiments`; here we check the FigureResult plumbing
+itself with minimal parameter grids.
 """
 
 import pytest

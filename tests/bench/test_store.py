@@ -192,6 +192,17 @@ class TestExecutorIntegration:
         assert serial_warm.to_json(include_meta=False) == reference
         assert serial_warm.meta["store"]["hits"] == spec.n_points
 
+    def test_warm_store_misses_after_a_model_change(self, tmp_path, monkeypatch):
+        import repro.bench.store as store_module
+
+        store = ResultStore(tmp_path)
+        executor = SerialExecutor()
+        executor.run(tiny_spec(), store=store)
+        monkeypatch.setattr(store_module, "MODEL_ID", "0" * 64)
+        moved = executor.run(tiny_spec(), store=store)
+        assert moved.meta["store"]["hits"] == 0
+        assert moved.meta["store"]["stored"] == moved.meta["n_points"]
+
     def test_partial_warm_runs_only_missing_points(self, tmp_path):
         store = ResultStore(tmp_path)
         executor = SerialExecutor()

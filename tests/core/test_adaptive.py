@@ -6,6 +6,7 @@ import pytest
 from repro.core.adaptive import DEFAULT_CANDIDATES, AdaptiveState
 from repro.machine.clusters import cluster_b
 from repro.machine.machine import Machine
+from repro.mpi.collectives.registry import resolve_allreduce
 from repro.mpi.runtime import Runtime, run_job
 from repro.payload import SUM, SymbolicPayload, make_payload
 
@@ -97,10 +98,15 @@ class TestAdaptiveAllreduce:
         candidates_t = []
         for name, kw in DEFAULT_CANDIDATES:
             def fn(comm, name=name, kw=kw):
+                # Called the way the explorer calls it: straight into the
+                # registry, so leaders=16 runs clamped to ppn=4 as it
+                # does inside adaptive (a rank function passing it to
+                # comm.allreduce is rejected at dispatch).
+                candidate = resolve_allreduce(name, comm)
                 payload = SymbolicPayload(1 << 15, 4)
                 yield from comm.barrier()
                 t0 = comm.now
-                yield from comm.allreduce(payload, SUM, algorithm=name, **kw)
+                yield from candidate(comm, payload, SUM, **kw)
                 return comm.now - t0
 
             machine = Machine(cluster_b(4), 16, 4)

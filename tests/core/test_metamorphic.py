@@ -136,8 +136,9 @@ class TestEquivalences:
         machine = Machine(cluster_b(4), 4, 1, trace=True)
 
         def fn(comm):
+            # The default four leaders run clamped to one per node.
             yield from comm.allreduce(
-                SymbolicPayload(4096, 4), SUM, algorithm="dpml", leaders=4
+                SymbolicPayload(4096, 4), SUM, algorithm="dpml"
             )
 
         Runtime(machine).launch(fn)

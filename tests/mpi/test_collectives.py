@@ -79,7 +79,22 @@ class TestDpmlShapes:
         allreduce_job(cluster_b(4), 32, 8, "dpml", count=30, leaders=leaders)
 
     def test_leaders_exceed_ppn_clamped(self):
-        allreduce_job(cluster_b(4), 8, 2, "dpml", count=16, leaders=16)
+        # A rank function passing leaders > ppn is rejected at dispatch
+        # (tests/mpi/test_comm.py); an interior call, like a tuning
+        # table's leaders=16 at ppn 8, still runs clamped to ppn.
+        from repro.mpi.collectives.registry import resolve_allreduce
+
+        inputs = [np.arange(16, dtype=np.float64) + r for r in range(8)]
+
+        def fn(comm):
+            dpml = resolve_allreduce("dpml", comm)
+            data = make_payload(16, data=inputs[comm.rank])
+            result = yield from dpml(comm, data, SUM, leaders=16)
+            return result.array
+
+        job = run_job(cluster_b(4), 8, fn, ppn=2)
+        for got in job.values:
+            np.testing.assert_array_equal(got, SUM.reduce_stack(inputs))
 
     def test_count_not_divisible_by_leaders(self):
         allreduce_job(cluster_b(4), 16, 4, "dpml", count=13, leaders=4)
@@ -95,7 +110,8 @@ class TestDpmlShapes:
         allreduce_job(cluster_b(1), 8, 8, "dpml", count=16, leaders=4)
 
     def test_one_rank_per_node(self):
-        allreduce_job(cluster_b(4), 4, 1, "dpml", count=16, leaders=4)
+        # The default four leaders run clamped to the one rank per node.
+        allreduce_job(cluster_b(4), 4, 1, "dpml", count=16)
 
     @pytest.mark.parametrize("unit", [64, 256, 4096])
     def test_pipelined_units(self, unit):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MPIError
+from repro.errors import ConfigError, MPIError
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
 from repro.payload import SUM, SymbolicPayload, make_payload
@@ -187,3 +187,52 @@ class TestDup:
 
         res = run_job(cluster_b(2), 4, fn, ppn=2)
         assert all(v == (1, 2) for v in res.values)
+
+
+class TestAllreduceKeywords:
+    """A rank function's allreduce keywords are checked at dispatch."""
+
+    @pytest.mark.parametrize(
+        "algorithm, kwargs, match",
+        [
+            ("dpml", {"leaders": 64}, "leaders must be in"),
+            ("dpml", {"bogus": 1}, "takes no keyword"),
+            ("generalized", {"radices": (3,)}, "radices"),
+        ],
+        ids=["leaders-clamped", "unknown-keyword", "radices-do-not-factor"],
+    )
+    def test_bad_keywords_raise_config_error(self, algorithm, kwargs, match):
+        def fn(comm):
+            out = yield from comm.allreduce(
+                SymbolicPayload(64, 4), SUM, algorithm=algorithm, **kwargs
+            )
+            return out.count
+
+        with pytest.raises(ConfigError, match=match):
+            run_job(cluster_b(2), 8, fn, ppn=4)
+
+    def test_each_pair_is_checked_once_per_job(self):
+        def fn(comm):
+            for _ in range(3):
+                yield from comm.allreduce(
+                    SymbolicPayload(64, 4), SUM, algorithm="dpml", leaders=2
+                )
+            return sorted(comm.runtime.checked_calls)
+
+        res = run_job(cluster_b(2), 8, fn, ppn=4)
+        assert res.values[0] == [("dpml", 8, (("leaders", 2),))]
+
+    def test_unhashable_keyword_values_are_checked(self):
+        def job(radices):
+            def fn(comm):
+                out = yield from comm.allreduce(
+                    SymbolicPayload(64, 4), SUM, algorithm="generalized",
+                    radices=radices,
+                )
+                return out.count
+
+            return run_job(cluster_b(2), 8, fn, ppn=4)
+
+        assert job([2, 4]).values == [64] * 8
+        with pytest.raises(ConfigError, match="radices"):
+            job([3])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import CostModel
-from repro.errors import MPIError
+from repro.errors import ConfigError, MPIError
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
 from repro.mpi.collectives.dualroot import (
@@ -89,7 +89,7 @@ class TestGeneralizedRadices:
 
     def test_bad_radices_raise_inside_the_job(self):
         def fn(comm):
-            with pytest.raises(MPIError, match="multiply to"):
+            with pytest.raises(ConfigError, match="multiply to"):
                 yield from comm.allreduce(
                     make_payload(8), SUM, algorithm="generalized",
                     radices=(5,),
