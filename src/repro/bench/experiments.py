@@ -26,7 +26,6 @@ a claim marked as expected to fail passes.
 from __future__ import annotations
 
 import io
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -53,10 +52,9 @@ class Claim:
     """One number the paper reports, with the band it must land in.
 
     ``paper`` is ``None`` for an ordering or shape the paper draws but
-    does not number.  ``xfail`` marks an expected failure and carries
-    the value measured when it was marked; the claim still fails if the
-    value moves off it by more than 1%, so an expected failure cannot
-    drift unseen.
+    does not number.  ``xfail`` marks an expected failure: any value
+    outside the band.  It carries the value measured when it was
+    marked, which the report prints for reference.
     """
 
     name: str
@@ -70,9 +68,7 @@ class Claim:
         inside = self.band[0] <= value <= self.band[1]
         if self.xfail is None:
             return "pass" if inside else "FAIL"
-        if inside:
-            return "XPASS"
-        return "xfail" if math.isclose(value, self.xfail, rel_tol=0.01) else "FAIL"
+        return "XPASS" if inside else "xfail"
 
 
 def ordering(name, measure, paper=None, hi=ORDER_HI, xfail=None) -> Claim:
@@ -576,9 +572,9 @@ def generate_experiments_report(out=None, selected=None) -> tuple[str, list[str]
         "registry, and every claim line is one record of\n"
         "`repro.bench.experiments`: its measured value, its two-sided band,\n"
         "the paper's number and its status: `pass`, `xfail` (an expected\n"
-        "failure at its recorded value), `FAIL` (outside the band, or an\n"
-        "expected failure that moved) or `XPASS`; the last two make the\n"
-        "command exit 1.\n\n"
+        "failure, still outside its band), `FAIL` (outside the band) or\n"
+        "`XPASS` (an expected failure inside its band); the last two make\n"
+        "the command exit 1.\n\n"
     )
     bad: list[str] = []
     counts: dict[str, int] = {}

@@ -202,9 +202,8 @@ def check_knobs(
 
 def check_call(comm, algorithm: Optional[str], kwargs: dict) -> None:
     """:func:`check_knobs` for an allreduce a rank function issues on the
-    world communicator, once per job for each (algorithm, keywords)
-    pair.  Calls on sub-communicators are the interior steps of a
-    collective and are not checked.
+    world communicator.  Calls on sub-communicators are the interior
+    steps of a collective and are not checked.
 
     A leader count below 1 is left to the algorithm, which raises
     :class:`~repro.errors.ConfigError` for it in both fidelities (a
@@ -213,20 +212,10 @@ def check_call(comm, algorithm: Optional[str], kwargs: dict) -> None:
     """
     if not kwargs or comm.group.context != 0:
         return
-    checked = comm.runtime.checked_calls
-    key = (algorithm, comm.size, tuple(kwargs.items()))
-    try:
-        if key in checked:
-            return
-    except TypeError:  # an unhashable keyword value, e.g. a list
-        key = (algorithm, comm.size, repr(key[2]))
-        if key in checked:
-            return
     leaders = kwargs.get("leaders")
     if leaders is not None and leaders < 1:
         kwargs = {**kwargs, "leaders": 1}
     check_knobs(algorithm, comm.size, comm.machine.ppn, kwargs)
-    checked.add(key)
 
 
 def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:

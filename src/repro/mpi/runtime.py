@@ -156,10 +156,6 @@ class Runtime:
         #: Cleared by :meth:`reset`, which every change of eligibility
         #: (new noise, faults, or a failover shrink) goes through.
         self.macro_plans: dict = {}
-        #: ``(algorithm, comm size, keywords)`` of the world-communicator
-        #: allreduces whose keywords this job has checked (see
-        #: :func:`~repro.mpi.collectives.registry.check_call`).
-        self.checked_calls: set = set()
         self.transport = Transport(machine)
         #: Prefix for shared-memory region (and spawned process) names.
         #: Empty for classic one-job-per-simulator runs; the traffic
@@ -201,7 +197,6 @@ class Runtime:
         self.hybrid_exact_fallbacks.clear()
         self.hybrid_fleet_fallbacks.clear()
         self.macro_plans.clear()
-        self.checked_calls.clear()
         return self
 
     def _fresh_world(self) -> Group:

@@ -89,9 +89,9 @@ class TestEvaluator:
     @pytest.mark.parametrize(
         "value, xfail, status",
         [(2.0, None, "pass"), (5.0, None, "FAIL"),
-         (5.0, 5.0, "xfail"), (2.0, 5.0, "XPASS"), (6.0, 5.0, "FAIL")],
-        ids=["pass", "fail", "expected-failure", "unexpected-pass",
-             "expected-failure-moved"],
+         (5.0, 5.0, "xfail"), (6.0, 5.0, "xfail"), (2.0, 5.0, "XPASS")],
+        ids=["pass", "fail", "expected-failure",
+             "expected-failure-at-another-value", "unexpected-pass"],
     )
     def test_status(self, value, xfail, status):
         exp = Experiment("X1", "stub", "stub text", (_stub_claim(xfail),))

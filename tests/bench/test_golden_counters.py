@@ -3,9 +3,11 @@
 Each scenario runs here directly and its observed record must equal the
 committed :data:`GOLDEN` entry exactly:
 
-* ``fig4``/``fig5``/``fig10`` — small figure-shaped DPML points (real
-  numpy data), each on a fresh session: the latency, the kernel and
-  payload counters of the fast paths (zero-delay entries, event pools,
+* ``fig4``/``fig5``/``fig9``/``fig10`` — small figure-shaped points
+  (real numpy data), each on a fresh session: DPML on clusters A, B
+  and D, and the MVAPICH2, Intel MPI and tuned DPML allreduces on the
+  Omni-Path clusters C and D.  The latency, the kernel and payload
+  counters of the fast paths (zero-delay entries, event pools,
   copy-on-write views), and their totals.
 * ``scale10k``/``scale50k``/``scale100k`` — hybrid-fidelity DPML jobs
   at 10k-100k ranks on scaled cluster B, each on a fresh session: the
@@ -81,6 +83,12 @@ GRIDS = {
         ("b", "dpml", nbytes, leaders, 2)
         for nbytes in (4096, 65536)
         for leaders in (1, 2, 4, 8)
+    ),
+    "fig9": tuple(
+        (cluster, algorithm, nbytes, None, 1)
+        for cluster in ("c", "d")
+        for algorithm in ("mvapich2", "intel_mpi", "dpml_tuned")
+        for nbytes in (16384, 262144)
     ),
     "fig10": tuple(
         ("d", "dpml_tuned", nbytes, None, 1) for nbytes in (16384, 262144)
@@ -225,6 +233,126 @@ GOLDEN = {
                 "heap_pops": 24752, "nowq_entries": 26520,
                 "pool_reuses": 31904, "bytes_copied": 6045696,
                 "bytes_viewed": 31113216, "bytes_reduced": 7077888,
+            },
+        },
+    },
+    "fig9": {
+        "points": {
+            "c/n4/ppn8/mvapich2/16384B/tuned": {
+                "latency": 6.213367999999996e-05,
+                "fast": {
+                    "events_allocated": 482, "heap_pushes": 1120,
+                    "heap_pops": 1120, "nowq_entries": 1749,
+                    "pool_reuses": 1327, "bytes_copied": 0,
+                    "bytes_viewed": 1179648, "bytes_reduced": 393216,
+                },
+            },
+            "c/n4/ppn8/mvapich2/262144B/tuned": {
+                "latency": 0.0006631108799999986,
+                "fast": {
+                    "events_allocated": 550, "heap_pushes": 1520,
+                    "heap_pops": 1520, "nowq_entries": 2197,
+                    "pool_reuses": 1739, "bytes_copied": 3145728,
+                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                },
+            },
+            "c/n4/ppn8/intel_mpi/16384B/tuned": {
+                "latency": 3.667088e-05,
+                "fast": {
+                    "events_allocated": 1730, "heap_pushes": 4504,
+                    "heap_pops": 4504, "nowq_entries": 6708,
+                    "pool_reuses": 5206, "bytes_copied": 2031616,
+                    "bytes_viewed": 2031616, "bytes_reduced": 1015808,
+                },
+            },
+            "c/n4/ppn8/intel_mpi/262144B/tuned": {
+                "latency": 0.00044304912000000374,
+                "fast": {
+                    "events_allocated": 8386, "heap_pushes": 24472,
+                    "heap_pops": 24472, "nowq_entries": 30724,
+                    "pool_reuses": 28502, "bytes_copied": 16777216,
+                    "bytes_viewed": 16777216, "bytes_reduced": 16252928,
+                },
+            },
+            "c/n4/ppn8/dpml_tuned/16384B/tuned": {
+                "latency": 2.993112000000005e-05,
+                "fast": {
+                    "events_allocated": 706, "heap_pushes": 3864,
+                    "heap_pops": 3864, "nowq_entries": 3765,
+                    "pool_reuses": 5079, "bytes_copied": 131072,
+                    "bytes_viewed": 1048576, "bytes_reduced": 393216,
+                },
+            },
+            "c/n4/ppn8/dpml_tuned/262144B/tuned": {
+                "latency": 0.0002876173600000001,
+                "fast": {
+                    "events_allocated": 1826, "heap_pushes": 6040,
+                    "heap_pops": 6040, "nowq_entries": 8053,
+                    "pool_reuses": 7607, "bytes_copied": 7340032,
+                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                },
+            },
+            "d/n4/ppn8/mvapich2/16384B/tuned": {
+                "latency": 0.00011807879680000003,
+                "fast": {
+                    "events_allocated": 482, "heap_pushes": 1120,
+                    "heap_pops": 1120, "nowq_entries": 1749,
+                    "pool_reuses": 1327, "bytes_copied": 0,
+                    "bytes_viewed": 1179648, "bytes_reduced": 393216,
+                },
+            },
+            "d/n4/ppn8/mvapich2/262144B/tuned": {
+                "latency": 0.001251484723199997,
+                "fast": {
+                    "events_allocated": 550, "heap_pushes": 1520,
+                    "heap_pops": 1520, "nowq_entries": 2197,
+                    "pool_reuses": 1739, "bytes_copied": 3145728,
+                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                },
+            },
+            "d/n4/ppn8/intel_mpi/16384B/tuned": {
+                "latency": 6.163868160000018e-05,
+                "fast": {
+                    "events_allocated": 1726, "heap_pushes": 4504,
+                    "heap_pops": 4504, "nowq_entries": 6708,
+                    "pool_reuses": 5210, "bytes_copied": 2031616,
+                    "bytes_viewed": 2031616, "bytes_reduced": 1015808,
+                },
+            },
+            "d/n4/ppn8/intel_mpi/262144B/tuned": {
+                "latency": 0.0007063255999999987,
+                "fast": {
+                    "events_allocated": 8386, "heap_pushes": 24472,
+                    "heap_pops": 24472, "nowq_entries": 30724,
+                    "pool_reuses": 28502, "bytes_copied": 16777216,
+                    "bytes_viewed": 16777216, "bytes_reduced": 16252928,
+                },
+            },
+            "d/n4/ppn8/dpml_tuned/16384B/tuned": {
+                "latency": 4.826975999999977e-05,
+                "fast": {
+                    "events_allocated": 706, "heap_pushes": 3864,
+                    "heap_pops": 3864, "nowq_entries": 3765,
+                    "pool_reuses": 5079, "bytes_copied": 131072,
+                    "bytes_viewed": 1048576, "bytes_reduced": 393216,
+                },
+            },
+            "d/n4/ppn8/dpml_tuned/262144B/tuned": {
+                "latency": 0.0004725753536000017,
+                "fast": {
+                    "events_allocated": 1826, "heap_pushes": 6040,
+                    "heap_pops": 6040, "nowq_entries": 8053,
+                    "pool_reuses": 7607, "bytes_copied": 7340032,
+                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                },
+            },
+        },
+        "totals": {
+            "fast": {
+                "events_allocated": 27356, "heap_pushes": 83040,
+                "heap_pops": 83040, "nowq_entries": 106392,
+                "pool_reuses": 98924, "bytes_copied": 58851328,
+                "bytes_viewed": 130154496, "bytes_reduced": 50790400,
             },
         },
     },

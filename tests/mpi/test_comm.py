@@ -211,18 +211,7 @@ class TestAllreduceKeywords:
         with pytest.raises(ConfigError, match=match):
             run_job(cluster_b(2), 8, fn, ppn=4)
 
-    def test_each_pair_is_checked_once_per_job(self):
-        def fn(comm):
-            for _ in range(3):
-                yield from comm.allreduce(
-                    SymbolicPayload(64, 4), SUM, algorithm="dpml", leaders=2
-                )
-            return sorted(comm.runtime.checked_calls)
-
-        res = run_job(cluster_b(2), 8, fn, ppn=4)
-        assert res.values[0] == [("dpml", 8, (("leaders", 2),))]
-
-    def test_unhashable_keyword_values_are_checked(self):
+    def test_radices_list_is_checked(self):
         def job(radices):
             def fn(comm):
                 out = yield from comm.allreduce(
