@@ -312,6 +312,40 @@ class TestNamedSweeps:
         assert spec.sigma == 0.05
 
 
+#: (name, ppn override, reduced-scale hash, paper-scale hash).  The
+#: reduced-scale values are the ones EXPERIMENTS.md prints; a result
+#: store and every committed report key on them, so none may move.
+_PINNED_HASHES = [
+    ("fig4", None, "7d20bb8007d3d685", "7d20bb8007d3d685"),
+    ("fig5", None, "c766851bcda780b0", "ce5f98399415e75a"),
+    ("fig6", None, "f7034367168ecbd0", "b8ea06dc43f255af"),
+    ("fig7", None, "597ed045f2cbb4be", "286b44fbcbc4195c"),
+    ("fig8", None, "7703f075cc934721", "7703f075cc934721"),
+    ("fig8", 4, "1578e7c9a7e310a4", "1578e7c9a7e310a4"),
+    ("fig8", 1, "24c7183ad9b3562d", "24c7183ad9b3562d"),
+    ("fig9a", None, "d6f9b38f8dd78ad0", "d6f9b38f8dd78ad0"),
+    ("fig9b", None, "2422adda70fbcd95", "3a830af0fcc318b2"),
+    ("fig9c", None, "d7aa616dcc42e5c1", "92d0a5be6ba2d91f"),
+    ("fig9d", None, "cefe7df2312522fc", "6e07b4633c55c71e"),
+    ("fig10", None, "ef79f8af546da109", "769d9b7783d53c0f"),
+    ("families", None, "d053baceca0a60c6", "62ded3c8a47d4997"),
+]
+
+
+@pytest.mark.parametrize("paper", [False, True], ids=["reduced", "paper"])
+@pytest.mark.parametrize(
+    "name, ppn, reduced, paper_hash", _PINNED_HASHES,
+    ids=[f"{n}-ppn{p}" if p else n for n, p, *_ in _PINNED_HASHES],
+)
+def test_named_sweep_hash_is_pinned(
+    monkeypatch, paper, name, ppn, reduced, paper_hash
+):
+    assert {n for n, *_ in _PINNED_HASHES} == set(SWEEPS)
+    monkeypatch.setenv("REPRO_PAPER_SCALE", "1" if paper else "0")
+    spec = named_sweep(name).with_overrides(ppn=ppn)
+    assert spec.spec_hash() == (paper_hash if paper else reduced)
+
+
 class TestFaultsField:
     """FaultPlan threading: serialisation, hashing, label, point flow."""
 
