@@ -18,7 +18,8 @@
 * :mod:`repro.bench.report` — fixed-width tables matching the paper's
   figure axes;
 * :mod:`repro.bench.figures` — one entry point per paper figure
-  (Fig. 1 throughput study through Fig. 11 applications), run from
+  (Fig. 1 throughput study through Fig. 11 applications; Figs. 4-10
+  render the named-sweep records of ``repro.bench.spec.SWEEPS``), run from
   the command line as ``python -m repro bench fig9b`` /
   ``python -m repro bench run fig5 --jobs 4`` (:mod:`repro.cli`).
 """
@@ -38,8 +39,6 @@ from repro.bench.spec import (
     SamplePoint,
     SweepResult,
     SweepSpec,
-    algorithm_sweep_spec,
-    leader_sweep_spec,
     named_sweep,
 )
 
@@ -51,8 +50,6 @@ __all__ = [
     "SamplePoint",
     "PointResult",
     "SweepResult",
-    "leader_sweep_spec",
-    "algorithm_sweep_spec",
     "named_sweep",
     "SerialExecutor",
     "ParallelExecutor",

@@ -1,11 +1,13 @@
 """One entry point per figure of the paper's evaluation section.
 
-Every ``fig*`` function runs the corresponding experiment and returns a
-:class:`FigureResult` whose ``rows`` hold the same series the paper
-plots and whose ``table`` is a printable rendition.  The claim records
-of :mod:`repro.bench.experiments` check the paper's numbers against
-the results' ``meta["data"]``; the CLI (``python -m repro bench``)
-prints them.
+Every :data:`FIGURES` entry runs the corresponding experiment and
+returns a :class:`FigureResult` whose ``rows`` hold the same series the
+paper plots and whose ``table`` is a printable rendition.  Figures
+4-10 and ``families`` are records of :data:`repro.bench.spec.SWEEPS`,
+all regenerated by :func:`sweep_figure`; the rest have a function each.
+The claim records of :mod:`repro.bench.experiments` check the paper's
+numbers against the results' ``meta["data"]``; the CLI (``python -m
+repro bench``) prints them.
 
 Scale
 -----
@@ -19,6 +21,7 @@ long run.  Each row of EXPERIMENTS.md records which scale produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.apps.hpcg import run_hpcg
@@ -27,9 +30,10 @@ from repro.apps.osu import relative_throughput
 from repro.bench.executor import run_sweep
 from repro.bench.report import format_size, format_table, format_us
 from repro.bench.spec import (
+    SWEEPS,
+    SweepResult,
     SweepSpec,
-    algorithm_sweep_spec,
-    leader_sweep_spec,
+    named_sweep,
     paper_scale,
     resolve_config,
 )
@@ -40,11 +44,8 @@ __all__ = [
     "FigureResult",
     "paper_scale",
     "fig1_throughput",
-    "fig4_to_7_leaders",
-    "fig8_sharp",
-    "fig9_libraries",
-    "fig10_scale",
-    "families_comparison",
+    "render_sweep",
+    "sweep_figure",
     "fig11a_hpcg",
     "fig11bc_miniamr",
     "model_validation",
@@ -118,194 +119,54 @@ def fig1_throughput(
     )
 
 
-# ------------------------------------------------------- Figures 4-7
+# ---------------------------------------------- Figures 4-10 and families
 
 
-_LEADER_TITLES = {
-    "fig4": "Figure 4 (Cluster A)",
-    "fig5": "Figure 5 (Cluster B)",
-    "fig6": "Figure 6 (Cluster C)",
-    "fig7": "Figure 7 (Cluster D)",
-}
+def render_sweep(result: SweepResult) -> FigureResult:
+    """The table of a named sweep's result, as its record lays it out.
 
-
-def fig4_to_7_leaders(
-    which: str = "fig5",
-    iterations: int = 2,
-    sizes: Optional[Sequence[int]] = None,
-) -> FigureResult:
-    """Figs. 4-7: DPML latency vs leader count per message size."""
-    spec = leader_sweep_spec(which, sizes=sizes, iterations=iterations)
-    result = run_sweep(spec)
-    data = result.by_size_leaders()
-    leader_counts = list(spec.effective_leader_counts)
-    rows = [
-        {
-            "size": format_size(s),
-            **{f"l={l}": format_us(data[s][l]) for l in leader_counts},
-            "best": min(data[s], key=data[s].get),
-        }
-        for s in spec.sizes
-    ]
-    return FigureResult(
-        name=f"{_LEADER_TITLES[which]}: DPML allreduce latency (us) vs leaders",
-        rows=rows,
-        columns=["size"] + [f"l={l}" for l in leader_counts] + ["best"],
-        meta={**_scale_meta(spec.nodes, spec.ppn), "data": data,
-              "spec_hash": spec.spec_hash()},
-    )
-
-
-# ------------------------------------------------------------- Figure 8
-
-
-def fig8_sharp(
-    ppn: int = 28, iterations: int = 2, sizes: Optional[Sequence[int]] = None
-) -> FigureResult:
-    """Fig. 8: host-based vs SHArP node-/socket-leader (Cluster A, 16 nodes)."""
-    spec = algorithm_sweep_spec(
-        "fig8", sizes=sizes, iterations=iterations
-    ).with_overrides(ppn=ppn)
-    result = run_sweep(spec)
-    data = result.by_size_algorithm()
+    Pure: reads the latencies of ``result`` and simulates nothing.
+    """
+    spec = result.spec
+    record = SWEEPS[spec.name]
+    if spec.leader_counts == (None,):
+        data = result.by_size_algorithm()
+        renames = dict(record.renames)
+        series = {alg: renames.get(alg, alg) for alg in spec.algorithms}
+    else:
+        data = result.by_size_leaders()
+        series = {l: f"l={l}" for l in spec.effective_leader_counts}
     rows = []
-    for s in spec.sizes:
-        host = data[s]["mvapich2"]
-        rows.append(
-            {
-                "size": format_size(s),
-                "host": format_us(host),
-                "node-leader": format_us(data[s]["sharp_node_leader"]),
-                "socket-leader": format_us(data[s]["sharp_socket_leader"]),
-                "nl-speedup": f"{host / data[s]['sharp_node_leader']:.2f}x",
-                "sl-speedup": f"{host / data[s]['sharp_socket_leader']:.2f}x",
-            }
-        )
-    return FigureResult(
-        name=f"Figure 8: SHArP designs vs host-based, {ppn} ppn (us)",
-        rows=rows,
-        columns=["size", "host", "node-leader", "socket-leader",
-                 "nl-speedup", "sl-speedup"],
-        meta={**_scale_meta(spec.nodes, spec.ppn), "data": data,
-              "spec_hash": spec.spec_hash()},
-    )
-
-
-# ------------------------------------------------------------- Figure 9
-
-
-_LIBRARY_TITLES = {
-    "a": "Figure 9(a) Cluster A",
-    "b": "Figure 9(b) Cluster B",
-    "c": "Figure 9(c) Cluster C",
-    "d": "Figure 9(d) Cluster D",
-}
-
-
-def fig9_libraries(
-    variant: str = "b",
-    iterations: int = 2,
-    sizes: Optional[Sequence[int]] = None,
-) -> FigureResult:
-    """Fig. 9: proposed DPML-tuned vs MVAPICH2 (and Intel MPI on C/D)."""
-    variant = variant.lower()
-    title = _LIBRARY_TITLES[variant]
-    spec = algorithm_sweep_spec(f"fig9{variant}", sizes=sizes, iterations=iterations)
-    result = run_sweep(spec)
-    data = result.by_size_algorithm()
-    algorithms = list(spec.algorithms)
-    with_intel = "intel_mpi" in algorithms
-    rows = []
-    for s in spec.sizes:
-        row = {"size": format_size(s)}
-        for alg in algorithms:
-            row[alg] = format_us(data[s][alg])
-        row["vs-mvapich2"] = f"{data[s]['mvapich2'] / data[s]['dpml_tuned']:.2f}x"
-        if with_intel:
-            row["vs-intel"] = f"{data[s]['intel_mpi'] / data[s]['dpml_tuned']:.2f}x"
+    for size in spec.sizes:
+        times = data[size]
+        best = min(times, key=times.get)
+        row = {"size": format_size(size)}
+        row.update((label, format_us(times[key])) for key, label in series.items())
+        if record.best:
+            row["best"] = best
+        for column, num, den in record.speedups:
+            row[column] = f"{times[num] / times[best if den == 'best' else den]:.2f}x"
         rows.append(row)
-    columns = ["size"] + algorithms + ["vs-mvapich2"] + (
-        ["vs-intel"] if with_intel else []
-    )
     return FigureResult(
-        name=f"{title}: MPI_Allreduce latency (us)",
+        name=record.title.format(ppn=spec.ppn),
         rows=rows,
-        columns=columns,
+        columns=list(rows[0]),  # every row has the same keys, in order
         meta={**_scale_meta(spec.nodes, spec.ppn), "data": data,
               "spec_hash": spec.spec_hash()},
     )
 
 
-# ------------------------------------------------------------ Figure 10
-
-
-def fig10_scale(
-    iterations: int = 1, sizes: Optional[Sequence[int]] = None
+def sweep_figure(
+    name: str,
+    *,
+    ppn: Optional[int] = None,
+    iterations: Optional[int] = None,
+    sizes: Optional[Sequence[int]] = None,
 ) -> FigureResult:
-    """Fig. 10: large-scale comparison on Cluster D.
-
-    Paper scale: 160 nodes x 64 ppn = 10,240 ranks.  Reduced: 64 x 32.
-    """
-    spec = algorithm_sweep_spec("fig10", sizes=sizes, iterations=iterations)
-    result = run_sweep(spec)
-    data = result.by_size_algorithm()
-    algorithms = list(spec.algorithms)
-    rows = []
-    for s in spec.sizes:
-        rows.append(
-            {
-                "size": format_size(s),
-                **{alg: format_us(data[s][alg]) for alg in algorithms},
-                "vs-mvapich2": f"{data[s]['mvapich2'] / data[s]['dpml_tuned']:.2f}x",
-                "vs-intel": f"{data[s]['intel_mpi'] / data[s]['dpml_tuned']:.2f}x",
-            }
-        )
-    return FigureResult(
-        name="Figure 10: MPI_Allreduce latency at scale, Cluster D (us)",
-        rows=rows,
-        columns=["size"] + algorithms + ["vs-mvapich2", "vs-intel"],
-        meta={**_scale_meta(spec.nodes, spec.ppn), "data": data,
-              "spec_hash": spec.spec_hash()},
-    )
-
-
-# --------------------------------------------- literature family comparison
-
-
-def families_comparison(
-    iterations: int = 2, sizes: Optional[Sequence[int]] = None
-) -> FigureResult:
-    """DPML vs the competing literature allreduce families (Cluster B).
-
-    Not a paper figure: runs the ``families`` named sweep — the Figure
-    9(b) layout with Träff's doubly-pipelined dual-root tree, the
-    optimal non-pipelined reduce-scatter/allgather construction, and
-    Kolmakov & Zhang's generalized allreduce next to MVAPICH2 and the
-    tuned DPML — so EXPERIMENTS.md records how the paper's design
-    fares against the designs it competes with in the literature.
-    """
-    spec = algorithm_sweep_spec("families", sizes=sizes, iterations=iterations)
-    result = run_sweep(spec)
-    data = result.by_size_algorithm()
-    algorithms = list(spec.algorithms)
-    rows = []
-    for s in spec.sizes:
-        best = min(data[s], key=data[s].get)
-        rows.append(
-            {
-                "size": format_size(s),
-                **{alg: format_us(data[s][alg]) for alg in algorithms},
-                "best": best,
-                "vs-dpml": f"{data[s]['dpml_tuned'] / data[s][best]:.2f}x",
-            }
-        )
-    return FigureResult(
-        name="Literature families vs DPML, Cluster B (us)",
-        rows=rows,
-        columns=["size"] + algorithms + ["best", "vs-dpml"],
-        meta={**_scale_meta(spec.nodes, spec.ppn), "data": data,
-              "spec_hash": spec.spec_hash()},
-    )
+    """Run the named sweep ``name`` (:data:`~repro.bench.spec.SWEEPS`)
+    and render its table."""
+    spec = named_sweep(name, ppn=ppn, iterations=iterations, sizes=sizes)
+    return render_sweep(run_sweep(spec))
 
 
 # ------------------------------------------------------------ Figure 11
@@ -557,24 +418,14 @@ def traffic_tenancy(
     )
 
 
-#: CLI registry: name -> callable (every argument has a default;
-#: ``fig8`` takes ``ppn``).
-FIGURES: dict[str, Callable[[], FigureResult]] = {
+#: CLI registry: name -> callable.  Every argument has a default; the
+#: named sweeps take ``ppn``, ``iterations`` and ``sizes``.
+FIGURES: dict[str, Callable[..., FigureResult]] = {
     "fig1a": lambda: fig1_throughput("a"),
     "fig1b": lambda: fig1_throughput("b"),
     "fig1c": lambda: fig1_throughput("c"),
     "fig1d": lambda: fig1_throughput("d"),
-    "fig4": lambda: fig4_to_7_leaders("fig4"),
-    "fig5": lambda: fig4_to_7_leaders("fig5"),
-    "fig6": lambda: fig4_to_7_leaders("fig6"),
-    "fig7": lambda: fig4_to_7_leaders("fig7"),
-    "fig8": fig8_sharp,
-    "fig9a": lambda: fig9_libraries("a"),
-    "fig9b": lambda: fig9_libraries("b"),
-    "fig9c": lambda: fig9_libraries("c"),
-    "fig9d": lambda: fig9_libraries("d"),
-    "fig10": fig10_scale,
-    "families": families_comparison,
+    **{name: partial(sweep_figure, name) for name in SWEEPS},
     "fig11a": fig11a_hpcg,
     "fig11bc": fig11bc_miniamr,
     "model": model_validation,

@@ -13,6 +13,11 @@ module expresses that as data instead of hand-rolled loops:
 * :class:`SweepResult` is the single record every consumer reads: the
   figure regenerators, the EXPERIMENTS.md generator, and the CLI's
   ``run`` command (JSON in/out, spec hash, seed and timing metadata).
+* :data:`SWEEPS` holds one :class:`NamedSweep` record per figure of
+  the evaluation (and the ``families`` comparison): layout at paper and
+  reduced scale, axes, table title and derived columns.
+  :func:`named_sweep` builds its spec; the figure regenerators render
+  its result.
 
 Points sharing a ``session_key`` (cluster, nodes, ppn) can reuse one
 :class:`~repro.mpi.runtime.SimSession`, so executors group by that key
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from repro import canonical
 from repro.errors import ReproError
@@ -48,8 +53,7 @@ __all__ = [
     "SweepSpec",
     "PointResult",
     "SweepResult",
-    "leader_sweep_spec",
-    "algorithm_sweep_spec",
+    "NamedSweep",
     "named_sweep",
     "SWEEPS",
     "resolve_config",
@@ -642,144 +646,126 @@ class SweepResult:
         return sweep_table(self)
 
 
-# -- named sweeps (the paper's figures as specs) -----------------------------
-
-# which -> (cluster, paper nodes, reduced nodes, ppn)
-_LEADER_SWEEPS = {
-    "fig4": ("a", 16, 16, 28),
-    "fig5": ("b", 64, 16, 28),
-    "fig6": ("c", 64, 16, 28),
-    "fig7": ("d", 32, 16, 32),
-}
-
-# which -> (cluster, paper nodes, reduced nodes, ppn, sizes, algorithms)
-_ALGORITHM_SWEEPS = {
-    "fig8": (
-        "a", 16, 16, 28, SMALL_SIZES,
-        ("mvapich2", "sharp_node_leader", "sharp_socket_leader"),
-    ),
-    "fig9a": ("a", 16, 16, 28, PAPER_SIZES, ("mvapich2", "dpml_tuned")),
-    "fig9b": ("b", 64, 16, 28, PAPER_SIZES, ("mvapich2", "dpml_tuned")),
-    "fig9c": (
-        "c", 64, 16, 28, PAPER_SIZES, ("mvapich2", "intel_mpi", "dpml_tuned"),
-    ),
-    "fig9d": (
-        "d", 32, 16, 32, PAPER_SIZES, ("mvapich2", "intel_mpi", "dpml_tuned"),
-    ),
-    "fig10": (
-        "d", 160, 64, None, SCALE_SIZES, ("mvapich2", "intel_mpi", "dpml_tuned"),
-    ),
-    # Not a paper figure: DPML vs the competing literature families
-    # (Träff dual-root, optimal RS/AG, Kolmakov-Zhang generalized) on
-    # the Figure 9(b) layout.  Appended after the fig* sweeps so their
-    # spec hashes stay untouched.
-    "families": (
-        "b", 64, 16, 28, PAPER_SIZES,
-        ("mvapich2", "dpml_tuned", "dualroot_pipelined", "optimal_rsag",
-         "generalized"),
-    ),
-}
+# -- named sweeps (the paper's figures as records) -------------------------
 
 #: Leader counts of the Figures 4-7 studies.
 _LEADER_COUNTS = (1, 2, 4, 8, 16)
+_VS_MVAPICH2 = ("vs-mvapich2", "mvapich2", "dpml_tuned")
+_VS_INTEL = ("vs-intel", "intel_mpi", "dpml_tuned")
 
 
-def leader_sweep_spec(
-    which: str = "fig5",
-    *,
-    sizes: Optional[Sequence[int]] = None,
-    iterations: Optional[int] = None,
-    repeats: int = 1,
-    sigma: float = 0.0,
-    base_seed: int = 0,
-    faults: Optional[FaultPlan] = None,
-    fidelity: str = "exact",
-) -> SweepSpec:
-    """Figures 4-7 as a spec (paper-scale aware, like the regenerators)."""
-    if which not in _LEADER_SWEEPS:
-        raise ReproError(
-            f"unknown leader sweep {which!r}; choose from {sorted(_LEADER_SWEEPS)}"
+@dataclass(frozen=True)
+class NamedSweep:
+    """One figure of the evaluation: its job layout, axes and table.
+
+    The series of the table are the leader counts (``l=<count>``
+    columns) when ``leader_counts`` is set, else the algorithms.
+    """
+
+    name: str
+    #: table title; ``{ppn}`` is filled in from the spec that ran
+    title: str
+    cluster: str
+    #: ``(nodes, ppn)`` at paper scale and at reduced scale
+    paper: tuple[int, int]
+    reduced: tuple[int, int]
+    sizes: tuple[int, ...] = PAPER_SIZES
+    algorithms: tuple[str, ...] = ("dpml",)
+    leader_counts: tuple[Optional[int], ...] = (None,)
+    iterations: int = 2
+    #: ``(algorithm, column)``: the column label of a renamed series
+    renames: tuple[tuple[str, str], ...] = ()
+    #: whether a ``best`` column names the fastest series at each size
+    best: bool = False
+    #: ``(column, num, den)``: the ``num / den`` latency ratio as
+    #: ``"1.23x"``; a ``den`` of ``"best"`` is the fastest series
+    speedups: tuple[tuple[str, str, str], ...] = ()
+
+    def spec(self) -> SweepSpec:
+        """The sweep at the scale :func:`paper_scale` selects."""
+        nodes, ppn = self.paper if paper_scale() else self.reduced
+        return SweepSpec(
+            name=self.name, cluster=self.cluster, nodes=nodes, ppn=ppn,
+            sizes=self.sizes, algorithms=self.algorithms,
+            leader_counts=self.leader_counts, iterations=self.iterations,
         )
-    cluster, paper_nodes, reduced_nodes, ppn = _LEADER_SWEEPS[which]
-    return SweepSpec(
-        name=which,
-        cluster=cluster,
-        nodes=paper_nodes if paper_scale() else reduced_nodes,
-        ppn=ppn,
-        sizes=tuple(sizes) if sizes else PAPER_SIZES,
-        algorithms=("dpml",),
-        leader_counts=_LEADER_COUNTS,
-        iterations=iterations if iterations is not None else 2,
-        repeats=repeats,
-        sigma=sigma,
-        base_seed=base_seed,
-        faults=faults,
-        fidelity=fidelity,
+
+
+def _leaders(name: str, title: str, cluster: str, paper, reduced) -> NamedSweep:
+    """A Figures 4-7 leader study: DPML at each leader count."""
+    return NamedSweep(
+        name, f"{title}: DPML allreduce latency (us) vs leaders", cluster,
+        paper, reduced, leader_counts=_LEADER_COUNTS, best=True,
     )
 
 
-def algorithm_sweep_spec(
-    which: str = "fig9b",
-    *,
-    sizes: Optional[Sequence[int]] = None,
-    iterations: Optional[int] = None,
-    repeats: int = 1,
-    sigma: float = 0.0,
-    base_seed: int = 0,
-    faults: Optional[FaultPlan] = None,
-    fidelity: str = "exact",
-) -> SweepSpec:
-    """Figures 8-10 as a spec (paper-scale aware, like the regenerators)."""
-    if which not in _ALGORITHM_SWEEPS:
-        raise ReproError(
-            f"unknown algorithm sweep {which!r}; choose from "
-            f"{sorted(_ALGORITHM_SWEEPS)}"
-        )
-    cluster, paper_nodes, reduced_nodes, ppn, default_sizes, algorithms = (
-        _ALGORITHM_SWEEPS[which]
+def _libraries(name: str, title: str, cluster: str, paper, reduced, *,
+               intel: bool = False, sizes=PAPER_SIZES,
+               iterations: int = 2) -> NamedSweep:
+    """A Figures 9-10 library comparison: tuned DPML vs MVAPICH2 (and
+    Intel MPI), with the speedup over each."""
+    return NamedSweep(
+        name, title, cluster, paper, reduced, sizes,
+        algorithms=("mvapich2", "intel_mpi", "dpml_tuned") if intel
+        else ("mvapich2", "dpml_tuned"),
+        iterations=iterations,
+        speedups=(_VS_MVAPICH2, _VS_INTEL) if intel else (_VS_MVAPICH2,),
     )
-    if which == "fig10":
-        # Fig. 10 changes ppn with scale (160x64 paper, 64x32 reduced).
-        nodes, ppn = (160, 64) if paper_scale() else (64, 32)
-    else:
-        nodes = paper_nodes if paper_scale() else reduced_nodes
-    return SweepSpec(
-        name=which,
-        cluster=cluster,
-        nodes=nodes,
-        ppn=ppn,
-        sizes=tuple(sizes) if sizes else tuple(default_sizes),
-        algorithms=algorithms,
-        iterations=iterations if iterations is not None else (
-            1 if which == "fig10" else 2
+
+
+#: The named sweeps in figure order: ``bench run <name>`` and the
+#: figure regenerators (:data:`repro.bench.figures.FIGURES`) read them.
+SWEEPS: dict[str, NamedSweep] = {
+    sweep.name: sweep
+    for sweep in (
+        _leaders("fig4", "Figure 4 (Cluster A)", "a", (16, 28), (16, 28)),
+        _leaders("fig5", "Figure 5 (Cluster B)", "b", (64, 28), (16, 28)),
+        _leaders("fig6", "Figure 6 (Cluster C)", "c", (64, 28), (16, 28)),
+        _leaders("fig7", "Figure 7 (Cluster D)", "d", (32, 32), (16, 32)),
+        NamedSweep(
+            "fig8", "Figure 8: SHArP designs vs host-based, {ppn} ppn (us)",
+            "a", (16, 28), (16, 28), SMALL_SIZES,
+            algorithms=("mvapich2", "sharp_node_leader", "sharp_socket_leader"),
+            renames=(("mvapich2", "host"), ("sharp_node_leader", "node-leader"),
+                     ("sharp_socket_leader", "socket-leader")),
+            speedups=(("nl-speedup", "mvapich2", "sharp_node_leader"),
+                      ("sl-speedup", "mvapich2", "sharp_socket_leader")),
         ),
-        repeats=repeats,
-        sigma=sigma,
-        base_seed=base_seed,
-        faults=faults,
-        fidelity=fidelity,
+        _libraries("fig9a", "Figure 9(a) Cluster A: MPI_Allreduce latency (us)",
+                   "a", (16, 28), (16, 28)),
+        _libraries("fig9b", "Figure 9(b) Cluster B: MPI_Allreduce latency (us)",
+                   "b", (64, 28), (16, 28)),
+        _libraries("fig9c", "Figure 9(c) Cluster C: MPI_Allreduce latency (us)",
+                   "c", (64, 28), (16, 28), intel=True),
+        _libraries("fig9d", "Figure 9(d) Cluster D: MPI_Allreduce latency (us)",
+                   "d", (32, 32), (16, 32), intel=True),
+        _libraries("fig10",
+                   "Figure 10: MPI_Allreduce latency at scale, Cluster D (us)",
+                   "d", (160, 64), (64, 32), intel=True, sizes=SCALE_SIZES,
+                   iterations=1),
+        # Not a paper figure: DPML vs the competing literature families
+        # (Träff dual-root, optimal RS/AG, Kolmakov-Zhang generalized)
+        # on the Figure 9(b) layout.
+        NamedSweep(
+            "families", "Literature families vs DPML, Cluster B (us)",
+            "b", (64, 28), (16, 28),
+            algorithms=("mvapich2", "dpml_tuned", "dualroot_pipelined",
+                        "optimal_rsag", "generalized"),
+            best=True, speedups=(("vs-dpml", "dpml_tuned", "best"),),
+        ),
     )
-
-
-#: CLI registry: sweep name -> spec factory (accepts the same overrides
-#: as the underlying ``*_sweep_spec`` helpers).
-SWEEPS: dict[str, Callable[..., SweepSpec]] = {
-    **{
-        which: (lambda which=which, **kw: leader_sweep_spec(which, **kw))
-        for which in _LEADER_SWEEPS
-    },
-    **{
-        which: (lambda which=which, **kw: algorithm_sweep_spec(which, **kw))
-        for which in _ALGORITHM_SWEEPS
-    },
 }
 
 
 def named_sweep(name: str, **overrides) -> SweepSpec:
-    """Look up a named sweep and apply keyword overrides."""
+    """The named sweep's spec with ``overrides`` applied.
+
+    ``overrides`` are :class:`SweepSpec` fields; ``None`` values keep
+    the record's value.
+    """
     key = name.strip().lower()
     if key not in SWEEPS:
         raise ReproError(
             f"unknown sweep {name!r}; choose from {sorted(SWEEPS)}"
         )
-    return SWEEPS[key](**overrides)
+    return SWEEPS[key].spec().with_overrides(**overrides)

@@ -250,9 +250,7 @@ def _autotune(args) -> int:
     from repro.machine.clusters import get_cluster
 
     config = get_cluster(args.cluster, args.nodes)
-    ppn = min(args.ppn, config.node.cores)
-    print(f"autotuning {config.name} at {args.nodes} nodes x {ppn} ppn ...")
-    table = autotune_cluster(config, ppn=ppn, verbose=True)
+    table = autotune_cluster(config, ppn=args.ppn, verbose=True)
     print("\ntuning table:")
     for max_bytes, spec in table:
         bound = "inf" if max_bytes == float("inf") else f"{int(max_bytes)}B"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.tuning import TuningSpec
+from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
 
 __all__ = ["autotune_cluster", "candidate_specs"]
@@ -60,11 +61,25 @@ def autotune_cluster(
     table (``[(max_bytes, spec), ..., (inf, spec)]``).
 
     Ties go to the candidate listed first by :func:`candidate_specs`.
+    Raises :class:`~repro.errors.ConfigError` when ``ppn`` is not in
+    ``1..cores`` of the node or no candidate fits it.
     """
     from repro.bench.executor import run_sweep
     from repro.bench.spec import SweepSpec
 
+    cores = config.node.cores
+    if not 1 <= ppn <= cores:
+        raise ConfigError(
+            f"autotune needs 1 <= ppn <= {cores} (the node's cores), got {ppn}"
+        )
     candidates = candidate_specs(config, leader_counts, ppn)
+    if not candidates:
+        raise ConfigError(
+            f"no candidate fits ppn={ppn} with leader counts "
+            f"{tuple(leader_counts)}"
+        )
+    if verbose:
+        print(f"autotuning {config.name} at {config.nodes} nodes x {ppn} ppn ...")
     # One sweep per group: the dpml ladder, the dpml_pipelined ladder,
     # and the leaderless SHArP designs.
     groups: dict[str, list[TuningSpec]] = {}

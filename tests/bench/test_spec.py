@@ -11,8 +11,6 @@ from repro.bench.spec import (
     SamplePoint,
     SweepResult,
     SweepSpec,
-    algorithm_sweep_spec,
-    leader_sweep_spec,
     named_sweep,
     resolve_config,
     SWEEPS,
@@ -292,7 +290,7 @@ class TestNamedSweeps:
             named_sweep("fig99")
 
     def test_leader_sweep_spec_defaults(self):
-        spec = leader_sweep_spec("fig5")
+        spec = named_sweep("fig5")
         assert spec.cluster == "b"
         assert spec.ppn == 28
         assert spec.sizes == tuple(PAPER_SIZES)
@@ -300,7 +298,7 @@ class TestNamedSweeps:
         assert spec.effective_leader_counts == (1, 2, 4, 8, 16)
 
     def test_algorithm_sweep_spec_defaults(self):
-        spec = algorithm_sweep_spec("fig8")
+        spec = named_sweep("fig8")
         assert spec.sizes == tuple(SMALL_SIZES)
         assert "sharp_node_leader" in spec.algorithms
         assert spec.leader_counts == (None,)

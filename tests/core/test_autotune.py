@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.autotune import autotune_cluster, candidate_specs
 from repro.core.tuning import TuningSpec
+from repro.errors import ConfigError
 from repro.machine.clusters import cluster_a, cluster_b
 
 
@@ -25,6 +26,17 @@ class TestCandidates:
 
 
 class TestAutotune:
+    @pytest.mark.parametrize("ppn, leader_counts, message", [
+        (0, (1, 4), "1 <= ppn <= 28"),
+        (40, (1, 4), "1 <= ppn <= 28"),
+        (4, (8, 16), "no candidate"),
+    ])
+    def test_bad_layout_rejected_before_simulating(
+        self, ppn, leader_counts, message
+    ):
+        with pytest.raises(ConfigError, match=message):
+            autotune_cluster(cluster_b(2), ppn=ppn, leader_counts=leader_counts)
+
     def test_table_shape_and_trend(self):
         table = autotune_cluster(
             cluster_b(4),

@@ -41,6 +41,7 @@ BAD = [
     (["traffic", "run", "--nodes", "0"], "requested 0"),
     (["traffic", "run", "--leaf-nodes", "2", "--spines", "0"], "spine"),
     (["bench", "autotune", "--cluster", "a", "--nodes", "0"], "requested 0"),
+    (["bench", "autotune", "--ppn", "0", "--nodes", "2"], "1 <= ppn <= 28"),
     (["resilience", "soak", "--ppn", "0"], "at least one rank"),
     (["bench", "run", "fig5", "--cluster", "c"], "unrecognized arguments"),
     (["resilience", "soak", "--scenarios", "0"], "at least 1 scenario"),
