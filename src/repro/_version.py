@@ -6,10 +6,12 @@ __version__ = "1.0.0"
 #: golden determinism grid, the golden transport records and the
 #: simulated-time records of the golden counters).  Those tables run the
 #: message paths and allreduce families on cluster B (SHArP's on A),
-#: DPML on all four clusters, and the MVAPICH2 and Intel MPI baselines
-#: on the Omni-Path clusters C and D.  A change that re-pins a golden
+#: the multilevel and pipelined DPML variants (k > 1 included) and the
+#: rooted DPML reduce and bcast on B, DPML on all four clusters, and
+#: the MVAPICH2 and Intel MPI baselines on the Omni-Path clusters C
+#: and D.  A change that re-pins a golden
 #: value must set this to the new hash (``tests/test_model_id.py``
 #: prints it); the result store keys every point on it.  The models no
 #: table runs (the compute phases of HPCG and miniAMR, the OSU
 #: throughput study) are not stored, so their changes need no bump.
-MODEL_ID = "8aa41fd0428685c7711df57de872bdc19ae253ce61cce4483982459a128c9179"
+MODEL_ID = "1ba918e9fc2532e77ff913d400033733e0efea80e147652dea8e678b827de6b1"

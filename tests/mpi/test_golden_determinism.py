@@ -25,6 +25,8 @@ injected faults hybrid must fall back to the exact path cleanly
 included).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,15 +84,71 @@ ALGORITHM_ELAPSED = {
 #: Seed-run elapsed time of dpml with two leaders on 8 ranks, 4 per node.
 TWO_LEADER_ELAPSED = 4.598400000000001e-06
 
+#: The phase-engine table's grid: the multi-leader designs the grid
+#: above leaves untimed, on the two canonical multi-node shapes, a
+#: ragged one, one rank per node and a 32-rank job, at two counts.
+ENGINE_CASES = ("dpml_multilevel", "dpml_pipelined", "reduce", "bcast")
+ENGINE_LAYOUTS = ((8, 4, 2), (9, 3, 3), (10, 4, 3), (3, 1, 3), (32, 8, 4))
+ENGINE_COUNTS = (13, 5000)
+
+#: Recorded elapsed time of each engine case on cluster B:
+#: ``dpml_multilevel``, ``dpml_pipelined`` with ``pipeline_unit=64`` (so
+#: 5000 elements run k = 16 sub-allreduces) and the rooted DPML reduce
+#: and bcast with ``root=nranks // 2``, each with ``leaders=min(2,
+#: ppn)`` (a count above ppn is a ConfigError).  Keyed ``(case, layout,
+#: count)``; the sanitized rerun must reproduce the same values.
+ENGINE_ELAPSED = {
+    ("dpml_multilevel", (8, 4, 2), 13): 4.39952e-06,
+    ("dpml_multilevel", (8, 4, 2), 5000): 7.315800000000002e-05,
+    ("dpml_multilevel", (9, 3, 3), 13): 6.828519999999999e-06,
+    ("dpml_multilevel", (9, 3, 3), 5000): 0.000121051,
+    ("dpml_multilevel", (10, 4, 3), 13): 6.824819999999999e-06,
+    ("dpml_multilevel", (10, 4, 3), 5000): 0.000120861,
+    ("dpml_multilevel", (3, 1, 3), 13): 4.2426799999999995e-06,
+    ("dpml_multilevel", (3, 1, 3), 5000): 0.00014220487999999995,
+    ("dpml_multilevel", (32, 8, 4), 13): 6.39178e-06,
+    ("dpml_multilevel", (32, 8, 4), 5000): 9.971249999999996e-05,
+    ("dpml_pipelined", (8, 4, 2), 13): 3.6402200000000004e-06,
+    ("dpml_pipelined", (8, 4, 2), 5000): 6.742680000000002e-05,
+    ("dpml_pipelined", (9, 3, 3), 13): 5.987219999999999e-06,
+    ("dpml_pipelined", (9, 3, 3), 5000): 0.00010106830000000002,
+    ("dpml_pipelined", (10, 4, 3), 13): 6.0655199999999995e-06,
+    ("dpml_pipelined", (10, 4, 3), 5000): 0.00010554974000000008,
+    ("dpml_pipelined", (3, 1, 3), 13): 5.595099999999999e-06,
+    ("dpml_pipelined", (3, 1, 3), 5000): 0.00011179709999999987,
+    ("dpml_pipelined", (32, 8, 4), 13): 5.6363199999999994e-06,
+    ("dpml_pipelined", (32, 8, 4), 5000): 0.00011703760000000004,
+    ("reduce", (8, 4, 2), 13): 3.6402200000000004e-06,
+    ("reduce", (8, 4, 2), 5000): 6.2108e-05,
+    ("reduce", (9, 3, 3), 13): 3.8729799999999995e-06,
+    ("reduce", (9, 3, 3), 5000): 8.5759e-05,
+    ("reduce", (10, 4, 3), 13): 3.78664e-06,
+    ("reduce", (10, 4, 3), 5000): 8.8908e-05,
+    ("reduce", (3, 1, 3), 13): 2.0679599999999997e-06,
+    ("reduce", (3, 1, 3), 5000): 9.779188e-05,
+    ("reduce", (32, 8, 4), 13): 5.6363199999999994e-06,
+    ("reduce", (32, 8, 4), 5000): 0.00010531600000000002,
+    ("bcast", (8, 4, 2), 13): 3.31512e-06,
+    ("bcast", (8, 4, 2), 5000): 4.907799999999999e-05,
+    ("bcast", (9, 3, 3), 13): 3.74844e-06,
+    ("bcast", (9, 3, 3), 5000): 6.720600000000002e-05,
+    ("bcast", (10, 4, 3), 13): 3.74844e-06,
+    ("bcast", (10, 4, 3), 5000): 6.730600000000001e-05,
+    ("bcast", (3, 1, 3), 13): 2.1830399999999995e-06,
+    ("bcast", (3, 1, 3), 5000): 7.929888000000002e-05,
+    ("bcast", (32, 8, 4), 13): 4.97392e-06,
+    ("bcast", (32, 8, 4), 5000): 7.350600000000006e-05,
+}
+
 #: Kernel counters of the seed's heap-only kernel for dpml at 16 ranks,
 #: 4 per node; the fast paths must stay below them.
 SEED_COUNTERS_16X4 = {"events_allocated": 1025, "heap_pushes": 1025}
 
 
-def _inputs(nranks, seed=7):
+def _inputs(nranks, seed=7, count=COUNT):
     rng = np.random.default_rng(seed)
     return [
-        rng.integers(1, 10, COUNT).astype(np.float64) for _ in range(nranks)
+        rng.integers(1, 10, count).astype(np.float64) for _ in range(nranks)
     ]
 
 
@@ -161,6 +219,62 @@ def test_two_leader_record():
     """dpml with an explicit leader count reproduces its record."""
     job = _run((8, 4, 2), "dpml", seed=3, leaders=2)
     _assert_record(job, TWO_LEADER_ELAPSED, seed=3)
+
+
+def _engine_fn(case, inputs, leaders, root):
+    """Rank function of one phase-engine case on real data."""
+
+    def fn(comm):
+        data = make_payload(len(inputs[comm.rank]), data=inputs[comm.rank])
+        if case == "reduce":
+            out = yield from comm.reduce(
+                data, SUM, root=root, algorithm="dpml", leaders=leaders
+            )
+        elif case == "bcast":
+            out = yield from comm.bcast(
+                data if comm.rank == root else None, root=root,
+                algorithm="dpml", leaders=leaders,
+            )
+        else:
+            kw = {"pipeline_unit": 64} if case == "dpml_pipelined" else {}
+            out = yield from comm.allreduce(
+                data, SUM, algorithm=case, leaders=leaders, **kw
+            )
+        return None if out is None else out.array
+
+    return fn
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize(
+    "key",
+    list(itertools.product(ENGINE_CASES, ENGINE_LAYOUTS, ENGINE_COUNTS)),
+    ids=lambda key: f"{key[0]}-{layout_id(key[1])}-n{key[2]}",
+)
+def test_phase_engine_record(key, sanitize):
+    """Every multi-leader design off the allreduce grid reproduces its
+    record: elapsed bit for bit, the numpy sum (reduce: at the root
+    only) or the root's vector (bcast) on every rank, and no sanitizer
+    report."""
+    case, layout, count = key
+    nranks, ppn, nodes = layout
+    inputs = _inputs(nranks, count=count)
+    root = nranks // 2
+    job = run_job(
+        cluster_b(nodes), nranks,
+        _engine_fn(case, inputs, min(2, ppn), root),
+        ppn=ppn, sanitize=sanitize,
+    )
+    assert job.elapsed == ENGINE_ELAPSED[key]
+    assert not job.reports
+    total = np.sum(inputs, axis=0)
+    for rank, got in enumerate(job.values):
+        if case == "bcast":
+            np.testing.assert_array_equal(got, inputs[root], err_msg=f"rank {rank}")
+        elif case == "reduce" and rank != root:
+            assert got is None, f"rank {rank}"
+        else:
+            np.testing.assert_array_equal(got, total, err_msg=f"rank {rank}")
 
 
 @pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)

@@ -40,6 +40,11 @@ def golden_tables() -> dict:
             ),
             "algorithm": determinism.ALGORITHM_ELAPSED,
             "two_leader": determinism.TWO_LEADER_ELAPSED,
+            "engine": sorted(
+                [[case, list(layout), count], v]
+                for (case, layout, count), v
+                in determinism.ENGINE_ELAPSED.items()
+            ),
         },
         "transport": transport.GOLDEN,
         "counters": _sim_times(counters.GOLDEN),
