@@ -11,17 +11,18 @@ The four phases, exactly as in Figure 2:
 3. **Inter-node allreduce by leaders** — leader ``j`` of every node
    runs a purely inter-node allreduce of its partially reduced
    partition with the leaders ``j`` of all other nodes (``l``
-   concurrent inter-node collectives of ``n / l`` bytes).  The
-   algorithm for this step is delegated to the registry (the paper
-   uses whatever the library picks for the size).
+   concurrent inter-node collectives of ``n / l`` bytes), then
+   publishes the result in shared memory.
 4. **Local copy to individual processes** — every rank copies the ``l``
    fully reduced partitions back out of shared memory and reassembles
    the result.
 
-Each phase is a named, independently-executable generator over a shared
-:class:`PhaseState` — :mod:`repro.core.pipelined` reuses phases 1, 2
-and 4 verbatim and swaps only the exchange — and the driver records
-per-phase simulated-time windows into the runtime's
+This module is the one home of these phases.  :func:`run_dpml` drives
+them over one :class:`PhaseState` per call; the pipelined and
+multilevel designs pass it only their phase 3 or phases 1-2, and the
+rooted reduce and bcast call the phase generators around their own
+phase 3.  The driver records per-phase simulated-time windows into the
+runtime's
 :class:`~repro.core.phases.PhaseProbe` (when one is attached) so the
 hybrid-fidelity spot-check oracle can compare the exact phases against
 their macro charges (Eqs. 2-6, priced by the :data:`DPML` record).
@@ -36,7 +37,8 @@ hierarchical algorithm (registered as ``"hierarchical"``).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import functools
+from typing import Callable, Generator, Optional
 
 from repro.core.leaders import check_leader_count, get_leader_plan
 from repro.core.phases import AllreduceAlgorithm
@@ -50,10 +52,14 @@ __all__ = [
     "PhaseState",
     "allreduce_dpml",
     "allreduce_hierarchical",
+    "deposit",
+    "flat_allreduce",
+    "gather_combine",
     "phase_copy_in",
-    "phase_reduce",
-    "phase_exchange",
     "phase_copy_out",
+    "phase_reduce",
+    "publish",
+    "run_dpml",
 ]
 
 #: The four DPML phases of paper Figure 2, in execution order.
@@ -61,7 +67,12 @@ DPML_PHASES = ("copy_in", "reduce", "exchange", "copy_out")
 
 
 class PhaseState:
-    """Everything the DPML phase generators share for one collective."""
+    """Everything the phase generators share for one collective call.
+
+    ``payload`` is ``None`` on broadcast non-roots; ranks with data also
+    get the partition ``bounds`` and ``total`` count for span checks.
+    ``cross[j]`` says whether leader ``j`` sits on another socket.
+    """
 
     __slots__ = (
         "comm",
@@ -71,106 +82,175 @@ class PhaseState:
         "ctx",
         "tag_base",
         "op",
-        "parts",
+        "payload",
         "bounds",
         "total",
-        "my_loc",
-        "ppn",
-        "ell",
+        "cross",
         "me",
     )
 
-    def __init__(self, comm, payload: Payload, op: ReduceOp, tag_base: int, plan):
+    def __init__(self, comm, payload: Optional[Payload], op, tag_base: int, plan):
         self.comm = comm
-        self.machine = comm.machine
+        self.machine = machine = comm.machine
         self.plan = plan
         self.region = comm.runtime.shm_region(plan.node)
         self.ctx = comm.group.context
         self.tag_base = tag_base
         self.op = op
-        self.parts = payload.split(plan.leaders)
-        self.bounds = split_bounds(payload.count, plan.leaders)
-        self.total = payload.count
-        self.my_loc = self.machine.loc(comm.world_rank)
-        self.ppn = plan.ppn
-        self.ell = plan.leaders
+        self.payload = payload
+        if payload is None:
+            self.bounds = self.total = None
+        else:
+            self.bounds = split_bounds(payload.count, plan.leaders)
+            self.total = payload.count
         self.me = comm.world_rank
+        socket = machine.loc(self.me).socket
+        self.cross = tuple([
+            machine.loc(comm.translate(rank)).socket != socket
+            for rank in plan.node_ranks[: plan.leaders]
+        ])
+
+
+def deposit(st: PhaseState, base: tuple, index, cross) -> Generator:
+    """Copy partition ``j`` to key ``(*base, j, index)``, cross-socket
+    if ``cross[j]``.
+
+    Span annotations in the depositor's frame ``(*base, index)`` let the
+    sanitizer check that its l partitions tile the vector without gaps
+    or overlap.
+    """
+    machine, region = st.machine, st.region
+    frame = (*base, index)
+    for j, part in enumerate(st.payload.split(st.plan.leaders)):
+        yield machine.shm_copy(st.me, part.nbytes, cross_socket=cross[j])
+        region.put((*base, j, index), part, span=(frame, *st.bounds[j], st.total))
 
 
 def phase_copy_in(st: PhaseState) -> Generator:
-    """Phase 1: deposit each partition into its leader's staging area.
+    """Phase 1: deposit each partition into its leader's staging area."""
+    return deposit(st, (st.ctx, st.tag_base, "in"), st.plan.local_index, st.cross)
 
-    Span annotations let the sanitizer check that the l partitions of
-    one depositor tile the vector without gaps or overlap.
-    """
-    machine = st.machine
-    for j in range(st.ell):
-        leader_world = st.comm.translate(st.plan.node_ranks[j])
-        cross = machine.loc(leader_world).socket != st.my_loc.socket
-        yield machine.shm_copy(st.me, st.parts[j].nbytes, cross_socket=cross)
-        st.region.put(
-            (st.ctx, st.tag_base, "in", j, st.plan.local_index),
-            st.parts[j],
-            span=(
-                (st.ctx, st.tag_base, "in", st.plan.local_index),
-                *st.bounds[j],
-                st.total,
-            ),
+
+def gather_combine(st: PhaseState, base: tuple, sources) -> Generator:
+    """Take the deposit under ``(*base, s)`` of each ``s`` in
+    ``sources`` and combine them into one."""
+    machine, region = st.machine, st.region
+    gathered = []
+    for source in sources:
+        part = yield region.take((*base, source))
+        gathered.append(part)
+    yield machine.gather_sync(st.me, len(gathered))
+    if len(gathered) > 1:
+        yield machine.compute(
+            st.me, gathered[0].nbytes, combines=len(gathered) - 1
         )
+    return reduce_payloads(gathered, st.op)
 
 
 def phase_reduce(st: PhaseState) -> Generator:
     """Phase 2 (leaders only): gather the ppn deposits and combine them."""
-    machine = st.machine
-    j = st.plan.leader_index
-    gathered = []
-    for i in range(st.ppn):
-        part = yield st.region.take((st.ctx, st.tag_base, "in", j, i))
-        gathered.append(part)
-    yield machine.gather_sync(st.me, st.ppn)
-    part_bytes = gathered[0].nbytes
-    if st.ppn > 1:
-        yield machine.compute(st.me, part_bytes, combines=st.ppn - 1)
-    return reduce_payloads(gathered, st.op)
+    base = (st.ctx, st.tag_base, "in", st.plan.leader_index)
+    return gather_combine(st, base, range(st.plan.ppn))
 
 
-def phase_exchange(st: PhaseState, reduced, inter: str) -> Generator:
-    """Phase 3 (leaders only): inter-node allreduce among same-index
-    leaders, then publish the fully reduced partition for the locals.
+def publish(st: PhaseState, result_j) -> None:
+    """End of phase 3: leader ``j`` publishes partition ``j``.
 
     The leaders' partitions share one frame: together they must tile
     the result vector, so a leader publishing the wrong slice (or a
-    wrong-length sub-allreduce result) trips the sanitizer.
+    wrong-length sub-collective result) trips the sanitizer.
     """
     j = st.plan.leader_index
-    result_j = yield from st.plan.leader_comm.allreduce(
-        reduced, st.op, algorithm=inter
-    )
-    st.region.put(
-        (st.ctx, st.tag_base, "out", j),
-        result_j,
-        span=((st.ctx, st.tag_base, "out"), *st.bounds[j], st.total),
-    )
+    span = None
+    if st.bounds is not None:
+        span = ((st.ctx, st.tag_base, "out"), *st.bounds[j], st.total)
+    st.region.put((st.ctx, st.tag_base, "out", j), result_j, span=span)
 
 
-def phase_copy_out(st: PhaseState) -> Generator:
-    """Phase 4: copy every partition back out and reassemble."""
-    machine = st.machine
+def phase_copy_out(st: PhaseState, readers: Optional[int] = None) -> Generator:
+    """Phase 4: copy every partition back out and reassemble (each is
+    read by ``readers`` ranks, by default the whole node)."""
+    machine, region = st.machine, st.region
+    readers = readers or st.plan.ppn
     outs = []
-    for j in range(st.ell):
-        leader_world = st.comm.translate(st.plan.node_ranks[j])
-        cross = machine.loc(leader_world).socket != st.my_loc.socket
-        result_j = yield st.region.read((st.ctx, st.tag_base, "out", j), readers=st.ppn)
-        yield machine.shm_copy(st.me, result_j.nbytes, cross_socket=cross)
+    for j in range(st.plan.leaders):
+        result_j = yield region.read((st.ctx, st.tag_base, "out", j), readers=readers)
+        yield machine.shm_copy(st.me, result_j.nbytes, cross_socket=st.cross[j])
         outs.append(result_j)
-    # Reassembly through the region memo: the ppn co-located readers
-    # share one materialization of the result vector.
-    return st.region.concat(outs)
+    # Reassembly through the region memo: the co-located readers share
+    # one materialization of the result vector.
+    return region.concat(outs)
 
 
 def _record(probe, algorithm: str, phase: str, start: float, end: float) -> None:
     if probe is not None:
         probe.record(algorithm, phase, start, end)
+
+
+@functools.lru_cache(maxsize=None)
+def flat_allreduce(algorithm: Optional[str] = None) -> Callable:
+    """Phase 3 as one blocking allreduce of the registry ``algorithm``
+    (cached: one function per name, not one per rank and call).
+
+    ``None`` picks the flat selector by message size; it must be *flat*,
+    as the general selector could pick a hierarchical scheme and recurse
+    forever.
+    """
+    name = algorithm or "flat_auto"
+    return lambda comm, payload, op: comm.allreduce(payload, op, algorithm=name)
+
+
+def run_dpml(
+    comm,
+    payload: Payload,
+    op: ReduceOp,
+    tag_base: int,
+    leaders: int,
+    name: str,
+    inter: Callable,
+    copy_in: Callable = phase_copy_in,
+    reduce: Callable = phase_reduce,
+) -> Generator:
+    """Run phases 1-4 with ``leaders`` leaders per node.
+
+    ``inter(comm, payload, op)`` is phase 3's inter-node allreduce;
+    ``copy_in`` and ``reduce`` replace phases 1 and 2.  Every phase
+    window lands in the runtime's phase probe under ``name``.
+    """
+    sim = comm.sim
+    probe = comm.runtime.phase_probe
+    plan = yield from get_leader_plan(comm, leaders)
+
+    if plan.n_nodes == comm.size:
+        # One rank per node: no intra-node phases; phase 3 runs on the
+        # communicator itself (every rank is its own leader 0).
+        start = sim.now
+        result = yield from inter(comm, payload, op)
+        _record(probe, name, "exchange", start, sim.now)
+        return result
+
+    st = PhaseState(comm, payload, op, tag_base, plan)
+
+    start = sim.now
+    yield from copy_in(st)
+    _record(probe, name, "copy_in", start, sim.now)
+
+    if plan.is_leader:
+        start = sim.now
+        reduced = yield from reduce(st)
+        _record(probe, name, "reduce", start, sim.now)
+
+        start = sim.now
+        result_j = yield from inter(plan.leader_comm, reduced, op)
+        publish(st, result_j)
+        _record(probe, name, "exchange", start, sim.now)
+
+    yield comm.machine.flag_sync()
+    start = sim.now
+    result = yield from phase_copy_out(st)
+    if plan.is_leader:
+        _record(probe, name, "copy_out", start, sim.now)
+    return result
 
 
 def allreduce_dpml(
@@ -180,51 +260,16 @@ def allreduce_dpml(
     tag_base: int = 0,
     leaders: int = 4,
     inter_algorithm: Optional[str] = None,
-    _probe_name: str = "dpml",
 ) -> Generator:
     """DPML allreduce with ``leaders`` leaders per node.
 
     ``inter_algorithm`` names the registry algorithm for phase 3
     (``None`` lets the library selector choose by message size).
     """
-    machine = comm.machine
-    sim = comm.sim
-    probe = comm.runtime.phase_probe
-    plan = yield from get_leader_plan(comm, leaders)
-
-    if plan.n_nodes == comm.size:
-        # One rank per node: no intra-node phases; this is a purely
-        # inter-node allreduce (every rank is its own leader 0).  The
-        # fallback must be a *flat* algorithm — the general selector
-        # could pick a hierarchical scheme and recurse forever.
-        start = sim.now
-        result = yield from comm.allreduce(
-            payload, op, algorithm=inter_algorithm or "flat_auto"
-        )
-        _record(probe, _probe_name, "exchange", start, sim.now)
-        return result
-
-    st = PhaseState(comm, payload, op, tag_base, plan)
-
-    start = sim.now
-    yield from phase_copy_in(st)
-    _record(probe, _probe_name, "copy_in", start, sim.now)
-
-    if plan.is_leader:
-        start = sim.now
-        reduced = yield from phase_reduce(st)
-        _record(probe, _probe_name, "reduce", start, sim.now)
-
-        start = sim.now
-        yield from phase_exchange(st, reduced, inter_algorithm or "flat_auto")
-        _record(probe, _probe_name, "exchange", start, sim.now)
-
-    yield machine.flag_sync()
-    start = sim.now
-    result = yield from phase_copy_out(st)
-    if plan.is_leader:
-        _record(probe, _probe_name, "copy_out", start, sim.now)
-    return result
+    return run_dpml(
+        comm, payload, op, tag_base, leaders, "dpml",
+        flat_allreduce(inter_algorithm),
+    )
 
 
 def allreduce_hierarchical(
@@ -235,11 +280,10 @@ def allreduce_hierarchical(
     inter_algorithm: Optional[str] = None,
 ) -> Generator:
     """The traditional single-leader hierarchical allreduce (DPML, l=1)."""
-    result = yield from allreduce_dpml(
-        comm, payload, op, tag_base=tag_base, leaders=1,
-        inter_algorithm=inter_algorithm, _probe_name="hierarchical",
+    return run_dpml(
+        comm, payload, op, tag_base, 1, "hierarchical",
+        flat_allreduce(inter_algorithm),
     )
-    return result
 
 
 def _phase_charges(model, p: int, h: int, l: int, n: int, exchange: float) -> tuple:

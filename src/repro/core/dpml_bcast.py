@@ -8,12 +8,16 @@ its leader communicator (phase 3 — there is no compute phase); finally
 every rank copies the ``l`` partitions out of its node's shared memory
 (phase 4).  The inter-node traffic is ``l`` concurrent trees of
 ``n / l`` bytes instead of one tree of ``n`` bytes.
+
+Phases 1 (run by the root alone) and 4 are the phase generators of
+:mod:`repro.core.dpml`; only the rooted phase 3 lives here.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.core.dpml import PhaseState, phase_copy_in, phase_copy_out, publish
 from repro.core.leaders import get_leader_plan
 from repro.payload.payload import Payload
 
@@ -31,54 +35,34 @@ def bcast_dpml(
     """Multi-leader broadcast from ``root``; returns the vector everywhere."""
     from repro.mpi.collectives.registry import resolve_collective
 
-    machine = comm.machine
     plan = yield from get_leader_plan(comm, leaders)
-    root_node = machine.node_of(comm.translate(root))
+    inter = resolve_collective("bcast", inter_algorithm or "binomial", comm)
 
     if plan.n_nodes == comm.size:
-        fn = resolve_collective("bcast", inter_algorithm or "binomial", comm)
-        result = yield from fn(comm, payload, root=root, tag_base=tag_base)
+        result = yield from inter(comm, payload, root=root, tag_base=tag_base)
         return result
 
-    ell = plan.leaders
-    me = comm.world_rank
-    region = comm.runtime.shm_region(plan.node)
-    ctx = comm.group.context
-    my_loc = machine.loc(me)
-    ppn = plan.ppn
-
+    st = PhaseState(comm, payload, None, tag_base, plan)
     # Phase 1 (root only): deposit each partition with its leader on
     # the root's node.
     if comm.rank == root:
-        parts = payload.split(ell)
-        for j in range(ell):
-            leader_world = comm.translate(plan.node_ranks[j])
-            cross = machine.loc(leader_world).socket != my_loc.socket
-            yield machine.shm_copy(me, parts[j].nbytes, cross_socket=cross)
-            region.put((ctx, tag_base, "root-in", j), parts[j])
+        yield from phase_copy_in(st)
 
     if plan.is_leader:
-        j = plan.leader_index
-        leader_comm = plan.leader_comm
-        root_leader = comm.layout.nodes.index(root_node)
-        if leader_comm.rank == root_leader:
-            part_j = yield region.take((ctx, tag_base, "root-in", j))
-            yield machine.flag_sync()
-        else:
-            part_j = None
-        fn = resolve_collective("bcast", inter_algorithm or "binomial", comm)
-        part_j = yield from fn(
-            leader_comm, part_j, root=root_leader, tag_base=tag_base
+        root_leader = comm.layout.nodes.index(comm.layout.node[root])
+        part_j = None
+        if plan.leader_comm.rank == root_leader:
+            part_j = yield st.region.take(
+                (st.ctx, tag_base, "in", plan.leader_index,
+                 plan.node_ranks.index(root))
+            )
+            yield comm.machine.flag_sync()
+        part_j = yield from inter(
+            plan.leader_comm, part_j, root=root_leader, tag_base=tag_base
         )
-        region.put((ctx, tag_base, "out", j), part_j)
+        publish(st, part_j)
 
     # Phase 4: everyone copies the partitions out.
-    yield machine.flag_sync()
-    outs = []
-    for j in range(ell):
-        leader_world = comm.translate(plan.node_ranks[j])
-        cross = machine.loc(leader_world).socket != my_loc.socket
-        part_j = yield region.read((ctx, tag_base, "out", j), readers=ppn)
-        yield machine.shm_copy(me, part_j.nbytes, cross_socket=cross)
-        outs.append(part_j)
-    return region.concat(outs)
+    yield comm.machine.flag_sync()
+    result = yield from phase_copy_out(st)
+    return result

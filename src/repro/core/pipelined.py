@@ -13,26 +13,17 @@ comes from the overlap the non-blocking calls expose).
 number of leaders": we take ``k = ceil(partition_bytes /
 pipeline_unit)`` capped at ``max_k``.
 
-Phases 1, 2 and 4 are plain DPML — literally: the named phase
-generators from :mod:`repro.core.dpml` run over the same
-:class:`~repro.core.dpml.PhaseState`; only the exchange differs
-(:func:`phase_exchange_pipelined`).
+Everything else is plain DPML: :func:`~repro.core.dpml.run_dpml` runs
+the four phases and this module passes only the pipelined phase-3
+allreduce.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
-from repro.core.dpml import (
-    DPML_PHASES,
-    PhaseState,
-    _phase_charges,
-    _record,
-    phase_copy_in,
-    phase_copy_out,
-    phase_reduce,
-)
-from repro.core.leaders import check_leader_count, get_leader_plan
+from repro.core.dpml import DPML_PHASES, _phase_charges, run_dpml
+from repro.core.leaders import check_leader_count
 from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat
@@ -40,7 +31,6 @@ from repro.payload.payload import Payload, concat
 __all__ = [
     "DPML_PIPELINED",
     "allreduce_dpml_pipelined",
-    "phase_exchange_pipelined",
     "pipeline_depth",
 ]
 
@@ -62,27 +52,21 @@ def pipeline_depth(
     return max(1, min(k, max_k))
 
 
-def phase_exchange_pipelined(
-    st: PhaseState,
-    reduced,
-    inter: str,
-    pipeline_unit: int,
-    max_k: int,
-) -> Generator:
-    """Phase 3, pipelined: k outstanding sub-allreduces + waitall."""
-    j = st.plan.leader_index
-    k = pipeline_depth(reduced.nbytes, pipeline_unit, max_k)
-    subs = reduced.split(k)
-    requests = [
-        st.plan.leader_comm.iallreduce(sub, st.op, algorithm=inter)
-        for sub in subs
-    ]
-    results = yield from st.plan.leader_comm.waitall(requests)
-    st.region.put(
-        (st.ctx, st.tag_base, "out", j),
-        concat(results),
-        span=((st.ctx, st.tag_base, "out"), *st.bounds[j], st.total),
-    )
+def _pipelined_allreduce(
+    algorithm: Optional[str], pipeline_unit: int, max_k: int
+) -> Callable:
+    """Phase 3 as k outstanding sub-allreduces and a waitall."""
+    name = algorithm or "flat_auto"
+
+    def inter(comm, payload: Payload, op: ReduceOp) -> Generator:
+        k = pipeline_depth(payload.nbytes, pipeline_unit, max_k)
+        requests = [
+            comm.iallreduce(sub, op, algorithm=name) for sub in payload.split(k)
+        ]
+        results = yield from comm.waitall(requests)
+        return concat(results)
+
+    return inter
 
 
 def allreduce_dpml_pipelined(
@@ -96,45 +80,10 @@ def allreduce_dpml_pipelined(
     max_k: int = DEFAULT_MAX_K,
 ) -> Generator:
     """DPML with k-way pipelined non-blocking inter-node allreduces."""
-    machine = comm.machine
-    sim = comm.sim
-    probe = comm.runtime.phase_probe
-    plan = yield from get_leader_plan(comm, leaders)
-    inter = inter_algorithm or "flat_auto"
-
-    if plan.n_nodes == comm.size:
-        # Purely inter-node: pipeline the whole vector directly.
-        start = sim.now
-        k = pipeline_depth(payload.nbytes, pipeline_unit, max_k)
-        subs = payload.split(k)
-        requests = [comm.iallreduce(sub, op, algorithm=inter) for sub in subs]
-        results = yield from comm.waitall(requests)
-        _record(probe, "dpml_pipelined", "exchange", start, sim.now)
-        return concat(results)
-
-    st = PhaseState(comm, payload, op, tag_base, plan)
-
-    start = sim.now
-    yield from phase_copy_in(st)
-    _record(probe, "dpml_pipelined", "copy_in", start, sim.now)
-
-    if plan.is_leader:
-        start = sim.now
-        reduced = yield from phase_reduce(st)
-        _record(probe, "dpml_pipelined", "reduce", start, sim.now)
-
-        start = sim.now
-        yield from phase_exchange_pipelined(
-            st, reduced, inter, pipeline_unit, max_k
-        )
-        _record(probe, "dpml_pipelined", "exchange", start, sim.now)
-
-    yield machine.flag_sync()
-    start = sim.now
-    result = yield from phase_copy_out(st)
-    if plan.is_leader:
-        _record(probe, "dpml_pipelined", "copy_out", start, sim.now)
-    return result
+    return run_dpml(
+        comm, payload, op, tag_base, leaders, "dpml_pipelined",
+        _pipelined_allreduce(inter_algorithm, pipeline_unit, max_k),
+    )
 
 
 def _charge_dpml_pipelined(

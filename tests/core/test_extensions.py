@@ -103,3 +103,40 @@ class TestDpmlRootedTiming:
             algorithm="dpml", leaders=8,
         )
         assert many < one
+
+
+@pytest.mark.parametrize(
+    "case, deposit", [("reduce", "in"), ("dpml_multilevel", "sock")]
+)
+def test_deposits_and_publishes_are_span_checked(case, deposit):
+    """The rooted reduce and the multilevel variant deposit and publish
+    through the shared phase generators, so a sanitized run checks
+    their partition spans: every depositor's frame and the leaders'
+    publish frame tile the vector exactly, and nothing is reported."""
+    from repro.check.sanitizer import Sanitizer
+
+    count = 19
+    rng = np.random.default_rng(5)
+    inputs = [rng.integers(1, 9, count).astype(float) for _ in range(16)]
+
+    def fn(comm):
+        data = make_payload(count, data=inputs[comm.rank])
+        if case == "reduce":
+            out = yield from comm.reduce(
+                data, SUM, root=5, algorithm="dpml", leaders=2
+            )
+        else:
+            out = yield from comm.allreduce(data, SUM, algorithm=case, leaders=2)
+        return None if out is None else out.array
+
+    san = Sanitizer(strict=False)
+    job = run_job(cluster_b(2), 16, fn, ppn=8, sanitize=san)
+    assert not job.reports
+    kinds = set()
+    for (_region, frame), ledger in san._frames.items():
+        kinds.add(frame[2])
+        assert sorted((a, b) for a, b, _key in ledger["intervals"]) == [
+            (0, 10), (10, count)
+        ], frame
+    assert {deposit, "out"} <= kinds
+    np.testing.assert_array_equal(job.values[5], np.sum(inputs, axis=0))
