@@ -66,6 +66,7 @@ __all__ = [
     "resolve_phase_plan",
     "allreduce_name",
     "allreduce_keywords",
+    "collective_keywords",
     "check_knobs",
     "check_call",
 ]
@@ -116,6 +117,10 @@ _REGISTRIES: dict[str, dict[str, CollectiveFn]] = {
     "alltoall": {"pairwise": alltoall_pairwise, "bruck": alltoall_bruck},
 }
 
+#: Data arguments each kind's functions take after ``comm`` (one when
+#: not listed); every later parameter is a keyword.
+_DATA_ARGS = {"allreduce": 2, "reduce": 2, "reduce_scatter": 2}
+
 #: Default algorithm per collective kind — the "state of the art"
 #: library behaviour the paper compares against.
 _DEFAULTS = {
@@ -151,19 +156,28 @@ def allreduce_name(name: Optional[str]) -> str:
     return name or _DEFAULTS["allreduce"]
 
 
+def collective_keywords(kind: str, name: str) -> Optional[frozenset]:
+    """The public keywords the ``kind`` algorithm ``name`` takes after
+    ``comm`` and its data arguments, or ``None`` when it is not
+    registered or takes ``**kwargs``."""
+    if kind == "allreduce":
+        record = _ALLREDUCE.get(name)
+        fn = None if record is None else record.fn
+    else:
+        fn = _REGISTRIES.get(kind, {}).get(name)
+    return None if fn is None else _public_keywords(fn, 1 + _DATA_ARGS.get(kind, 1))
+
+
 def allreduce_keywords(name: str) -> Optional[frozenset]:
-    """The public keywords the allreduce ``name`` takes after ``(comm,
-    payload, op)``, or ``None`` when it is not registered or takes
-    ``**kwargs``."""
-    record = _ALLREDUCE.get(name)
-    return None if record is None else _public_keywords(record.fn)
+    """:func:`collective_keywords` of the allreduce ``name``."""
+    return collective_keywords("allreduce", name)
 
 
 @functools.lru_cache(maxsize=None)
-def _public_keywords(fn: Callable) -> Optional[frozenset]:
+def _public_keywords(fn: Callable, positional: int) -> Optional[frozenset]:
     # Cached: every sample point and allreduce_latency call checks its
     # keywords, and inspect.signature costs tens of microseconds.
-    params = list(inspect.signature(fn).parameters.values())[3:]
+    params = list(inspect.signature(fn).parameters.values())[positional:]
     if any(param.kind is param.VAR_KEYWORD for param in params):
         return None
     return frozenset(
@@ -174,22 +188,23 @@ def _public_keywords(fn: Callable) -> Optional[frozenset]:
 
 
 def check_knobs(
-    algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict
+    algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict,
+    kind: str = "allreduce",
 ) -> None:
-    """Reject allreduce keywords a job cannot run as given: a ``leaders``
-    count outside ``[1, ppn]`` (it would run clamped to ``ppn``),
-    keywords the named allreduce does not take, and ``radices`` that do
-    not factor ``nranks``."""
+    """Reject collective keywords a job cannot run as given: a
+    ``leaders`` count outside ``[1, ppn]`` (it would run clamped to
+    ``ppn``), keywords the named ``kind`` algorithm does not take, and
+    ``radices`` that do not factor ``nranks``."""
     if not alg_kwargs:
         return
     leaders = alg_kwargs.get("leaders")
     if leaders is not None and not 1 <= leaders <= ppn:
         raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
     if algorithm is not None:
-        accepted = allreduce_keywords(algorithm)
+        accepted = collective_keywords(kind, algorithm)
         if accepted is not None and not accepted.issuperset(alg_kwargs):
             raise ConfigError(
-                f"allreduce {algorithm!r} takes no keyword(s) "
+                f"{kind} {algorithm!r} takes no keyword(s) "
                 f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
                 f"takes: {', '.join(sorted(accepted)) or 'none'}"
             )
@@ -200,10 +215,14 @@ def check_knobs(
             raise ConfigError(str(err)) from None
 
 
-def check_call(comm, algorithm: Optional[str], kwargs: dict) -> None:
-    """:func:`check_knobs` for an allreduce a rank function issues on the
-    world communicator.  Calls on sub-communicators are the interior
-    steps of a collective and are not checked.
+def check_call(
+    comm, algorithm: Optional[str], kwargs: dict, kind: str = "allreduce"
+) -> None:
+    """:func:`check_knobs` for a collective a rank function issues on
+    the world communicator.  Calls on sub-communicators are the interior
+    steps of a collective and are not checked.  A rooted collective's
+    ``root`` is the caller's own argument, accepted as given; a ``kind``
+    other than allreduce with no ``algorithm`` checks its default.
 
     A leader count below 1 is left to the algorithm, which raises
     :class:`~repro.errors.ConfigError` for it in both fidelities (a
@@ -215,7 +234,9 @@ def check_call(comm, algorithm: Optional[str], kwargs: dict) -> None:
     leaders = kwargs.get("leaders")
     if leaders is not None and leaders < 1:
         kwargs = {**kwargs, "leaders": 1}
-    check_knobs(algorithm, comm.size, comm.machine.ppn, kwargs)
+    if kind != "allreduce":
+        algorithm = algorithm or _DEFAULTS[kind]
+    check_knobs(algorithm, comm.size, comm.machine.ppn, kwargs, kind)
 
 
 def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:

@@ -329,16 +329,18 @@ class Comm:
         return self.icoll(fn, payload, op, tag_base=tag_base, **kwargs)
 
     def _coll(self, kind: str, algorithm: Optional[str], *args, **kwargs) -> Generator:
-        from repro.mpi.collectives.registry import resolve_collective
+        from repro.mpi.collectives.registry import check_call, resolve_collective
 
+        check_call(self, algorithm, kwargs, kind)
         fn = resolve_collective(kind, algorithm, self)
         tag_base = self._alloc_coll_tags()
         result = yield from fn(self, *args, tag_base=tag_base, **kwargs)
         return result
 
     def _icoll(self, kind: str, algorithm: Optional[str], *args, **kwargs) -> Request:
-        from repro.mpi.collectives.registry import resolve_collective
+        from repro.mpi.collectives.registry import check_call, resolve_collective
 
+        check_call(self, algorithm, kwargs, kind)
         fn = resolve_collective(kind, algorithm, self)
         tag_base = self._alloc_coll_tags()
         return self.icoll(fn, *args, tag_base=tag_base, **kwargs)

@@ -225,3 +225,62 @@ class TestAllreduceKeywords:
         assert job([2, 4]).values == [64] * 8
         with pytest.raises(ConfigError, match="radices"):
             job([3])
+
+
+class TestRootedKeywords:
+    """Rooted and other non-allreduce collectives check their keywords
+    at dispatch too, blocking and non-blocking; ``root`` is the
+    caller's own argument."""
+
+    @staticmethod
+    def _call(kind, algorithm, **kwargs):
+        def fn(comm):
+            data = SymbolicPayload(64, 4)
+            if kind == "reduce":
+                out = yield from comm.reduce(
+                    data, SUM, root=1, algorithm=algorithm, **kwargs
+                )
+            elif kind == "bcast":
+                out = yield from comm.bcast(
+                    data, root=1, algorithm=algorithm, **kwargs
+                )
+            elif kind == "ireduce":
+                req = comm.ireduce(
+                    data, SUM, root=1, algorithm=algorithm, **kwargs
+                )
+                out = yield from comm.wait(req)
+            else:
+                req = comm.ibcast(data, root=1, algorithm=algorithm, **kwargs)
+                out = yield from comm.wait(req)
+            return None if out is None else out.count
+
+        return run_job(cluster_b(2), 4, fn, ppn=2)
+
+    @pytest.mark.parametrize(
+        "kind, algorithm, kwargs, match",
+        [
+            ("reduce", "dpml", {"leaders": 16}, "leaders must be in"),
+            ("bcast", "dpml", {"leaders": 16}, "leaders must be in"),
+            ("ireduce", "dpml", {"leaders": 16}, "leaders must be in"),
+            ("ibcast", "dpml", {"leaders": 16}, "leaders must be in"),
+            ("reduce", "binomial", {"bogus": 3}, "reduce 'binomial' takes no"),
+            ("bcast", None, {"leaders": 2}, "bcast 'binomial' takes no"),
+            ("bcast", "knomial", {"radix": 2, "bogus": 1}, "takes no"),
+        ],
+        ids=[
+            "reduce-leaders", "bcast-leaders", "ireduce-leaders",
+            "ibcast-leaders", "reduce-unknown", "bcast-default-unknown",
+            "bcast-knomial-unknown",
+        ],
+    )
+    def test_bad_keywords_raise_config_error(self, kind, algorithm, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            self._call(kind, algorithm, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["reduce", "bcast", "ireduce", "ibcast"])
+    def test_accepted_keywords_run(self, kind):
+        job = self._call(kind, "dpml", leaders=2, inter_algorithm="binomial")
+        if kind.endswith("reduce"):
+            assert job.values == [None, 64, None, None]
+        else:
+            assert job.values == [64] * 4
