@@ -10,12 +10,18 @@ placed on the same node").
 
 :func:`relative_throughput` normalises the aggregate to the one-pair
 value, which is exactly the quantity Figure 1 plots.
+
+Every kernel rejects ``iterations < 1``, ``warmup < 0`` and a negative
+message size with :class:`~repro.errors.ConfigError` before it
+simulates anything, as :func:`~repro.bench.harness.allreduce_latency`
+does.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.bench.harness import allreduce_latency, check_loop, check_sample
 from repro.errors import ReproError
 from repro.machine.config import MachineConfig
 from repro.mpi.runtime import run_job
@@ -46,6 +52,8 @@ def multi_pair_bandwidth(
     receiver ``i + pairs`` per iteration and waits for a zero-byte ack,
     as in ``osu_mbw_mr``.
     """
+    check_loop(iterations, warmup)
+    check_sample((nbytes,))
     if pairs < 1:
         raise ReproError("need at least one communicating pair")
     nranks = 2 * pairs
@@ -110,6 +118,9 @@ def relative_throughput(
     iterations: int = 3,
 ) -> dict[int, dict[int, float]]:
     """Figure-1 data: ``{size: {pairs: aggregate / one-pair aggregate}}``."""
+    sizes = tuple(sizes)
+    check_loop(iterations, 0)
+    check_sample(sizes)
     out: dict[int, dict[int, float]] = {}
     for size in sizes:
         base = multi_pair_bandwidth(
@@ -136,6 +147,8 @@ def pingpong_latency(
     warmup: int = 2,
 ) -> float:
     """``osu_latency``: half round-trip time of a ping-pong pair."""
+    check_loop(iterations, warmup)
+    check_sample((nbytes,))
     payload = SymbolicPayload(max(1, nbytes), 1)
     total = warmup + iterations
 
@@ -170,6 +183,8 @@ def unidirectional_bandwidth(
 ) -> float:
     """``osu_bw`` / ``osu_bibw``: windowed streaming bandwidth (bytes/s)
     of one pair across nodes."""
+    check_loop(iterations, warmup)
+    check_sample((nbytes,))
     payload = SymbolicPayload(max(1, nbytes), 1)
     ack = SymbolicPayload(0, 1)
     total = warmup + iterations
@@ -224,9 +239,10 @@ def osu_collective_latency(
     ``kind="allreduce"`` is :func:`~repro.bench.harness.allreduce_latency`
     (and so takes the hybrid fleet where that applies).
     """
-    from repro.bench.harness import allreduce_latency
     from repro.payload.ops import SUM
 
+    check_loop(iterations, warmup)
+    check_sample((nbytes,))
     if kind == "allreduce":
         return allreduce_latency(
             config, algorithm, nbytes, nranks=nranks, ppn=ppn,

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.apps.osu import multi_pair_bandwidth, relative_throughput
-from repro.errors import ReproError
+from repro.apps.osu import (
+    multi_pair_bandwidth,
+    osu_collective_latency,
+    pingpong_latency,
+    relative_throughput,
+    unidirectional_bandwidth,
+)
+from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_a, cluster_b, cluster_c
 
 
@@ -138,3 +144,31 @@ class TestCollectiveLatency:
             algorithm="dpml",
         )
         assert dpml < binom
+
+
+@pytest.mark.parametrize(
+    "kernel, kwargs",
+    [
+        (multi_pair_bandwidth, {"pairs": 2}),
+        (pingpong_latency, {}),
+        (unidirectional_bandwidth, {}),
+        (osu_collective_latency, {"kind": "reduce", "nranks": 4, "ppn": 2}),
+        (osu_collective_latency, {"kind": "bcast", "nranks": 4, "ppn": 2}),
+        (osu_collective_latency, {"kind": "allreduce", "nranks": 4, "ppn": 2}),
+    ],
+    ids=["mbw_mr", "latency", "bw", "reduce", "bcast", "allreduce"],
+)
+@pytest.mark.parametrize(
+    "loop, match",
+    [
+        ({"nbytes": 4096, "iterations": 0}, "iterations must be >= 1"),
+        ({"nbytes": 4096, "warmup": -1}, "warmup must be >= 0"),
+        ({"nbytes": -5}, "message size must be >= 0"),
+    ],
+    ids=["no-iterations", "negative-warmup", "negative-size"],
+)
+def test_kernels_reject_bad_loops_and_sizes(kernel, kwargs, loop, match):
+    """Every OSU kernel raises ConfigError for a loop it cannot time or
+    a negative size, instead of dividing by zero or running one byte."""
+    with pytest.raises(ConfigError, match=match):
+        kernel(cluster_b(2), **loop, **kwargs)
