@@ -16,11 +16,9 @@ content hash (:meth:`RecoveryPolicy.policy_hash`) for result records.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
-from repro.canonical import JsonRecord
+from repro import canonical
 from repro.errors import ConfigError
 
 __all__ = ["RecoveryPolicy"]
@@ -36,7 +34,7 @@ _FIELDS = (
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy(JsonRecord):
+class RecoveryPolicy(canonical.JsonRecord):
     """How a job responds to confirmed transport failures.
 
     Attributes
@@ -124,9 +122,7 @@ class RecoveryPolicy(JsonRecord):
 
     def policy_hash(self) -> str:
         """Stable content hash (first 12 hex chars of sha256)."""
-        # Default separators, not repro.canonical: soak records carry this hash.
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return canonical.sha256(self.to_dict())[:12]
 
     def describe(self) -> str:
         """Human-readable one-paragraph summary."""
