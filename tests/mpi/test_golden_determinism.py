@@ -35,7 +35,7 @@ from repro.faults.plan import ArrivalSkew, FaultPlan, Straggler
 from repro.machine.clusters import cluster_a, cluster_b
 from repro.mpi import run_job
 from repro.mpi.collectives.registry import available_algorithms
-from repro.payload import SUM, make_payload
+from repro.payload import SUM, make_payload, split_bounds
 
 COUNT = 96
 
@@ -138,6 +138,139 @@ ENGINE_ELAPSED = {
     ("bcast", (3, 1, 3), 5000): 7.929888000000002e-05,
     ("bcast", (32, 8, 4), 13): 4.97392e-06,
     ("bcast", (32, 8, 4), 5000): 7.350600000000006e-05,
+}
+
+#: The collective-family table's grid: the reduce, bcast, allgather
+#: and reduce-scatter entries and the allreduces built from the same
+#: schedules (tree, halving, doubling, ring), none of which the grids
+#: above time.  Keyed ``(kind, algorithm)``.
+FAMILY_CASES = (
+    ("reduce", "binomial"),
+    ("reduce", "knomial"),
+    ("bcast", "binomial"),
+    ("bcast", "knomial"),
+    ("bcast", "scatter_ring"),
+    ("allgather", "recursive_doubling"),
+    ("allgather", "bruck"),
+    ("allgather", "ring"),
+    ("reduce_scatter", "recursive_halving"),
+    ("reduce_scatter", "pairwise"),
+    ("allreduce", "rabenseifner"),
+    ("allreduce", "recursive_doubling"),
+    ("allreduce", "reduce_bcast"),
+)
+FAMILY_LAYOUTS = ((8, 4, 2), (9, 3, 3), (16, 4, 4), (3, 1, 3))
+FAMILY_COUNTS = (13, 5000)
+
+#: Recorded elapsed time of each family case on cluster B, rooted
+#: kinds at ``root=nranks // 2``, every algorithm at its default
+#: keywords.  Keyed ``(kind, algorithm, layout, count)``; the sanitized
+#: rerun must reproduce the same values.
+FAMILY_ELAPSED = {
+    ("reduce", "binomial", (8, 4, 2), 13): 3.1756000000000006e-06,
+    ("reduce", "binomial", (8, 4, 2), 5000): 8.884944000000002e-05,
+    ("reduce", "binomial", (9, 3, 3), 13): 4.881420000000001e-06,
+    ("reduce", "binomial", (9, 3, 3), 5000): 0.00016853432000000005,
+    ("reduce", "binomial", (16, 4, 4), 13): 4.894940000000001e-06,
+    ("reduce", "binomial", (16, 4, 4), 5000): 0.00013839888000000003,
+    ("reduce", "binomial", (3, 1, 3), 13): 2.0679599999999997e-06,
+    ("reduce", "binomial", (3, 1, 3), 5000): 9.779188e-05,
+    ("reduce", "knomial", (8, 4, 2), 13): 3.4036800000000004e-06,
+    ("reduce", "knomial", (8, 4, 2), 5000): 0.00010844944000000001,
+    ("reduce", "knomial", (9, 3, 3), 13): 4.673360000000001e-06,
+    ("reduce", "knomial", (9, 3, 3), 5000): 0.00021676976000000006,
+    ("reduce", "knomial", (16, 4, 4), 13): 4.100920000000001e-06,
+    ("reduce", "knomial", (16, 4, 4), 5000): 0.00020493432000000004,
+    ("reduce", "knomial", (3, 1, 3), 13): 2.0679599999999997e-06,
+    ("reduce", "knomial", (3, 1, 3), 5000): 9.779188e-05,
+    ("bcast", "binomial", (8, 4, 2), 13): 3.113199999999999e-06,
+    ("bcast", "binomial", (8, 4, 2), 5000): 6.524944000000002e-05,
+    ("bcast", "binomial", (9, 3, 3), 13): 4.5034200000000005e-06,
+    ("bcast", "binomial", (9, 3, 3), 5000): 0.00013766975999999998,
+    ("bcast", "binomial", (16, 4, 4), 13): 4.813040000000001e-06,
+    ("bcast", "binomial", (16, 4, 4), 5000): 0.00010729888000000004,
+    ("bcast", "binomial", (3, 1, 3), 13): 2.1830399999999995e-06,
+    ("bcast", "binomial", (3, 1, 3), 5000): 7.929888000000002e-05,
+    ("bcast", "knomial", (8, 4, 2), 13): 3.0256799999999987e-06,
+    ("bcast", "knomial", (8, 4, 2), 5000): 7.844944000000001e-05,
+    ("bcast", "knomial", (9, 3, 3), 13): 4.366079999999999e-06,
+    ("bcast", "knomial", (9, 3, 3), 5000): 0.00016382664000000002,
+    ("bcast", "knomial", (16, 4, 4), 13): 3.99208e-06,
+    ("bcast", "knomial", (16, 4, 4), 5000): 0.00015294832000000008,
+    ("bcast", "knomial", (3, 1, 3), 13): 2.1830399999999995e-06,
+    ("bcast", "knomial", (3, 1, 3), 5000): 7.929888000000002e-05,
+    ("bcast", "scatter_ring", (8, 4, 2), 13): 1.0296240000000001e-05,
+    ("bcast", "scatter_ring", (8, 4, 2), 5000): 6.6278e-05,
+    ("bcast", "scatter_ring", (9, 3, 3), 13): 1.3247960000000003e-05,
+    ("bcast", "scatter_ring", (9, 3, 3), 5000): 7.3478e-05,
+    ("bcast", "scatter_ring", (16, 4, 4), 13): 1.995704000000001e-05,
+    ("bcast", "scatter_ring", (16, 4, 4), 5000): 8.289975999999997e-05,
+    ("bcast", "scatter_ring", (3, 1, 3), 13): 5.3508000000000005e-06,
+    ("bcast", "scatter_ring", (3, 1, 3), 5000): 5.4253440000000014e-05,
+    ("allgather", "recursive_doubling", (8, 4, 2), 13): 3.55676e-06,
+    ("allgather", "recursive_doubling", (8, 4, 2), 5000): 0.00021954943999999985,
+    ("allgather", "recursive_doubling", (9, 3, 3), 13): 5.987439999999999e-06,
+    ("allgather", "recursive_doubling", (9, 3, 3), 5000): 0.0003481842,
+    ("allgather", "recursive_doubling", (16, 4, 4), 13): 6.05532e-06,
+    ("allgather", "recursive_doubling", (16, 4, 4), 5000): 0.0005831918800000013,
+    ("allgather", "recursive_doubling", (3, 1, 3), 13): 3.3996799999999997e-06,
+    ("allgather", "recursive_doubling", (3, 1, 3), 5000): 8.409888000000003e-05,
+    ("allgather", "bruck", (8, 4, 2), 13): 4.701479999999999e-06,
+    ("allgather", "bruck", (8, 4, 2), 5000): 0.00031301332,
+    ("allgather", "bruck", (9, 3, 3), 13): 5.987439999999999e-06,
+    ("allgather", "bruck", (9, 3, 3), 5000): 0.0003481842,
+    ("allgather", "bruck", (16, 4, 4), 13): 7.133479999999999e-06,
+    ("allgather", "bruck", (16, 4, 4), 5000): 0.0006631631600000016,
+    ("allgather", "bruck", (3, 1, 3), 13): 3.3996799999999997e-06,
+    ("allgather", "bruck", (3, 1, 3), 5000): 8.409888000000003e-05,
+    ("allgather", "ring", (8, 4, 2), 13): 7.748080000000002e-06,
+    ("allgather", "ring", (8, 4, 2), 5000): 0.00029839008,
+    ("allgather", "ring", (9, 3, 3), 13): 9.44662e-06,
+    ("allgather", "ring", (9, 3, 3), 5000): 0.00033913252000000005,
+    ("allgather", "ring", (16, 4, 4), 13): 1.636272e-05,
+    ("allgather", "ring", (16, 4, 4), 5000): 0.0006243296000000005,
+    ("allgather", "ring", (3, 1, 3), 13): 3.3996799999999997e-06,
+    ("allgather", "ring", (3, 1, 3), 5000): 8.409888000000003e-05,
+    ("reduce_scatter", "recursive_halving", (8, 4, 2), 13): 3.0314400000000006e-06,
+    ("reduce_scatter", "recursive_halving", (8, 4, 2), 5000): 4.3690500000000005e-05,
+    ("reduce_scatter", "recursive_halving", (9, 3, 3), 13): 1.1391480000000001e-05,
+    ("reduce_scatter", "recursive_halving", (9, 3, 3), 5000): 4.980507999999999e-05,
+    ("reduce_scatter", "recursive_halving", (16, 4, 4), 13): 4.66042e-06,
+    ("reduce_scatter", "recursive_halving", (16, 4, 4), 5000): 5.171766000000001e-05,
+    ("reduce_scatter", "recursive_halving", (3, 1, 3), 13): 3.2991000000000003e-06,
+    ("reduce_scatter", "recursive_halving", (3, 1, 3), 5000): 3.380612e-05,
+    ("reduce_scatter", "pairwise", (8, 4, 2), 13): 9.768860000000001e-06,
+    ("reduce_scatter", "pairwise", (8, 4, 2), 5000): 4.7450000000000015e-05,
+    ("reduce_scatter", "pairwise", (9, 3, 3), 13): 1.1391480000000001e-05,
+    ("reduce_scatter", "pairwise", (9, 3, 3), 5000): 4.980507999999999e-05,
+    ("reduce_scatter", "pairwise", (16, 4, 4), 13): 2.2690619999999997e-05,
+    ("reduce_scatter", "pairwise", (16, 4, 4), 5000): 6.428444000000001e-05,
+    ("reduce_scatter", "pairwise", (3, 1, 3), 13): 3.2991000000000003e-06,
+    ("reduce_scatter", "pairwise", (3, 1, 3), 5000): 3.380612e-05,
+    ("allreduce", "rabenseifner", (8, 4, 2), 13): 6.0208800000000005e-06,
+    ("allreduce", "rabenseifner", (8, 4, 2), 5000): 7.721850000000003e-05,
+    ("allreduce", "rabenseifner", (9, 3, 3), 13): 9.92606e-06,
+    ("allreduce", "rabenseifner", (9, 3, 3), 5000): 0.00012109349999999998,
+    ("allreduce", "rabenseifner", (16, 4, 4), 13): 9.27734e-06,
+    ("allreduce", "rabenseifner", (16, 4, 4), 5000): 9.480036000000001e-05,
+    ("allreduce", "rabenseifner", (3, 1, 3), 13): 6.732979999999999e-06,
+    ("allreduce", "rabenseifner", (3, 1, 3), 5000): 0.00014220487999999995,
+    ("allreduce", "recursive_doubling", (8, 4, 2), 13): 3.196660000000001e-06,
+    ("allreduce", "recursive_doubling", (8, 4, 2), 5000): 0.00010249232000000003,
+    ("allreduce", "recursive_doubling", (9, 3, 3), 13): 5.2160000000000005e-06,
+    ("allreduce", "recursive_doubling", (9, 3, 3), 5000): 0.00016516319999999998,
+    ("allreduce", "recursive_doubling", (16, 4, 4), 13): 4.916000000000001e-06,
+    ("allreduce", "recursive_doubling", (16, 4, 4), 5000): 0.00015636320000000003,
+    ("allreduce", "recursive_doubling", (3, 1, 3), 13): 4.2426799999999995e-06,
+    ("allreduce", "recursive_doubling", (3, 1, 3), 5000): 0.00014023432,
+    ("allreduce", "reduce_bcast", (8, 4, 2), 13): 6.288800000000001e-06,
+    ("allreduce", "reduce_bcast", (8, 4, 2), 5000): 0.00015409888000000006,
+    ("allreduce", "reduce_bcast", (9, 3, 3), 13): 9.419680000000001e-06,
+    ("allreduce", "reduce_bcast", (9, 3, 3), 5000): 0.00030378264000000004,
+    ("allreduce", "reduce_bcast", (16, 4, 4), 13): 9.70798e-06,
+    ("allreduce", "reduce_bcast", (16, 4, 4), 5000): 0.0002456977600000001,
+    ("allreduce", "reduce_bcast", (3, 1, 3), 13): 4.2426799999999995e-06,
+    ("allreduce", "reduce_bcast", (3, 1, 3), 5000): 0.00017708376,
 }
 
 #: Kernel counters of the seed's heap-only kernel for dpml at 16 ranks,
@@ -275,6 +408,81 @@ def test_phase_engine_record(key, sanitize):
             assert got is None, f"rank {rank}"
         else:
             np.testing.assert_array_equal(got, total, err_msg=f"rank {rank}")
+
+
+def _family_fn(kind, algorithm, inputs, root):
+    """Rank function of one collective-family case on real data."""
+
+    def fn(comm):
+        data = make_payload(len(inputs[comm.rank]), data=inputs[comm.rank])
+        if kind == "reduce":
+            out = yield from comm.reduce(data, SUM, root=root, algorithm=algorithm)
+        elif kind == "bcast":
+            out = yield from comm.bcast(
+                data if comm.rank == root else None, root=root,
+                algorithm=algorithm,
+            )
+        elif kind == "allgather":
+            out = yield from comm.allgather(data, algorithm=algorithm)
+        else:
+            out = yield from getattr(comm, kind)(data, SUM, algorithm=algorithm)
+        return None if out is None else out.array
+
+    return fn
+
+
+def _family_want(kind, inputs, root, rank):
+    """What rank ``rank`` of a ``kind`` case must return, from numpy."""
+    total = np.sum(inputs, axis=0)
+    if kind == "reduce":
+        return total if rank == root else None
+    if kind == "bcast":
+        return inputs[root]
+    if kind == "allgather":
+        return np.concatenate(inputs)
+    if kind == "reduce_scatter":
+        lo, hi = split_bounds(len(total), len(inputs))[rank]
+        return total[lo:hi]
+    return total
+
+
+def run_family_case(key, sanitize=False):
+    """Run one ``(kind, algorithm, layout, count)`` family case."""
+    kind, algorithm, layout, count = key
+    nranks, ppn, nodes = layout
+    inputs = _inputs(nranks, count=count)
+    job = run_job(
+        cluster_b(nodes), nranks,
+        _family_fn(kind, algorithm, inputs, nranks // 2),
+        ppn=ppn, sanitize=sanitize,
+    )
+    return job, inputs
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        (kind, algorithm, layout, count)
+        for (kind, algorithm), layout, count
+        in itertools.product(FAMILY_CASES, FAMILY_LAYOUTS, FAMILY_COUNTS)
+    ],
+    ids=lambda key: f"{key[0]}-{key[1]}-{layout_id(key[2])}-n{key[3]}",
+)
+def test_collective_family_record(key, sanitize):
+    """Every case of the collective family reproduces its record:
+    elapsed bit for bit, the numpy result on every rank (``None`` off
+    the root for reduce) and no sanitizer report."""
+    job, inputs = run_family_case(key, sanitize)
+    assert job.elapsed == FAMILY_ELAPSED[key]
+    assert not job.reports
+    root = len(inputs) // 2
+    for rank, got in enumerate(job.values):
+        want = _family_want(key[0], inputs, root, rank)
+        if want is None:
+            assert got is None, f"rank {rank}"
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=f"rank {rank}")
 
 
 @pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)

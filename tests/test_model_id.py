@@ -45,6 +45,11 @@ def golden_tables() -> dict:
                 for (case, layout, count), v
                 in determinism.ENGINE_ELAPSED.items()
             ),
+            "family": sorted(
+                [[kind, algorithm, list(layout), count], v]
+                for (kind, algorithm, layout, count), v
+                in determinism.FAMILY_ELAPSED.items()
+            ),
         },
         "transport": transport.GOLDEN,
         "counters": _sim_times(counters.GOLDEN),
