@@ -3,6 +3,11 @@
 Every rank contributes an equal-count block; the result is the
 concatenation of all blocks in rank order on every rank.
 
+* :func:`allgather_doubling` and :func:`ring_allgather` — the
+  recursive-doubling and ring schedules, written once here: the
+  doubling is the second half of Rabenseifner's allreduce, and the ring
+  (any block counts) is phase 2 of the ring allreduce and of the
+  scatter-ring broadcast;
 * :func:`allgather_recursive_doubling` — ``lg p`` rounds of pairwise
   block-range exchange (power-of-two ranks; silently delegates to Bruck
   otherwise, as MPICH does);
@@ -16,9 +21,12 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import MPIError
+from repro.mpi.collectives.base import actual_rank
 from repro.payload.payload import Payload, concat
 
 __all__ = [
+    "allgather_doubling",
+    "ring_allgather",
     "allgather_recursive_doubling",
     "allgather_bruck",
     "allgather_ring",
@@ -30,6 +38,58 @@ def _check_equal_counts(comm, payload: Payload) -> None:
         raise MPIError("allgather requires a contribution on every rank")
 
 
+def allgather_doubling(
+    comm, newrank: int, pof2: int, rem: int, chunk: Payload, tag_base: int
+) -> Generator:
+    """Recursive-doubling allgather among ``pof2`` participants.
+
+    Participant ``i`` is comm rank ``actual_rank(i, rem)`` and holds
+    block ``i``; the window of contiguous blocks held doubles each
+    round.  Returns the concatenation of all ``pof2`` blocks.
+    """
+    lo, hi = newrank, newrank + 1
+    vec = chunk
+    mask = 1
+    round_no = 0
+    while mask < pof2:
+        partner = actual_rank(newrank ^ mask, rem)
+        tag = tag_base + round_no
+        theirs = yield from comm.sendrecv(
+            partner, vec, source=partner, send_tag=tag, recv_tag=tag
+        )
+        if newrank & mask == 0:
+            vec = concat([vec, theirs])
+            hi += mask
+        else:
+            vec = concat([theirs, vec])
+            lo -= mask
+        mask <<= 1
+        round_no += 1
+    assert lo == 0 and hi == pof2
+    return vec
+
+
+def ring_allgather(comm, blocks: list, start: int, tag_base: int) -> Generator:
+    """Ring allgather: ``p - 1`` neighbour steps circulate ``blocks``.
+
+    On entry this rank holds ``blocks[start % p]``; step ``s`` forwards
+    block ``start - s`` to the right neighbour and receives block
+    ``start - s - 1`` from the left.  Fills ``blocks`` in place (their
+    counts may differ) and returns their concatenation.
+    """
+    p = comm.size
+    rank = comm.rank
+    right = (rank + 1) % p
+    left = (rank - 1) % p
+    for step in range(p - 1):
+        tag = tag_base + step % 32
+        blocks[(start - step - 1) % p] = yield from comm.sendrecv(
+            right, blocks[(start - step) % p], source=left,
+            send_tag=tag, recv_tag=tag,
+        )
+    return concat(blocks)
+
+
 def allgather_recursive_doubling(
     comm, payload: Payload, tag_base: int = 0
 ) -> Generator:
@@ -39,33 +99,12 @@ def allgather_recursive_doubling(
         result = yield from allgather_bruck(comm, payload, tag_base=tag_base)
         return result
     _check_equal_counts(comm, payload)
-    rank = comm.rank
     if p == 1:
         return payload.copy()
-
-    # Window of contiguous blocks currently held: [lo, lo + held).
-    lo = rank
-    vec = payload
-    mask = 1
-    round_no = 0
-    while mask < p:
-        partner = rank ^ mask
-        theirs = yield from comm.sendrecv(
-            partner,
-            vec,
-            source=partner,
-            send_tag=tag_base + round_no,
-            recv_tag=tag_base + round_no,
-        )
-        if rank & mask:
-            vec = concat([theirs, vec])
-            lo -= mask
-        else:
-            vec = concat([vec, theirs])
-        mask <<= 1
-        round_no += 1
-    assert lo == 0
-    return vec
+    result = yield from allgather_doubling(
+        comm, comm.rank, p, 0, payload, tag_base
+    )
+    return result
 
 
 def allgather_bruck(comm, payload: Payload, tag_base: int = 0) -> Generator:
@@ -108,23 +147,9 @@ def allgather_ring(comm, payload: Payload, tag_base: int = 0) -> Generator:
     """Ring allgather: p-1 neighbour exchanges."""
     _check_equal_counts(comm, payload)
     p = comm.size
-    rank = comm.rank
     if p == 1:
         return payload.copy()
-
     blocks: list[Payload | None] = [None] * p
-    blocks[rank] = payload
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-    for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        theirs = yield from comm.sendrecv(
-            right,
-            blocks[send_idx],
-            source=left,
-            send_tag=tag_base + step % 32,
-            recv_tag=tag_base + step % 32,
-        )
-        blocks[recv_idx] = theirs
-    return concat(blocks)
+    blocks[comm.rank] = payload
+    result = yield from ring_allgather(comm, blocks, comm.rank, tag_base)
+    return result

@@ -9,7 +9,7 @@ the result is *unfolded* back to the idle ranks.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import MPIError
 from repro.payload.ops import ReduceOp
@@ -21,6 +21,7 @@ __all__ = [
     "unfold_from_pof2",
     "actual_rank",
     "charged_reduce",
+    "window",
 ]
 
 IDLE = -1
@@ -44,6 +45,15 @@ def charged_reduce(
     """One combine: charge the compute cost, return the reduced payload."""
     yield comm.machine.compute(comm.world_rank, theirs.nbytes)
     return mine.reduce(theirs, op)
+
+
+def window(
+    vec: Payload, bounds, vec_lo: int, blk_lo: int, blk_hi: int
+) -> Payload:
+    """Blocks ``[blk_lo, blk_hi)`` of ``vec``, a vector that starts at
+    block ``vec_lo``; ``bounds[i]`` is block ``i``'s element range."""
+    start = bounds[vec_lo][0]
+    return vec.slice(bounds[blk_lo][0] - start, bounds[blk_hi - 1][1] - start)
 
 
 def fold_to_pof2(

@@ -3,7 +3,10 @@
 ``MPI_Reduce`` and ``MPI_Bcast`` over a binomial tree rooted anywhere;
 combined they form the simplest (and rarely optimal) allreduce, kept
 both as a baseline and as the intra-step building block other layers
-reuse (e.g. the HPCG residual broadcast).
+reuse (e.g. the HPCG residual broadcast).  The binomial tree is the
+radix-2 k-nomial tree, so both entries run
+:mod:`repro.mpi.collectives.knomial` at ``radix=2``; they take no
+``radix`` keyword.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.knomial import bcast_knomial, reduce_knomial
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
@@ -27,54 +30,20 @@ def reduce_binomial(
     comm, payload: Payload, op: ReduceOp, root: int = 0, tag_base: int = 0
 ) -> Generator:
     """Binomial-tree reduce; returns the result at ``root``, None elsewhere."""
-    p = comm.size
-    rank = comm.rank
-    if p == 1:
-        return payload.copy()
-    rel = (rank - root) % p
-    vec = payload
-    mask = 1
-    while mask < p:
-        if rel & mask:
-            parent = ((rel - mask) + root) % p
-            yield from comm.send(parent, vec, tag_base + 1)
-            return None
-        child_rel = rel + mask
-        if child_rel < p:
-            child = (child_rel + root) % p
-            theirs = yield from comm.recv(child, tag_base + 1)
-            vec = yield from charged_reduce(comm, vec, theirs, op)
-        mask <<= 1
-    return vec
+    result = yield from reduce_knomial(
+        comm, payload, op, root=root, tag_base=tag_base, radix=2
+    )
+    return result
 
 
 def bcast_binomial(
     comm, payload: Payload | None, root: int = 0, tag_base: int = 0
 ) -> Generator:
     """Binomial-tree broadcast of ``payload`` from ``root``."""
-    p = comm.size
-    rank = comm.rank
-    if p == 1:
-        return payload.copy()
-    rel = (rank - root) % p
-
-    # Receive from the parent unless we are the root.
-    if rel != 0:
-        payload = yield from comm.recv(tag=tag_base + 2)
-
-    # Highest bit below our relative rank determines our subtree span.
-    mask = 1
-    while mask < p and not (rel & mask):
-        mask <<= 1
-    # Forward to children at decreasing distances.
-    mask >>= 1
-    while mask >= 1:
-        child_rel = rel + mask
-        if child_rel < p:
-            child = (child_rel + root) % p
-            yield from comm.send(child, payload, tag_base + 2)
-        mask >>= 1
-    return payload
+    result = yield from bcast_knomial(
+        comm, payload, root=root, tag_base=tag_base, radix=2
+    )
+    return result
 
 
 def allreduce_reduce_bcast(

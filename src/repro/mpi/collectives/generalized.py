@@ -25,7 +25,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.errors import MPIError
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.base import charged_reduce, window
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
@@ -111,11 +111,6 @@ def allreduce_generalized(
     stages = _resolve_radices(p, radices)
 
     bounds = split_bounds(payload.count, p)
-
-    def window(vec, vec_lo, blk_lo, blk_hi):
-        start = bounds[vec_lo][0]
-        return vec.slice(bounds[blk_lo][0] - start, bounds[blk_hi - 1][1] - start)
-
     # -- reduce-scatter stages ----------------------------------------------
     vec = payload
     lo, q = 0, p
@@ -128,7 +123,7 @@ def allreduce_generalized(
             (j, lo + j * sub + offset) for j in range(radix)
         )
         parts = [
-            window(vec, lo, lo + j * sub, lo + (j + 1) * sub)
+            window(vec, bounds, lo, lo + j * sub, lo + (j + 1) * sub)
             for j in range(radix)
         ]
         gathered = yield from _exchange(

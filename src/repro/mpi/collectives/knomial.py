@@ -98,10 +98,9 @@ def bcast_knomial(
     if rel != 0:
         payload = yield from comm.recv(tag=tag_base + 4)
 
-    # Forward to children at decreasing levels.
-    level = top // radix if rel == 0 else top // radix
-    # For the root, `top` overshoots p; walk down to the first level
-    # that actually addresses in-range children.
+    # Forward to children at decreasing levels.  For the root, `top`
+    # overshoots p; the range checks skip the levels with no children.
+    level = top // radix
     while level >= 1:
         for i in range(1, radix):
             child_rel = rel + i * level

@@ -30,7 +30,7 @@ from typing import Generator
 
 from repro.core.model import _lg_ceil
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.base import charged_reduce, window
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
@@ -74,22 +74,15 @@ def allreduce_optimal_rsag(
     bounds = split_bounds(payload.count, p)
     schedule = _halving_rounds(p)[rank]
 
-    def window(vec, vec_lo, blk_lo, blk_hi):
-        """Slice blocks ``[blk_lo, blk_hi)`` out of a vector that
-        starts at block ``vec_lo``."""
-        start = bounds[vec_lo][0]
-        return vec.slice(bounds[blk_lo][0] - start, bounds[blk_hi - 1][1] - start)
-
     # -- reduce-scatter: descend the split schedule --------------------------
     vec = payload
     for depth, (lo, mid, hi) in enumerate(schedule):
         q = hi - lo
-        m = mid - lo  # left-part size, ceil(q/2)
         tag = tag_base + depth
         if rank < mid:
             i = rank - lo
-            keep = window(vec, lo, lo, mid)
-            give = window(vec, lo, mid, hi)
+            keep = window(vec, bounds, lo, lo, mid)
+            give = window(vec, bounds, lo, mid, hi)
             partner = mid + i
             if partner < hi:
                 theirs = yield from comm.sendrecv(
@@ -103,8 +96,8 @@ def allreduce_optimal_rsag(
                 yield from comm.send(hi - 1, give, tag)
                 vec = keep
         else:
-            keep = window(vec, lo, mid, hi)
-            give = window(vec, lo, lo, mid)
+            keep = window(vec, bounds, lo, mid, hi)
+            give = window(vec, bounds, lo, lo, mid)
             partner = lo + (rank - mid)
             theirs = yield from comm.sendrecv(
                 partner, give, source=partner, send_tag=tag, recv_tag=tag

@@ -4,8 +4,12 @@ Each rank contributes a full vector; rank ``i`` returns chunk ``i`` of
 the element-wise reduction, with chunk boundaries from
 :func:`repro.payload.payload.split_bounds` over ``p`` chunks.
 
-* :func:`reduce_scatter_recursive_halving` — ``lg p`` halving rounds,
-  bandwidth-optimal (power-of-two ranks; delegates to pairwise
+* :func:`reduce_scatter_halving` — the recursive-halving schedule,
+  ``lg p`` rounds over a power-of-two set of participants; the first
+  half of Rabenseifner's allreduce, which runs it after folding to a
+  power of two;
+* :func:`reduce_scatter_recursive_halving` — that schedule over every
+  rank, bandwidth-optimal (power-of-two ranks; delegates to pairwise
   otherwise);
 * :func:`reduce_scatter_pairwise` — ``p - 1`` rounds, any rank count,
   commutative operators.
@@ -15,14 +19,50 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.base import actual_rank, charged_reduce, window
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, split_bounds
 
 __all__ = [
+    "reduce_scatter_halving",
     "reduce_scatter_recursive_halving",
     "reduce_scatter_pairwise",
 ]
+
+
+def reduce_scatter_halving(
+    comm, newrank: int, pof2: int, rem: int, vec: Payload, op: ReduceOp,
+    tag_base: int,
+) -> Generator:
+    """Recursive-halving reduce-scatter among ``pof2`` participants.
+
+    Participant ``i`` is comm rank ``actual_rank(i, rem)`` (``rem`` is 0
+    when every rank takes part).  Returns the fully reduced chunk
+    ``newrank`` of ``split_bounds(vec.count, pof2)``.
+    """
+    bounds = split_bounds(vec.count, pof2)
+    lo, hi = 0, pof2  # current chunk window; vec covers its elements
+    mask = pof2 >> 1
+    round_no = 0
+    while mask >= 1:
+        partner = actual_rank(newrank ^ mask, rem)
+        mid = (lo + hi) // 2
+        if newrank & mask == 0:
+            keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
+        else:
+            keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
+        send_part = window(vec, bounds, lo, send_lo, send_hi)
+        kept_part = window(vec, bounds, lo, keep_lo, keep_hi)
+        tag = tag_base + round_no
+        theirs = yield from comm.sendrecv(
+            partner, send_part, source=partner, send_tag=tag, recv_tag=tag
+        )
+        vec = yield from charged_reduce(comm, kept_part, theirs, op)
+        lo, hi = keep_lo, keep_hi
+        mask >>= 1
+        round_no += 1
+    assert hi - lo == 1 and lo == newrank
+    return vec
 
 
 def reduce_scatter_recursive_halving(
@@ -35,44 +75,12 @@ def reduce_scatter_recursive_halving(
             comm, payload, op, tag_base=tag_base
         )
         return result
-    rank = comm.rank
     if p == 1:
         return payload.copy()
-
-    bounds = split_bounds(payload.count, p)
-    lo, hi = 0, p
-    vec = payload
-    mask = p >> 1
-    round_no = 0
-    while mask >= 1:
-        partner = rank ^ mask
-        mid = (lo + hi) // 2
-        win_start = bounds[lo][0]
-        if rank & mask == 0:
-            keep_lo, keep_hi = lo, mid
-            send_lo, send_hi = mid, hi
-        else:
-            keep_lo, keep_hi = mid, hi
-            send_lo, send_hi = lo, mid
-        send_part = vec.slice(
-            bounds[send_lo][0] - win_start, bounds[send_hi - 1][1] - win_start
-        )
-        kept_part = vec.slice(
-            bounds[keep_lo][0] - win_start, bounds[keep_hi - 1][1] - win_start
-        )
-        theirs = yield from comm.sendrecv(
-            partner,
-            send_part,
-            source=partner,
-            send_tag=tag_base + round_no,
-            recv_tag=tag_base + round_no,
-        )
-        vec = yield from charged_reduce(comm, kept_part, theirs, op)
-        lo, hi = keep_lo, keep_hi
-        mask >>= 1
-        round_no += 1
-    assert (lo, hi) == (rank, rank + 1)
-    return vec
+    result = yield from reduce_scatter_halving(
+        comm, comm.rank, p, 0, payload, op, tag_base
+    )
+    return result
 
 
 def reduce_scatter_pairwise(

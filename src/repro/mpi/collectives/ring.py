@@ -5,10 +5,13 @@ The ring allreduce runs ``p - 1`` reduce-scatter steps followed by
 ``2n(p-1)/p`` bytes) with no power-of-two requirement; the go-to
 algorithm for very large messages (and the shape popularised by
 deep-learning gradient averaging, which the paper's introduction cites
-as a driver of large-message allreduce).
+as a driver of large-message allreduce).  The reduce-scatter loop lives
+here; the allgather is
+:func:`~repro.mpi.collectives.allgather.ring_allgather`.
 
 :func:`bcast_scatter_ring` is the van-de-Geijn large-message broadcast:
-binomial-scatter the vector, then ring-allgather the pieces.
+binomial-scatter the vector, then ring-allgather the pieces with the
+same :func:`~repro.mpi.collectives.allgather.ring_allgather`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
+from repro.mpi.collectives.allgather import ring_allgather
 from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.gather_scatter import scatter_binomial
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat, split_bounds
 
@@ -60,19 +65,8 @@ def allreduce_ring(
         )
 
     # Allgather: circulate the fully reduced chunks.
-    for step in range(p - 1):
-        send_idx = (rank - step + 1) % p
-        recv_idx = (rank - step) % p
-        theirs = yield from comm.sendrecv(
-            right,
-            chunks[send_idx],
-            source=left,
-            send_tag=tag_base + 32 + step % 32,
-            recv_tag=tag_base + 32 + step % 32,
-        )
-        chunks[recv_idx] = theirs
-
-    return concat(chunks)
+    result = yield from ring_allgather(comm, chunks, rank + 1, tag_base + 32)
+    return result
 
 
 def bcast_scatter_ring(
@@ -83,33 +77,17 @@ def bcast_scatter_ring(
     Moves ``~2n`` bytes per rank regardless of ``p`` (vs ``n lg p`` for
     the tree), which wins for large vectors.
     """
-    from repro.mpi.collectives.gather_scatter import scatter_binomial
-
     p = comm.size
     if p == 1:
         return payload.copy()
     pieces = payload.split(p) if comm.rank == root else None
     mine = yield from scatter_binomial(comm, pieces, root=root, tag_base=tag_base)
-    # Ring allgather reassembles the full vector everywhere.  Chunk
-    # sizes may differ when count % p != 0, so gather the pieces with
-    # per-chunk sendrecvs (the allgather fast path assumes equal counts).
-    rank = comm.rank
+    # Chunk sizes differ when count % p != 0, which the ring schedule
+    # carries (the allgather kinds assume equal counts).
     blocks: list[Payload | None] = [None] * p
-    blocks[rank] = mine
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-    for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        theirs = yield from comm.sendrecv(
-            right,
-            blocks[send_idx],
-            source=left,
-            send_tag=tag_base + 8 + step % 32,
-            recv_tag=tag_base + 8 + step % 32,
-        )
-        blocks[recv_idx] = theirs
-    return concat(blocks)
+    blocks[comm.rank] = mine
+    result = yield from ring_allgather(comm, blocks, comm.rank, tag_base + 8)
+    return result
 
 
 def allreduce_ring_segmented(

@@ -274,7 +274,9 @@ class Comm:
         """
         manager = getattr(self.runtime, "recovery", None)
         if manager is None or self.group.context != 0:
-            result = yield from self._allreduce_impl(payload, op, algorithm, kwargs)
+            result = yield from self._coll(
+                "allreduce", algorithm, payload, op, **kwargs
+            )
             return result
         outermost = manager.enter_collective(self.world_rank)
         try:
@@ -282,23 +284,14 @@ class Comm:
                 hit, value = manager.replay(self.world_rank)
                 if hit:
                     return value
-            result = yield from self._allreduce_impl(payload, op, algorithm, kwargs)
+            result = yield from self._coll(
+                "allreduce", algorithm, payload, op, **kwargs
+            )
             if outermost:
                 manager.record(self.world_rank, result)
             return result
         finally:
             manager.exit_collective(self.world_rank)
-
-    def _allreduce_impl(
-        self, payload: Payload, op: ReduceOp, algorithm: Optional[str], kwargs
-    ) -> Generator:
-        from repro.mpi.collectives.registry import check_call, resolve_allreduce
-
-        check_call(self, algorithm, kwargs)
-        fn = resolve_allreduce(algorithm, self)
-        tag_base = self._alloc_coll_tags()
-        result = yield from fn(self, payload, op, tag_base=tag_base, **kwargs)
-        return result
 
     def icoll(self, fn: Callable[..., Generator], *args, **kwargs) -> Request:
         """Run collective generator ``fn(comm, *args, ...)`` in the
@@ -321,12 +314,7 @@ class Comm:
         self, payload: Payload, op: ReduceOp, algorithm: Optional[str] = None, **kwargs
     ) -> Request:
         """Non-blocking allreduce; the request completes with the result."""
-        from repro.mpi.collectives.registry import check_call, resolve_allreduce
-
-        check_call(self, algorithm, kwargs)
-        fn = resolve_allreduce(algorithm, self)
-        tag_base = self._alloc_coll_tags()
-        return self.icoll(fn, payload, op, tag_base=tag_base, **kwargs)
+        return self._icoll("allreduce", algorithm, payload, op, **kwargs)
 
     def _coll(self, kind: str, algorithm: Optional[str], *args, **kwargs) -> Generator:
         from repro.mpi.collectives.registry import check_call, resolve_collective
