@@ -193,13 +193,19 @@ def check_knobs(
 ) -> None:
     """Reject collective keywords a job cannot run as given: a
     ``leaders`` count outside ``[1, ppn]`` (it would run clamped to
-    ``ppn``), keywords the named ``kind`` algorithm does not take, and
+    ``ppn``), a ``segment_bytes``, ``pipeline_unit`` or ``max_k`` below
+    1 (a zero divides by zero, a negative runs clamped to one segment),
+    keywords the named ``kind`` algorithm does not take, and
     ``radices`` that do not factor ``nranks``."""
     if not alg_kwargs:
         return
     leaders = alg_kwargs.get("leaders")
     if leaders is not None and not 1 <= leaders <= ppn:
         raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
+    for knob in ("segment_bytes", "pipeline_unit", "max_k"):
+        value = alg_kwargs.get(knob)
+        if value is not None and value < 1:
+            raise ConfigError(f"{knob} must be >= 1, got {value}")
     if algorithm is not None:
         accepted = collective_keywords(kind, algorithm)
         if accepted is not None and not accepted.issuperset(alg_kwargs):
@@ -221,8 +227,8 @@ def check_call(
     """:func:`check_knobs` for a collective a rank function issues on
     the world communicator.  Calls on sub-communicators are the interior
     steps of a collective and are not checked.  A rooted collective's
-    ``root`` is the caller's own argument, accepted as given; a ``kind``
-    other than allreduce with no ``algorithm`` checks its default.
+    ``root`` must be in ``[0, comm.size)``; a ``kind`` other than
+    allreduce with no ``algorithm`` checks its default.
 
     A leader count below 1 is left to the algorithm, which raises
     :class:`~repro.errors.ConfigError` for it in both fidelities (a
@@ -231,6 +237,9 @@ def check_call(
     """
     if not kwargs or comm.group.context != 0:
         return
+    root = kwargs.get("root")
+    if root is not None and not 0 <= root < comm.size:
+        raise ConfigError(f"root must be in [0, {comm.size}), got {root}")
     leaders = kwargs.get("leaders")
     if leaders is not None and leaders < 1:
         kwargs = {**kwargs, "leaders": 1}

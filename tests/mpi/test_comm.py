@@ -284,3 +284,88 @@ class TestRootedKeywords:
             assert job.values == [None, 64, None, None]
         else:
             assert job.values == [64] * 4
+
+
+class TestRootRange:
+    """A world-communicator ``root`` outside ``[0, size)`` raises
+    ConfigError at dispatch, for every rooted kind and algorithm."""
+
+    @pytest.mark.parametrize("root", [-1, 6])
+    @pytest.mark.parametrize(
+        "kind, algorithm",
+        [
+            ("reduce", "binomial"),
+            ("reduce", "knomial"),
+            ("reduce", "auto"),
+            ("reduce", "dpml"),
+            ("bcast", "binomial"),
+            ("bcast", "scatter_ring"),
+            ("bcast", "dpml"),
+            ("gather", "binomial"),
+            ("scatter", "binomial"),
+        ],
+    )
+    def test_root_outside_comm_raises(self, kind, algorithm, root):
+        def fn(comm):
+            data = make_payload(6)
+            if kind == "reduce":
+                out = yield from comm.reduce(
+                    data, SUM, root=root, algorithm=algorithm
+                )
+            elif kind == "bcast":
+                out = yield from comm.bcast(data, root=root, algorithm=algorithm)
+            elif kind == "gather":
+                out = yield from comm.gather(data, root=root, algorithm=algorithm)
+            else:
+                out = yield from comm.scatter(
+                    data.split(comm.size), root=root, algorithm=algorithm
+                )
+            return out
+
+        with pytest.raises(ConfigError, match=r"root must be in \[0, 6\)"):
+            run_job(cluster_b(2), 6, fn, ppn=3)
+
+
+@pytest.mark.parametrize("fidelity", ["exact", "hybrid"])
+@pytest.mark.parametrize(
+    "algorithm, knob, value",
+    [
+        ("ring_segmented", "segment_bytes", 0),
+        ("ring_segmented", "segment_bytes", -4096),
+        ("dualroot_pipelined", "segment_bytes", 0),
+        ("dpml_pipelined", "pipeline_unit", 0),
+        ("dpml_pipelined", "pipeline_unit", -64),
+        ("dpml_pipelined", "max_k", 0),
+        ("dpml_pipelined", "max_k", -2),
+    ],
+)
+@pytest.mark.parametrize("entry", ["dispatch", "sample_point", "latency"])
+def test_segment_knobs_below_one_raise(entry, algorithm, knob, value, fidelity):
+    """A segment size, pipeline unit or segment cap below 1 raises
+    ConfigError at every entry point, in both fidelities, instead of
+    dividing by zero or running clamped to one segment."""
+    from repro.bench.harness import allreduce_latency
+    from repro.bench.spec import SamplePoint
+
+    match = f"{knob} must be >= 1"
+    if entry == "dispatch":
+        def fn(comm):
+            out = yield from comm.allreduce(
+                make_payload(4096), SUM, algorithm=algorithm, **{knob: value}
+            )
+            return out.count
+
+        with pytest.raises(ConfigError, match=match):
+            run_job(cluster_b(2), 8, fn, ppn=4, fidelity=fidelity)
+    elif entry == "sample_point":
+        with pytest.raises(ConfigError, match=match):
+            SamplePoint(
+                "b", 2, 4, algorithm, 4096 * 8, extra=((knob, value),),
+                fidelity=fidelity,
+            )
+    else:
+        with pytest.raises(ConfigError, match=match):
+            allreduce_latency(
+                cluster_b(2), algorithm, 4096 * 8, ppn=4, fidelity=fidelity,
+                **{knob: value},
+            )
