@@ -63,11 +63,22 @@ kernel paid for them:
 * processed one-shot events (``Event``/``Timeout``/``AllOf``) that no
   one else references are recycled through per-class free pools.
 
+Idle fences
+-----------
+:meth:`Simulator.idle` returns an event that fires once the calendar
+holds nothing else: the due FIFO is empty and no time is pending.
+Every fence pending at that instant fires then, in ascending
+``order`` whatever order they were requested in, so processes that
+fence before a step all start it from one common release on an idle
+machine.  The loop looks for fences only where the calendar has
+drained, so the per-event path does not pay for them.
+
 Deadlock detection
 ------------------
 :meth:`Simulator.run` raises :class:`~repro.errors.DeadlockError` when
 the event calendar drains while processes are still alive and
-blocked.  This is the simulated analogue of an MPI job hanging on an
+blocked (after any pending fences have fired and their waiters have
+run).  This is the simulated analogue of an MPI job hanging on an
 unmatched receive, and it turns subtle collective-algorithm bugs into
 crisp test failures.  A continuation that waits on a peer joins the
 same live set while it waits, with a ``name`` and a ``_waiting_on``
@@ -92,6 +103,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.errors import DeadlockError, InterruptError, SimulationError
@@ -453,6 +465,8 @@ class Simulator:
         self._times: list[float] = []
         # Live processes, and continuations blocked on a peer.
         self._live_processes: set = set()
+        # Pending idle fences, ``(order, event)`` in request order.
+        self._fences: list[tuple] = []
         # Free pools of processed, unreferenced one-shot events.
         self._pool_event: list[Event] = []
         self._pool_timeout: list[Timeout] = []
@@ -495,14 +509,15 @@ class Simulator:
     def reset(self) -> None:
         """Rewind to the pristine ``t=0`` state of a fresh simulator.
 
-        Drops every scheduled event and registered process and zeroes
-        the perf counters, so the next run is again a pure function of
-        its inputs: a run on a reset simulator produces results
-        bit-identical to the same run on a newly constructed one.  The
-        event free pools are deliberately *kept* — reuse never changes
-        results, but it does mean ``events_allocated`` on a reused
-        session reads lower than on a cold one (the golden counter tests
-        use fresh sessions for exactly this reason).
+        Drops every scheduled event, pending fence and registered
+        process and zeroes the perf counters, so the next run is again
+        a pure function of its inputs: a run on a reset simulator
+        produces results bit-identical to the same run on a newly
+        constructed one.  The event free pools are deliberately *kept*
+        — reuse never changes results, but it does mean
+        ``events_allocated`` on a reused session reads lower than on a
+        cold one (the golden counter tests use fresh sessions for
+        exactly this reason).
 
         Every :class:`~repro.sim.resources.FCFSQueue` submitted to since
         the last reset is rewound here, and no other: a queue registers
@@ -516,6 +531,7 @@ class Simulator:
         self._cal.clear()
         self._times.clear()
         self._live_processes.clear()
+        self._fences.clear()
         self._n_events = 0
         self._n_heap_push = 0
         self._n_heap_pop = 0
@@ -599,6 +615,32 @@ class Simulator:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
 
+    def idle(self, order: float = 0) -> Event:
+        """Event that fires once the calendar holds nothing else.
+
+        The fence fires at the first instant the due FIFO is empty and
+        no time is pending.  Every fence pending then fires at that
+        instant, in ascending ``order`` (ties in request order), before
+        anything their waiters schedule.  A harness fences each rank
+        with its rank as ``order`` to release them all at once, in rank
+        order, on an idle machine.
+
+        >>> sim = Simulator()
+        >>> def rank(r, delay, log):
+        ...     yield sim.timeout(delay)
+        ...     yield sim.idle(r)
+        ...     log.append((r, sim.now))
+        >>> log = []
+        >>> for r, delay in ((0, 2.0), (1, 1.0)):
+        ...     _ = sim.process(rank(r, delay, log))
+        >>> sim.run()
+        >>> log
+        [(0, 2.0), (1, 2.0)]
+        """
+        event = self.event()
+        self._fences.append((order, event))
+        return event
+
     # -- scheduling ----------------------------------------------------------
 
     def hop(self, callback: Callable[[Any], None]) -> None:
@@ -676,10 +718,13 @@ class Simulator:
         recycles the event into its free pool when nobody else holds
         it, all in this one frame.
 
+        When the calendar drains with fences pending (:meth:`idle`),
+        they fire and the loop goes on.
+
         Raises :class:`SimulationError` if ``until`` is not a time at
         or after :attr:`now`, and :class:`DeadlockError` if the calendar
-        drains while processes are still alive (blocked on events
-        nobody will trigger).
+        drains, with no fence pending, while processes are still alive
+        (blocked on events nobody will trigger).
         """
         now = self.now
         if until is not None and not until >= now:
@@ -705,7 +750,10 @@ class Simulator:
                     # Everything due now has run: advance the clock to
                     # the next pending time.
                     if not times:
-                        break
+                        if not self._fences:
+                            break
+                        self._release_fences()
+                        continue
                     at = times[0]
                     if until is not None and at > until:
                         self.now = until
@@ -866,8 +914,17 @@ class Simulator:
                 wait_graph=wait_graph,
             )
 
+    def _release_fences(self) -> None:
+        """Fire every pending fence now, in ascending ``order``."""
+        fences = self._fences
+        fences.sort(key=itemgetter(0))
+        for _, event in fences:
+            event.succeed()
+        fences.clear()
+
     def peek(self) -> float:
-        """Time of the next scheduled event (inf if none)."""
-        if self._due:
+        """Time of the next scheduled event (inf if none).  A pending
+        fence counts as due now once nothing else is pending."""
+        if self._due or (self._fences and not self._times):
             return self.now
         return self._times[0] if self._times else float("inf")

@@ -3,12 +3,14 @@
 Hypothesis draws a random schedule — processes made of sleeps with
 forced ties, zero-delay and delayed ``succeed`` calls, waits on manual
 events (late ones included), plain callbacks, ``AllOf`` waits, FCFS
-submits that build a busy horizon, joins and spawns — and runs it on
+submits that build a busy horizon, joins, spawns and idle fences —
+and runs it on
 :class:`~repro.sim.engine.Simulator`, split into ``run(until=...)``
 calls.  The same schedule also runs on
 :class:`RefSim` below: a reference kernel with no fast paths that
 orders every entry by an explicit ``(time, seq)`` heap, a monotone
-counter breaking ties.  The two event logs must be identical.
+counter breaking ties, and releases its fences, sorted by order, once
+that heap is empty.  The two event logs must be identical.
 """
 
 from heapq import heappop, heappush
@@ -88,12 +90,14 @@ class RefQueue:
 
 
 class RefSim:
-    """Reference kernel: one ``(time, seq, entry)`` heap, nothing else."""
+    """Reference kernel: one ``(time, seq, entry)`` heap and a list of
+    pending fences, nothing else."""
 
     def __init__(self):
         self.now = 0.0
         self.heap = []
         self.seq = 0
+        self.fences = []
 
     def push(self, time, entry):
         self.seq += 1
@@ -111,8 +115,20 @@ class RefSim:
     def process(self, gen):
         return RefProcess(self, gen)
 
+    def idle(self, order=0):
+        self.seq += 1
+        event = RefEvent(self)
+        self.fences.append((order, self.seq, event))
+        return event
+
     def run(self, until=None):
-        while self.heap:
+        while self.heap or self.fences:
+            if not self.heap:
+                # Nothing else is pending: every fence fires now.
+                for _, _, event in sorted(self.fences, key=lambda f: f[:2]):
+                    event.succeed()
+                self.fences = []
+                continue
             if until is not None and self.heap[0][0] > until:
                 self.now = until
                 return
@@ -180,6 +196,8 @@ def _script(sim, i, steps, events, procs, queues, log):
             child = sim.process(_sleeper(sim, step[1], (i, n), log))
             if step[2]:
                 value = yield child
+        elif kind == "idle":
+            value = yield sim.idle(step[1])
         log.append((i, n, sim.now, value))
     return i
 
@@ -228,6 +246,7 @@ steps = st.one_of(
     ),
     st.tuples(st.just("join"), st.integers(0, 7)),
     st.tuples(st.just("spawn"), delays, st.booleans()),
+    st.tuples(st.just("idle"), st.integers(0, 3)),
 )
 schedules = st.lists(st.lists(steps, max_size=6), min_size=1, max_size=6)
 stop_lists = st.lists(
