@@ -18,4 +18,4 @@ __version__ = "1.0.0"
 #: prints it); the result store keys every point on it.  The models no
 #: table runs (the compute phases of HPCG and miniAMR, the OSU
 #: throughput study) are not stored, so their changes need no bump.
-MODEL_ID = "362a5095a55f67981421c576fcbeb73039ad909a0286e8595d83b50e1fcd28ef"
+MODEL_ID = "11eda47dab45c428f1d813a8810f8d3eda4d712d0510791e283c0a0b1a001f5a"

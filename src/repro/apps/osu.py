@@ -14,15 +14,19 @@ value, which is exactly the quantity Figure 1 plots.
 Every kernel rejects ``iterations < 1``, ``warmup < 0`` and a negative
 message size with :class:`~repro.errors.ConfigError` before it
 simulates anything, as :func:`~repro.bench.harness.allreduce_latency`
-does.
+does.  A zero-byte size simulates zero-byte messages (the bandwidth
+kernels then report 0); :func:`relative_throughput`, which divides by
+the one-pair bandwidth, rejects it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.bench.harness import allreduce_latency, check_loop, check_sample
-from repro.errors import ReproError
+from repro.bench.harness import (
+    allreduce_latency, check_loop, check_sample, timed_calls,
+)
+from repro.errors import ConfigError, ReproError
 from repro.machine.config import MachineConfig
 from repro.mpi.runtime import run_job
 from repro.payload.payload import SymbolicPayload
@@ -69,7 +73,7 @@ def multi_pair_bandwidth(
             raise ReproError(f"{pairs} senders exceed the node's {cores} cores")
         ppn = pairs
 
-    payload = SymbolicPayload(max(1, nbytes), 1)
+    payload = SymbolicPayload(nbytes, 1)
     ack = SymbolicPayload(0, 1)
     total_rounds = warmup + iterations
 
@@ -117,10 +121,19 @@ def relative_throughput(
     window: int = 16,
     iterations: int = 3,
 ) -> dict[int, dict[int, float]]:
-    """Figure-1 data: ``{size: {pairs: aggregate / one-pair aggregate}}``."""
+    """Figure-1 data: ``{size: {pairs: aggregate / one-pair aggregate}}``.
+
+    Every size must be at least one byte: a zero-byte window moves no
+    data, so the one-pair bandwidth it would divide by is zero.
+    """
     sizes = tuple(sizes)
     check_loop(iterations, 0)
     check_sample(sizes)
+    for size in sizes:
+        if size < 1:
+            raise ConfigError(
+                f"relative throughput needs sizes >= 1 byte, got {size}"
+            )
     out: dict[int, dict[int, float]] = {}
     for size in sizes:
         base = multi_pair_bandwidth(
@@ -149,7 +162,7 @@ def pingpong_latency(
     """``osu_latency``: half round-trip time of a ping-pong pair."""
     check_loop(iterations, warmup)
     check_sample((nbytes,))
-    payload = SymbolicPayload(max(1, nbytes), 1)
+    payload = SymbolicPayload(nbytes, 1)
     total = warmup + iterations
 
     def bench(comm):
@@ -185,7 +198,7 @@ def unidirectional_bandwidth(
     of one pair across nodes."""
     check_loop(iterations, warmup)
     check_sample((nbytes,))
-    payload = SymbolicPayload(max(1, nbytes), 1)
+    payload = SymbolicPayload(nbytes, 1)
     ack = SymbolicPayload(0, 1)
     total = warmup + iterations
 
@@ -231,13 +244,16 @@ def osu_collective_latency(
     algorithm=None,
     iterations: int = 3,
     warmup: int = 1,
+    root: int = 0,
     **alg_kwargs,
 ) -> float:
-    """``osu_allreduce`` / ``osu_reduce`` / ``osu_bcast``: average
-    collective latency over a timed loop (max across ranks).
+    """``osu_allreduce`` / ``osu_reduce`` / ``osu_bcast``: per-call
+    collective latency (max across ranks) over fenced timed calls.
 
     ``kind="allreduce"`` is :func:`~repro.bench.harness.allreduce_latency`
-    (and so takes the hybrid fleet where that applies).
+    (and so takes the hybrid fleet where that applies); ``reduce`` and
+    ``bcast`` run the same loop,
+    :func:`~repro.bench.harness.timed_calls`, to and from ``root``.
     """
     from repro.payload.ops import SUM
 
@@ -255,17 +271,12 @@ def osu_collective_latency(
     def one(comm):
         if kind == "reduce":
             return comm.reduce(
-                payload, SUM, root=0, algorithm=algorithm, **alg_kwargs
+                payload, SUM, root=root, algorithm=algorithm, **alg_kwargs
             )
-        return comm.bcast(payload, root=0, algorithm=algorithm, **alg_kwargs)
+        return comm.bcast(payload, root=root, algorithm=algorithm, **alg_kwargs)
 
     def bench(comm):
-        for _ in range(warmup):
-            yield from one(comm)
-        yield from comm.barrier()
-        t0 = comm.now
-        for _ in range(iterations):
-            yield from one(comm)
-        return (comm.now - t0) / iterations
+        elapsed, _ = yield from timed_calls(comm, one, iterations, warmup)
+        return elapsed
 
     return float(max(run_job(config, nranks, bench, ppn=ppn).values))

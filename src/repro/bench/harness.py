@@ -1,10 +1,17 @@
 """Single-measurement harness.
 
 Mirrors the OSU ``osu_allreduce`` methodology: warmup iterations, a
-barrier, a timed loop of blocking allreduces, and the average per-call
-latency reported from rank 0.  Payloads are symbolic by default (the
-simulated time is identical and the host-side numpy work is skipped);
-pass ``validate=True`` to carry real data and assert the result against
+barrier, then timed blocking allreduces, reported as the slowest
+rank's per-call latency.  Each timed call starts from an idle fence
+(:meth:`~repro.sim.engine.Simulator.idle`): every rank is released at
+one instant, in rank order, once nothing else is in the machine, and
+times the call from that release to its return.  A call therefore
+never overlaps the previous one, and a noise-free point times exactly
+one call (every call would give the same number); with a noise model
+or a fault injector the point is the mean of ``iterations`` fenced
+calls.  Payloads are symbolic by default (the simulated time is
+identical and the host-side numpy work is skipped); pass
+``validate=True`` to carry real data and assert the result against
 the numpy reference on every rank.
 
 Multi-point measurements (message sizes, leader counts, noisy
@@ -15,7 +22,7 @@ layout.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -29,7 +36,8 @@ from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
 __all__ = [
-    "allreduce_latency", "latency_kernel", "check_loop", "check_sample",
+    "allreduce_latency", "latency_kernel", "timed_calls", "check_loop",
+    "check_sample",
 ]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
@@ -56,6 +64,33 @@ def check_sample(sizes: Iterable[int], sigma: float = 0.0) -> None:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
 
 
+def timed_calls(comm, call: Callable, iterations: int, warmup: int):
+    """Run OSU's loop around ``call(comm)`` on one rank; returns the
+    mean timed window and the last call's result.
+
+    The rank runs ``warmup`` calls and one barrier, then waits on an
+    idle fence (ordered by its world rank) before each timed call and
+    times the call from the release to its return.  A machine with no
+    noise model and no fault injector times one call, since every
+    fenced call of such a machine takes the same time; otherwise
+    ``iterations`` fenced calls are timed and averaged.
+    """
+    for _ in range(warmup):
+        yield from call(comm)
+    yield from comm.barrier()
+    machine = comm.machine
+    if machine.noise is None and machine.faults is None:
+        iterations = 1
+    sim = comm.sim
+    total = 0.0
+    for _ in range(iterations):
+        yield sim.idle(comm.world_rank)
+        t0 = comm.now
+        result = yield from call(comm)
+        total += comm.now - t0
+    return total / iterations, result
+
+
 def latency_kernel(
     algorithm: Optional[str],
     nbytes: int,
@@ -68,15 +103,17 @@ def latency_kernel(
 ):
     """The rank function :func:`allreduce_latency` launches.
 
-    Every rank runs ``warmup`` allreduces, one barrier and
-    ``iterations`` timed allreduces of ``max(1, nbytes // 4)`` floats,
-    and returns its mean timed window.  Without ``validate`` (symbolic
-    payloads) the function also carries a
-    :class:`~repro.mpi.collectives.hybrid.Fleet` form: in a hybrid job
-    where every one of those collectives is macro-chargeable, one
-    process issues the same sequence of macro-charges for all ranks and
-    returns ``[elapsed] * p`` (every rank leaves each charged
-    collective at the same instant, so every window is equal).
+    Every rank runs :func:`timed_calls` around an allreduce of
+    ``max(1, nbytes // 4)`` floats and returns its mean timed window.
+    Without ``validate`` (symbolic payloads) the function also carries
+    a :class:`~repro.mpi.collectives.hybrid.Fleet` form: in a hybrid
+    job where every one of those collectives is macro-chargeable, one
+    process issues the warm-up charges, the barrier charge and one
+    timed charge for all ranks and returns ``[elapsed] * p`` (every
+    rank leaves each charged collective at the same instant, so every
+    window is equal).  The fleet needs no fence: it runs only without
+    noise or faults and is the only process, so the calendar is empty
+    whenever it resumes.
     """
     count = max(1, nbytes // FLOAT_BYTES)
     alg_kwargs = alg_kwargs or {}
@@ -87,17 +124,11 @@ def latency_kernel(
             payload = DataPayload(base)
         else:
             payload = SymbolicPayload(count, FLOAT_BYTES)
-        for _ in range(warmup):
-            result = yield from comm.allreduce(
-                payload, op, algorithm=algorithm, **alg_kwargs
-            )
-        yield from comm.barrier()
-        t0 = comm.now
-        for _ in range(iterations):
-            result = yield from comm.allreduce(
-                payload, op, algorithm=algorithm, **alg_kwargs
-            )
-        elapsed = (comm.now - t0) / iterations
+
+        def call(comm):
+            return comm.allreduce(payload, op, algorithm=algorithm, **alg_kwargs)
+
+        elapsed, result = yield from timed_calls(comm, call, iterations, warmup)
         if validate:
             expected = (
                 np.arange(count, dtype=np.float32) * comm.size
@@ -121,9 +152,8 @@ def latency_kernel(
             yield from fleet_collective(sim, allreduce, payload)
         yield from fleet_collective(sim, barrier)
         t0 = comm.now
-        for _ in range(iterations):
-            yield from fleet_collective(sim, allreduce, payload)
-        return [(comm.now - t0) / iterations] * comm.size
+        yield from fleet_collective(sim, allreduce, payload)
+        return [comm.now - t0] * comm.size
 
     bench.fleet = Fleet(
         fleet,
@@ -153,7 +183,9 @@ def allreduce_latency(
     recovery=None,
     **alg_kwargs,
 ) -> float:
-    """Average per-call allreduce latency (seconds).
+    """Per-call allreduce latency (seconds): the slowest rank's mean
+    window over the fenced timed calls of :func:`timed_calls` (one call
+    on a noise-free, fault-free machine).
 
     ``recovery`` attaches a resilience layer (a
     :class:`~repro.resilience.policy.RecoveryPolicy` or pre-built
@@ -179,10 +211,11 @@ def allreduce_latency(
 
     ``faults`` injects a :class:`~repro.faults.plan.FaultPlan` (realised
     with ``fault_seed``) or a pre-realised injector into the run.  Note
-    the OSU-style warmup+barrier absorbs arrival skew — the timed loop
-    starts after every rank has arrived, so ``ArrivalSkew`` only shifts
-    the job's wall clock here.  Use ``benchmarks/bench_pap_imbalance.py``
-    (full-job elapsed, no barrier) to measure PAP sensitivity.
+    the idle fence before each timed call removes arrival skew from the
+    measurement: every rank starts each timed call from one common
+    release, so ``ArrivalSkew`` only shifts the job's wall clock here.
+    Use ``benchmarks/bench_pap_imbalance.py`` (full-job elapsed, no
+    barrier) to measure PAP sensitivity.
 
     Which jobs take the fleet: a hybrid job without ``validate`` runs
     as one process standing for every rank (see :func:`latency_kernel`)

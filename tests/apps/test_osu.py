@@ -55,6 +55,13 @@ class TestRelativeThroughput:
         assert data[4096][1] == pytest.approx(1.0)
         assert data[4096][2] > 1.0
 
+    @pytest.mark.parametrize("sizes", [[0], [4096, 0]], ids=["zero", "mixed"])
+    def test_zero_byte_size_rejected(self, sizes):
+        # A zero-byte window moves nothing: the one-pair bandwidth the
+        # ratio divides by would be zero.
+        with pytest.raises(ConfigError, match="sizes >= 1 byte"):
+            relative_throughput(cluster_b(2), [2], sizes)
+
     def test_omnipath_zone_c_flat(self):
         data = relative_throughput(cluster_c(2), [2, 8], [1 << 20])
         assert data[1 << 20][8] < 2.0
@@ -77,6 +84,28 @@ class TestPingPong:
         inter = pingpong_latency(cluster_b(2), 64)
         intra = pingpong_latency(cluster_b(1), 64, inter_node=False)
         assert intra < inter
+
+
+class TestZeroByteKernels:
+    """A zero-byte size simulates zero-byte messages, not one byte."""
+
+    def test_pingpong_zero_bytes_is_cheaper_than_one_byte(self):
+        zero = pingpong_latency(cluster_b(2), 0)
+        one = pingpong_latency(cluster_b(2), 1)
+        assert 0 < zero < one
+
+    @pytest.mark.parametrize(
+        "kernel, kwargs",
+        [
+            (unidirectional_bandwidth, {}),
+            (unidirectional_bandwidth, {"bidirectional": True}),
+            (multi_pair_bandwidth, {"pairs": 2}),
+        ],
+        ids=["bw", "bibw", "mbw_mr"],
+    )
+    def test_bandwidth_of_zero_bytes_is_zero(self, kernel, kwargs):
+        assert kernel(cluster_b(2), nbytes=0, **kwargs) == 0.0
+        assert kernel(cluster_b(2), nbytes=1, **kwargs) > 0.0
 
 
 class TestStreamingBandwidth:
@@ -131,6 +160,44 @@ class TestCollectiveLatency:
         with pytest.raises(ReproError):
             osu_collective_latency(
                 cluster_b(2), "alltoall", 64, nranks=4, ppn=2
+            )
+
+    @pytest.mark.parametrize("kind", ["reduce", "bcast"])
+    @pytest.mark.parametrize("algorithm", [None, "binomial", "dpml"])
+    def test_iterations_do_not_move_a_noise_free_point(self, kind, algorithm):
+        """reduce and bcast run the allreduce harness's fenced loop: a
+        noise-free point times one fenced call whatever the loop
+        counts."""
+        values = {
+            osu_collective_latency(
+                cluster_b(2), kind, 65536, nranks=8, ppn=4,
+                algorithm=algorithm, iterations=iterations,
+            )
+            for iterations in (1, 2, 3, 5)
+        }
+        assert len(values) == 1 and values.pop() > 0
+
+    @pytest.mark.parametrize("kind", ["reduce", "bcast"])
+    @pytest.mark.parametrize("algorithm", ["binomial", "knomial", "dpml"])
+    def test_non_zero_root(self, kind, algorithm):
+        def latency(root, iterations=3):
+            return osu_collective_latency(
+                cluster_b(2), kind, 65536, nranks=8, ppn=4,
+                algorithm=algorithm, root=root, iterations=iterations,
+            )
+
+        at_three = latency(3)
+        assert at_three > 0
+        assert latency(3, iterations=1) == at_three
+        # The root is honoured: rank 3 is a different tree than rank 0.
+        assert at_three != latency(0)
+
+    @pytest.mark.parametrize("kind", ["reduce", "bcast"])
+    @pytest.mark.parametrize("root", [-1, 8])
+    def test_root_out_of_range_rejected(self, kind, root):
+        with pytest.raises(ConfigError, match="root must be in"):
+            osu_collective_latency(
+                cluster_b(2), kind, 4096, nranks=8, ppn=4, root=root,
             )
 
     def test_dpml_bcast_beats_binomial_for_large(self):

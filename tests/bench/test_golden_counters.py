@@ -107,242 +107,242 @@ GOLDEN = {
     "fig4": {
         "points": {
             "a/n4/ppn8/dpml/4096B/l1": {
-                "latency": 2.3095159999999986e-05,
+                "latency": 2.2667359999999962e-05,
                 "fast": {
-                    "events_allocated": 498, "heap_pushes": 1348,
-                    "heap_pops": 1348, "nowq_entries": 1893,
-                    "pool_reuses": 1627, "bytes_copied": 0,
-                    "bytes_viewed": 442368, "bytes_reduced": 147456,
+                    "events_allocated": 482, "heap_pushes": 1120,
+                    "heap_pops": 1120, "nowq_entries": 1781,
+                    "pool_reuses": 1359, "bytes_copied": 0,
+                    "bytes_viewed": 294912, "bytes_reduced": 98304,
                 },
             },
             "a/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.338640000000001e-05,
+                "latency": 1.3492800000000018e-05,
                 "fast": {
-                    "events_allocated": 642, "heap_pushes": 3112,
-                    "heap_pops": 3112, "nowq_entries": 3189,
-                    "pool_reuses": 4039, "bytes_copied": 49152,
-                    "bytes_viewed": 393216, "bytes_reduced": 147456,
+                    "events_allocated": 578, "heap_pushes": 2296,
+                    "heap_pops": 2296, "nowq_entries": 2645,
+                    "pool_reuses": 2967, "bytes_copied": 32768,
+                    "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l1": {
-                "latency": 0.0002497140799999998,
+                "latency": 0.0002514164800000001,
                 "fast": {
-                    "events_allocated": 594, "heap_pushes": 1660,
-                    "heap_pops": 1660, "nowq_entries": 2325,
-                    "pool_reuses": 1963, "bytes_copied": 1179648,
-                    "bytes_viewed": 8257536, "bytes_reduced": 1376256,
+                    "events_allocated": 546, "heap_pushes": 1328,
+                    "heap_pops": 1328, "nowq_entries": 2069,
+                    "pool_reuses": 1583, "bytes_copied": 786432,
+                    "bytes_viewed": 5505024, "bytes_reduced": 917504,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.00010230903999999999,
+                "latency": 0.00010598047999999996,
                 "fast": {
-                    "events_allocated": 834, "heap_pushes": 3592,
-                    "heap_pops": 3592, "nowq_entries": 4149,
-                    "pool_reuses": 4615, "bytes_copied": 1966080,
-                    "bytes_viewed": 7471104, "bytes_reduced": 1376256,
+                    "events_allocated": 706, "heap_pushes": 2616,
+                    "heap_pops": 2616, "nowq_entries": 3285,
+                    "pool_reuses": 3351, "bytes_copied": 1310720,
+                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 2568, "heap_pushes": 9712,
-                "heap_pops": 9712, "nowq_entries": 11556, "pool_reuses": 12244,
-                "bytes_copied": 3194880, "bytes_viewed": 16564224,
-                "bytes_reduced": 3047424,
+                "events_allocated": 2312, "heap_pushes": 7360,
+                "heap_pops": 7360, "nowq_entries": 9780, "pool_reuses": 9260,
+                "bytes_copied": 2129920, "bytes_viewed": 11042816,
+                "bytes_reduced": 2031616,
             },
         },
     },
     "fig5": {
         "points": {
             "b/n4/ppn8/dpml/4096B/l1": {
-                "latency": 2.3095159999999986e-05,
+                "latency": 2.2667359999999962e-05,
                 "fast": {
-                    "events_allocated": 498, "heap_pushes": 1348,
-                    "heap_pops": 1348, "nowq_entries": 1893,
-                    "pool_reuses": 1627, "bytes_copied": 0,
-                    "bytes_viewed": 442368, "bytes_reduced": 147456,
+                    "events_allocated": 482, "heap_pushes": 1120,
+                    "heap_pops": 1120, "nowq_entries": 1781,
+                    "pool_reuses": 1359, "bytes_copied": 0,
+                    "bytes_viewed": 294912, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l2": {
-                "latency": 1.6246760000000026e-05,
+                "latency": 1.5566880000000017e-05,
                 "fast": {
-                    "events_allocated": 546, "heap_pushes": 1936,
-                    "heap_pops": 1936, "nowq_entries": 2325,
-                    "pool_reuses": 2431, "bytes_copied": 49152,
-                    "bytes_viewed": 393216, "bytes_reduced": 147456,
+                    "events_allocated": 514, "heap_pushes": 1512,
+                    "heap_pops": 1512, "nowq_entries": 2069,
+                    "pool_reuses": 1895, "bytes_copied": 32768,
+                    "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.338640000000001e-05,
+                "latency": 1.3492800000000018e-05,
                 "fast": {
-                    "events_allocated": 642, "heap_pushes": 3112,
-                    "heap_pops": 3112, "nowq_entries": 3189,
-                    "pool_reuses": 4039, "bytes_copied": 49152,
-                    "bytes_viewed": 393216, "bytes_reduced": 147456,
+                    "events_allocated": 578, "heap_pushes": 2296,
+                    "heap_pops": 2296, "nowq_entries": 2645,
+                    "pool_reuses": 2967, "bytes_copied": 32768,
+                    "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l8": {
-                "latency": 1.4631160000000022e-05,
+                "latency": 1.458016000000001e-05,
                 "fast": {
-                    "events_allocated": 834, "heap_pushes": 5464,
-                    "heap_pops": 5464, "nowq_entries": 4917,
-                    "pool_reuses": 7255, "bytes_copied": 49152,
-                    "bytes_viewed": 393216, "bytes_reduced": 147456,
+                    "events_allocated": 706, "heap_pushes": 3864,
+                    "heap_pops": 3864, "nowq_entries": 3797,
+                    "pool_reuses": 5111, "bytes_copied": 32768,
+                    "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l1": {
-                "latency": 0.0002497140799999998,
+                "latency": 0.0002514164800000001,
                 "fast": {
-                    "events_allocated": 594, "heap_pushes": 1660,
-                    "heap_pops": 1660, "nowq_entries": 2325,
-                    "pool_reuses": 1963, "bytes_copied": 1179648,
-                    "bytes_viewed": 8257536, "bytes_reduced": 1376256,
+                    "events_allocated": 546, "heap_pushes": 1328,
+                    "heap_pops": 1328, "nowq_entries": 2069,
+                    "pool_reuses": 1583, "bytes_copied": 786432,
+                    "bytes_viewed": 5505024, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l2": {
-                "latency": 0.00015106223999999997,
+                "latency": 0.00014921904,
                 "fast": {
-                    "events_allocated": 642, "heap_pushes": 2176,
-                    "heap_pops": 2176, "nowq_entries": 2805,
-                    "pool_reuses": 2719, "bytes_copied": 1966080,
-                    "bytes_viewed": 7471104, "bytes_reduced": 1376256,
+                    "events_allocated": 578, "heap_pushes": 1672,
+                    "heap_pops": 1672, "nowq_entries": 2389,
+                    "pool_reuses": 2087, "bytes_copied": 1310720,
+                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.00010230903999999999,
+                "latency": 0.00010598047999999996,
                 "fast": {
-                    "events_allocated": 834, "heap_pushes": 3592,
-                    "heap_pops": 3592, "nowq_entries": 4149,
-                    "pool_reuses": 4615, "bytes_copied": 1966080,
-                    "bytes_viewed": 7471104, "bytes_reduced": 1376256,
+                    "events_allocated": 706, "heap_pushes": 2616,
+                    "heap_pops": 2616, "nowq_entries": 3285,
+                    "pool_reuses": 3351, "bytes_copied": 1310720,
+                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l8": {
-                "latency": 8.533898000000017e-05,
+                "latency": 8.988256000000007e-05,
                 "fast": {
-                    "events_allocated": 834, "heap_pushes": 5464,
-                    "heap_pops": 5464, "nowq_entries": 4917,
-                    "pool_reuses": 7255, "bytes_copied": 786432,
-                    "bytes_viewed": 6291456, "bytes_reduced": 2359296,
+                    "events_allocated": 706, "heap_pushes": 3864,
+                    "heap_pops": 3864, "nowq_entries": 3797,
+                    "pool_reuses": 5111, "bytes_copied": 524288,
+                    "bytes_viewed": 4194304, "bytes_reduced": 1572864,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 5424, "heap_pushes": 24752,
-                "heap_pops": 24752, "nowq_entries": 26520,
-                "pool_reuses": 31904, "bytes_copied": 6045696,
-                "bytes_viewed": 31113216, "bytes_reduced": 7077888,
+                "events_allocated": 4816, "heap_pushes": 18272,
+                "heap_pops": 18272, "nowq_entries": 21832,
+                "pool_reuses": 23464, "bytes_copied": 4030464,
+                "bytes_viewed": 20742144, "bytes_reduced": 4718592,
             },
         },
     },
     "fig9": {
         "points": {
             "c/n4/ppn8/mvapich2/16384B/tuned": {
-                "latency": 6.213367999999996e-05,
+                "latency": 6.158847999999995e-05,
                 "fast": {
                     "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1749,
-                    "pool_reuses": 1327, "bytes_copied": 0,
+                    "heap_pops": 1120, "nowq_entries": 1781,
+                    "pool_reuses": 1359, "bytes_copied": 0,
                     "bytes_viewed": 1179648, "bytes_reduced": 393216,
                 },
             },
             "c/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.0006631108799999986,
+                "latency": 0.0006646228799999987,
                 "fast": {
                     "events_allocated": 550, "heap_pushes": 1520,
-                    "heap_pops": 1520, "nowq_entries": 2197,
-                    "pool_reuses": 1739, "bytes_copied": 3145728,
+                    "heap_pops": 1520, "nowq_entries": 2229,
+                    "pool_reuses": 1771, "bytes_copied": 3145728,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "c/n4/ppn8/intel_mpi/16384B/tuned": {
-                "latency": 3.667088e-05,
+                "latency": 3.763648e-05,
                 "fast": {
                     "events_allocated": 1730, "heap_pushes": 4504,
-                    "heap_pops": 4504, "nowq_entries": 6708,
-                    "pool_reuses": 5206, "bytes_copied": 2031616,
+                    "heap_pops": 4504, "nowq_entries": 6740,
+                    "pool_reuses": 5238, "bytes_copied": 2031616,
                     "bytes_viewed": 2031616, "bytes_reduced": 1015808,
                 },
             },
             "c/n4/ppn8/intel_mpi/262144B/tuned": {
-                "latency": 0.00044304912000000374,
+                "latency": 0.00044392088000000396,
                 "fast": {
                     "events_allocated": 8386, "heap_pushes": 24472,
-                    "heap_pops": 24472, "nowq_entries": 30724,
-                    "pool_reuses": 28502, "bytes_copied": 16777216,
+                    "heap_pops": 24472, "nowq_entries": 30756,
+                    "pool_reuses": 28534, "bytes_copied": 16777216,
                     "bytes_viewed": 16777216, "bytes_reduced": 16252928,
                 },
             },
             "c/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 2.993112000000005e-05,
+                "latency": 2.8615520000000046e-05,
                 "fast": {
                     "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3765,
-                    "pool_reuses": 5079, "bytes_copied": 131072,
+                    "heap_pops": 3864, "nowq_entries": 3797,
+                    "pool_reuses": 5111, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "c/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0002876173600000001,
+                "latency": 0.00028358815999999983,
                 "fast": {
                     "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8053,
-                    "pool_reuses": 7607, "bytes_copied": 7340032,
+                    "heap_pops": 6040, "nowq_entries": 8085,
+                    "pool_reuses": 7639, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "d/n4/ppn8/mvapich2/16384B/tuned": {
-                "latency": 0.00011807879680000003,
+                "latency": 0.00011708407040000017,
                 "fast": {
                     "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1749,
-                    "pool_reuses": 1327, "bytes_copied": 0,
+                    "heap_pops": 1120, "nowq_entries": 1781,
+                    "pool_reuses": 1359, "bytes_copied": 0,
                     "bytes_viewed": 1179648, "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.001251484723199997,
+                "latency": 0.0012534403583999978,
                 "fast": {
                     "events_allocated": 550, "heap_pushes": 1520,
-                    "heap_pops": 1520, "nowq_entries": 2197,
-                    "pool_reuses": 1739, "bytes_copied": 3145728,
+                    "heap_pops": 1520, "nowq_entries": 2229,
+                    "pool_reuses": 1771, "bytes_copied": 3145728,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "d/n4/ppn8/intel_mpi/16384B/tuned": {
-                "latency": 6.163868160000018e-05,
+                "latency": 6.272927360000012e-05,
                 "fast": {
                     "events_allocated": 1726, "heap_pushes": 4504,
-                    "heap_pops": 4504, "nowq_entries": 6708,
-                    "pool_reuses": 5210, "bytes_copied": 2031616,
+                    "heap_pops": 4504, "nowq_entries": 6740,
+                    "pool_reuses": 5242, "bytes_copied": 2031616,
                     "bytes_viewed": 2031616, "bytes_reduced": 1015808,
                 },
             },
             "d/n4/ppn8/intel_mpi/262144B/tuned": {
-                "latency": 0.0007063255999999987,
+                "latency": 0.0007065284607999987,
                 "fast": {
                     "events_allocated": 8386, "heap_pushes": 24472,
-                    "heap_pops": 24472, "nowq_entries": 30724,
-                    "pool_reuses": 28502, "bytes_copied": 16777216,
+                    "heap_pops": 24472, "nowq_entries": 30756,
+                    "pool_reuses": 28534, "bytes_copied": 16777216,
                     "bytes_viewed": 16777216, "bytes_reduced": 16252928,
                 },
             },
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.826975999999977e-05,
+                "latency": 4.6763583999999794e-05,
                 "fast": {
                     "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3765,
-                    "pool_reuses": 5079, "bytes_copied": 131072,
+                    "heap_pops": 3864, "nowq_entries": 3797,
+                    "pool_reuses": 5111, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0004725753536000017,
+                "latency": 0.0004699460800000013,
                 "fast": {
                     "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8053,
-                    "pool_reuses": 7607, "bytes_copied": 7340032,
+                    "heap_pops": 6040, "nowq_entries": 8085,
+                    "pool_reuses": 7639, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
@@ -350,8 +350,8 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 27356, "heap_pushes": 83040,
-                "heap_pops": 83040, "nowq_entries": 106392,
-                "pool_reuses": 98924, "bytes_copied": 58851328,
+                "heap_pops": 83040, "nowq_entries": 106776,
+                "pool_reuses": 99308, "bytes_copied": 58851328,
                 "bytes_viewed": 130154496, "bytes_reduced": 50790400,
             },
         },
@@ -359,20 +359,20 @@ GOLDEN = {
     "fig10": {
         "points": {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.826975999999977e-05,
+                "latency": 4.6763583999999794e-05,
                 "fast": {
                     "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3765,
-                    "pool_reuses": 5079, "bytes_copied": 131072,
+                    "heap_pops": 3864, "nowq_entries": 3797,
+                    "pool_reuses": 5111, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0004725753536000017,
+                "latency": 0.0004699460800000013,
                 "fast": {
                     "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8053,
-                    "pool_reuses": 7607, "bytes_copied": 7340032,
+                    "heap_pops": 6040, "nowq_entries": 8085,
+                    "pool_reuses": 7639, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
@@ -380,7 +380,7 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 2532, "heap_pushes": 9904,
-                "heap_pops": 9904, "nowq_entries": 11818, "pool_reuses": 12686,
+                "heap_pops": 9904, "nowq_entries": 11882, "pool_reuses": 12750,
                 "bytes_copied": 7471104, "bytes_viewed": 23068672,
                 "bytes_reduced": 4063232,
             },

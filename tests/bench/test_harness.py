@@ -5,7 +5,54 @@ import pytest
 from repro.bench.harness import allreduce_latency
 from repro.bench.report import format_size, format_table, format_us, speedup
 from repro.errors import ConfigError, ReproError
-from repro.machine.clusters import cluster_b
+from repro.machine.clusters import cluster_b, get_cluster
+from repro.mpi.collectives.registry import available_algorithms
+from repro.mpi.runtime import SimSession
+from repro.payload.ops import SUM
+from repro.payload.payload import SymbolicPayload
+
+#: Every registered allreduce on every cluster at 4 x 8 (SHArP designs
+#: only on cluster A, the one with a SHArP fabric), except
+#: ``adaptive``: it picks its design from the calls it has measured,
+#: so successive calls run different designs and are not meant to
+#: agree.
+FENCED_POINTS = [
+    (cluster, algorithm)
+    for cluster in "abcd"
+    for algorithm in available_algorithms()
+    if algorithm != "adaptive"
+    and (not algorithm.startswith("sharp_") or cluster == "a")
+]
+FENCED_SIZES = (1024, 65536, 524288)
+#: How far apart four successive fenced calls may be.  They differ only
+#: by float ties broken at a different absolute clock; the widest at
+#: these points is dualroot_pipelined, about 1.3%.
+FENCED_SPREAD = 0.025
+
+
+def _fenced_windows(algorithm, nbytes, calls):
+    """Rank function: one warm-up allreduce, the barrier, then ``calls``
+    allreduces each released from an idle fence; returns each window."""
+    payload = SymbolicPayload(max(1, nbytes // 4), 4)
+
+    def bench(comm):
+        yield from comm.allreduce(payload, SUM, algorithm=algorithm)
+        yield from comm.barrier()
+        windows = []
+        for _ in range(calls):
+            yield comm.sim.idle(comm.world_rank)
+            t0 = comm.now
+            yield from comm.allreduce(payload, SUM, algorithm=algorithm)
+            windows.append(comm.now - t0)
+        return windows
+
+    return bench
+
+
+@pytest.fixture(scope="module")
+def fenced_sessions():
+    """One 4 x 8 session per cluster, reused by every algorithm."""
+    return {}
 
 
 class TestHarness:
@@ -93,6 +140,33 @@ class TestHarness:
     def test_explicit_nranks(self):
         t = allreduce_latency(cluster_b(4), "ring", 1024, nranks=6, ppn=2)
         assert t > 0
+
+
+@pytest.mark.parametrize(
+    "cluster, algorithm", FENCED_POINTS,
+    ids=[f"{c}-{a}" for c, a in FENCED_POINTS],
+)
+def test_noise_free_point_is_one_fenced_call(fenced_sessions, cluster, algorithm):
+    """A noise-free point does not depend on ``iterations``: it is the
+    first fenced call after the warm-up, and the fenced calls after it
+    agree with it to within :data:`FENCED_SPREAD`."""
+    config = get_cluster(cluster, 4)
+    session = fenced_sessions.get(cluster)
+    if session is None:
+        session = fenced_sessions[cluster] = SimSession(config, 32, 8)
+    for nbytes in FENCED_SIZES:
+        points = {
+            iterations: allreduce_latency(
+                config, algorithm, nbytes, ppn=8, iterations=iterations,
+                warmup=1, session=session,
+            )
+            for iterations in (1, 2, 3, 5)
+        }
+        assert len(set(points.values())) == 1, (nbytes, points)
+        job = session.run(_fenced_windows(algorithm, nbytes, 4))
+        calls = [max(windows) for windows in zip(*job.values)]
+        assert calls[0] == points[1], (nbytes, calls, points)
+        assert max(calls) / min(calls) - 1 <= FENCED_SPREAD, (nbytes, calls)
 
 
 class TestReport:

@@ -79,7 +79,9 @@ def test_fleet_matches_per_rank(algorithm, nodes, ppn, warmup, iterations):
     assert fleet.machine.sim.macro_log == ranks.machine.sim.macro_log
     for key in ("heap_pops", "macro_events"):
         assert fleet.counters[key] == ranks.counters[key]
-    assert fleet.counters["macro_events"] == warmup + 1 + iterations
+    # The warm-up charges, the barrier and one timed call: a noise-free
+    # point times one fenced call whatever ``iterations`` says.
+    assert fleet.counters["macro_events"] == warmup + 2
 
 
 def test_fleet_events_do_not_grow_with_rank_count():
@@ -146,7 +148,8 @@ class TestFleetFallbacks:
             latency_kernel("ring", NBYTES), "ring:exempt",
             lambda fn: _run(fn, 2, 4),
         )
-        assert job.counters["hybrid_plan_fallbacks"] == {"ring": 4 * 8}
+        # One warm-up and one timed call per rank.
+        assert job.counters["hybrid_plan_fallbacks"] == {"ring": 2 * 8}
 
     def test_default_algorithm_is_named(self):
         self._assert_per_rank(
