@@ -615,7 +615,7 @@ class Simulator:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
 
-    def idle(self, order: float = 0) -> Event:
+    def idle(self, order: float) -> Event:
         """Event that fires once the calendar holds nothing else.
 
         The fence fires at the first instant the due FIFO is empty and

@@ -115,7 +115,7 @@ class RefSim:
     def process(self, gen):
         return RefProcess(self, gen)
 
-    def idle(self, order=0):
+    def idle(self, order):
         self.seq += 1
         event = RefEvent(self)
         self.fences.append((order, self.seq, event))
