@@ -205,8 +205,8 @@ class Sanitizer:
         report.details["matchers"] = matchers
         report.details["open_gates"] = {
             repr(key): {
-                "arrived": state.get("arrived", len(state.get("items", ()))),
-                "parties": state.get("parties"),
+                "arrived": state["arrived"],
+                "parties": state["parties"],
             }
             for key, state in runtime._gates.items()
         }
@@ -372,15 +372,15 @@ class Sanitizer:
 
     def _check_gates(self, runtime) -> None:
         for key, state in runtime._gates.items():
-            arrived = state.get("arrived", len(state.get("items", ())))
+            arrived, parties = state["arrived"], state["parties"]
             self.record(
                 R.GATE_LEAK,
                 f"gate {key!r} opened but never completed "
-                f"({arrived}/{state.get('parties', '?')} arrivals)",
+                f"({arrived}/{parties} arrivals)",
                 time=runtime.sim.now,
                 key=repr(key),
                 arrived=arrived,
-                parties=state.get("parties"),
+                parties=parties,
             )
 
     def _check_shm(self, runtime) -> None:

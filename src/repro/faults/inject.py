@@ -136,8 +136,19 @@ class FaultInjector:
     def for_machine(
         cls, plan: FaultPlan, machine, seed: int = 0
     ) -> "FaultInjector":
-        """Realise ``plan`` against a machine's placement."""
-        return cls(plan, machine.nranks, machine.node_of, seed=seed)
+        """Realise ``plan`` against a machine's placement.
+
+        Node faults may name any node of the machine's fabric, so a job
+        placed on a shared fabric sees the windows of nodes it does not
+        use.
+        """
+        return cls(
+            plan,
+            machine.nranks,
+            machine.node_of,
+            seed=seed,
+            nodes_total=machine.fabric.nodes,
+        )
 
     # -- realisation ---------------------------------------------------------
 

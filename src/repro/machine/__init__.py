@@ -1,10 +1,11 @@
 """Hardware models: nodes, fabrics, SHArP switches, cluster presets.
 
 The machine layer binds static configuration
-(:class:`~repro.machine.config.MachineConfig`) to a live simulation
-(:class:`~repro.machine.machine.Machine`): per-node memory engines,
-per-node NIC pipelines, per-rank injection engines, and optionally a
-SHArP aggregation tree.  The four cluster presets from the paper's
+(:class:`~repro.machine.config.MachineConfig`) to a live simulation:
+a :class:`~repro.machine.machine.Fabric` (per-node memory engines and
+NIC pipelines, optionally a SHArP aggregation tree and a fat tree) and
+one :class:`~repro.machine.machine.Machine` per job on it (per-rank
+injection engines).  The four cluster presets from the paper's
 Section 6.1 live in :mod:`repro.machine.clusters`.
 """
 
@@ -15,11 +16,12 @@ from repro.machine.config import (
     SharpConfig,
 )
 from repro.machine.fattree import FatTree, FatTreeConfig
-from repro.machine.machine import Machine
+from repro.machine.machine import Fabric, Machine
 from repro.machine.noise import NoiseModel
 from repro.machine.topology import Loc, Placement
 
 __all__ = [
+    "Fabric",
     "FabricConfig",
     "FatTree",
     "FatTreeConfig",

@@ -1,16 +1,20 @@
 r"""The live machine: binds a :class:`MachineConfig` to a simulation.
 
-A :class:`Machine` owns, per job:
+A :class:`Fabric` is the per-node hardware jobs contend on:
 
-* one **injection engine** (:class:`~repro.sim.resources.FCFSQueue`) per
-  rank — serializes that process's communication work (message setup and
-  byte injection), which is what limits per-process message rate and
-  per-process bandwidth;
-* one **TX** and one **RX NIC pipeline** per node — the shared fabric
+* one **TX** and one **RX NIC pipeline** per node — the fabric
   endpoints where concurrent flows contend;
 * one **memory engine** per node — caps aggregate intra-node copy
   bandwidth;
-* optionally a :class:`~repro.machine.sharp.SharpTree`.
+* optionally a :class:`~repro.machine.sharp.SharpTree` and a
+  :class:`~repro.machine.fattree.FatTree`.
+
+A :class:`Machine` is one job on a fabric.  It owns one **injection
+engine** (:class:`~repro.sim.resources.FCFSQueue`) per rank, which
+serializes that process's communication work (message setup and byte
+injection) and so limits per-process message rate and bandwidth.  A
+machine builds a fabric as wide as its job, or is placed on a shared
+one with other jobs (the multi-tenant runs of :mod:`repro.traffic`).
 
 The per-rank and per-node queues live in
 :class:`~repro.sim.table.LazyTable`\ s, so a queue exists only once a
@@ -26,7 +30,7 @@ one leg to the next without resuming it in between.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
@@ -36,15 +40,76 @@ from repro.machine.topology import Loc, Placement
 from repro.sim import Event, FCFSQueue, LazyTable, Simulator, Tracer
 from repro.sim.timeline import Timeline
 
-__all__ = ["Machine"]
+__all__ = ["Fabric", "Machine"]
 
 # Memory-traffic multiplier for one reduction combine: stream two source
 # vectors in and one result out.
 _REDUCE_MEM_STREAMS = 3.0
 
 
+class Fabric:
+    """The per-node hardware of ``nodes`` nodes, shared by the jobs on it.
+
+    Holds the simulator, the NIC TX/RX and memory queues of every node
+    (built on first use), and the SHArP and fat trees when the config
+    has them.  :meth:`reset` rewinds the simulator, which zeroes exactly
+    the queues the last run touched, and SHArP: a run on a reset fabric
+    is bit-identical to one on a fresh build.
+    """
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        nodes: Optional[int] = None,
+        *,
+        sim: Optional[Simulator] = None,
+        sanitize=None,
+    ):
+        self.config = config
+        self.sim = sim = sim or Simulator(sanitize=sanitize)
+        self.nodes = nodes = config.nodes if nodes is None else nodes
+        self.nic_tx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_tx[n{n}]"))
+        self.nic_rx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_rx[n{n}]"))
+        self.mem = LazyTable(nodes, lambda n: FCFSQueue(sim, f"mem[n{n}]"))
+        self.sharp: Optional[SharpTree] = (
+            SharpTree(sim, config.sharp, nodes) if config.sharp else None
+        )
+        if config.topology is not None:
+            from repro.machine.fattree import FatTree
+
+            self.fabric_tree = FatTree(sim, config.topology, nodes)
+        else:
+            self.fabric_tree = None
+
+    @property
+    def leaves(self) -> int:
+        """Leaf-switch count (1 for a flat, endpoint-only fabric)."""
+        if self.fabric_tree is None:
+            return 1
+        return self.fabric_tree.leaves
+
+    def leaf_of(self, node: int) -> int:
+        """Leaf switch of ``node`` (0 on a flat fabric)."""
+        if self.fabric_tree is None:
+            return 0
+        return self.fabric_tree.leaf_of(node)
+
+    def reset(self) -> "Fabric":
+        """Rewind the simulator and SHArP for reuse."""
+        self.sim.reset()
+        if self.sharp is not None:
+            self.sharp.reset()
+        return self
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Fabric {self.config.name!r} {self.nodes} nodes, "
+            f"{self.leaves} leaves>"
+        )
+
+
 class Machine:
-    """A simulated cluster hosting one MPI job.
+    """One MPI job on a simulated cluster.
 
     Parameters
     ----------
@@ -54,9 +119,19 @@ class Machine:
         MPI ranks in the job.
     ppn:
         Processes per node (default: full subscription).
-    sim / tracer:
-        Optionally share a simulator/tracer; fresh ones are created
-        otherwise.
+    sim:
+        Optionally share a simulator; a fresh one is created otherwise.
+    fabric:
+        Optionally place the job on a shared :class:`Fabric` (and its
+        simulator) instead of building one just wide enough for its
+        nodes.  Such a machine cannot be :meth:`reset`.
+    nodes:
+        The fabric nodes hosting the job's rank blocks, in order
+        (default ``0..h-1``); see :class:`~repro.machine.topology.Placement`.
+    namespace:
+        Prefix for the names of the job's engines, processes and
+        shared-memory regions, so jobs sharing a simulator stay apart
+        in sanitizer ledgers and wait graphs.
     trace:
         Enable time-category accounting (off for big benchmark runs).
     timeline:
@@ -78,39 +153,41 @@ class Machine:
         ppn: Optional[int] = None,
         *,
         sim: Optional[Simulator] = None,
-        tracer: Optional[Tracer] = None,
+        fabric: Optional[Fabric] = None,
+        nodes: Optional[Sequence[int]] = None,
+        namespace: str = "",
         trace: bool = False,
         timeline: Optional[Timeline] = None,
         noise: Optional[NoiseModel] = None,
         faults=None,
     ):
         self.config = config
-        self.sim = sim or Simulator()
-        self.tracer = tracer or Tracer(enabled=trace)
-        self.placement = Placement(config, nranks, ppn)
+        self.placement = Placement(config, nranks, ppn, nodes)
+        self._owns_fabric = fabric is None
+        if fabric is None:
+            fabric = Fabric(config, max(self.placement.nodes) + 1, sim=sim)
+        elif sim is not None:
+            raise ConfigError(
+                "a machine on a shared fabric runs on the fabric's "
+                "simulator; pass sim= or fabric=, not both"
+            )
+        self.fabric = fabric
+        self.sim = sim = fabric.sim
+        self.tracer = Tracer(enabled=trace)
         self.nranks = nranks
         self.ppn = self.placement.ppn
+        self.namespace = namespace
         self.timeline = timeline
         self.noise = noise
         self.faults = faults
-
-        sim = self.sim
-        nodes = self.placement.nodes_used
         self.engine = LazyTable(
-            nranks, lambda r: FCFSQueue(sim, f"engine[r{r}]")
+            nranks, lambda r: FCFSQueue(sim, f"{namespace}engine[r{r}]")
         )
-        self.nic_tx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_tx[n{n}]"))
-        self.nic_rx = LazyTable(nodes, lambda n: FCFSQueue(sim, f"nic_rx[n{n}]"))
-        self.mem = LazyTable(nodes, lambda n: FCFSQueue(sim, f"mem[n{n}]"))
-        self.sharp: Optional[SharpTree] = (
-            SharpTree(self.sim, config.sharp, nodes) if config.sharp else None
-        )
-        if config.topology is not None:
-            from repro.machine.fattree import FatTree
-
-            self.fabric_tree = FatTree(self.sim, config.topology, nodes)
-        else:
-            self.fabric_tree = None
+        self.nic_tx = fabric.nic_tx
+        self.nic_rx = fabric.nic_rx
+        self.mem = fabric.mem
+        self.sharp = fabric.sharp
+        self.fabric_tree = fabric.fabric_tree
 
     def reset(
         self,
@@ -122,18 +199,24 @@ class Machine:
         """Rewind to a pristine pre-job state, reusing the layout.
 
         Keeps the validated config, the placement map, and every queue
-        built so far while rewinding the simulator — which zeroes the
-        horizons of exactly the queues the last job submitted to — the
-        tracer and the SHArP contexts, and installing fresh per-run
-        ``noise``/``timeline``/``faults``.  The cost follows what the
-        last job touched, not the machine's rank and node count.  A
-        passed-in noise model is rewound to its seed, and a passed-in
-        fault injector is re-realised from its seed with zeroed
-        counters, so a run on a reset machine is bit-identical to the
-        same run on a freshly built one — the determinism guarantee
-        :class:`~repro.mpi.runtime.SimSession` relies on.
+        built so far while rewinding the fabric (see
+        :meth:`Fabric.reset`) and the tracer, and installing fresh
+        per-run ``noise``/``timeline``/``faults``.  The cost follows
+        what the last job touched, not the machine's rank and node
+        count.  A passed-in noise model is rewound to its seed, and a
+        passed-in fault injector is re-realised from its seed with
+        zeroed counters, so a run on a reset machine is bit-identical to
+        the same run on a freshly built one — the determinism guarantee
+        :class:`~repro.mpi.runtime.SimSession` relies on.  A machine on
+        a shared fabric refuses: it would rewind other jobs' queues.
         """
-        self.sim.reset()
+        if not self._owns_fabric:
+            raise ConfigError(
+                "a machine on a shared fabric is single-job: resetting "
+                "would rewind queues shared with other jobs (build a "
+                "fresh Machine, or reset the Fabric between runs)"
+            )
+        self.fabric.reset()
         self.tracer.reset()
         if noise is not None:
             noise.reset()
@@ -142,8 +225,6 @@ class Machine:
             faults.reset()
         self.faults = faults
         self.timeline = timeline
-        if self.sharp is not None:
-            self.sharp.reset()
         return self
 
     # -- placement shortcuts -------------------------------------------------
@@ -167,7 +248,7 @@ class Machine:
         return self.loc(a).socket == self.loc(b).socket
 
     def require_sharp(self) -> SharpTree:
-        """The SHArP tree, or a clear error if this fabric lacks one."""
+        """The SHArP tree, or a clear error if the cluster lacks one."""
         if self.sharp is None:
             raise ConfigError(
                 f"cluster {self.config.name!r} has no SHArP support; "

@@ -157,12 +157,6 @@ class Runtime:
         #: (new noise, faults, or a failover shrink) goes through.
         self.macro_plans: dict = {}
         self.transport = Transport(machine)
-        #: Prefix for shared-memory region (and spawned process) names.
-        #: Empty for classic one-job-per-simulator runs; the traffic
-        #: scheduler sets a per-tenant prefix so concurrent jobs sharing
-        #: a simulator keep distinct names in sanitizer ledgers and
-        #: wait graphs.
-        self.namespace = ""
         self._context_counter = itertools.count(1)
         # World membership, built once: every reset hands it to a fresh
         # world Group (one dict of nranks entries per runtime, not per
@@ -208,7 +202,7 @@ class Runtime:
         region = self._shm_regions.get(node)
         if region is None:
             region = self._shm_regions[node] = ShmRegion(
-                self.sim, name=f"{self.namespace}node{node}"
+                self.sim, name=f"{self.machine.namespace}node{node}"
             )
         return region
 
@@ -219,31 +213,8 @@ class Runtime:
         arriver (who typically performs the shared work and then
         triggers the event for everyone).
         """
-        state = self._gates.get(key)
-        if state is None:
-            self._check_not_completed(key)
-            state = self._gates[key] = {
-                "event": self.sim.event(),
-                "arrived": 0,
-                "parties": parties,
-            }
-        else:
-            self._check_parties(key, state, parties)
-        state["arrived"] += 1
-        if state["arrived"] > parties:
-            self._record_gate(
-                "overfill",
-                key,
-                f"gate {key!r} overfilled ({state['arrived']}/{parties})",
-                arrived=state["arrived"],
-                parties=parties,
-            )
-            raise MPIError(f"gate {key!r} overfilled ({state['arrived']}/{parties})")
-        is_last = state["arrived"] == parties
-        if is_last:
-            del self._gates[key]
-            self._done_gates.add(key)
-        return state["event"], is_last
+        event, is_last, _ = self.gate_exchange(key, parties, None)
+        return event, is_last
 
     def gate_exchange(self, key, parties: int, item):
         """Like :meth:`gate`, but collects one ``item`` per arriver.
@@ -256,22 +227,25 @@ class Runtime:
             self._check_not_completed(key)
             state = self._gates[key] = {
                 "event": self.sim.event(),
-                "items": [],
+                "arrived": 0,
                 "parties": parties,
+                "items": [],
             }
         else:
             self._check_parties(key, state, parties)
+        state["arrived"] += 1
         state["items"].append(item)
-        if len(state["items"]) > parties:
+        if state["arrived"] > parties:
+            message = f"gate {key!r} overfilled ({state['arrived']}/{parties})"
             self._record_gate(
                 "overfill",
                 key,
-                f"gate {key!r} overfilled ({len(state['items'])}/{parties})",
-                arrived=len(state["items"]),
+                message,
+                arrived=state["arrived"],
                 parties=parties,
             )
-            raise MPIError(f"gate {key!r} overfilled ({len(state['items'])}/{parties})")
-        if len(state["items"]) == parties:
+            raise MPIError(message)
+        if state["arrived"] == parties:
             del self._gates[key]
             self._done_gates.add(key)
             return state["event"], True, state["items"]
@@ -450,7 +424,7 @@ class Runtime:
             if delay > 0.0:
                 gen = _skewed_start(self.sim, delay, gen)
             procs[rank] = self.sim.process(
-                gen, name=f"{self.namespace}rank{rank}"
+                gen, name=f"{self.machine.namespace}rank{rank}"
             )
         return procs
 
@@ -481,7 +455,7 @@ class Runtime:
             return None
         return self.sim.process(
             form.run(comm, plans, *args, **kwargs),
-            name=f"{self.namespace}fleet",
+            name=f"{self.machine.namespace}fleet",
         )
 
     def _launch_attempt(
@@ -687,7 +661,6 @@ def run_job(
     *,
     ppn: Optional[int] = None,
     trace: bool = False,
-    sim: Optional[Simulator] = None,
     sanitize: Union[bool, Any, None] = None,
     faults=None,
     fault_seed: int = 0,
@@ -732,12 +705,7 @@ def run_job(
 
             machine.sim.sanitizer = as_sanitizer(sanitize)
     else:
-        if sim is None:
-            sim = Simulator(sanitize=sanitize)
-        elif sanitize is not None:
-            from repro.check.sanitizer import as_sanitizer
-
-            sim.sanitizer = as_sanitizer(sanitize)
+        sim = Simulator(sanitize=sanitize)
         machine = Machine(config_or_machine, nranks, ppn, sim=sim, trace=trace)
     if faults is not None:
         machine.faults = _as_injector(faults, machine, fault_seed)

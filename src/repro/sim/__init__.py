@@ -22,7 +22,6 @@ simpy, specialised for the needs of the cluster models in
   memory engines.
 * :class:`~repro.sim.resources.Resource` — counting semaphore with FIFO
   waiters (used for SHArP operation contexts).
-* :class:`~repro.sim.resources.Store` — an unbounded FIFO mailbox.
 * :class:`~repro.sim.table.LazyTable` — a dense index -> item table
   whose items (per-rank engines, per-node queues, matchers) are built
   on first access.
@@ -36,7 +35,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import FCFSQueue, Resource, Store
+from repro.sim.resources import FCFSQueue, Resource
 from repro.sim.table import LazyTable
 from repro.sim.timeline import Span, Timeline
 from repro.sim.trace import Tracer
@@ -51,7 +50,6 @@ __all__ = [
     "Resource",
     "Simulator",
     "Span",
-    "Store",
     "Timeline",
     "Timeout",
     "Tracer",

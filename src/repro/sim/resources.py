@@ -1,6 +1,6 @@
 """Queued resources for the simulation kernel.
 
-Three primitives cover every piece of contended hardware in the machine
+Two primitives cover every piece of contended hardware in the machine
 models:
 
 :class:`FCFSQueue`
@@ -14,20 +14,16 @@ models:
     A counting semaphore with FIFO waiters, used for scarce hardware
     contexts (e.g. the small number of concurrent SHArP operations a
     switch supports).
-
-:class:`Store`
-    An unbounded FIFO mailbox of items with blocking ``get``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import _SCHEDULED, Event, Simulator
 
-__all__ = ["FCFSQueue", "Resource", "Store"]
+__all__ = ["FCFSQueue", "Resource"]
 
 
 class FCFSQueue:
@@ -178,54 +174,6 @@ class Resource:
             f"<Resource {self.name!r} {self.in_use}/{self.capacity}"
             f" (+{len(self._waiters)} waiting)>"
         )
-
-
-class Store:
-    """Unbounded FIFO mailbox.
-
-    ``put`` never blocks; ``get`` returns an event that fires with the
-    oldest item (immediately if one is available).
-    """
-
-    __slots__ = ("sim", "_items", "_getters", "name")
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self.name = name
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event firing with the oldest item."""
-        ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def reset(self) -> None:
-        """Drop all items and blocked getters (for simulator reuse)."""
-        self._items.clear()
-        self._getters.clear()
-
-    @property
-    def n_waiting(self) -> int:
-        """Number of blocked getters (quiescence introspection)."""
-        return len(self._getters)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} items={len(self._items)}>"
 
 
 def _report_misuse(sim: Simulator, message: str, **details) -> None:

@@ -16,8 +16,8 @@ This package makes that scenario a first-class, reproducible input:
   ``random`` / ``leader-aware``);
 * :mod:`repro.traffic.fabric` — the shared substrate: one
   :class:`~repro.traffic.fabric.SharedFabric` (simulator + per-node
-  NIC/memory queues + fat tree + SHArP) hosting per-job
-  :class:`~repro.traffic.fabric.TenantMachine` views;
+  NIC/memory queues + fat tree + SHArP) hosting one
+  :class:`~repro.machine.machine.Machine` per job, placed on its nodes;
 * :mod:`repro.traffic.scheduler` — arrival-driven admission, FIFO
   backlog, concurrent :class:`~repro.mpi.runtime.Runtime` launches into
   the one shared simulator;
@@ -34,7 +34,7 @@ bit-identically — fresh fabric or reused one — and the canonical
 CI ``traffic-smoke`` job ``cmp``'s two sanitized runs).
 """
 
-from repro.traffic.fabric import SharedFabric, TenantMachine
+from repro.traffic.fabric import SharedFabric
 from repro.traffic.metering import Scraper, TrafficResult
 from repro.traffic.placement import PLACEMENT_POLICIES
 from repro.traffic.runner import run_traffic
@@ -55,7 +55,6 @@ __all__ = [
     "poisson_trace",
     "PLACEMENT_POLICIES",
     "SharedFabric",
-    "TenantMachine",
     "TrafficScheduler",
     "JobRecord",
     "Scraper",

@@ -147,8 +147,11 @@ class Scraper:
         rx = self.fabric.nic_rx
         tx_utils = [q.utilization() for q in tx]
         rx_utils = [q.utilization() for q in rx]
+        # Only built queues are iterated; the float start keeps the sum
+        # a float before any is built, as on a fabric reused from a run.
         depth = sum(
-            q.delay_until_free() for q in (*tx, *rx, *self.fabric.mem)
+            (q.delay_until_free() for q in (*tx, *rx, *self.fabric.mem)),
+            0.0,
         )
         return {
             "tx_util_max": round(max(tx_utils, default=0.0), 9),

@@ -4,8 +4,8 @@ The scheduler is itself a simulated process: a dispatcher coroutine
 walks the trace, sleeps until each job's arrival instant, and either
 launches it (when the placement policy finds enough free nodes) or
 parks it in a strict-FIFO backlog.  Every launched job gets a private
-:class:`~repro.traffic.fabric.TenantMachine` +
-:class:`~repro.mpi.runtime.Runtime` pair whose rank processes are
+:class:`~repro.machine.machine.Machine` placed on its nodes of the
+fabric and a :class:`~repro.mpi.runtime.Runtime`, whose rank processes are
 spawned into the *one shared simulator* via :meth:`Runtime.spawn` — the
 runner owns the single ``sim.run()`` call, so all tenants' events
 interleave on one deterministic ``(time, seq)`` axis and contend on the
@@ -30,8 +30,10 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.errors import TrafficError
+from repro.faults.inject import FaultInjector
+from repro.machine.machine import Machine
 from repro.mpi.runtime import Runtime
-from repro.traffic.fabric import SharedFabric, TenantMachine
+from repro.traffic.fabric import SharedFabric
 from repro.traffic.metering import JobMeter, percentile
 from repro.traffic.placement import PLACEMENT_POLICIES, place_job
 from repro.traffic.workload import JobSpec, TrafficTrace, job_rank_fn
@@ -51,7 +53,7 @@ class JobRecord:
     started: float
     finished: Optional[float] = None
     counters: dict = field(default_factory=dict)
-    machine: Optional[TenantMachine] = field(default=None, repr=False)
+    machine: Optional[Machine] = field(default=None, repr=False)
     runtime: Optional[Runtime] = field(default=None, repr=False)
     meter: Optional[JobMeter] = field(default=None, repr=False)
 
@@ -214,21 +216,19 @@ class TrafficScheduler:
     def _launch(self, index: int, spec: JobSpec, nodes: tuple[int, ...]) -> None:
         sim = self.fabric.sim
         namespace = f"j{index}."
-        machine = TenantMachine(
-            self.fabric, nodes, spec.nranks, spec.ppn, namespace=namespace
+        machine = Machine(
+            self.fabric.config,
+            spec.nranks,
+            spec.ppn,
+            fabric=self.fabric,
+            nodes=nodes,
+            namespace=namespace,
         )
         if self.fault_plan is not None:
-            from repro.faults.inject import FaultInjector
-
-            machine.faults = FaultInjector(
-                self.fault_plan,
-                spec.nranks,
-                machine.node_of,
-                seed=self.fault_seed + index,
-                nodes_total=self.fabric.nodes,
+            machine.faults = FaultInjector.for_machine(
+                self.fault_plan, machine, seed=self.fault_seed + index
             )
         runtime = Runtime(machine, fidelity=self.fidelity)
-        runtime.namespace = namespace
         meter = JobMeter()
         record = JobRecord(
             index=index,
@@ -305,12 +305,8 @@ class TrafficScheduler:
                 ),
             }
         }
-        for key, queues in (
-            ("nic_tx", fabric.nic_tx),
-            ("nic_rx", fabric.nic_rx),
-            ("mem", fabric.mem),
-        ):
-            slot = ("nic_tx", "nic_rx", "mem").index(key)
+        for slot, key in enumerate(("nic_tx", "nic_rx", "mem")):
+            queues = getattr(fabric, key)
             jobs = busy = 0.0
             for n in record.nodes:
                 before_jobs, before_busy = snapshot[n][slot]

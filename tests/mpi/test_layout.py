@@ -14,7 +14,7 @@ from repro.machine.topology import Placement
 from repro.mpi.runtime import Runtime, run_job
 from repro.payload import SUM, SymbolicPayload, make_payload
 from repro.resilience import RecoveryPolicy, isolation_plan
-from repro.traffic.fabric import SharedFabric, TenantMachine
+from repro.traffic.fabric import SharedFabric
 
 
 def scanned(comm):
@@ -114,7 +114,7 @@ class TestLayoutMatchesScan:
 
     def test_tenant_reports_global_nodes(self):
         fabric = SharedFabric(cluster_b(6))
-        machine = TenantMachine(fabric, (5, 2), 8, 4)
+        machine = Machine(fabric.config, 8, 4, fabric=fabric, nodes=(5, 2))
 
         def fn(comm):
             yield comm.sim.timeout(0)
@@ -206,7 +206,8 @@ class TestLocMemo:
                 p.loc(4)
 
     def test_tenant_loc_memoised_with_global_node(self):
-        machine = TenantMachine(SharedFabric(cluster_b(4)), (3, 0), 8, 4)
+        fabric = SharedFabric(cluster_b(4))
+        machine = Machine(fabric.config, 8, 4, fabric=fabric, nodes=(3, 0))
         assert machine.loc(1) is machine.loc(1)
         assert machine.loc(1).node == 3
         assert machine.loc(6).node == 0

@@ -1,11 +1,11 @@
-"""Tests for FCFSQueue, Resource, and Store."""
+"""Tests for FCFSQueue and Resource."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import FCFSQueue, Resource, Simulator, Store
+from repro.sim import FCFSQueue, Resource, Simulator
 
 
 @pytest.fixture
@@ -245,61 +245,3 @@ class TestResource:
         sim.process(observer())
         sim.run()
         assert observed == [2]
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-
-        def getter():
-            x = yield store.get()
-            y = yield store.get()
-            return (x, y)
-
-        p = sim.process(getter())
-        sim.run()
-        assert p.value == ("a", "b")
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-
-        def getter():
-            x = yield store.get()
-            return (sim.now, x)
-
-        def putter():
-            yield sim.timeout(3.0)
-            store.put("late")
-
-        g = sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert g.value == (3.0, "late")
-
-    def test_getters_served_fifo(self, sim):
-        store = Store(sim)
-        got = []
-
-        def getter(i):
-            yield sim.timeout(i * 0.1)
-            x = yield store.get()
-            got.append((i, x))
-
-        def putter():
-            yield sim.timeout(1.0)
-            for item in ("first", "second", "third"):
-                store.put(item)
-
-        for i in range(3):
-            sim.process(getter(i))
-        sim.process(putter())
-        sim.run()
-        assert got == [(0, "first"), (1, "second"), (2, "third")]
-
-    def test_len_counts_buffered_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

@@ -1,8 +1,8 @@
-"""Additional kernel coverage: queue/store interplay and stress."""
+"""Additional kernel coverage: queue/resource interplay and stress."""
 
 import pytest
 
-from repro.sim import FCFSQueue, Resource, Simulator, Store
+from repro.sim import FCFSQueue, Resource, Simulator
 
 
 class TestQueueStress:
@@ -41,51 +41,22 @@ class TestQueueStress:
 
 class TestResourceStoreInterplay:
     def test_pipeline_of_resource_and_store(self):
-        """A classic producer/consumer with a bounded worker pool."""
+        """A bounded worker pool feeding a results list."""
         sim = Simulator()
         pool = Resource(sim, capacity=2)
-        results = Store(sim)
+        results = []
 
         def worker(item):
             yield pool.acquire()
             try:
                 yield sim.timeout(1.0)
-                results.put(item * 2)
+                results.append(item * 2)
             finally:
                 pool.release()
 
-        def consumer():
-            got = []
-            for _ in range(6):
-                v = yield results.get()
-                got.append(v)
-            return got
-
         for i in range(6):
             sim.process(worker(i))
-        consumer_proc = sim.process(consumer())
         sim.run()
-        assert sorted(consumer_proc.value) == [0, 2, 4, 6, 8, 10]
+        assert sorted(results) == [0, 2, 4, 6, 8, 10]
         # Pool of 2, 6 one-second jobs: exactly 3 seconds.
         assert sim.now == pytest.approx(3.0)
-
-    def test_store_survives_bursts(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def burst_producer():
-            yield sim.timeout(1.0)
-            for i in range(100):
-                store.put(i)
-
-        def consumer():
-            got = []
-            for _ in range(100):
-                v = yield store.get()
-                got.append(v)
-            return got
-
-        c = sim.process(consumer())
-        sim.process(burst_producer())
-        sim.run()
-        assert c.value == list(range(100))

@@ -2,15 +2,18 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.errors import TrafficError
+from repro.errors import ConfigError, TrafficError
 from repro.machine.clusters import get_cluster
 from repro.machine.fattree import FatTreeConfig
+from repro.machine.machine import Machine
+from repro.mpi.runtime import Runtime, run_job
+from repro.payload import SUM, make_payload
 from repro.traffic import (
     JobSpec,
     SharedFabric,
-    TenantMachine,
     TrafficTrace,
     poisson_trace,
     run_traffic,
@@ -53,6 +56,23 @@ class TestDeterminism:
         )
         assert first.to_canonical_json() == reused.to_canonical_json()
         assert first.to_canonical_json() == fresh.to_canonical_json()
+
+    def test_idle_samples_match_on_reused_fabric(self):
+        # Samples taken before a job touches a NIC must read the same on
+        # a fresh fabric, where no NIC queue is built yet, as on a
+        # reused one, where the last run built some.
+        late = TrafficTrace(
+            jobs=(
+                JobSpec(app="osu", arrival=3e-4, nodes=2, ppn=4,
+                        nbytes=4096, iterations=1),
+            )
+        )
+        config = treed_config()
+        fabric = SharedFabric(config)
+        run_traffic(two_job_trace(), fabric=fabric)
+        reused = run_traffic(late, fabric=fabric)
+        fresh = run_traffic(late, config=config)
+        assert reused.to_canonical_json() == fresh.to_canonical_json()
 
     def test_placement_changes_result(self):
         trace = poisson_trace(jobs=4, rate=3e4, seed=3)
@@ -216,24 +236,52 @@ class TestFaultComposition:
         assert hurt.to_canonical_json() == again.to_canonical_json()
 
 
+def tenant(fabric, nodes, nranks, ppn):
+    """A job machine placed on ``nodes`` of a shared fabric."""
+    return Machine(fabric.config, nranks, ppn, fabric=fabric, nodes=nodes)
+
+
 class TestTenantMachine:
     def test_validation(self):
         fabric = SharedFabric(get_cluster("a", nodes=4))
-        with pytest.raises(TrafficError, match="duplicates"):
-            TenantMachine(fabric, (0, 0), 4, 2)
-        with pytest.raises(TrafficError, match="outside fabric"):
-            TenantMachine(fabric, (3, 9), 4, 2)
-        with pytest.raises(TrafficError, match="needs"):
-            TenantMachine(fabric, (0, 1, 2), 4, 2)
+        with pytest.raises(ConfigError, match="duplicates"):
+            tenant(fabric, (0, 0), 4, 2)
+        with pytest.raises(ConfigError, match="outside"):
+            tenant(fabric, (3, 9), 4, 2)
+        with pytest.raises(ConfigError, match="needs"):
+            tenant(fabric, (0, 1, 2), 4, 2)
+        with pytest.raises(ConfigError, match="not both"):
+            Machine(fabric.config, 4, 2, sim=fabric.sim, fabric=fabric)
 
     def test_global_node_translation(self):
         fabric = SharedFabric(get_cluster("a", nodes=8))
-        tenant = TenantMachine(fabric, (5, 2), 4, 2)
-        assert [tenant.node_of(r) for r in range(4)] == [5, 5, 2, 2]
-        assert tenant.loc(3).node == 2
+        machine = tenant(fabric, (5, 2), 4, 2)
+        assert [machine.node_of(r) for r in range(4)] == [5, 5, 2, 2]
+        assert machine.loc(3).node == 2
 
     def test_reset_refused(self):
         fabric = SharedFabric(get_cluster("a", nodes=4))
-        tenant = TenantMachine(fabric, (0, 1), 4, 2)
-        with pytest.raises(TrafficError, match="single-job"):
-            tenant.reset()
+        machine = tenant(fabric, (0, 1), 4, 2)
+        with pytest.raises(ConfigError, match="single-job"):
+            machine.reset()
+
+    @pytest.mark.parametrize("algorithm", ["dpml", "sharp_socket_leader"])
+    def test_job_on_shared_fabric_matches_classic(self, algorithm):
+        # A fabric exactly as wide as the job, nodes in order: the same
+        # queues, trees and names as the machine a classic run builds.
+        config = treed_config(nodes=4, nodes_per_leaf=2)
+        rng = np.random.default_rng(11)
+        inputs = [rng.standard_normal(300) for _ in range(16)]
+
+        def fn(comm):
+            data = make_payload(300, data=inputs[comm.rank])
+            out = yield from comm.allreduce(data, SUM, algorithm=algorithm)
+            return out.array
+
+        classic = run_job(config, 16, fn, ppn=4)
+        fabric = SharedFabric(config)
+        machine = tenant(fabric, range(4), 16, 4)
+        shared = Runtime(machine).launch(fn)
+        assert shared.elapsed == classic.elapsed
+        for a, b in zip(shared.values, classic.values):
+            assert a.tobytes() == b.tobytes()
