@@ -18,4 +18,4 @@ __version__ = "1.0.0"
 #: prints it); the result store keys every point on it.  The models no
 #: table runs (the compute phases of HPCG and miniAMR, the OSU
 #: throughput study) are not stored, so their changes need no bump.
-MODEL_ID = "11eda47dab45c428f1d813a8810f8d3eda4d712d0510791e283c0a0b1a001f5a"
+MODEL_ID = "4a16df205648e807ca26504da25d26bd87c3a36d7d1f46f5522b4b0da9cf0e3a"

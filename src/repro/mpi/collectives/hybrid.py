@@ -237,8 +237,9 @@ def make_hybrid_allreduce(algorithm):
 
 def _barrier_plan(comm):
     """``((label, phases), None)`` for a macro-chargeable barrier, else
-    ``(None, "barrier:<reason>")``: ``ceil(lg p)`` rounds of one
-    zero-byte message each."""
+    ``(None, "barrier:<reason>")``: ``ceil(lg p)`` zero-byte message
+    latencies, within [0.67, 1.5] of the exact node-aware barrier on
+    clusters A-D (``tests/mpi/test_hybrid_plans.py``)."""
     reason = macro_eligible(comm)
     if reason is not None:
         return None, f"barrier:{reason}"
@@ -248,12 +249,12 @@ def _barrier_plan(comm):
 
 
 def hybrid_barrier(comm, tag_base: int) -> Generator:
-    """Charge a dissemination barrier as one macro-event.
+    """Charge a barrier as one macro-event.
 
     Returns True when the barrier was macro-charged; False tells the
     caller (:meth:`~repro.mpi.comm.Comm.barrier`) to run the exact
-    ``ceil(lg p)``-round dissemination loop instead.  The duration comes
-    from the same per-job plan table as the allreduce charges.
+    node-aware barrier instead.  The duration comes from the same
+    per-job plan table as the allreduce charges.
     """
     p = comm.size
     plan = _planned(comm, _barrier_key(p), _barrier_plan)

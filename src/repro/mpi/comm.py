@@ -208,12 +208,18 @@ class Comm:
     # -- synchronisation ---------------------------------------------------------------
 
     def barrier(self, tag_base: Optional[int] = None) -> Generator:
-        """Dissemination barrier (``ceil(lg p)`` zero-byte rounds).
+        """Node-aware barrier over zero-byte messages.
 
-        In hybrid fidelity the ``p * ceil(lg p)`` message events become
-        a single macro-charge of the closed-form barrier latency (the
-        tag block is still allocated first, keeping per-view collective
-        counters aligned with exact runs).
+        Each node's leader is its first member in ``comm.layout``.  The
+        other members send it a token (fan-in), the ``h`` leaders run
+        ``ceil(lg h)`` dissemination rounds among themselves, addressed
+        by comm rank, and each leader then releases its node (fan-out).
+        Only ``h * ceil(lg h)`` messages cross the network.
+
+        In hybrid fidelity the messages become a single macro-charge of
+        the closed-form barrier latency (the tag block is still
+        allocated first, keeping per-view collective counters aligned
+        with exact runs).
         """
         from repro.payload.payload import SymbolicPayload
 
@@ -229,17 +235,29 @@ class Comm:
             if charged:
                 return
         token = SymbolicPayload(0, 1)
+        layout = self.layout
+        node = layout.node[self.rank]
+        leader, *rest = layout.node_ranks[node]
+        if self.rank != leader:
+            yield from self.send(leader, token, tag_base)
+            yield from self.recv(leader, tag_base)
+            return
+        if rest:
+            yield from self.waitall([self.irecv(r, tag_base) for r in rest])
+        leaders = [layout.node_ranks[n][0] for n in layout.nodes]
+        h = len(leaders)
+        me = layout.nodes.index(node)
         distance = 1
-        round_no = 0
-        while distance < p:
-            dst = (self.rank + distance) % p
-            src = (self.rank - distance) % p
+        tag = tag_base + 1
+        while distance < h:
             yield from self.sendrecv(
-                dst, token, source=src,
-                send_tag=tag_base + round_no, recv_tag=tag_base + round_no,
+                leaders[(me + distance) % h], token,
+                source=leaders[(me - distance) % h], send_tag=tag, recv_tag=tag,
             )
             distance *= 2
-            round_no += 1
+            tag += 1
+        if rest:
+            yield from self.waitall([self.isend(r, token, tag_base) for r in rest])
 
     # -- collectives --------------------------------------------------------------------
 

@@ -109,44 +109,44 @@ GOLDEN = {
             "a/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.2667359999999962e-05,
                 "fast": {
-                    "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1781,
-                    "pool_reuses": 1359, "bytes_copied": 0,
-                    "bytes_viewed": 294912, "bytes_reduced": 98304,
+                    "events_allocated": 262, "heap_pushes": 664,
+                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
+                    "bytes_copied": 0, "bytes_viewed": 294912,
+                    "bytes_reduced": 98304,
                 },
             },
             "a/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.3492800000000018e-05,
+                "latency": 1.3492800000000014e-05,
                 "fast": {
-                    "events_allocated": 578, "heap_pushes": 2296,
-                    "heap_pops": 2296, "nowq_entries": 2645,
-                    "pool_reuses": 2967, "bytes_copied": 32768,
+                    "events_allocated": 369, "heap_pushes": 1840,
+                    "heap_pops": 1840, "nowq_entries": 1673,
+                    "pool_reuses": 2384, "bytes_copied": 32768,
                     "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.0002514164800000001,
                 "fast": {
-                    "events_allocated": 546, "heap_pushes": 1328,
-                    "heap_pops": 1328, "nowq_entries": 2069,
-                    "pool_reuses": 1583, "bytes_copied": 786432,
+                    "events_allocated": 326, "heap_pushes": 872,
+                    "heap_pops": 872, "nowq_entries": 1097,
+                    "pool_reuses": 1011, "bytes_copied": 786432,
                     "bytes_viewed": 5505024, "bytes_reduced": 917504,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.00010598047999999996,
+                "latency": 0.0001060556799999999,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 2616,
-                    "heap_pops": 2616, "nowq_entries": 3285,
-                    "pool_reuses": 3351, "bytes_copied": 1310720,
+                    "events_allocated": 498, "heap_pushes": 2160,
+                    "heap_pops": 2160, "nowq_entries": 2313,
+                    "pool_reuses": 2767, "bytes_copied": 1310720,
                     "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 2312, "heap_pushes": 7360,
-                "heap_pops": 7360, "nowq_entries": 9780, "pool_reuses": 9260,
+                "events_allocated": 1455, "heap_pushes": 5536,
+                "heap_pops": 5536, "nowq_entries": 5892, "pool_reuses": 6949,
                 "bytes_copied": 2129920, "bytes_viewed": 11042816,
                 "bytes_reduced": 2031616,
             },
@@ -157,81 +157,81 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.2667359999999962e-05,
                 "fast": {
-                    "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1781,
-                    "pool_reuses": 1359, "bytes_copied": 0,
-                    "bytes_viewed": 294912, "bytes_reduced": 98304,
+                    "events_allocated": 262, "heap_pushes": 664,
+                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
+                    "bytes_copied": 0, "bytes_viewed": 294912,
+                    "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l2": {
                 "latency": 1.5566880000000017e-05,
                 "fast": {
-                    "events_allocated": 514, "heap_pushes": 1512,
-                    "heap_pops": 1512, "nowq_entries": 2069,
-                    "pool_reuses": 1895, "bytes_copied": 32768,
+                    "events_allocated": 297, "heap_pushes": 1056,
+                    "heap_pops": 1056, "nowq_entries": 1097,
+                    "pool_reuses": 1320, "bytes_copied": 32768,
                     "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.3492800000000018e-05,
+                "latency": 1.3492800000000014e-05,
                 "fast": {
-                    "events_allocated": 578, "heap_pushes": 2296,
-                    "heap_pops": 2296, "nowq_entries": 2645,
-                    "pool_reuses": 2967, "bytes_copied": 32768,
+                    "events_allocated": 369, "heap_pushes": 1840,
+                    "heap_pops": 1840, "nowq_entries": 1673,
+                    "pool_reuses": 2384, "bytes_copied": 32768,
                     "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l8": {
-                "latency": 1.458016000000001e-05,
+                "latency": 1.4580160000000014e-05,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3797,
-                    "pool_reuses": 5111, "bytes_copied": 32768,
+                    "events_allocated": 513, "heap_pushes": 3408,
+                    "heap_pops": 3408, "nowq_entries": 2825,
+                    "pool_reuses": 4512, "bytes_copied": 32768,
                     "bytes_viewed": 262144, "bytes_reduced": 98304,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.0002514164800000001,
                 "fast": {
-                    "events_allocated": 546, "heap_pushes": 1328,
-                    "heap_pops": 1328, "nowq_entries": 2069,
-                    "pool_reuses": 1583, "bytes_copied": 786432,
+                    "events_allocated": 326, "heap_pushes": 872,
+                    "heap_pops": 872, "nowq_entries": 1097,
+                    "pool_reuses": 1011, "bytes_copied": 786432,
                     "bytes_viewed": 5505024, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l2": {
-                "latency": 0.00014921904,
+                "latency": 0.00014921903999999997,
                 "fast": {
-                    "events_allocated": 578, "heap_pushes": 1672,
-                    "heap_pops": 1672, "nowq_entries": 2389,
-                    "pool_reuses": 2087, "bytes_copied": 1310720,
+                    "events_allocated": 362, "heap_pushes": 1216,
+                    "heap_pops": 1216, "nowq_entries": 1417,
+                    "pool_reuses": 1511, "bytes_copied": 1310720,
                     "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.00010598047999999996,
+                "latency": 0.0001060556799999999,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 2616,
-                    "heap_pops": 2616, "nowq_entries": 3285,
-                    "pool_reuses": 3351, "bytes_copied": 1310720,
+                    "events_allocated": 498, "heap_pushes": 2160,
+                    "heap_pops": 2160, "nowq_entries": 2313,
+                    "pool_reuses": 2767, "bytes_copied": 1310720,
                     "bytes_viewed": 4980736, "bytes_reduced": 917504,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l8": {
                 "latency": 8.988256000000007e-05,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3797,
-                    "pool_reuses": 5111, "bytes_copied": 524288,
+                    "events_allocated": 513, "heap_pushes": 3408,
+                    "heap_pops": 3408, "nowq_entries": 2825,
+                    "pool_reuses": 4512, "bytes_copied": 524288,
                     "bytes_viewed": 4194304, "bytes_reduced": 1572864,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 4816, "heap_pushes": 18272,
-                "heap_pops": 18272, "nowq_entries": 21832,
-                "pool_reuses": 23464, "bytes_copied": 4030464,
+                "events_allocated": 3140, "heap_pushes": 14624,
+                "heap_pops": 14624, "nowq_entries": 14056,
+                "pool_reuses": 18804, "bytes_copied": 4030464,
                 "bytes_viewed": 20742144, "bytes_reduced": 4718592,
             },
         },
@@ -241,117 +241,117 @@ GOLDEN = {
             "c/n4/ppn8/mvapich2/16384B/tuned": {
                 "latency": 6.158847999999995e-05,
                 "fast": {
-                    "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1781,
-                    "pool_reuses": 1359, "bytes_copied": 0,
-                    "bytes_viewed": 1179648, "bytes_reduced": 393216,
+                    "events_allocated": 262, "heap_pushes": 664,
+                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
+                    "bytes_copied": 0, "bytes_viewed": 1179648,
+                    "bytes_reduced": 393216,
                 },
             },
             "c/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.0006646228799999987,
+                "latency": 0.0006646228799999988,
                 "fast": {
-                    "events_allocated": 550, "heap_pushes": 1520,
-                    "heap_pops": 1520, "nowq_entries": 2229,
-                    "pool_reuses": 1771, "bytes_copied": 3145728,
+                    "events_allocated": 330, "heap_pushes": 1064,
+                    "heap_pops": 1064, "nowq_entries": 1257,
+                    "pool_reuses": 1199, "bytes_copied": 3145728,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "c/n4/ppn8/intel_mpi/16384B/tuned": {
                 "latency": 3.763648e-05,
                 "fast": {
-                    "events_allocated": 1730, "heap_pushes": 4504,
-                    "heap_pops": 4504, "nowq_entries": 6740,
-                    "pool_reuses": 5238, "bytes_copied": 2031616,
+                    "events_allocated": 1534, "heap_pushes": 4048,
+                    "heap_pops": 4048, "nowq_entries": 5768,
+                    "pool_reuses": 4642, "bytes_copied": 2031616,
                     "bytes_viewed": 2031616, "bytes_reduced": 1015808,
                 },
             },
             "c/n4/ppn8/intel_mpi/262144B/tuned": {
-                "latency": 0.00044392088000000396,
+                "latency": 0.00044507928000000417,
                 "fast": {
-                    "events_allocated": 8386, "heap_pushes": 24472,
-                    "heap_pops": 24472, "nowq_entries": 30756,
-                    "pool_reuses": 28534, "bytes_copied": 16777216,
+                    "events_allocated": 8194, "heap_pushes": 24016,
+                    "heap_pops": 24016, "nowq_entries": 29784,
+                    "pool_reuses": 27934, "bytes_copied": 16777216,
                     "bytes_viewed": 16777216, "bytes_reduced": 16252928,
                 },
             },
             "c/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 2.8615520000000046e-05,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3797,
-                    "pool_reuses": 5111, "bytes_copied": 131072,
+                    "events_allocated": 513, "heap_pushes": 3408,
+                    "heap_pops": 3408, "nowq_entries": 2825,
+                    "pool_reuses": 4512, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "c/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.00028358815999999983,
+                "latency": 0.0002835881599999998,
                 "fast": {
-                    "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8085,
-                    "pool_reuses": 7639, "bytes_copied": 7340032,
+                    "events_allocated": 1634, "heap_pushes": 5584,
+                    "heap_pops": 5584, "nowq_entries": 7113,
+                    "pool_reuses": 7039, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "d/n4/ppn8/mvapich2/16384B/tuned": {
                 "latency": 0.00011708407040000017,
                 "fast": {
-                    "events_allocated": 482, "heap_pushes": 1120,
-                    "heap_pops": 1120, "nowq_entries": 1781,
-                    "pool_reuses": 1359, "bytes_copied": 0,
-                    "bytes_viewed": 1179648, "bytes_reduced": 393216,
+                    "events_allocated": 262, "heap_pushes": 664,
+                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
+                    "bytes_copied": 0, "bytes_viewed": 1179648,
+                    "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.0012534403583999978,
+                "latency": 0.0012534403583999974,
                 "fast": {
-                    "events_allocated": 550, "heap_pushes": 1520,
-                    "heap_pops": 1520, "nowq_entries": 2229,
-                    "pool_reuses": 1771, "bytes_copied": 3145728,
+                    "events_allocated": 330, "heap_pushes": 1064,
+                    "heap_pops": 1064, "nowq_entries": 1257,
+                    "pool_reuses": 1199, "bytes_copied": 3145728,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
             "d/n4/ppn8/intel_mpi/16384B/tuned": {
-                "latency": 6.272927360000012e-05,
+                "latency": 6.272927360000013e-05,
                 "fast": {
-                    "events_allocated": 1726, "heap_pushes": 4504,
-                    "heap_pops": 4504, "nowq_entries": 6740,
-                    "pool_reuses": 5242, "bytes_copied": 2031616,
+                    "events_allocated": 1526, "heap_pushes": 4048,
+                    "heap_pops": 4048, "nowq_entries": 5768,
+                    "pool_reuses": 4650, "bytes_copied": 2031616,
                     "bytes_viewed": 2031616, "bytes_reduced": 1015808,
                 },
             },
             "d/n4/ppn8/intel_mpi/262144B/tuned": {
                 "latency": 0.0007065284607999987,
                 "fast": {
-                    "events_allocated": 8386, "heap_pushes": 24472,
-                    "heap_pops": 24472, "nowq_entries": 30756,
-                    "pool_reuses": 28534, "bytes_copied": 16777216,
+                    "events_allocated": 8194, "heap_pushes": 24016,
+                    "heap_pops": 24016, "nowq_entries": 29784,
+                    "pool_reuses": 27934, "bytes_copied": 16777216,
                     "bytes_viewed": 16777216, "bytes_reduced": 16252928,
                 },
             },
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.6763583999999794e-05,
+                "latency": 4.67635839999998e-05,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3797,
-                    "pool_reuses": 5111, "bytes_copied": 131072,
+                    "events_allocated": 513, "heap_pushes": 3408,
+                    "heap_pops": 3408, "nowq_entries": 2825,
+                    "pool_reuses": 4512, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0004699460800000013,
+                "latency": 0.00046994608000000136,
                 "fast": {
-                    "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8085,
-                    "pool_reuses": 7639, "bytes_copied": 7340032,
+                    "events_allocated": 1634, "heap_pushes": 5584,
+                    "heap_pops": 5584, "nowq_entries": 7113,
+                    "pool_reuses": 7039, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 27356, "heap_pushes": 83040,
-                "heap_pops": 83040, "nowq_entries": 106776,
-                "pool_reuses": 99308, "bytes_copied": 58851328,
+                "events_allocated": 24926, "heap_pushes": 77568,
+                "heap_pops": 77568, "nowq_entries": 95112,
+                "pool_reuses": 92234, "bytes_copied": 58851328,
                 "bytes_viewed": 130154496, "bytes_reduced": 50790400,
             },
         },
@@ -359,28 +359,28 @@ GOLDEN = {
     "fig10": {
         "points": {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.6763583999999794e-05,
+                "latency": 4.67635839999998e-05,
                 "fast": {
-                    "events_allocated": 706, "heap_pushes": 3864,
-                    "heap_pops": 3864, "nowq_entries": 3797,
-                    "pool_reuses": 5111, "bytes_copied": 131072,
+                    "events_allocated": 513, "heap_pushes": 3408,
+                    "heap_pops": 3408, "nowq_entries": 2825,
+                    "pool_reuses": 4512, "bytes_copied": 131072,
                     "bytes_viewed": 1048576, "bytes_reduced": 393216,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0004699460800000013,
+                "latency": 0.00046994608000000136,
                 "fast": {
-                    "events_allocated": 1826, "heap_pushes": 6040,
-                    "heap_pops": 6040, "nowq_entries": 8085,
-                    "pool_reuses": 7639, "bytes_copied": 7340032,
+                    "events_allocated": 1634, "heap_pushes": 5584,
+                    "heap_pops": 5584, "nowq_entries": 7113,
+                    "pool_reuses": 7039, "bytes_copied": 7340032,
                     "bytes_viewed": 22020096, "bytes_reduced": 3670016,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 2532, "heap_pushes": 9904,
-                "heap_pops": 9904, "nowq_entries": 11882, "pool_reuses": 12750,
+                "events_allocated": 2147, "heap_pushes": 8992,
+                "heap_pops": 8992, "nowq_entries": 9938, "pool_reuses": 11551,
                 "bytes_copied": 7471104, "bytes_viewed": 23068672,
                 "bytes_reduced": 4063232,
             },

@@ -19,7 +19,7 @@ from repro.bench.harness import allreduce_latency
 from repro.core.model import CostModel
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, Straggler
-from repro.machine.clusters import cluster_b
+from repro.machine.clusters import cluster_a, cluster_b, cluster_c, cluster_d
 from repro.machine.machine import Machine
 from repro.machine.noise import NoiseModel
 from repro.mpi import run_job
@@ -145,6 +145,24 @@ def test_unhashable_kwargs_are_priced_uncached():
     assert job.counters["hybrid_exact_fallbacks"] == {}
     for got in job.values:
         np.testing.assert_array_equal(got, np.sum(inputs, axis=0))
+
+
+@pytest.mark.parametrize("nodes,ppn", [(4, 8), (16, 16)])
+@pytest.mark.parametrize("cluster", [cluster_a, cluster_b, cluster_c, cluster_d])
+def test_barrier_charge_tracks_exact_barrier(cluster, nodes, ppn):
+    """The ``ceil(lg p)`` latency charge stays within [0.67, 1.5] of the
+    exact node-aware barrier (fan-in, leader rounds, fan-out)."""
+
+    def fn(comm):
+        yield from comm.barrier()
+        return comm.now
+
+    def run(fidelity):
+        return run_job(cluster(nodes), nodes * ppn, fn, ppn=ppn, fidelity=fidelity)
+
+    hybrid, exact = run("hybrid"), run("exact")
+    assert hybrid.counters["macro_events"] == 1
+    assert 0.67 <= max(hybrid.values) / max(exact.values) <= 1.5
 
 
 class TestExactFallbackCounter:
