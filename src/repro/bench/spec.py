@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Optional, Union
 
 from repro import canonical
@@ -89,70 +89,72 @@ def resolve_config(cluster: ClusterRef, nodes: int) -> MachineConfig:
     return get_cluster(cluster, nodes)
 
 
-# -- config (de)serialisation ------------------------------------------------
+# -- (de)serialisation -------------------------------------------------------
 
 
-def _config_to_dict(config: MachineConfig) -> dict:
-    """JSON-ready dict of an inline MachineConfig."""
-    out: dict[str, Any] = {
-        "name": config.name,
-        "nodes": config.nodes,
-        "placement": config.placement,
-        "node": {f.name: getattr(config.node, f.name) for f in fields(NodeConfig)},
-        "fabric": {
-            f.name: getattr(config.fabric, f.name) for f in fields(FabricConfig)
-        },
-        "sharp": (
-            {f.name: getattr(config.sharp, f.name) for f in fields(SharpConfig)}
-            if config.sharp is not None
-            else None
-        ),
-        "topology": (
-            {
-                f.name: getattr(config.topology, f.name)
-                for f in fields(FatTreeConfig)
-            }
-            if config.topology is not None
-            else None
-        ),
-    }
-    return out
-
-
-def _config_from_dict(data: dict) -> MachineConfig:
-    """Inverse of :func:`_config_to_dict`."""
-    return MachineConfig(
-        name=data["name"],
-        nodes=data["nodes"],
-        placement=data.get("placement", "scatter"),
-        node=NodeConfig(**data["node"]),
-        fabric=FabricConfig(**data["fabric"]),
-        sharp=SharpConfig(**data["sharp"]) if data.get("sharp") else None,
-        topology=(
-            FatTreeConfig(**data["topology"]) if data.get("topology") else None
-        ),
-    )
-
-
-def _cluster_to_json(cluster: ClusterRef):
-    return cluster if isinstance(cluster, str) else _config_to_dict(cluster)
+def _part(cls, noun: str) -> Callable[[dict], Any]:
+    """Decoder of one nested hardware config."""
+    return lambda data: canonical.build(cls, data, ReproError, noun)
 
 
 def _cluster_from_json(data) -> ClusterRef:
-    return data if isinstance(data, str) else _config_from_dict(data)
+    if isinstance(data, str):
+        return data
+    return canonical.build(
+        MachineConfig, data, ReproError, "cluster config",
+        node=_part(NodeConfig, "node config"),
+        fabric=_part(FabricConfig, "fabric config"),
+        sharp=_part(SharpConfig, "sharp config"),
+        topology=_part(FatTreeConfig, "topology config"),
+    )
+
+
+def _freeze(value):
+    """``value`` with every nested list turned into a tuple (hashable)."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value
 
 
 def _freeze_kwargs(kwargs) -> tuple[tuple[str, Any], ...]:
     """Normalise an extra-kwargs mapping/pair-sequence to a sorted tuple."""
     items = kwargs.items() if isinstance(kwargs, dict) else kwargs
-    return tuple(sorted((str(k), v) for k, v in items))
+    return tuple(sorted((str(k), _freeze(v)) for k, v in items))
+
+
+class _SweepRecord(canonical.JsonRecord):
+    """The JSON form :class:`SamplePoint` and :class:`SweepSpec` share."""
+
+    error = ReproError
+
+    def to_dict(self) -> dict:
+        """JSON-ready dict.
+
+        The ``faults`` and ``fidelity`` keys appear only when
+        non-default, so exact-mode fault-free records serialise (and
+        hash) exactly as they did before those subsystems existed, and
+        EXPERIMENTS.md entries stay stable.
+        """
+        out = canonical.fields_dict(self)
+        for name, default in (("faults", None), ("fidelity", "exact")):
+            if out[name] == default:
+                del out[name]
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Inverse of :meth:`to_dict`; unknown keys are an error."""
+        return canonical.build(
+            cls, data, cls.error, cls.noun,
+            cluster=_cluster_from_json, faults=FaultPlan.from_dict,
+        )
 
 
 # -- one measurement ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(_SweepRecord):
     """One measurement: a pure, picklable function of its fields."""
 
     cluster: ClusterRef
@@ -174,7 +176,10 @@ class SamplePoint:
     #: serialised and hashed only when non-default, like ``faults``
     fidelity: str = "exact"
 
+    noun = "sample point"
+
     def __post_init__(self):
+        object.__setattr__(self, "extra", _freeze_kwargs(self.extra))
         from repro.bench.harness import check_loop, check_sample
         from repro.mpi.collectives.registry import check_knobs
 
@@ -259,63 +264,12 @@ class SamplePoint:
             parts.append(self.fidelity)
         return " ".join(parts)
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict.
-
-        The ``faults`` and ``fidelity`` keys appear only when
-        non-default, so exact-mode fault-free points serialise (and
-        hash) exactly as they did before those subsystems existed.
-        """
-        out = {
-            "cluster": _cluster_to_json(self.cluster),
-            "nodes": self.nodes,
-            "ppn": self.ppn,
-            "algorithm": self.algorithm,
-            "nbytes": self.nbytes,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "leaders": self.leaders,
-            "repeat": self.repeat,
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "extra": [list(pair) for pair in self.extra],
-        }
-        if self.faults is not None:
-            out["faults"] = self.faults.to_dict()
-        if self.fidelity != "exact":
-            out["fidelity"] = self.fidelity
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplePoint":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            cluster=_cluster_from_json(data["cluster"]),
-            nodes=data["nodes"],
-            ppn=data["ppn"],
-            algorithm=data["algorithm"],
-            nbytes=data["nbytes"],
-            iterations=data.get("iterations", 2),
-            warmup=data.get("warmup", 1),
-            leaders=data.get("leaders"),
-            repeat=data.get("repeat", 0),
-            sigma=data.get("sigma", 0.0),
-            seed=data.get("seed", 0),
-            extra=_freeze_kwargs(data.get("extra", ())),
-            faults=(
-                FaultPlan.from_dict(data["faults"])
-                if data.get("faults")
-                else None
-            ),
-            fidelity=data.get("fidelity", "exact"),
-        )
-
 
 # -- the sweep ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_SweepRecord):
     """A full experiment as data: the cartesian product of its axes.
 
     Expansion order is deterministic (size-major, then algorithm,
@@ -343,6 +297,8 @@ class SweepSpec:
     #: collective execution fidelity applied to every point
     #: (``"exact"`` | ``"hybrid"``); hashed only when non-default
     fidelity: str = "exact"
+
+    noun = "sweep spec"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(self.sizes))
@@ -414,60 +370,6 @@ class SweepSpec:
         """Copy with the given fields replaced (None values ignored)."""
         changes = {k: v for k, v in changes.items() if v is not None}
         return replace(self, **changes) if changes else self
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict.
-
-        The ``faults`` and ``fidelity`` keys appear only when
-        non-default, keeping exact-mode fault-free spec hashes
-        identical to their pre-subsystem values (EXPERIMENTS.md entries
-        stay stable).
-        """
-        out = {
-            "name": self.name,
-            "cluster": _cluster_to_json(self.cluster),
-            "nodes": self.nodes,
-            "ppn": self.ppn,
-            "sizes": list(self.sizes),
-            "algorithms": list(self.algorithms),
-            "leader_counts": list(self.leader_counts),
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "repeats": self.repeats,
-            "sigma": self.sigma,
-            "base_seed": self.base_seed,
-            "extra": [list(pair) for pair in self.extra],
-        }
-        if self.faults is not None:
-            out["faults"] = self.faults.to_dict()
-        if self.fidelity != "exact":
-            out["fidelity"] = self.fidelity
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            cluster=_cluster_from_json(data["cluster"]),
-            nodes=data["nodes"],
-            ppn=data["ppn"],
-            sizes=tuple(data["sizes"]),
-            algorithms=tuple(data["algorithms"]),
-            leader_counts=tuple(data["leader_counts"]),
-            iterations=data.get("iterations", 2),
-            warmup=data.get("warmup", 1),
-            repeats=data.get("repeats", 1),
-            sigma=data.get("sigma", 0.0),
-            base_seed=data.get("base_seed", 0),
-            extra=_freeze_kwargs(data.get("extra", ())),
-            faults=(
-                FaultPlan.from_dict(data["faults"])
-                if data.get("faults")
-                else None
-            ),
-            fidelity=data.get("fidelity", "exact"),
-        )
 
     def full_hash(self) -> str:
         """Untruncated sha256 of the canonical spec serialisation.

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import canonical
 from repro.check import reports as R
 from repro.check.sanitizer import Sanitizer
 from repro.core.model import CostModel
@@ -73,17 +74,7 @@ class OracleOutcome:
         return not self.reports
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "nranks": self.nranks,
-            "ppn": self.ppn,
-            "count": self.count,
-            "elapsed": self.elapsed,
-            "predicted": self.predicted,
-            "ratio": self.ratio,
-            "ok": self.ok,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return {**canonical.fields_dict(self), "ok": self.ok}
 
 
 def check_allreduce(
@@ -206,18 +197,7 @@ class SpotCheckOutcome:
         return not self.reports
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "nranks": self.nranks,
-            "ppn": self.ppn,
-            "count": self.count,
-            "hybrid_elapsed": self.hybrid_elapsed,
-            "exact_elapsed": self.exact_elapsed,
-            "phases": list(self.phases),
-            "charged": self.charged,
-            "ok": self.ok,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return {**canonical.fields_dict(self), "ok": self.ok}
 
 
 def spot_check_hybrid(

@@ -41,8 +41,8 @@ re-realising (session reuse) restores the exact same schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Optional, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Union
 
 from repro import canonical
 from repro.errors import FaultError
@@ -76,8 +76,17 @@ def _window_end(start: float, duration: Optional[float]) -> float:
     return math.inf if duration is None else start + duration
 
 
+class _Fault:
+    """A fault's JSON object is its fields plus its ``kind`` tag."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **canonical.fields_dict(self)}
+
+
 @dataclass(frozen=True)
-class Straggler:
+class Straggler(_Fault):
     """One rank's reduction compute runs ``factor`` x slower in a window."""
 
     kind: ClassVar[str] = "straggler"
@@ -105,7 +114,7 @@ class Straggler:
 
 
 @dataclass(frozen=True)
-class ArrivalSkew:
+class ArrivalSkew(_Fault):
     """Staggered process starts (process arrival pattern imbalance).
 
     ``magnitude`` is the skew scale in simulated seconds; ``pattern``
@@ -152,7 +161,7 @@ class ArrivalSkew:
 
 
 @dataclass(frozen=True)
-class LinkDegrade:
+class LinkDegrade(_Fault):
     """Latency/bandwidth multipliers on a topology edge for a window.
 
     ``src``/``dst`` are *node* indices; ``None`` wildcards that side, so
@@ -206,7 +215,7 @@ class LinkDegrade:
 
 
 @dataclass(frozen=True)
-class LinkOutage:
+class LinkOutage(_Fault):
     """Transient send failures on an edge inside a time window.
 
     While the window is active, every message trying to enter the edge
@@ -244,7 +253,7 @@ class LinkOutage:
 
 
 @dataclass(frozen=True)
-class NodeSlowdown:
+class NodeSlowdown(_Fault):
     """Every rank on one node computes and copies slower in a window."""
 
     kind: ClassVar[str] = "node-slowdown"
@@ -282,34 +291,17 @@ FAULT_KINDS: dict[str, type] = {
 }
 
 
-def _fault_to_dict(fault: Fault) -> dict:
-    out: dict[str, Any] = {"kind": fault.kind}
-    for f in fields(fault):
-        out[f.name] = getattr(fault, f.name)
-    return out
-
-
-def _fault_from_dict(data: dict) -> Fault:
+def _fault_from_dict(data) -> Fault:
     if not isinstance(data, dict):
-        raise FaultError(f"fault entry must be an object, got {type(data).__name__}")
+        raise FaultError(f"fault must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     cls = FAULT_KINDS.get(kind)
     if cls is None:
         raise FaultError(
             f"unknown fault kind {kind!r}; choose from {sorted(FAULT_KINDS)}"
         )
-    known = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in data.items() if k != "kind"}
-    unknown = set(kwargs) - known
-    if unknown:
-        raise FaultError(
-            f"fault {kind!r} has unknown field(s) {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise FaultError(f"fault {kind!r}: {e}") from None
+    rest = {k: v for k, v in data.items() if k != "kind"}
+    return canonical.build(cls, rest, FaultError, f"fault {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -411,33 +403,12 @@ class FaultPlan(canonical.JsonRecord):
 
     # -- (de)serialisation ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict (the plan schema)."""
-        return {
-            "faults": [_fault_to_dict(f) for f in self.faults],
-            "retry_limit": self.retry_limit,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Inverse of :meth:`to_dict`; validates the whole schema."""
-        if not isinstance(data, dict):
-            raise FaultError(
-                f"fault plan must be a JSON object, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"faults", "retry_limit", "backoff_base", "backoff_cap"}
-        if unknown:
-            raise FaultError(f"fault plan has unknown field(s) {sorted(unknown)}")
-        raw = data.get("faults", [])
-        if not isinstance(raw, (list, tuple)):
-            raise FaultError("fault plan 'faults' must be a list")
-        return cls(
-            faults=tuple(_fault_from_dict(entry) for entry in raw),
-            retry_limit=data.get("retry_limit", 6),
-            backoff_base=data.get("backoff_base", 1e-6),
-            backoff_cap=data.get("backoff_cap", 1e-4),
+        return canonical.build(
+            cls, data, FaultError, cls.noun,
+            faults=lambda raw: tuple(_fault_from_dict(f) for f in raw),
         )
 
     def plan_hash(self) -> str:

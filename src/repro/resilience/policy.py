@@ -23,15 +23,6 @@ from repro.errors import ConfigError
 
 __all__ = ["RecoveryPolicy"]
 
-_FIELDS = (
-    "enabled",
-    "max_failovers",
-    "suspect_after",
-    "restart_latency",
-    "heartbeat_timeout",
-    "fallback_algorithm",
-)
-
 
 @dataclass(frozen=True)
 class RecoveryPolicy(canonical.JsonRecord):
@@ -99,26 +90,6 @@ class RecoveryPolicy(canonical.JsonRecord):
                 f"fallback_algorithm must be a non-empty algorithm name, "
                 f"got {self.fallback_algorithm!r}"
             )
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict (canonical field order)."""
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryPolicy":
-        """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"recovery policy must be a JSON object, got {type(data).__name__}"
-            )
-        unknown = set(data) - set(_FIELDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown recovery policy field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
 
     def policy_hash(self) -> str:
         """Stable content hash (first 12 hex chars of sha256)."""

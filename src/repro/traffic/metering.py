@@ -213,16 +213,7 @@ class TrafficResult:
         return {
             "schema": TRAFFIC_SCHEMA,
             "suite": "repro.traffic",
-            "trace_hash": self.trace_hash,
-            "cluster": self.cluster,
-            "nodes": self.nodes,
-            "leaves": self.leaves,
-            "placement": self.placement,
-            "seed": self.seed,
-            "interval": self.interval,
-            "elapsed": self.elapsed,
-            "jobs": [record.to_dict() for record in self.jobs],
-            "series": self.series,
+            **canonical.fields_dict(self),
         }
 
     def to_canonical_json(self) -> str:

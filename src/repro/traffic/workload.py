@@ -24,8 +24,8 @@ is what the metering layer's percentiles are computed over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Generator, Optional
+from dataclasses import dataclass, field
+from typing import ClassVar, Generator, Optional
 
 import numpy as np
 
@@ -103,29 +103,8 @@ class JobSpec:
         )
 
 
-def _job_to_dict(job: JobSpec) -> dict:
-    out: dict[str, Any] = {}
-    for f in fields(job):
-        out[f.name] = getattr(job, f.name)
-    return out
-
-
-def _job_from_dict(data: dict) -> JobSpec:
-    if not isinstance(data, dict):
-        raise TrafficError(
-            f"trace job entry must be an object, got {type(data).__name__}"
-        )
-    known = {f.name for f in fields(JobSpec)}
-    unknown = set(data) - known
-    if unknown:
-        raise TrafficError(
-            f"trace job has unknown field(s) {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    try:
-        return JobSpec(**data)
-    except TypeError as e:
-        raise TrafficError(f"trace job: {e}") from None
+def _job_from_dict(data) -> JobSpec:
+    return canonical.build(JobSpec, data, TrafficError, "trace job")
 
 
 @dataclass(frozen=True)
@@ -183,26 +162,13 @@ class TrafficTrace(canonical.JsonRecord):
 
     # -- (de)serialisation ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict (the trace schema)."""
-        return {"jobs": [_job_to_dict(job) for job in self.jobs]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficTrace":
         """Inverse of :meth:`to_dict`; validates the whole schema."""
-        if not isinstance(data, dict):
-            raise TrafficError(
-                f"traffic trace must be a JSON object, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"jobs"}
-        if unknown:
-            raise TrafficError(
-                f"traffic trace has unknown field(s) {sorted(unknown)}"
-            )
-        raw = data.get("jobs", [])
-        if not isinstance(raw, (list, tuple)):
-            raise TrafficError("traffic trace 'jobs' must be a list")
-        return cls(jobs=tuple(_job_from_dict(entry) for entry in raw))
+        return canonical.build(
+            cls, data, TrafficError, cls.noun,
+            jobs=lambda raw: tuple(_job_from_dict(job) for job in raw),
+        )
 
     def trace_hash(self) -> str:
         """Stable content hash: equal traces schedule the same jobs."""

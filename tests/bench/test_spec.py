@@ -194,6 +194,18 @@ class TestHashing:
         assert rt == spec
         assert rt.spec_hash() == spec.spec_hash()
 
+    def test_tuple_keyword_survives_json_round_trip(self):
+        spec = SweepSpec(
+            name="y", cluster="b", nodes=2, ppn=4, sizes=(64,),
+            algorithms=("generalized",), extra=(("radices", (2, 4)),),
+        )
+        point = spec.points()[0]
+        for record in (spec, point):
+            rt = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
+            assert rt == record
+            assert hash(rt) == hash(record)
+        assert point.alg_kwargs() == {"radices": (2, 4)}
+
     def test_short_hash_is_prefix_of_full_hash(self):
         spec = small_spec()
         full = spec.full_hash()

@@ -25,7 +25,7 @@ class TestRoundTrip:
         assert RecoveryPolicy.load(str(path)) == policy
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown recovery policy"):
+        with pytest.raises(ConfigError, match="recovery policy has unknown field"):
             RecoveryPolicy.from_dict({"max_failovers": 1, "retries": 9})
 
     def test_non_object_rejected(self):
