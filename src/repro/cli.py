@@ -252,9 +252,9 @@ def _autotune(args) -> int:
     config = get_cluster(args.cluster, args.nodes)
     table = autotune_cluster(config, ppn=args.ppn, verbose=True)
     print("\ntuning table:")
-    for max_bytes, spec in table:
-        bound = "inf" if max_bytes == float("inf") else f"{int(max_bytes)}B"
-        print(f"  <= {bound:>9}: {spec.algorithm} (leaders={spec.leaders})")
+    for rule in table:
+        bound = "inf" if rule.max_bytes == float("inf") else f"{rule.max_bytes}B"
+        print(f"  <= {bound:>9}: {rule.label}")
     return 0
 
 

@@ -11,8 +11,8 @@
 * :mod:`repro.core.sharp_designs` — the SHArP node-level-leader and
   socket-level-leader designs (Section 4.3);
 * :mod:`repro.core.model` — the analytical cost model (Section 5);
-* :mod:`repro.core.tuning` — per-cluster leader-count tables and the
-  hybrid DPML-tuned selector used in the Figure 9/10 comparisons;
+* :mod:`repro.core.tuning` — the size-based selection tables, among
+  them the per-cluster DPML-tuned one of the Figure 9/10 comparisons;
 * :mod:`repro.core.autotune` — the empirical search behind those
   tables: one :class:`~repro.bench.spec.SweepSpec` per candidate group,
   then the fastest candidate per message size.
@@ -29,7 +29,6 @@ from repro.core.sharp_designs import (
     allreduce_sharp_node_leader,
     allreduce_sharp_socket_leader,
 )
-from repro.core.tuning import allreduce_dpml_tuned
 
 __all__ = [
     "CostModel",
@@ -37,7 +36,6 @@ __all__ = [
     "allreduce_dpml",
     "allreduce_dpml_multilevel",
     "allreduce_dpml_pipelined",
-    "allreduce_dpml_tuned",
     "allreduce_hierarchical",
     "allreduce_sharp_node_leader",
     "allreduce_sharp_socket_leader",

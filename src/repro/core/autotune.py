@@ -5,8 +5,9 @@ four clusters and chose the best configuration for each message size."
 
 :func:`autotune_cluster` measures the candidate configurations (leader
 counts, plain vs pipelined DPML, SHArP designs where available) over a
-set of message sizes on the simulator and returns a tuning table in the
-format :data:`repro.core.tuning.TUNING_TABLES` uses.  Each candidate
+set of message sizes on the simulator and returns
+:class:`~repro.core.tuning.Rule` rows in the shape of a
+:data:`repro.core.tuning.TUNING_TABLES` entry.  Each candidate
 group is one :class:`~repro.bench.spec.SweepSpec` run through
 :func:`~repro.bench.executor.run_sweep`, so ``REPRO_BENCH_JOBS`` fans it
 out and ``REPRO_RESULT_STORE`` answers a repeated call from the store.
@@ -16,9 +17,10 @@ out and ``REPRO_RESULT_STORE`` answers a repeated call from the store.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from repro.core.tuning import TuningSpec
+from repro.core.tuning import INF, Rule
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
 
@@ -32,19 +34,13 @@ def candidate_specs(
     config: MachineConfig,
     leader_counts: Sequence[int] = DEFAULT_LEADER_COUNTS,
     ppn: int = 28,
-) -> list[TuningSpec]:
-    """All configurations the empirical sweep considers."""
-    specs = [
-        TuningSpec("dpml", leaders=l) for l in leader_counts if l <= ppn
-    ]
-    specs += [
-        TuningSpec("dpml_pipelined", leaders=l)
-        for l in leader_counts
-        if l <= ppn and l >= 4
-    ]
+) -> list[Rule]:
+    """All configurations the empirical sweep considers, as catch-all rows."""
+    fits = [l for l in leader_counts if l <= ppn]
+    specs = [Rule(INF, "dpml", {"leaders": l}) for l in fits]
+    specs += [Rule(INF, "dpml_pipelined", {"leaders": l}) for l in fits if l >= 4]
     if config.sharp is not None:
-        specs.append(TuningSpec("sharp_node_leader"))
-        specs.append(TuningSpec("sharp_socket_leader"))
+        specs += [Rule(INF, "sharp_node_leader"), Rule(INF, "sharp_socket_leader")]
     return specs
 
 
@@ -56,9 +52,10 @@ def autotune_cluster(
     leader_counts: Sequence[int] = DEFAULT_LEADER_COUNTS,
     iterations: int = 2,
     verbose: bool = False,
-) -> list[tuple[float, TuningSpec]]:
+) -> list[Rule]:
     """Measure every candidate at every size; return the best-per-size
-    table (``[(max_bytes, spec), ..., (inf, spec)]``).
+    rows in ascending size order, neighbours won by the same candidate
+    merged and the last row unbounded: a ``TUNING_TABLES`` entry.
 
     Ties go to the candidate listed first by :func:`candidate_specs`.
     Raises :class:`~repro.errors.ConfigError` when ``ppn`` is not in
@@ -78,39 +75,41 @@ def autotune_cluster(
             f"no candidate fits ppn={ppn} with leader counts "
             f"{tuple(leader_counts)}"
         )
+    sizes = sorted(set(sizes))
     if verbose:
         print(f"autotuning {config.name} at {config.nodes} nodes x {ppn} ppn ...")
     # One sweep per group: the dpml ladder, the dpml_pipelined ladder,
     # and the leaderless SHArP designs.
-    groups: dict[str, list[TuningSpec]] = {}
+    groups: dict[str, list[Rule]] = {}
     for spec in candidates:
-        family = spec.algorithm if spec.kwargs() else "sharp"
+        family = spec.algorithm if spec.kwargs else "sharp"
         groups.setdefault(family, []).append(spec)
-    latency: dict[tuple[TuningSpec, int], float] = {}
+    latency: dict[tuple[Rule, int], float] = {}
     for family, members in groups.items():
         result = run_sweep(SweepSpec(
             name=f"autotune-{family}", cluster=config, nodes=config.nodes,
             ppn=ppn, sizes=tuple(sizes), iterations=iterations,
             algorithms=tuple(dict.fromkeys(s.algorithm for s in members)),
             leader_counts=tuple(
-                dict.fromkeys(s.kwargs().get("leaders") for s in members)
+                dict.fromkeys(dict(s.kwargs).get("leaders") for s in members)
             ),
         ))
         for spec in members:
             for size in sizes:
                 latency[spec, size] = result.samples(
-                    nbytes=size, algorithm=spec.algorithm, **spec.kwargs()
+                    nbytes=size, algorithm=spec.algorithm, **dict(spec.kwargs)
                 )[0]
-    table: list[tuple[float, TuningSpec]] = []
+    table: list[Rule] = []
     for size in sizes:
         timed = [(latency[spec, size], spec) for spec in candidates]
-        best_spec = min(timed, key=lambda pair: pair[0])[1]
+        best = min(timed, key=lambda pair: pair[0])[1]
         if verbose:
             for t, spec in timed:
-                print(f"  {size:>9}B {spec.algorithm:>20}(l={spec.leaders}) "
-                      f"{t * 1e6:10.2f} us")
-            print(f"{size:>9}B -> {best_spec}")
-        table.append((float(size), best_spec))
+                print(f"  {size:>9}B {spec.label:>28} {t * 1e6:10.2f} us")
+            print(f"{size:>9}B -> {best.label}")
+        if table and replace(table[-1], max_bytes=INF) == best:
+            table.pop()  # the same configuration wins: widen its row
+        table.append(replace(best, max_bytes=size))
     # The last row covers everything larger.
-    table[-1] = (float("inf"), table[-1][1])
+    table[-1] = replace(table[-1], max_bytes=INF)
     return table

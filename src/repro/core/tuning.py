@@ -1,135 +1,142 @@
-"""The hybrid, per-cluster tuned DPML selector (paper Sections 4 & 6.4).
-
-"A combination of several different communication algorithms that
-dynamically choose the best algorithm for different message sizes and
-system sizes is required to extract best possible performance."
+"""Selection tables: every size-based selector is rows read by one :func:`pick`.
 
 The paper's authors "performed empirical evaluation of different
 configurations on the four clusters and chose the best configuration
-for each message size".  We do the same: :data:`TUNING_TABLES` holds,
-per cluster, an ordered list of ``(max_bytes, spec)`` rows; the first
-row whose ``max_bytes`` covers the message decides the variant and
-leader count.  :mod:`repro.core.autotune` regenerates these tables
-empirically on the simulator.
+for each message size" (Section 6.4); the libraries it compares against
+pick an algorithm by message size and layout too.  Each selector is a
+table ``{cluster name: rows, None: rows}`` of :class:`Rule` rows.
+:data:`TUNING_TABLES` drives the hybrid DPML selector and
+:mod:`repro.core.autotune` regenerates its rows on the simulator;
+:mod:`repro.mpi.collectives.selector` holds the library emulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Mapping, Optional
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload
+from repro.errors import TuningError
 
 __all__ = [
-    "DPML_TUNED",
-    "TuningSpec",
-    "TUNING_TABLES",
-    "allreduce_dpml_tuned",
-    "lookup_spec",
+    "DPML_TUNED", "Rule", "TUNING_TABLES", "allreduce_selector", "pick", "select",
 ]
 
 INF = float("inf")
 
 
 @dataclass(frozen=True)
-class TuningSpec:
-    """One tuning-table row: which variant to run and how."""
+class Rule:
+    """Run ``algorithm`` with ``kwargs`` on at most ``max_bytes`` and
+    ``max_ranks``; a ``single_node`` row covers one-node comms only."""
 
-    algorithm: str  #: registry name ("dpml", "dpml_pipelined", "sharp_*", ...)
-    leaders: int = 1  #: leaders per node (ignored by sharp designs)
+    max_bytes: float
+    algorithm: str  #: registry name ("dpml", "sharp_*", "ring", ...)
+    kwargs: tuple = ()  #: keyword arguments as sorted (name, value) pairs
+    max_ranks: float = INF
+    single_node: bool = False
 
-    def kwargs(self) -> dict:
-        """Keyword arguments for the selected algorithm."""
-        if self.algorithm in ("dpml", "dpml_pipelined"):
-            return {"leaders": self.leaders}
-        return {}
+    def __post_init__(self):
+        if isinstance(self.kwargs, Mapping):
+            object.__setattr__(self, "kwargs", tuple(sorted(self.kwargs.items())))
 
-
-# Ordered (max_bytes, spec) rows per cluster.  A-C equal
-# repro.core.autotune's output at 16 nodes x 28 ppn; D differs in one
-# row (docs/calibration.md has the comparison).  The pattern matches
-# Section 6.2: one/few leaders for small messages, more leaders as the
-# message grows, SHArP for tiny messages where available, pipelined
-# DPML for very large messages.
-TUNING_TABLES: dict[str, list[tuple[float, TuningSpec]]] = {
-    "cluster-a": [
-        (512, TuningSpec("sharp_socket_leader")),
-        (2048, TuningSpec("dpml", leaders=4)),
-        (8192, TuningSpec("dpml", leaders=8)),
-        (131072, TuningSpec("dpml", leaders=16)),
-        (INF, TuningSpec("dpml_pipelined", leaders=16)),
-    ],
-    "cluster-b": [
-        (64, TuningSpec("dpml", leaders=1)),
-        (512, TuningSpec("dpml", leaders=2)),
-        (2048, TuningSpec("dpml", leaders=4)),
-        (8192, TuningSpec("dpml", leaders=8)),
-        (131072, TuningSpec("dpml", leaders=16)),
-        (INF, TuningSpec("dpml_pipelined", leaders=16)),
-    ],
-    "cluster-c": [
-        (64, TuningSpec("dpml", leaders=1)),
-        (512, TuningSpec("dpml", leaders=2)),
-        (2048, TuningSpec("dpml", leaders=4)),
-        (8192, TuningSpec("dpml", leaders=8)),
-        (131072, TuningSpec("dpml", leaders=16)),
-        (524288, TuningSpec("dpml_pipelined", leaders=16)),
-        (INF, TuningSpec("dpml", leaders=16)),
-    ],
-    "cluster-d": [
-        (64, TuningSpec("dpml", leaders=1)),
-        (512, TuningSpec("dpml", leaders=4)),
-        (2048, TuningSpec("dpml", leaders=8)),
-        (131072, TuningSpec("dpml", leaders=16)),
-        (524288, TuningSpec("dpml_pipelined", leaders=16)),
-        (INF, TuningSpec("dpml", leaders=16)),
-    ],
-}
-
-_FALLBACK_TABLE = [
-    (2048, TuningSpec("dpml", leaders=1)),
-    (16384, TuningSpec("dpml", leaders=4)),
-    (131072, TuningSpec("dpml", leaders=8)),
-    (INF, TuningSpec("dpml", leaders=16)),
-]
+    @property
+    def label(self) -> str:
+        """The call this row makes, e.g. ``dpml(leaders=4)``."""
+        args = ", ".join(f"{key}={value}" for key, value in self.kwargs)
+        return f"{self.algorithm}({args})"
 
 
-def lookup_spec(
-    cluster_name: str, nbytes: int, *, sharp_available: bool = False
-) -> TuningSpec:
-    """Tuning-table lookup for one message size."""
-    table = TUNING_TABLES.get(cluster_name, _FALLBACK_TABLE)
-    for max_bytes, spec in table:
-        if nbytes <= max_bytes:
-            if spec.algorithm.startswith("sharp") and not sharp_available:
-                continue
-            return spec
-    return table[-1][1]
+Table = Mapping[Optional[str], list]
 
 
-def allreduce_dpml_tuned(
-    comm,
-    payload: Payload,
-    op: ReduceOp,
-    tag_base: int = 0,
-) -> Generator:
-    """The proposed hybrid design: per-size best DPML/SHArP variant."""
-    from repro.mpi.collectives.registry import resolve_allreduce
-
+def pick(tables: Table, comm, nbytes: int) -> Rule:
+    """The first row of the comm's cluster table (else the ``None``
+    one) that covers the message and the comm; a ``sharp_*`` row is
+    skipped on a machine without SHArP."""
     machine = comm.machine
-    spec = lookup_spec(
-        machine.config.name,
-        payload.nbytes,
-        sharp_available=machine.sharp is not None,
-    )
-    fn = resolve_allreduce(spec.algorithm, comm)
-    result = yield from fn(comm, payload, op, tag_base=tag_base, **spec.kwargs())
+    for rule in tables.get(machine.config.name) or tables[None]:
+        if (
+            nbytes <= rule.max_bytes
+            and comm.size <= rule.max_ranks
+            and not (rule.single_node and comm.layout.multinode)
+            and not (rule.algorithm.startswith("sharp") and machine.sharp is None)
+        ):
+            return rule
+    raise TuningError(f"no selection row covers {nbytes} bytes on {comm.size} ranks")
+
+
+def select(kind: str, tables: Table, comm, nbytes: int, *args, **kwargs) -> Generator:
+    """Run the ``kind`` algorithm :func:`pick` chooses, through the registry."""
+    from repro.mpi.collectives import registry
+
+    rule = pick(tables, comm, nbytes)
+    fn = registry.resolve_collective(kind, rule.algorithm, comm)
+    result = yield from fn(comm, *args, **kwargs, **dict(rule.kwargs))
     return result
 
 
-DPML_TUNED = AllreduceAlgorithm(
-    "dpml_tuned", allreduce_dpml_tuned,
+def allreduce_selector(name: str, tables: Table, exempt: str) -> AllreduceAlgorithm:
+    """The allreduce record ``name`` that dispatches by ``tables``."""
+
+    def selector(comm, payload, op, tag_base: int = 0) -> Generator:
+        result = yield from select(
+            "allreduce", tables, comm, payload.nbytes, payload, op,
+            tag_base=tag_base,
+        )
+        return result
+
+    selector.__name__ = f"allreduce_{name}"
+    return AllreduceAlgorithm(name, selector, exempt=exempt)
+
+
+# Rows per cluster.  A-C equal repro.core.autotune's output at 16 nodes
+# x 28 ppn; D differs in one row (docs/calibration.md has the
+# comparison).  The pattern matches Section 6.2: one/few leaders for
+# small messages, more leaders as the message grows, SHArP for tiny
+# messages where available, pipelined DPML for very large messages.
+TUNING_TABLES: dict[Optional[str], list[Rule]] = {
+    "cluster-a": [
+        Rule(512, "sharp_socket_leader"),
+        Rule(2048, "dpml", {"leaders": 4}),
+        Rule(8192, "dpml", {"leaders": 8}),
+        Rule(131072, "dpml", {"leaders": 16}),
+        Rule(INF, "dpml_pipelined", {"leaders": 16}),
+    ],
+    "cluster-b": [
+        Rule(64, "dpml", {"leaders": 1}),
+        Rule(512, "dpml", {"leaders": 2}),
+        Rule(2048, "dpml", {"leaders": 4}),
+        Rule(8192, "dpml", {"leaders": 8}),
+        Rule(131072, "dpml", {"leaders": 16}),
+        Rule(INF, "dpml_pipelined", {"leaders": 16}),
+    ],
+    "cluster-c": [
+        Rule(64, "dpml", {"leaders": 1}),
+        Rule(512, "dpml", {"leaders": 2}),
+        Rule(2048, "dpml", {"leaders": 4}),
+        Rule(8192, "dpml", {"leaders": 8}),
+        Rule(131072, "dpml", {"leaders": 16}),
+        Rule(524288, "dpml_pipelined", {"leaders": 16}),
+        Rule(INF, "dpml", {"leaders": 16}),
+    ],
+    "cluster-d": [
+        Rule(64, "dpml", {"leaders": 1}),
+        Rule(512, "dpml", {"leaders": 4}),
+        Rule(2048, "dpml", {"leaders": 8}),
+        Rule(131072, "dpml", {"leaders": 16}),
+        Rule(524288, "dpml_pipelined", {"leaders": 16}),
+        Rule(INF, "dpml", {"leaders": 16}),
+    ],
+    None: [
+        Rule(2048, "dpml", {"leaders": 1}),
+        Rule(16384, "dpml", {"leaders": 4}),
+        Rule(131072, "dpml", {"leaders": 8}),
+        Rule(INF, "dpml", {"leaders": 16}),
+    ],
+}
+
+DPML_TUNED = allreduce_selector(
+    "dpml_tuned", TUNING_TABLES,
     exempt="size-dependent dispatch to other registered entries",
 )

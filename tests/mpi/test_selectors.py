@@ -5,36 +5,7 @@ import pytest
 
 from repro.machine.clusters import cluster_b, cluster_c, cluster_d
 from repro.mpi import run_job
-from repro.mpi.collectives.selector import is_multinode
 from repro.payload import SUM, SymbolicPayload, make_payload
-
-
-class TestIsMultinode:
-    def test_single_node_job(self):
-        def fn(comm):
-            yield comm.sim.timeout(0)
-            return is_multinode(comm)
-
-        res = run_job(cluster_b(1), 4, fn, ppn=4)
-        assert res.values == [False] * 4
-
-    def test_multi_node_job(self):
-        def fn(comm):
-            yield comm.sim.timeout(0)
-            return is_multinode(comm)
-
-        res = run_job(cluster_b(2), 4, fn, ppn=2)
-        assert res.values == [True] * 4
-
-    def test_split_subcomm_recomputed(self):
-        def fn(comm):
-            node_comm = yield from comm.split(
-                color=comm.machine.node_of(comm.world_rank)
-            )
-            return (is_multinode(comm), is_multinode(node_comm))
-
-        res = run_job(cluster_b(2), 4, fn, ppn=2)
-        assert all(v == (True, False) for v in res.values)
 
 
 class TestSelectorsProduceCorrectResults:

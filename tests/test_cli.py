@@ -70,3 +70,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: unrecognized arguments: --cluster c\n"
+
+
+def test_autotune_prints_each_rows_keywords(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+    argv = ["bench", "autotune", "--cluster", "a", "--nodes", "2", "--ppn", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    table = out.split("tuning table:")[1].splitlines()[1:]
+    assert table and table[-1].startswith("  <=       inf: ")
+    # SHArP designs take no leader count, so none is printed for them.
+    sharp = [line for line in out.splitlines() if "sharp_" in line]
+    assert any("sharp_node_leader()" in line for line in sharp)
+    assert not any("leaders" in line or "l=" in line for line in sharp)
+    assert "dpml(leaders=4)" in out
