@@ -67,13 +67,14 @@ def pick(tables: Table, comm, nbytes: int) -> Rule:
 
 
 def select(kind: str, tables: Table, comm, nbytes: int, *args, **kwargs) -> Generator:
-    """Run the ``kind`` algorithm :func:`pick` chooses, through the registry."""
+    """The call of the ``kind`` algorithm :func:`pick` chooses, resolved
+    through the registry.  It returns that algorithm's own generator, not
+    a wrapper: every extra ``yield from`` level is paid on each resume."""
     from repro.mpi.collectives import registry
 
     rule = pick(tables, comm, nbytes)
     fn = registry.resolve_collective(kind, rule.algorithm, comm)
-    result = yield from fn(comm, *args, **kwargs, **dict(rule.kwargs))
-    return result
+    return fn(comm, *args, **kwargs, **dict(rule.kwargs))
 
 
 def allreduce_selector(name: str, tables: Table, exempt: str) -> AllreduceAlgorithm:
