@@ -119,11 +119,12 @@ def deposit(st: PhaseState, base: tuple, index, cross) -> Generator:
     sanitizer check that its l partitions tile the vector without gaps
     or overlap.
     """
-    machine, region = st.machine, st.region
+    shm_copy, put = st.machine.shm_copy, st.region.put
+    me, bounds, total = st.me, st.bounds, st.total
     frame = (*base, index)
     for j, part in enumerate(st.payload.split(st.plan.leaders)):
-        yield machine.shm_copy(st.me, part.nbytes, cross_socket=cross[j])
-        region.put((*base, j, index), part, span=(frame, *st.bounds[j], st.total))
+        yield shm_copy(me, part.nbytes, cross_socket=cross[j])
+        put((*base, j, index), part, span=(frame, *bounds[j], total))
 
 
 def phase_copy_in(st: PhaseState) -> Generator:
@@ -170,12 +171,13 @@ def publish(st: PhaseState, result_j) -> None:
 def phase_copy_out(st: PhaseState, readers: Optional[int] = None) -> Generator:
     """Phase 4: copy every partition back out and reassemble (each is
     read by ``readers`` ranks, by default the whole node)."""
-    machine, region = st.machine, st.region
+    shm_copy, region = st.machine.shm_copy, st.region
     readers = readers or st.plan.ppn
+    me, cross, ctx, tag_base = st.me, st.cross, st.ctx, st.tag_base
     outs = []
     for j in range(st.plan.leaders):
-        result_j = yield region.read((st.ctx, st.tag_base, "out", j), readers=readers)
-        yield machine.shm_copy(st.me, result_j.nbytes, cross_socket=st.cross[j])
+        result_j = yield region.read((ctx, tag_base, "out", j), readers=readers)
+        yield shm_copy(me, result_j.nbytes, cross_socket=cross[j])
         outs.append(result_j)
     # Reassembly through the region memo: the co-located readers share
     # one materialization of the result vector.

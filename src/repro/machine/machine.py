@@ -36,7 +36,7 @@ from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
 from repro.machine.sharp import SharpTree
-from repro.machine.topology import Loc, Placement
+from repro.machine.topology import Placement
 from repro.sim import Event, FCFSQueue, LazyTable, Simulator, Tracer
 from repro.sim.timeline import Timeline
 
@@ -162,7 +162,11 @@ class Machine:
         faults=None,
     ):
         self.config = config
-        self.placement = Placement(config, nranks, ppn, nodes)
+        self.placement = placement = Placement(config, nranks, ppn, nodes)
+        # The placement's own bound methods: no forwarding call per use.
+        self.loc = placement.loc
+        self.node_of = placement.node_of
+        self.same_node = placement.same_node
         self._owns_fabric = fabric is None
         if fabric is None:
             fabric = Fabric(config, max(self.placement.nodes) + 1, sim=sim)
@@ -175,7 +179,8 @@ class Machine:
         self.sim = sim = fabric.sim
         self.tracer = Tracer(enabled=trace)
         self.nranks = nranks
-        self.ppn = self.placement.ppn
+        self.ppn = placement.ppn
+        self._nodes = placement.nodes
         self.namespace = namespace
         self.timeline = timeline
         self.noise = noise
@@ -229,18 +234,6 @@ class Machine:
 
     # -- placement shortcuts -------------------------------------------------
 
-    def loc(self, rank: int) -> Loc:
-        """Physical location of ``rank``."""
-        return self.placement.loc(rank)
-
-    def node_of(self, rank: int) -> int:
-        """Node index of ``rank``."""
-        return self.placement.node_of(rank)
-
-    def same_node(self, a: int, b: int) -> bool:
-        """Whether two ranks share a node."""
-        return self.placement.same_node(a, b)
-
     def same_socket(self, a: int, b: int) -> bool:
         """Whether two ranks share a socket (implies same node)."""
         if not self.placement.same_node(a, b):
@@ -258,19 +251,15 @@ class Machine:
 
     # -- charged primitives ----------------------------------------------------
 
-    def perturb(self, service: float) -> float:
-        """Apply the machine's noise model (identity by default)."""
-        if self.noise is None:
-            return service
-        return self.noise.perturb(service)
-
     def engine_submit(self, rank: int, service: float, label: str = "net"):
         """Submit (noised) work to a rank's engine, recording a span."""
-        service = self.perturb(service)
+        if self.noise is not None:
+            service = self.noise.perturb(service)
         ev = self.engine[rank].submit(service)
-        if self.timeline is not None and self.timeline.enabled:
+        timeline = self.timeline
+        if timeline is not None and timeline.enabled:
             done_at = ev.value  # FCFS queues decide completion eagerly
-            self.timeline.record(label, label, rank, done_at - service, done_at)
+            timeline.record(label, label, rank, done_at - service, done_at)
         return ev
 
     def compute(
@@ -283,26 +272,34 @@ class Machine:
         leaders eventually hit the memory-bandwidth wall.  Returns the
         event to ``yield``: the core's leg, followed by the memory
         engine's (None when there is nothing to charge, which a process
-        yields to go on at once).
+        yields to go on at once).  The tracer is charged the time the
+        core's engine serves.
         """
         node_cfg = self.config.node
         busy = combines * nbytes * node_cfg.reduce_byte_time
         faults = self.faults
         if faults is not None and faults.has_compute_faults:
             busy *= faults.compute_factor(rank, self.sim.now)
-        self.tracer.charge("compute", busy, combines)
+        if self.noise is not None:
+            busy = self.noise.perturb(busy)
+        if self.tracer.enabled:
+            self.tracer.charge("compute", busy, combines)
         mem_service = (
             combines * nbytes * _REDUCE_MEM_STREAMS * node_cfg.mem_byte_time
         )
         if busy > 0:
             # Serialize on the rank's engine: one core cannot combine
             # two overlapped collectives' data at the same time.
-            done = self.engine_submit(rank, busy, "compute")
+            done = self.engine[rank].submit(busy)
+            timeline = self.timeline
+            if timeline is not None and timeline.enabled:
+                done_at = done.value
+                timeline.record("compute", "compute", rank, done_at - busy, done_at)
             if mem_service > 0:
-                done.then(self.mem[self.node_of(rank)], mem_service)
+                done.then(self.mem[self._nodes[rank // self.ppn]], mem_service)
             return done
         if mem_service > 0:
-            return self.mem[self.node_of(rank)].submit(mem_service)
+            return self.mem[self._nodes[rank // self.ppn]].submit(mem_service)
         return None
 
     def shm_copy(
@@ -320,32 +317,37 @@ class Machine:
         if cross_socket:
             startup += node_cfg.intersocket_latency
             byte_time *= node_cfg.intersocket_byte_factor
-        busy = self.perturb(startup + nbytes * byte_time)
+        busy = startup + nbytes * byte_time
+        if self.noise is not None:
+            busy = self.noise.perturb(busy)
         faults = self.faults
+        sim = self.sim
         if faults is not None and faults.has_copy_faults:
-            busy *= faults.copy_factor(rank, self.sim.now)
-        self.tracer.charge("copy", busy)
-        if self.timeline is not None and self.timeline.enabled:
-            self.timeline.record(
-                "copy", "shm_copy", rank, self.sim.now, self.sim.now + busy
-            )
-        done = self.sim.timeout(busy)
+            busy *= faults.copy_factor(rank, sim.now)
+        if self.tracer.enabled:
+            self.tracer.charge("copy", busy)
+        timeline = self.timeline
+        if timeline is not None and timeline.enabled:
+            timeline.record("copy", "shm_copy", rank, sim.now, sim.now + busy)
+        done = sim.timeout(busy)
         mem_service = nbytes * node_cfg.mem_byte_time
         if mem_service > 0:
-            done.then(self.mem[self.node_of(rank)], mem_service)
+            done.then(self.mem[self._nodes[rank // self.ppn]], mem_service)
         return done
 
     def flag_sync(self) -> Event:
         """One shared-memory flag post/wait hop."""
         latency = self.config.node.flag_latency
-        self.tracer.charge("sync", latency)
+        if self.tracer.enabled:
+            self.tracer.charge("sync", latency)
         return self.sim.timeout(latency)
 
     def gather_sync(self, rank: int, parties: int) -> Event:
         """A leader confirming arrival flags from ``parties`` local ranks."""
         node_cfg = self.config.node
         latency = node_cfg.flag_latency + parties * node_cfg.poll_latency
-        self.tracer.charge("sync", latency)
+        if self.tracer.enabled:
+            self.tracer.charge("sync", latency)
         return self.sim.timeout(latency)
 
     # -- fabric cost helpers (used by the transport layer) ---------------------

@@ -5,8 +5,8 @@ caller's rank); views of the same communicator share a :class:`Group`
 that carries the member list, the context id isolating its traffic, and
 the coordination state for ``split``.
 
-Collective operations are generator methods — call them with
-``yield from`` inside a rank coroutine::
+Collective operations return the algorithm's generator — call them
+with ``yield from`` inside a rank coroutine::
 
     def main(comm):
         result = yield from comm.allreduce(payload, SUM)
@@ -292,10 +292,12 @@ class Comm:
         """
         manager = getattr(self.runtime, "recovery", None)
         if manager is None or self.group.context != 0:
-            result = yield from self._coll(
-                "allreduce", algorithm, payload, op, **kwargs
-            )
-            return result
+            return self._coll("allreduce", algorithm, payload, op, **kwargs)
+        return self._logged_allreduce(manager, payload, op, algorithm, kwargs)
+
+    def _logged_allreduce(self, manager, payload, op, algorithm, kwargs) -> Generator:
+        """A world allreduce under ``manager``: the outermost call is
+        replayed from the log after a failover, or logged once done."""
         outermost = manager.enter_collective(self.world_rank)
         try:
             if outermost:
@@ -335,21 +337,18 @@ class Comm:
         return self._icoll("allreduce", algorithm, payload, op, **kwargs)
 
     def _coll(self, kind: str, algorithm: Optional[str], *args, **kwargs) -> Generator:
+        """Check the call, resolve the algorithm and allocate its tag
+        block; returns the algorithm's own generator, not a wrapper:
+        every extra ``yield from`` level is paid on each resume."""
         from repro.mpi.collectives.registry import check_call, resolve_collective
 
         check_call(self, algorithm, kwargs, kind)
         fn = resolve_collective(kind, algorithm, self)
-        tag_base = self._alloc_coll_tags()
-        result = yield from fn(self, *args, tag_base=tag_base, **kwargs)
-        return result
+        return fn(self, *args, tag_base=self._alloc_coll_tags(), **kwargs)
 
     def _icoll(self, kind: str, algorithm: Optional[str], *args, **kwargs) -> Request:
-        from repro.mpi.collectives.registry import check_call, resolve_collective
-
-        check_call(self, algorithm, kwargs, kind)
-        fn = resolve_collective(kind, algorithm, self)
-        tag_base = self._alloc_coll_tags()
-        return self.icoll(fn, *args, tag_base=tag_base, **kwargs)
+        coll = self._coll(kind, algorithm, *args, **kwargs)
+        return self.icoll(lambda comm: coll)
 
     def reduce(
         self,
@@ -360,10 +359,7 @@ class Comm:
         **kwargs,
     ) -> Generator:
         """Blocking reduce; returns the result at ``root``, None elsewhere."""
-        result = yield from self._coll(
-            "reduce", algorithm, payload, op, root=root, **kwargs
-        )
-        return result
+        return self._coll("reduce", algorithm, payload, op, root=root, **kwargs)
 
     def ireduce(
         self,
@@ -388,10 +384,7 @@ class Comm:
         Non-root ranks may pass ``None`` (tree algorithms) or, for the
         ``"auto"`` selector, a placeholder payload of the same count.
         """
-        result = yield from self._coll(
-            "bcast", algorithm, payload, root=root, **kwargs
-        )
-        return result
+        return self._coll("bcast", algorithm, payload, root=root, **kwargs)
 
     def ibcast(
         self,
@@ -408,8 +401,7 @@ class Comm:
     ) -> Generator:
         """Blocking allgather; returns the rank-ordered concatenation of
         every rank's equal-count contribution."""
-        result = yield from self._coll("allgather", algorithm, payload, **kwargs)
-        return result
+        return self._coll("allgather", algorithm, payload, **kwargs)
 
     def reduce_scatter(
         self,
@@ -420,10 +412,7 @@ class Comm:
     ) -> Generator:
         """Blocking reduce-scatter; returns this rank's reduced chunk
         (chunk boundaries from ``split_bounds(count, size)``)."""
-        result = yield from self._coll(
-            "reduce_scatter", algorithm, payload, op, **kwargs
-        )
-        return result
+        return self._coll("reduce_scatter", algorithm, payload, op, **kwargs)
 
     def gather(
         self,
@@ -433,10 +422,7 @@ class Comm:
         **kwargs,
     ) -> Generator:
         """Blocking gather; the root returns the list of contributions."""
-        result = yield from self._coll(
-            "gather", algorithm, payload, root=root, **kwargs
-        )
-        return result
+        return self._coll("gather", algorithm, payload, root=root, **kwargs)
 
     def scatter(
         self,
@@ -447,10 +433,7 @@ class Comm:
     ) -> Generator:
         """Blocking scatter; the root provides one payload per rank and
         every rank returns its own."""
-        result = yield from self._coll(
-            "scatter", algorithm, payloads, root=root, **kwargs
-        )
-        return result
+        return self._coll("scatter", algorithm, payloads, root=root, **kwargs)
 
     def alltoall(
         self,
@@ -460,8 +443,7 @@ class Comm:
     ) -> Generator:
         """Blocking all-to-all; ``blocks[i]`` goes to rank ``i``;
         returns the list of blocks received, in source-rank order."""
-        result = yield from self._coll("alltoall", algorithm, blocks, **kwargs)
-        return result
+        return self._coll("alltoall", algorithm, blocks, **kwargs)
 
     # -- fault tolerance (ULFM-style) ---------------------------------------------------
 

@@ -200,15 +200,13 @@ class _Send(_Side):
         byte_time = node.copy_byte_time * (
             node.intersocket_byte_factor if cross else 1.0
         )
-        self.service = node.copy_latency + env.nbytes * byte_time
-        machine.engine_submit(env.src, self.service, "copy")._add_callback(
-            self.copied
-        )
+        self.occupy(node.copy_latency + env.nbytes * byte_time, "copy", self.copied)
 
     def copied(self, _) -> None:
         """The core's copy is done; the node memory engine streams it."""
         machine = self.transport.machine
-        machine.tracer.charge("copy", self.service)
+        if machine.tracer.enabled:
+            machine.tracer.charge("copy", self.service)
         mem_service = self.env.nbytes * machine.config.node.mem_byte_time
         if mem_service > 0:
             machine.mem[machine.node_of(self.env.src)].submit(
@@ -219,16 +217,31 @@ class _Send(_Side):
 
     def inject(self, nbytes: int, label: str, step) -> None:
         """Queue ``nbytes`` of injection work on the sender's engine."""
+        self.occupy(self.transport.machine.injection_service(nbytes), label, step)
+
+    def occupy(self, service: float, label: str, step) -> None:
+        """:meth:`~repro.machine.machine.Machine.engine_submit` on the
+        sender's engine that keeps the noised time served in
+        ``self.service``, the time the tracer is charged; ``step`` runs
+        once it is served."""
         machine = self.transport.machine
-        self.service = machine.injection_service(nbytes)
-        machine.engine_submit(self.env.src, self.service, label)._add_callback(
-            step
-        )
+        if machine.noise is not None:
+            service = machine.noise.perturb(service)
+        self.service = service
+        rank = self.env.src
+        done = machine.engine[rank].submit(service)
+        timeline = machine.timeline
+        if timeline is not None and timeline.enabled:
+            done_at = done.value
+            timeline.record(label, label, rank, done_at - service, done_at)
+        done._add_callback(step)
 
     def send_payload(self, step) -> None:
         """The payload left the sender's engine: the request completes
         and the payload goes over the wire."""
-        self.transport.machine.tracer.charge("net-send", self.service)
+        tracer = self.transport.machine.tracer
+        if tracer.enabled:
+            tracer.charge("net-send", self.service)
         self.req.complete()
         env = self.env
         _Wire(self.transport, env.src, env.dst, env.nbytes, step)

@@ -228,44 +228,46 @@ class SymbolicPayload(Payload):
     Used for large-scale timing runs: the simulated cost of copying,
     sending and reducing depends only on ``nbytes``, so carrying real
     arrays through a 10,240-rank simulation would be pure overhead.
+    ``count``, ``itemsize`` and ``nbytes`` are set once, at construction.
     """
 
-    __slots__ = ("_count", "_itemsize")
+    __slots__ = ("count", "itemsize", "nbytes")
 
     def __init__(self, count: int, itemsize: int = 8):
         if count < 0:
             raise PayloadError(f"negative element count: {count}")
         if itemsize <= 0:
             raise PayloadError(f"non-positive item size: {itemsize}")
-        self._count = int(count)
-        self._itemsize = int(itemsize)
-
-    @property
-    def count(self) -> int:  # type: ignore[override]
-        return self._count
-
-    @property
-    def itemsize(self) -> int:  # type: ignore[override]
-        return self._itemsize
+        self.count = count = int(count)
+        self.itemsize = itemsize = int(itemsize)
+        self.nbytes = count * itemsize
 
     def slice(self, start: int, stop: int) -> "SymbolicPayload":
-        if not (0 <= start <= stop <= self._count):
+        if not (0 <= start <= stop <= self.count):
             raise PayloadError(
-                f"slice [{start}:{stop}] out of bounds for count {self._count}"
+                f"slice [{start}:{stop}] out of bounds for count {self.count}"
             )
-        return SymbolicPayload(stop - start, self._itemsize)
+        return _symbolic(stop - start, self.itemsize)
 
     def reduce(self, other: Payload, op: ReduceOp) -> "SymbolicPayload":
         self._check_compatible(other)
         if isinstance(other, DataPayload):
             raise PayloadError("cannot mix data and symbolic payloads in reduce()")
-        return SymbolicPayload(self._count, self._itemsize)
+        return _symbolic(self.count, self.itemsize)
 
     def copy(self) -> "SymbolicPayload":
-        return SymbolicPayload(self._count, self._itemsize)
+        return _symbolic(self.count, self.itemsize)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymbolicPayload(count={self._count}, itemsize={self._itemsize})"
+        return f"SymbolicPayload(count={self.count}, itemsize={self.itemsize})"
+
+
+def _symbolic(count: int, itemsize: int) -> SymbolicPayload:
+    """A :class:`SymbolicPayload` of a count and item size already known
+    to be valid ints, without the public constructor's checks."""
+    p = object.__new__(SymbolicPayload)
+    p.count, p.itemsize, p.nbytes = count, itemsize, count * itemsize
+    return p
 
 
 class Bundle(Payload):
@@ -346,7 +348,7 @@ def concat(parts: Sequence[Payload]) -> Payload:
     if len(itemsizes) != 1:
         raise PayloadError(f"mixed item sizes in concat: {sorted(itemsizes)}")
     if all(isinstance(p, SymbolicPayload) for p in parts):
-        return SymbolicPayload(sum(p.count for p in parts), parts[0].itemsize)
+        return _symbolic(sum(p.count for p in parts), parts[0].itemsize)
     if all(isinstance(p, DataPayload) for p in parts):
         joined = _sibling_range(parts)
         if joined is not None:

@@ -490,21 +490,13 @@ class Simulator:
         # bool forces it, and a Sanitizer instance is installed as-is
         # (lazy import: repro.check sits above the kernel in the
         # layering and must not be a hard dependency of it).
+        # ``self.sanitizer`` is the installed Sanitizer, or None.
         if sanitize is None or sanitize is True or sanitize is False:
             from repro.check.sanitizer import as_sanitizer
 
-            self._sanitizer = as_sanitizer(sanitize)
+            self.sanitizer = as_sanitizer(sanitize)
         else:
-            self._sanitizer = sanitize
-
-    @property
-    def sanitizer(self):
-        """The installed :class:`~repro.check.sanitizer.Sanitizer` (or None)."""
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value) -> None:
-        self._sanitizer = value
+            self.sanitizer = sanitize
 
     def reset(self) -> None:
         """Rewind to the pristine ``t=0`` state of a fresh simulator.
@@ -543,8 +535,8 @@ class Simulator:
         for queue in self._queues:
             queue.reset()
         self._queues.clear()
-        if self._sanitizer is not None:
-            self._sanitizer.reset()
+        if self.sanitizer is not None:
+            self.sanitizer.reset()
 
     def counters(self) -> dict[str, int]:
         """Deterministic kernel counters since construction/:meth:`reset`.
@@ -735,7 +727,7 @@ class Simulator:
         cal = self._cal
         times = self._times
         live = self._live_processes
-        sanitizer = self._sanitizer
+        sanitizer = self.sanitizer
         pooling = _getrefcount is not None
         getrefcount = _getrefcount
         pool_event = self._pool_event

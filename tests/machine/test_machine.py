@@ -6,7 +6,11 @@ from repro.errors import ConfigError
 from repro.machine.clusters import cluster_a, cluster_b, cluster_c
 from repro.machine.config import FabricConfig, MachineConfig, NodeConfig
 from repro.machine.machine import Machine
+from repro.machine.noise import NoiseModel
+from repro.mpi import run_job
+from repro.payload import SymbolicPayload
 from repro.sim import Simulator
+from repro.sim.timeline import Timeline
 
 
 def make_machine(nranks=8, ppn=4, nodes=2, **cfg_kw):
@@ -94,6 +98,51 @@ class TestChargedPrimitives:
         m2 = make_machine()
         t28 = run_gen(m2, m2.gather_sync(0, 28))
         assert t28 > t1
+
+
+class TestChargesUnderNoise:
+    """Under noise the tracer is charged the time the queue served."""
+
+    @staticmethod
+    def noisy_machine(seed):
+        return Machine(
+            cluster_b(2), 4, ppn=2, trace=True, noise=NoiseModel(0.3, seed),
+            timeline=Timeline(),
+        )
+
+    @staticmethod
+    def one_send(machine, dst, nbytes):
+        def fn(comm):
+            if comm.rank == 0:
+                yield from comm.send(dst, SymbolicPayload(nbytes // 8))
+            elif comm.rank == dst:
+                yield from comm.recv(0)
+
+        run_job(machine, 4, fn)
+
+    def test_compute(self):
+        m = self.noisy_machine(1)
+        run_gen(m, m.compute(0, 65536, combines=3))
+        served = m.engine[0].served_time
+        assert served != 65536 * 3 * m.config.node.reduce_byte_time
+        assert m.tracer.time("compute") == served
+
+    def test_inter_node_eager_send(self):
+        m = self.noisy_machine(2)
+        self.one_send(m, 2, 1024)
+        assert m.tracer.count("net-send") == 1
+        assert m.tracer.time("net-send") == m.engine[0].served_time
+
+    def test_intra_node_eager_send(self):
+        # The sender's copy into the shm FIFO runs on its engine, the
+        # receiver's copy out is a shared-memory copy; both are spans.
+        m = self.noisy_machine(2)
+        self.one_send(m, 1, 1024)
+        spans = [s for s in m.timeline.spans if s.category == "copy"]
+        assert m.tracer.count("copy") == len(spans) == 2
+        assert m.tracer.time("copy") == pytest.approx(
+            sum(s.duration for s in spans), rel=1e-12
+        )
 
 
 class TestFabricHelpers:

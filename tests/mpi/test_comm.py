@@ -168,6 +168,47 @@ class TestCollectiveErrors:
 
         run_job(cluster_b(2), 2, fn, ppn=1)
 
+    #: kind -> (the blocking wrapper's call, the algorithm whose
+    #: keywords are checked: an allreduce without one checks none).
+    WRAPPERS = {
+        "allreduce": (lambda comm, p, **kw: comm.allreduce(p, SUM, **kw), "dpml"),
+        "reduce": (lambda comm, p, **kw: comm.reduce(p, SUM, **kw), None),
+        "bcast": (lambda comm, p, **kw: comm.bcast(p, **kw), None),
+        "allgather": (lambda comm, p, **kw: comm.allgather(p, **kw), None),
+        "reduce_scatter": (
+            lambda comm, p, **kw: comm.reduce_scatter(p, SUM, **kw), None
+        ),
+        "gather": (lambda comm, p, **kw: comm.gather(p, **kw), None),
+        "scatter": (lambda comm, p, **kw: comm.scatter([p] * comm.size, **kw), None),
+        "alltoall": (
+            lambda comm, p, **kw: comm.alltoall([p] * comm.size, **kw), None
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(WRAPPERS))
+    def test_wrapper_raises_at_the_call(self, kind):
+        """An unknown algorithm, a bad keyword and a revoked communicator
+        raise when the wrapper is called, before any simulated time."""
+        from repro.errors import CommRevokedError, TuningError
+
+        call, keyed = self.WRAPPERS[kind]
+
+        def fn(comm):
+            payload = SymbolicPayload(8, 4)
+            with pytest.raises(TuningError, match="unknown"):
+                call(comm, payload, algorithm="nope")
+            with pytest.raises(ConfigError, match="bogus"):
+                call(comm, payload, algorithm=keyed, bogus=1)
+            comm.revoke()
+            with pytest.raises(CommRevokedError):
+                call(comm, payload)
+            assert comm.now == 0.0
+            yield comm.sim.timeout(0)
+            return kind
+
+        res = run_job(cluster_b(2), 4, fn, ppn=2)
+        assert res.values == [kind] * 4
+
 
 class TestDup:
     def test_dup_same_group_fresh_context(self):
