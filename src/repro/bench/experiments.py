@@ -99,9 +99,10 @@ def _data(result: FigureResult):
     return result.meta["data"]
 
 
-def rel(size, pairs):
-    """Fig. 1: relative throughput of ``pairs`` pairs at ``size``."""
-    return lambda r: _data(r)[size][pairs]
+def cell(row, column):
+    """``data[row][column]``, e.g. Fig. 1's relative throughput of
+    ``column`` pairs at size ``row``."""
+    return lambda r: _data(r)[row][column]
 
 
 def rel_min(pairs):
@@ -121,6 +122,11 @@ def rel_growth(r):
 def ratio(size, num, den):
     """``data[size][num] / data[size][den]`` (latency or time ratio)."""
     return lambda r: _data(r)[size][num] / _data(r)[size][den]
+
+
+def across(num, den):
+    """E16: the ``time`` of row ``num`` over that of row ``den``."""
+    return lambda r: _data(r)[num]["time"] / _data(r)[den]["time"]
 
 
 def best_leaders(size):
@@ -143,11 +149,11 @@ def leader_steps(size, counts):
 
 
 def speedup_max(base, alg="dpml_tuned"):
-    """The largest ``base / alg`` latency ratio over sizes."""
-    return lambda r: max(d[base] / d[alg] for d in _data(r).values())
+    """The largest ``base / alg`` latency ratio over the sizes with ``alg``."""
+    return lambda r: max(d[base] / d[alg] for d in _data(r).values() if alg in d)
 
 
-def speedup_min(base, alg, from_size):
+def speedup_min(base, alg, from_size=0):
     """The smallest ``base / alg`` latency ratio at ``from_size`` and up."""
     return lambda r: min(
         d[base] / d[alg] for s, d in _data(r).items() if s >= from_size
@@ -157,14 +163,6 @@ def speedup_min(base, alg, from_size):
 def gap_ratio(r):
     """Max speedup vs MVAPICH2 over max speedup vs Intel MPI."""
     return speedup_max("mvapich2")(r) / speedup_max("intel_mpi")(r)
-
-
-def node_over_socket(r):
-    """Fig. 8: the smallest node-leader / socket-leader ratio over sizes."""
-    return min(
-        d["sharp_node_leader"] / d["sharp_socket_leader"]
-        for d in _data(r).values()
-    )
 
 
 def designs_apart(r):
@@ -244,6 +242,18 @@ def lead_over_others(alg):
     )
 
 
+def hidden_share(r):
+    """E15: the share of the SHArP switch time hidden by the overlap."""
+    d = _data(r)["sharp iallreduce"]
+    return (d["serial"] - d["overlapped"]) / (d["serial"] - d["compute"])
+
+
+def skew_delay(pick):
+    """E20: ``pick`` over the panel of the delay per call a 1 ms arrival
+    skew adds, in units of the skew."""
+    return lambda r: pick((d[1e-3] - d[0.0]) / 1e-3 for d in _data(r).values())
+
+
 def degradation_ratio(r):
     """E18: rabenseifner's slowdown over dpml's, fewest to most tenants."""
     data = _data(r)
@@ -285,8 +295,8 @@ _EXPERIMENTS: list[Experiment] = [
         "E1b", "fig1b",
         "Fig. 1(b): InfiniBand relative throughput grows with pairs at "
         "all message sizes",
-        (Claim("14 pairs at 64 B", rel(64, 14), 14, near(14, 10)),
-         Claim("14 pairs at 1 MB", rel(1048576, 14), None, (6.0, 21.0)),
+        (Claim("14 pairs at 64 B", cell(64, 14), 14, near(14, 10)),
+         Claim("14 pairs at 1 MB", cell(1048576, 14), None, (6.0, 21.0)),
          ordering("more pairs, more throughput (smallest step)", rel_growth,
                   hi=2.0)),
     ),
@@ -294,15 +304,15 @@ _EXPERIMENTS: list[Experiment] = [
         "E1c", "fig1c",
         "Fig. 1(c): Omni-Path shows zones A (scales), B (partial), C "
         "(flat at ~1)",
-        (Claim("zone A: 14 pairs at 64 B", rel(64, 14), 14, near(14, 10)),
-         Claim("zone B: 14 pairs at 16 KB", rel(16384, 14), None, (2.0, 10.0)),
-         Claim("zone C: 14 pairs at 1 MB", rel(1048576, 14), 1, near(1, hi=1.6))),
+        (Claim("zone A: 14 pairs at 64 B", cell(64, 14), 14, near(14, 10)),
+         Claim("zone B: 14 pairs at 16 KB", cell(16384, 14), None, (2.0, 10.0)),
+         Claim("zone C: 14 pairs at 1 MB", cell(1048576, 14), 1, near(1, hi=1.6))),
     ),
     Experiment(
         "E1d", "fig1d",
         "Fig. 1(d): same zones on KNL with more processes",
-        (Claim("zone A: 32 pairs at 64 B", rel(64, 32), 32, near(32, 24)),
-         Claim("zone C: 32 pairs at 1 MB", rel(1048576, 32), 1, near(1, hi=2.0))),
+        (Claim("zone A: 32 pairs at 64 B", cell(64, 32), 32, near(32, 24)),
+         Claim("zone C: 32 pairs at 1 MB", cell(1048576, 32), 1, near(1, hi=2.0))),
     ),
     Experiment(
         "E2", "fig4",
@@ -352,7 +362,8 @@ _EXPERIMENTS: list[Experiment] = [
                "sharp_node_leader"), 1.46, near(1.46, 1.3)),
          Claim("socket-leader speedup at 16 B", ratio(16, "mvapich2",
                "sharp_socket_leader"), 1.73, near(1.73, 1.7)),
-         ordering("node-leader / socket-leader, every size", node_over_socket),
+         ordering("node-leader / socket-leader, every size",
+                  speedup_min("sharp_node_leader", "sharp_socket_leader")),
          ordering("node-leader / host-based at 4 KB",
                   ratio(4096, "sharp_node_leader", "mvapich2")),
          Claim("host-based beats node-leader from (bytes)", crossover, 4096,
@@ -513,6 +524,81 @@ _EXPERIMENTS: list[Experiment] = [
                   lead_over_others("dpml")),
          ordering("rabenseifner slowdown / dpml slowdown, 1 -> 4 tenants",
                   degradation_ratio)),
+    ),
+    Experiment(
+        "E14", "design",
+        "Design ablations: rendezvous for every message pays the RTS/CTS "
+        "handshake; the tuned selector matches a fixed 16-leader DPML and "
+        "beats it where 16 leaders are wrong",
+        (ordering("rendezvous / eager at 32 KB",
+                  ratio(32768, "rendezvous", "eager")),
+         ordering("rendezvous / eager at 128 KB",
+                  ratio(131072, "rendezvous", "eager"), xfail=0.973),
+         Claim("largest tuned / fixed-16 ratio",
+               speedup_max("dpml_tuned", "dpml l=16"), None, near(1, hi=1.1)),
+         ordering("fixed-16 / tuned at 64 B", ratio(64, "dpml l=16", "dpml_tuned"))),
+        note="The 128 KB case has missed its band since each latency point "
+        "became one fenced call: whether the eager sender's copy into the "
+        "shm FIFO should pay the inter-socket latency is an open model "
+        "question (ROADMAP, float ties).",
+    ),
+    Experiment(
+        "E14b", "multilevel",
+        "Section 3: shallow hierarchies beat deeper ones; flat DPML vs a "
+        "socket-level two-level variant",
+        (ordering("smallest two-level / flat ratio",
+                  speedup_min("dpml_multilevel", "dpml")),),
+    ),
+    Experiment(
+        "E15", "future",
+        "Section 8 future work: multi-leader DPML reduce and bcast; a "
+        "non-blocking SHArP allreduce overlapping host compute",
+        tuple(Claim(f"binomial / DPML {kind} at {size}",
+                    ratio(f"{kind} {size}", "binomial", "dpml"), None, (lo, ORDER_HI))
+              for size, lo in (("1MB", 1.5), ("64B", 1 / 3))
+              for kind in ("reduce", "bcast"))
+        # Overlap can at most halve the serial sum, and hide at most all
+        # of the switch time.
+        + (ordering("serial / overlapped SHArP allreduce + compute",
+                    ratio("sharp iallreduce", "serial", "overlapped"), hi=2.0),
+           Claim("share of the switch time hidden", hidden_share, None,
+                 (0.3, 1.0))),
+    ),
+    Experiment(
+        "E16", "fattree",
+        "Cluster D's oversubscribed fat tree: packed tenants never touch "
+        "the spine, spread ones saturate it; switch hops cost a small "
+        "message little; 16 leaders still beat one under congestion",
+        (Claim("packed tenants' peak link use", cell("packed", "peak-util"),
+               None, (0.0, 1e-12)),
+         Claim("spread tenants' peak link use", cell("spread", "peak-util"),
+               None, (0.9, 1.0)),  # a share of link capacity
+         Claim("spread / packed elapsed", across("spread", "packed"),
+               None, (1.5, ORDER_HI)),
+         ordering("routed / flat p50 at 256 B",
+                  across("routed 256B", "flat 256B"), hi=1.25),
+         Claim("1-leader / 16-leader p50 at 512 KB, congested",
+               across("l=1 512KB", "l=16 512KB"), None, (2.5, 16.0))),
+    ),
+    Experiment(
+        "E19", "sharp-v2",
+        "Extension (not in the paper): SHArP v2 streaming beats host-based "
+        "well past v1's 2-4 KB crossover; 16-leader DPML keeps 1 MB",
+        (ordering("smallest v1 / v2 ratio", speedup_min("sharp v1", "sharp v2")),
+         ordering("host-based / v2 at 64 KB", ratio(65536, "mvapich2", "sharp v2")),
+         ordering("v2 / DPML at 1 MB", ratio(1048576, "sharp v2", "dpml l=16"))),
+    ),
+    Experiment(
+        "E20", "pap",
+        "Extension (not in the paper): allreduce time grows with "
+        "process-arrival skew (Proficz, arXiv:1804.05349); a 1 ms skew "
+        "shows in every design's time, yet none serialises on it",
+        (Claim("smallest added time per call / 1 ms skew", skew_delay(min),
+               None, (0.0, 2.0)),
+         Claim("largest added time per call / 1 ms skew", skew_delay(max),
+               None, (0.0, 2.0))),
+        note="The skew is paid once per job of three calls, so each call "
+        "carries about a third of it.",
     ),
 ]
 

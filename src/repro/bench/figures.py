@@ -3,7 +3,7 @@
 Every :data:`FIGURES` entry runs the corresponding experiment and
 returns a :class:`FigureResult` whose ``rows`` hold the same series the
 paper plots and whose ``table`` is a printable rendition.  Figures
-4-10 and ``families`` are records of :data:`repro.bench.spec.SWEEPS`,
+4-10 and two extensions are records of :data:`repro.bench.spec.SWEEPS`,
 all regenerated by :func:`sweep_figure`; the rest have a function each.
 The claim records of :mod:`repro.bench.experiments` check the paper's
 numbers against the results' ``meta["data"]``; the CLI (``python -m
@@ -20,13 +20,14 @@ long run.  Each row of EXPERIMENTS.md records which scale produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from repro.apps.hpcg import run_hpcg
 from repro.apps.miniamr import run_miniamr
-from repro.apps.osu import relative_throughput
+from repro.apps.osu import osu_collective_latency, relative_throughput
 from repro.bench.executor import run_sweep
 from repro.bench.report import format_size, format_table, format_us
 from repro.bench.spec import (
@@ -38,7 +39,13 @@ from repro.bench.spec import (
     resolve_config,
 )
 from repro.core.model import CostModel
+from repro.faults.plan import ArrivalSkew, FaultPlan
 from repro.machine.clusters import cluster_a, cluster_b, cluster_c, cluster_d
+from repro.machine.fattree import FatTreeConfig
+from repro.mpi.runtime import SimSession, run_job
+from repro.payload import SUM, SymbolicPayload
+from repro.traffic.runner import run_traffic
+from repro.traffic.workload import JobSpec, TrafficTrace
 
 __all__ = [
     "FigureResult",
@@ -49,7 +56,13 @@ __all__ = [
     "fig11a_hpcg",
     "fig11bc_miniamr",
     "model_validation",
+    "latency_series",
     "ablation_pipeline",
+    "ablation_design",
+    "sharp_v2",
+    "future_work",
+    "fattree_congestion",
+    "pap_imbalance",
     "traffic_tenancy",
     "FIGURES",
 ]
@@ -79,6 +92,31 @@ def _scale_meta(nodes: int, ppn: int) -> dict:
         "nodes": nodes,
         "ppn": ppn,
     }
+
+
+def _table(name, data, key, meta, label=str, formats=None) -> FigureResult:
+    """The figure of ``data`` (``{row: {column: value}}``): one table
+    row per row key, named by ``label`` in the ``key`` column.  A value
+    prints through ``formats[column]`` (default: seconds as us); a
+    column that a row lacks stays blank.  ``meta`` may replace
+    ``meta["data"]`` with the numbers the claims read."""
+    formats = formats or {}
+    columns = list(dict.fromkeys(str(c) for cells in data.values() for c in cells))
+    rows = [
+        {key: label(k), **{str(c): formats.get(c, format_us)(v)
+                           for c, v in cells.items()}}
+        for k, cells in data.items()
+    ]
+    return FigureResult(name=name, rows=rows, columns=[key] + columns,
+                        meta={"data": data, **meta})
+
+
+def _gain(value: float) -> str:
+    return f"{value:+.0%}"
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.2f}"
 
 
 # ---------------------------------------------------------------- Figure 1
@@ -129,7 +167,7 @@ def render_sweep(result: SweepResult) -> FigureResult:
     """
     spec = result.spec
     record = SWEEPS[spec.name]
-    if spec.leader_counts == (None,):
+    if len(spec.algorithms) > 1:
         data = result.by_size_algorithm()
         renames = dict(record.renames)
         series = {alg: renames.get(alg, alg) for alg in spec.algorithms}
@@ -174,40 +212,28 @@ def sweep_figure(
 
 def fig11a_hpcg(iterations: int = 20) -> FigureResult:
     """Fig. 11(a): HPCG DDOT time, host vs SHArP designs (Cluster A)."""
-    algorithms = ["mvapich2", "sharp_node_leader", "sharp_socket_leader"]
-    rows = []
-    data: dict[int, dict[str, float]] = {}
-    for nranks in (56, 224, 448):
-        nodes = nranks // 28
-        data[nranks] = {}
-        for alg in algorithms:
-            res = run_hpcg(
-                cluster_a(nodes),
-                nranks=nranks,
-                ppn=28,
-                local_grid=(8, 8, 8),
-                iterations=iterations,
-                allreduce_algorithm=alg,
-            )
-            data[nranks][alg] = res.ddot_time
-        host = data[nranks]["mvapich2"]
-        rows.append(
-            {
-                "ranks": nranks,
-                "host-ddot(us)": format_us(host),
-                "node-leader(us)": format_us(data[nranks]["sharp_node_leader"]),
-                "socket-leader(us)": format_us(data[nranks]["sharp_socket_leader"]),
-                "nl-improvement": f"{(host - data[nranks]['sharp_node_leader']) / host:+.0%}",
-                "sl-improvement": f"{(host - data[nranks]['sharp_socket_leader']) / host:+.0%}",
-            }
-        )
-    return FigureResult(
-        name="Figure 11(a): HPCG DDOT time, Cluster A, 28 ppn",
-        rows=rows,
-        columns=["ranks", "host-ddot(us)", "node-leader(us)", "socket-leader(us)",
-                 "nl-improvement", "sl-improvement"],
-        meta={"data": data, "scale": "paper scale (56-448 ranks)"},
-    )
+    data = {
+        nranks: {
+            alg: run_hpcg(cluster_a(nranks // 28), nranks=nranks, ppn=28,
+                          local_grid=(8, 8, 8), iterations=iterations,
+                          allreduce_algorithm=alg).ddot_time
+            for alg in ("mvapich2", "sharp_node_leader", "sharp_socket_leader")
+        }
+        for nranks in (56, 224, 448)
+    }
+    cells = {
+        nranks: {
+            "host-ddot(us)": d["mvapich2"],
+            "node-leader(us)": d["sharp_node_leader"],
+            "socket-leader(us)": d["sharp_socket_leader"],
+            "nl-improvement": (d["mvapich2"] - d["sharp_node_leader"]) / d["mvapich2"],
+            "sl-improvement": (d["mvapich2"] - d["sharp_socket_leader"]) / d["mvapich2"],
+        }
+        for nranks, d in data.items()
+    }
+    return _table("Figure 11(a): HPCG DDOT time, Cluster A, 28 ppn", cells,
+                  "ranks", {"data": data, "scale": "paper scale (56-448 ranks)"},
+                  formats={"nl-improvement": _gain, "sl-improvement": _gain})
 
 
 def fig11bc_miniamr(steps: int = 6) -> FigureResult:
@@ -216,40 +242,23 @@ def fig11bc_miniamr(steps: int = 6) -> FigureResult:
         setups = [("C", cluster_c(64), 28), ("D", cluster_d(64), 64)]
     else:
         setups = [("C", cluster_c(16), 28), ("D", cluster_d(16), 32)]
-    algorithms = ["mvapich2", "intel_mpi", "dpml_tuned"]
-    rows = []
     data: dict[str, dict[str, float]] = {}
+    cells = {}
     for label, cfg, ppn in setups:
-        data[label] = {}
-        for alg in algorithms:
-            res = run_miniamr(
-                cfg,
-                nranks=cfg.nodes * ppn,
-                ppn=ppn,
-                steps=steps,
-                initial_blocks=64,
-                allreduce_algorithm=alg,
-            )
-            data[label][alg] = res.refine_time
-        mv, im, dp = (data[label][a] for a in algorithms)
-        rows.append(
-            {
-                "cluster": label,
-                "ranks": cfg.nodes * ppn,
-                "mvapich2(ms)": f"{mv * 1e3:.2f}",
-                "intel(ms)": f"{im * 1e3:.2f}",
-                "dpml(ms)": f"{dp * 1e3:.2f}",
-                "vs-mvapich2": f"{(mv - dp) / mv:+.0%}",
-                "vs-intel": f"{(im - dp) / im:+.0%}",
-            }
-        )
-    return FigureResult(
-        name="Figure 11(b,c): miniAMR mesh refinement time",
-        rows=rows,
-        columns=["cluster", "ranks", "mvapich2(ms)", "intel(ms)", "dpml(ms)",
-                 "vs-mvapich2", "vs-intel"],
-        meta={"data": data,
-              "scale": "paper scale" if paper_scale() else "reduced scale"},
+        data[label] = {
+            alg: run_miniamr(cfg, nranks=cfg.nodes * ppn, ppn=ppn, steps=steps,
+                             initial_blocks=64, allreduce_algorithm=alg).refine_time
+            for alg in ("mvapich2", "intel_mpi", "dpml_tuned")
+        }
+        mv, im, dp = data[label].values()
+        cells[label] = {"ranks": cfg.nodes * ppn, "mvapich2(ms)": mv,
+                        "intel(ms)": im, "dpml(ms)": dp,
+                        "vs-mvapich2": (mv - dp) / mv, "vs-intel": (im - dp) / im}
+    return _table(
+        "Figure 11(b,c): miniAMR mesh refinement time", cells, "cluster",
+        {"data": data, "scale": "paper scale" if paper_scale() else "reduced scale"},
+        formats={"ranks": str, "mvapich2(ms)": _ms, "intel(ms)": _ms,
+                 "dpml(ms)": _ms, "vs-mvapich2": _gain, "vs-intel": _gain},
     )
 
 
@@ -295,8 +304,16 @@ def model_validation(iterations: int = 2) -> FigureResult:
     )
 
 
-#: Pipeline unit sizes of the E13 ablation.
-_PIPELINE_UNITS = (8192, 16384, 65536)
+def latency_series(name: str, series: dict, meta: dict) -> FigureResult:
+    """One column per ``label: spec`` of ``series``, one row per size:
+    each spec, run through :func:`~repro.bench.executor.run_sweep`,
+    sweeps one algorithm at one leader count."""
+    data: dict[int, dict[str, float]] = {}
+    for label, spec in series.items():
+        for size, times in run_sweep(spec).by_size_algorithm().items():
+            (latency,) = times.values()
+            data.setdefault(size, {})[label] = latency
+    return _table(name, dict(sorted(data.items())), "size", meta, format_size)
 
 
 def ablation_pipeline(iterations: int = 1) -> FigureResult:
@@ -313,29 +330,187 @@ def ablation_pipeline(iterations: int = 1) -> FigureResult:
         sizes=(524288, 2097152), leader_counts=(16,), iterations=iterations,
     )
     series = {"plain": plain} | {
-        unit: plain.with_overrides(
+        f"k-unit={format_size(unit)}": plain.with_overrides(
             algorithms=("dpml_pipelined",), extra={"pipeline_unit": unit}
         )
-        for unit in _PIPELINE_UNITS
+        for unit in (8192, 16384, 65536)
     }
-    measured = {key: run_sweep(spec).by_size_leaders() for key, spec in series.items()}
-    data = {
-        size: {key: measured[key][size][16] for key in series}
-        for size in plain.sizes
-    }
-    columns = ["plain"] + [f"k-unit={format_size(u)}" for u in _PIPELINE_UNITS]
-    rows = [
-        {
-            "size": format_size(size),
-            **{col: format_us(data[size][key]) for col, key in zip(columns, series)},
+    return latency_series("Ablation: DPML vs DPML-Pipelined, Cluster C (us)",
+                          series, _scale_meta(plain.nodes, plain.ppn))
+
+
+def ablation_design() -> FigureResult:
+    """E14: every message eager vs every message rendezvous (recursive
+    doubling, Cluster B at 8 x 8), and the tuned selector vs a fixed
+    16-leader DPML (16 x 28)."""
+    base = cluster_b(8)
+    eager, rendezvous = (
+        SweepSpec(name="ablation-eager", nodes=8, ppn=8, sizes=(32768, 131072),
+                  cluster=replace(base, fabric=replace(base.fabric, eager_threshold=n)),
+                  algorithms=("recursive_doubling",))
+        for n in (1 << 22, 0)
+    )
+    fixed = SweepSpec(name="ablation-tuning", cluster="b", nodes=16, ppn=28,
+                      sizes=(64, 1024, 65536, 524288), leader_counts=(16,))
+    tuned = fixed.with_overrides(algorithms=("dpml_tuned",), leader_counts=(None,))
+    return latency_series(
+        "Ablation: eager vs rendezvous, tuned vs fixed leaders, Cluster B (us)",
+        {"eager": eager, "rendezvous": rendezvous, "dpml l=16": fixed,
+         "dpml_tuned": tuned},
+        {"scale": "8 nodes x 8 ppn (eager, rendezvous), 16 x 28 (dpml)"},
+    )
+
+
+def sharp_v2() -> FigureResult:
+    """E19: the socket-leader design on SHArP v2 streaming aggregation
+    (``SharpConfig(streaming=True)``, no 256-byte segments) vs v1, and
+    both vs host-based MVAPICH2 and 16-leader DPML (Cluster A, 16 x 28)."""
+    v1 = SweepSpec(name="sharp-v2", cluster="a", nodes=16, ppn=28,
+                   sizes=(2048, 65536, 1048576),
+                   algorithms=("sharp_socket_leader",))
+    base = cluster_a(16)
+    v2 = replace(base, sharp=replace(base.sharp, streaming=True))
+    return latency_series(
+        "SHArP v1 vs v2 streaming vs host-based designs, Cluster A (us)",
+        {"sharp v1": v1, "sharp v2": v1.with_overrides(cluster=v2),
+         "mvapich2": v1.with_overrides(algorithms=("mvapich2",)),
+         "dpml l=16": v1.with_overrides(algorithms=("dpml",), leader_counts=(16,))},
+        {"scale": "16 nodes x 28 ppn"},
+    )
+
+
+#: E15's host work (seconds) beside a non-blocking SHArP allreduce.
+_COMPUTE = 30e-6
+
+
+def _overlap_job(comm, overlap: bool):
+    """A 256-byte SHArP allreduce and :data:`_COMPUTE` of host work,
+    overlapped (non-blocking) or one after the other."""
+    payload = SymbolicPayload(64, 4)
+    t0 = comm.now
+    if overlap:
+        request = comm.iallreduce(payload, SUM, algorithm="sharp_node_leader")
+        yield comm.sim.timeout(_COMPUTE)
+        yield from comm.wait(request)
+    else:
+        yield from comm.allreduce(payload, SUM, algorithm="sharp_node_leader")
+        yield comm.sim.timeout(_COMPUTE)
+    return comm.now - t0
+
+
+def future_work() -> FigureResult:
+    """E15: Section 8's future work.  DPML reduce and bcast vs the
+    binomial trees (Cluster B, 16 nodes x 8 ppn), and a non-blocking
+    SHArP allreduce overlapping host work (Cluster A, 8 nodes x 4 ppn)."""
+    data: dict[str, dict[str, float]] = {
+        f"{kind} {format_size(size)}": {
+            alg: osu_collective_latency(cluster_b(16), kind, size, nranks=128,
+                                        ppn=8, algorithm=alg, iterations=2)
+            for alg in ("binomial", "dpml")
         }
-        for size in plain.sizes
-    ]
-    return FigureResult(
-        name="Ablation: DPML vs DPML-Pipelined, Cluster C (us)",
-        rows=rows,
-        columns=["size"] + columns,
-        meta={"data": data, **_scale_meta(plain.nodes, plain.ppn)},
+        for kind, size in product(("reduce", "bcast"), (64, 1 << 20))
+    }
+    data["sharp iallreduce"] = {"compute": _COMPUTE} | {
+        mode: max(run_job(cluster_a(8), 32, _overlap_job, ppn=4,
+                          args=(mode == "overlapped",)).values)
+        for mode in ("serial", "overlapped")
+    }
+    return _table("Section 8 future work: rooted DPML, non-blocking SHArP (us)",
+                  data, "case", {"scale": "128 ranks (reduce, bcast), 32 (SHArP)"})
+
+
+def _peak_util(result) -> float:
+    """The scraper's peak link utilisation over a traffic run."""
+    return max(
+        (s["links"]["util_max"] for s in result.series if s["links"]),
+        default=0.0,
+    )
+
+
+def fattree_congestion() -> FigureResult:
+    """E16: what Cluster D's fat tree adds to the endpoint-only fabric.
+
+    Four 2 x 2 tenants stream 1 MB DPML allreduces through one thin
+    spine link, packed in one leaf or spread across leaves (time: the
+    run's elapsed); a 16 x 16 DPML job runs alone at 256 B on the flat
+    fabric and a routed tree, and at 512 KB with 1 and 16 leaders on a
+    congested tree (time: its p50).  Each row has the peak link use.
+    """
+    def tree(nodes: int, **kw):
+        return replace(cluster_d(nodes), topology=FatTreeConfig(**kw))
+
+    def solo(config, nbytes: int, leaders: int) -> dict:
+        job = JobSpec(app="osu", arrival=0.0, nodes=16, ppn=16, nbytes=nbytes,
+                      iterations=1, algorithm="dpml", leaders=leaders)
+        result = run_traffic(TrafficTrace(jobs=(job,)), config=config,
+                             interval=1e-4)
+        p50 = result.jobs[0].latency_summary()["p50"]
+        return {"time": p50, "peak-util": _peak_util(result)}
+
+    tenants = TrafficTrace(jobs=tuple(
+        JobSpec(app="osu", arrival=0.0, nodes=2, ppn=2, nbytes=1 << 20,
+                iterations=1, algorithm="dpml")
+        for _ in range(4)
+    ))
+    thin = tree(8, nodes_per_leaf=4, spines=1, link_byte_time=3.2e-10)
+    cells = {}
+    for placement in ("packed", "spread"):
+        result = run_traffic(tenants, config=thin, placement=placement)
+        cells[placement] = {"time": result.elapsed,
+                            "peak-util": _peak_util(result)}
+    routed = tree(16, nodes_per_leaf=4, spines=2, link_byte_time=8e-11,
+                  hop_latency=1.5e-7)
+    congested = tree(16, nodes_per_leaf=8, spines=2, link_byte_time=8e-11)
+    cells["flat 256B"] = solo(cluster_d(16), 256, 1)
+    cells["routed 256B"] = solo(routed, 256, 1)
+    cells["l=1 512KB"] = solo(congested, 524288, 1)
+    cells["l=16 512KB"] = solo(congested, 524288, 16)
+    return _table("Fat-tree ablation, Cluster D: time (us) and peak link use",
+                  cells, "case",
+                  {"scale": "4 x (2 x 2) tenants on 8 nodes; 16 x 16 solo jobs"},
+                  formats={"peak-util": "{:.2f}".format})
+
+
+#: E20's panel: DPML, the library baseline, the literature families
+#: and the adaptive selector.
+PAP_ALGORITHMS = ("dpml", "rabenseifner", "dualroot_pipelined",
+                  "optimal_rsag", "generalized", "adaptive")
+
+
+def _bare_allreduces(comm, algorithm: str, iterations: int):
+    """``iterations`` 16 KB allreduces, no fence before them."""
+    payload = SymbolicPayload(4096, 4)
+    for _ in range(iterations):
+        yield from comm.allreduce(payload, SUM, algorithm=algorithm)
+
+
+def pap_imbalance(
+    nodes: int = 4,
+    ppn: int = 4,
+    skews: Sequence[float] = (0.0, 5e-5, 2e-4, 1e-3),
+    algorithms: Sequence[str] = PAP_ALGORITHMS,
+    iterations: int = 3,
+) -> FigureResult:
+    """E20: allreduce time vs process-arrival skew (Proficz,
+    arXiv:1804.05349), 16 KB, Cluster B.
+
+    Each point is a bare job of ``iterations`` allreduces whose ranks
+    arrive ``sorted`` over ``skew`` seconds, timed as its elapsed time
+    over ``iterations``: the latency harness's idle fence would release
+    every rank at once and absorb the skew.
+    """
+    session = SimSession(cluster_b(nodes), nodes * ppn, ppn)
+    data: dict[str, dict[float, float]] = {}
+    for algorithm, skew in product(algorithms, skews):
+        plan = FaultPlan(faults=(
+            (ArrivalSkew(magnitude=skew, pattern="sorted"),) if skew else ()
+        ))
+        job = session.run(_bare_allreduces, faults=plan,
+                          args=(algorithm, iterations))
+        data.setdefault(algorithm, {})[skew] = job.elapsed / iterations
+    return _table(
+        "Allreduce time per call (us) vs arrival skew (s), Cluster B, 16KB",
+        data, "algorithm", {"scale": f"{nodes} nodes x {ppn} ppn"},
     )
 
 
@@ -358,63 +533,31 @@ def traffic_tenancy(
     single-stream rabenseifner as tenancy rises, and ``adaptive``
     tracks the better design.
     """
-    import dataclasses as _dc
-
-    from repro.machine.fattree import FatTreeConfig
-    from repro.traffic.runner import run_traffic
-    from repro.traffic.workload import JobSpec, TrafficTrace
-
-    config = _dc.replace(
-        cluster_b(8),
-        topology=FatTreeConfig(
-            nodes_per_leaf=4, spines=1, link_byte_time=3.2e-10
-        ),
-    )
+    config = replace(cluster_b(8), topology=FatTreeConfig(
+        nodes_per_leaf=4, spines=1, link_byte_time=3.2e-10))
     data: dict[int, dict[str, float]] = {}
     utils: dict[int, float] = {}
-    for tenants in tenant_counts:
-        data[tenants] = {}
-        for alg in algorithms:
-            trace = TrafficTrace(
-                jobs=tuple(
-                    JobSpec(
-                        app="osu", arrival=0.0, nodes=2, ppn=2,
-                        nbytes=nbytes, iterations=2, algorithm=alg,
-                    )
-                    for _ in range(tenants)
-                )
-            )
-            result = run_traffic(trace, config=config, placement="spread")
-            p50s = [job.latency_summary()["p50"] for job in result.jobs]
-            data[tenants][alg] = sum(p50s) / len(p50s)
-            utils[tenants] = max(
-                utils.get(tenants, 0.0),
-                max(
-                    (s["links"]["util_max"] for s in result.series if s["links"]),
-                    default=0.0,
-                ),
-            )
-    rows = []
-    for tenants in tenant_counts:
-        best = min(data[tenants], key=data[tenants].get)
-        rows.append(
-            {
-                "tenants": str(tenants),
-                **{alg: format_us(data[tenants][alg]) for alg in algorithms},
-                "best": best,
-                "peak-util": f"{utils[tenants]:.2f}",
-            }
-        )
-    return FigureResult(
-        name=f"Tenant load vs allreduce design, shared thin-spine fabric "
-        f"({format_size(nbytes)} payload, us)",
-        rows=rows,
-        columns=["tenants"] + list(algorithms) + ["best", "peak-util"],
-        meta={
-            "data": data,
-            "peak_utils": utils,
-            "scale": "8 shared nodes, 2x2-rank tenants, spread placement",
-        },
+    for tenants, alg in product(tenant_counts, algorithms):
+        trace = TrafficTrace(jobs=tuple(
+            JobSpec(app="osu", arrival=0.0, nodes=2, ppn=2, nbytes=nbytes,
+                    iterations=2, algorithm=alg)
+            for _ in range(tenants)
+        ))
+        result = run_traffic(trace, config=config, placement="spread")
+        p50s = [job.latency_summary()["p50"] for job in result.jobs]
+        data.setdefault(tenants, {})[alg] = sum(p50s) / len(p50s)
+        utils[tenants] = max(utils.get(tenants, 0.0), _peak_util(result))
+    cells = {
+        tenants: {**times, "best": min(times, key=times.get),
+                  "peak-util": utils[tenants]}
+        for tenants, times in data.items()
+    }
+    return _table(
+        f"Tenant load vs allreduce design, shared thin-spine fabric "
+        f"({format_size(nbytes)} payload, us)", cells, "tenants",
+        {"data": data, "peak_utils": utils,
+         "scale": "8 shared nodes, 2x2-rank tenants, spread placement"},
+        formats={"best": str, "peak-util": "{:.2f}".format},
     )
 
 
@@ -431,4 +574,9 @@ FIGURES: dict[str, Callable[..., FigureResult]] = {
     "model": model_validation,
     "ablation": ablation_pipeline,
     "traffic": traffic_tenancy,
+    "design": ablation_design,
+    "future": future_work,
+    "fattree": fattree_congestion,
+    "sharp-v2": sharp_v2,
+    "pap": pap_imbalance,
 }

@@ -214,8 +214,8 @@ def allreduce_latency(
     the idle fence before each timed call removes arrival skew from the
     measurement: every rank starts each timed call from one common
     release, so ``ArrivalSkew`` only shifts the job's wall clock here.
-    Use ``benchmarks/bench_pap_imbalance.py`` (full-job elapsed, no
-    barrier) to measure PAP sensitivity.
+    The ``pap`` figure (:func:`repro.bench.figures.pap_imbalance`)
+    times bare jobs to measure PAP sensitivity.
 
     Which jobs take the fleet: a hybrid job without ``validate`` runs
     as one process standing for every rank (see :func:`latency_kernel`)

@@ -14,8 +14,9 @@ module expresses that as data instead of hand-rolled loops:
   figure regenerators, the EXPERIMENTS.md generator, and the CLI's
   ``run`` command (JSON in/out, spec hash, seed and timing metadata).
 * :data:`SWEEPS` holds one :class:`NamedSweep` record per figure of
-  the evaluation (and the ``families`` comparison): layout at paper and
-  reduced scale, axes, table title and derived columns.
+  the evaluation (and the ``families`` and ``multilevel`` extensions):
+  layout at paper and reduced scale, axes, table title and derived
+  columns.
   :func:`named_sweep` builds its spec; the figure regenerators render
   its result.
 
@@ -560,8 +561,8 @@ _VS_INTEL = ("vs-intel", "intel_mpi", "dpml_tuned")
 class NamedSweep:
     """One figure of the evaluation: its job layout, axes and table.
 
-    The series of the table are the leader counts (``l=<count>``
-    columns) when ``leader_counts`` is set, else the algorithms.
+    The series of the table are the algorithms when there are several,
+    else the leader counts (``l=<count>`` columns).
     """
 
     name: str
@@ -654,6 +655,14 @@ SWEEPS: dict[str, NamedSweep] = {
             algorithms=("mvapich2", "dpml_tuned", "dualroot_pipelined",
                         "optimal_rsag", "generalized"),
             best=True, speedups=(("vs-dpml", "dpml_tuned", "best"),),
+        ),
+        # Not a paper figure: Section 3's shallow-vs-deep hierarchy
+        # argument, flat DPML vs the socket-level two-level variant.
+        NamedSweep(
+            "multilevel", "Flat DPML vs two-level hierarchy, Cluster B, "
+            "8 leaders (us)", "b", (8, 28), (8, 28), (1024, 65536, 524288),
+            algorithms=("dpml", "dpml_multilevel"), leader_counts=(8,),
+            speedups=(("deep/flat", "dpml_multilevel", "dpml"),),
         ),
     )
 }

@@ -19,9 +19,9 @@ runs the design with this module's phase-1 and phase-2 generators.
 
 Compared to flat DPML this halves the number of deposits each leader
 polls but adds a full extra synchronisation/copy/combine level; the
-ablation benchmark (``benchmarks/bench_ablation_multilevel.py``) shows
-flat DPML winning across the size range on the paper's machines —
-reproducing the Section 3 design argument.
+``multilevel`` named sweep (claims ``E14b``) shows flat DPML winning
+across the size range on the paper's machines — reproducing the
+Section 3 design argument.
 """
 
 from __future__ import annotations

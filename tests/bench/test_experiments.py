@@ -35,10 +35,12 @@ def _stub_claim(xfail=None) -> Claim:
 class TestExperimentIndex:
     def test_all_paper_figures_covered(self):
         ids = [e.id for e in _EXPERIMENTS]
-        # Every evaluation figure of the paper appears.
+        # Every evaluation figure of the paper appears, and every
+        # design ablation and extension DESIGN.md points at.
         for required in ("E1a", "E1b", "E1c", "E1d", "E2", "E3", "E4", "E5",
                          "E6", "E7a", "E7b", "E7c", "E7d", "E8", "E9", "E10",
-                         "E11", "E13"):
+                         "E11", "E13", "E14", "E14b", "E15", "E16", "E19",
+                         "E20"):
             assert required in ids
 
     def test_ids_unique(self):

@@ -7,10 +7,13 @@ itself with minimal parameter grids.
 
 import pytest
 
+from repro import canonical
 from repro.bench.figures import (
     FIGURES,
+    PAP_ALGORITHMS,
     FigureResult,
     fig1_throughput,
+    pap_imbalance,
     paper_scale,
     render_sweep,
 )
@@ -35,7 +38,8 @@ class TestRegistry:
         for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig4", "fig5",
                      "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c",
                      "fig9d", "fig10", "fig11a", "fig11bc", "model",
-                     "ablation"):
+                     "ablation", "design", "multilevel", "future",
+                     "fattree", "sharp-v2", "pap"):
             assert name in FIGURES
 
     def test_paper_scale_off_by_default(self, monkeypatch):
@@ -61,6 +65,25 @@ class TestQuickRuns:
         result = FIGURES["fig8"](ppn=4, iterations=1, sizes=[64])
         row = result.rows[0]
         assert "nl-speedup" in row and row["nl-speedup"].endswith("x")
+
+    def test_pap_figure_is_deterministic_and_skew_delays_every_family(
+        self, monkeypatch
+    ):
+        """E20's bare jobs replay bit-identically under the sanitizer,
+        and arrival skew delays every literature family."""
+        families = ("dualroot_pipelined", "optimal_rsag", "generalized")
+        assert set(families) <= set(PAP_ALGORITHMS)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        first, second = (
+            pap_imbalance(nodes=2, ppn=2, skews=(0.0, 2e-4),
+                          algorithms=families, iterations=2)
+            for _ in range(2)
+        )
+        data = first.meta["data"]
+        assert canonical.dumps(data) == canonical.dumps(second.meta["data"])
+        assert list(data) == list(families)
+        for by_skew in data.values():
+            assert by_skew[0.0] < by_skew[2e-4]
 
     def test_fig9_structure(self):
         result = FIGURES["fig9c"](iterations=1, sizes=[256])
@@ -104,6 +127,9 @@ _RENDERED = {
                  ["mvapich2", "dpml_tuned", "dualroot_pipelined",
                   "optimal_rsag", "generalized", "best", "vs-dpml"],
                  {"best": "generalized", "vs-dpml": "4.00x"}),
+    "multilevel": ("Flat DPML vs two-level hierarchy, Cluster B, 8 leaders (us)",
+                   ["dpml", "dpml_multilevel", "deep/flat"],
+                   {"deep/flat": "0.50x"}),
 }
 
 
@@ -111,13 +137,11 @@ _RENDERED = {
 def test_every_named_sweep_renders_from_a_synthetic_result(name):
     title, columns, derived = _RENDERED[name]
     spec = named_sweep(name, sizes=(64, 4096))
-    series = (
-        spec.algorithms if spec.leader_counts == (None,)
-        else spec.effective_leader_counts
-    )
+    by_algorithm = len(spec.algorithms) > 1
+    series = spec.algorithms if by_algorithm else spec.effective_leader_counts
     latency = {key: (len(series) - i) * 1e-6 for i, key in enumerate(series)}
     results = [
-        PointResult(p, latency[p.leaders if p.leaders else p.algorithm]
+        PointResult(p, latency[p.algorithm if by_algorithm else p.leaders]
                     * (1 + spec.sizes.index(p.nbytes)))
         for p in spec.points()
     ]

@@ -339,6 +339,7 @@ _PINNED_HASHES = [
     ("fig9d", None, "cefe7df2312522fc", "6e07b4633c55c71e"),
     ("fig10", None, "ef79f8af546da109", "769d9b7783d53c0f"),
     ("families", None, "d053baceca0a60c6", "62ded3c8a47d4997"),
+    ("multilevel", None, "d7ba1d4b9b720a19", "d7ba1d4b9b720a19"),
 ]
 
 
