@@ -7,13 +7,10 @@ itself with minimal parameter grids.
 
 import pytest
 
-from repro import canonical
 from repro.bench.figures import (
     FIGURES,
-    PAP_ALGORITHMS,
     FigureResult,
     fig1_throughput,
-    pap_imbalance,
     paper_scale,
     render_sweep,
 )
@@ -65,25 +62,6 @@ class TestQuickRuns:
         result = FIGURES["fig8"](ppn=4, iterations=1, sizes=[64])
         row = result.rows[0]
         assert "nl-speedup" in row and row["nl-speedup"].endswith("x")
-
-    def test_pap_figure_is_deterministic_and_skew_delays_every_family(
-        self, monkeypatch
-    ):
-        """E20's bare jobs replay bit-identically under the sanitizer,
-        and arrival skew delays every literature family."""
-        families = ("dualroot_pipelined", "optimal_rsag", "generalized")
-        assert set(families) <= set(PAP_ALGORITHMS)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        first, second = (
-            pap_imbalance(nodes=2, ppn=2, skews=(0.0, 2e-4),
-                          algorithms=families, iterations=2)
-            for _ in range(2)
-        )
-        data = first.meta["data"]
-        assert canonical.dumps(data) == canonical.dumps(second.meta["data"])
-        assert list(data) == list(families)
-        for by_skew in data.values():
-            assert by_skew[0.0] < by_skew[2e-4]
 
     def test_fig9_structure(self):
         result = FIGURES["fig9c"](iterations=1, sizes=[256])

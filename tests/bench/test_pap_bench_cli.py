@@ -1,50 +1,33 @@
-"""CLI smoke tests for ``benchmarks/bench_pap_imbalance.py``.
+"""Determinism and panel tests for the E20 arrival-skew figure (``pap``).
 
-The faults-smoke CI job runs the script twice and diffs the canonical
-JSON; these tests keep that contract honest from tier-1 — including
-for the ``--algorithms`` panel carrying the literature families — on a
+``repro bench pap --sanitize`` runs :func:`pap_imbalance`; these tests
+keep its contract honest from tier-1 — two sanitized runs replay
+bit-identically, and the panel carries the literature families — on a
 layout small enough for the unit suite.
 """
 
-import importlib.util
-import json
-from pathlib import Path
-
-_BENCH_PATH = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pap_imbalance.py"
-)
-_spec = importlib.util.spec_from_file_location("_pap_bench", _BENCH_PATH)
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
+from repro import canonical
+from repro.bench.figures import PAP_ALGORITHMS, pap_imbalance
 
 FAMILIES = ("dualroot_pipelined", "optimal_rsag", "generalized")
 
 
 def test_default_panel_carries_literature_families():
-    assert set(FAMILIES) <= set(bench.DEFAULT_ALGORITHMS)
-    assert len(bench.DEFAULT_ALGORITHMS) >= 3  # resilience-curve floor
+    assert set(FAMILIES) <= set(PAP_ALGORITHMS)
+    assert len(PAP_ALGORITHMS) >= 3  # resilience-curve floor
 
 
-def test_cli_algorithms_panel_is_byte_deterministic(tmp_path, capsys):
-    """Two seeded ``--algorithms`` runs write byte-identical JSON."""
-    argv_for = lambda out: [
-        "--nodes", "2", "--ppn", "2", "--iterations", "2",
-        "--skews", "0.0,2e-4",
-        "--algorithms", ",".join(FAMILIES),
-        "--sanitize", "--output", str(out),
-    ]
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert bench.main(argv_for(first)) == 0
-    assert bench.main(argv_for(second)) == 0
-    capsys.readouterr()  # swallow the printed tables
-    assert first.read_bytes() == second.read_bytes()
-    record = json.loads(first.read_text())
-    assert sorted(record["curves"]) == sorted(FAMILIES)
-    for by_skew in record["curves"].values():
+def test_cli_algorithms_panel_is_byte_deterministic(monkeypatch):
+    """Two sanitized runs of the family panel give identical data."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    first, second = (
+        pap_imbalance(nodes=2, ppn=2, skews=(0.0, 2e-4),
+                      algorithms=FAMILIES, iterations=2)
+        for _ in range(2)
+    )
+    data = first.meta["data"]
+    assert canonical.dumps(data) == canonical.dumps(second.meta["data"])
+    assert list(data) == list(FAMILIES)
+    for by_skew in data.values():
         # Skew visibly delays the job on every family.
-        assert float(by_skew["0.0"]) < float(by_skew["0.0002"])
-
-
-def test_bad_skews_rejected(capsys):
-    assert bench.main(["--skews", "abc"]) == 2
-    assert "comma-separated floats" in capsys.readouterr().err
+        assert by_skew[0.0] < by_skew[2e-4]
