@@ -5,14 +5,19 @@ barrier, then timed blocking allreduces, reported as the slowest
 rank's per-call latency.  Each timed call starts from an idle fence
 (:meth:`~repro.sim.engine.Simulator.idle`): every rank is released at
 one instant, in rank order, once nothing else is in the machine, and
-times the call from that release to its return.  A call therefore
-never overlaps the previous one, and a noise-free point times exactly
-one call (every call would give the same number); with a noise model
-or a fault injector the point is the mean of ``iterations`` fenced
-calls.  Payloads are symbolic by default (the simulated time is
-identical and the host-side numpy work is skipped); pass
-``validate=True`` to carry real data and assert the result against
-the numpy reference on every rank.
+times the call from that release to its return.  A release restarts
+the simulator's clock at 0.0 with every queue empty, so a call never
+overlaps the previous one and computes the same floats whatever ran
+before it.  On a machine with no noise model and no fault injector,
+every fenced call therefore takes the same time to the bit: a point
+times exactly one call, and an exact-fidelity job with no recovery
+layer runs no warm-up calls either, unless its collective keeps state
+between calls (``adaptive``).  With noise or faults the point is the
+mean of ``iterations`` fenced calls after ``warmup`` warm-ups.
+Payloads are symbolic by default (the simulated time is identical and
+the host-side numpy work is skipped); pass ``validate=True`` to carry
+real data and assert the result against the numpy reference on every
+rank.
 
 Multi-point measurements (message sizes, leader counts, noisy
 repeats) are a :class:`~repro.bench.spec.SweepSpec` run through an
@@ -30,7 +35,7 @@ from repro.errors import ConfigError, ReproError
 from repro.machine.config import MachineConfig
 from repro.machine.noise import NoiseModel
 from repro.mpi.collectives.hybrid import Fleet, fleet_collective
-from repro.mpi.collectives.registry import check_knobs
+from repro.mpi.collectives.registry import allreduce_stateful, check_knobs
 from repro.mpi.runtime import SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
@@ -64,22 +69,37 @@ def check_sample(sizes: Iterable[int], sigma: float = 0.0) -> None:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
 
 
-def timed_calls(comm, call: Callable, iterations: int, warmup: int):
+def timed_calls(
+    comm, call: Callable, iterations: int, warmup: int, stateful: bool = False
+):
     """Run OSU's loop around ``call(comm)`` on one rank; returns the
     mean timed window and the last call's result.
 
     The rank runs ``warmup`` calls and one barrier, then waits on an
     idle fence (ordered by its world rank) before each timed call and
-    times the call from the release to its return.  A machine with no
-    noise model and no fault injector times one call, since every
-    fenced call of such a machine takes the same time; otherwise
-    ``iterations`` fenced calls are timed and averaged.
+    times the call from the release to its return.  The release
+    restarts the clock on an idle machine, so a machine with no noise
+    model and no fault injector gives every fenced call the same time
+    to the bit: it times one call.  Such a machine also skips the
+    warm-up calls, which cannot change that call, when the job runs
+    exactly, with no recovery layer, and ``call`` keeps no state
+    between calls (``stateful`` false).  A hybrid job keeps them: each
+    is one macro charge there, and its per-rank launch then charges
+    what the fleet launch does.  Otherwise ``iterations`` fenced calls
+    are timed and averaged.
     """
+    machine = comm.machine
+    runtime = comm.runtime
+    steady = machine.noise is None and machine.faults is None
+    if (
+        steady and not stateful and runtime.recovery is None
+        and runtime.fidelity == "exact"
+    ):
+        warmup = 0
     for _ in range(warmup):
         yield from call(comm)
     yield from comm.barrier()
-    machine = comm.machine
-    if machine.noise is None and machine.faults is None:
+    if steady:
         iterations = 1
     sim = comm.sim
     total = 0.0
@@ -113,10 +133,13 @@ def latency_kernel(
     rank leaves each charged collective at the same instant, so every
     window is equal).  The fleet needs no fence: it runs only without
     noise or faults and is the only process, so the calendar is empty
-    whenever it resumes.
+    whenever it resumes.  It restarts the clock where the per-rank
+    launch's fences release, and so times its charge from the same
+    origin.
     """
     count = max(1, nbytes // FLOAT_BYTES)
     alg_kwargs = alg_kwargs or {}
+    stateful = allreduce_stateful(algorithm)
 
     def bench(comm):
         if validate:
@@ -128,7 +151,9 @@ def latency_kernel(
         def call(comm):
             return comm.allreduce(payload, op, algorithm=algorithm, **alg_kwargs)
 
-        elapsed, result = yield from timed_calls(comm, call, iterations, warmup)
+        elapsed, result = yield from timed_calls(
+            comm, call, iterations, warmup, stateful
+        )
         if validate:
             expected = (
                 np.arange(count, dtype=np.float32) * comm.size
@@ -151,9 +176,9 @@ def latency_kernel(
         for _ in range(warmup):
             yield from fleet_collective(sim, allreduce, payload)
         yield from fleet_collective(sim, barrier)
-        t0 = comm.now
+        sim.restart_clock()
         yield from fleet_collective(sim, allreduce, payload)
-        return [comm.now - t0] * comm.size
+        return [comm.now] * comm.size
 
     bench.fleet = Fleet(
         fleet,

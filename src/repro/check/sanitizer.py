@@ -179,9 +179,9 @@ class Sanitizer:
         }
         self.record(
             R.DEADLOCK,
-            f"event heap drained at t={sim.now} with {len(graph)} blocked "
+            f"event heap drained at t={sim.clock} with {len(graph)} blocked "
             "process(es)",
-            time=sim.now,
+            time=sim.clock,
             wait_graph=graph,
         )
         return graph
@@ -365,7 +365,7 @@ class Sanitizer:
                     f"rank {matcher.rank} finished with "
                     f"{leak.get('n_posted', 0)} unmatched receive(s) and "
                     f"{leak.get('n_unexpected', 0)} unconsumed message(s)",
-                    time=runtime.sim.now,
+                    time=runtime.sim.clock,
                     rank=matcher.rank,
                     **leak,
                 )
@@ -377,7 +377,7 @@ class Sanitizer:
                 R.GATE_LEAK,
                 f"gate {key!r} opened but never completed "
                 f"({arrived}/{parties} arrivals)",
-                time=runtime.sim.now,
+                time=runtime.sim.clock,
                 key=repr(key),
                 arrived=arrived,
                 parties=parties,
@@ -391,7 +391,7 @@ class Sanitizer:
                     R.SHM_LEAK,
                     f"shm region of node {node} finished with "
                     f"{len(leftovers)} unconsumed value(s)",
-                    time=runtime.sim.now,
+                    time=runtime.sim.clock,
                     node=node,
                     keys=[repr(k) for k in leftovers[:16]],
                 )
@@ -401,7 +401,7 @@ class Sanitizer:
                     R.SHM_LEAK,
                     f"shm region of node {node} finished with readers still "
                     f"blocked on {len(blocked)} key(s)",
-                    time=runtime.sim.now,
+                    time=runtime.sim.clock,
                     node=node,
                     keys=[repr(k) for k in blocked[:16]],
                     blocked_readers=True,

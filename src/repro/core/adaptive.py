@@ -133,4 +133,5 @@ def allreduce_adaptive(
 ADAPTIVE = AllreduceAlgorithm(
     "adaptive", allreduce_adaptive,
     exempt="online selector: its cost is whichever candidate wins",
+    stateful=True,
 )

@@ -49,6 +49,11 @@ class AllreduceAlgorithm:
     exempt:
         Why the Section 5 model cannot price this algorithm.  Exactly
         one of ``charge`` and ``exempt`` is given.
+    stateful:
+        Whether a call can change the next one on the same communicator
+        (state kept in ``comm.cache`` between calls), so a measurement
+        must run its warm-up calls (see
+        :func:`~repro.bench.harness.timed_calls`).
     """
 
     name: str
@@ -56,6 +61,7 @@ class AllreduceAlgorithm:
     phases: tuple = ()
     charge: Optional[Callable] = field(default=None, repr=False)
     exempt: str = ""
+    stateful: bool = False
 
     def __post_init__(self):
         if self.priced == bool(self.exempt.strip()):

@@ -258,7 +258,8 @@ class Machine:
         ev = self.engine[rank].submit(service)
         timeline = self.timeline
         if timeline is not None and timeline.enabled:
-            done_at = ev.value  # FCFS queues decide completion eagerly
+            # FCFS queues decide completion eagerly.
+            done_at = self.sim.origin + ev.value
             timeline.record(label, label, rank, done_at - service, done_at)
         return ev
 
@@ -279,7 +280,7 @@ class Machine:
         busy = combines * nbytes * node_cfg.reduce_byte_time
         faults = self.faults
         if faults is not None and faults.has_compute_faults:
-            busy *= faults.compute_factor(rank, self.sim.now)
+            busy *= faults.compute_factor(rank, self.sim.clock)
         if self.noise is not None:
             busy = self.noise.perturb(busy)
         if self.tracer.enabled:
@@ -293,7 +294,7 @@ class Machine:
             done = self.engine[rank].submit(busy)
             timeline = self.timeline
             if timeline is not None and timeline.enabled:
-                done_at = done.value
+                done_at = self.sim.origin + done.value
                 timeline.record("compute", "compute", rank, done_at - busy, done_at)
             if mem_service > 0:
                 done.then(self.mem[self._nodes[rank // self.ppn]], mem_service)
@@ -323,12 +324,13 @@ class Machine:
         faults = self.faults
         sim = self.sim
         if faults is not None and faults.has_copy_faults:
-            busy *= faults.copy_factor(rank, sim.now)
+            busy *= faults.copy_factor(rank, sim.clock)
         if self.tracer.enabled:
             self.tracer.charge("copy", busy)
         timeline = self.timeline
         if timeline is not None and timeline.enabled:
-            timeline.record("copy", "shm_copy", rank, sim.now, sim.now + busy)
+            start = sim.clock
+            timeline.record("copy", "shm_copy", rank, start, start + busy)
         done = sim.timeout(busy)
         mem_service = nbytes * node_cfg.mem_byte_time
         if mem_service > 0:

@@ -65,6 +65,7 @@ __all__ = [
     "available_collectives",
     "resolve_phase_plan",
     "allreduce_name",
+    "allreduce_stateful",
     "allreduce_keywords",
     "collective_keywords",
     "check_knobs",
@@ -154,6 +155,14 @@ def resolve_phase_plan(name: str) -> Optional[AllreduceAlgorithm]:
 def allreduce_name(name: Optional[str]) -> str:
     """The allreduce ``name`` selects: itself, or the default for ``None``."""
     return name or _DEFAULTS["allreduce"]
+
+
+def allreduce_stateful(name: Optional[str]) -> bool:
+    """Whether the allreduce ``name`` selects keeps state between calls
+    (:attr:`~repro.core.phases.AllreduceAlgorithm.stateful`); an
+    unregistered name is not, and fails when it is called."""
+    record = _ALLREDUCE.get(allreduce_name(name))
+    return record is not None and record.stateful
 
 
 def collective_keywords(kind: str, name: str) -> Optional[frozenset]:

@@ -304,7 +304,7 @@ class Runtime:
             "party-mismatch": R.GATE_PARTY_MISMATCH,
         }[what]
         return sanitizer.record(
-            kind, message, time=self.sim.now, key=repr(key), **details
+            kind, message, time=self.sim.clock, key=repr(key), **details
         )
 
     def next_context(self) -> int:
@@ -357,7 +357,7 @@ class Runtime:
                 self._failover(manager)
                 continue
             except DeadlockError:
-                if not manager.on_deadlock(self.machine, self.sim.now):
+                if not manager.on_deadlock(self.machine, self.sim.clock):
                     raise
                 self._failover(manager)
                 continue
@@ -375,7 +375,7 @@ class Runtime:
         machine = self.machine
         sanitizer = getattr(self.sim, "sanitizer", None)
         manager.note_aborted_attempt(machine.faults)
-        manager.plan_failover(machine, self.sim.now, sanitizer)
+        manager.plan_failover(machine, self.sim.clock, sanitizer)
         # Full reset: the aborted attempt's in-flight events, matcher
         # state, gates, and shm regions are debris of ranks that no
         # longer exist.  Time is carried forward via start_delay, so
@@ -509,7 +509,7 @@ class Runtime:
             values = list(fleet.value)
         return JobResult(
             values=values,
-            elapsed=self.sim.now,
+            elapsed=self.sim.clock,
             machine=machine,
             tracer=machine.tracer,
             reports=reports,

@@ -92,14 +92,14 @@ class ShmRegion:
                 sanitizer.record(
                     SHM_DOUBLE_WRITE,
                     f"shm key {key!r} on {self.name} written twice",
-                    time=self.sim.now,
+                    time=self.sim.clock,
                     region=self.name,
                     key=repr(key),
                 )
             raise MPIError(f"shm key {key!r} written twice")
         if sanitizer is not None and span is not None:
             report = sanitizer.shm_write(
-                self.name, key, span, getattr(value, "count", None), self.sim.now
+                self.name, key, span, getattr(value, "count", None), self.sim.clock
             )
             if report is not None:
                 raise MPIError(str(report))
@@ -139,7 +139,7 @@ class ShmRegion:
                     SHM_STALE_READ,
                     f"shm key {key!r} on {self.name} read after its value "
                     "was fully consumed",
-                    time=self.sim.now,
+                    time=self.sim.clock,
                     region=self.name,
                     key=repr(key),
                 )
@@ -170,7 +170,7 @@ class ShmRegion:
                     f"shm key {key!r} on {self.name} read with "
                     f"readers={readers} after being read with "
                     f"readers={declared}",
-                    time=self.sim.now,
+                    time=self.sim.clock,
                     region=self.name,
                     key=repr(key),
                     declared=declared,

@@ -232,7 +232,7 @@ class _Send(_Side):
         done = machine.engine[rank].submit(service)
         timeline = machine.timeline
         if timeline is not None and timeline.enabled:
-            done_at = done.value
+            done_at = self.transport.sim.origin + done.value
             timeline.record(label, label, rank, done_at - service, done_at)
         done._add_callback(step)
 
@@ -458,7 +458,7 @@ class _Wire:
         sim = self.transport.sim
         faults = self.transport.machine.faults
         src_node, dst_node = self.src_node, self.dst_node
-        blocked = faults.link_blocked_until(src_node, dst_node, sim.now)
+        blocked = faults.link_blocked_until(src_node, dst_node, sim.clock)
         if blocked is None:
             self.inject()
             return
@@ -470,14 +470,14 @@ class _Wire:
             sanitizer = sim.sanitizer
             if sanitizer is not None:
                 sanitizer.fault_retries_exhausted(
-                    rank, src_node, dst_node, attempts, sim.now,
+                    rank, src_node, dst_node, attempts, sim.clock,
                     blocked_until=blocked,
                 )
             raise TransportError(
                 f"rank {rank}: send over link {src_node}->{dst_node} "
                 f"still failing after {attempts} retry(ies); link down "
                 f"until t={blocked:g}",
-                rank=rank, edge=edge, sim_time=sim.now, attempts=attempts,
+                rank=rank, edge=edge, sim_time=sim.clock, attempts=attempts,
             )
         faults.count_retry(rank, edge)
         self.attempts = attempts + 1
@@ -488,7 +488,7 @@ class _Wire:
         faults = self.transport.machine.faults
         if faults is not None and faults.has_link_degrade:
             latency_factor, self.factor = faults.link_factors(
-                self.src_node, self.dst_node, self.transport.sim.now
+                self.src_node, self.dst_node, self.transport.sim.clock
             )
             self.latency *= latency_factor
         self.sent = 0

@@ -319,7 +319,7 @@ class RecoveryManager:
                     R.RESILIENCE_POST_SHRINK_LEAK,
                     f"rank {rank} on a failed node still received traffic "
                     f"after the shrink",
-                    time=runtime.sim.now, rank=rank, **leak,
+                    time=runtime.sim.clock, rank=rank, **leak,
                 )
         for node in self.dead_nodes:
             if runtime._shm_regions.get(node) is not None:
@@ -327,7 +327,7 @@ class RecoveryManager:
                     R.RESILIENCE_POST_SHRINK_LEAK,
                     f"shared-memory region of failed node {node} was "
                     f"touched after the shrink",
-                    time=runtime.sim.now, node=node,
+                    time=runtime.sim.clock, node=node,
                 )
 
     # -- telemetry -----------------------------------------------------------

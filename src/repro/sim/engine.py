@@ -73,6 +73,18 @@ fence before a step all start it from one common release on an idle
 machine.  The loop looks for fences only where the calendar has
 drained, so the per-event path does not pay for them.
 
+Clock origin
+------------
+A release also restarts the clock (:meth:`Simulator.restart_clock`):
+:attr:`~Simulator.origin` takes the release time, :attr:`~Simulator.now`
+restarts at 0.0, and the busy horizons of the FCFS queues, all at or
+before the release, are cleared.  Nothing is pending then, so no entry
+is moved.  A step started from a fence therefore computes the same
+floats wherever the job's clock stands, and its same-time ties break
+the same way.  Code that reports the job's time reads
+:attr:`~Simulator.clock`, ``origin + now``; intervals inside one
+fenced step read :attr:`~Simulator.now`.
+
 Deadlock detection
 ------------------
 :meth:`Simulator.run` raises :class:`~repro.errors.DeadlockError` when
@@ -455,7 +467,11 @@ class Simulator:
     """
 
     def __init__(self, sanitize: Union[bool, Any, None] = None) -> None:
+        #: Simulated seconds since :attr:`origin`.
         self.now: float = 0.0
+        #: The job time at which :attr:`now` last restarted from 0.0
+        #: (see :meth:`restart_clock`).
+        self.origin: float = 0.0
         # The event calendar: the FIFO of the entries due now, and for
         # each later pending time its entry, or the list of its entries
         # once a second one shares the time (see _schedule), with a
@@ -519,6 +535,7 @@ class Simulator:
         owners — see :meth:`repro.machine.machine.Machine.reset`.
         """
         self.now = 0.0
+        self.origin = 0.0
         self._due.clear()
         self._cal.clear()
         self._times.clear()
@@ -537,6 +554,11 @@ class Simulator:
         self._queues.clear()
         if self.sanitizer is not None:
             self.sanitizer.reset()
+
+    @property
+    def clock(self) -> float:
+        """The job's simulated time: :attr:`origin` + :attr:`now`."""
+        return self.origin + self.now
 
     def counters(self) -> dict[str, int]:
         """Deterministic kernel counters since construction/:meth:`reset`.
@@ -615,23 +637,45 @@ class Simulator:
         instant, in ascending ``order`` (ties in request order), before
         anything their waiters schedule.  A harness fences each rank
         with its rank as ``order`` to release them all at once, in rank
-        order, on an idle machine.
+        order, on an idle machine.  The release restarts the clock
+        (:meth:`restart_clock`): :attr:`now` reads 0.0 there and
+        :attr:`clock` the job's time.
 
         >>> sim = Simulator()
         >>> def rank(r, delay, log):
         ...     yield sim.timeout(delay)
         ...     yield sim.idle(r)
-        ...     log.append((r, sim.now))
+        ...     log.append((r, sim.now, sim.clock))
         >>> log = []
         >>> for r, delay in ((0, 2.0), (1, 1.0)):
         ...     _ = sim.process(rank(r, delay, log))
         >>> sim.run()
         >>> log
-        [(0, 2.0), (1, 2.0)]
+        [(0, 0.0, 2.0), (1, 0.0, 2.0)]
         """
         event = self.event()
         self._fences.append((order, event))
         return event
+
+    def restart_clock(self) -> None:
+        """Move the time origin to now, on an empty calendar.
+
+        :attr:`origin` takes the job time :attr:`clock` reads,
+        :attr:`now` restarts at 0.0 and the busy horizon of every FCFS
+        queue submitted to since the last :meth:`reset` is cleared; the
+        job's clock does not move.  Every fence release does this; a
+        lone process may do it wherever it knows the calendar is empty
+        (the hybrid fleet before its timed charge).  Raises
+        :class:`SimulationError` if anything is pending.
+        """
+        if self._due or self._times:
+            raise SimulationError(
+                "cannot restart the clock while entries are pending"
+            )
+        self.origin += self.now
+        self.now = 0.0
+        for queue in self._queues:
+            queue.busy_until = 0.0
 
     # -- scheduling ----------------------------------------------------------
 
@@ -695,7 +739,7 @@ class Simulator:
         re-execution.
         """
         self._n_macro += 1
-        self.macro_log.append((label, self.now, delay, tuple(phases)))
+        self.macro_log.append((label, self.clock, delay, tuple(phases)))
         event.succeed(value, delay=delay)
 
     # -- execution ----------------------------------------------------------
@@ -711,17 +755,18 @@ class Simulator:
         it, all in this one frame.
 
         When the calendar drains with fences pending (:meth:`idle`),
-        they fire and the loop goes on.
+        they fire and the loop goes on.  ``until`` is a job time, read
+        on :attr:`clock`.
 
         Raises :class:`SimulationError` if ``until`` is not a time at
-        or after :attr:`now`, and :class:`DeadlockError` if the calendar
-        drains, with no fence pending, while processes are still alive
-        (blocked on events nobody will trigger).
+        or after :attr:`clock`, and :class:`DeadlockError` if the
+        calendar drains, with no fence pending, while processes are
+        still alive (blocked on events nobody will trigger).
         """
-        now = self.now
-        if until is not None and not until >= now:
+        if until is not None and not until >= self.clock:
             raise SimulationError(
-                f"cannot run until t={until}: the clock already reached t={now}"
+                f"cannot run until t={until}: the clock already reached "
+                f"t={self.clock}"
             )
         due = self._due
         cal = self._cal
@@ -747,20 +792,22 @@ class Simulator:
                         self._release_fences()
                         continue
                     at = times[0]
-                    if until is not None and at > until:
-                        self.now = until
+                    # ``until`` is read on the job clock: a release may
+                    # have moved the origin since the last advance.
+                    if until is not None and at > until - self.origin:
+                        self.now = until - self.origin
                         return
-                    if sanitizer is not None and at < now:
+                    if sanitizer is not None and at < self.now:
                         event = cal[at]
                         if event.__class__ is list:
                             event = event[0]
-                        sanitizer.heap_regression(now, at, event)
+                        sanitizer.heap_regression(self.now, at, event)
                         raise SimulationError(
                             f"event-time regression: next event at t={at} "
-                            f"but the clock already reached t={now}"
+                            f"but the clock already reached t={self.now}"
                         )
                     heappop(times)
-                    self.now = now = at
+                    self.now = at
                     event = cal.pop(at)
                     if event.__class__ is list:
                         # The time's entries join the due FIFO.
@@ -907,7 +954,9 @@ class Simulator:
             )
 
     def _release_fences(self) -> None:
-        """Fire every pending fence now, in ascending ``order``."""
+        """Restart the clock and fire every pending fence, in ascending
+        ``order``."""
+        self.restart_clock()
         fences = self._fences
         fences.sort(key=itemgetter(0))
         for _, event in fences:
@@ -915,8 +964,9 @@ class Simulator:
         fences.clear()
 
     def peek(self) -> float:
-        """Time of the next scheduled event (inf if none).  A pending
-        fence counts as due now once nothing else is pending."""
+        """Job time (:attr:`clock`) of the next scheduled event (inf if
+        none).  A pending fence counts as due now once nothing else is
+        pending."""
         if self._due or (self._fences and not self._times):
-            return self.now
-        return self._times[0] if self._times else float("inf")
+            return self.clock
+        return self.origin + self._times[0] if self._times else float("inf")

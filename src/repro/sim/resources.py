@@ -104,9 +104,10 @@ class FCFSQueue:
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time spent serving jobs."""
-        if self.sim.now <= 0:
+        elapsed = self.sim.clock
+        if elapsed <= 0:
             return 0.0
-        return min(1.0, self.served_time / self.sim.now)
+        return min(1.0, self.served_time / elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FCFSQueue {self.name!r} busy_until={self.busy_until:.3e}>"
@@ -182,4 +183,4 @@ def _report_misuse(sim: Simulator, message: str, **details) -> None:
     if sanitizer is not None:
         from repro.check.reports import RESOURCE_MISUSE
 
-        sanitizer.record(RESOURCE_MISUSE, message, time=sim.now, **details)
+        sanitizer.record(RESOURCE_MISUSE, message, time=sim.clock, **details)

@@ -107,282 +107,282 @@ GOLDEN = {
     "fig4": {
         "points": {
             "a/n4/ppn8/dpml/4096B/l1": {
-                "latency": 2.2667359999999962e-05,
+                "latency": 2.2667360000000003e-05,
                 "fast": {
-                    "events_allocated": 262, "heap_pushes": 664,
-                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
-                    "bytes_copied": 0, "bytes_viewed": 294912,
-                    "bytes_reduced": 98304,
+                    "events_allocated": 246, "heap_pushes": 436,
+                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "bytes_copied": 0, "bytes_viewed": 147456,
+                    "bytes_reduced": 49152,
                 },
             },
             "a/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.3492800000000014e-05,
+                "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 369, "heap_pushes": 1840,
-                    "heap_pops": 1840, "nowq_entries": 1673,
-                    "pool_reuses": 2384, "bytes_copied": 32768,
-                    "bytes_viewed": 262144, "bytes_reduced": 98304,
+                    "events_allocated": 305, "heap_pushes": 1024,
+                    "heap_pops": 1024, "nowq_entries": 1097,
+                    "pool_reuses": 1280, "bytes_copied": 16384,
+                    "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l1": {
-                "latency": 0.0002514164800000001,
+                "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 326, "heap_pushes": 872,
-                    "heap_pops": 872, "nowq_entries": 1097,
-                    "pool_reuses": 1011, "bytes_copied": 786432,
-                    "bytes_viewed": 5505024, "bytes_reduced": 917504,
+                    "events_allocated": 278, "heap_pushes": 540,
+                    "heap_pops": 540, "nowq_entries": 809, "pool_reuses": 599,
+                    "bytes_copied": 393216, "bytes_viewed": 2752512,
+                    "bytes_reduced": 458752,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.0001060556799999999,
+                "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 498, "heap_pushes": 2160,
-                    "heap_pops": 2160, "nowq_entries": 2313,
-                    "pool_reuses": 2767, "bytes_copied": 1310720,
-                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
+                    "events_allocated": 370, "heap_pushes": 1184,
+                    "heap_pops": 1184, "nowq_entries": 1417,
+                    "pool_reuses": 1471, "bytes_copied": 655360,
+                    "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 1455, "heap_pushes": 5536,
-                "heap_pops": 5536, "nowq_entries": 5892, "pool_reuses": 6949,
-                "bytes_copied": 2129920, "bytes_viewed": 11042816,
-                "bytes_reduced": 2031616,
+                "events_allocated": 1199, "heap_pushes": 3184,
+                "heap_pops": 3184, "nowq_entries": 3988, "pool_reuses": 3837,
+                "bytes_copied": 1064960, "bytes_viewed": 5521408,
+                "bytes_reduced": 1015808,
             },
         },
     },
     "fig5": {
         "points": {
             "b/n4/ppn8/dpml/4096B/l1": {
-                "latency": 2.2667359999999962e-05,
+                "latency": 2.2667360000000003e-05,
                 "fast": {
-                    "events_allocated": 262, "heap_pushes": 664,
-                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
-                    "bytes_copied": 0, "bytes_viewed": 294912,
-                    "bytes_reduced": 98304,
+                    "events_allocated": 246, "heap_pushes": 436,
+                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "bytes_copied": 0, "bytes_viewed": 147456,
+                    "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l2": {
-                "latency": 1.5566880000000017e-05,
+                "latency": 1.5566879999999997e-05,
                 "fast": {
-                    "events_allocated": 297, "heap_pushes": 1056,
-                    "heap_pops": 1056, "nowq_entries": 1097,
-                    "pool_reuses": 1320, "bytes_copied": 32768,
-                    "bytes_viewed": 262144, "bytes_reduced": 98304,
+                    "events_allocated": 265, "heap_pushes": 632,
+                    "heap_pops": 632, "nowq_entries": 809, "pool_reuses": 752,
+                    "bytes_copied": 16384, "bytes_viewed": 131072,
+                    "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l4": {
-                "latency": 1.3492800000000014e-05,
+                "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 369, "heap_pushes": 1840,
-                    "heap_pops": 1840, "nowq_entries": 1673,
-                    "pool_reuses": 2384, "bytes_copied": 32768,
-                    "bytes_viewed": 262144, "bytes_reduced": 98304,
+                    "events_allocated": 305, "heap_pushes": 1024,
+                    "heap_pops": 1024, "nowq_entries": 1097,
+                    "pool_reuses": 1280, "bytes_copied": 16384,
+                    "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l8": {
-                "latency": 1.4580160000000014e-05,
+                "latency": 1.4585600000000008e-05,
                 "fast": {
-                    "events_allocated": 513, "heap_pushes": 3408,
-                    "heap_pops": 3408, "nowq_entries": 2825,
-                    "pool_reuses": 4512, "bytes_copied": 32768,
-                    "bytes_viewed": 262144, "bytes_reduced": 98304,
+                    "events_allocated": 385, "heap_pushes": 1808,
+                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "pool_reuses": 2336, "bytes_copied": 16384,
+                    "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l1": {
-                "latency": 0.0002514164800000001,
+                "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 326, "heap_pushes": 872,
-                    "heap_pops": 872, "nowq_entries": 1097,
-                    "pool_reuses": 1011, "bytes_copied": 786432,
-                    "bytes_viewed": 5505024, "bytes_reduced": 917504,
+                    "events_allocated": 278, "heap_pushes": 540,
+                    "heap_pops": 540, "nowq_entries": 809, "pool_reuses": 599,
+                    "bytes_copied": 393216, "bytes_viewed": 2752512,
+                    "bytes_reduced": 458752,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l2": {
                 "latency": 0.00014921903999999997,
                 "fast": {
-                    "events_allocated": 362, "heap_pushes": 1216,
-                    "heap_pops": 1216, "nowq_entries": 1417,
-                    "pool_reuses": 1511, "bytes_copied": 1310720,
-                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
+                    "events_allocated": 298, "heap_pushes": 712,
+                    "heap_pops": 712, "nowq_entries": 969, "pool_reuses": 847,
+                    "bytes_copied": 655360, "bytes_viewed": 2490368,
+                    "bytes_reduced": 458752,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l4": {
-                "latency": 0.0001060556799999999,
+                "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 498, "heap_pushes": 2160,
-                    "heap_pops": 2160, "nowq_entries": 2313,
-                    "pool_reuses": 2767, "bytes_copied": 1310720,
-                    "bytes_viewed": 4980736, "bytes_reduced": 917504,
+                    "events_allocated": 370, "heap_pushes": 1184,
+                    "heap_pops": 1184, "nowq_entries": 1417,
+                    "pool_reuses": 1471, "bytes_copied": 655360,
+                    "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l8": {
-                "latency": 8.988256000000007e-05,
+                "latency": 8.988255999999996e-05,
                 "fast": {
-                    "events_allocated": 513, "heap_pushes": 3408,
-                    "heap_pops": 3408, "nowq_entries": 2825,
-                    "pool_reuses": 4512, "bytes_copied": 524288,
-                    "bytes_viewed": 4194304, "bytes_reduced": 1572864,
+                    "events_allocated": 385, "heap_pushes": 1808,
+                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "pool_reuses": 2336, "bytes_copied": 262144,
+                    "bytes_viewed": 2097152, "bytes_reduced": 786432,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 3140, "heap_pushes": 14624,
-                "heap_pops": 14624, "nowq_entries": 14056,
-                "pool_reuses": 18804, "bytes_copied": 4030464,
-                "bytes_viewed": 20742144, "bytes_reduced": 4718592,
+                "events_allocated": 2532, "heap_pushes": 8144,
+                "heap_pops": 8144, "nowq_entries": 9112, "pool_reuses": 10108,
+                "bytes_copied": 2015232, "bytes_viewed": 10371072,
+                "bytes_reduced": 2359296,
             },
         },
     },
     "fig9": {
         "points": {
             "c/n4/ppn8/mvapich2/16384B/tuned": {
-                "latency": 6.158847999999995e-05,
+                "latency": 6.158848e-05,
                 "fast": {
-                    "events_allocated": 262, "heap_pushes": 664,
-                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
-                    "bytes_copied": 0, "bytes_viewed": 1179648,
-                    "bytes_reduced": 393216,
+                    "events_allocated": 246, "heap_pushes": 436,
+                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "bytes_copied": 0, "bytes_viewed": 589824,
+                    "bytes_reduced": 196608,
                 },
             },
             "c/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.0006646228799999988,
+                "latency": 0.0006646228800000007,
                 "fast": {
-                    "events_allocated": 330, "heap_pushes": 1064,
-                    "heap_pops": 1064, "nowq_entries": 1257,
-                    "pool_reuses": 1199, "bytes_copied": 3145728,
-                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                    "events_allocated": 282, "heap_pushes": 636,
+                    "heap_pops": 636, "nowq_entries": 889, "pool_reuses": 691,
+                    "bytes_copied": 1572864, "bytes_viewed": 11010048,
+                    "bytes_reduced": 1835008,
                 },
             },
             "c/n4/ppn8/intel_mpi/16384B/tuned": {
-                "latency": 3.763648e-05,
+                "latency": 3.7636479999999976e-05,
                 "fast": {
-                    "events_allocated": 1534, "heap_pushes": 4048,
-                    "heap_pops": 4048, "nowq_entries": 5768,
-                    "pool_reuses": 4642, "bytes_copied": 2031616,
-                    "bytes_viewed": 2031616, "bytes_reduced": 1015808,
+                    "events_allocated": 894, "heap_pushes": 2128,
+                    "heap_pops": 2128, "nowq_entries": 3144,
+                    "pool_reuses": 2402, "bytes_copied": 1015808,
+                    "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
             "c/n4/ppn8/intel_mpi/262144B/tuned": {
-                "latency": 0.00044507928000000417,
+                "latency": 0.0004455558400000006,
                 "fast": {
-                    "events_allocated": 8194, "heap_pushes": 24016,
-                    "heap_pops": 24016, "nowq_entries": 29784,
-                    "pool_reuses": 27934, "bytes_copied": 16777216,
-                    "bytes_viewed": 16777216, "bytes_reduced": 16252928,
+                    "events_allocated": 4226, "heap_pushes": 12112,
+                    "heap_pops": 12112, "nowq_entries": 15152,
+                    "pool_reuses": 14046, "bytes_copied": 8388608,
+                    "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "c/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 2.8615520000000046e-05,
+                "latency": 2.8615519999999975e-05,
                 "fast": {
-                    "events_allocated": 513, "heap_pushes": 3408,
-                    "heap_pops": 3408, "nowq_entries": 2825,
-                    "pool_reuses": 4512, "bytes_copied": 131072,
-                    "bytes_viewed": 1048576, "bytes_reduced": 393216,
+                    "events_allocated": 385, "heap_pushes": 1808,
+                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "c/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.0002835881599999998,
+                "latency": 0.00028358816,
                 "fast": {
-                    "events_allocated": 1634, "heap_pushes": 5584,
-                    "heap_pops": 5584, "nowq_entries": 7113,
-                    "pool_reuses": 7039, "bytes_copied": 7340032,
-                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                    "events_allocated": 994, "heap_pushes": 2896,
+                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
             "d/n4/ppn8/mvapich2/16384B/tuned": {
-                "latency": 0.00011708407040000017,
+                "latency": 0.0001170840704,
                 "fast": {
-                    "events_allocated": 262, "heap_pushes": 664,
-                    "heap_pops": 664, "nowq_entries": 809, "pool_reuses": 787,
-                    "bytes_copied": 0, "bytes_viewed": 1179648,
-                    "bytes_reduced": 393216,
+                    "events_allocated": 246, "heap_pushes": 436,
+                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "bytes_copied": 0, "bytes_viewed": 589824,
+                    "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/mvapich2/262144B/tuned": {
-                "latency": 0.0012534403583999974,
+                "latency": 0.0012534403584000002,
                 "fast": {
-                    "events_allocated": 330, "heap_pushes": 1064,
-                    "heap_pops": 1064, "nowq_entries": 1257,
-                    "pool_reuses": 1199, "bytes_copied": 3145728,
-                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                    "events_allocated": 282, "heap_pushes": 636,
+                    "heap_pops": 636, "nowq_entries": 889, "pool_reuses": 691,
+                    "bytes_copied": 1572864, "bytes_viewed": 11010048,
+                    "bytes_reduced": 1835008,
                 },
             },
             "d/n4/ppn8/intel_mpi/16384B/tuned": {
-                "latency": 6.272927360000013e-05,
+                "latency": 6.27292736e-05,
                 "fast": {
-                    "events_allocated": 1526, "heap_pushes": 4048,
-                    "heap_pops": 4048, "nowq_entries": 5768,
-                    "pool_reuses": 4650, "bytes_copied": 2031616,
-                    "bytes_viewed": 2031616, "bytes_reduced": 1015808,
+                    "events_allocated": 894, "heap_pushes": 2128,
+                    "heap_pops": 2128, "nowq_entries": 3144,
+                    "pool_reuses": 2402, "bytes_copied": 1015808,
+                    "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
             "d/n4/ppn8/intel_mpi/262144B/tuned": {
-                "latency": 0.0007065284607999987,
+                "latency": 0.0007067678336000031,
                 "fast": {
-                    "events_allocated": 8194, "heap_pushes": 24016,
-                    "heap_pops": 24016, "nowq_entries": 29784,
-                    "pool_reuses": 27934, "bytes_copied": 16777216,
-                    "bytes_viewed": 16777216, "bytes_reduced": 16252928,
+                    "events_allocated": 4226, "heap_pushes": 12112,
+                    "heap_pops": 12112, "nowq_entries": 15152,
+                    "pool_reuses": 14046, "bytes_copied": 8388608,
+                    "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.67635839999998e-05,
+                "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 513, "heap_pushes": 3408,
-                    "heap_pops": 3408, "nowq_entries": 2825,
-                    "pool_reuses": 4512, "bytes_copied": 131072,
-                    "bytes_viewed": 1048576, "bytes_reduced": 393216,
+                    "events_allocated": 385, "heap_pushes": 1808,
+                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.00046994608000000136,
+                "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 1634, "heap_pushes": 5584,
-                    "heap_pops": 5584, "nowq_entries": 7113,
-                    "pool_reuses": 7039, "bytes_copied": 7340032,
-                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                    "events_allocated": 994, "heap_pushes": 2896,
+                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 24926, "heap_pushes": 77568,
-                "heap_pops": 77568, "nowq_entries": 95112,
-                "pool_reuses": 92234, "bytes_copied": 58851328,
-                "bytes_viewed": 130154496, "bytes_reduced": 50790400,
+                "events_allocated": 14054, "heap_pushes": 40032,
+                "heap_pops": 40032, "nowq_entries": 50680,
+                "pool_reuses": 47026, "bytes_copied": 29425664,
+                "bytes_viewed": 65077248, "bytes_reduced": 25395200,
             },
         },
     },
     "fig10": {
         "points": {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
-                "latency": 4.67635839999998e-05,
+                "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 513, "heap_pushes": 3408,
-                    "heap_pops": 3408, "nowq_entries": 2825,
-                    "pool_reuses": 4512, "bytes_copied": 131072,
-                    "bytes_viewed": 1048576, "bytes_reduced": 393216,
+                    "events_allocated": 385, "heap_pushes": 1808,
+                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
-                "latency": 0.00046994608000000136,
+                "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 1634, "heap_pushes": 5584,
-                    "heap_pops": 5584, "nowq_entries": 7113,
-                    "pool_reuses": 7039, "bytes_copied": 7340032,
-                    "bytes_viewed": 22020096, "bytes_reduced": 3670016,
+                    "events_allocated": 994, "heap_pushes": 2896,
+                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 2147, "heap_pushes": 8992,
-                "heap_pops": 8992, "nowq_entries": 9938, "pool_reuses": 11551,
-                "bytes_copied": 7471104, "bytes_viewed": 23068672,
-                "bytes_reduced": 4063232,
+                "events_allocated": 1379, "heap_pushes": 4704,
+                "heap_pops": 4704, "nowq_entries": 5490, "pool_reuses": 5887,
+                "bytes_copied": 3735552, "bytes_viewed": 11534336,
+                "bytes_reduced": 2031616,
             },
         },
     },

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.bench.harness import allreduce_latency
+from repro.apps.osu import osu_collective_latency
+from repro.bench.harness import allreduce_latency, latency_kernel
 from repro.bench.report import format_size, format_table, format_us, speedup
 from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_b, get_cluster
+from repro.machine.noise import NoiseModel
 from repro.mpi.collectives.registry import available_algorithms
-from repro.mpi.runtime import SimSession
+from repro.mpi.runtime import SimSession, run_job
 from repro.payload.ops import SUM
 from repro.payload.payload import SymbolicPayload
 
@@ -15,7 +17,7 @@ from repro.payload.payload import SymbolicPayload
 #: only on cluster A, the one with a SHArP fabric), except
 #: ``adaptive``: it picks its design from the calls it has measured,
 #: so successive calls run different designs and are not meant to
-#: agree.
+#: agree (its own tests are in :class:`TestWarmupPaths`).
 FENCED_POINTS = [
     (cluster, algorithm)
     for cluster in "abcd"
@@ -24,29 +26,37 @@ FENCED_POINTS = [
     and (not algorithm.startswith("sharp_") or cluster == "a")
 ]
 FENCED_SIZES = (1024, 65536, 524288)
-#: How far apart four successive fenced calls may be.  They differ only
-#: by float ties broken at a different absolute clock; the widest at
-#: these points is dualroot_pipelined, about 1.3%.
-FENCED_SPREAD = 0.025
 
 
-def _fenced_windows(algorithm, nbytes, calls):
-    """Rank function: one warm-up allreduce, the barrier, then ``calls``
-    allreduces each released from an idle fence; returns each window."""
-    payload = SymbolicPayload(max(1, nbytes // 4), 4)
+def _fenced_windows(call, warmups, calls):
+    """Rank function: ``warmups`` explicit ``call(comm)``s, the barrier,
+    then ``calls`` calls each released from an idle fence; returns each
+    fenced call's window."""
 
     def bench(comm):
-        yield from comm.allreduce(payload, SUM, algorithm=algorithm)
+        for _ in range(warmups):
+            yield from call(comm)
         yield from comm.barrier()
         windows = []
         for _ in range(calls):
             yield comm.sim.idle(comm.world_rank)
             t0 = comm.now
-            yield from comm.allreduce(payload, SUM, algorithm=algorithm)
+            yield from call(comm)
             windows.append(comm.now - t0)
         return windows
 
     return bench
+
+
+def _allreduce(algorithm, nbytes):
+    """``call(comm)``: one symbolic allreduce of ``nbytes``."""
+    payload = SymbolicPayload(max(1, nbytes // 4), 4)
+    return lambda comm: comm.allreduce(payload, SUM, algorithm=algorithm)
+
+
+def _slowest(job):
+    """Each fenced call's latency: the slowest rank's window."""
+    return [max(windows) for windows in zip(*job.values)]
 
 
 @pytest.fixture(scope="module")
@@ -147,26 +157,117 @@ class TestHarness:
     ids=[f"{c}-{a}" for c, a in FENCED_POINTS],
 )
 def test_noise_free_point_is_one_fenced_call(fenced_sessions, cluster, algorithm):
-    """A noise-free point does not depend on ``iterations``: it is the
-    first fenced call after the warm-up, and the fenced calls after it
-    agree with it to within :data:`FENCED_SPREAD`."""
+    """A noise-free point is one fenced call, to the bit: it does not
+    depend on ``iterations`` or ``warmup`` (the harness skips the
+    warm-up), a job that runs its warm-up explicitly gives the same
+    first fenced call, and the three fenced calls after it agree."""
     config = get_cluster(cluster, 4)
     session = fenced_sessions.get(cluster)
     if session is None:
         session = fenced_sessions[cluster] = SimSession(config, 32, 8)
     for nbytes in FENCED_SIZES:
         points = {
-            iterations: allreduce_latency(
+            (iterations, warmup): allreduce_latency(
                 config, algorithm, nbytes, ppn=8, iterations=iterations,
-                warmup=1, session=session,
+                warmup=warmup, session=session,
             )
-            for iterations in (1, 2, 3, 5)
+            for iterations, warmup in ((1, 1), (2, 1), (3, 0), (5, 2))
         }
         assert len(set(points.values())) == 1, (nbytes, points)
-        job = session.run(_fenced_windows(algorithm, nbytes, 4))
-        calls = [max(windows) for windows in zip(*job.values)]
-        assert calls[0] == points[1], (nbytes, calls, points)
-        assert max(calls) / min(calls) - 1 <= FENCED_SPREAD, (nbytes, calls)
+        job = session.run(
+            _fenced_windows(_allreduce(algorithm, nbytes), 1, 4)
+        )
+        calls = _slowest(job)
+        assert calls == [points[1, 1]] * 4, (nbytes, calls, points)
+
+
+def test_a_delayed_job_measures_the_same_latency():
+    """Delaying the whole job moves the absolute clock of every fence
+    release, and nothing a timed call computes."""
+    config = get_cluster("b", 16)
+    kernel = latency_kernel("rabenseifner", 524288)
+
+    def delayed(comm):
+        yield comm.sim.timeout(3.3e-3)
+        window = yield from kernel(comm)
+        return window
+
+    session = SimSession(config, 448, 28)
+    want = allreduce_latency(
+        config, "rabenseifner", 524288, ppn=28, session=session
+    )
+    job = session.run(delayed)
+    assert max(job.values) == want
+    assert job.elapsed > 3.3e-3 + want
+
+
+class TestWarmupPaths:
+    """Where the harness skips the warm-up and where it keeps it: each
+    point equals a job that runs its warm-ups explicitly, to the bit."""
+
+    @pytest.mark.parametrize("warmup", [1, 2])
+    def test_adaptive_keeps_its_warmups(self, warmup):
+        # Each warm-up explores one more candidate, so the timed call
+        # depends on how many ran.
+        config = get_cluster("b", 4)
+        point = allreduce_latency(
+            config, "adaptive", 65536, ppn=8, warmup=warmup
+        )
+        job = run_job(
+            config, 32,
+            _fenced_windows(_allreduce("adaptive", 65536), warmup, 1), ppn=8,
+        )
+        assert _slowest(job) == [point]
+
+    def test_adaptive_warmups_change_the_point(self):
+        config = get_cluster("b", 4)
+        points = {
+            warmup: allreduce_latency(
+                config, "adaptive", 65536, ppn=8, warmup=warmup
+            )
+            for warmup in (0, 1, 2)
+        }
+        assert len(set(points.values())) == 3, points
+
+    @pytest.mark.parametrize("kind", ["reduce", "bcast"])
+    @pytest.mark.parametrize("algorithm", ["binomial", "knomial", "dpml"])
+    def test_osu_rooted_loops_match_their_warmup_path(self, kind, algorithm):
+        config = get_cluster("b", 4)
+        nbytes = 65536
+        point = osu_collective_latency(
+            config, kind, nbytes, nranks=32, ppn=8, algorithm=algorithm,
+            root=3, warmup=2,
+        )
+        payload = SymbolicPayload(nbytes // 4, 4)
+
+        def call(comm):
+            if kind == "reduce":
+                return comm.reduce(payload, SUM, root=3, algorithm=algorithm)
+            return comm.bcast(payload, root=3, algorithm=algorithm)
+
+        job = run_job(config, 32, _fenced_windows(call, 2, 2), ppn=8)
+        assert _slowest(job) == [point, point]
+
+    @pytest.mark.parametrize(
+        "cluster, algorithm",
+        [("a", "sharp_socket_leader"), ("b", "dpml"), ("c", "ring"),
+         ("d", "mvapich2")],
+    )
+    def test_validated_points_match_their_warmup_path(self, cluster, algorithm):
+        """``validate=True`` takes the skip too; a zero-sigma noise
+        model, whose every perturbation is the identity, keeps the
+        warm-up and the timed iterations, and gives the same point."""
+        config = get_cluster(cluster, 4)
+        skip, warm, symbolic = (
+            allreduce_latency(
+                config, algorithm, 65536, ppn=8, warmup=2, iterations=3,
+                validate=validate, noise=noise,
+            )
+            for validate, noise in (
+                (True, None), (True, NoiseModel(sigma=0.0)), (False, None)
+            )
+        )
+        assert skip == warm == symbolic
 
 
 class TestReport:

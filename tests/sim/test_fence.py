@@ -5,21 +5,23 @@ properties pinned here are the ones the measured latency rests on: it
 waits for the whole calendar (due entries, pending times, FCFS jobs),
 releases every pending fence at one instant in ascending ``order``,
 survives ``run(until=...)`` splits, is dropped by ``reset()``, and
-leaves deadlock reporting as it was.
+leaves deadlock reporting as it was.  A release also restarts the
+clock: ``now`` reads 0.0 from it, the job's time reads on ``clock``,
+and the FCFS horizons are cleared.  The processes here log ``clock``.
 """
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.sim import FCFSQueue, Simulator
 
 
 def _fenced(sim, order, delay, log):
     if delay:
         yield sim.timeout(delay)
-    log.append(("ask", order, sim.now))
+    log.append(("ask", order, sim.clock))
     yield sim.idle(order)
-    log.append(("go", order, sim.now))
+    log.append(("go", order, sim.clock))
 
 
 def test_fence_waits_for_every_pending_time():
@@ -132,9 +134,9 @@ def test_fence_survives_run_until_splits(stops):
         sim.process(busy())
         for until in stops:
             sim.run(until=until)
-            log.append(("stop", sim.now))
+            log.append(("stop", sim.clock))
         sim.run()
-        return [entry for entry in log if entry[0] != "stop"], sim.now
+        return [entry for entry in log if entry[0] != "stop"], sim.clock
 
     log, end = drive(stops)
     assert (log, end) == drive(())
@@ -150,7 +152,7 @@ def test_run_until_with_an_empty_calendar_releases_at_now():
     # The calendar drained at t=1 before the horizon; the fence fired
     # there, and nothing is left to move the clock on.
     assert log == [("ask", 0, 1.0), ("go", 0, 1.0)]
-    assert sim.now == 1.0
+    assert (sim.now, sim.clock) == (0.0, 1.0)
 
 
 def test_peek_sees_a_pending_fence_once_the_calendar_drains():
@@ -160,7 +162,7 @@ def test_peek_sees_a_pending_fence_once_the_calendar_drains():
     sim.timeout(2.0)
     assert sim.peek() == 2.0
     sim.run()
-    assert fence.processed and sim.now == 2.0
+    assert fence.processed and sim.clock == 2.0
     assert sim.peek() == float("inf")
 
 
@@ -201,7 +203,7 @@ def test_blocked_processes_are_still_reported_after_the_fences_fire():
 
     def fenced_then_stuck():
         yield sim.idle(0)
-        log.append(("go", sim.now))
+        log.append(("go", sim.clock))
         yield never
 
     sim.process(stuck(), name="stuck")
@@ -214,3 +216,80 @@ def test_blocked_processes_are_still_reported_after_the_fences_fire():
     assert ("go", 2.0) in log and ("go", 1, 2.0) in log
     assert err.value.blocked == ["fenced", "stuck"]
     assert "2 process(es) still blocked" in str(err.value)
+
+
+def test_release_restarts_the_clock_and_clears_queue_horizons():
+    sim = Simulator()
+    queue = FCFSQueue(sim)
+    log = []
+
+    def rank():
+        yield queue.submit(1.5)
+        yield sim.idle(0)
+        log.append((sim.now, sim.origin, sim.clock, queue.busy_until))
+        done = yield queue.submit(0.25)
+        log.append((sim.now, sim.clock, done))
+
+    sim.process(rank())
+    sim.run()
+    assert log == [(0.0, 1.5, 1.5, 0.0), (0.25, 1.75, 0.25)]
+    assert queue.job_count == 2 and queue.utilization() == 1.0
+
+
+def test_a_fenced_step_computes_the_same_floats_at_any_clock():
+    """Sums that round differently at another absolute time give the
+    same step once it starts from a release."""
+
+    def step_after(delay):
+        sim = Simulator()
+        out = []
+
+        def rank():
+            if delay:
+                yield sim.timeout(delay)
+            yield sim.idle(0)
+            for hop in (0.1, 0.2, 0.3):
+                yield sim.timeout(hop)
+            out.append(sim.now)
+
+        sim.process(rank())
+        sim.run()
+        return out[0], sim.clock
+
+    base, _ = step_after(0.0)
+    for delay in (3.3e-3, 0.7, 12345.678):
+        step, clock = step_after(delay)
+        assert step == base
+        assert clock == pytest.approx(delay + base)
+
+
+def test_run_until_reads_the_job_clock_after_a_release():
+    sim = Simulator()
+    log = []
+    sim.process(_fenced(sim, 0, 2.0, log))
+
+    def later():
+        yield sim.idle(1)
+        yield sim.timeout(3.0)
+        log.append(("late", sim.clock))
+
+    sim.process(later())
+    sim.run(until=4.0)
+    assert log == [("ask", 0, 2.0), ("go", 0, 2.0)]
+    assert (sim.now, sim.clock, sim.peek()) == (2.0, 4.0, 5.0)
+    with pytest.raises(SimulationError, match="already reached"):
+        sim.run(until=3.0)
+    sim.run()
+    assert log[-1] == ("late", 5.0)
+
+
+def test_restart_clock_needs_an_empty_calendar_and_reset_rewinds_it():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="pending"):
+        sim.restart_clock()
+    sim.run()
+    sim.restart_clock()
+    assert (sim.now, sim.origin, sim.clock) == (0.0, 1.0, 1.0)
+    sim.reset()
+    assert (sim.now, sim.origin, sim.clock) == (0.0, 0.0, 0.0)

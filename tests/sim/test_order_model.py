@@ -10,7 +10,8 @@ calls.  The same schedule also runs on
 :class:`RefSim` below: a reference kernel with no fast paths that
 orders every entry by an explicit ``(time, seq)`` heap, a monotone
 counter breaking ties, and releases its fences, sorted by order, once
-that heap is empty.  The two event logs must be identical.
+that heap is empty, restarting its clock there as the kernel does.  The
+two event logs must be identical.
 """
 
 from heapq import heappop, heappush
@@ -77,6 +78,7 @@ class RefQueue:
     def __init__(self, ref):
         self.ref = ref
         self.busy = 0.0
+        ref.queues.append(self)
 
     def submit(self, service):
         now = self.ref.now
@@ -95,9 +97,15 @@ class RefSim:
 
     def __init__(self):
         self.now = 0.0
+        self.origin = 0.0
         self.heap = []
         self.seq = 0
         self.fences = []
+        self.queues = []
+
+    @property
+    def clock(self):
+        return self.origin + self.now
 
     def push(self, time, entry):
         self.seq += 1
@@ -124,13 +132,18 @@ class RefSim:
     def run(self, until=None):
         while self.heap or self.fences:
             if not self.heap:
-                # Nothing else is pending: every fence fires now.
+                # Nothing else is pending: the clock restarts at 0.0,
+                # the queues are idle, and every fence fires now.
+                self.origin += self.now
+                self.now = 0.0
+                for queue in self.queues:
+                    queue.busy = 0.0
                 for _, _, event in sorted(self.fences, key=lambda f: f[:2]):
                     event.succeed()
                 self.fences = []
                 continue
-            if until is not None and self.heap[0][0] > until:
-                self.now = until
+            if until is not None and self.heap[0][0] > until - self.origin:
+                self.now = until - self.origin
                 return
             self.now, _, entry = heappop(self.heap)
             if entry[0] == "fire":
@@ -221,9 +234,9 @@ def _drive(sim, make_queue, scripts, stops):
     sim.process(_closer(sim, events, log))
     for until in stops:
         sim.run(until=until)
-        log.append(("stop", sim.now))
+        log.append(("stop", sim.clock))
     sim.run()
-    log.append(("end", sim.now))
+    log.append(("end", sim.clock))
     return log
 
 
