@@ -18,4 +18,4 @@ __version__ = "1.0.0"
 #: prints it); the result store keys every point on it.  The models no
 #: table runs (the compute phases of HPCG and miniAMR, the OSU
 #: throughput study) are not stored, so their changes need no bump.
-MODEL_ID = "411f1329414e30ca8047a53c62bfef3d49a88a0d668753a0f32bc9611d6ca738"
+MODEL_ID = "0acb0e3f914837698970ab4d53e55e64ed60baf5bedd6cba2fe17bd8357b5b21"

@@ -30,11 +30,12 @@ follow-on stage (:meth:`repro.sim.engine.Event.then`).
 
 A message also takes a *hop* (:meth:`repro.sim.engine.Simulator.hop`,
 one zero-delay calendar entry) where each side starts, where each chunk
-starts and finishes, where a trip's last chunk is in, and where each
-side ends.  Those are the calendar slots of a process start, a process
-completion and an ``AllOf`` firing, so a run dispatches the same entries
-in the same order as a transport built from one process per side and
-per chunk would.
+starts and finishes, and where a trip's last chunk is in.  Those are
+the calendar slots of a process start, a process completion and an
+``AllOf`` firing, so a run dispatches its entries in the order a
+transport built from one process per side and per chunk would.  A
+side's end takes no entry: nothing waits on it, so the no-op entry a
+process completion would take cannot move anything else.
 
 A side that waits on its peer (a rendezvous sender on the CTS, a
 rendezvous receiver on the data) counts as a live process while it
@@ -132,10 +133,6 @@ class Transport:
         return self.matchers[rank]
 
 
-def _finished(_) -> None:
-    """A side's last hop: nothing is left to do."""
-
-
 class _Side:
     """One side of a message: the sender's, or the receiver's."""
 
@@ -180,15 +177,12 @@ class _Send(_Side):
         transport = self.transport
         env = self.env
         transport.matchers[env.dst].arrive(env)
-        if env.rndv is None:
-            transport.sim.hop(_finished)
-        else:
+        if env.rndv is not None:
             self.await_peer(env.rndv.cts, self.cts_arrived)
 
     def hand_over(self, _) -> None:
         """The rendezvous payload is in the receiver's buffer."""
         self.env.rndv.data_done.succeed(self.payload)
-        self.transport.sim.hop(_finished)
 
     def copy(self, _) -> None:
         """Copy the payload on the sender's core: into the shm FIFO, or
@@ -387,7 +381,6 @@ class _Recv(_Side):
 
     def received(self, _) -> None:
         self.req.complete(self.payload)
-        self.transport.sim.hop(_finished)
 
 
 class _Wire:

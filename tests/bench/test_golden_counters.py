@@ -110,7 +110,7 @@ GOLDEN = {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
                     "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -119,7 +119,7 @@ GOLDEN = {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
                     "events_allocated": 305, "heap_pushes": 1024,
-                    "heap_pops": 1024, "nowq_entries": 1097,
+                    "heap_pops": 1024, "nowq_entries": 905,
                     "pool_reuses": 1280, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
@@ -128,7 +128,7 @@ GOLDEN = {
                 "latency": 0.00025141648,
                 "fast": {
                     "events_allocated": 278, "heap_pushes": 540,
-                    "heap_pops": 540, "nowq_entries": 809, "pool_reuses": 599,
+                    "heap_pops": 540, "nowq_entries": 649, "pool_reuses": 599,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -137,7 +137,7 @@ GOLDEN = {
                 "latency": 0.00010605568000000001,
                 "fast": {
                     "events_allocated": 370, "heap_pushes": 1184,
-                    "heap_pops": 1184, "nowq_entries": 1417,
+                    "heap_pops": 1184, "nowq_entries": 1161,
                     "pool_reuses": 1471, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
@@ -146,7 +146,7 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 1199, "heap_pushes": 3184,
-                "heap_pops": 3184, "nowq_entries": 3988, "pool_reuses": 3837,
+                "heap_pops": 3184, "nowq_entries": 3236, "pool_reuses": 3837,
                 "bytes_copied": 1064960, "bytes_viewed": 5521408,
                 "bytes_reduced": 1015808,
             },
@@ -158,7 +158,7 @@ GOLDEN = {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
                     "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -167,7 +167,7 @@ GOLDEN = {
                 "latency": 1.5566879999999997e-05,
                 "fast": {
                     "events_allocated": 265, "heap_pushes": 632,
-                    "heap_pops": 632, "nowq_entries": 809, "pool_reuses": 752,
+                    "heap_pops": 632, "nowq_entries": 649, "pool_reuses": 752,
                     "bytes_copied": 16384, "bytes_viewed": 131072,
                     "bytes_reduced": 49152,
                 },
@@ -176,7 +176,7 @@ GOLDEN = {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
                     "events_allocated": 305, "heap_pushes": 1024,
-                    "heap_pops": 1024, "nowq_entries": 1097,
+                    "heap_pops": 1024, "nowq_entries": 905,
                     "pool_reuses": 1280, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
@@ -185,7 +185,7 @@ GOLDEN = {
                 "latency": 1.4585600000000008e-05,
                 "fast": {
                     "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "heap_pops": 1808, "nowq_entries": 1417,
                     "pool_reuses": 2336, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
@@ -194,7 +194,7 @@ GOLDEN = {
                 "latency": 0.00025141648,
                 "fast": {
                     "events_allocated": 278, "heap_pushes": 540,
-                    "heap_pops": 540, "nowq_entries": 809, "pool_reuses": 599,
+                    "heap_pops": 540, "nowq_entries": 649, "pool_reuses": 599,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -203,7 +203,7 @@ GOLDEN = {
                 "latency": 0.00014921903999999997,
                 "fast": {
                     "events_allocated": 298, "heap_pushes": 712,
-                    "heap_pops": 712, "nowq_entries": 969, "pool_reuses": 847,
+                    "heap_pops": 712, "nowq_entries": 777, "pool_reuses": 847,
                     "bytes_copied": 655360, "bytes_viewed": 2490368,
                     "bytes_reduced": 458752,
                 },
@@ -212,7 +212,7 @@ GOLDEN = {
                 "latency": 0.00010605568000000001,
                 "fast": {
                     "events_allocated": 370, "heap_pushes": 1184,
-                    "heap_pops": 1184, "nowq_entries": 1417,
+                    "heap_pops": 1184, "nowq_entries": 1161,
                     "pool_reuses": 1471, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
@@ -221,7 +221,7 @@ GOLDEN = {
                 "latency": 8.988255999999996e-05,
                 "fast": {
                     "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "heap_pops": 1808, "nowq_entries": 1417,
                     "pool_reuses": 2336, "bytes_copied": 262144,
                     "bytes_viewed": 2097152, "bytes_reduced": 786432,
                 },
@@ -230,7 +230,7 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 2532, "heap_pushes": 8144,
-                "heap_pops": 8144, "nowq_entries": 9112, "pool_reuses": 10108,
+                "heap_pops": 8144, "nowq_entries": 7496, "pool_reuses": 10108,
                 "bytes_copied": 2015232, "bytes_viewed": 10371072,
                 "bytes_reduced": 2359296,
             },
@@ -242,7 +242,7 @@ GOLDEN = {
                 "latency": 6.158848e-05,
                 "fast": {
                     "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -251,7 +251,7 @@ GOLDEN = {
                 "latency": 0.0006646228800000007,
                 "fast": {
                     "events_allocated": 282, "heap_pushes": 636,
-                    "heap_pops": 636, "nowq_entries": 889, "pool_reuses": 691,
+                    "heap_pops": 636, "nowq_entries": 729, "pool_reuses": 691,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -260,7 +260,7 @@ GOLDEN = {
                 "latency": 3.7636479999999976e-05,
                 "fast": {
                     "events_allocated": 894, "heap_pushes": 2128,
-                    "heap_pops": 2128, "nowq_entries": 3144,
+                    "heap_pops": 2128, "nowq_entries": 2376,
                     "pool_reuses": 2402, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
@@ -269,7 +269,7 @@ GOLDEN = {
                 "latency": 0.0004455558400000006,
                 "fast": {
                     "events_allocated": 4226, "heap_pushes": 12112,
-                    "heap_pops": 12112, "nowq_entries": 15152,
+                    "heap_pops": 12112, "nowq_entries": 11056,
                     "pool_reuses": 14046, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
@@ -278,7 +278,7 @@ GOLDEN = {
                 "latency": 2.8615519999999975e-05,
                 "fast": {
                     "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "heap_pops": 1808, "nowq_entries": 1417,
                     "pool_reuses": 2336, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
@@ -287,7 +287,7 @@ GOLDEN = {
                 "latency": 0.00028358816,
                 "fast": {
                     "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "heap_pops": 2896, "nowq_entries": 3177,
                     "pool_reuses": 3551, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
@@ -296,7 +296,7 @@ GOLDEN = {
                 "latency": 0.0001170840704,
                 "fast": {
                     "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 665, "pool_reuses": 487,
+                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -305,7 +305,7 @@ GOLDEN = {
                 "latency": 0.0012534403584000002,
                 "fast": {
                     "events_allocated": 282, "heap_pushes": 636,
-                    "heap_pops": 636, "nowq_entries": 889, "pool_reuses": 691,
+                    "heap_pops": 636, "nowq_entries": 729, "pool_reuses": 691,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -314,7 +314,7 @@ GOLDEN = {
                 "latency": 6.27292736e-05,
                 "fast": {
                     "events_allocated": 894, "heap_pushes": 2128,
-                    "heap_pops": 2128, "nowq_entries": 3144,
+                    "heap_pops": 2128, "nowq_entries": 2376,
                     "pool_reuses": 2402, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
@@ -323,7 +323,7 @@ GOLDEN = {
                 "latency": 0.0007067678336000031,
                 "fast": {
                     "events_allocated": 4226, "heap_pushes": 12112,
-                    "heap_pops": 12112, "nowq_entries": 15152,
+                    "heap_pops": 12112, "nowq_entries": 11056,
                     "pool_reuses": 14046, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
@@ -332,7 +332,7 @@ GOLDEN = {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
                     "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "heap_pops": 1808, "nowq_entries": 1417,
                     "pool_reuses": 2336, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
@@ -341,7 +341,7 @@ GOLDEN = {
                 "latency": 0.00046994607999999963,
                 "fast": {
                     "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "heap_pops": 2896, "nowq_entries": 3177,
                     "pool_reuses": 3551, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
@@ -350,7 +350,7 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 14054, "heap_pushes": 40032,
-                "heap_pops": 40032, "nowq_entries": 50680,
+                "heap_pops": 40032, "nowq_entries": 38552,
                 "pool_reuses": 47026, "bytes_copied": 29425664,
                 "bytes_viewed": 65077248, "bytes_reduced": 25395200,
             },
@@ -362,7 +362,7 @@ GOLDEN = {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
                     "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1673,
+                    "heap_pops": 1808, "nowq_entries": 1417,
                     "pool_reuses": 2336, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
@@ -371,7 +371,7 @@ GOLDEN = {
                 "latency": 0.00046994607999999963,
                 "fast": {
                     "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3817,
+                    "heap_pops": 2896, "nowq_entries": 3177,
                     "pool_reuses": 3551, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
@@ -380,7 +380,7 @@ GOLDEN = {
         "totals": {
             "fast": {
                 "events_allocated": 1379, "heap_pushes": 4704,
-                "heap_pops": 4704, "nowq_entries": 5490, "pool_reuses": 5887,
+                "heap_pops": 4704, "nowq_entries": 4594, "pool_reuses": 5887,
                 "bytes_copied": 3735552, "bytes_viewed": 11534336,
                 "bytes_reduced": 2031616,
             },
@@ -447,12 +447,12 @@ GOLDEN = {
         "total_queue_wait": 0.00120545642,
         "fresh": {
             "events_allocated": 648, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 4409, "pool_reuses": 8939, "pool_evictions": 0,
+            "nowq_entries": 3977, "pool_reuses": 8939, "pool_evictions": 0,
             "macro_events": 0,
         },
         "reused": {
             "events_allocated": 608, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 4409, "pool_reuses": 8979, "pool_evictions": 0,
+            "nowq_entries": 3977, "pool_reuses": 8979, "pool_evictions": 0,
             "macro_events": 0,
         },
         "byte_identical": True,

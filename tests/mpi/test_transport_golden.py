@@ -260,7 +260,7 @@ def test_every_scenario_is_pinned():
 GOLDEN = {
     "any_source":
         {"elapsed": 5.562879999999999e-06,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 31},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 27},
          "spans": [("copy", "copy", 1, 0.0, 1.51328e-06),
                    ("net-send", "net-send", 4, 0.0, 3.7024e-06),
                    ("copy", "shm_copy", 0, 1.66458e-06, 3.47786e-06),
@@ -274,7 +274,7 @@ GOLDEN = {
                     None]},
     "eager_cross_socket":
         {"elapsed": 5.03456e-06,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 24},
          "spans": [("copy", "copy", 0, 0.0, 1.5107200000000001e-06),
                    ("copy", "copy", 0, 1.5107200000000001e-06,
                     3.0214400000000002e-06),
@@ -287,7 +287,7 @@ GOLDEN = {
                     None, None, None, None, None, None]},
     "eager_inter_node":
         {"elapsed": 9.208960000000002e-06,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 34},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 30},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-send", "net-send", 0, 3.6768e-06, 7.3536e-06),
                    ("net-recv", "net-recv", 4, 5.232159999999999e-06,
@@ -301,7 +301,7 @@ GOLDEN = {
                     None, None, None]},
     "eager_same_socket":
         {"elapsed": 3.2599999999999997e-06,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 24},
          "spans": [("copy", "copy", 0, 0.0, 1.0192e-06),
                    ("copy", "copy", 0, 1.0192e-06, 2.0384e-06),
                    ("copy", "shm_copy", 2, 1.1703999999999998e-06,
@@ -314,7 +314,7 @@ GOLDEN = {
                     None, None, None, None, None]},
     "fat_tree_fan_in":
         {"elapsed": 8.636296000000004e-05,
-         "fast": {"heap_pops": 144, "heap_pushes": 144, "nowq_entries": 126},
+         "fast": {"heap_pops": 144, "heap_pushes": 144, "nowq_entries": 110},
          "spans": [("net-send", "net-send", 1, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 1, 3.6767999999999997e-06,
                     4.0768e-06),
@@ -369,7 +369,7 @@ GOLDEN = {
                     [3.6768e-06, 6.127e-05]]},
     "link_degrade":
         {"elapsed": 0.0001759988000000001,
-         "fast": {"heap_pops": 33, "heap_pushes": 33, "nowq_entries": 55},
+         "fast": {"heap_pops": 33, "heap_pushes": 33, "nowq_entries": 51},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 0, 3.6767999999999997e-06,
                     4.0768e-06),
@@ -394,7 +394,7 @@ GOLDEN = {
          "tracer": {"net-send": {"count": 1.0, "time": 3.6768e-06}}},
     "link_outage_recovered":
         {"elapsed": 7.090344e-05,
-         "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 42},
+         "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 38},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-ctrl", "net-ctrl", 0, 3.6767999999999997e-06,
                     4.0768e-06),
@@ -410,7 +410,7 @@ GOLDEN = {
                     None, None, None]},
     "multi_chunk":
         {"elapsed": 0.00015173263999999995,
-         "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 46},
+         "fast": {"heap_pops": 28, "heap_pushes": 28, "nowq_entries": 44},
          "spans": [("net-ctrl", "net-ctrl", 0, 0.0, 4e-07),
                    ("net-ctrl", "net-ctrl", 4, 1.314e-06, 1.714e-06),
                    ("net-send", "net-send", 0, 2.627999999999989e-06,
@@ -422,7 +422,7 @@ GOLDEN = {
                     [(0.00015173263999999995, 164640)], None, None, None]},
     "rndv_cross_socket":
         {"elapsed": 2.2081120000000002e-05,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 32},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
          "spans": [("copy", "copy", 0, 1.9999999999999978e-07, 1.088576e-05),
                    ("copy", "copy", 0, 1.0885760000000002e-05,
                     2.1571520000000003e-05)],
@@ -434,7 +434,7 @@ GOLDEN = {
                     None, None, None, None, None, None]},
     "rndv_inter_node":
         {"elapsed": 6.229968e-05,
-         "fast": {"heap_pops": 26, "heap_pushes": 26, "nowq_entries": 50},
+         "fast": {"heap_pops": 26, "heap_pushes": 26, "nowq_entries": 46},
          "spans": [("net-ctrl", "net-ctrl", 0, 0.0, 4e-07),
                    ("net-ctrl", "net-ctrl", 0, 4e-07, 8e-07),
                    ("net-ctrl", "net-ctrl", 4, 1.314e-06, 1.714e-06),
@@ -452,7 +452,7 @@ GOLDEN = {
                     None, None]},
     "rndv_same_socket":
         {"elapsed": 1.42168e-05,
-         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 32},
+         "fast": {"heap_pops": 10, "heap_pushes": 10, "nowq_entries": 28},
          "spans": [("copy", "copy", 0, 1.9999999999999978e-07, 6.9536e-06),
                    ("copy", "copy", 0, 6.9536e-06, 1.37072e-05)],
          "tracer": {"copy": {"count": 2.0, "time": 1.35072e-05},
@@ -462,7 +462,7 @@ GOLDEN = {
                     None, None, None]},
     "rts_overtakes_eager":
         {"elapsed": 4.843012e-05,
-         "fast": {"heap_pops": 48, "heap_pushes": 48, "nowq_entries": 66},
+         "fast": {"heap_pops": 48, "heap_pushes": 48, "nowq_entries": 62},
          "spans": [("net-send", "net-send", 0, 0.0, 1.35072e-05),
                    ("net-ctrl", "net-ctrl", 0, 1.35072e-05, 1.39072e-05),
                    ("net-recv", "net-recv", 4, 1.6052600000000003e-05,
@@ -479,7 +479,7 @@ GOLDEN = {
                     None, None, None]},
     "self_send":
         {"elapsed": 7.9728e-06,
-         "fast": {"heap_pops": 2, "heap_pushes": 2, "nowq_entries": 24},
+         "fast": {"heap_pops": 2, "heap_pushes": 2, "nowq_entries": 22},
          "spans": [("net-recv", "net-recv", 0, 0.0, 6.8536e-06),
                    ("net-recv", "net-recv", 0, 6.853599999999999e-06,
                     7.9728e-06)],
@@ -488,7 +488,7 @@ GOLDEN = {
                     None, None, None, None]},
     "unexpected_bounce":
         {"elapsed": 5.2238400000000005e-05,
-         "fast": {"heap_pops": 11, "heap_pushes": 11, "nowq_entries": 34},
+         "fast": {"heap_pops": 11, "heap_pushes": 11, "nowq_entries": 30},
          "spans": [("net-send", "net-send", 0, 0.0, 3.6768e-06),
                    ("net-send", "net-send", 0, 3.6768e-06, 7.3536e-06),
                    ("net-recv", "net-recv", 4, 5e-05, 5.1119200000000003e-05),
