@@ -10,10 +10,12 @@ the simulator's clock at 0.0 with every queue empty, so a call never
 overlaps the previous one and computes the same floats whatever ran
 before it.  On a machine with no noise model and no fault injector,
 every fenced call therefore takes the same time to the bit: a point
-times exactly one call, and an exact-fidelity job with no recovery
-layer runs no warm-up calls either, unless its collective keeps state
-between calls (``adaptive``).  With noise or faults the point is the
-mean of ``iterations`` fenced calls after ``warmup`` warm-ups.
+times exactly one call.  An exact-fidelity job with no recovery layer
+then runs neither the warm-up calls nor the barrier, unless its
+collective keeps state between calls (``adaptive``): each rank goes
+straight to its fence, which already synchronises what the barrier
+would.  With noise or faults the point is the mean of ``iterations``
+fenced calls after ``warmup`` warm-ups and the barrier.
 Payloads are symbolic by default (the simulated time is identical and
 the host-side numpy work is skipped); pass ``validate=True`` to carry
 real data and assert the result against the numpy reference on every
@@ -81,24 +83,25 @@ def timed_calls(
     restarts the clock on an idle machine, so a machine with no noise
     model and no fault injector gives every fenced call the same time
     to the bit: it times one call.  Such a machine also skips the
-    warm-up calls, which cannot change that call, when the job runs
-    exactly, with no recovery layer, and ``call`` keeps no state
-    between calls (``stateful`` false).  A hybrid job keeps them: each
-    is one macro charge there, and its per-rank launch then charges
-    what the fleet launch does.  Otherwise ``iterations`` fenced calls
-    are timed and averaged.
+    warm-up calls and the barrier, which cannot change that call, when
+    the job runs exactly, with no recovery layer, and ``call`` keeps no
+    state between calls (``stateful`` false): the rank goes straight to
+    its fence.  A hybrid job keeps them: each is one macro charge
+    there, and its per-rank launch then charges what the fleet launch
+    does.  Noise draws and fault windows see the barrier, so a noisy or
+    faulted job keeps it too, and times and averages ``iterations``
+    fenced calls.
     """
     machine = comm.machine
     runtime = comm.runtime
     steady = machine.noise is None and machine.faults is None
-    if (
+    if not (
         steady and not stateful and runtime.recovery is None
         and runtime.fidelity == "exact"
     ):
-        warmup = 0
-    for _ in range(warmup):
-        yield from call(comm)
-    yield from comm.barrier()
+        for _ in range(warmup):
+            yield from call(comm)
+        yield from comm.barrier()
     if steady:
         iterations = 1
     sim = comm.sim
@@ -124,7 +127,9 @@ def latency_kernel(
     """The rank function :func:`allreduce_latency` launches.
 
     Every rank runs :func:`timed_calls` around an allreduce of
-    ``max(1, nbytes // 4)`` floats and returns its mean timed window.
+    ``max(1, nbytes // 4)`` floats and returns its mean timed window
+    (on a steady exact job, one fenced call with no warm-up and no
+    barrier before it).
     Without ``validate`` (symbolic payloads) the function also carries
     a :class:`~repro.mpi.collectives.hybrid.Fleet` form: in a hybrid
     job where every one of those collectives is macro-chargeable, one

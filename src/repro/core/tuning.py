@@ -81,11 +81,10 @@ def allreduce_selector(name: str, tables: Table, exempt: str) -> AllreduceAlgori
     """The allreduce record ``name`` that dispatches by ``tables``."""
 
     def selector(comm, payload, op, tag_base: int = 0) -> Generator:
-        result = yield from select(
+        return select(
             "allreduce", tables, comm, payload.nbytes, payload, op,
             tag_base=tag_base,
         )
-        return result
 
     selector.__name__ = f"allreduce_{name}"
     return AllreduceAlgorithm(name, selector, exempt=exempt)

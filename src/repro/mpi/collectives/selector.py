@@ -85,11 +85,10 @@ def reduce_auto(
 ) -> Generator:
     """Reduce selector: binomial tree for small, k-nomial for medium,
     multi-leader DPML reduce for large multi-node vectors."""
-    result = yield from select(
+    return select(
         "reduce", REDUCE_AUTO_TABLE, comm, payload.nbytes, payload, op,
         root=root, tag_base=tag_base,
     )
-    return result
 
 
 def bcast_auto(comm, payload, root: int = 0, tag_base: int = 0) -> Generator:
@@ -101,15 +100,22 @@ def bcast_auto(comm, payload, root: int = 0, tag_base: int = 0) -> Generator:
     ignored), so the size-based selection agrees everywhere.
     """
     if payload is None:
-        raise MPIError(
-            "bcast_auto needs the message size on every rank; non-root "
-            "ranks must pass a placeholder payload of the same count"
-        )
+        return _missing_size()
     nbytes = payload.nbytes
     if comm.rank != root:
         payload = None  # contents are the root's to provide
-    result = yield from select(
+    return select(
         "bcast", BCAST_AUTO_TABLE, comm, nbytes, payload,
         root=root, tag_base=tag_base,
     )
-    return result
+
+
+def _missing_size() -> Generator:
+    """A collective that fails on its first resume, where a generator
+    collective's errors surface: inside a blocking ``bcast``, and at
+    the ``wait`` of an ``ibcast`` request."""
+    raise MPIError(
+        "bcast_auto needs the message size on every rank; non-root "
+        "ranks must pass a placeholder payload of the same count"
+    )
+    yield  # unreachable; makes this a generator function

@@ -109,8 +109,8 @@ GOLDEN = {
             "a/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
-                    "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
+                    "events_allocated": 117, "heap_pushes": 228,
+                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -118,17 +118,17 @@ GOLDEN = {
             "a/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 305, "heap_pushes": 1024,
-                    "heap_pops": 1024, "nowq_entries": 905,
-                    "pool_reuses": 1280, "bytes_copied": 16384,
+                    "events_allocated": 177, "heap_pushes": 816,
+                    "heap_pops": 816, "nowq_entries": 609,
+                    "pool_reuses": 1056, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 278, "heap_pushes": 540,
-                    "heap_pops": 540, "nowq_entries": 649, "pool_reuses": 599,
+                    "events_allocated": 150, "heap_pushes": 332,
+                    "heap_pops": 332, "nowq_entries": 353, "pool_reuses": 375,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -136,17 +136,17 @@ GOLDEN = {
             "a/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 370, "heap_pushes": 1184,
-                    "heap_pops": 1184, "nowq_entries": 1161,
-                    "pool_reuses": 1471, "bytes_copied": 655360,
+                    "events_allocated": 242, "heap_pushes": 976,
+                    "heap_pops": 976, "nowq_entries": 865,
+                    "pool_reuses": 1247, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 1199, "heap_pushes": 3184,
-                "heap_pops": 3184, "nowq_entries": 3236, "pool_reuses": 3837,
+                "events_allocated": 686, "heap_pushes": 2352,
+                "heap_pops": 2352, "nowq_entries": 2052, "pool_reuses": 2942,
                 "bytes_copied": 1064960, "bytes_viewed": 5521408,
                 "bytes_reduced": 1015808,
             },
@@ -157,8 +157,8 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l1": {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
-                    "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
+                    "events_allocated": 117, "heap_pushes": 228,
+                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -166,8 +166,8 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l2": {
                 "latency": 1.5566879999999997e-05,
                 "fast": {
-                    "events_allocated": 265, "heap_pushes": 632,
-                    "heap_pops": 632, "nowq_entries": 649, "pool_reuses": 752,
+                    "events_allocated": 137, "heap_pushes": 424,
+                    "heap_pops": 424, "nowq_entries": 353, "pool_reuses": 528,
                     "bytes_copied": 16384, "bytes_viewed": 131072,
                     "bytes_reduced": 49152,
                 },
@@ -175,26 +175,26 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 305, "heap_pushes": 1024,
-                    "heap_pops": 1024, "nowq_entries": 905,
-                    "pool_reuses": 1280, "bytes_copied": 16384,
+                    "events_allocated": 177, "heap_pushes": 816,
+                    "heap_pops": 816, "nowq_entries": 609,
+                    "pool_reuses": 1056, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l8": {
                 "latency": 1.4585600000000008e-05,
                 "fast": {
-                    "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1417,
-                    "pool_reuses": 2336, "bytes_copied": 16384,
+                    "events_allocated": 257, "heap_pushes": 1600,
+                    "heap_pops": 1600, "nowq_entries": 1121,
+                    "pool_reuses": 2112, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 278, "heap_pushes": 540,
-                    "heap_pops": 540, "nowq_entries": 649, "pool_reuses": 599,
+                    "events_allocated": 150, "heap_pushes": 332,
+                    "heap_pops": 332, "nowq_entries": 353, "pool_reuses": 375,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -202,8 +202,8 @@ GOLDEN = {
             "b/n4/ppn8/dpml/65536B/l2": {
                 "latency": 0.00014921903999999997,
                 "fast": {
-                    "events_allocated": 298, "heap_pushes": 712,
-                    "heap_pops": 712, "nowq_entries": 777, "pool_reuses": 847,
+                    "events_allocated": 170, "heap_pushes": 504,
+                    "heap_pops": 504, "nowq_entries": 481, "pool_reuses": 623,
                     "bytes_copied": 655360, "bytes_viewed": 2490368,
                     "bytes_reduced": 458752,
                 },
@@ -211,26 +211,26 @@ GOLDEN = {
             "b/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 370, "heap_pushes": 1184,
-                    "heap_pops": 1184, "nowq_entries": 1161,
-                    "pool_reuses": 1471, "bytes_copied": 655360,
+                    "events_allocated": 242, "heap_pushes": 976,
+                    "heap_pops": 976, "nowq_entries": 865,
+                    "pool_reuses": 1247, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l8": {
                 "latency": 8.988255999999996e-05,
                 "fast": {
-                    "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1417,
-                    "pool_reuses": 2336, "bytes_copied": 262144,
+                    "events_allocated": 257, "heap_pushes": 1600,
+                    "heap_pops": 1600, "nowq_entries": 1121,
+                    "pool_reuses": 2112, "bytes_copied": 262144,
                     "bytes_viewed": 2097152, "bytes_reduced": 786432,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 2532, "heap_pushes": 8144,
-                "heap_pops": 8144, "nowq_entries": 7496, "pool_reuses": 10108,
+                "events_allocated": 1507, "heap_pushes": 6480,
+                "heap_pops": 6480, "nowq_entries": 5128, "pool_reuses": 8317,
                 "bytes_copied": 2015232, "bytes_viewed": 10371072,
                 "bytes_reduced": 2359296,
             },
@@ -241,8 +241,8 @@ GOLDEN = {
             "c/n4/ppn8/mvapich2/16384B/tuned": {
                 "latency": 6.158848e-05,
                 "fast": {
-                    "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
+                    "events_allocated": 117, "heap_pushes": 228,
+                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -250,8 +250,8 @@ GOLDEN = {
             "c/n4/ppn8/mvapich2/262144B/tuned": {
                 "latency": 0.0006646228800000007,
                 "fast": {
-                    "events_allocated": 282, "heap_pushes": 636,
-                    "heap_pops": 636, "nowq_entries": 729, "pool_reuses": 691,
+                    "events_allocated": 154, "heap_pushes": 428,
+                    "heap_pops": 428, "nowq_entries": 433, "pool_reuses": 467,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -259,44 +259,44 @@ GOLDEN = {
             "c/n4/ppn8/intel_mpi/16384B/tuned": {
                 "latency": 3.7636479999999976e-05,
                 "fast": {
-                    "events_allocated": 894, "heap_pushes": 2128,
-                    "heap_pops": 2128, "nowq_entries": 2376,
-                    "pool_reuses": 2402, "bytes_copied": 1015808,
+                    "events_allocated": 766, "heap_pushes": 1920,
+                    "heap_pops": 1920, "nowq_entries": 2080,
+                    "pool_reuses": 2178, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
             "c/n4/ppn8/intel_mpi/262144B/tuned": {
                 "latency": 0.0004455558400000006,
                 "fast": {
-                    "events_allocated": 4226, "heap_pushes": 12112,
-                    "heap_pops": 12112, "nowq_entries": 11056,
-                    "pool_reuses": 14046, "bytes_copied": 8388608,
+                    "events_allocated": 4098, "heap_pushes": 11904,
+                    "heap_pops": 11904, "nowq_entries": 10760,
+                    "pool_reuses": 13822, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "c/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 2.8615519999999975e-05,
                 "fast": {
-                    "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1417,
-                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "events_allocated": 257, "heap_pushes": 1600,
+                    "heap_pops": 1600, "nowq_entries": 1121,
+                    "pool_reuses": 2112, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "c/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00028358816,
                 "fast": {
-                    "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3177,
-                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "events_allocated": 866, "heap_pushes": 2688,
+                    "heap_pops": 2688, "nowq_entries": 2881,
+                    "pool_reuses": 3327, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
             "d/n4/ppn8/mvapich2/16384B/tuned": {
                 "latency": 0.0001170840704,
                 "fast": {
-                    "events_allocated": 246, "heap_pushes": 436,
-                    "heap_pops": 436, "nowq_entries": 521, "pool_reuses": 487,
+                    "events_allocated": 117, "heap_pushes": 228,
+                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -304,8 +304,8 @@ GOLDEN = {
             "d/n4/ppn8/mvapich2/262144B/tuned": {
                 "latency": 0.0012534403584000002,
                 "fast": {
-                    "events_allocated": 282, "heap_pushes": 636,
-                    "heap_pops": 636, "nowq_entries": 729, "pool_reuses": 691,
+                    "events_allocated": 154, "heap_pushes": 428,
+                    "heap_pops": 428, "nowq_entries": 433, "pool_reuses": 467,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -313,45 +313,45 @@ GOLDEN = {
             "d/n4/ppn8/intel_mpi/16384B/tuned": {
                 "latency": 6.27292736e-05,
                 "fast": {
-                    "events_allocated": 894, "heap_pushes": 2128,
-                    "heap_pops": 2128, "nowq_entries": 2376,
-                    "pool_reuses": 2402, "bytes_copied": 1015808,
+                    "events_allocated": 758, "heap_pushes": 1920,
+                    "heap_pops": 1920, "nowq_entries": 2080,
+                    "pool_reuses": 2186, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
             "d/n4/ppn8/intel_mpi/262144B/tuned": {
                 "latency": 0.0007067678336000031,
                 "fast": {
-                    "events_allocated": 4226, "heap_pushes": 12112,
-                    "heap_pops": 12112, "nowq_entries": 11056,
-                    "pool_reuses": 14046, "bytes_copied": 8388608,
+                    "events_allocated": 4098, "heap_pushes": 11904,
+                    "heap_pops": 11904, "nowq_entries": 10760,
+                    "pool_reuses": 13822, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1417,
-                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "events_allocated": 257, "heap_pushes": 1600,
+                    "heap_pops": 1600, "nowq_entries": 1121,
+                    "pool_reuses": 2112, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3177,
-                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "events_allocated": 866, "heap_pushes": 2688,
+                    "heap_pops": 2688, "nowq_entries": 2881,
+                    "pool_reuses": 3327, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 14054, "heap_pushes": 40032,
-                "heap_pops": 40032, "nowq_entries": 38552,
-                "pool_reuses": 47026, "bytes_copied": 29425664,
+                "events_allocated": 12508, "heap_pushes": 37536,
+                "heap_pops": 37536, "nowq_entries": 35000,
+                "pool_reuses": 44348, "bytes_copied": 29425664,
                 "bytes_viewed": 65077248, "bytes_reduced": 25395200,
             },
         },
@@ -361,26 +361,26 @@ GOLDEN = {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 385, "heap_pushes": 1808,
-                    "heap_pops": 1808, "nowq_entries": 1417,
-                    "pool_reuses": 2336, "bytes_copied": 65536,
+                    "events_allocated": 257, "heap_pushes": 1600,
+                    "heap_pops": 1600, "nowq_entries": 1121,
+                    "pool_reuses": 2112, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 994, "heap_pushes": 2896,
-                    "heap_pops": 2896, "nowq_entries": 3177,
-                    "pool_reuses": 3551, "bytes_copied": 3670016,
+                    "events_allocated": 866, "heap_pushes": 2688,
+                    "heap_pops": 2688, "nowq_entries": 2881,
+                    "pool_reuses": 3327, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 1379, "heap_pushes": 4704,
-                "heap_pops": 4704, "nowq_entries": 4594, "pool_reuses": 5887,
+                "events_allocated": 1123, "heap_pushes": 4288,
+                "heap_pops": 4288, "nowq_entries": 4002, "pool_reuses": 5439,
                 "bytes_copied": 3735552, "bytes_viewed": 11534336,
                 "bytes_reduced": 2031616,
             },

@@ -28,15 +28,16 @@ FENCED_POINTS = [
 FENCED_SIZES = (1024, 65536, 524288)
 
 
-def _fenced_windows(call, warmups, calls):
-    """Rank function: ``warmups`` explicit ``call(comm)``s, the barrier,
-    then ``calls`` calls each released from an idle fence; returns each
-    fenced call's window."""
+def _fenced_windows(call, warmups, calls, barrier=True):
+    """Rank function: ``warmups`` explicit ``call(comm)``s, the barrier
+    (unless ``barrier`` is false), then ``calls`` calls each released
+    from an idle fence; returns each fenced call's window."""
 
     def bench(comm):
         for _ in range(warmups):
             yield from call(comm)
-        yield from comm.barrier()
+        if barrier:
+            yield from comm.barrier()
         windows = []
         for _ in range(calls):
             yield comm.sim.idle(comm.world_rank)
@@ -159,8 +160,9 @@ class TestHarness:
 def test_noise_free_point_is_one_fenced_call(fenced_sessions, cluster, algorithm):
     """A noise-free point is one fenced call, to the bit: it does not
     depend on ``iterations`` or ``warmup`` (the harness skips the
-    warm-up), a job that runs its warm-up explicitly gives the same
-    first fenced call, and the three fenced calls after it agree."""
+    warm-up and the barrier), a job that runs its warm-up and barrier
+    explicitly gives the same first fenced call, and the three fenced
+    calls after it agree."""
     config = get_cluster(cluster, 4)
     session = fenced_sessions.get(cluster)
     if session is None:
@@ -183,7 +185,9 @@ def test_noise_free_point_is_one_fenced_call(fenced_sessions, cluster, algorithm
 
 def test_a_delayed_job_measures_the_same_latency():
     """Delaying the whole job moves the absolute clock of every fence
-    release, and nothing a timed call computes."""
+    release, and nothing a timed call computes; with no warm-up and no
+    barrier before the fence, the job ends one latency after the
+    delay, to the bit."""
     config = get_cluster("b", 16)
     kernel = latency_kernel("rabenseifner", 524288)
 
@@ -198,12 +202,74 @@ def test_a_delayed_job_measures_the_same_latency():
     )
     job = session.run(delayed)
     assert max(job.values) == want
-    assert job.elapsed > 3.3e-3 + want
+    assert job.elapsed == 3.3e-3 + want
+
+
+def _dispatched(job):
+    """Calendar entries the job dispatched."""
+    return job.counters["heap_pops"] + job.counters["nowq_entries"]
 
 
 class TestWarmupPaths:
-    """Where the harness skips the warm-up and where it keeps it: each
-    point equals a job that runs its warm-ups explicitly, to the bit."""
+    """Where the harness skips the warm-up and the barrier and where it
+    keeps them: each point equals a job that runs its warm-ups and
+    barrier explicitly, to the bit."""
+
+    @pytest.mark.parametrize(
+        "cluster, algorithm",
+        [("a", "sharp_socket_leader"), ("b", "dpml"), ("c", "mvapich2"),
+         ("d", "rabenseifner")],
+    )
+    def test_steady_point_runs_only_its_fenced_call(self, cluster, algorithm):
+        """A steady exact point dispatches exactly the calendar entries
+        of a rank function that only fences and calls."""
+        session = SimSession(get_cluster(cluster, 4), 32, 8)
+        point = session.run(latency_kernel(algorithm, 65536, warmup=2))
+        bare = session.run(
+            _fenced_windows(_allreduce(algorithm, 65536), 0, 1, barrier=False)
+        )
+        assert _slowest(bare) == [max(point.values)]
+        assert _dispatched(point) == _dispatched(bare)
+
+    @pytest.mark.parametrize(
+        "path", ["noise", "faults", "recovery", "adaptive", "hybrid"]
+    )
+    def test_unsteady_paths_keep_the_barrier(self, path):
+        """With no warm-up and one timed call, such a point still runs
+        more than its fenced call: the barrier's messages (its macro
+        charge in a hybrid job) on top of the call's own."""
+        from repro.faults import FaultPlan, Straggler
+        from repro.resilience import RecoveryPolicy
+
+        algorithm = "adaptive" if path == "adaptive" else "ring"
+        session = SimSession(
+            get_cluster("b", 4), 32, 8, trace=True,
+            recovery=RecoveryPolicy() if path == "recovery" else None,
+            fidelity="hybrid" if path == "hybrid" else "exact",
+        )
+        run = {
+            "noise": {"noise": NoiseModel(sigma=0.05, seed=3)},
+            "faults": {
+                "faults": FaultPlan(faults=(Straggler(rank=0, factor=2.0),))
+            },
+        }.get(path, {})
+
+        def sent(job):
+            return (
+                job.tracer.count("net-send"), job.counters["macro_events"]
+            )
+
+        point = sent(session.run(
+            latency_kernel(algorithm, 65536, iterations=1, warmup=0), **run
+        ))
+        bare = sent(session.run(
+            _fenced_windows(_allreduce(algorithm, 65536), 0, 1, barrier=False),
+            **run,
+        ))
+        if path == "hybrid":
+            assert point[0] == bare[0] and point[1] > bare[1]
+        else:
+            assert point[0] > bare[0] and point[1] == bare[1] == 0
 
     @pytest.mark.parametrize("warmup", [1, 2])
     def test_adaptive_keeps_its_warmups(self, warmup):
@@ -247,6 +313,8 @@ class TestWarmupPaths:
 
         job = run_job(config, 32, _fenced_windows(call, 2, 2), ppn=8)
         assert _slowest(job) == [point, point]
+        job = run_job(config, 32, _fenced_windows(call, 0, 1), ppn=8)
+        assert _slowest(job) == [point]
 
     @pytest.mark.parametrize(
         "cluster, algorithm",

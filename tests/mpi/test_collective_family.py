@@ -122,6 +122,27 @@ class TestBcast:
 
         run_job(cluster_b(2), 4, fn, ppn=2)
 
+    def test_bcast_auto_missing_size_fails_on_first_resume(self):
+        """The missing-size error surfaces where a generator
+        collective's errors do: not when the call is made, but when it
+        first runs, inside a blocking ``bcast`` and at the ``wait`` of
+        an ``ibcast`` request."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                yield comm.sim.timeout(0)
+                return None
+            call = comm.bcast(None, root=0, algorithm="auto")
+            with pytest.raises(MPIError, match="placeholder"):
+                next(call)
+            req = comm.ibcast(None, root=0, algorithm="auto")
+            with pytest.raises(MPIError, match="placeholder"):
+                yield from comm.wait(req)
+            return "raised"
+
+        job = run_job(cluster_b(2), 4, fn, ppn=2)
+        assert job.values == [None, "raised", "raised", "raised"]
+
     def test_ibcast_nonblocking(self):
         vector = np.arange(5.0)
 
