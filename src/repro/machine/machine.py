@@ -24,8 +24,8 @@ The charged primitives (``compute``, ``shm_copy``, ``flag_sync``,
 ``gather_sync``) charge the tracer and return the event a rank
 coroutine ``yield``\ s.  A copy or a combine returns its core's leg with
 the memory engine's job as a follow-on stage (see
-:meth:`repro.sim.engine.Event.then`), so the loop hands the waiter from
-one leg to the next without resuming it in between.
+:meth:`repro.sim.engine.Event.then`): the loop runs both legs on that
+one event and resumes the waiter once, at the memory job's end.
 """
 
 from __future__ import annotations

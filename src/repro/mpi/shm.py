@@ -9,6 +9,18 @@ deposited — this data-flow dependency *is* the flag synchronisation of
 the DPML phases; the copy and flag costs are charged separately by the
 callers through :class:`~repro.machine.machine.Machine`.
 
+Hand-off
+--------
+A read costs no event of its own.  The readers of a written value
+share one already-processed event, made by the first of them: waiting
+on it is the kernel's direct resume, in the calendar slot a zero-delay
+wake-up would take.  The readers blocked on a key before its write
+share one pending event, which the write fires once to resume them in
+wait order.  :meth:`~ShmRegion.take` and :meth:`~ShmRegion.read` count
+a read when they are called, not when it resumes, so no read leaves a
+callback behind; a value whose reads all came before its write is
+consumed by the write.
+
 Sanitizing
 ----------
 When the owning simulator carries a sanitizer (``sim.sanitizer``), the
@@ -23,7 +35,8 @@ semantics:
   corrupting a neighbour's slice);
 * reading a key whose value was already fully consumed is a *stale
   read* (without the tombstone the reader would block forever on a key
-  nobody will write again — a silent deadlock);
+  nobody will write again — a silent deadlock), and writing it again is
+  a *double write*, like writing a key whose value is still there;
 * all :meth:`read` calls for one key must declare the same ``readers``
   fan-out.
 
@@ -43,6 +56,7 @@ from typing import Any, Hashable, Optional
 
 from repro.errors import MPIError
 from repro.sim import Event, Simulator
+from repro.sim.engine import _PROCESSED
 
 __all__ = ["ShmRegion"]
 
@@ -54,7 +68,8 @@ class ShmRegion:
         "sim",
         "name",
         "_data",
-        "_waiters",
+        "_ready",
+        "_blocked",
         "_reads_left",
         "_declared_readers",
         "_consumed",
@@ -65,7 +80,13 @@ class ShmRegion:
         self.sim = sim
         self.name = name
         self._data: dict[Hashable, Any] = {}
-        self._waiters: dict[Hashable, list[Event]] = {}
+        # The processed event the readers of a written value share, made
+        # by the first of them.
+        self._ready: dict[Hashable, Event] = {}
+        # The pending event the readers blocked on a key share.
+        self._blocked: dict[Hashable, Event] = {}
+        # Reads of a key still to come once one was made (0: every read
+        # came before the write).
         self._reads_left: dict[Hashable, int] = {}
         # Sanitize-only bookkeeping (kept empty otherwise).
         self._declared_readers: dict[Hashable, int] = {}
@@ -85,7 +106,9 @@ class ShmRegion:
         checking only happens on sanitized runs.
         """
         sanitizer = self.sim.sanitizer
-        if key in self._data:
+        if key in self._data or (
+            sanitizer is not None and key in self._consumed
+        ):
             if sanitizer is not None:
                 from repro.check.reports import SHM_DOUBLE_WRITE
 
@@ -103,9 +126,15 @@ class ShmRegion:
             )
             if report is not None:
                 raise MPIError(str(report))
-        self._data[key] = value
-        for ev in self._waiters.pop(key, ()):  # wake in wait order
-            ev.succeed(value)
+        blocked = self._blocked.pop(key, None)
+        if blocked is not None:
+            # One entry resumes the blocked readers in wait order.
+            blocked.succeed(value)
+        if self._reads_left.get(key) == 0:
+            del self._reads_left[key]
+            self._tombstone(key)
+        else:
+            self._data[key] = value
 
     def concat(self, parts: list) -> Any:
         """Concatenate payloads read from this region, memoized by part
@@ -127,31 +156,9 @@ class ShmRegion:
             cached = self._concat_cache[key] = _concat(parts)
         return cached
 
-    def _wait(self, key: Hashable) -> Event:
-        ev = self.sim.event()
-        if key in self._data:
-            ev.succeed(self._data[key])
-        else:
-            if self.sim.sanitizer is not None and key in self._consumed:
-                from repro.check.reports import SHM_STALE_READ
-
-                report = self.sim.sanitizer.record(
-                    SHM_STALE_READ,
-                    f"shm key {key!r} on {self.name} read after its value "
-                    "was fully consumed",
-                    time=self.sim.clock,
-                    region=self.name,
-                    key=repr(key),
-                )
-                raise MPIError(str(report))
-            self._waiters.setdefault(key, []).append(ev)
-        return ev
-
     def take(self, key: Hashable) -> Event:
         """Event firing with the value; the single consumer removes it."""
-        ev = self._wait(key)
-        ev._add_callback(lambda _e: self._discard(key))
-        return ev
+        return self._claim(key, 1)
 
     def read(self, key: Hashable, readers: int) -> Event:
         """Event firing with the value; auto-removed after ``readers`` reads."""
@@ -177,22 +184,50 @@ class ShmRegion:
                     readers=readers,
                 )
                 raise MPIError(str(report))
-        ev = self._wait(key)
+        return self._claim(key, readers)
 
-        def _count(_e: Event) -> None:
-            left = self._reads_left.get(key, readers) - 1
-            if left <= 0:
-                self._discard(key)
-                self._reads_left.pop(key, None)
-            else:
-                self._reads_left[key] = left
+    def _claim(self, key: Hashable, readers: int) -> Event:
+        """One of ``readers`` reads of ``key``: the event to yield, with
+        the read counted now."""
+        data = self._data
+        if key not in data:
+            if self.sim.sanitizer is not None and key in self._consumed:
+                from repro.check.reports import SHM_STALE_READ
 
-        ev._add_callback(_count)
+                report = self.sim.sanitizer.record(
+                    SHM_STALE_READ,
+                    f"shm key {key!r} on {self.name} read after its value "
+                    "was fully consumed",
+                    time=self.sim.clock,
+                    region=self.name,
+                    key=repr(key),
+                )
+                raise MPIError(str(report))
+            # Block until the write; after the last read, the write
+            # consumes the value (0 reads left).
+            self._reads_left[key] = max(
+                self._reads_left.get(key, readers) - 1, 0
+            )
+            ev = self._blocked.get(key)
+            if ev is None:
+                ev = self._blocked[key] = self.sim.event()
+            return ev
+        ev = self._ready.pop(key, None)
+        if ev is None:
+            ev = self.sim.event()
+            ev._value = data[key]
+            ev._state = _PROCESSED
+        left = self._reads_left.pop(key, readers) - 1
+        if left > 0:
+            self._ready[key] = ev
+            self._reads_left[key] = left
+        else:
+            del data[key]
+            self._tombstone(key)
         return ev
 
-    def _discard(self, key: Hashable) -> None:
-        """Drop a fully consumed value, tombstoning it on sanitized runs."""
-        self._data.pop(key, None)
+    def _tombstone(self, key: Hashable) -> None:
+        """Tombstone a fully consumed key on sanitized runs."""
         if self.sim.sanitizer is not None:
             self._consumed.add(key)
 
@@ -204,7 +239,7 @@ class ShmRegion:
 
     def blocked_keys(self) -> list:
         """Keys with readers still blocked waiting for a writer."""
-        return [key for key, waiters in self._waiters.items() if waiters]
+        return list(self._blocked)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -212,5 +247,5 @@ class ShmRegion:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ShmRegion {self.name!r} entries={len(self._data)} "
-            f"waiters={len(self._waiters)}>"
+            f"blocked={len(self._blocked)}>"
         )

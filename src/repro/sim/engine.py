@@ -16,12 +16,13 @@ Not everything that waits is a process.  A callable waiter is a
 and :meth:`Simulator.hop` calls one from a zero-delay entry, the slot a
 process start takes.  :mod:`repro.mpi.transport` moves every message
 this way.  An event may also carry one follow-on FCFS stage
-(:meth:`Event.then`): when it fires, the loop submits the stage's job in
-the same dispatch and moves the event's waiters, unresumed, to the
-job's completion event.  That is how a copy or a combine hands its
-waiter to the node memory engine.  A process that yields None goes on
-at once, without a calendar entry (a charged primitive with nothing to
-charge returns None).
+(:meth:`Event.then`): when its first leg fires, the loop books the
+stage's job in the same dispatch and schedules the same event again at
+the job's end, its waiters still attached, so they resume once, with
+that end time as the value.  That is how a copy or a combine charges
+the node memory engine after its core.  A process that yields None goes
+on at once, without a calendar entry (a charged primitive with nothing
+to charge returns None).
 
 Determinism
 -----------
@@ -57,11 +58,15 @@ kernel paid for them:
   no list;
 * process start and :meth:`Process.interrupt` enqueue a direct resume
   (no starter/proxy ``Event``), and so does waiting on an
-  already-processed event;
+  already-processed event: a producer can hand one processed event to
+  any number of waiters (:class:`~repro.mpi.shm.ShmRegion` does);
+* a follow-on stage reuses its event for the second leg: no event is
+  allocated and no waiter moves;
 * the first waiter of an event is stored in a slot (``_cb1``); the
   callback list is only allocated for the second waiter;
 * processed one-shot events (``Event``/``Timeout``/``AllOf``) that no
-  one else references are recycled through per-class free pools.
+  one else references are recycled through per-class free pools, a
+  plain ``Event`` also after its last direct resume.
 
 Idle fences
 -----------
@@ -248,10 +253,13 @@ class Event:
         """Follow this event with one job of ``service`` seconds on the
         FCFS ``queue``; returns the event.
 
-        When the event fires, :meth:`Simulator.run` submits the job in
-        the same dispatch and moves the event's waiters, unresumed, to
-        the job's completion event, so a waiter resumes only once both
-        legs are done.
+        When the event fires, :meth:`Simulator.run` books the job in
+        the same dispatch (:meth:`~repro.sim.resources.FCFSQueue.book`)
+        and schedules this event again at the job's end, its waiters
+        still attached.  A waiter resumes once, when both legs are
+        done, with the job's end time as the value; one interrupted
+        during the first leg is never resumed, and its job is still
+        served.
         """
         self._then = (queue, service)
         return self
@@ -820,6 +828,16 @@ class Simulator:
                     n_pops += 1
                     waiter = None
                 if waiter is None:
+                    then = event._then
+                    if then is not None:
+                        # The first leg is done: book the follow-on job
+                        # and fire the event again at its end, with its
+                        # waiters still attached.
+                        event._then = None
+                        at = then[0].book(then[1])
+                        event._value = at
+                        self._schedule(event, at - self.now)
+                        continue
                     # Fire the event: its waiters get its outcome.
                     event._state = _PROCESSED
                     waiter = event._cb1
@@ -828,22 +846,6 @@ class Simulator:
                         event._cb1 = None
                     if rest is not None:
                         event.callbacks = None
-                    then = event._then
-                    if then is not None:
-                        # Submit the follow-on stage and hand it the
-                        # waiters, unresumed.
-                        event._then = None
-                        nxt = then[0].submit(then[1])
-                        nxt._cb1 = waiter
-                        nxt.callbacks = rest
-                        if waiter.__class__ is Process:
-                            waiter._waiting_on = nxt
-                        if rest is not None:
-                            for other in rest:
-                                if other.__class__ is Process:
-                                    other._waiting_on = nxt
-                        nxt = waiter = rest = None
-                    elif rest is not None:
                         rest = iter(rest)
                         if waiter is None:
                             waiter = next(rest, None)
@@ -852,7 +854,9 @@ class Simulator:
                     fired = pooling
                 else:
                     rest = None
-                    fired = False
+                    # A handed-off plain event may be recycled after
+                    # its last direct resume.
+                    fired = pooling and event.__class__ is Event
                 while waiter is not None:
                     if waiter.__class__ is not Process:
                         waiter(event)

@@ -53,8 +53,15 @@ class FCFSQueue:
         self.served_time: float = 0.0
         self.job_count: int = 0
 
-    def submit(self, service: float) -> Event:
-        """Enqueue a job needing ``service`` seconds; returns its completion event."""
+    def book(self, service: float) -> float:
+        """Book a job needing ``service`` seconds; returns the time
+        (on :attr:`~repro.sim.engine.Simulator.now`) it completes.
+
+        The queue arithmetic every job goes through: :meth:`submit`
+        schedules a completion event at the returned time, and the loop
+        reschedules an event with a follow-on stage there (see
+        :meth:`~repro.sim.engine.Event.then`).
+        """
         sim = self.sim
         if not service >= 0:
             _report_misuse(
@@ -72,6 +79,12 @@ class FCFSQueue:
         self.busy_until = done_at
         self.served_time += service
         self.job_count += 1
+        return done_at
+
+    def submit(self, service: float) -> Event:
+        """Enqueue a job needing ``service`` seconds; returns its completion event."""
+        done_at = self.book(service)
+        sim = self.sim
         # The completion event, scheduled inline (the hot path of
         # Simulator.event() followed by Event.succeed()).
         pool = sim._pool_event
@@ -85,7 +98,7 @@ class FCFSQueue:
         # Scheduled after ``done_at - now``, so keyed on ``now + (done_at
         # - now)``: with a busy horizon that can differ from ``done_at``
         # in the last bit.
-        sim._schedule(ev, done_at - now)
+        sim._schedule(ev, done_at - sim.now)
         return ev
 
     def reset(self) -> None:

@@ -110,7 +110,7 @@ GOLDEN = {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
                     "events_allocated": 117, "heap_pushes": 228,
-                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
+                    "heap_pops": 228, "nowq_entries": 201, "pool_reuses": 156,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -118,17 +118,17 @@ GOLDEN = {
             "a/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 177, "heap_pushes": 816,
-                    "heap_pops": 816, "nowq_entries": 609,
-                    "pool_reuses": 1056, "bytes_copied": 16384,
+                    "events_allocated": 178, "heap_pushes": 816,
+                    "heap_pops": 816, "nowq_entries": 597,
+                    "pool_reuses": 611, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "a/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 150, "heap_pushes": 332,
-                    "heap_pops": 332, "nowq_entries": 353, "pool_reuses": 375,
+                    "events_allocated": 134, "heap_pushes": 332,
+                    "heap_pops": 332, "nowq_entries": 329, "pool_reuses": 259,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -136,17 +136,17 @@ GOLDEN = {
             "a/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 242, "heap_pushes": 976,
-                    "heap_pops": 976, "nowq_entries": 865,
-                    "pool_reuses": 1247, "bytes_copied": 655360,
+                    "events_allocated": 243, "heap_pushes": 976,
+                    "heap_pops": 976, "nowq_entries": 853,
+                    "pool_reuses": 770, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 686, "heap_pushes": 2352,
-                "heap_pops": 2352, "nowq_entries": 2052, "pool_reuses": 2942,
+                "events_allocated": 672, "heap_pushes": 2352,
+                "heap_pops": 2352, "nowq_entries": 1980, "pool_reuses": 1796,
                 "bytes_copied": 1064960, "bytes_viewed": 5521408,
                 "bytes_reduced": 1015808,
             },
@@ -158,7 +158,7 @@ GOLDEN = {
                 "latency": 2.2667360000000003e-05,
                 "fast": {
                     "events_allocated": 117, "heap_pushes": 228,
-                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
+                    "heap_pops": 228, "nowq_entries": 201, "pool_reuses": 156,
                     "bytes_copied": 0, "bytes_viewed": 147456,
                     "bytes_reduced": 49152,
                 },
@@ -166,8 +166,8 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l2": {
                 "latency": 1.5566879999999997e-05,
                 "fast": {
-                    "events_allocated": 137, "heap_pushes": 424,
-                    "heap_pops": 424, "nowq_entries": 353, "pool_reuses": 528,
+                    "events_allocated": 138, "heap_pushes": 424,
+                    "heap_pops": 424, "nowq_entries": 333, "pool_reuses": 307,
                     "bytes_copied": 16384, "bytes_viewed": 131072,
                     "bytes_reduced": 49152,
                 },
@@ -175,26 +175,26 @@ GOLDEN = {
             "b/n4/ppn8/dpml/4096B/l4": {
                 "latency": 1.3492799999999997e-05,
                 "fast": {
-                    "events_allocated": 177, "heap_pushes": 816,
-                    "heap_pops": 816, "nowq_entries": 609,
-                    "pool_reuses": 1056, "bytes_copied": 16384,
+                    "events_allocated": 178, "heap_pushes": 816,
+                    "heap_pops": 816, "nowq_entries": 597,
+                    "pool_reuses": 611, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/4096B/l8": {
                 "latency": 1.4585600000000008e-05,
                 "fast": {
-                    "events_allocated": 257, "heap_pushes": 1600,
+                    "events_allocated": 258, "heap_pushes": 1600,
                     "heap_pops": 1600, "nowq_entries": 1121,
-                    "pool_reuses": 2112, "bytes_copied": 16384,
+                    "pool_reuses": 1219, "bytes_copied": 16384,
                     "bytes_viewed": 131072, "bytes_reduced": 49152,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l1": {
                 "latency": 0.00025141648,
                 "fast": {
-                    "events_allocated": 150, "heap_pushes": 332,
-                    "heap_pops": 332, "nowq_entries": 353, "pool_reuses": 375,
+                    "events_allocated": 134, "heap_pushes": 332,
+                    "heap_pops": 332, "nowq_entries": 329, "pool_reuses": 259,
                     "bytes_copied": 393216, "bytes_viewed": 2752512,
                     "bytes_reduced": 458752,
                 },
@@ -202,8 +202,8 @@ GOLDEN = {
             "b/n4/ppn8/dpml/65536B/l2": {
                 "latency": 0.00014921903999999997,
                 "fast": {
-                    "events_allocated": 170, "heap_pushes": 504,
-                    "heap_pops": 504, "nowq_entries": 481, "pool_reuses": 623,
+                    "events_allocated": 171, "heap_pushes": 504,
+                    "heap_pops": 504, "nowq_entries": 449, "pool_reuses": 390,
                     "bytes_copied": 655360, "bytes_viewed": 2490368,
                     "bytes_reduced": 458752,
                 },
@@ -211,26 +211,26 @@ GOLDEN = {
             "b/n4/ppn8/dpml/65536B/l4": {
                 "latency": 0.00010605568000000001,
                 "fast": {
-                    "events_allocated": 242, "heap_pushes": 976,
-                    "heap_pops": 976, "nowq_entries": 865,
-                    "pool_reuses": 1247, "bytes_copied": 655360,
+                    "events_allocated": 243, "heap_pushes": 976,
+                    "heap_pops": 976, "nowq_entries": 853,
+                    "pool_reuses": 770, "bytes_copied": 655360,
                     "bytes_viewed": 2490368, "bytes_reduced": 458752,
                 },
             },
             "b/n4/ppn8/dpml/65536B/l8": {
                 "latency": 8.988255999999996e-05,
                 "fast": {
-                    "events_allocated": 257, "heap_pushes": 1600,
+                    "events_allocated": 258, "heap_pushes": 1600,
                     "heap_pops": 1600, "nowq_entries": 1121,
-                    "pool_reuses": 2112, "bytes_copied": 262144,
+                    "pool_reuses": 1215, "bytes_copied": 262144,
                     "bytes_viewed": 2097152, "bytes_reduced": 786432,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 1507, "heap_pushes": 6480,
-                "heap_pops": 6480, "nowq_entries": 5128, "pool_reuses": 8317,
+                "events_allocated": 1497, "heap_pushes": 6480,
+                "heap_pops": 6480, "nowq_entries": 5004, "pool_reuses": 4927,
                 "bytes_copied": 2015232, "bytes_viewed": 10371072,
                 "bytes_reduced": 2359296,
             },
@@ -242,7 +242,7 @@ GOLDEN = {
                 "latency": 6.158848e-05,
                 "fast": {
                     "events_allocated": 117, "heap_pushes": 228,
-                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
+                    "heap_pops": 228, "nowq_entries": 201, "pool_reuses": 156,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -250,8 +250,8 @@ GOLDEN = {
             "c/n4/ppn8/mvapich2/262144B/tuned": {
                 "latency": 0.0006646228800000007,
                 "fast": {
-                    "events_allocated": 154, "heap_pushes": 428,
-                    "heap_pops": 428, "nowq_entries": 433, "pool_reuses": 467,
+                    "events_allocated": 134, "heap_pushes": 428,
+                    "heap_pops": 428, "nowq_entries": 409, "pool_reuses": 323,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -259,9 +259,9 @@ GOLDEN = {
             "c/n4/ppn8/intel_mpi/16384B/tuned": {
                 "latency": 3.7636479999999976e-05,
                 "fast": {
-                    "events_allocated": 766, "heap_pushes": 1920,
+                    "events_allocated": 770, "heap_pushes": 1920,
                     "heap_pops": 1920, "nowq_entries": 2080,
-                    "pool_reuses": 2178, "bytes_copied": 1015808,
+                    "pool_reuses": 1694, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
@@ -270,25 +270,25 @@ GOLDEN = {
                 "fast": {
                     "events_allocated": 4098, "heap_pushes": 11904,
                     "heap_pops": 11904, "nowq_entries": 10760,
-                    "pool_reuses": 13822, "bytes_copied": 8388608,
+                    "pool_reuses": 10846, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "c/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 2.8615519999999975e-05,
                 "fast": {
-                    "events_allocated": 257, "heap_pushes": 1600,
+                    "events_allocated": 258, "heap_pushes": 1600,
                     "heap_pops": 1600, "nowq_entries": 1121,
-                    "pool_reuses": 2112, "bytes_copied": 65536,
+                    "pool_reuses": 1215, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "c/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00028358816,
                 "fast": {
-                    "events_allocated": 866, "heap_pushes": 2688,
+                    "events_allocated": 867, "heap_pushes": 2688,
                     "heap_pops": 2688, "nowq_entries": 2881,
-                    "pool_reuses": 3327, "bytes_copied": 3670016,
+                    "pool_reuses": 2174, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
@@ -296,7 +296,7 @@ GOLDEN = {
                 "latency": 0.0001170840704,
                 "fast": {
                     "events_allocated": 117, "heap_pushes": 228,
-                    "heap_pops": 228, "nowq_entries": 225, "pool_reuses": 264,
+                    "heap_pops": 228, "nowq_entries": 201, "pool_reuses": 156,
                     "bytes_copied": 0, "bytes_viewed": 589824,
                     "bytes_reduced": 196608,
                 },
@@ -304,8 +304,8 @@ GOLDEN = {
             "d/n4/ppn8/mvapich2/262144B/tuned": {
                 "latency": 0.0012534403584000002,
                 "fast": {
-                    "events_allocated": 154, "heap_pushes": 428,
-                    "heap_pops": 428, "nowq_entries": 433, "pool_reuses": 467,
+                    "events_allocated": 134, "heap_pushes": 428,
+                    "heap_pops": 428, "nowq_entries": 409, "pool_reuses": 323,
                     "bytes_copied": 1572864, "bytes_viewed": 11010048,
                     "bytes_reduced": 1835008,
                 },
@@ -313,9 +313,9 @@ GOLDEN = {
             "d/n4/ppn8/intel_mpi/16384B/tuned": {
                 "latency": 6.27292736e-05,
                 "fast": {
-                    "events_allocated": 758, "heap_pushes": 1920,
+                    "events_allocated": 762, "heap_pushes": 1920,
                     "heap_pops": 1920, "nowq_entries": 2080,
-                    "pool_reuses": 2186, "bytes_copied": 1015808,
+                    "pool_reuses": 1702, "bytes_copied": 1015808,
                     "bytes_viewed": 1015808, "bytes_reduced": 507904,
                 },
             },
@@ -324,34 +324,34 @@ GOLDEN = {
                 "fast": {
                     "events_allocated": 4098, "heap_pushes": 11904,
                     "heap_pops": 11904, "nowq_entries": 10760,
-                    "pool_reuses": 13822, "bytes_copied": 8388608,
+                    "pool_reuses": 10846, "bytes_copied": 8388608,
                     "bytes_viewed": 8388608, "bytes_reduced": 8126464,
                 },
             },
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 257, "heap_pushes": 1600,
+                    "events_allocated": 258, "heap_pushes": 1600,
                     "heap_pops": 1600, "nowq_entries": 1121,
-                    "pool_reuses": 2112, "bytes_copied": 65536,
+                    "pool_reuses": 1215, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 866, "heap_pushes": 2688,
+                    "events_allocated": 867, "heap_pushes": 2688,
                     "heap_pops": 2688, "nowq_entries": 2881,
-                    "pool_reuses": 3327, "bytes_copied": 3670016,
+                    "pool_reuses": 2174, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 12508, "heap_pushes": 37536,
-                "heap_pops": 37536, "nowq_entries": 35000,
-                "pool_reuses": 44348, "bytes_copied": 29425664,
+                "events_allocated": 12480, "heap_pushes": 37536,
+                "heap_pops": 37536, "nowq_entries": 34904,
+                "pool_reuses": 32824, "bytes_copied": 29425664,
                 "bytes_viewed": 65077248, "bytes_reduced": 25395200,
             },
         },
@@ -361,26 +361,26 @@ GOLDEN = {
             "d/n4/ppn8/dpml_tuned/16384B/tuned": {
                 "latency": 4.6763584000000044e-05,
                 "fast": {
-                    "events_allocated": 257, "heap_pushes": 1600,
+                    "events_allocated": 258, "heap_pushes": 1600,
                     "heap_pops": 1600, "nowq_entries": 1121,
-                    "pool_reuses": 2112, "bytes_copied": 65536,
+                    "pool_reuses": 1215, "bytes_copied": 65536,
                     "bytes_viewed": 524288, "bytes_reduced": 196608,
                 },
             },
             "d/n4/ppn8/dpml_tuned/262144B/tuned": {
                 "latency": 0.00046994607999999963,
                 "fast": {
-                    "events_allocated": 866, "heap_pushes": 2688,
+                    "events_allocated": 867, "heap_pushes": 2688,
                     "heap_pops": 2688, "nowq_entries": 2881,
-                    "pool_reuses": 3327, "bytes_copied": 3670016,
+                    "pool_reuses": 2174, "bytes_copied": 3670016,
                     "bytes_viewed": 11010048, "bytes_reduced": 1835008,
                 },
             },
         },
         "totals": {
             "fast": {
-                "events_allocated": 1123, "heap_pushes": 4288,
-                "heap_pops": 4288, "nowq_entries": 4002, "pool_reuses": 5439,
+                "events_allocated": 1125, "heap_pushes": 4288,
+                "heap_pops": 4288, "nowq_entries": 4002, "pool_reuses": 3389,
                 "bytes_copied": 3735552, "bytes_viewed": 11534336,
                 "bytes_reduced": 2031616,
             },
@@ -447,12 +447,12 @@ GOLDEN = {
         "total_queue_wait": 0.00120545642,
         "fresh": {
             "events_allocated": 648, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 3977, "pool_reuses": 8939, "pool_evictions": 0,
+            "nowq_entries": 3977, "pool_reuses": 5615, "pool_evictions": 0,
             "macro_events": 0,
         },
         "reused": {
             "events_allocated": 608, "heap_pushes": 7034, "heap_pops": 7034,
-            "nowq_entries": 3977, "pool_reuses": 8979, "pool_evictions": 0,
+            "nowq_entries": 3977, "pool_reuses": 5655, "pool_evictions": 0,
             "macro_events": 0,
         },
         "byte_identical": True,

@@ -140,6 +140,20 @@ class TestShmViolations:
             region.put("k", 2)
         assert san.kinds() == {R.SHM_DOUBLE_WRITE}
 
+    @pytest.mark.parametrize("run_first", [False, True])
+    def test_write_of_a_consumed_key_is_a_double_write(self, san, run_first):
+        """Regression: a write after the value was taken used to pass,
+        and the value then showed up only as a leak at finalize."""
+        region = self._region(san)
+        region.put("k", 1)
+        region.take("k")
+        if run_first:
+            region.sim.run()
+        with pytest.raises(MPIError, match="written twice"):
+            region.put("k", 2)
+        assert san.kinds() == {R.SHM_DOUBLE_WRITE}
+        assert region.unconsumed() == []
+
     def test_stale_read_of_consumed_key(self, san):
         region = self._region(san)
         sim = region.sim

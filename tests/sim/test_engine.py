@@ -939,7 +939,78 @@ class TestContinuations:
             sim.run()
             return p.value, sim.counters()
 
-        assert run(chained=True) == run(chained=False)
+        latency, chained = run(chained=True)
+        split_latency, split = run(chained=False)
+        assert latency == split_latency == 3.0
+        for key in ("heap_pushes", "heap_pops", "nowq_entries"):
+            assert chained[key] == split[key]
+        # The follow-on leg reuses the first leg's event.
+        assert (
+            chained["events_allocated"] + chained["pool_reuses"]
+            < split["events_allocated"] + split["pool_reuses"]
+        )
+
+    def test_two_leg_event_resumes_once_with_the_end_time(self):
+        from repro.sim import FCFSQueue
+
+        sim = Simulator()
+        queue = FCFSQueue(sim, "mem")
+        log = []
+        leg = sim.timeout(1.0).then(queue, 2.0)
+
+        def waiter(name):
+            got = yield leg
+            log.append((name, sim.now, got))
+
+        sim.process(waiter("a"))
+        sim.process(waiter("b"))
+        sim.run()
+        assert log == [("a", 3.0, 3.0), ("b", 3.0, 3.0)]
+        assert leg.processed and leg.value == 3.0
+
+    def test_all_of_sees_the_second_legs_end(self):
+        from repro.sim import FCFSQueue
+
+        sim = Simulator()
+        queue = FCFSQueue(sim, "mem")
+
+        def proc():
+            got = yield sim.all_of([
+                sim.timeout(1.0).then(queue, 2.0), sim.timeout(0.5, "x"),
+            ])
+            return sim.now, got
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.value == (3.0, [3.0, "x"])
+
+    def test_interrupt_during_the_first_leg(self):
+        from repro.sim import FCFSQueue
+
+        sim = Simulator()
+        queue = FCFSQueue(sim, "mem")
+        log = []
+
+        def victim():
+            try:
+                yield sim.timeout(1.0).then(queue, 2.0)
+                log.append(("resumed", sim.now))
+            except InterruptError:
+                log.append(("interrupted", sim.now))
+                yield sim.timeout(5.0)
+                log.append(("done", sim.now))
+
+        def attacker(target):
+            yield sim.timeout(0.5)
+            target.interrupt()
+
+        v = sim.process(victim())
+        sim.process(attacker(v))
+        sim.run()
+        # Never resumed by the two-leg event; its memory job is served.
+        assert log == [("interrupted", 0.5), ("done", 5.5)]
+        assert queue.job_count == 1
+        assert queue.busy_until == 3.0
 
     def test_chained_event_is_recycled(self):
         from repro.sim import FCFSQueue
