@@ -5,20 +5,16 @@
 * :mod:`repro.apps.hpcg` — an HPCG-like conjugate-gradient solver whose
   DDOT allreduces dominate MPI time (Section 6.5);
 * :mod:`repro.apps.miniamr` — a miniAMR-like adaptive-mesh-refinement
-  loop whose refinement phase performs growing allreduces (Section 6.6);
-* :mod:`repro.apps.sgd` — data-parallel synchronous SGD with bucketed
-  gradient allreduces (the introduction's deep-learning motivation).
+  loop whose refinement phase performs growing allreduces (Section 6.6).
 """
 
 from repro.apps.hpcg import run_hpcg
 from repro.apps.miniamr import run_miniamr
 from repro.apps.osu import multi_pair_bandwidth, relative_throughput
-from repro.apps.sgd import run_sgd
 
 __all__ = [
     "multi_pair_bandwidth",
     "relative_throughput",
     "run_hpcg",
     "run_miniamr",
-    "run_sgd",
 ]

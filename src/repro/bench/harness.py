@@ -210,20 +210,11 @@ def allreduce_latency(
     faults=None,
     fault_seed: int = 0,
     fidelity: Optional[str] = None,
-    recovery=None,
     **alg_kwargs,
 ) -> float:
     """Per-call allreduce latency (seconds): the slowest rank's mean
     window over the fenced timed calls of :func:`timed_calls` (one call
     on a noise-free, fault-free machine).
-
-    ``recovery`` attaches a resilience layer (a
-    :class:`~repro.resilience.policy.RecoveryPolicy` or pre-built
-    manager) so the measured job survives permanent link outages via
-    failover instead of aborting — the latency then includes the
-    restart.  With a ``session``, the session must have been built with
-    the recovery layer (a runtime's recovery manager, like its
-    fidelity, is fixed at construction).
 
     ``fidelity`` selects the collective execution mode (``"exact"`` |
     ``"hybrid"``; ``None`` consults ``REPRO_FIDELITY``).  With a
@@ -249,7 +240,7 @@ def allreduce_latency(
 
     Which jobs take the fleet: a hybrid job without ``validate`` runs
     as one process standing for every rank (see :func:`latency_kernel`)
-    when it has no noise, faults or recovery layer, fully populated
+    when it has no noise or faults, fully populated
     nodes, more than one rank, and a priced ``algorithm`` whose charge
     succeeds.  Any other job launches one process per rank and is, in
     hybrid mode, counted in
@@ -272,10 +263,7 @@ def allreduce_latency(
     )
 
     if session is None:
-        session = SimSession(
-            config, nranks, ppn, trace=trace, fidelity=fidelity,
-            recovery=recovery,
-        )
+        session = SimSession(config, nranks, ppn, trace=trace, fidelity=fidelity)
     elif not session.matches(config, nranks, ppn):
         raise ReproError(
             f"session layout {session.key} does not match the requested "
@@ -286,21 +274,11 @@ def allreduce_latency(
             f"session fidelity {session.fidelity!r} does not match the "
             f"requested {fidelity!r}"
         )
-    elif recovery is not None and session.recovery is None:
-        raise ReproError(
-            "recovery= needs a session built with the recovery layer "
-            "(pass recovery= to SimSession)"
-        )
     check_knobs(algorithm, nranks, session.ppn, alg_kwargs)
     job = session.run(
         kernel, noise=noise, timeline=timeline,
         faults=faults, fault_seed=fault_seed,
     )
     # The slowest rank's window is the collective's completion latency
-    # (matches how OSU reports max across ranks at scale).  Ranks lost
-    # to a failover return None; only survivors report a window, and
-    # only a session with a recovery layer can fail over.
-    values = job.values
-    if session.recovery is not None:
-        values = [v for v in values if v is not None]
-    return float(max(values))
+    # (matches how OSU reports max across ranks at scale).
+    return float(max(job.values))

@@ -89,24 +89,6 @@ class TransportError(MPIError):
         self.attempts = attempts
 
 
-class CommRevokedError(MPIError):
-    """An operation was attempted on a revoked communicator.
-
-    Mirrors ULFM's ``MPI_ERR_REVOKED``: after :meth:`Comm.revoke` the
-    communicator refuses new point-to-point and collective traffic;
-    only :meth:`Comm.shrink` and :meth:`Comm.agree` remain usable to
-    negotiate the surviving group.
-    """
-
-    def __init__(self, context: int, operation: str):
-        super().__init__(
-            f"communicator (context {context}) is revoked; "
-            f"{operation} refused — shrink() to a surviving group first"
-        )
-        self.context = context
-        self.operation = operation
-
-
 class RecoveryError(ReproError):
     """The recovery layer hit an unrecoverable condition.
 

@@ -167,8 +167,9 @@ def allreduce_stateful(name: Optional[str]) -> bool:
 
 def collective_keywords(kind: str, name: str) -> Optional[frozenset]:
     """The public keywords the ``kind`` algorithm ``name`` takes after
-    ``comm`` and its data arguments, or ``None`` when it is not
-    registered or takes ``**kwargs``."""
+    ``comm`` and its data arguments, less the ``tag_base`` every call
+    is given, or ``None`` when it is not registered or takes
+    ``**kwargs``."""
     if kind == "allreduce":
         record = _ALLREDUCE.get(name)
         fn = None if record is None else record.fn
@@ -192,7 +193,7 @@ def _public_keywords(fn: Callable, positional: int) -> Optional[frozenset]:
     return frozenset(
         param.name for param in params
         if param.kind is not param.VAR_POSITIONAL
-        and not param.name.startswith("_")
+        and not param.name.startswith("_") and param.name != "tag_base"
     )
 
 

@@ -20,10 +20,9 @@ DPML-Pipelined overlaps its ``k`` sub-allreduces.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
-from repro.errors import CommRevokedError, MPIError
+from repro.errors import MPIError
 from repro.mpi.layout import Layout, build_layout
 from repro.mpi.matching import ANY
 from repro.mpi.request import Request
@@ -44,8 +43,7 @@ class Group:
     """State shared by all rank views of one communicator."""
 
     __slots__ = (
-        "ranks", "context", "index_of", "_split_calls", "_coll_calls",
-        "revoked", "layout",
+        "ranks", "context", "index_of", "_split_calls", "layout",
     )
 
     def __init__(
@@ -66,10 +64,6 @@ class Group:
         # split-coordination: call number -> {"args": {rank: (color, key)},
         # "event": Event fired with {global_rank: Group}}
         self._split_calls: dict[int, dict] = {}
-        self._coll_calls = 0
-        # ULFM-style revocation flag (see Comm.revoke): a revoked
-        # communicator refuses new traffic on every rank's view.
-        self.revoked = False
         # Node/socket membership, built on first use (see Comm.layout).
         self.layout: Optional[Layout] = None
 
@@ -78,8 +72,7 @@ class Comm:
     """One rank's view of a communicator."""
 
     __slots__ = (
-        "runtime", "group", "rank", "_split_count", "_coll_count",
-        "_shrink_count", "_agree_count", "cache",
+        "runtime", "group", "rank", "_split_count", "_coll_count", "cache",
     )
 
     def __init__(self, runtime, group: Group, global_rank: int):
@@ -90,8 +83,6 @@ class Comm:
         self.rank = group.index_of[global_rank]
         self._split_count = 0
         self._coll_count = 0
-        self._shrink_count = 0
-        self._agree_count = 0
         # Per-(comm, rank) cache used by collective plans (e.g. DPML
         # leader layouts); keyed by algorithm-specific tuples.
         self.cache: dict = {}
@@ -148,16 +139,12 @@ class Comm:
 
     def isend(self, dst: int, payload: Payload, tag: int = 0) -> Request:
         """Non-blocking send to communicator rank ``dst``."""
-        if self.group.revoked:
-            raise CommRevokedError(self.group.context, "isend")
         return self.runtime.transport.isend(
             self.world_rank, self.translate(dst), payload, tag, self.group.context
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive."""
-        if self.group.revoked:
-            raise CommRevokedError(self.group.context, "irecv")
         src_global = source if source == ANY_SOURCE else self.translate(source)
         return self.runtime.transport.irecv(
             self.world_rank, src_global, tag, self.group.context
@@ -267,8 +254,6 @@ class Comm:
         Every rank must invoke collectives on a communicator in the same
         order (an MPI requirement), so per-view counters stay aligned.
         """
-        if self.group.revoked:
-            raise CommRevokedError(self.group.context, "collective")
         base = _COLL_TAG_BASE + self._coll_count * _COLL_TAG_SPAN
         self._coll_count += 1
         return base
@@ -444,101 +429,6 @@ class Comm:
         """Blocking all-to-all; ``blocks[i]`` goes to rank ``i``;
         returns the list of blocks received, in source-rank order."""
         return self._coll("alltoall", algorithm, blocks, **kwargs)
-
-    # -- fault tolerance (ULFM-style) ---------------------------------------------------
-
-    def revoke(self) -> None:
-        """Revoke the communicator (``MPIX_Comm_revoke``).
-
-        Marks the shared group so *every* rank's view refuses new
-        point-to-point and collective traffic with
-        :class:`~repro.errors.CommRevokedError`.  Only :meth:`shrink`
-        and :meth:`agree` remain usable — the surviving ranks negotiate
-        a replacement communicator through them.  Idempotent and local
-        (no simulated time): the simulator's shared ``Group`` object
-        plays the role of ULFM's reliable revocation broadcast.
-        """
-        self.group.revoked = True
-
-    def _survivor_members(self) -> list[int]:
-        """Communicator ranks of members not on a confirmed-dead node.
-
-        Consults the runtime's recovery manager; without one, every
-        member counts as surviving.
-        """
-        manager = getattr(self.runtime, "recovery", None)
-        if manager is None or not manager.dead_nodes:
-            return list(range(self.size))
-        dead = manager.dead_ranks
-        return [
-            i for i, g in enumerate(self.group.ranks) if g not in dead
-        ]
-
-    def shrink(self) -> Generator:
-        """Collective over survivors: a fresh comm without the dead
-        (``MPIX_Comm_shrink``).
-
-        Ranks on nodes the recovery manager has confirmed dead are
-        excluded from the new group (and, being dead, never call);
-        every survivor must call.  Works on revoked communicators —
-        that is the point.  Like :meth:`split`, communicator
-        construction is free setup work and advances no simulated time.
-        """
-        members = self._survivor_members()
-        if self.rank not in members:
-            raise MPIError(
-                f"rank {self.rank} is on a confirmed-dead node and cannot "
-                f"take part in shrink()"
-            )
-        call_no = self._shrink_count
-        self._shrink_count += 1
-        key = ("shrink", self.group.context, call_no)
-        event, is_last, _ = self.runtime.gate_exchange(
-            key, len(members), self.rank
-        )
-        if is_last:
-            new_group = Group(
-                [self.group.ranks[i] for i in members],
-                self.runtime.next_context(),
-            )
-            event.succeed(new_group)
-        new_group = yield event
-        return Comm(self.runtime, new_group, self.world_rank)
-
-    def agree(self, value, op: str = "min") -> Generator:
-        """Deterministic agreement over survivors (``MPIX_Comm_agree``).
-
-        Every surviving rank contributes ``value``; all of them return
-        the same reduction of the contributions: ``"min"``, ``"max"``,
-        or ``"and"`` (logical conjunction — ULFM's flag semantics).
-        Order-independent by construction, so the agreed value is
-        deterministic regardless of arrival order.  Usable on revoked
-        communicators; free setup work like :meth:`shrink`.
-        """
-        if op not in ("min", "max", "and"):
-            raise MPIError(f"agree() op must be 'min', 'max', or 'and', got {op!r}")
-        members = self._survivor_members()
-        if self.rank not in members:
-            raise MPIError(
-                f"rank {self.rank} is on a confirmed-dead node and cannot "
-                f"take part in agree()"
-            )
-        call_no = self._agree_count
-        self._agree_count += 1
-        key = ("agree", self.group.context, call_no)
-        event, is_last, items = self.runtime.gate_exchange(
-            key, len(members), value
-        )
-        if is_last:
-            if op == "min":
-                agreed = min(items)
-            elif op == "max":
-                agreed = max(items)
-            else:
-                agreed = all(items)
-            event.succeed(agreed)
-        agreed = yield event
-        return agreed
 
     # -- communicator management -----------------------------------------------------------
 

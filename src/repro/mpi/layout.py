@@ -4,8 +4,9 @@ A :class:`Layout` is the node and socket membership of one
 communicator, in communicator ranks.  It is built once per
 :class:`~repro.mpi.comm.Group`, in O(p), by the first rank view that
 reads ``comm.layout``; every other view of the same group reuses it.
-Group membership never changes (``split``, ``dup``, ``shrink`` and a
-world reset all make a new group), so the layout never goes stale.
+Group membership never changes (``split``, ``dup``, a world reset and
+a failover's survivor world all make a new group), so the layout never
+goes stale.
 
 The layout is read-only and shared: collectives index it, they never
 copy or extend it.  Per-rank derived state (leader index, leader

@@ -111,7 +111,8 @@ class Runtime:
     :class:`~repro.resilience.manager.RecoveryManager`): jobs launched
     through this runtime then survive up to the policy's failover
     budget of node failures instead of aborting on the first exhausted
-    transport retry.
+    transport retry.  This constructor and :func:`run_job` are the only
+    ways to attach one; a :class:`SimSession` always runs without.
     """
 
     def __init__(
@@ -154,7 +155,7 @@ class Runtime:
         #: (see :mod:`repro.mpi.collectives.hybrid`): ``(algorithm, comm
         #: size, nbytes, sorted kwargs items)`` -> ``(plan, fallback)``.
         #: Cleared by :meth:`reset`, which every change of eligibility
-        #: (new noise, faults, or a failover shrink) goes through.
+        #: (new noise, faults, or a failover) goes through.
         self.macro_plans: dict = {}
         self.transport = Transport(machine)
         self._context_counter = itertools.count(1)
@@ -556,7 +557,10 @@ class SimSession:
     Determinism guarantee: a run on a reset session is bit-identical to
     the same run on a freshly built machine (covered by the session
     determinism tests), because every piece of mutable simulation state
-    is rewound to its constructed value.
+    is rewound to its constructed value.  A session's runtime has no
+    recovery layer, so every job on it aborts on a permanent transport
+    failure; a job that should fail over runs through :func:`run_job`
+    or a :class:`Runtime` built with ``recovery=``.
 
     >>> from repro.machine.clusters import cluster_b
     >>> session = SimSession(cluster_b(2), nranks=4, ppn=2)
@@ -576,7 +580,6 @@ class SimSession:
         trace: bool = False,
         sanitize: Union[bool, Any, None] = None,
         fidelity: Optional[str] = None,
-        recovery=None,
     ):
         self.config = config
         self.nranks = nranks
@@ -584,9 +587,8 @@ class SimSession:
             config, nranks, ppn, sim=Simulator(sanitize=sanitize), trace=trace
         )
         self.ppn = self.machine.ppn
-        self.runtime = Runtime(self.machine, fidelity=fidelity, recovery=recovery)
+        self.runtime = Runtime(self.machine, fidelity=fidelity)
         self.fidelity = self.runtime.fidelity
-        self.recovery = self.runtime.recovery
         self.runs = 0  #: completed jobs (overhead accounting / debugging)
 
     @property

@@ -2,7 +2,7 @@
 
 A :class:`RecoveryManager` is attached to a
 :class:`~repro.mpi.runtime.Runtime` (``recovery=`` on
-``run_job``/``SimSession``/``Runtime``) and owns everything a job needs
+``run_job``/``Runtime``) and owns everything a job needs
 to survive node failures:
 
 * the :class:`~repro.resilience.detector.FailureDetector` fed by typed

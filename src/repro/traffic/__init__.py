@@ -8,9 +8,9 @@ This package makes that scenario a first-class, reproducible input:
 
 * :mod:`repro.traffic.workload` — declarative job-arrival traces
   (:class:`~repro.traffic.workload.TrafficTrace`): a typed stream of
-  jobs drawn from the :mod:`repro.apps` mixes (OSU, SGD, HPCG, miniAMR)
-  with per-job size/algorithm/duration, JSON round-trippable with a
-  content hash, plus a seeded Poisson generator;
+  jobs of four app kinds (OSU, SGD, HPCG, miniAMR), each a small rank
+  kernel, with per-job size/algorithm/duration, JSON round-trippable
+  with a content hash, plus a seeded Poisson generator;
 * :mod:`repro.traffic.placement` — per-job placement policies mapping
   each arriving job onto a disjoint node set (``packed`` / ``spread`` /
   ``random`` / ``leader-aware``);

@@ -7,9 +7,10 @@ from repro.bench.harness import allreduce_latency, latency_kernel
 from repro.bench.report import format_size, format_table, format_us, speedup
 from repro.errors import ConfigError, ReproError
 from repro.machine.clusters import cluster_b, get_cluster
+from repro.machine.machine import Machine
 from repro.machine.noise import NoiseModel
 from repro.mpi.collectives.registry import available_algorithms
-from repro.mpi.runtime import SimSession, run_job
+from repro.mpi.runtime import Runtime, SimSession, run_job
 from repro.payload.ops import SUM
 from repro.payload.payload import SymbolicPayload
 
@@ -110,9 +111,13 @@ class TestHarness:
             ("dpml", {"leaders": 64}),
             ("dpml", {"leaders": 0}),
             ("dpml", {"bogus": 1}),
+            ("dpml", {"tag_base": 1}),
             ("generalized", {"radices": (3,)}),
         ],
-        ids=["leaders-above-ppn", "no-leaders", "unknown-keyword", "radices"],
+        ids=[
+            "leaders-above-ppn", "no-leaders", "unknown-keyword", "tag-base",
+            "radices",
+        ],
     )
     def test_invalid_algorithm_knobs_rejected_before_simulation(
         self, algorithm, knobs
@@ -242,29 +247,38 @@ class TestWarmupPaths:
         from repro.resilience import RecoveryPolicy
 
         algorithm = "adaptive" if path == "adaptive" else "ring"
-        session = SimSession(
-            get_cluster("b", 4), 32, 8, trace=True,
-            recovery=RecoveryPolicy() if path == "recovery" else None,
-            fidelity="hybrid" if path == "hybrid" else "exact",
-        )
-        run = {
-            "noise": {"noise": NoiseModel(sigma=0.05, seed=3)},
-            "faults": {
-                "faults": FaultPlan(faults=(Straggler(rank=0, factor=2.0),))
-            },
-        }.get(path, {})
+        config = get_cluster("b", 4)
+        if path == "recovery":
+            # A session has no recovery layer; only a Runtime built
+            # with one (or run_job) attaches it.
+            def launch(fn):
+                machine = Machine(config, 32, 8, trace=True)
+                return Runtime(machine, recovery=RecoveryPolicy()).launch(fn)
+        else:
+            session = SimSession(
+                config, 32, 8, trace=True,
+                fidelity="hybrid" if path == "hybrid" else "exact",
+            )
+            run = {
+                "noise": {"noise": NoiseModel(sigma=0.05, seed=3)},
+                "faults": {
+                    "faults": FaultPlan(faults=(Straggler(rank=0, factor=2.0),))
+                },
+            }.get(path, {})
+
+            def launch(fn):
+                return session.run(fn, **run)
 
         def sent(job):
             return (
                 job.tracer.count("net-send"), job.counters["macro_events"]
             )
 
-        point = sent(session.run(
-            latency_kernel(algorithm, 65536, iterations=1, warmup=0), **run
+        point = sent(launch(
+            latency_kernel(algorithm, 65536, iterations=1, warmup=0)
         ))
-        bare = sent(session.run(
-            _fenced_windows(_allreduce(algorithm, 65536), 0, 1, barrier=False),
-            **run,
+        bare = sent(launch(
+            _fenced_windows(_allreduce(algorithm, 65536), 0, 1, barrier=False)
         ))
         if path == "hybrid":
             assert point[0] == bare[0] and point[1] > bare[1]

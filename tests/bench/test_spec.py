@@ -129,6 +129,7 @@ class TestExpansion:
             ("dpml", (("bogus", 1),)),
             ("dpml", (("pipeline_unit", 8192),)),
             ("recursive_doubling", (("radices", (2, 2, 2)),)),
+            ("dpml", (("tag_base", 1),)),
         ],
     )
     def test_unknown_algorithm_keyword_rejected_at_construction(

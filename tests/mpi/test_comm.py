@@ -187,9 +187,10 @@ class TestCollectiveErrors:
 
     @pytest.mark.parametrize("kind", list(WRAPPERS))
     def test_wrapper_raises_at_the_call(self, kind):
-        """An unknown algorithm, a bad keyword and a revoked communicator
-        raise when the wrapper is called, before any simulated time."""
-        from repro.errors import CommRevokedError, TuningError
+        """An unknown algorithm and a bad keyword (``tag_base`` too:
+        the communicator allocates it) raise when the wrapper is
+        called, before any simulated time."""
+        from repro.errors import TuningError
 
         call, keyed = self.WRAPPERS[kind]
 
@@ -199,9 +200,8 @@ class TestCollectiveErrors:
                 call(comm, payload, algorithm="nope")
             with pytest.raises(ConfigError, match="bogus"):
                 call(comm, payload, algorithm=keyed, bogus=1)
-            comm.revoke()
-            with pytest.raises(CommRevokedError):
-                call(comm, payload)
+            with pytest.raises(ConfigError, match="tag_base"):
+                call(comm, payload, algorithm=keyed, tag_base=1)
             assert comm.now == 0.0
             yield comm.sim.timeout(0)
             return kind
