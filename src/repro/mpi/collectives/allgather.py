@@ -3,11 +3,12 @@
 Every rank contributes an equal-count block; the result is the
 concatenation of all blocks in rank order on every rank.
 
-* :func:`allgather_doubling` and :func:`ring_allgather` — the
-  recursive-doubling and ring schedules, written once here: the
-  doubling is the second half of Rabenseifner's allreduce, and the ring
-  (any block counts) is phase 2 of the ring allreduce and of the
-  scatter-ring broadcast;
+* :func:`doubling_rounds` and :func:`ring_rounds` — the
+  recursive-doubling and ring schedules as round data (see
+  :mod:`~repro.mpi.collectives.base`): the doubling is the second half
+  of Rabenseifner's allreduce, and the ring (any block counts) is both
+  phases of the ring allreduce and phase 2 of the scatter-ring
+  broadcast;
 * :func:`allgather_recursive_doubling` — ``lg p`` rounds of pairwise
   block-range exchange (power-of-two ranks; silently delegates to Bruck
   otherwise, as MPICH does);
@@ -21,12 +22,14 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import MPIError
-from repro.mpi.collectives.base import actual_rank
+from repro.mpi.collectives.base import (
+    APPEND, PLACE, PREPEND, Round, actual_rank, run_rounds,
+)
 from repro.payload.payload import Payload, concat
 
 __all__ = [
-    "allgather_doubling",
-    "ring_allgather",
+    "doubling_rounds",
+    "ring_rounds",
     "allgather_recursive_doubling",
     "allgather_bruck",
     "allgather_ring",
@@ -38,56 +41,40 @@ def _check_equal_counts(comm, payload: Payload) -> None:
         raise MPIError("allgather requires a contribution on every rank")
 
 
-def allgather_doubling(
-    comm, newrank: int, pof2: int, rem: int, chunk: Payload, tag_base: int
-) -> Generator:
-    """Recursive-doubling allgather among ``pof2`` participants.
+def doubling_rounds(n: int, i: int, rem: int = 0, tag: int = 0) -> list:
+    """Recursive-doubling allgather among ``n`` (a power of two)
+    participants.
 
     Participant ``i`` is comm rank ``actual_rank(i, rem)`` and holds
-    block ``i``; the window of contiguous blocks held doubles each
-    round.  Returns the concatenation of all ``pof2`` blocks.
+    block ``i``; each round sends the held window to the partner and
+    joins the partner's window to it, so it doubles until ``(0, n)``.
     """
-    lo, hi = newrank, newrank + 1
-    vec = chunk
+    rounds = []
+    lo, hi = i, i + 1
     mask = 1
-    round_no = 0
-    while mask < pof2:
-        partner = actual_rank(newrank ^ mask, rem)
-        tag = tag_base + round_no
-        theirs = yield from comm.sendrecv(
-            partner, vec, source=partner, send_tag=tag, recv_tag=tag
-        )
-        if newrank & mask == 0:
-            vec = concat([vec, theirs])
-            hi += mask
-        else:
-            vec = concat([theirs, vec])
+    while mask < n:
+        peer = actual_rank(i ^ mask, rem)
+        if i & mask:
+            rounds.append(Round(peer, peer, tag, (lo, hi), (lo - mask, lo), PREPEND))
             lo -= mask
+        else:
+            rounds.append(Round(peer, peer, tag, (lo, hi), (hi, hi + mask), APPEND))
+            hi += mask
         mask <<= 1
-        round_no += 1
-    assert lo == 0 and hi == pof2
-    return vec
+        tag += 1
+    return rounds
 
 
-def ring_allgather(comm, blocks: list, start: int, tag_base: int) -> Generator:
-    """Ring allgather: ``p - 1`` neighbour steps circulate ``blocks``.
-
-    On entry this rank holds ``blocks[start % p]``; step ``s`` forwards
-    block ``start - s`` to the right neighbour and receives block
-    ``start - s - 1`` from the left.  Fills ``blocks`` in place (their
-    counts may differ) and returns their concatenation.
-    """
-    p = comm.size
-    rank = comm.rank
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-    for step in range(p - 1):
-        tag = tag_base + step % 32
-        blocks[(start - step - 1) % p] = yield from comm.sendrecv(
-            right, blocks[(start - step) % p], source=left,
-            send_tag=tag, recv_tag=tag,
-        )
-    return concat(blocks)
+def ring_rounds(p: int, rank: int, start: int, tag: int, act: str) -> list:
+    """``p - 1`` ring steps over a ``p``-block list: step ``s`` sends
+    block ``start - s`` to the right neighbour and lands block
+    ``start - s - 1`` from the left (``act`` is ``PLACE`` to gather,
+    ``COMBINE`` to reduce-scatter)."""
+    return [
+        Round((rank + 1) % p, (rank - 1) % p, tag + s % 32,
+              (start - s) % p, (start - s - 1) % p, act)
+        for s in range(p - 1)
+    ]
 
 
 def allgather_recursive_doubling(
@@ -101,8 +88,9 @@ def allgather_recursive_doubling(
     _check_equal_counts(comm, payload)
     if p == 1:
         return payload.copy()
-    result = yield from allgather_doubling(
-        comm, comm.rank, p, 0, payload, tag_base
+    result = yield from run_rounds(
+        comm, doubling_rounds(p, comm.rank), payload, tag_base=tag_base,
+        held=(comm.rank, comm.rank + 1),
     )
     return result
 
@@ -151,5 +139,6 @@ def allgather_ring(comm, payload: Payload, tag_base: int = 0) -> Generator:
         return payload.copy()
     blocks: list[Payload | None] = [None] * p
     blocks[comm.rank] = payload
-    result = yield from ring_allgather(comm, blocks, comm.rank, tag_base)
-    return result
+    rounds = ring_rounds(p, comm.rank, comm.rank, 0, PLACE)
+    yield from run_rounds(comm, rounds, blocks, tag_base=tag_base)
+    return concat(blocks)

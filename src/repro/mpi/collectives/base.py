@@ -1,30 +1,64 @@
-"""Shared machinery for collective algorithms.
+"""Shared machinery for collective algorithms: schedules as round data.
 
-Non-power-of-two handling follows MPICH: with ``p = pof2 + rem`` ranks,
-the first ``2 * rem`` ranks *fold* pairwise (each even rank sends its
-vector to its odd neighbour, who combines), leaving ``pof2`` active
-participants with contiguous "new ranks"; after the power-of-two phase
-the result is *unfolded* back to the idle ranks.
+A point-to-point schedule is a function that returns one rank's steps
+as a list of :class:`Round` records; :func:`run_rounds` is the one
+coroutine that runs such a list.  A round names its peers, its tag
+offset, the block window it sends and the window the received data
+lands on, so what a schedule sends is readable without simulating it.
+
+Non-power-of-two handling follows MPICH (:func:`folded`): with
+``p = pof2 + rem`` ranks, the first ``2 * rem`` ranks *fold* pairwise
+(each even rank sends its vector to its odd neighbour, who combines),
+leaving ``pof2`` participants with contiguous "new ranks"; after the
+power-of-two phase the result is *unfolded* back to the even ranks.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, NamedTuple, Optional
 
 from repro.errors import MPIError
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload
+from repro.payload.payload import Payload, concat
 
 __all__ = [
+    "Round",
+    "COMBINE",
+    "APPEND",
+    "PREPEND",
+    "PLACE",
+    "REPLACE",
     "pof2_below",
-    "fold_to_pof2",
-    "unfold_from_pof2",
     "actual_rank",
+    "folded",
+    "run_rounds",
     "charged_reduce",
     "window",
 ]
 
-IDLE = -1
+#: What a round does with the data it receives: reduce it into its
+#: window, join it after or before the held window, store it as one
+#: block of a block list, or take it as the whole held vector.
+COMBINE, APPEND, PREPEND, PLACE, REPLACE = (
+    "combine", "append", "prepend", "place", "replace",
+)
+
+
+class Round(NamedTuple):
+    """One step of one rank.
+
+    ``dst``/``src`` are comm ranks (``None``: no send/receive); ``tag``
+    is an offset in the call's tag block.  ``send`` and ``land`` are
+    ``(lo, hi)`` ranges of ``split_bounds`` blocks, or block indices
+    when the rank holds a block list (the ring).
+    """
+
+    dst: Optional[int]
+    src: Optional[int]
+    tag: int
+    send: object
+    land: object
+    act: Optional[str]
 
 
 def pof2_below(p: int) -> int:
@@ -37,6 +71,65 @@ def pof2_below(p: int) -> int:
 def actual_rank(newrank: int, rem: int) -> int:
     """Inverse of the fold mapping: participant new-rank → comm rank."""
     return 2 * newrank + 1 if newrank < rem else newrank + rem
+
+
+def folded(p: int, rank: int, nblocks: int, phases) -> list:
+    """Rank ``rank``'s rounds: fold to ``pof2`` participants, run
+    ``phases(pof2, newrank, rem)`` on them, unfold (tags 0 and 63)."""
+    pof2 = pof2_below(p)
+    rem = p - pof2
+    whole = (0, nblocks)
+    if rank >= 2 * rem:
+        return phases(pof2, rank - rem, rem)
+    if rank % 2 == 0:
+        return [Round(rank + 1, None, 0, whole, None, None),
+                Round(None, rank + 1, 63, None, whole, REPLACE)]
+    return [Round(None, rank - 1, 0, None, whole, COMBINE),
+            *phases(pof2, rank // 2, rem),
+            Round(rank - 1, None, 63, whole, None, None)]
+
+
+def run_rounds(
+    comm, rounds, data, op: Optional[ReduceOp] = None, tag_base: int = 0,
+    bounds=None, held: tuple = (0, 1),
+) -> Generator:
+    """Run ``rounds`` on ``data`` and return the data they leave.
+
+    ``data`` is a vector holding blocks ``held`` of ``bounds``, or a
+    block list (which is updated in place).  A window other than the
+    held one is a :func:`window` view of it.
+    """
+    def part(w):
+        if type(w) is int:
+            return data[w]
+        return data if w == (lo, hi) else window(data, bounds, lo, *w)
+
+    lo, hi = held
+    for dst, src, tag, send, land, act in rounds:
+        tag += tag_base
+        # Both views are cut before the exchange, the kept one too.
+        out = None if dst is None else part(send)
+        mine = part(land) if act == COMBINE else None
+        if src is None:
+            yield from comm.send(dst, out, tag)
+            continue
+        if dst is None:
+            theirs = yield from comm.recv(src, tag)
+        else:
+            theirs = yield from comm.sendrecv(
+                dst, out, source=src, send_tag=tag, recv_tag=tag
+            )
+        if act == COMBINE:
+            theirs = yield from charged_reduce(comm, mine, theirs, op)
+        if type(land) is int:
+            data[land] = theirs
+            continue
+        if act in (APPEND, PREPEND):
+            theirs = concat([data, theirs] if act == APPEND else [theirs, data])
+            land = (min(lo, land[0]), max(hi, land[1]))
+        data = theirs
+        lo, hi = land
+    return data
 
 
 def charged_reduce(
@@ -54,40 +147,3 @@ def window(
     block ``vec_lo``; ``bounds[i]`` is block ``i``'s element range."""
     start = bounds[vec_lo][0]
     return vec.slice(bounds[blk_lo][0] - start, bounds[blk_hi - 1][1] - start)
-
-
-def fold_to_pof2(
-    comm, payload: Payload, op: ReduceOp, tag: int
-) -> Generator:
-    """Pre-phase for non-power-of-two counts.
-
-    Returns ``(newrank, payload)``; ``newrank`` is :data:`IDLE` for
-    ranks that handed their data off and now wait for the unfold.
-    """
-    p = comm.size
-    pof2 = pof2_below(p)
-    rem = p - pof2
-    rank = comm.rank
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            yield from comm.send(rank + 1, payload, tag)
-            return IDLE, payload
-        theirs = yield from comm.recv(rank - 1, tag)
-        payload = yield from charged_reduce(comm, payload, theirs, op)
-        return rank // 2, payload
-    return rank - rem, payload
-
-
-def unfold_from_pof2(
-    comm, newrank: int, payload: Payload, tag: int
-) -> Generator:
-    """Post-phase: participants return the result to their idle partner."""
-    p = comm.size
-    rem = p - pof2_below(p)
-    rank = comm.rank
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            payload = yield from comm.recv(rank + 1, tag)
-        else:
-            yield from comm.send(rank - 1, payload, tag)
-    return payload

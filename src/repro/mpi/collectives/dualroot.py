@@ -14,9 +14,10 @@ construction fixes both at once:
   down the tree independently, so the broadcast of segment ``s``
   overlaps the reduction of segment ``s + 1`` ("doubly pipelined").
 
-Here each ``(tree, segment)`` instance runs as an independent
-background coroutine (:meth:`~repro.mpi.comm.Comm.icoll`), the same
-non-blocking overlap idiom as
+Here each ``(tree, segment)`` instance runs the tree's round list
+(:func:`tree_rounds`) as an independent background coroutine
+(:meth:`~repro.mpi.comm.Comm.icoll`), the same non-blocking overlap
+idiom as
 :func:`~repro.mpi.collectives.ring.allreduce_ring_segmented` — the
 simulator's event engine realises the pipeline overlap without
 explicit software pipelining inside a rank.
@@ -28,7 +29,7 @@ from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.errors import ConfigError
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.base import COMBINE, REPLACE, Round, run_rounds
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat
 
@@ -38,6 +39,7 @@ __all__ = [
     "t_dualroot_pipelined",
     "dualroot_depth",
     "dualroot_segments",
+    "tree_rounds",
     "DEFAULT_SEGMENT_BYTES",
     "MAX_SEGMENTS",
 ]
@@ -68,34 +70,26 @@ def dualroot_segments(
     return max(1, min(MAX_SEGMENTS, -(-half_nbytes // segment_bytes)))
 
 
-def _tree_segment(
-    comm, seg: Payload, op: ReduceOp, mirror: bool, up_tag: int, down_tag: int
-) -> Generator:
-    """One segment through one tree: reduce to the root, broadcast back.
+def tree_rounds(p: int, rank: int, mirror: bool) -> list:
+    """One segment through one tree: reduce to the root (tag 0),
+    broadcast back (tag 1).
 
     The tree is heap-indexed over *virtual* ranks (children of ``v``
     are ``2v + 1`` and ``2v + 2``); ``mirror`` maps virtual rank ``v``
     to actual rank ``p - 1 - v``, which roots the tree at ``p - 1``.
     """
-    p = comm.size
-    virt = (p - 1 - comm.rank) if mirror else comm.rank
-
     def actual(v: int) -> int:
         return (p - 1 - v) if mirror else v
 
-    children = [c for c in (2 * virt + 1, 2 * virt + 2) if c < p]
-    parent = (virt - 1) // 2 if virt > 0 else None
-
-    vec = seg
-    for child in children:  # fixed order: deterministic combine
-        theirs = yield from comm.recv(actual(child), up_tag)
-        vec = yield from charged_reduce(comm, vec, theirs, op)
-    if parent is not None:
-        yield from comm.send(actual(parent), vec, up_tag)
-        vec = yield from comm.recv(actual(parent), down_tag)
-    for child in children:
-        yield from comm.send(actual(child), vec, down_tag)
-    return vec
+    virt = actual(rank)
+    children = [actual(c) for c in (2 * virt + 1, 2 * virt + 2) if c < p]
+    whole = (0, 1)
+    rounds = [Round(None, c, 0, None, whole, COMBINE) for c in children]
+    if virt > 0:
+        parent = actual((virt - 1) // 2)
+        rounds += [Round(parent, None, 0, whole, None, None),
+                   Round(None, parent, 1, None, whole, REPLACE)]
+    return rounds + [Round(c, None, 1, whole, None, None) for c in children]
 
 
 def allreduce_dualroot_pipelined(
@@ -122,16 +116,10 @@ def allreduce_dualroot_pipelined(
         # Tree A segments tag from tag_base, tree B from tag_base + 32;
         # two tags (up/down) per segment, so k <= 16 would still fit.
         block = tag_base + 32 * tree
+        rounds = tree_rounds(p, comm.rank, tree == 1)
         for s, seg in enumerate(half.split(k)):
             requests.append(
-                comm.icoll(
-                    _tree_segment,
-                    seg,
-                    op,
-                    tree == 1,
-                    block + 2 * s,
-                    block + 2 * s + 1,
-                )
+                comm.icoll(run_rounds, rounds, seg, op, block + 2 * s)
             )
     results = yield from comm.waitall(requests)
     return concat(results)

@@ -5,7 +5,9 @@ has up to ``k - 1`` children per digit level, giving
 ``ceil(log_k p)`` levels.  Higher radix trades more concurrent sends at
 the parent for fewer levels — worthwhile on fabrics with high message
 rates (MVAPICH2 ships k-nomial broadcast for exactly this reason).
-``radix=2`` reproduces the binomial tree.
+``radix=2`` reproduces the binomial tree.  Both directions are one
+round list, :func:`knomial_rounds`, run by
+:func:`~repro.mpi.collectives.base.run_rounds`.
 """
 
 from __future__ import annotations
@@ -13,27 +15,47 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import ConfigError
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.base import COMBINE, REPLACE, Round, run_rounds
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["reduce_knomial", "bcast_knomial"]
+__all__ = ["knomial_rounds", "reduce_knomial", "bcast_knomial"]
 
 
-def _lowest_digit_level(rel: int, k: int, p: int) -> int:
-    """``k``-power of the lowest non-zero base-``k`` digit of ``rel``.
+def knomial_rounds(
+    p: int, rank: int, root: int, radix: int, tag: int, up: bool
+) -> list:
+    """Rank ``rank``'s rounds of the radix-``radix`` tree on one block.
 
-    For ``rel == 0`` returns the smallest power of ``k`` that is >= p
-    (the root sits above every level).
+    ``up`` reduces: combine the children, lowest levels first, then
+    send to the parent.  Otherwise broadcast: receive from the parent,
+    then send to the children at decreasing levels.
     """
-    mask = 1
-    if rel == 0:
-        while mask < p:
-            mask *= k
-        return mask
-    while rel % (mask * k) == 0:
-        mask *= k
-    return mask
+    rel = (rank - root) % p
+    # k-power of rel's lowest non-zero base-k digit; the root's sits
+    # above every level.
+    top = 1
+    while top < p and rel % (top * radix) == 0:
+        top *= radix
+    children = []
+    level = 1
+    while level < top:
+        children.append([
+            (c + root) % p
+            for c in range(rel + level, min(p, rel + top), level)[:radix - 1]
+        ])
+        level *= radix
+    parent = (rel - (rel // top) % radix * top + root) % p
+    whole = (0, 1)
+    if up:
+        rounds = [Round(None, c, tag, None, whole, COMBINE)
+                  for kids in children for c in kids]
+        if rel:
+            rounds.append(Round(parent, None, tag, whole, None, None))
+        return rounds
+    rounds = [Round(None, parent, tag, None, whole, REPLACE)] if rel else []
+    return rounds + [Round(c, None, tag, whole, None, None)
+                     for kids in reversed(children) for c in kids]
 
 
 def _check_radix(k: int) -> None:
@@ -51,32 +73,11 @@ def reduce_knomial(
 ) -> Generator:
     """K-nomial reduce; result at ``root``, ``None`` elsewhere."""
     _check_radix(radix)
-    p = comm.size
-    rank = comm.rank
-    if p == 1:
+    if comm.size == 1:
         return payload.copy()
-    rel = (rank - root) % p
-    top = _lowest_digit_level(rel, radix, p)
-
-    vec = payload
-    # Collect from children, lowest levels first (mirror of the bcast).
-    level = 1
-    while level < top and level < p:
-        for i in range(1, radix):
-            child_rel = rel + i * level
-            if child_rel >= p or child_rel >= rel + top:
-                break
-            child = (child_rel + root) % p
-            theirs = yield from comm.recv(child, tag_base + 3)
-            vec = yield from charged_reduce(comm, vec, theirs, op)
-        level *= radix
-
-    if rel != 0:
-        digit = (rel // top) % radix
-        parent_rel = rel - digit * top
-        yield from comm.send((parent_rel + root) % p, vec, tag_base + 3)
-        return None
-    return vec
+    rounds = knomial_rounds(comm.size, comm.rank, root, radix, 3, True)
+    vec = yield from run_rounds(comm, rounds, payload, op, tag_base)
+    return vec if comm.rank == root else None
 
 
 def bcast_knomial(
@@ -88,25 +89,8 @@ def bcast_knomial(
 ) -> Generator:
     """K-nomial broadcast of ``payload`` from ``root``."""
     _check_radix(radix)
-    p = comm.size
-    rank = comm.rank
-    if p == 1:
+    if comm.size == 1:
         return payload.copy()
-    rel = (rank - root) % p
-    top = _lowest_digit_level(rel, radix, p)
-
-    if rel != 0:
-        payload = yield from comm.recv(tag=tag_base + 4)
-
-    # Forward to children at decreasing levels.  For the root, `top`
-    # overshoots p; the range checks skip the levels with no children.
-    level = top // radix
-    while level >= 1:
-        for i in range(1, radix):
-            child_rel = rel + i * level
-            if child_rel >= p or child_rel >= rel + top:
-                break
-            child = (child_rel + root) % p
-            yield from comm.send(child, payload, tag_base + 4)
-        level //= radix
-    return payload
+    rounds = knomial_rounds(comm.size, comm.rank, root, radix, 4, False)
+    result = yield from run_rounds(comm, rounds, payload, tag_base=tag_base)
+    return result

@@ -12,9 +12,10 @@ The bandwidth-optimal classic (Rabenseifner 2004, the paper's [25]):
 
 Steps 2 and 3 are the ``recursive_halving`` reduce-scatter and
 ``recursive_doubling`` allgather schedules
-(:func:`~repro.mpi.collectives.reduce_scatter.reduce_scatter_halving`,
-:func:`~repro.mpi.collectives.allgather.allgather_doubling`), run over
-the folded participants; this module only composes them.  Chunk
+(:func:`~repro.mpi.collectives.reduce_scatter.halving_rounds`,
+:func:`~repro.mpi.collectives.allgather.doubling_rounds`), run over
+the folded participants; this module only concatenates their rounds
+into one list for :func:`~repro.mpi.collectives.base.run_rounds`.  Chunk
 boundaries follow :func:`~repro.payload.payload.split_bounds`, so any
 vector length works (including lengths smaller than ``p``).
 """
@@ -24,18 +25,24 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.allgather import allgather_doubling
-from repro.mpi.collectives.base import (
-    IDLE,
-    fold_to_pof2,
-    pof2_below,
-    unfold_from_pof2,
-)
-from repro.mpi.collectives.reduce_scatter import reduce_scatter_halving
+from repro.mpi.collectives.allgather import doubling_rounds
+from repro.mpi.collectives.base import folded, pof2_below, run_rounds
+from repro.mpi.collectives.reduce_scatter import halving_rounds
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload
+from repro.payload.payload import Payload, split_bounds
 
-__all__ = ["RABENSEIFNER", "allreduce_rabenseifner"]
+__all__ = ["RABENSEIFNER", "allreduce_rabenseifner", "rabenseifner_rounds"]
+
+
+def _halving_doubling(n: int, i: int, rem: int) -> list:
+    # Doubling tags disjoint from the halving rounds.
+    return halving_rounds(n, i, rem) + doubling_rounds(n, i, rem, tag=32)
+
+
+def rabenseifner_rounds(p: int, rank: int) -> list:
+    """Rank ``rank``'s rounds over ``pof2_below(p)`` blocks: fold,
+    halving, doubling, unfold."""
+    return folded(p, rank, pof2_below(p), _halving_doubling)
 
 
 def allreduce_rabenseifner(
@@ -46,19 +53,11 @@ def allreduce_rabenseifner(
     if p == 1:
         return payload.copy()
     pof2 = pof2_below(p)
-    rem = p - pof2
-
-    newrank, vec = yield from fold_to_pof2(comm, payload, op, tag_base)
-    if newrank != IDLE:
-        vec = yield from reduce_scatter_halving(
-            comm, newrank, pof2, rem, vec, op, tag_base
-        )
-        # Tags disjoint from the halving rounds.
-        vec = yield from allgather_doubling(
-            comm, newrank, pof2, rem, vec, tag_base + 32
-        )
-    vec = yield from unfold_from_pof2(comm, newrank, vec, tag_base + 63)
-    return vec
+    result = yield from run_rounds(
+        comm, rabenseifner_rounds(p, comm.rank), payload, op, tag_base,
+        bounds=split_bounds(payload.count, pof2), held=(0, pof2),
+    )
+    return result
 
 
 RABENSEIFNER = AllreduceAlgorithm(

@@ -4,7 +4,8 @@
 *entire* current vector with the partner at distance ``2^k`` and
 combines.  Latency-optimal in rounds but every round moves the full
 ``n`` bytes, so it loses to reduce-scatter-based schemes for large
-messages.
+messages.  The schedule is round data (fold + exchange + unfold, see
+:mod:`~repro.mpi.collectives.base`).
 """
 
 from __future__ import annotations
@@ -13,47 +14,42 @@ from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import (
-    IDLE,
-    actual_rank,
-    charged_reduce,
-    fold_to_pof2,
-    pof2_below,
-    unfold_from_pof2,
+    COMBINE, Round, actual_rank, folded, run_rounds,
 )
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["RECURSIVE_DOUBLING", "allreduce_recursive_doubling"]
+__all__ = [
+    "RECURSIVE_DOUBLING",
+    "allreduce_recursive_doubling",
+    "exchange_rounds",
+    "recursive_doubling_rounds",
+]
+
+
+def exchange_rounds(n: int, i: int, rem: int = 0) -> list:
+    """Full-vector exchanges among ``n`` (a power of two) participants:
+    round ``k`` (tag ``k + 1``) combines with participant ``i ^ 2^k``."""
+    peers = [actual_rank(i ^ (1 << k), rem) for k in range(n.bit_length() - 1)]
+    return [Round(q, q, k + 1, (0, 1), (0, 1), COMBINE) for k, q in enumerate(peers)]
+
+
+def recursive_doubling_rounds(p: int, rank: int) -> list:
+    """Rank ``rank``'s rounds: fold, exchange, unfold (one block)."""
+    return folded(p, rank, 1, exchange_rounds)
 
 
 def allreduce_recursive_doubling(
     comm, payload: Payload, op: ReduceOp, tag_base: int = 0
 ) -> Generator:
     """Allreduce via recursive doubling; handles any process count."""
-    p = comm.size
-    if p == 1:
+    if comm.size == 1:
         return payload.copy()
-    pof2 = pof2_below(p)
-    rem = p - pof2
-
-    newrank, vec = yield from fold_to_pof2(comm, payload, op, tag_base)
-    if newrank != IDLE:
-        mask = 1
-        round_no = 1
-        while mask < pof2:
-            partner = actual_rank(newrank ^ mask, rem)
-            theirs = yield from comm.sendrecv(
-                partner,
-                vec,
-                source=partner,
-                send_tag=tag_base + round_no,
-                recv_tag=tag_base + round_no,
-            )
-            vec = yield from charged_reduce(comm, vec, theirs, op)
-            mask <<= 1
-            round_no += 1
-    vec = yield from unfold_from_pof2(comm, newrank, vec, tag_base + 63)
-    return vec
+    result = yield from run_rounds(
+        comm, recursive_doubling_rounds(comm.size, comm.rank), payload, op,
+        tag_base,
+    )
+    return result
 
 
 def _charge_recursive_doubling(model, *, p, h, n, **_kw):

@@ -4,10 +4,10 @@ Each rank contributes a full vector; rank ``i`` returns chunk ``i`` of
 the element-wise reduction, with chunk boundaries from
 :func:`repro.payload.payload.split_bounds` over ``p`` chunks.
 
-* :func:`reduce_scatter_halving` — the recursive-halving schedule,
-  ``lg p`` rounds over a power-of-two set of participants; the first
-  half of Rabenseifner's allreduce, which runs it after folding to a
-  power of two;
+* :func:`halving_rounds` — the recursive-halving schedule as round
+  data, ``lg p`` rounds over a power-of-two set of participants; the
+  first half of Rabenseifner's allreduce, which runs it after folding
+  to a power of two;
 * :func:`reduce_scatter_recursive_halving` — that schedule over every
   rank, bandwidth-optimal (power-of-two ranks; delegates to pairwise
   otherwise);
@@ -19,50 +19,47 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.mpi.collectives.base import actual_rank, charged_reduce, window
+from repro.mpi.collectives.base import COMBINE, Round, actual_rank, run_rounds
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, split_bounds
 
 __all__ = [
-    "reduce_scatter_halving",
+    "halving_rounds",
+    "pairwise_rounds",
     "reduce_scatter_recursive_halving",
     "reduce_scatter_pairwise",
 ]
 
 
-def reduce_scatter_halving(
-    comm, newrank: int, pof2: int, rem: int, vec: Payload, op: ReduceOp,
-    tag_base: int,
-) -> Generator:
-    """Recursive-halving reduce-scatter among ``pof2`` participants.
+def halving_rounds(n: int, i: int, rem: int = 0, tag: int = 0) -> list:
+    """Recursive halving among ``n`` (a power of two) participants.
 
-    Participant ``i`` is comm rank ``actual_rank(i, rem)`` (``rem`` is 0
-    when every rank takes part).  Returns the fully reduced chunk
-    ``newrank`` of ``split_bounds(vec.count, pof2)``.
+    Participant ``i`` is comm rank ``actual_rank(i, rem)`` and starts
+    with blocks ``(0, n)``; each round sends half of its window to the
+    partner and combines the other half, ending on block ``i``.
     """
-    bounds = split_bounds(vec.count, pof2)
-    lo, hi = 0, pof2  # current chunk window; vec covers its elements
-    mask = pof2 >> 1
-    round_no = 0
-    while mask >= 1:
-        partner = actual_rank(newrank ^ mask, rem)
+    rounds = []
+    lo, hi = 0, n
+    mask = n >> 1
+    while mask:
         mid = (lo + hi) // 2
-        if newrank & mask == 0:
-            keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
-        else:
-            keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
-        send_part = window(vec, bounds, lo, send_lo, send_hi)
-        kept_part = window(vec, bounds, lo, keep_lo, keep_hi)
-        tag = tag_base + round_no
-        theirs = yield from comm.sendrecv(
-            partner, send_part, source=partner, send_tag=tag, recv_tag=tag
-        )
-        vec = yield from charged_reduce(comm, kept_part, theirs, op)
-        lo, hi = keep_lo, keep_hi
+        keep, give = ((lo, mid), (mid, hi)) if i & mask == 0 else ((mid, hi), (lo, mid))
+        peer = actual_rank(i ^ mask, rem)
+        rounds.append(Round(peer, peer, tag, give, keep, COMBINE))
+        lo, hi = keep
         mask >>= 1
-        round_no += 1
-    assert hi - lo == 1 and lo == newrank
-    return vec
+        tag += 1
+    return rounds
+
+
+def pairwise_rounds(p: int, rank: int) -> list:
+    """Pairwise exchange over a ``p``-block list: step ``s`` sends
+    block ``rank + s`` to its owner and combines block ``rank`` with
+    the one arriving from ``rank - s``."""
+    return [
+        Round((rank + s) % p, (rank - s) % p, s % 32, (rank + s) % p, rank, COMBINE)
+        for s in range(1, p)
+    ]
 
 
 def reduce_scatter_recursive_halving(
@@ -77,8 +74,9 @@ def reduce_scatter_recursive_halving(
         return result
     if p == 1:
         return payload.copy()
-    result = yield from reduce_scatter_halving(
-        comm, comm.rank, p, 0, payload, op, tag_base
+    result = yield from run_rounds(
+        comm, halving_rounds(p, comm.rank), payload, op, tag_base,
+        bounds=split_bounds(payload.count, p), held=(0, p),
     )
     return result
 
@@ -93,23 +91,7 @@ def reduce_scatter_pairwise(
     Requires a commutative operator (all predefined MPI ops are).
     """
     p = comm.size
-    rank = comm.rank
-    bounds = split_bounds(payload.count, p)
-
-    def chunk(i: int) -> Payload:
-        a, b = bounds[i]
-        return payload.slice(a, b)
-
-    mine = chunk(rank)
-    for step in range(1, p):
-        dst = (rank + step) % p
-        src = (rank - step) % p
-        theirs = yield from comm.sendrecv(
-            dst,
-            chunk(dst),
-            source=src,
-            send_tag=tag_base + step % 32,
-            recv_tag=tag_base + step % 32,
-        )
-        mine = yield from charged_reduce(comm, mine, theirs, op)
-    return mine
+    blocks = yield from run_rounds(
+        comm, pairwise_rounds(p, comm.rank), payload.split(p), op, tag_base
+    )
+    return blocks[comm.rank]

@@ -5,13 +5,13 @@ The ring allreduce runs ``p - 1`` reduce-scatter steps followed by
 ``2n(p-1)/p`` bytes) with no power-of-two requirement; the go-to
 algorithm for very large messages (and the shape popularised by
 deep-learning gradient averaging, which the paper's introduction cites
-as a driver of large-message allreduce).  The reduce-scatter loop lives
-here; the allgather is
-:func:`~repro.mpi.collectives.allgather.ring_allgather`.
+as a driver of large-message allreduce).  Both phases are
+:func:`~repro.mpi.collectives.allgather.ring_rounds`, combining then
+placing, run as one round list.
 
 :func:`bcast_scatter_ring` is the van-de-Geijn large-message broadcast:
 binomial-scatter the vector, then ring-allgather the pieces with the
-same :func:`~repro.mpi.collectives.allgather.ring_allgather`.
+same :func:`~repro.mpi.collectives.allgather.ring_rounds`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.allgather import ring_allgather
-from repro.mpi.collectives.base import charged_reduce
+from repro.mpi.collectives.allgather import ring_rounds
+from repro.mpi.collectives.base import COMBINE, PLACE, run_rounds
 from repro.mpi.collectives.gather_scatter import scatter_binomial
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat, split_bounds
+from repro.payload.payload import Payload, concat
 
 __all__ = [
     "RING",
@@ -43,30 +43,15 @@ def allreduce_ring(
     if p == 1:
         return payload.copy()
 
-    bounds = split_bounds(payload.count, p)
-    chunks = [payload.slice(a, b) for a, b in bounds]
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-
     # Reduce-scatter: after step s, chunk (rank - s) carries the partial
-    # sum of s+1 contributions; chunk (rank + 1) ends fully reduced here.
-    for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        theirs = yield from comm.sendrecv(
-            right,
-            chunks[send_idx],
-            source=left,
-            send_tag=tag_base + step % 32,
-            recv_tag=tag_base + step % 32,
-        )
-        chunks[recv_idx] = yield from charged_reduce(
-            comm, chunks[recv_idx], theirs, op
-        )
-
-    # Allgather: circulate the fully reduced chunks.
-    result = yield from ring_allgather(comm, chunks, rank + 1, tag_base + 32)
-    return result
+    # sum of s+1 contributions; chunk (rank + 1) ends fully reduced
+    # here, and the allgather circulates the reduced chunks.
+    rounds = (ring_rounds(p, rank, rank, 0, COMBINE)
+              + ring_rounds(p, rank, rank + 1, 32, PLACE))
+    chunks = yield from run_rounds(
+        comm, rounds, payload.split(p), op, tag_base
+    )
+    return concat(chunks)
 
 
 def bcast_scatter_ring(
@@ -86,8 +71,9 @@ def bcast_scatter_ring(
     # carries (the allgather kinds assume equal counts).
     blocks: list[Payload | None] = [None] * p
     blocks[comm.rank] = mine
-    result = yield from ring_allgather(comm, blocks, comm.rank, tag_base + 8)
-    return result
+    rounds = ring_rounds(p, comm.rank, comm.rank, 8, PLACE)
+    yield from run_rounds(comm, rounds, blocks, tag_base=tag_base)
+    return concat(blocks)
 
 
 def allreduce_ring_segmented(

@@ -128,12 +128,12 @@ class Comm:
 
     def translate(self, local_rank: int) -> int:
         """Communicator rank → global rank."""
-        try:
-            return self.group.ranks[local_rank]
-        except IndexError:
-            raise MPIError(
-                f"rank {local_rank} out of range for communicator of size {self.size}"
-            ) from None
+        ranks = self.group.ranks
+        if 0 <= local_rank < len(ranks):
+            return ranks[local_rank]
+        raise MPIError(
+            f"rank {local_rank} out of range for communicator of size {self.size}"
+        )
 
     # -- point-to-point -----------------------------------------------------------
 

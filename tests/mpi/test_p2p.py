@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError
-from repro.machine.clusters import cluster_b
+from repro.errors import DeadlockError, MPIError
+from repro.machine.clusters import cluster_a, cluster_b
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_job
 from repro.payload import SUM, DataPayload, SymbolicPayload, make_payload
 from repro.sim import Simulator
@@ -252,3 +252,21 @@ class TestTiming:
         ]
         assert times == sorted(times)
         assert times[2] > times[0] * 5
+
+
+class TestRankRange:
+    """A negative comm rank is an error, not Python's index from the end."""
+
+    @pytest.mark.parametrize("call", [
+        lambda comm: comm.send(-1, SymbolicPayload(1, 8)),
+        lambda comm: comm.recv(source=-2),
+    ], ids=["send_to_-1", "recv_from_-2"])
+    def test_negative_rank_raises(self, call):
+        def fn(comm):
+            if comm.rank == 0:
+                yield from call(comm)
+            else:
+                yield comm.sim.timeout(0)
+
+        with pytest.raises(MPIError, match="out of range"):
+            run_job(cluster_a(1), 4, fn, ppn=4)
