@@ -158,6 +158,9 @@ FAMILY_CASES = (
     ("allreduce", "rabenseifner"),
     ("allreduce", "recursive_doubling"),
     ("allreduce", "reduce_bcast"),
+    ("allreduce", "generalized"),
+    ("allreduce", "optimal_rsag"),
+    ("allreduce", "dualroot_pipelined"),
 )
 FAMILY_LAYOUTS = ((8, 4, 2), (9, 3, 3), (16, 4, 4), (3, 1, 3))
 FAMILY_COUNTS = (13, 5000)
@@ -271,6 +274,30 @@ FAMILY_ELAPSED = {
     ("allreduce", "reduce_bcast", (16, 4, 4), 5000): 0.0002456977600000001,
     ("allreduce", "reduce_bcast", (3, 1, 3), 13): 4.2426799999999995e-06,
     ("allreduce", "reduce_bcast", (3, 1, 3), 5000): 0.00017708376,
+    ("allreduce", "generalized", (8, 4, 2), 13): 6.0208800000000005e-06,
+    ("allreduce", "generalized", (8, 4, 2), 5000): 7.709350000000002e-05,
+    ("allreduce", "generalized", (9, 3, 3), 13): 6.4575e-06,
+    ("allreduce", "generalized", (9, 3, 3), 5000): 7.150280000000001e-05,
+    ("allreduce", "generalized", (16, 4, 4), 13): 9.27734e-06,
+    ("allreduce", "generalized", (16, 4, 4), 5000): 9.486276000000001e-05,
+    ("allreduce", "generalized", (3, 1, 3), 13): 4.4424e-06,
+    ("allreduce", "generalized", (3, 1, 3), 5000): 5.591896000000001e-05,
+    ("allreduce", "optimal_rsag", (8, 4, 2), 13): 6.0208800000000005e-06,
+    ("allreduce", "optimal_rsag", (8, 4, 2), 5000): 7.721850000000003e-05,
+    ("allreduce", "optimal_rsag", (9, 3, 3), 13): 1.1483700000000003e-05,
+    ("allreduce", "optimal_rsag", (9, 3, 3), 5000): 0.00013248592,
+    ("allreduce", "optimal_rsag", (16, 4, 4), 13): 9.27734e-06,
+    ("allreduce", "optimal_rsag", (16, 4, 4), 5000): 9.480036000000001e-05,
+    ("allreduce", "optimal_rsag", (3, 1, 3), 13): 8.2815e-06,
+    ("allreduce", "optimal_rsag", (3, 1, 3), 5000): 0.00012364545999999995,
+    ("allreduce", "dualroot_pipelined", (8, 4, 2), 13): 6.636279999999999e-06,
+    ("allreduce", "dualroot_pipelined", (8, 4, 2), 5000): 9.140000000000001e-05,
+    ("allreduce", "dualroot_pipelined", (9, 3, 3), 13): 9.85176e-06,
+    ("allreduce", "dualroot_pipelined", (9, 3, 3), 5000): 0.00011210000000000003,
+    ("allreduce", "dualroot_pipelined", (16, 4, 4), 13): 1.0578059999999998e-05,
+    ("allreduce", "dualroot_pipelined", (16, 4, 4), 5000): 0.000127375,
+    ("allreduce", "dualroot_pipelined", (3, 1, 3), 13): 4.5156000000000004e-06,
+    ("allreduce", "dualroot_pipelined", (3, 1, 3), 5000): 7.71e-05,
 }
 
 #: Kernel counters of the seed's heap-only kernel for dpml at 16 ranks,
