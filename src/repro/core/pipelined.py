@@ -11,7 +11,9 @@ comes from the overlap the non-blocking calls expose).
 
 ``k`` is "proportional to the message size and inversely related to the
 number of leaders": we take ``k = ceil(partition_bytes /
-pipeline_unit)`` capped at ``max_k``.
+pipeline_unit)`` capped at :data:`MAX_K`, and phase 3 is one segment
+pipeline (:func:`~repro.mpi.collectives.base.segment_count` and
+:func:`~repro.mpi.collectives.base.run_segments`).
 
 Everything else is plain DPML: :func:`~repro.core.dpml.run_dpml` runs
 the four phases and this module passes only the pipelined phase-3
@@ -25,46 +27,32 @@ from typing import Callable, Generator, Optional
 from repro.core.dpml import DPML_PHASES, _phase_charges, run_dpml
 from repro.core.leaders import check_leader_count
 from repro.core.phases import AllreduceAlgorithm
+from repro.mpi.collectives.base import run_segments, segment_count
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat
+from repro.payload.payload import Payload
 
 __all__ = [
     "DPML_PIPELINED",
     "allreduce_dpml_pipelined",
-    "pipeline_depth",
 ]
 
 #: Default target size of one pipelined sub-partition (bytes).
 DEFAULT_PIPELINE_UNIT = 16384
-#: Safety cap on the number of outstanding sub-allreduces.
-DEFAULT_MAX_K = 16
+#: Cap on the number of outstanding sub-allreduces.
+MAX_K = 16
 
 
-def pipeline_depth(
-    partition_bytes: int,
-    pipeline_unit: int = DEFAULT_PIPELINE_UNIT,
-    max_k: int = DEFAULT_MAX_K,
-) -> int:
-    """Number of sub-partitions ``k`` for one leader's partition."""
-    if partition_bytes <= 0:
-        return 1
-    k = -(-partition_bytes // pipeline_unit)
-    return max(1, min(k, max_k))
-
-
-def _pipelined_allreduce(
-    algorithm: Optional[str], pipeline_unit: int, max_k: int
-) -> Callable:
+def _pipelined_allreduce(algorithm: Optional[str], pipeline_unit: int) -> Callable:
     """Phase 3 as k outstanding sub-allreduces and a waitall."""
     name = algorithm or "flat_auto"
 
     def inter(comm, payload: Payload, op: ReduceOp) -> Generator:
-        k = pipeline_depth(payload.nbytes, pipeline_unit, max_k)
-        requests = [
-            comm.iallreduce(sub, op, algorithm=name) for sub in payload.split(k)
-        ]
-        results = yield from comm.waitall(requests)
-        return concat(results)
+        k = segment_count(payload.nbytes, pipeline_unit, MAX_K)
+        result = yield from run_segments(
+            comm, payload.split(k),
+            lambda sub: comm.iallreduce(sub, op, algorithm=name),
+        )
+        return result
 
     return inter
 
@@ -77,35 +65,26 @@ def allreduce_dpml_pipelined(
     leaders: int = 4,
     inter_algorithm: Optional[str] = None,
     pipeline_unit: int = DEFAULT_PIPELINE_UNIT,
-    max_k: int = DEFAULT_MAX_K,
 ) -> Generator:
     """DPML with k-way pipelined non-blocking inter-node allreduces."""
     return run_dpml(
         comm, payload, op, tag_base, leaders, "dpml_pipelined",
-        _pipelined_allreduce(inter_algorithm, pipeline_unit, max_k),
+        _pipelined_allreduce(inter_algorithm, pipeline_unit),
     )
 
 
 def _charge_dpml_pipelined(
-    model,
-    *,
-    p,
-    h,
-    n,
-    leaders=4,
-    pipeline_unit=DEFAULT_PIPELINE_UNIT,
-    max_k=DEFAULT_MAX_K,
-    **_kw,
+    model, *, p, h, n, leaders=4, pipeline_unit=DEFAULT_PIPELINE_UNIT, **_kw
 ):
     """Eq. 7 with the Eq. 5 exchange at the implementation's depth."""
     check_leader_count(leaders)
     if h >= p:
-        k = pipeline_depth(n, pipeline_unit, max_k)
+        k = segment_count(n, pipeline_unit, MAX_K)
         return (("exchange", model.t_comm_pipelined(p, 1, n, k)),)
     l = min(leaders, p // h)
     # One leader carries ceil(n / l) bytes into phase 3 (Payload.split
     # gives the first partitions the extra elements).
-    k = pipeline_depth(-(-n // l), pipeline_unit, max_k)
+    k = segment_count(-(-n // l), pipeline_unit, MAX_K)
     return _phase_charges(model, p, h, l, n, model.t_comm_pipelined(h, l, n, k))
 
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.errors import MPIError
-from repro.mpi.collectives.base import (
-    APPEND, PLACE, PREPEND, Round, actual_rank, run_rounds,
-)
+from repro.mpi.collectives.base import JOIN, PLACE, Round, actual_rank, run_rounds
 from repro.payload.payload import Payload, concat
 
 __all__ = [
@@ -55,10 +53,10 @@ def doubling_rounds(n: int, i: int, rem: int = 0, tag: int = 0) -> list:
     while mask < n:
         peer = actual_rank(i ^ mask, rem)
         if i & mask:
-            rounds.append(Round(peer, peer, tag, (lo, hi), (lo - mask, lo), PREPEND))
+            rounds.append(Round(peer, peer, tag, (lo, hi), (lo - mask, lo), JOIN))
             lo -= mask
         else:
-            rounds.append(Round(peer, peer, tag, (lo, hi), (hi, hi + mask), APPEND))
+            rounds.append(Round(peer, peer, tag, (lo, hi), (hi, hi + mask), JOIN))
             hi += mask
         mask <<= 1
         tag += 1

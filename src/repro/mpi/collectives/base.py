@@ -5,6 +5,12 @@ as a list of :class:`Round` records; :func:`run_rounds` is the one
 coroutine that runs such a list.  A round names its peers, its tag
 offset, the block window it sends and the window the received data
 lands on, so what a schedule sends is readable without simulating it.
+A round that names several peers is *posted first*: every receive is
+posted, then every send, and the arrivals are taken in peer order.
+
+A segment pipeline is one form too: :func:`segment_count` picks the
+number of segments ``k`` and :func:`run_segments` starts all ``k``
+non-blocking, waits on them and concatenates the results.
 
 Non-power-of-two handling follows MPICH (:func:`folded`): with
 ``p = pof2 + rem`` ranks, the first ``2 * rem`` ranks *fold* pairwise
@@ -15,7 +21,7 @@ power-of-two phase the result is *unfolded* back to the even ranks.
 
 from __future__ import annotations
 
-from typing import Generator, NamedTuple, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 from repro.errors import MPIError
 from repro.payload.ops import ReduceOp
@@ -24,24 +30,25 @@ from repro.payload.payload import Payload, concat
 __all__ = [
     "Round",
     "COMBINE",
-    "APPEND",
-    "PREPEND",
+    "JOIN",
     "PLACE",
     "REPLACE",
+    "KEEP",
     "pof2_below",
     "actual_rank",
     "folded",
     "run_rounds",
+    "segment_count",
+    "run_segments",
     "charged_reduce",
     "window",
 ]
 
 #: What a round does with the data it receives: reduce it into its
-#: window, join it after or before the held window, store it as one
-#: block of a block list, or take it as the whole held vector.
-COMBINE, APPEND, PREPEND, PLACE, REPLACE = (
-    "combine", "append", "prepend", "place", "replace",
-)
+#: window, join it to the held window in block order, store it as one
+#: block of a block list, or take it as the whole held vector.  A
+#: send-only round may ``KEEP`` its ``land`` window of the held vector.
+COMBINE, JOIN, PLACE, REPLACE, KEEP = "combine", "join", "place", "replace", "keep"
 
 
 class Round(NamedTuple):
@@ -50,7 +57,9 @@ class Round(NamedTuple):
     ``dst``/``src`` are comm ranks (``None``: no send/receive); ``tag``
     is an offset in the call's tag block.  ``send`` and ``land`` are
     ``(lo, hi)`` ranges of ``split_bounds`` blocks, or block indices
-    when the rank holds a block list (the ring).
+    when the rank holds a block list (the ring).  A posted-first round
+    names several peers: ``dst``/``send`` and ``src``/``land`` are then
+    equal-length tuples, one entry per peer.
     """
 
     dst: Optional[int]
@@ -107,29 +116,60 @@ def run_rounds(
     lo, hi = held
     for dst, src, tag, send, land, act in rounds:
         tag += tag_base
-        # Both views are cut before the exchange, the kept one too.
-        out = None if dst is None else part(send)
-        mine = part(land) if act == COMBINE else None
-        if src is None:
-            yield from comm.send(dst, out, tag)
-            continue
-        if dst is None:
-            theirs = yield from comm.recv(src, tag)
+        if type(dst) is tuple:
+            # Posted first: every receive, then every send.
+            recvs = [comm.irecv(peer, tag) for peer in src]
+            sends = [comm.isend(peer, part(w), tag) for peer, w in zip(dst, send)]
+            mine = part(land[0]) if act == COMBINE else None
+            got = {}
+            for w, req in zip(land, recvs):
+                got[w] = theirs = yield from comm.wait(req)
+                if act == COMBINE:
+                    mine = yield from charged_reduce(comm, mine, theirs, op)
+            yield from comm.waitall(sends)
+            theirs, land = mine, land[0]
         else:
-            theirs = yield from comm.sendrecv(
-                dst, out, source=src, send_tag=tag, recv_tag=tag
-            )
-        if act == COMBINE:
-            theirs = yield from charged_reduce(comm, mine, theirs, op)
+            # Both views are cut before the exchange, the kept one too.
+            out = None if dst is None else part(send)
+            mine = part(land) if act in (COMBINE, KEEP) else None
+            if src is None:
+                yield from comm.send(dst, out, tag)
+                if act is None:
+                    continue
+                theirs = mine
+            elif dst is None:
+                theirs = yield from comm.recv(src, tag)
+            else:
+                theirs = yield from comm.sendrecv(
+                    dst, out, source=src, send_tag=tag, recv_tag=tag
+                )
+            if act == COMBINE:
+                theirs = yield from charged_reduce(comm, mine, theirs, op)
+            got = {land: theirs}
         if type(land) is int:
             data[land] = theirs
-            continue
-        if act in (APPEND, PREPEND):
-            theirs = concat([data, theirs] if act == APPEND else [theirs, data])
-            land = (min(lo, land[0]), max(hi, land[1]))
-        data = theirs
-        lo, hi = land
+        elif act == JOIN:
+            # The held vector and every arrival, in block order.
+            got[(lo, hi)] = data
+            order = sorted(got)
+            data = concat([got[w] for w in order])
+            lo, hi = order[0][0], order[-1][1]
+        else:
+            data, (lo, hi) = theirs, land
     return data
+
+
+def segment_count(nbytes: int, unit: int, cap: int) -> int:
+    """Segments of a pipeline: one per ``unit`` bytes, from 1 to ``cap``."""
+    return max(1, min(cap, -(-nbytes // unit)))
+
+
+def run_segments(comm, segments, start: Callable) -> Generator:
+    """A segment pipeline: ``start(segment)`` issues one segment as a
+    non-blocking request; all are in flight before the one wait, and
+    their results are concatenated in order."""
+    results = yield from comm.waitall([start(seg) for seg in segments])
+    return concat(results)
 
 
 def charged_reduce(

@@ -14,13 +14,13 @@ construction fixes both at once:
   down the tree independently, so the broadcast of segment ``s``
   overlaps the reduction of segment ``s + 1`` ("doubly pipelined").
 
-Here each ``(tree, segment)`` instance runs the tree's round list
+Here the two halves' segments are one segment pipeline
+(:func:`~repro.mpi.collectives.base.run_segments`): each
+``(tree, segment)`` instance runs the tree's round list
 (:func:`tree_rounds`) as an independent background coroutine
-(:meth:`~repro.mpi.comm.Comm.icoll`), the same non-blocking overlap
-idiom as
-:func:`~repro.mpi.collectives.ring.allreduce_ring_segmented` — the
-simulator's event engine realises the pipeline overlap without
-explicit software pipelining inside a rank.
+(:meth:`~repro.mpi.comm.Comm.icoll`), and all of them are in flight
+before the one wait — the simulator's event engine realises the
+pipeline overlap without explicit software pipelining inside a rank.
 """
 
 from __future__ import annotations
@@ -29,23 +29,24 @@ from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.errors import ConfigError
-from repro.mpi.collectives.base import COMBINE, REPLACE, Round, run_rounds
+from repro.mpi.collectives.base import (
+    COMBINE, REPLACE, Round, run_rounds, run_segments, segment_count,
+)
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat
+from repro.payload.payload import Payload
 
 __all__ = [
     "DUALROOT_PIPELINED",
     "allreduce_dualroot_pipelined",
     "t_dualroot_pipelined",
     "dualroot_depth",
-    "dualroot_segments",
     "tree_rounds",
-    "DEFAULT_SEGMENT_BYTES",
+    "SEGMENT_BYTES",
     "MAX_SEGMENTS",
 ]
 
-#: Default target size of one pipeline segment (bytes per half).
-DEFAULT_SEGMENT_BYTES = 16384
+#: Target size of one pipeline segment (bytes per half).
+SEGMENT_BYTES = 16384
 #: Cap on segments per half: each (tree, segment) pair needs a tag
 #: sub-block inside the collective's 64-tag span.
 MAX_SEGMENTS = 8
@@ -59,15 +60,6 @@ def dualroot_depth(p: int) -> int:
         depth += 1
         last = 2 * last + 2
     return depth
-
-
-def dualroot_segments(
-    half_nbytes: int, segment_bytes: int = DEFAULT_SEGMENT_BYTES
-) -> int:
-    """Pipeline segment count ``k`` for one ``half_nbytes``-byte half."""
-    if half_nbytes <= 0:
-        return 1
-    return max(1, min(MAX_SEGMENTS, -(-half_nbytes // segment_bytes)))
 
 
 def tree_rounds(p: int, rank: int, mirror: bool) -> list:
@@ -93,8 +85,7 @@ def tree_rounds(p: int, rank: int, mirror: bool) -> list:
 
 
 def allreduce_dualroot_pipelined(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0,
-    segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+    comm, payload: Payload, op: ReduceOp, tag_base: int = 0
 ) -> Generator:
     """Doubly-pipelined dual-root tree allreduce; any process count.
 
@@ -109,26 +100,21 @@ def allreduce_dualroot_pipelined(
 
     mid = (payload.count + 1) // 2
     halves = (payload.slice(0, mid), payload.slice(mid, payload.count))
-
-    requests = []
+    segments = []  # run_rounds arguments of each (tree, segment)
     for tree, half in enumerate(halves):
-        k = dualroot_segments(half.nbytes, segment_bytes)
+        k = segment_count(half.nbytes, SEGMENT_BYTES, MAX_SEGMENTS)
+        rounds = tree_rounds(p, comm.rank, tree == 1)
         # Tree A segments tag from tag_base, tree B from tag_base + 32;
         # two tags (up/down) per segment, so k <= 16 would still fit.
-        block = tag_base + 32 * tree
-        rounds = tree_rounds(p, comm.rank, tree == 1)
         for s, seg in enumerate(half.split(k)):
-            requests.append(
-                comm.icoll(run_rounds, rounds, seg, op, block + 2 * s)
-            )
-    results = yield from comm.waitall(requests)
-    return concat(results)
+            segments.append((rounds, seg, op, tag_base + 32 * tree + 2 * s))
+    result = yield from run_segments(
+        comm, segments, lambda args: comm.icoll(run_rounds, *args)
+    )
+    return result
 
 
-def t_dualroot_pipelined(
-    model, p: int, n: int, k: "int | None" = None,
-    segment_bytes: "int | None" = None,
-) -> float:
+def t_dualroot_pipelined(model, p: int, n: int, k: "int | None" = None) -> float:
     """Closed-form cost of the dual-root tree under ``model``.
 
     Each half of the vector (``n / 2`` bytes in ``k`` pipeline
@@ -141,17 +127,15 @@ def t_dualroot_pipelined(
     if p == 1:
         return 0.0
     if k is None:
-        k = dualroot_segments(-(-n // 2), segment_bytes or DEFAULT_SEGMENT_BYTES)
+        k = segment_count(-(-n // 2), SEGMENT_BYTES, MAX_SEGMENTS)
     if k < 1:
         raise ConfigError(f"pipeline depth must be >= 1, got {k}")
     seg = n / (2 * k)
     return 2 * (dualroot_depth(p) + k - 1) * (model.a + seg * (model.b + model.c))
 
 
-def _charge_dualroot_pipelined(model, *, p, h, n, segment_bytes=None, **_kw):
-    return (
-        ("exchange", t_dualroot_pipelined(model, p, n, segment_bytes=segment_bytes)),
-    )
+def _charge_dualroot_pipelined(model, *, p, h, n, **_kw):
+    return (("exchange", t_dualroot_pipelined(model, p, n)),)
 
 
 DUALROOT_PIPELINED = AllreduceAlgorithm(

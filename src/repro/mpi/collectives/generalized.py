@@ -11,27 +11,37 @@ the same offset inside the other subgroups.  The recursion then
 continues inside the subgroup on a window ``r`` times smaller; the
 matching allgather stages replay the exchanges in reverse.
 
+Each stage is one posted-first :class:`~repro.mpi.collectives.base.Round`
+naming its ``r - 1`` peers (every receive is posted before any send,
+which is deadlock-free at any radix, and the contributions combine in
+ascending subgroup order), so the whole allreduce is the round list
+:func:`generalized_rounds` run by
+:func:`~repro.mpi.collectives.base.run_rounds`.
+
 Choosing all factors equal to 2 recovers recursive halving/doubling
 (Rabenseifner); ``r = p`` in one stage is the direct all-to-all
 reduce-scatter.  The default factorisation is the prime decomposition
 of ``p`` in ascending order — ``ceil(log p)``-ish rounds with no
 power-of-two fold for any ``p``; pass ``radices=(...)`` to pick the
-stage structure explicitly.
+stage structure explicitly (:func:`check_radices` validates it).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Generator, Optional, Sequence
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.errors import MPIError
-from repro.mpi.collectives.base import charged_reduce, window
+from repro.errors import ConfigError, MPIError
+from repro.mpi.collectives.base import COMBINE, JOIN, Round, run_rounds
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat, split_bounds
+from repro.payload.payload import Payload, split_bounds
 
 __all__ = [
     "GENERALIZED",
     "allreduce_generalized",
+    "check_radices",
+    "generalized_rounds",
     "prime_factors",
     "t_generalized",
 ]
@@ -53,50 +63,53 @@ def prime_factors(p: int) -> tuple:
     return tuple(factors)
 
 
-def _resolve_radices(p: int, radices: Optional[Sequence[int]]) -> tuple:
+def check_radices(p: int, radices: Optional[Sequence[int]]) -> tuple:
+    """The stage radices for ``p`` ranks: the prime factors of ``p``
+    when ``radices`` is None, else ``radices`` as a tuple of ints.
+    Raises :class:`~repro.errors.ConfigError` unless ``radices`` is a
+    sequence of integers, each >= 2, whose product is ``p``."""
     if radices is None:
         return prime_factors(p)
-    radices = tuple(int(r) for r in radices)
-    if any(r < 2 for r in radices):
-        raise MPIError(f"radices must all be >= 2, got {radices}")
+    try:
+        if isinstance(radices, str):
+            raise TypeError
+        stages = tuple(operator.index(r) for r in radices)
+    except TypeError:
+        raise ConfigError(
+            f"radices must be a sequence of integers, got {radices!r}"
+        ) from None
+    if any(r < 2 for r in stages):
+        raise ConfigError(f"radices must all be >= 2, got {stages}")
     prod = 1
-    for r in radices:
+    for r in stages:
         prod *= r
     if prod != p:
-        raise MPIError(
-            f"radices {radices} multiply to {prod}, not the group size {p}"
+        raise ConfigError(
+            f"radices {stages} multiply to {prod}, not the group size {p}"
         )
-    return radices
+    return stages
 
 
-def _exchange(comm, parts, mine: int, peers, tag: int, op: Optional[ReduceOp]) -> Generator:
-    """One stage's peer exchange among the ``r`` same-offset ranks.
-
-    All receives are posted before any send (deadlock-safe for any
-    radix).  In the reduce-scatter direction (``op`` given) part ``j``
-    goes to the subgroup-``j`` peer and the incoming contributions
-    combine into ``parts[mine]`` in ascending subgroup order, so every
-    rank reduces deterministically.  With ``op`` None the stage runs
-    backwards as an allgather step: ``parts[mine]`` goes to every peer
-    and peer ``j``'s window lands in slot ``j``.
-    """
-    recvs = [(j, comm.irecv(peer, tag)) for j, peer in peers if j != mine]
-    sends = [
-        comm.isend(peer, parts[mine] if op is None else parts[j], tag)
-        for j, peer in peers
-        if j != mine
-    ]
-    gathered = list(parts)
-    for j, req in recvs:
-        theirs = yield from comm.wait(req)
-        if op is None:
-            gathered[j] = theirs
-        else:
-            gathered[mine] = yield from charged_reduce(
-                comm, gathered[mine], theirs, op
-            )
-    yield from comm.waitall(sends)
-    return gathered
+def generalized_rounds(
+    p: int, rank: int, radices: Optional[Sequence[int]] = None
+) -> list:
+    """Rank ``rank``'s rounds over ``p`` blocks: one posted-first
+    reduce-scatter round per radix (tags from 0), then the allgather
+    rounds in reverse (tags from 32)."""
+    scatter, gather = [], []
+    lo, q = 0, p
+    for depth, radix in enumerate(check_radices(p, radices)):
+        sub = q // radix
+        mine = (rank - lo) // sub  # my subgroup index
+        offset = (rank - lo) % sub
+        others = [j for j in range(radix) if j != mine]
+        peers = tuple(lo + j * sub + offset for j in others)
+        parts = tuple((lo + j * sub, lo + (j + 1) * sub) for j in others)
+        own = ((lo + mine * sub, lo + (mine + 1) * sub),) * len(others)
+        scatter.append(Round(peers, peers, depth, parts, own, COMBINE))
+        gather.append(Round(peers, peers, 32 + depth, own, parts, JOIN))
+        lo, q = lo + mine * sub, sub
+    return scatter + gather[::-1]
 
 
 def allreduce_generalized(
@@ -105,44 +118,13 @@ def allreduce_generalized(
 ) -> Generator:
     """Mixed-radix reduce-scatter + allgather allreduce; any ``p``."""
     p = comm.size
-    rank = comm.rank
     if p == 1:
         return payload.copy()
-    stages = _resolve_radices(p, radices)
-
-    bounds = split_bounds(payload.count, p)
-    # -- reduce-scatter stages ----------------------------------------------
-    vec = payload
-    lo, q = 0, p
-    plan = []  # (lo, q, radix, mine, peers) per stage, for the reverse
-    for depth, radix in enumerate(stages):
-        sub = q // radix
-        mine = (rank - lo) // sub  # my subgroup index
-        offset = (rank - lo) % sub
-        peers = tuple(
-            (j, lo + j * sub + offset) for j in range(radix)
-        )
-        parts = [
-            window(vec, bounds, lo, lo + j * sub, lo + (j + 1) * sub)
-            for j in range(radix)
-        ]
-        gathered = yield from _exchange(
-            comm, parts, mine, peers, tag_base + depth, op
-        )
-        vec = gathered[mine]
-        plan.append((lo, q, radix, mine, peers))
-        lo, q = lo + mine * sub, sub
-
-    # -- allgather stages (reverse) -----------------------------------------
-    for depth in range(len(plan) - 1, -1, -1):
-        lo, q, radix, mine, peers = plan[depth]
-        parts = [vec if j == mine else None for j in range(radix)]
-        gathered = yield from _exchange(
-            comm, parts, mine, peers, tag_base + 32 + depth, None
-        )
-        vec = concat(gathered)
-
-    return vec
+    result = yield from run_rounds(
+        comm, generalized_rounds(p, comm.rank, radices), payload, op,
+        tag_base, bounds=split_bounds(payload.count, p), held=(0, p),
+    )
+    return result
 
 
 def t_generalized(
@@ -159,7 +141,7 @@ def t_generalized(
         return 0.0
     total = 0.0
     window = float(n)
-    for r in _resolve_radices(p, radices):
+    for r in check_radices(p, radices):
         moved = window * (r - 1) / r
         total += 2 * (r - 1) * model.a + moved * (2 * model.b + model.c)
         window /= r

@@ -22,6 +22,10 @@ arbitrary group sizes instead:
 
 Per-rank traffic is ``~2n(p-1)/p`` for *any* ``p`` in
 ``2·ceil(lg p)`` rounds — the non-pipelined optimum.
+
+:func:`optimal_rsag_rounds` declares one rank's rounds: the rank walks
+only its own descent through the groups, ``ceil(lg p)`` splits, and
+:func:`~repro.mpi.collectives.base.run_rounds` runs the list.
 """
 
 from __future__ import annotations
@@ -30,36 +34,53 @@ from typing import Generator
 
 from repro.core.model import _lg_ceil
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.base import charged_reduce, window
+from repro.mpi.collectives.base import COMBINE, JOIN, KEEP, Round, run_rounds
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat, split_bounds
+from repro.payload.payload import Payload, split_bounds
 
-__all__ = ["OPTIMAL_RSAG", "allreduce_optimal_rsag", "t_optimal_rsag"]
+__all__ = [
+    "OPTIMAL_RSAG",
+    "allreduce_optimal_rsag",
+    "optimal_rsag_rounds",
+    "t_optimal_rsag",
+]
 
 
-def _halving_rounds(p: int) -> list:
-    """The shared split schedule: ``(lo, mid, hi)`` per round per rank.
-
-    Returned per-rank: ``rounds[r]`` is the chronological list of
-    groups rank ``r`` descends through.  Computed identically on every
-    rank (pure function of ``p``), so partners always agree on the
-    round structure and its depth-indexed tags.
-    """
-    rounds: list = [[] for _ in range(p)]
-    groups = [(0, p)]
-    while groups:
-        nxt = []
-        for lo, hi in groups:
-            q = hi - lo
-            if q == 1:
-                continue
-            mid = lo + (q + 1) // 2  # left gets ceil(q/2) ranks
-            for r in range(lo, hi):
-                rounds[r].append((lo, mid, hi))
-            nxt.append((lo, mid))
-            nxt.append((mid, hi))
-        groups = nxt
-    return rounds
+def optimal_rsag_rounds(p: int, rank: int) -> list:
+    """Rank ``rank``'s rounds over ``p`` blocks: the reduce-scatter
+    descent (tag = depth), then the allgather replaying it backwards
+    (tag = 32 + depth)."""
+    scatter, gather = [], []
+    lo, hi = 0, p
+    depth = 0
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2  # left gets ceil(q/2) ranks
+        left, right = (lo, mid), (mid, hi)
+        if rank < mid:
+            partner = mid + rank - lo
+            if partner < hi:
+                scatter.append(Round(partner, partner, depth, right, left, COMBINE))
+                back = [Round(partner, partner, 32 + depth, left, right, JOIN)]
+            else:
+                # Odd group: no right partner.  The right window still
+                # has to reach the right part exactly once — hand it to
+                # the last right rank; nothing comes back.
+                scatter.append(Round(hi - 1, None, depth, right, left, KEEP))
+                back = [Round(None, hi - 1, 32 + depth, None, right, JOIN)]
+            hi = mid
+        else:
+            partner = lo + rank - mid
+            scatter.append(Round(partner, partner, depth, left, right, COMBINE))
+            back = [Round(partner, partner, 32 + depth, right, left, JOIN)]
+            if (hi - lo) % 2 and rank == hi - 1:
+                # The last right rank also takes the partnerless left
+                # rank's window, and sends its own back to it.
+                scatter.append(Round(None, mid - 1, depth, None, right, COMBINE))
+                back.append(Round(mid - 1, None, 32 + depth, right, None, None))
+            lo = mid
+        gather.append(back)
+        depth += 1
+    return scatter + [x for back in reversed(gather) for x in back]
 
 
 def allreduce_optimal_rsag(
@@ -67,70 +88,13 @@ def allreduce_optimal_rsag(
 ) -> Generator:
     """Allreduce via direct non-power-of-two halving; any process count."""
     p = comm.size
-    rank = comm.rank
     if p == 1:
         return payload.copy()
-
-    bounds = split_bounds(payload.count, p)
-    schedule = _halving_rounds(p)[rank]
-
-    # -- reduce-scatter: descend the split schedule --------------------------
-    vec = payload
-    for depth, (lo, mid, hi) in enumerate(schedule):
-        q = hi - lo
-        tag = tag_base + depth
-        if rank < mid:
-            i = rank - lo
-            keep = window(vec, bounds, lo, lo, mid)
-            give = window(vec, bounds, lo, mid, hi)
-            partner = mid + i
-            if partner < hi:
-                theirs = yield from comm.sendrecv(
-                    partner, give, source=partner, send_tag=tag, recv_tag=tag
-                )
-                vec = yield from charged_reduce(comm, keep, theirs, op)
-            else:
-                # Odd group: no right partner.  The right window still
-                # has to reach the right part exactly once — hand it to
-                # the last right rank; nothing comes back.
-                yield from comm.send(hi - 1, give, tag)
-                vec = keep
-        else:
-            keep = window(vec, bounds, lo, mid, hi)
-            give = window(vec, bounds, lo, lo, mid)
-            partner = lo + (rank - mid)
-            theirs = yield from comm.sendrecv(
-                partner, give, source=partner, send_tag=tag, recv_tag=tag
-            )
-            vec = yield from charged_reduce(comm, keep, theirs, op)
-            if q % 2 == 1 and rank == hi - 1:
-                extra = yield from comm.recv(mid - 1, tag)
-                vec = yield from charged_reduce(comm, vec, extra, op)
-
-    # -- allgather: replay the schedule in reverse ---------------------------
-    for depth in range(len(schedule) - 1, -1, -1):
-        lo, mid, hi = schedule[depth]
-        q = hi - lo
-        tag = tag_base + 32 + depth
-        if rank < mid:
-            partner = mid + (rank - lo)
-            if partner < hi:
-                theirs = yield from comm.sendrecv(
-                    partner, vec, source=partner, send_tag=tag, recv_tag=tag
-                )
-            else:
-                theirs = yield from comm.recv(hi - 1, tag)
-            vec = concat([vec, theirs])
-        else:
-            partner = lo + (rank - mid)
-            theirs = yield from comm.sendrecv(
-                partner, vec, source=partner, send_tag=tag, recv_tag=tag
-            )
-            if q % 2 == 1 and rank == hi - 1:
-                yield from comm.send(mid - 1, vec, tag)
-            vec = concat([theirs, vec])
-
-    return vec
+    result = yield from run_rounds(
+        comm, optimal_rsag_rounds(p, comm.rank), payload, op, tag_base,
+        bounds=split_bounds(payload.count, p), held=(0, p),
+    )
+    return result
 
 
 def t_optimal_rsag(model, p: int, n: int) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import operator
 from typing import Callable, Generator, Optional
 
 from repro.core.adaptive import ADAPTIVE
@@ -24,7 +25,7 @@ from repro.core.phases import AllreduceAlgorithm
 from repro.core.pipelined import DPML_PIPELINED
 from repro.core.sharp_designs import SHARP_NODE_LEADER, SHARP_SOCKET_LEADER
 from repro.core.tuning import DPML_TUNED
-from repro.errors import ConfigError, MPIError, TuningError
+from repro.errors import ConfigError, TuningError
 from repro.mpi.collectives.allgather import (
     allgather_bruck,
     allgather_recursive_doubling,
@@ -38,7 +39,7 @@ from repro.mpi.collectives.binomial import (
 )
 from repro.mpi.collectives.dualroot import DUALROOT_PIPELINED
 from repro.mpi.collectives.gather_scatter import gather_binomial, scatter_binomial
-from repro.mpi.collectives.generalized import GENERALIZED, _resolve_radices
+from repro.mpi.collectives.generalized import GENERALIZED, check_radices
 from repro.mpi.collectives.hybrid import make_hybrid_allreduce
 from repro.mpi.collectives.knomial import bcast_knomial, reduce_knomial
 from repro.mpi.collectives.optimal_rsag import OPTIMAL_RSAG
@@ -201,21 +202,16 @@ def check_knobs(
     algorithm: Optional[str], nranks: int, ppn: int, alg_kwargs: dict,
     kind: str = "allreduce",
 ) -> None:
-    """Reject collective keywords a job cannot run as given: a
+    """Reject collective keywords a job cannot run as given: keywords
+    the named ``kind`` algorithm does not take, a ``leaders``,
+    ``segment_bytes`` or ``pipeline_unit`` that is not an integer, a
     ``leaders`` count outside ``[1, ppn]`` (it would run clamped to
-    ``ppn``), a ``segment_bytes``, ``pipeline_unit`` or ``max_k`` below
-    1 (a zero divides by zero, a negative runs clamped to one segment),
-    keywords the named ``kind`` algorithm does not take, and
-    ``radices`` that do not factor ``nranks``."""
+    ``ppn``), a ``segment_bytes`` or ``pipeline_unit`` below 1 (a zero
+    divides by zero, a negative runs clamped to one segment), and
+    ``radices`` that are not integers factoring ``nranks``
+    (:func:`~repro.mpi.collectives.generalized.check_radices`)."""
     if not alg_kwargs:
         return
-    leaders = alg_kwargs.get("leaders")
-    if leaders is not None and not 1 <= leaders <= ppn:
-        raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {leaders}")
-    for knob in ("segment_bytes", "pipeline_unit", "max_k"):
-        value = alg_kwargs.get(knob)
-        if value is not None and value < 1:
-            raise ConfigError(f"{knob} must be >= 1, got {value}")
     if algorithm is not None:
         accepted = collective_keywords(kind, algorithm)
         if accepted is not None and not accepted.issuperset(alg_kwargs):
@@ -224,11 +220,22 @@ def check_knobs(
                 f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
                 f"takes: {', '.join(sorted(accepted)) or 'none'}"
             )
-    if alg_kwargs.get("radices") is not None:
+    for knob in ("leaders", "segment_bytes", "pipeline_unit"):
+        value = alg_kwargs.get(knob)
+        if value is None:
+            continue
         try:
-            _resolve_radices(nranks, alg_kwargs["radices"])
-        except MPIError as err:
-            raise ConfigError(str(err)) from None
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(
+                f"{knob} must be an integer, got {value!r}"
+            ) from None
+        if knob == "leaders" and not 1 <= value <= ppn:
+            raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {value}")
+        if value < 1:
+            raise ConfigError(f"{knob} must be >= 1, got {value}")
+    if alg_kwargs.get("radices") is not None:
+        check_radices(nranks, alg_kwargs["radices"])
 
 
 def check_call(

@@ -20,7 +20,9 @@ from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.allgather import ring_rounds
-from repro.mpi.collectives.base import COMBINE, PLACE, run_rounds
+from repro.mpi.collectives.base import (
+    COMBINE, PLACE, run_rounds, run_segments, segment_count,
+)
 from repro.mpi.collectives.gather_scatter import scatter_binomial
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, concat
@@ -90,18 +92,17 @@ def allreduce_ring_segmented(
     p = comm.size
     if p == 1:
         return payload.copy()
-    nseg = max(1, min(32, -(-payload.nbytes // segment_bytes)))
+    nseg = segment_count(payload.nbytes, segment_bytes, 32)
     if nseg == 1:
         result = yield from allreduce_ring(comm, payload, op, tag_base=tag_base)
         return result
-    segments = payload.split(nseg)
     # Each segment gets its own collective tag block (allocated
     # identically on every rank), so concurrent rings never cross-match.
-    requests = [
-        comm.iallreduce(seg, op, algorithm="ring") for seg in segments
-    ]
-    results = yield from comm.waitall(requests)
-    return concat(results)
+    result = yield from run_segments(
+        comm, payload.split(nseg),
+        lambda seg: comm.iallreduce(seg, op, algorithm="ring"),
+    )
+    return result
 
 
 RING = AllreduceAlgorithm(

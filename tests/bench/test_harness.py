@@ -113,10 +113,19 @@ class TestHarness:
             ("dpml", {"bogus": 1}),
             ("dpml", {"tag_base": 1}),
             ("generalized", {"radices": (3,)}),
+            ("dpml", {"leaders": 2.0}),
+            ("dpml_pipelined", {"pipeline_unit": 1000.5}),
+            ("ring_segmented", {"segment_bytes": 1000.5}),
+            ("generalized", {"radices": (2, 4.5)}),
+            ("generalized", {"radices": "222"}),
+            ("dualroot_pipelined", {"segment_bytes": 1000}),
+            ("dpml_pipelined", {"max_k": 4}),
         ],
         ids=[
             "leaders-above-ppn", "no-leaders", "unknown-keyword", "tag-base",
-            "radices",
+            "radices", "float-leaders", "float-pipeline-unit",
+            "float-segment-bytes", "float-radix", "string-radices",
+            "retired-segment-bytes", "retired-max-k",
         ],
     )
     def test_invalid_algorithm_knobs_rejected_before_simulation(

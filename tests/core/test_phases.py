@@ -21,10 +21,11 @@ import repro
 from repro.core.dpml import DPML_PHASES
 from repro.core.model import CostModel, UnknownAlgorithmError
 from repro.core.phases import AllreduceAlgorithm, PhaseProbe
-from repro.core.pipelined import DEFAULT_PIPELINE_UNIT, pipeline_depth
+from repro.core.pipelined import DEFAULT_PIPELINE_UNIT, MAX_K
 from repro.errors import ConfigError, TuningError
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
+from repro.mpi.collectives.base import segment_count
 from repro.mpi.collectives.registry import (
     available_algorithms,
     resolve_phase_plan,
@@ -140,7 +141,7 @@ def test_pipelined_exchange_uses_leader_share_depth(model):
     charges = dict(resolve_phase_plan("dpml_pipelined").charge(
         model, p=p, h=h, n=n, leaders=l
     ))
-    k = pipeline_depth(-(-n // l), DEFAULT_PIPELINE_UNIT, 16)
+    k = segment_count(-(-n // l), DEFAULT_PIPELINE_UNIT, MAX_K)
     assert charges["exchange"] == model.t_comm_pipelined(h, l, n, k)
 
 

@@ -239,8 +239,13 @@ class TestAllreduceKeywords:
             ("dpml", {"leaders": 64}, "leaders must be in"),
             ("dpml", {"bogus": 1}, "takes no keyword"),
             ("generalized", {"radices": (3,)}, "radices"),
+            ("dualroot_pipelined", {"segment_bytes": 1024}, "takes no keyword"),
+            ("dpml_pipelined", {"max_k": 4}, "takes no keyword"),
         ],
-        ids=["leaders-clamped", "unknown-keyword", "radices-do-not-factor"],
+        ids=[
+            "leaders-clamped", "unknown-keyword", "radices-do-not-factor",
+            "retired-segment-bytes", "retired-max-k",
+        ],
     )
     def test_bad_keywords_raise_config_error(self, algorithm, kwargs, match):
         def fn(comm):
@@ -382,13 +387,19 @@ class TestRootRange:
 )
 @pytest.mark.parametrize("entry", ["dispatch", "sample_point", "latency"])
 def test_segment_knobs_below_one_raise(entry, algorithm, knob, value, fidelity):
-    """A segment size, pipeline unit or segment cap below 1 raises
-    ConfigError at every entry point, in both fidelities, instead of
-    dividing by zero or running clamped to one segment."""
+    """A segment size or pipeline unit below 1 raises ConfigError at
+    every entry point, in both fidelities, instead of dividing by zero
+    or running clamped to one segment.  The retired knobs (dualroot's
+    ``segment_bytes``, dpml_pipelined's ``max_k``) are unknown keywords
+    there."""
     from repro.bench.harness import allreduce_latency
     from repro.bench.spec import SamplePoint
 
-    match = f"{knob} must be >= 1"
+    retired = {("dualroot_pipelined", "segment_bytes"), ("dpml_pipelined", "max_k")}
+    if (algorithm, knob) in retired:
+        match = f"takes no keyword\\(s\\) {knob};"
+    else:
+        match = f"{knob} must be >= 1"
     if entry == "dispatch":
         def fn(comm):
             out = yield from comm.allreduce(

@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 
 from repro.core.model import CostModel
-from repro.errors import ConfigError, MPIError
+from repro.errors import ConfigError
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
+from repro.mpi.collectives.base import segment_count
 from repro.mpi.collectives.dualroot import (
-    DEFAULT_SEGMENT_BYTES,
     MAX_SEGMENTS,
+    SEGMENT_BYTES,
     dualroot_depth,
-    dualroot_segments,
     t_dualroot_pipelined,
 )
 from repro.mpi.collectives.generalized import (
-    _resolve_radices,
+    check_radices,
     prime_factors,
     t_generalized,
 )
@@ -43,18 +43,21 @@ class TestDualrootSchedule:
         assert dualroot_depth(p) == depth
 
     def test_segment_count_clamps(self):
-        assert dualroot_segments(0) == 1
-        assert dualroot_segments(1) == 1
-        assert dualroot_segments(DEFAULT_SEGMENT_BYTES) == 1
-        assert dualroot_segments(DEFAULT_SEGMENT_BYTES + 1) == 2
-        assert dualroot_segments(10**9) == MAX_SEGMENTS
+        def k(nbytes):
+            return segment_count(nbytes, SEGMENT_BYTES, MAX_SEGMENTS)
 
-    @pytest.mark.parametrize("segment_bytes", [64, 1024, DEFAULT_SEGMENT_BYTES])
-    def test_correct_for_any_segment_size(self, segment_bytes):
-        allreduce_job(
-            cluster_b(3), 11, 4, "dualroot_pipelined", count=200,
-            segment_bytes=segment_bytes,
-        )
+        assert k(0) == 1
+        assert k(1) == 1
+        assert k(SEGMENT_BYTES) == 1
+        assert k(SEGMENT_BYTES + 1) == 2
+        assert k(10**9) == MAX_SEGMENTS
+
+    @pytest.mark.parametrize("k", [1, 2, MAX_SEGMENTS])
+    def test_correct_for_any_segment_size(self, k):
+        # float64 elements: a half of count / 2 elements is k segments.
+        count = 200 if k == 1 else 2 * k * SEGMENT_BYTES // 8
+        assert segment_count(count // 2 * 8, SEGMENT_BYTES, MAX_SEGMENTS) == k
+        allreduce_job(cluster_b(3), 11, 4, "dualroot_pipelined", count=count)
 
     def test_odd_count_splits_unevenly_but_correctly(self):
         # mid = (count+1)//2: first half one element larger.
@@ -71,15 +74,15 @@ class TestGeneralizedRadices:
         assert prime_factors(p) == factors
 
     def test_resolve_defaults_to_primes(self):
-        assert _resolve_radices(12, None) == (2, 2, 3)
+        assert check_radices(12, None) == (2, 2, 3)
 
     def test_radix_below_two_rejected(self):
-        with pytest.raises(MPIError, match=">= 2"):
-            _resolve_radices(12, (1, 12))
+        with pytest.raises(ConfigError, match=">= 2"):
+            check_radices(12, (1, 12))
 
     def test_product_mismatch_rejected(self):
-        with pytest.raises(MPIError, match="multiply to"):
-            _resolve_radices(12, (2, 3))
+        with pytest.raises(ConfigError, match="multiply to"):
+            check_radices(12, (2, 3))
 
     @pytest.mark.parametrize("radices", [(3, 4), (4, 3), (2, 6), (6, 2), (12,)])
     def test_any_valid_factorisation_is_correct(self, radices):
@@ -138,15 +141,15 @@ class TestLiteratureClosedForms:
             ) == t_optimal_rsag(MODEL, 16, n)
 
     def test_dualroot_default_k_matches_implementation(self):
-        n = 6 * DEFAULT_SEGMENT_BYTES  # 3 segments per half
-        k = dualroot_segments(n // 2)
+        n = 6 * SEGMENT_BYTES  # 3 segments per half
+        k = segment_count(n // 2, SEGMENT_BYTES, MAX_SEGMENTS)
         assert t_dualroot_pipelined(MODEL, 16, n) == t_dualroot_pipelined(
             MODEL, 16, n, k
         )
 
     def test_pipelining_amortises_large_messages(self):
         # More segments -> fewer bytes per step on the critical path.
-        n = 16 * DEFAULT_SEGMENT_BYTES
+        n = 16 * SEGMENT_BYTES
         assert t_dualroot_pipelined(MODEL, 64, n, 8) < (
             t_dualroot_pipelined(MODEL, 64, n, 1)
         )
@@ -163,7 +166,7 @@ class TestLiteratureClosedForms:
         )
 
     def test_generalized_rejects_bad_radices_in_model_too(self):
-        with pytest.raises(MPIError):
+        with pytest.raises(ConfigError):
             t_generalized(MODEL, 12, 1024, (5, 5))
 
 

@@ -1,28 +1,34 @@
 """The point-to-point schedules as round data, checked without a simulation.
 
 Every schedule returns one rank's rounds (``repro.mpi.collectives.base.
-Round``).  Over p = 2..64 (the trees at radix 2-4, roots 0 and p - 1)
-these tests check that every send meets exactly one receive, on the
-same block window, in the receiver's list, that every window stays
-inside the vector (and, in the allreduces, inside what the rank
-holds), and the textbook volumes when the count is a multiple of p.
-The last test runs the schedules on cluster B and checks that the
-bytes the rounds declare are the bytes the exact run hands to the
-transport.
+Round``; a posted-first round names several peers).  Over p = 2..64
+(the trees at radix 2-4, roots 0 and p - 1; the generalized allreduce
+at its prime factors and at explicit radices) these tests check that
+every send meets exactly one receive, on the same block window, in the
+receiver's list, that every window stays inside the vector (and, in
+the allreduces, inside what the rank holds), and the textbook volumes
+when the count is a multiple of p.  The last test runs the schedules
+on cluster B and checks that the bytes the rounds declare are the
+bytes the exact run hands to the transport.
 """
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro.mpi.collectives
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
 from repro.mpi.collectives.allgather import doubling_rounds, ring_rounds
 from repro.mpi.collectives.base import (
-    APPEND, COMBINE, PLACE, PREPEND, REPLACE, pof2_below,
+    COMBINE, JOIN, KEEP, PLACE, REPLACE, pof2_below, segment_count,
 )
-from repro.mpi.collectives.dualroot import tree_rounds
+from repro.mpi.collectives.dualroot import MAX_SEGMENTS, SEGMENT_BYTES, tree_rounds
+from repro.mpi.collectives.generalized import generalized_rounds, prime_factors
 from repro.mpi.collectives.knomial import knomial_rounds
+from repro.mpi.collectives.optimal_rsag import optimal_rsag_rounds
 from repro.mpi.collectives.rabenseifner import rabenseifner_rounds
 from repro.mpi.collectives.recursive_doubling import recursive_doubling_rounds
 from repro.mpi.collectives.reduce_scatter import halving_rounds, pairwise_rounds
@@ -38,6 +44,31 @@ def window_bytes(w, bounds):
     """Bytes of block window ``w`` (a ``(lo, hi)`` range or an index)."""
     lo, hi = (w, w + 1) if isinstance(w, int) else w
     return (bounds[hi - 1][1] - bounds[lo][0]) * ITEMSIZE
+
+
+def sends_of(x):
+    """``(dst, window)`` of every message round ``x`` sends."""
+    if isinstance(x.dst, tuple):
+        return list(zip(x.dst, x.send))
+    return [] if x.dst is None else [(x.dst, x.send)]
+
+
+def recvs_of(x):
+    """``(src, window)`` of every message round ``x`` receives."""
+    if isinstance(x.src, tuple):
+        return list(zip(x.src, x.land))
+    return [] if x.src is None else [(x.src, x.land)]
+
+
+def radix_choices(p):
+    """The generalized allreduce's radices at ``p``: the prime factors
+    (None), one direct stage, and a two- or three-led split."""
+    yield None
+    yield (p,)
+    if p % 2 == 0 and p > 2:
+        yield (2, p // 2)
+    if p % 3 == 0 and p > 3:
+        yield (3, *prime_factors(p // 3))
 
 
 def ring_allreduce_rounds(p, rank):
@@ -64,6 +95,19 @@ def schedules(p):
                        knomial_rounds(p, r, t, k, 3, u))
     for mirror in (False, True):
         yield f"tree/{mirror}", 1, lambda r, m=mirror: tree_rounds(p, r, m)
+    yield "optimal_rsag", p, lambda r: optimal_rsag_rounds(p, r)
+    for radices in radix_choices(p):
+        yield (f"generalized/{radices}", p,
+               lambda r, rs=radices: generalized_rounds(p, r, rs))
+
+
+def allreduce_schedules(p):
+    """``(rounds_of(p, rank), nblocks)`` of every allreduce list at ``p``."""
+    yield recursive_doubling_rounds, 1
+    yield rabenseifner_rounds, pof2_below(p)
+    yield optimal_rsag_rounds, p
+    for radices in radix_choices(p):
+        yield (lambda q, r, rs=radices: generalized_rounds(q, r, rs)), p
 
 
 def rounds_by_rank(p, rounds_of):
@@ -76,8 +120,8 @@ def test_every_send_meets_one_receive_inside_the_vector():
     for p in P_RANGE:
         for name, nblocks, rounds_of in schedules(p):
             flat = rounds_by_rank(p, rounds_of)
-            sends = [(r, x.dst, x.tag, x.send) for r, x in flat if x.dst is not None]
-            recvs = [(x.src, r, x.tag, x.land) for r, x in flat if x.src is not None]
+            sends = [(r, d, x.tag, w) for r, x in flat for d, w in sends_of(x)]
+            recvs = [(s, r, x.tag, w) for r, x in flat for s, w in recvs_of(x)]
             assert sorted(sends) == sorted(recvs), (name, p)
             assert all(s != d for s, d in {m[:2] for m in sends}), (name, p)
             for w in {m[3] for m in sends}:
@@ -89,18 +133,22 @@ def test_allreduce_rounds_send_only_what_they_hold():
     """Replaying each rank's held window: every window it sends or
     combines into lies inside it, and it ends holding the vector."""
     for p in P_RANGE:
-        pof2 = pof2_below(p)
-        for rounds_of, nblocks in ((recursive_doubling_rounds, 1),
-                                   (rabenseifner_rounds, pof2)):
+        for rounds_of, nblocks in allreduce_schedules(p):
             for rank in range(p):
                 lo, hi = 0, nblocks
                 for x in rounds_of(p, rank):
-                    for w in (x.send, x.land if x.act == COMBINE else None):
-                        assert w is None or lo <= w[0] < w[1] <= hi, (p, rank, x)
+                    lands = [w for _, w in recvs_of(x)]
+                    kept = lands[:1] if x.act == COMBINE else []
+                    for w in [w for _, w in sends_of(x)] + kept:
+                        assert lo <= w[0] < w[1] <= hi, (p, rank, x)
                     if x.act in (COMBINE, REPLACE):
+                        lo, hi = lands[0]
+                    elif x.act == KEEP:
                         lo, hi = x.land
-                    elif x.act in (APPEND, PREPEND):
-                        lo, hi = min(lo, x.land[0]), max(hi, x.land[1])
+                    elif x.act == JOIN:
+                        ws = sorted([(lo, hi)] + lands)
+                        assert all(a[1] == b[0] for a, b in zip(ws, ws[1:])), x
+                        lo, hi = ws[0][0], ws[-1][1]
                 assert (lo, hi) == (0, nblocks), (p, rank)
 
 
@@ -115,6 +163,27 @@ def test_power_of_two_volumes(p):
         bounds = split_bounds(n, p)
         sent = sum(window_bytes(x.send, bounds) for x in rabenseifner_rounds(p, rank))
         assert sent == 2 * full * (p - 1) // p
+
+
+def test_any_p_exchange_volumes():
+    """At every p dividing the count, optimal_rsag sends 2n(p - 1)/p per
+    rank on average (a partnerless rank of an odd group sends less, the
+    rank that takes its window more) and the generalized allreduce sends
+    exactly that from every rank, at any radices."""
+    for p in P_RANGE:
+        n = 8 * p
+        full = n * ITEMSIZE
+        bounds = split_bounds(n, p)
+        want = 2 * full * (p - 1) // p
+
+        def sent(rounds):
+            return sum(window_bytes(w, bounds) for x in rounds for _, w in sends_of(x))
+
+        total = sum(sent(optimal_rsag_rounds(p, rank)) for rank in range(p))
+        assert total == p * want, p
+        for radices in radix_choices(p):
+            for rank in range(p):
+                assert sent(generalized_rounds(p, rank, radices)) == want, (p, radices)
 
 
 def test_ring_steps_and_tree_messages():
@@ -139,18 +208,50 @@ def reduce_bcast_rounds(p, rank):
             + knomial_rounds(p, rank, 0, 2, 8, False))
 
 
+def declared(p, rounds_of, bounds):
+    """The (sender, receiver, bytes) multiset of every rank's rounds."""
+    return Counter(
+        (r, d, window_bytes(w, bounds))
+        for r, x in rounds_by_rank(p, rounds_of) for d, w in sends_of(x)
+    )
+
+
+def dualroot_declared(p, count):
+    """The dual-root pipeline: each half in ``k`` segments, each segment
+    one run of its tree's rounds."""
+    mid = (count + 1) // 2
+    out = Counter()
+    for tree, half in enumerate((mid, count - mid)):
+        k = segment_count(half * ITEMSIZE, SEGMENT_BYTES, MAX_SEGMENTS)
+        for lo, hi in split_bounds(half, k):
+            out += declared(p, lambda r: tree_rounds(p, r, tree == 1), [(lo, hi)])
+    return out
+
+
 def exact_cases(p, count):
-    """``(label, rank fn, elements, nblocks, rounds_of)`` for each
-    schedule the exact run is checked against."""
+    """``(label, rank fn, declared messages)`` for each schedule the
+    exact run is checked against."""
     for name, rounds_of, nblocks in (
         ("rabenseifner", rabenseifner_rounds, pof2_below(p)),
         ("recursive_doubling", recursive_doubling_rounds, 1),
         ("ring", ring_allreduce_rounds, p),
         ("reduce_bcast", reduce_bcast_rounds, 1),
+        ("generalized", generalized_rounds, p),
+        ("optimal_rsag", optimal_rsag_rounds, p),
     ):
         def fn(comm, name=name):
             yield from comm.allreduce(SymbolicPayload(count), SUM, algorithm=name)
-        yield name, fn, count, nblocks, lambda r, f=rounds_of: f(p, r)
+        yield name, fn, declared(
+            p, lambda r, f=rounds_of: f(p, r), split_bounds(count, nblocks)
+        )
+    # 2,049 + 2,048 elements: two segments in tree A, one in tree B.
+    big = 2 * SEGMENT_BYTES // ITEMSIZE + 1
+
+    def dualroot(comm):
+        yield from comm.allreduce(
+            SymbolicPayload(big), SUM, algorithm="dualroot_pipelined"
+        )
+    yield "dualroot_pipelined", dualroot, dualroot_declared(p, big)
     for radix in (2, 3, 4):
         for root in (0, p - 1):
             def reduce(comm, k=radix, t=root):
@@ -164,14 +265,17 @@ def exact_cases(p, count):
                     root=t, algorithm="knomial", radix=k,
                 )
             for fn, up in ((reduce, True), (bcast, False)):
-                yield (f"knomial{radix}/{root}/{up}", fn, count, 1,
-                       lambda r, k=radix, t=root, u=up:
-                       knomial_rounds(p, r, t, k, 3 + (not u), u))
+                yield (f"knomial{radix}/{root}/{up}", fn, declared(
+                    p, lambda r, k=radix, t=root, u=up:
+                    knomial_rounds(p, r, t, k, 3 + (not u), u),
+                    [(0, count)],
+                ))
 
     def allgather(comm):
         yield from comm.allgather(SymbolicPayload(count), algorithm="ring")
-    yield ("ring_allgather", allgather, count * p, p,
-           lambda r: ring_rounds(p, r, r, 0, PLACE))
+    yield ("ring_allgather", allgather, declared(
+        p, lambda r: ring_rounds(p, r, r, 0, PLACE), split_bounds(count * p, p)
+    ))
 
 
 def test_declared_bytes_are_the_exact_run_bytes(monkeypatch):
@@ -188,12 +292,41 @@ def test_declared_bytes_are_the_exact_run_bytes(monkeypatch):
     monkeypatch.setattr(Transport, "isend", spy)
     count = 37
     for p in range(2, 34):
-        for name, fn, total, nblocks, rounds_of in exact_cases(p, count):
-            bounds = split_bounds(total, nblocks)
-            declared = Counter(
-                (r, x.dst, window_bytes(x.send, bounds))
-                for r, x in rounds_by_rank(p, rounds_of) if x.dst is not None
-            )
+        for name, fn, messages in exact_cases(p, count):
             seen.clear()
             run_job(cluster_b(-(-p // 4)), p, fn, ppn=4)
-            assert Counter(seen) == declared, (name, p)
+            assert Counter(seen) == messages, (name, p)
+
+
+#: The code outside ``base.run_rounds`` that may still make
+#: point-to-point calls: ``(module, function)``, ``"*"`` for every
+#: function of the module.
+OWN_P2P_CODE = {
+    ("gather_scatter.py", "*"),
+    ("alltoall.py", "*"),
+    ("allgather.py", "allgather_bruck"),
+}
+P2P_CALLS = {"send", "recv", "sendrecv", "isend", "irecv"}
+
+
+def test_point_to_point_calls_have_one_home():
+    """Every schedule with round data runs through ``base.run_rounds``:
+    outside ``base.py`` only gather/scatter, alltoall and Bruck's
+    allgather call ``comm.send/recv/sendrecv/isend/irecv``."""
+    stray = []
+    for path in sorted(Path(repro.mpi.collectives.__file__).parent.glob("*.py")):
+        if path.name == "base.py" or (path.name, "*") in OWN_P2P_CODE:
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) in OWN_P2P_CODE:
+                continue
+            stray += [
+                f"{path.name}:{node.lineno} {fn.name}: {ast.unparse(node.func)}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in P2P_CALLS
+            ]
+    assert not stray, stray
