@@ -1,15 +1,17 @@
 """Allreduce declarations and phase probes.
 
 An :class:`AllreduceAlgorithm` is the one declaration of a registered
-allreduce: its name, its exact coroutine, and either how the calibrated
-:class:`~repro.core.model.CostModel` prices it — named phases plus a
-charge function — or the reason the model cannot.  Each record lives
-next to its coroutine; :mod:`repro.mpi.collectives.registry` collects
-them.  In hybrid fidelity the macro executor
+allreduce: its name, how it runs exactly — a coroutine, or a
+``schedule`` that declares one rank's round list for the one runner,
+:func:`~repro.mpi.collectives.base.run_schedule` — and either how the
+calibrated :class:`~repro.core.model.CostModel` prices it — named
+phases plus a charge function — or the reason the model cannot.  Each
+record lives next to its code; :mod:`repro.mpi.collectives.registry`
+collects them.  In hybrid fidelity the macro executor
 (:mod:`repro.mpi.collectives.hybrid`) charges the sum of a priced
 record's phase prices as a single macro-event instead of running the
-exact coroutine path, :meth:`CostModel.predict_allreduce` returns the
-same sum, and exempt records always run exact.
+exact path, :meth:`CostModel.predict_allreduce` returns the same sum,
+and exempt records always run exact.
 
 The phase names line up with the labels the exact implementations
 record into a :class:`PhaseProbe`, so the spot-check oracle
@@ -37,6 +39,11 @@ class AllreduceAlgorithm:
         Registry name (``comm.allreduce(..., algorithm=name)``).
     fn:
         The exact coroutine ``(comm, payload, op, tag_base=0, **kw)``.
+    schedule:
+        ``(p, rank, **kw) -> Schedule``: rank ``rank``'s rounds of a
+        ``p``-rank allreduce and how the vector is cut
+        (:class:`~repro.mpi.collectives.base.Schedule`).  Exactly one of
+        ``fn`` and ``schedule`` is given.
     phases:
         Phase labels in execution order; these match the probe labels
         the exact implementation emits.  Priced records only.
@@ -57,13 +64,17 @@ class AllreduceAlgorithm:
     """
 
     name: str
-    fn: Callable = field(repr=False)
+    fn: Optional[Callable] = field(default=None, repr=False)
+    schedule: Optional[Callable] = field(default=None, repr=False)
     phases: tuple = ()
     charge: Optional[Callable] = field(default=None, repr=False)
     exempt: str = ""
     stateful: bool = False
 
     def __post_init__(self):
+        if (self.fn is None) == (self.schedule is None):
+            raise TuningError(f"allreduce {self.name!r} needs exactly one of "
+                              "a coroutine and a schedule")
         if self.priced == bool(self.exempt.strip()):
             raise TuningError(
                 f"allreduce {self.name!r} needs exactly one of a charge "

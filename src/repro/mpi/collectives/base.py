@@ -8,6 +8,11 @@ lands on, so what a schedule sends is readable without simulating it.
 A round that names several peers is *posted first*: every receive is
 posted, then every send, and the arrivals are taken in peer order.
 
+An allreduce that is one round list is declared by its schedule: a
+function ``(p, rank, **knobs)`` that returns a :class:`Schedule`, the
+rank's rounds and how the vector is cut.  :func:`run_schedule` is the
+one runner of every such record.
+
 A segment pipeline is one form too: :func:`segment_count` picks the
 number of segments ``k`` and :func:`run_segments` starts all ``k``
 non-blocking, waits on them and concatenates the results.
@@ -25,10 +30,11 @@ from typing import Callable, Generator, NamedTuple, Optional
 
 from repro.errors import MPIError
 from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, concat
+from repro.payload.payload import Payload, concat, split_bounds
 
 __all__ = [
     "Round",
+    "Schedule",
     "COMBINE",
     "JOIN",
     "PLACE",
@@ -38,6 +44,7 @@ __all__ = [
     "actual_rank",
     "folded",
     "run_rounds",
+    "run_schedule",
     "segment_count",
     "run_segments",
     "charged_reduce",
@@ -68,6 +75,15 @@ class Round(NamedTuple):
     send: object
     land: object
     act: Optional[str]
+
+
+class Schedule(NamedTuple):
+    """One rank's rounds of an allreduce over ``nblocks`` ``split_bounds``
+    blocks, held as one vector or, when ``split``, as a block list."""
+
+    rounds: list
+    nblocks: int = 1
+    split: bool = False
 
 
 def pof2_below(p: int) -> int:
@@ -157,6 +173,22 @@ def run_rounds(
         else:
             data, (lo, hi) = theirs, land
     return data
+
+
+def run_schedule(schedule, comm, payload, op, tag_base=0, **knobs) -> Generator:
+    """Run the allreduce ``schedule(p, rank, **knobs)`` declares: a
+    copy at ``p = 1``, else its rounds on the vector or its block list."""
+    if comm.size == 1:
+        return payload.copy()
+    rounds, nblocks, split = schedule(comm.size, comm.rank, **knobs)
+    if split:
+        blocks = yield from run_rounds(comm, rounds, payload.split(nblocks), op, tag_base)
+        return concat(blocks)
+    result = yield from run_rounds(
+        comm, rounds, payload, op, tag_base,
+        bounds=split_bounds(payload.count, nblocks), held=(0, nblocks),
+    )
+    return result
 
 
 def segment_count(nbytes: int, unit: int, cap: int) -> int:

@@ -6,7 +6,10 @@ both as a baseline and as the intra-step building block other layers
 reuse (e.g. the HPCG residual broadcast).  The binomial tree is the
 radix-2 k-nomial tree, so both entries run
 :mod:`repro.mpi.collectives.knomial` at ``radix=2``; they take no
-``radix`` keyword.
+``radix`` keyword.  The ``reduce_bcast`` record declares its schedule,
+:func:`reduce_bcast_schedule`: the radix-2 up-list to rank 0 and the
+down-list from it, one round list on one block, which
+:func:`~repro.mpi.collectives.base.run_schedule` runs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.knomial import bcast_knomial, reduce_knomial
+from repro.mpi.collectives.base import Schedule
+from repro.mpi.collectives.knomial import (
+    bcast_knomial, knomial_rounds, reduce_knomial,
+)
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
@@ -22,7 +28,7 @@ __all__ = [
     "REDUCE_BCAST",
     "reduce_binomial",
     "bcast_binomial",
-    "allreduce_reduce_bcast",
+    "reduce_bcast_schedule",
 ]
 
 
@@ -46,16 +52,14 @@ def bcast_binomial(
     return result
 
 
-def allreduce_reduce_bcast(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0
-) -> Generator:
-    """Allreduce as binomial reduce-to-0 followed by binomial bcast."""
-    reduced = yield from reduce_binomial(comm, payload, op, root=0, tag_base=tag_base)
-    result = yield from bcast_binomial(comm, reduced, root=0, tag_base=tag_base + 4)
-    return result
+def reduce_bcast_schedule(p: int, rank: int) -> Schedule:
+    """Rank ``rank``'s schedule: binomial reduce to rank 0 (tag 3),
+    then binomial bcast from it (tag 8)."""
+    return Schedule(knomial_rounds(p, rank, 0, 2, 3, True)
+                    + knomial_rounds(p, rank, 0, 2, 8, False))
 
 
 REDUCE_BCAST = AllreduceAlgorithm(
-    "reduce_bcast", allreduce_reduce_bcast,
+    "reduce_bcast", schedule=reduce_bcast_schedule,
     exempt="reduce+bcast tree composition has no closed form",
 )

@@ -14,9 +14,9 @@ matching allgather stages replay the exchanges in reverse.
 Each stage is one posted-first :class:`~repro.mpi.collectives.base.Round`
 naming its ``r - 1`` peers (every receive is posted before any send,
 which is deadlock-free at any radix, and the contributions combine in
-ascending subgroup order), so the whole allreduce is the round list
-:func:`generalized_rounds` run by
-:func:`~repro.mpi.collectives.base.run_rounds`.
+ascending subgroup order), so the whole allreduce is the record's
+schedule, :func:`generalized_schedule`, one round list on ``p`` blocks
+run by :func:`~repro.mpi.collectives.base.run_schedule`.
 
 Choosing all factors equal to 2 recovers recursive halving/doubling
 (Rabenseifner); ``r = p`` in one stage is the direct all-to-all
@@ -29,19 +29,16 @@ stage structure explicitly (:func:`check_radices` validates it).
 from __future__ import annotations
 
 import operator
-from typing import Generator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.phases import AllreduceAlgorithm
 from repro.errors import ConfigError, MPIError
-from repro.mpi.collectives.base import COMBINE, JOIN, Round, run_rounds
-from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, split_bounds
+from repro.mpi.collectives.base import COMBINE, JOIN, Round, Schedule
 
 __all__ = [
     "GENERALIZED",
-    "allreduce_generalized",
     "check_radices",
-    "generalized_rounds",
+    "generalized_schedule",
     "prime_factors",
     "t_generalized",
 ]
@@ -90,10 +87,10 @@ def check_radices(p: int, radices: Optional[Sequence[int]]) -> tuple:
     return stages
 
 
-def generalized_rounds(
+def generalized_schedule(
     p: int, rank: int, radices: Optional[Sequence[int]] = None
-) -> list:
-    """Rank ``rank``'s rounds over ``p`` blocks: one posted-first
+) -> Schedule:
+    """Rank ``rank``'s schedule over ``p`` blocks: one posted-first
     reduce-scatter round per radix (tags from 0), then the allgather
     rounds in reverse (tags from 32)."""
     scatter, gather = [], []
@@ -109,22 +106,7 @@ def generalized_rounds(
         scatter.append(Round(peers, peers, depth, parts, own, COMBINE))
         gather.append(Round(peers, peers, 32 + depth, own, parts, JOIN))
         lo, q = lo + mine * sub, sub
-    return scatter + gather[::-1]
-
-
-def allreduce_generalized(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0,
-    radices: Optional[Sequence[int]] = None,
-) -> Generator:
-    """Mixed-radix reduce-scatter + allgather allreduce; any ``p``."""
-    p = comm.size
-    if p == 1:
-        return payload.copy()
-    result = yield from run_rounds(
-        comm, generalized_rounds(p, comm.rank, radices), payload, op,
-        tag_base, bounds=split_bounds(payload.count, p), held=(0, p),
-    )
-    return result
+    return Schedule(scatter + gather[::-1], p)
 
 
 def t_generalized(
@@ -153,6 +135,6 @@ def _charge_generalized(model, *, p, h, n, radices=None, **_kw):
 
 
 GENERALIZED = AllreduceAlgorithm(
-    "generalized", allreduce_generalized,
+    "generalized", schedule=generalized_schedule,
     phases=("exchange",), charge=_charge_generalized,
 )

@@ -198,9 +198,9 @@ def _combine(items, op):
     raise PayloadError("cannot reduce a mix of data and symbolic payloads")
 
 
-def make_hybrid_allreduce(algorithm):
-    """Wrap a priced record's exact coroutine with the macro-charging
-    fast path.
+def make_hybrid_allreduce(algorithm, fn):
+    """Wrap ``fn``, a priced record's exact coroutine, with the
+    macro-charging fast path.
 
     Returned generator has the registry signature
     ``(comm, payload, op, tag_base=0, **kwargs)``; the record's
@@ -209,7 +209,7 @@ def make_hybrid_allreduce(algorithm):
     :func:`~repro.mpi.collectives.registry.resolve_allreduce` returns it
     when the runtime fidelity is ``"hybrid"``.
     """
-    name, fn = algorithm.name, algorithm.fn
+    name = algorithm.name
 
     def hybrid_allreduce(comm, payload, op, tag_base: int = 0, **kwargs) -> Generator:
         nbytes = payload.nbytes

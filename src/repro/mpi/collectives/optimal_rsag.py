@@ -23,31 +23,27 @@ arbitrary group sizes instead:
 Per-rank traffic is ``~2n(p-1)/p`` for *any* ``p`` in
 ``2·ceil(lg p)`` rounds — the non-pipelined optimum.
 
-:func:`optimal_rsag_rounds` declares one rank's rounds: the rank walks
-only its own descent through the groups, ``ceil(lg p)`` splits, and
-:func:`~repro.mpi.collectives.base.run_rounds` runs the list.
+The record's schedule, :func:`optimal_rsag_schedule`, declares one
+rank's rounds on ``p`` blocks: the rank walks only its own descent
+through the groups, ``ceil(lg p)`` splits, and
+:func:`~repro.mpi.collectives.base.run_schedule` runs the list.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.core.model import _lg_ceil
 from repro.core.phases import AllreduceAlgorithm
-from repro.mpi.collectives.base import COMBINE, JOIN, KEEP, Round, run_rounds
-from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload, split_bounds
+from repro.mpi.collectives.base import COMBINE, JOIN, KEEP, Round, Schedule
 
 __all__ = [
     "OPTIMAL_RSAG",
-    "allreduce_optimal_rsag",
-    "optimal_rsag_rounds",
+    "optimal_rsag_schedule",
     "t_optimal_rsag",
 ]
 
 
-def optimal_rsag_rounds(p: int, rank: int) -> list:
-    """Rank ``rank``'s rounds over ``p`` blocks: the reduce-scatter
+def optimal_rsag_schedule(p: int, rank: int) -> Schedule:
+    """Rank ``rank``'s schedule over ``p`` blocks: the reduce-scatter
     descent (tag = depth), then the allgather replaying it backwards
     (tag = 32 + depth)."""
     scatter, gather = [], []
@@ -80,21 +76,7 @@ def optimal_rsag_rounds(p: int, rank: int) -> list:
             lo = mid
         gather.append(back)
         depth += 1
-    return scatter + [x for back in reversed(gather) for x in back]
-
-
-def allreduce_optimal_rsag(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0
-) -> Generator:
-    """Allreduce via direct non-power-of-two halving; any process count."""
-    p = comm.size
-    if p == 1:
-        return payload.copy()
-    result = yield from run_rounds(
-        comm, optimal_rsag_rounds(p, comm.rank), payload, op, tag_base,
-        bounds=split_bounds(payload.count, p), held=(0, p),
-    )
-    return result
+    return Schedule(scatter + [x for back in reversed(gather) for x in back], p)
 
 
 def t_optimal_rsag(model, p: int, n: int) -> float:
@@ -111,6 +93,6 @@ def _charge_optimal_rsag(model, *, p, h, n, **_kw):
 
 
 OPTIMAL_RSAG = AllreduceAlgorithm(
-    "optimal_rsag", allreduce_optimal_rsag,
+    "optimal_rsag", schedule=optimal_rsag_schedule,
     phases=("exchange",), charge=_charge_optimal_rsag,
 )

@@ -4,26 +4,22 @@
 *entire* current vector with the partner at distance ``2^k`` and
 combines.  Latency-optimal in rounds but every round moves the full
 ``n`` bytes, so it loses to reduce-scatter-based schemes for large
-messages.  The schedule is round data (fold + exchange + unfold, see
-:mod:`~repro.mpi.collectives.base`).
+messages.  The record declares its schedule, one round list (fold +
+exchange + unfold, see :mod:`~repro.mpi.collectives.base`) on one
+block, which :func:`~repro.mpi.collectives.base.run_schedule` runs.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.base import (
-    COMBINE, Round, actual_rank, folded, run_rounds,
+    COMBINE, Round, Schedule, actual_rank, folded,
 )
-from repro.payload.ops import ReduceOp
-from repro.payload.payload import Payload
 
 __all__ = [
     "RECURSIVE_DOUBLING",
-    "allreduce_recursive_doubling",
     "exchange_rounds",
-    "recursive_doubling_rounds",
+    "recursive_doubling_schedule",
 ]
 
 
@@ -34,22 +30,9 @@ def exchange_rounds(n: int, i: int, rem: int = 0) -> list:
     return [Round(q, q, k + 1, (0, 1), (0, 1), COMBINE) for k, q in enumerate(peers)]
 
 
-def recursive_doubling_rounds(p: int, rank: int) -> list:
-    """Rank ``rank``'s rounds: fold, exchange, unfold (one block)."""
-    return folded(p, rank, 1, exchange_rounds)
-
-
-def allreduce_recursive_doubling(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0
-) -> Generator:
-    """Allreduce via recursive doubling; handles any process count."""
-    if comm.size == 1:
-        return payload.copy()
-    result = yield from run_rounds(
-        comm, recursive_doubling_rounds(comm.size, comm.rank), payload, op,
-        tag_base,
-    )
-    return result
+def recursive_doubling_schedule(p: int, rank: int) -> Schedule:
+    """Rank ``rank``'s schedule: fold, exchange, unfold (one block)."""
+    return Schedule(folded(p, rank, 1, exchange_rounds))
 
 
 def _charge_recursive_doubling(model, *, p, h, n, **_kw):
@@ -57,6 +40,6 @@ def _charge_recursive_doubling(model, *, p, h, n, **_kw):
 
 
 RECURSIVE_DOUBLING = AllreduceAlgorithm(
-    "recursive_doubling", allreduce_recursive_doubling,
+    "recursive_doubling", schedule=recursive_doubling_schedule,
     phases=("exchange",), charge=_charge_recursive_doubling,
 )

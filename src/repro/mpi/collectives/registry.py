@@ -4,9 +4,10 @@ One registry per collective kind (allreduce, reduce, bcast, allgather,
 reduce_scatter, gather, scatter, alltoall), mirroring an MPI library's
 collective tuning framework.  Each allreduce is one
 :class:`~repro.core.phases.AllreduceAlgorithm` record declared next to
-its coroutine; every record imported below joins the allreduce table
-when this module is imported.  The other kinds are plain name →
-function tables.
+its code; every record imported below joins the allreduce table when
+this module is imported, and a record's ``schedule`` runs through
+:func:`~repro.mpi.collectives.base.run_schedule`.  The other kinds are
+plain name → function tables.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.mpi.collectives.allgather import (
     allgather_ring,
 )
 from repro.mpi.collectives.alltoall import alltoall_bruck, alltoall_pairwise
+from repro.mpi.collectives.base import run_schedule
 from repro.mpi.collectives.binomial import (
     REDUCE_BCAST,
     bcast_binomial,
@@ -83,10 +85,19 @@ _ALLREDUCE: dict[str, AllreduceAlgorithm] = {
     if isinstance(record, AllreduceAlgorithm)
 }
 
+
+@functools.lru_cache(maxsize=None)
+def _runner(schedule: Callable) -> CollectiveFn:
+    # A record's exact path is ``record.fn or _runner(record.schedule)``:
+    # one bound runner per schedule, so a dispatch is a lookup and the
+    # caller gets run_schedule's own generator, not a wrapper's.
+    return functools.partial(run_schedule, schedule)
+
+
 #: The hybrid-fidelity wrapper of every priced record, built once here
 #: so a hybrid dispatch is a lookup, not a closure per rank.
 _HYBRID: dict[str, CollectiveFn] = {
-    name: make_hybrid_allreduce(record)
+    name: make_hybrid_allreduce(record, record.fn or _runner(record.schedule))
     for name, record in _ALLREDUCE.items()
     if record.priced
 }
@@ -141,7 +152,9 @@ def register_allreduce(algorithm: AllreduceAlgorithm) -> None:
     """Register (or override) an allreduce record under its name."""
     _ALLREDUCE[algorithm.name] = algorithm
     if algorithm.priced:
-        _HYBRID[algorithm.name] = make_hybrid_allreduce(algorithm)
+        _HYBRID[algorithm.name] = make_hybrid_allreduce(
+            algorithm, algorithm.fn or _runner(algorithm.schedule)
+        )
     else:
         _HYBRID.pop(algorithm.name, None)
 
@@ -168,11 +181,13 @@ def allreduce_stateful(name: Optional[str]) -> bool:
 
 def collective_keywords(kind: str, name: str) -> Optional[frozenset]:
     """The public keywords the ``kind`` algorithm ``name`` takes after
-    ``comm`` and its data arguments, less the ``tag_base`` every call
-    is given, or ``None`` when it is not registered or takes
-    ``**kwargs``."""
+    ``comm`` and its data arguments (a schedule record's: after ``p``
+    and ``rank``), less the ``tag_base`` every call is given, or
+    ``None`` when it is not registered or takes ``**kwargs``."""
     if kind == "allreduce":
         record = _ALLREDUCE.get(name)
+        if record is not None and record.schedule is not None:
+            return _public_keywords(record.schedule, 2)
         fn = None if record is None else record.fn
     else:
         fn = _REGISTRIES.get(kind, {}).get(name)
@@ -204,10 +219,12 @@ def check_knobs(
 ) -> None:
     """Reject collective keywords a job cannot run as given: keywords
     the named ``kind`` algorithm does not take, a ``leaders``,
-    ``segment_bytes`` or ``pipeline_unit`` that is not an integer, a
-    ``leaders`` count outside ``[1, ppn]`` (it would run clamped to
-    ``ppn``), a ``segment_bytes`` or ``pipeline_unit`` below 1 (a zero
-    divides by zero, a negative runs clamped to one segment), and
+    ``segment_bytes``, ``pipeline_unit`` or k-nomial ``radix`` that is
+    not an integer, a ``leaders`` count outside ``[1, ppn]`` (it would
+    run clamped to ``ppn``), a ``segment_bytes`` or ``pipeline_unit``
+    below 1 (a zero divides by zero, a negative runs clamped to one
+    segment), a ``radix`` below 2, an ``inter_algorithm`` that names no
+    registered ``kind`` algorithm (the kind phase 3 runs), and
     ``radices`` that are not integers factoring ``nranks``
     (:func:`~repro.mpi.collectives.generalized.check_radices`)."""
     if not alg_kwargs:
@@ -220,7 +237,9 @@ def check_knobs(
                 f"{', '.join(sorted(set(alg_kwargs) - accepted))}; it "
                 f"takes: {', '.join(sorted(accepted)) or 'none'}"
             )
-    for knob in ("leaders", "segment_bytes", "pipeline_unit"):
+    for knob, least in (
+        ("leaders", 1), ("segment_bytes", 1), ("pipeline_unit", 1), ("radix", 2),
+    ):
         value = alg_kwargs.get(knob)
         if value is None:
             continue
@@ -232,8 +251,14 @@ def check_knobs(
             ) from None
         if knob == "leaders" and not 1 <= value <= ppn:
             raise ConfigError(f"leaders must be in [1, ppn={ppn}], got {value}")
-        if value < 1:
-            raise ConfigError(f"{knob} must be >= 1, got {value}")
+        if value < least:
+            raise ConfigError(f"{knob} must be >= {least}, got {value}")
+    inter = alg_kwargs.get("inter_algorithm")
+    if inter is not None and inter not in available_collectives(kind):
+        raise ConfigError(
+            f"inter_algorithm {inter!r} is no registered {kind} algorithm; "
+            f"available: {', '.join(available_collectives(kind))}"
+        )
     if alg_kwargs.get("radices") is not None:
         check_radices(nranks, alg_kwargs["radices"])
 
@@ -293,7 +318,7 @@ def resolve_allreduce(name: Optional[str], comm) -> CollectiveFn:
         fallbacks = getattr(comm.runtime, "hybrid_plan_fallbacks", None)
         if fallbacks is not None:
             fallbacks[key] = fallbacks.get(key, 0) + 1
-    return record.fn
+    return record.fn or _runner(record.schedule)
 
 
 def resolve_collective(kind: str, name: Optional[str], comm) -> CollectiveFn:

@@ -5,9 +5,11 @@ The ring allreduce runs ``p - 1`` reduce-scatter steps followed by
 ``2n(p-1)/p`` bytes) with no power-of-two requirement; the go-to
 algorithm for very large messages (and the shape popularised by
 deep-learning gradient averaging, which the paper's introduction cites
-as a driver of large-message allreduce).  Both phases are
+as a driver of large-message allreduce).  The record declares its
+schedule, :func:`ring_schedule`: both phases are
 :func:`~repro.mpi.collectives.allgather.ring_rounds`, combining then
-placing, run as one round list.
+placing, one round list on the ``p`` blocks of a block list, which
+:func:`~repro.mpi.collectives.base.run_schedule` runs.
 
 :func:`bcast_scatter_ring` is the van-de-Geijn large-message broadcast:
 binomial-scatter the vector, then ring-allgather the pieces with the
@@ -21,7 +23,7 @@ from typing import Generator
 from repro.core.phases import AllreduceAlgorithm
 from repro.mpi.collectives.allgather import ring_rounds
 from repro.mpi.collectives.base import (
-    COMBINE, PLACE, run_rounds, run_segments, segment_count,
+    COMBINE, PLACE, Schedule, run_rounds, run_schedule, run_segments, segment_count,
 )
 from repro.mpi.collectives.gather_scatter import scatter_binomial
 from repro.payload.ops import ReduceOp
@@ -30,30 +32,19 @@ from repro.payload.payload import Payload, concat
 __all__ = [
     "RING",
     "RING_SEGMENTED",
-    "allreduce_ring",
     "allreduce_ring_segmented",
     "bcast_scatter_ring",
+    "ring_schedule",
 ]
 
 
-def allreduce_ring(
-    comm, payload: Payload, op: ReduceOp, tag_base: int = 0
-) -> Generator:
-    """Allreduce via ring reduce-scatter + ring allgather."""
-    p = comm.size
-    rank = comm.rank
-    if p == 1:
-        return payload.copy()
-
-    # Reduce-scatter: after step s, chunk (rank - s) carries the partial
-    # sum of s+1 contributions; chunk (rank + 1) ends fully reduced
-    # here, and the allgather circulates the reduced chunks.
-    rounds = (ring_rounds(p, rank, rank, 0, COMBINE)
-              + ring_rounds(p, rank, rank + 1, 32, PLACE))
-    chunks = yield from run_rounds(
-        comm, rounds, payload.split(p), op, tag_base
-    )
-    return concat(chunks)
+def ring_schedule(p: int, rank: int) -> Schedule:
+    """Rank ``rank``'s schedule on a list of ``p`` blocks: after
+    reduce-scatter step s, chunk (rank - s) carries the partial sum of
+    s+1 contributions; chunk (rank + 1) ends fully reduced here, and
+    the allgather circulates the reduced chunks."""
+    return Schedule(ring_rounds(p, rank, rank, 0, COMBINE)
+                    + ring_rounds(p, rank, rank + 1, 32, PLACE), p, True)
 
 
 def bcast_scatter_ring(
@@ -94,7 +85,7 @@ def allreduce_ring_segmented(
         return payload.copy()
     nseg = segment_count(payload.nbytes, segment_bytes, 32)
     if nseg == 1:
-        result = yield from allreduce_ring(comm, payload, op, tag_base=tag_base)
+        result = yield from run_schedule(RING.schedule, comm, payload, op, tag_base)
         return result
     # Each segment gets its own collective tag block (allocated
     # identically on every rank), so concurrent rings never cross-match.
@@ -106,7 +97,7 @@ def allreduce_ring_segmented(
 
 
 RING = AllreduceAlgorithm(
-    "ring", allreduce_ring,
+    "ring", schedule=ring_schedule,
     exempt="link-serialised ring schedule outside the Eq. 1-7 terms",
 )
 RING_SEGMENTED = AllreduceAlgorithm(

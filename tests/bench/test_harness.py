@@ -120,12 +120,15 @@ class TestHarness:
             ("generalized", {"radices": "222"}),
             ("dualroot_pipelined", {"segment_bytes": 1000}),
             ("dpml_pipelined", {"max_k": 4}),
+            ("dpml", {"inter_algorithm": "nonexistent"}),
+            ("dpml_pipelined", {"inter_algorithm": "nonexistent"}),
         ],
         ids=[
             "leaders-above-ppn", "no-leaders", "unknown-keyword", "tag-base",
             "radices", "float-leaders", "float-pipeline-unit",
             "float-segment-bytes", "float-radix", "string-radices",
-            "retired-segment-bytes", "retired-max-k",
+            "retired-segment-bytes", "retired-max-k", "unknown-inter",
+            "pipelined-unknown-inter",
         ],
     )
     def test_invalid_algorithm_knobs_rejected_before_simulation(

@@ -25,7 +25,7 @@ from repro.core.pipelined import DEFAULT_PIPELINE_UNIT, MAX_K
 from repro.errors import ConfigError, TuningError
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
-from repro.mpi.collectives.base import segment_count
+from repro.mpi.collectives.base import Schedule, segment_count
 from repro.mpi.collectives.registry import (
     available_algorithms,
     resolve_phase_plan,
@@ -46,6 +46,10 @@ def _stub(comm, payload, op, tag_base=0):
     yield from ()
 
 
+def _stub_schedule(p, rank):
+    return Schedule([])
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -55,13 +59,15 @@ def _stub(comm, payload, op, tag_base=0):
         {"exempt": "   "},
         {"charge": lambda model, **kw: ()},
         {"phases": ("exchange",), "exempt": "why"},
+        {"schedule": _stub_schedule, "exempt": "why"},
+        {"fn": None, "exempt": "why"},
     ],
     ids=["neither", "phases-only", "both", "blank-reason", "no-phases",
-         "exempt-with-phases"],
+         "exempt-with-phases", "fn-and-schedule", "neither-fn-nor-schedule"],
 )
 def test_record_rejects_both_or_neither_of_charge_and_exemption(fields):
     with pytest.raises(TuningError, match="'_stub'"):
-        AllreduceAlgorithm("_stub", _stub, **fields)
+        AllreduceAlgorithm("_stub", **{"fn": _stub, **fields})
 
 
 def test_default_plans_cover_the_modelled_algorithms():

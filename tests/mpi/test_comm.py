@@ -241,10 +241,13 @@ class TestAllreduceKeywords:
             ("generalized", {"radices": (3,)}, "radices"),
             ("dualroot_pipelined", {"segment_bytes": 1024}, "takes no keyword"),
             ("dpml_pipelined", {"max_k": 4}, "takes no keyword"),
+            ("rabenseifner", {"radices": (2, 2)}, "takes no keyword"),
+            ("ring", {"bogus": 1}, "takes no keyword"),
         ],
         ids=[
             "leaders-clamped", "unknown-keyword", "radices-do-not-factor",
             "retired-segment-bytes", "retired-max-k",
+            "schedule-record-radices", "schedule-record-unknown",
         ],
     )
     def test_bad_keywords_raise_config_error(self, algorithm, kwargs, match):
@@ -312,11 +315,24 @@ class TestRootedKeywords:
             ("reduce", "binomial", {"bogus": 3}, "reduce 'binomial' takes no"),
             ("bcast", None, {"leaders": 2}, "bcast 'binomial' takes no"),
             ("bcast", "knomial", {"radix": 2, "bogus": 1}, "takes no"),
+            ("reduce", "dpml", {"inter_algorithm": "nonexistent"},
+             "no registered reduce"),
+            ("bcast", "dpml", {"inter_algorithm": "nonexistent"},
+             "no registered bcast"),
+            ("reduce", "knomial", {"radix": 2.5}, "radix must be an integer"),
+            ("reduce", "knomial", {"radix": "3"}, "radix must be an integer"),
+            ("reduce", "knomial", {"radix": 1}, "radix must be >= 2"),
+            ("bcast", "knomial", {"radix": 2.5}, "radix must be an integer"),
+            ("bcast", "knomial", {"radix": "3"}, "radix must be an integer"),
+            ("bcast", "knomial", {"radix": 1}, "radix must be >= 2"),
         ],
         ids=[
             "reduce-leaders", "bcast-leaders", "ireduce-leaders",
             "ibcast-leaders", "reduce-unknown", "bcast-default-unknown",
-            "bcast-knomial-unknown",
+            "bcast-knomial-unknown", "reduce-unknown-inter",
+            "bcast-unknown-inter",
+            "reduce-float-radix", "reduce-string-radix", "reduce-radix-1",
+            "bcast-float-radix", "bcast-string-radix", "bcast-radix-1",
         ],
     )
     def test_bad_keywords_raise_config_error(self, kind, algorithm, kwargs, match):

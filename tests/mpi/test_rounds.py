@@ -1,15 +1,17 @@
 """The point-to-point schedules as round data, checked without a simulation.
 
 Every schedule returns one rank's rounds (``repro.mpi.collectives.base.
-Round``; a posted-first round names several peers).  Over p = 2..64
-(the trees at radix 2-4, roots 0 and p - 1; the generalized allreduce
-at its prime factors and at explicit radices) these tests check that
-every send meets exactly one receive, on the same block window, in the
-receiver's list, that every window stays inside the vector (and, in
-the allreduces, inside what the rank holds), and the textbook volumes
-when the count is a multiple of p.  The last test runs the schedules
-on cluster B and checks that the bytes the rounds declare are the
-bytes the exact run hands to the transport.
+Round``; a posted-first round names several peers).  The allreduces
+that are one round list are read from the registry: every record that
+declares a ``schedule``.  Over p = 2..64 (the trees at radix 2-4, roots
+0 and p - 1; the generalized allreduce at its prime factors and at
+explicit radices) these tests check that every send meets exactly one
+receive, on the same block window, in the receiver's list, that every
+window stays inside the vector (and, in the allreduces held as one
+vector, inside what the rank holds), and the textbook volumes when the
+count is a multiple of p.  The last test runs the schedules on cluster
+B and checks that the bytes the rounds declare are the bytes the exact
+run hands to the transport.
 """
 
 import ast
@@ -26,18 +28,24 @@ from repro.mpi.collectives.base import (
     COMBINE, JOIN, KEEP, PLACE, REPLACE, pof2_below, segment_count,
 )
 from repro.mpi.collectives.dualroot import MAX_SEGMENTS, SEGMENT_BYTES, tree_rounds
-from repro.mpi.collectives.generalized import generalized_rounds, prime_factors
+from repro.mpi.collectives.generalized import prime_factors
 from repro.mpi.collectives.knomial import knomial_rounds
-from repro.mpi.collectives.optimal_rsag import optimal_rsag_rounds
-from repro.mpi.collectives.rabenseifner import rabenseifner_rounds
-from repro.mpi.collectives.recursive_doubling import recursive_doubling_rounds
 from repro.mpi.collectives.reduce_scatter import halving_rounds, pairwise_rounds
+from repro.mpi.collectives import registry
+from repro.mpi.collectives.registry import allreduce_keywords, available_algorithms
 from repro.mpi.transport import Transport
 from repro.payload import SUM, SymbolicPayload
 from repro.payload.payload import split_bounds
 
 P_RANGE = range(2, 65)
 ITEMSIZE = 8
+
+#: name -> schedule of every registered allreduce that declares one.
+SCHEDULES = {
+    name: registry._ALLREDUCE[name].schedule
+    for name in available_algorithms()
+    if registry._ALLREDUCE[name].schedule is not None
+}
 
 
 def window_bytes(w, bounds):
@@ -71,17 +79,38 @@ def radix_choices(p):
         yield (3, *prime_factors(p // 3))
 
 
-def ring_allreduce_rounds(p, rank):
-    return (ring_rounds(p, rank, rank, 0, COMBINE)
-            + ring_rounds(p, rank, rank + 1, 32, PLACE))
+def knob_choices(name, p):
+    """The keywords an allreduce schedule is checked with at ``p``:
+    every radix choice for one that takes ``radices``, else none."""
+    if "radices" in allreduce_keywords(name):
+        return [{"radices": radices} for radices in radix_choices(p)]
+    return [{}]
+
+
+def allreduce_schedules(p):
+    """``(label, nblocks, split, rounds_of(rank))`` of every registered
+    allreduce schedule at ``p``, at each of its knob choices."""
+    for name, schedule in SCHEDULES.items():
+        for knobs in knob_choices(name, p):
+            _, nblocks, split = schedule(p, 0, **knobs)
+            yield (f"{name}/{knobs}", nblocks, split,
+                   lambda r, f=schedule, kw=knobs: f(p, r, **kw).rounds)
+
+
+def test_the_round_list_allreduces_declare_schedules():
+    """A record that drops its schedule would drop out of every check
+    below unnoticed."""
+    assert {
+        "recursive_doubling", "rabenseifner", "ring", "generalized",
+        "optimal_rsag", "reduce_bcast",
+    } <= set(SCHEDULES)
 
 
 def schedules(p):
     """``(name, nblocks, rounds_of(rank))`` for every schedule at ``p``."""
     pof2 = pof2_below(p)
-    yield "recursive_doubling", 1, lambda r: recursive_doubling_rounds(p, r)
-    yield "rabenseifner", pof2, lambda r: rabenseifner_rounds(p, r)
-    yield "ring", p, lambda r: ring_allreduce_rounds(p, r)
+    for name, nblocks, _, rounds_of in allreduce_schedules(p):
+        yield name, nblocks, rounds_of
     yield "ring_allgather", p, lambda r: ring_rounds(p, r, r, 0, PLACE)
     yield "pairwise", p, lambda r: pairwise_rounds(p, r)
     if p == pof2:
@@ -95,19 +124,6 @@ def schedules(p):
                        knomial_rounds(p, r, t, k, 3, u))
     for mirror in (False, True):
         yield f"tree/{mirror}", 1, lambda r, m=mirror: tree_rounds(p, r, m)
-    yield "optimal_rsag", p, lambda r: optimal_rsag_rounds(p, r)
-    for radices in radix_choices(p):
-        yield (f"generalized/{radices}", p,
-               lambda r, rs=radices: generalized_rounds(p, r, rs))
-
-
-def allreduce_schedules(p):
-    """``(rounds_of(p, rank), nblocks)`` of every allreduce list at ``p``."""
-    yield recursive_doubling_rounds, 1
-    yield rabenseifner_rounds, pof2_below(p)
-    yield optimal_rsag_rounds, p
-    for radices in radix_choices(p):
-        yield (lambda q, r, rs=radices: generalized_rounds(q, r, rs)), p
 
 
 def rounds_by_rank(p, rounds_of):
@@ -130,17 +146,20 @@ def test_every_send_meets_one_receive_inside_the_vector():
 
 
 def test_allreduce_rounds_send_only_what_they_hold():
-    """Replaying each rank's held window: every window it sends or
-    combines into lies inside it, and it ends holding the vector."""
+    """Replaying each rank's held window (the schedules held as one
+    vector): every window it sends or combines into lies inside it, and
+    it ends holding the vector."""
     for p in P_RANGE:
-        for rounds_of, nblocks in allreduce_schedules(p):
+        for name, nblocks, split, rounds_of in allreduce_schedules(p):
+            if split:
+                continue
             for rank in range(p):
                 lo, hi = 0, nblocks
-                for x in rounds_of(p, rank):
+                for x in rounds_of(rank):
                     lands = [w for _, w in recvs_of(x)]
                     kept = lands[:1] if x.act == COMBINE else []
                     for w in [w for _, w in sends_of(x)] + kept:
-                        assert lo <= w[0] < w[1] <= hi, (p, rank, x)
+                        assert lo <= w[0] < w[1] <= hi, (name, p, rank, x)
                     if x.act in (COMBINE, REPLACE):
                         lo, hi = lands[0]
                     elif x.act == KEEP:
@@ -149,7 +168,7 @@ def test_allreduce_rounds_send_only_what_they_hold():
                         ws = sorted([(lo, hi)] + lands)
                         assert all(a[1] == b[0] for a, b in zip(ws, ws[1:])), x
                         lo, hi = ws[0][0], ws[-1][1]
-                assert (lo, hi) == (0, nblocks), (p, rank)
+                assert (lo, hi) == (0, nblocks), (name, p, rank)
 
 
 @pytest.mark.parametrize("p", [2, 4, 8, 16, 32, 64])
@@ -157,11 +176,12 @@ def test_power_of_two_volumes(p):
     n = 8 * p  # elements, a multiple of p
     full = n * ITEMSIZE
     for rank in range(p):
-        rd = recursive_doubling_rounds(p, rank)
+        rd = SCHEDULES["recursive_doubling"](p, rank).rounds
         assert len(rd) == p.bit_length() - 1
         assert all(window_bytes(x.send, [(0, n)]) == full for x in rd)
         bounds = split_bounds(n, p)
-        sent = sum(window_bytes(x.send, bounds) for x in rabenseifner_rounds(p, rank))
+        sent = sum(window_bytes(x.send, bounds)
+                   for x in SCHEDULES["rabenseifner"](p, rank).rounds)
         assert sent == 2 * full * (p - 1) // p
 
 
@@ -179,18 +199,20 @@ def test_any_p_exchange_volumes():
         def sent(rounds):
             return sum(window_bytes(w, bounds) for x in rounds for _, w in sends_of(x))
 
-        total = sum(sent(optimal_rsag_rounds(p, rank)) for rank in range(p))
+        total = sum(sent(SCHEDULES["optimal_rsag"](p, rank).rounds)
+                    for rank in range(p))
         assert total == p * want, p
         for radices in radix_choices(p):
             for rank in range(p):
-                assert sent(generalized_rounds(p, rank, radices)) == want, (p, radices)
+                rounds = SCHEDULES["generalized"](p, rank, radices=radices).rounds
+                assert sent(rounds) == want, (p, radices)
 
 
 def test_ring_steps_and_tree_messages():
     n = 5
     for p in P_RANGE:
         for rank in range(p):
-            assert len(ring_allreduce_rounds(p, rank)) == 2 * (p - 1)
+            assert len(SCHEDULES["ring"](p, rank).rounds) == 2 * (p - 1)
         whole = [(0, n * p)]
         for radix in (2, 3, 4):
             for root in (0, p - 1):
@@ -201,11 +223,6 @@ def test_ring_steps_and_tree_messages():
                     sent = [window_bytes(x.send, whole)
                             for _, x in flat if x.dst is not None]
                     assert sent == [n * p * ITEMSIZE] * (p - 1)
-
-
-def reduce_bcast_rounds(p, rank):
-    return (knomial_rounds(p, rank, 0, 2, 3, True)
-            + knomial_rounds(p, rank, 0, 2, 8, False))
 
 
 def declared(p, rounds_of, bounds):
@@ -230,19 +247,14 @@ def dualroot_declared(p, count):
 
 def exact_cases(p, count):
     """``(label, rank fn, declared messages)`` for each schedule the
-    exact run is checked against."""
-    for name, rounds_of, nblocks in (
-        ("rabenseifner", rabenseifner_rounds, pof2_below(p)),
-        ("recursive_doubling", recursive_doubling_rounds, 1),
-        ("ring", ring_allreduce_rounds, p),
-        ("reduce_bcast", reduce_bcast_rounds, 1),
-        ("generalized", generalized_rounds, p),
-        ("optimal_rsag", optimal_rsag_rounds, p),
-    ):
+    exact run is checked against (the allreduce schedules at their
+    default keywords)."""
+    for name, schedule in SCHEDULES.items():
         def fn(comm, name=name):
             yield from comm.allreduce(SymbolicPayload(count), SUM, algorithm=name)
         yield name, fn, declared(
-            p, lambda r, f=rounds_of: f(p, r), split_bounds(count, nblocks)
+            p, lambda r, f=schedule: f(p, r).rounds,
+            split_bounds(count, schedule(p, 0).nblocks),
         )
     # 2,049 + 2,048 elements: two segments in tree A, one in tree B.
     big = 2 * SEGMENT_BYTES // ITEMSIZE + 1
