@@ -1,13 +1,15 @@
 """The paper's contribution: DPML and friends.
 
 * :mod:`repro.core.dpml` — the 4-phase Data Partitioning-based
-  Multi-Leader allreduce (Section 4.1), whose phase generators and
-  driver (``run_dpml``) every multi-leader design below runs on;
+  Multi-Leader allreduce (Section 4.1): each rank's node work is step
+  lists, and its one runner (``run_dpml``) runs every
+  multi-leader design below;
 * :mod:`repro.core.pipelined` — DPML-Pipelined, whose phase 3 is ``k``
   sub-partition non-blocking inter-node allreduces (Section 4.2);
 * :mod:`repro.core.multilevel`, :mod:`repro.core.dpml_reduce` and
   :mod:`repro.core.dpml_bcast` — the socket-level variant (Section 3)
-  and the rooted reduce and bcast (Section 8), each only its own steps;
+  and the rooted reduce and bcast (Section 8), each only its step lists
+  and phase 3;
 * :mod:`repro.core.sharp_designs` — the SHArP node-level-leader and
   socket-level-leader designs (Section 4.3);
 * :mod:`repro.core.model` — the analytical cost model (Section 5);

@@ -17,12 +17,15 @@ The four phases, exactly as in Figure 2:
    fully reduced partitions back out of shared memory and reassembles
    the result.
 
-This module is the one home of these phases.  :func:`run_dpml` drives
-them over one :class:`PhaseState` per call; the pipelined and
-multilevel designs pass it only their phase 3 or phases 1-2, and the
-rooted reduce and bcast call the phase generators around their own
-phase 3.  The driver records per-phase simulated-time windows into the
-runtime's
+Phases 1, 2 and 4 and the publish are data: one rank's
+:class:`NodeWork` is a few :class:`NodeStep` lists, built from its
+:class:`~repro.core.leaders.LeaderPlan` (:func:`dpml_work` for the
+figure; the multilevel variant and the rooted reduce and bcast declare
+their own).  A step names its partition, shm key, cross-socket flag,
+combine sources and read fan-out; its bytes are the partition's
+``split_bounds`` share.  :func:`run_dpml` is the one runner: it
+executes every design's lists around that design's phase 3.  It records
+per-phase simulated-time windows into the runtime's
 :class:`~repro.core.phases.PhaseProbe` (when one is attached) so the
 hybrid-fidelity spot-check oracle can compare the exact phases against
 their macro charges (Eqs. 2-6, priced by the :data:`DPML` record).
@@ -38,7 +41,7 @@ hierarchical algorithm (registered as ``"hierarchical"``).
 from __future__ import annotations
 
 import functools
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 from repro.core.leaders import check_leader_count, get_leader_plan
 from repro.core.phases import AllreduceAlgorithm
@@ -48,17 +51,14 @@ from repro.payload.payload import Payload, reduce_payloads, split_bounds
 __all__ = [
     "DPML",
     "DPML_PHASES",
+    "FLAG",
     "HIERARCHICAL",
-    "PhaseState",
+    "NodeStep",
+    "NodeWork",
     "allreduce_dpml",
     "allreduce_hierarchical",
-    "deposit",
+    "dpml_work",
     "flat_allreduce",
-    "gather_combine",
-    "phase_copy_in",
-    "phase_copy_out",
-    "phase_reduce",
-    "publish",
     "run_dpml",
 ]
 
@@ -66,122 +66,160 @@ __all__ = [
 DPML_PHASES = ("copy_in", "reduce", "exchange", "copy_out")
 
 
-class PhaseState:
-    """Everything the phase generators share for one collective call.
+class NodeStep(NamedTuple):
+    """One shared-memory step of one rank, on partition ``part`` of the
+    vector (``split_bounds(count, l)[part]``).
 
-    ``payload`` is ``None`` on broadcast non-roots; ranks with data also
-    get the partition ``bounds`` and ``total`` count for span checks.
-    ``cross[j]`` says whether leader ``j`` sits on another socket.
+    With ``sources``, the rank first takes the deposit under each source
+    key and combines them into the partition.  With a ``key``, it then
+    either writes the partition there (``readers == 0``) or reads it
+    from there, a value ``readers`` ranks read in all.  ``cross`` is the
+    copy that goes with the write (before it) or the read (after it):
+    over the socket link if true, none if ``None``.  Keys are
+    ``(stage, part, *who)`` under the call's context and tag base; a
+    write's span frame is its key without the partition.  A step with
+    no partition (:data:`FLAG`) is one flag post/wait hop.
     """
 
-    __slots__ = (
-        "comm",
-        "machine",
-        "plan",
-        "region",
-        "ctx",
-        "tag_base",
-        "op",
-        "payload",
-        "bounds",
-        "total",
-        "cross",
-        "me",
+    part: Optional[int]
+    key: Optional[tuple] = None
+    cross: Optional[bool] = None
+    sources: tuple = ()
+    readers: int = 0
+
+
+FLAG = NodeStep(None)
+
+
+class NodeWork(NamedTuple):
+    """One rank's node work around phase 3: ``copy_in`` runs on every
+    rank, ``reduce`` and ``publish`` on leaders before and after their
+    phase 3, and ``copy_out`` after one flag hop (the leaders'
+    publishes); a rank with no ``copy_out`` returns ``None``."""
+
+    copy_in: tuple
+    reduce: tuple
+    publish: tuple
+    copy_out: tuple
+
+
+def dpml_work(plan) -> NodeWork:
+    """Figure 2: every rank deposits partition ``j`` with leader ``j``
+    under ``("in", j, local index)``; leader ``j`` combines the ``ppn``
+    deposits and publishes its phase-3 result under ``("out", j)`` with
+    no copy (it already sits in shared memory); every rank reads the
+    ``l`` results back."""
+    return _dpml_work(plan.local_index, plan.ppn, plan.cross)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dpml_work(index: int, ppn: int, cross: tuple) -> NodeWork:
+    # Shared by the ranks at the same place on every node of a layout,
+    # and by every call: the lists are a function of these three alone.
+    reduce = publish = ()
+    if index < len(cross):  # leader ``index``
+        sources = tuple([("in", index, s) for s in range(ppn)])
+        reduce = (NodeStep(index, sources=sources),)
+        publish = (NodeStep(index, ("out", index)),)
+    return NodeWork(
+        tuple([NodeStep(i, ("in", i, index), c) for i, c in enumerate(cross)]),
+        reduce, publish,
+        tuple([NodeStep(i, ("out", i), c, readers=ppn) for i, c in enumerate(cross)]),
     )
 
-    def __init__(self, comm, payload: Optional[Payload], op, tag_base: int, plan):
-        self.comm = comm
-        self.machine = machine = comm.machine
-        self.plan = plan
-        self.region = comm.runtime.shm_region(plan.node)
-        self.ctx = comm.group.context
-        self.tag_base = tag_base
-        self.op = op
-        self.payload = payload
-        if payload is None:
-            self.bounds = self.total = None
-        else:
-            self.bounds = split_bounds(payload.count, plan.leaders)
-            self.total = payload.count
-        self.me = comm.world_rank
-        socket = machine.loc(self.me).socket
-        self.cross = tuple([
-            machine.loc(comm.translate(rank)).socket != socket
-            for rank in plan.node_ranks[: plan.leaders]
-        ])
 
+def run_dpml(
+    comm, payload: Optional[Payload], op, tag_base: int, leaders: int,
+    name: Optional[str], inter: Callable, work: Callable = dpml_work,
+    flat: Optional[Callable] = None,
+) -> Generator:
+    """Run one DPML design with ``leaders`` leaders per node and return
+    the reassembled vector (``None`` on a rank without a copy-out).
 
-def deposit(st: PhaseState, base: tuple, index, cross) -> Generator:
-    """Copy partition ``j`` to key ``(*base, j, index)``, cross-socket
-    if ``cross[j]``.
-
-    Span annotations in the depositor's frame ``(*base, index)`` let the
-    sanitizer check that its l partitions tile the vector without gaps
-    or overlap.
+    ``work(plan)`` is the rank's node work.  Phase 3 is
+    ``inter(leader_comm, part, op)`` on the leader's partition; with one
+    rank per node there is no node work and ``flat(comm, payload, op)``
+    (by default ``inter``) runs on the communicator itself.  ``payload``
+    is ``None`` on a rank with no input (broadcast non-roots).  With a
+    ``name``, every phase window lands in the runtime's phase probe
+    under it.
     """
-    shm_copy, put = st.machine.shm_copy, st.region.put
-    me, bounds, total = st.me, st.bounds, st.total
-    frame = (*base, index)
-    for j, part in enumerate(st.payload.split(st.plan.leaders)):
-        yield shm_copy(me, part.nbytes, cross_socket=cross[j])
-        put((*base, j, index), part, span=(frame, *bounds[j], total))
+    sim, machine = comm.sim, comm.machine
+    probe = comm.runtime.phase_probe if name else None
+    plan = yield from get_leader_plan(comm, leaders)
+    if plan.n_nodes == comm.size:
+        start = sim.now
+        result = yield from (flat or inter)(comm, payload, op)
+        _record(probe, name, "exchange", start, sim.now)
+        return result
 
+    work = work(plan)
+    region = comm.runtime.shm_region(plan.node)
+    me, head = comm.world_rank, (comm.group.context, tag_base)
+    l = plan.leaders
+    parts = [None] * l if payload is None else payload.split(l)
+    # A write names its partition's span, checked on sanitized runs only.
+    bounds = None
+    if payload is not None and sim.sanitizer is not None:
+        bounds = split_bounds(payload.count, l)
 
-def phase_copy_in(st: PhaseState) -> Generator:
-    """Phase 1: deposit each partition into its leader's staging area."""
-    return deposit(st, (st.ctx, st.tag_base, "in"), st.plan.local_index, st.cross)
+    def run(steps) -> Generator:
+        for part, key, cross, sources, readers in steps:
+            if part is None:
+                yield machine.flag_sync()
+                continue
+            if sources:
+                gathered = []
+                for source in sources:
+                    value = yield region.take(head + source)
+                    gathered.append(value)
+                yield machine.gather_sync(me, len(gathered))
+                if len(gathered) > 1:
+                    yield machine.compute(
+                        me, gathered[0].nbytes, combines=len(gathered) - 1
+                    )
+                parts[part] = reduce_payloads(gathered, op)
+            if key is None:
+                continue
+            full = head + key
+            if readers:
+                parts[part] = yield region.read(full, readers=readers)
+            if cross is not None:
+                yield machine.shm_copy(me, parts[part].nbytes, cross_socket=cross)
+            if not readers:
+                # The span frame is shared by the partitions one writer
+                # (a publish: the node's leaders) writes; they must tile.
+                span = None
+                if bounds is not None:
+                    frame = head + key[:1] + key[2:]
+                    span = (frame, *bounds[part], bounds[-1][1])
+                region.put(full, parts[part], span=span)
 
+    start = sim.now
+    yield from run(work.copy_in)
+    _record(probe, name, "copy_in", start, sim.now)
 
-def gather_combine(st: PhaseState, base: tuple, sources) -> Generator:
-    """Take the deposit under ``(*base, s)`` of each ``s`` in
-    ``sources`` and combine them into one."""
-    machine, region = st.machine, st.region
-    gathered = []
-    for source in sources:
-        part = yield region.take((*base, source))
-        gathered.append(part)
-    yield machine.gather_sync(st.me, len(gathered))
-    if len(gathered) > 1:
-        yield machine.compute(
-            st.me, gathered[0].nbytes, combines=len(gathered) - 1
-        )
-    return reduce_payloads(gathered, st.op)
+    if plan.is_leader:
+        start = sim.now
+        yield from run(work.reduce)
+        _record(probe, name, "reduce", start, sim.now)
 
+        start = sim.now
+        j = plan.leader_index
+        parts[j] = yield from inter(plan.leader_comm, parts[j], op)
+        yield from run(work.publish)
+        _record(probe, name, "exchange", start, sim.now)
 
-def phase_reduce(st: PhaseState) -> Generator:
-    """Phase 2 (leaders only): gather the ppn deposits and combine them."""
-    base = (st.ctx, st.tag_base, "in", st.plan.leader_index)
-    return gather_combine(st, base, range(st.plan.ppn))
-
-
-def publish(st: PhaseState, result_j) -> None:
-    """End of phase 3: leader ``j`` publishes partition ``j``.
-
-    The leaders' partitions share one frame: together they must tile
-    the result vector, so a leader publishing the wrong slice (or a
-    wrong-length sub-collective result) trips the sanitizer.
-    """
-    j = st.plan.leader_index
-    span = None
-    if st.bounds is not None:
-        span = ((st.ctx, st.tag_base, "out"), *st.bounds[j], st.total)
-    st.region.put((st.ctx, st.tag_base, "out", j), result_j, span=span)
-
-
-def phase_copy_out(st: PhaseState, readers: Optional[int] = None) -> Generator:
-    """Phase 4: copy every partition back out and reassemble (each is
-    read by ``readers`` ranks, by default the whole node)."""
-    shm_copy, region = st.machine.shm_copy, st.region
-    readers = readers or st.plan.ppn
-    me, cross, ctx, tag_base = st.me, st.cross, st.ctx, st.tag_base
-    outs = []
-    for j in range(st.plan.leaders):
-        result_j = yield region.read((ctx, tag_base, "out", j), readers=readers)
-        yield shm_copy(me, result_j.nbytes, cross_socket=cross[j])
-        outs.append(result_j)
+    if not work.copy_out:
+        return None
+    yield machine.flag_sync()
+    start = sim.now
+    yield from run(work.copy_out)
+    if plan.is_leader:
+        _record(probe, name, "copy_out", start, sim.now)
     # Reassembly through the region memo: the co-located readers share
     # one materialization of the result vector.
-    return region.concat(outs)
+    return region.concat(parts)
 
 
 def _record(probe, algorithm: str, phase: str, start: float, end: float) -> None:
@@ -200,59 +238,6 @@ def flat_allreduce(algorithm: Optional[str] = None) -> Callable:
     """
     name = algorithm or "flat_auto"
     return lambda comm, payload, op: comm.allreduce(payload, op, algorithm=name)
-
-
-def run_dpml(
-    comm,
-    payload: Payload,
-    op: ReduceOp,
-    tag_base: int,
-    leaders: int,
-    name: str,
-    inter: Callable,
-    copy_in: Callable = phase_copy_in,
-    reduce: Callable = phase_reduce,
-) -> Generator:
-    """Run phases 1-4 with ``leaders`` leaders per node.
-
-    ``inter(comm, payload, op)`` is phase 3's inter-node allreduce;
-    ``copy_in`` and ``reduce`` replace phases 1 and 2.  Every phase
-    window lands in the runtime's phase probe under ``name``.
-    """
-    sim = comm.sim
-    probe = comm.runtime.phase_probe
-    plan = yield from get_leader_plan(comm, leaders)
-
-    if plan.n_nodes == comm.size:
-        # One rank per node: no intra-node phases; phase 3 runs on the
-        # communicator itself (every rank is its own leader 0).
-        start = sim.now
-        result = yield from inter(comm, payload, op)
-        _record(probe, name, "exchange", start, sim.now)
-        return result
-
-    st = PhaseState(comm, payload, op, tag_base, plan)
-
-    start = sim.now
-    yield from copy_in(st)
-    _record(probe, name, "copy_in", start, sim.now)
-
-    if plan.is_leader:
-        start = sim.now
-        reduced = yield from reduce(st)
-        _record(probe, name, "reduce", start, sim.now)
-
-        start = sim.now
-        result_j = yield from inter(plan.leader_comm, reduced, op)
-        publish(st, result_j)
-        _record(probe, name, "exchange", start, sim.now)
-
-    yield comm.machine.flag_sync()
-    start = sim.now
-    result = yield from phase_copy_out(st)
-    if plan.is_leader:
-        _record(probe, name, "copy_out", start, sim.now)
-    return result
 
 
 def allreduce_dpml(

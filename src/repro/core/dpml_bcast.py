@@ -9,19 +9,35 @@ every rank copies the ``l`` partitions out of its node's shared memory
 (phase 4).  The inter-node traffic is ``l`` concurrent trees of
 ``n / l`` bytes instead of one tree of ``n`` bytes.
 
-Phases 1 (run by the root alone) and 4 are the phase generators of
-:mod:`repro.core.dpml`; only the rooted phase 3 lives here.
+:func:`bcast_work` declares the node steps (phase 1 on the root alone;
+the root-node leaders take their partition in place); only the rooted
+phase 3 lives here.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.dpml import PhaseState, phase_copy_in, phase_copy_out, publish
-from repro.core.leaders import get_leader_plan
+from repro.core.dpml import FLAG, NodeStep, NodeWork, dpml_work, run_dpml
 from repro.payload.payload import Payload
 
-__all__ = ["bcast_dpml"]
+__all__ = ["bcast_dpml", "bcast_work"]
+
+
+def bcast_work(plan, root: int) -> NodeWork:
+    """The root deposits its partitions with its node's leaders; leader
+    ``j`` there takes partition ``j`` without a copy and posts a flag;
+    every leader publishes its phase-3 result and every rank reads the
+    ``l`` results back, as in DPML."""
+    copy_in, _, publish, copy_out = dpml_work(plan)
+    if plan.rank != root:
+        copy_in = ()
+    j = plan.leader_index
+    reduce = ()
+    if j is not None and plan.node == plan.layout.node[root]:
+        source = ("in", j, plan.node_ranks.index(root))
+        reduce = (NodeStep(j, source, readers=1), FLAG)
+    return NodeWork(copy_in, reduce, publish, copy_out)
 
 
 def bcast_dpml(
@@ -35,34 +51,16 @@ def bcast_dpml(
     """Multi-leader broadcast from ``root``; returns the vector everywhere."""
     from repro.mpi.collectives.registry import resolve_collective
 
-    plan = yield from get_leader_plan(comm, leaders)
     inter = resolve_collective("bcast", inter_algorithm or "binomial", comm)
+    root_leader = comm.layout.nodes.index(comm.layout.node[root])
 
-    if plan.n_nodes == comm.size:
-        result = yield from inter(comm, payload, root=root, tag_base=tag_base)
-        return result
+    def phase3(leader_comm, part, _op):
+        return inter(leader_comm, part, root=root_leader, tag_base=tag_base)
 
-    st = PhaseState(comm, payload, None, tag_base, plan)
-    # Phase 1 (root only): deposit each partition with its leader on
-    # the root's node.
-    if comm.rank == root:
-        yield from phase_copy_in(st)
+    def flat(comm, payload, _op):  # one rank per node: a plain bcast
+        return inter(comm, payload, root=root, tag_base=tag_base)
 
-    if plan.is_leader:
-        root_leader = comm.layout.nodes.index(comm.layout.node[root])
-        part_j = None
-        if plan.leader_comm.rank == root_leader:
-            part_j = yield st.region.take(
-                (st.ctx, tag_base, "in", plan.leader_index,
-                 plan.node_ranks.index(root))
-            )
-            yield comm.machine.flag_sync()
-        part_j = yield from inter(
-            plan.leader_comm, part_j, root=root_leader, tag_base=tag_base
-        )
-        publish(st, part_j)
-
-    # Phase 4: everyone copies the partitions out.
-    yield comm.machine.flag_sync()
-    result = yield from phase_copy_out(st)
-    return result
+    return run_dpml(
+        comm, payload, None, tag_base, leaders, None, phase3,
+        lambda plan: bcast_work(plan, root), flat,
+    )

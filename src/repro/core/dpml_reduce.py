@@ -3,32 +3,38 @@
 "We would like to explore the possibilities of exploiting DPML
 approach for other blocking and non-blocking collectives as well."
 
-The rooted reduce runs DPML's phases 1-2 (partition copies into the
-leaders' shared memory, parallel intra-node combines) on the phase
-generators of :mod:`repro.core.dpml`, then replaces phase 3's allreduce
-with ``l`` concurrent *inter-node reduces* rooted at the leaders on the
-root's node; phase 4 is the fan-out read by the root alone.  Compared
-to the classic binomial reduce this parallelises both the combine work
-(over ``l`` cores per node) and the inter-node traffic (over ``l``
-concurrent trees of ``n / l`` bytes).
+The rooted reduce declares DPML's node work with two changes
+(:func:`reduce_work`): only the leaders on the root's node publish,
+and only the root copies the result out.  Its own code is phase 3:
+``l`` concurrent *inter-node reduces* rooted at the leaders on the
+root's node, in place of the allreduce.  Compared to the classic
+binomial reduce this parallelises both the combine work (over ``l``
+cores per node) and the inter-node traffic (over ``l`` concurrent
+trees of ``n / l`` bytes).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.dpml import (
-    PhaseState,
-    phase_copy_in,
-    phase_copy_out,
-    phase_reduce,
-    publish,
-)
-from repro.core.leaders import get_leader_plan
+from repro.core.dpml import NodeWork, dpml_work, run_dpml
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["reduce_dpml"]
+__all__ = ["reduce_dpml", "reduce_work"]
+
+
+def reduce_work(plan, root: int) -> NodeWork:
+    """DPML's node work, published on the root's node and read by the
+    root alone."""
+    copy_in, reduce, publish, copy_out = dpml_work(plan)
+    if plan.node != plan.layout.node[root]:
+        publish = ()
+    if plan.rank != root:
+        copy_out = ()
+    return NodeWork(copy_in, reduce, publish, tuple([
+        step._replace(readers=1) for step in copy_out
+    ]))
 
 
 def reduce_dpml(
@@ -43,32 +49,19 @@ def reduce_dpml(
     """Multi-leader reduce; the result lands at ``root`` only."""
     from repro.mpi.collectives.registry import resolve_collective
 
-    plan = yield from get_leader_plan(comm, leaders)
     inter = resolve_collective("reduce", inter_algorithm or "binomial", comm)
+    # Phase 3: inter-node reduce rooted at the root node's leader j.
+    # The leader communicator was built with key=node, so its rank
+    # order follows the sorted node ids.
+    root_leader = comm.layout.nodes.index(comm.layout.node[root])
 
-    if plan.n_nodes == comm.size:
-        # One rank per node: plain inter-node reduce.
-        result = yield from inter(comm, payload, op, root=root, tag_base=tag_base)
-        return result
+    def phase3(leader_comm, part, op):
+        return inter(leader_comm, part, op, root=root_leader, tag_base=tag_base)
 
-    st = PhaseState(comm, payload, op, tag_base, plan)
-    yield from phase_copy_in(st)
+    def flat(comm, payload, op):  # one rank per node: a plain reduce
+        return inter(comm, payload, op, root=root, tag_base=tag_base)
 
-    if plan.is_leader:
-        reduced = yield from phase_reduce(st)
-        # Phase 3: inter-node reduce rooted at the root node's leader j.
-        # The leader communicator was built with key=node, so its rank
-        # order follows the sorted node ids.
-        root_leader = comm.layout.nodes.index(comm.layout.node[root])
-        result_j = yield from inter(
-            plan.leader_comm, reduced, op, root=root_leader, tag_base=tag_base
-        )
-        if plan.leader_comm.rank == root_leader:
-            publish(st, result_j)
-
-    # Phase 4: only the root reassembles.
-    if comm.rank != root:
-        return None
-    yield comm.machine.flag_sync()
-    result = yield from phase_copy_out(st, readers=1)
-    return result
+    return run_dpml(
+        comm, payload, op, tag_base, leaders, None, phase3,
+        lambda plan: reduce_work(plan, root), flat,
+    )

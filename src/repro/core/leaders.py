@@ -9,8 +9,11 @@ and cached on the communicator, so repeated collectives pay nothing.
 Node membership is not scanned here: it comes from the communicator's
 :class:`~repro.mpi.layout.Layout` (``comm.layout``), which is built
 once per group and shared by every rank's view.  A plan holds only the
-per-rank part — this rank's leader index and leader communicator — and
-``node_ranks`` is the layout's own tuple.
+per-rank part — this rank's leader index, whether each leader sits on
+another socket and its leader communicator — and ``node_ranks`` is the
+layout's own tuple.  :func:`leader_plan` reads all but the communicator
+from the layout alone, so the node work a plan declares can be read
+without a simulation.
 
 Leader choice is socket-aware: local ranks are already laid out
 round-robin across sockets by the default ``"scatter"`` placement, so
@@ -20,12 +23,15 @@ balances both the reduction compute and the memory traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["LeaderPlan", "check_leader_count", "get_leader_plan"]
+if TYPE_CHECKING:
+    from repro.mpi.layout import Layout
+
+__all__ = ["LeaderPlan", "check_leader_count", "get_leader_plan", "leader_plan"]
 
 
 @dataclass
@@ -37,8 +43,10 @@ class LeaderPlan:
     node_ranks: tuple[int, ...]  #: comm ranks on this node, local order (shared)
     local_index: int  #: this rank's index within node_ranks
     leader_index: Optional[int]  #: j if this rank is leader j, else None
-    leader_comm: Optional[object]  #: comm of leader j across nodes (leaders only)
     n_nodes: int  #: number of nodes under the communicator
+    cross: tuple[bool, ...]  #: whether leader j sits on another socket
+    layout: Layout = field(repr=False)  #: the communicator's layout
+    leader_comm: Optional[object] = None  #: leader j's comm across nodes (leaders)
 
     @property
     def is_leader(self) -> bool:
@@ -50,11 +58,41 @@ class LeaderPlan:
         """Local ranks on this node."""
         return len(self.node_ranks)
 
+    @property
+    def rank(self) -> int:
+        """This rank (a comm rank)."""
+        return self.node_ranks[self.local_index]
+
 
 def check_leader_count(leaders: int) -> None:
     """Reject a leader count below one with :class:`ConfigError`."""
     if leaders < 1:
         raise ConfigError(f"leader count must be >= 1, got {leaders}")
+
+
+def leader_plan(layout: Layout, rank: int, leaders: int) -> LeaderPlan:
+    """Comm rank ``rank``'s plan for ``leaders`` leaders over ``layout``,
+    without its leader communicator (no simulation needed)."""
+    check_leader_count(leaders)
+    # Every node must field a leader for every partition, otherwise the
+    # inter-node allreduce for that partition would miss contributions.
+    eff_leaders = min(leaders, layout.min_ppn)
+    node = layout.node[rank]
+    node_ranks = layout.node_ranks[node]
+    local_index = node_ranks.index(rank)
+    socket = layout.socket
+    return LeaderPlan(
+        leaders=eff_leaders,
+        node=node,
+        node_ranks=node_ranks,
+        local_index=local_index,
+        leader_index=local_index if local_index < eff_leaders else None,
+        n_nodes=len(layout.nodes),
+        cross=tuple([
+            socket[leader] != socket[rank] for leader in node_ranks[:eff_leaders]
+        ]),
+        layout=layout,
+    )
 
 
 def get_leader_plan(comm, leaders: int) -> Generator:
@@ -63,34 +101,14 @@ def get_leader_plan(comm, leaders: int) -> Generator:
     Collective over ``comm`` — every rank must call it with the same
     ``leaders`` value, in the same collective order.
     """
-    check_leader_count(leaders)
     cached = comm.cache.get(("leader-plan", leaders))
     if cached is not None:
         return cached
 
-    layout = comm.layout
-    # Every node must field a leader for every partition, otherwise the
-    # inter-node allreduce for that partition would miss contributions.
-    eff_leaders = min(leaders, layout.min_ppn)
-
-    my_node = layout.node[comm.rank]
-    node_ranks = layout.node_ranks[my_node]
-    local_index = node_ranks.index(comm.rank)
-    leader_index = local_index if local_index < eff_leaders else None
-
+    plan = leader_plan(comm.layout, comm.rank, leaders)
     # One split creates all l leader communicators at once: leader j on
     # every node passes color j; everyone else passes MPI_UNDEFINED.
-    color = leader_index if leader_index is not None else -1
-    leader_comm = yield from comm.split(color, key=my_node)
-
-    plan = LeaderPlan(
-        leaders=eff_leaders,
-        node=my_node,
-        node_ranks=node_ranks,
-        local_index=local_index,
-        leader_index=leader_index,
-        leader_comm=leader_comm,
-        n_nodes=len(layout.nodes),
-    )
+    color = plan.leader_index if plan.is_leader else -1
+    plan.leader_comm = yield from comm.split(color, key=plan.node)
     comm.cache[("leader-plan", leaders)] = plan
     return plan

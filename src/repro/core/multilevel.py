@@ -14,8 +14,9 @@ the claim can be tested rather than assumed:
   (one extra inter-socket copy + combine per partition);
 * **levels 3-4**: the usual DPML inter-node allreduce and fan-out.
 
-Only the socket level lives here: :func:`~repro.core.dpml.run_dpml`
-runs the design with this module's phase-1 and phase-2 generators.
+Only the socket level lives here: :func:`multilevel_work` declares
+each rank's node steps and :func:`~repro.core.dpml.run_dpml` runs them
+around the usual phase 3.
 
 Compared to flat DPML this halves the number of deposits each leader
 polls but adds a full extra synchronisation/copy/combine level; the
@@ -28,57 +29,39 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.dpml import (
-    PhaseState,
-    deposit,
-    flat_allreduce,
-    gather_combine,
-    run_dpml,
-)
+from repro.core.dpml import NodeStep, NodeWork, dpml_work, flat_allreduce, run_dpml
 from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload
 
-__all__ = ["DPML_MULTILEVEL", "allreduce_dpml_multilevel"]
+__all__ = ["DPML_MULTILEVEL", "allreduce_dpml_multilevel", "multilevel_work"]
 
 
-def _socket_copy_in(st: PhaseState) -> Generator:
-    """Phase 1 through the socket: deposit with the socket sub-leader,
-    which combines the socket's deposits and forwards one partial per
-    partition to the node leader."""
-    comm = st.comm
-    socket = st.machine.loc(st.me).socket
-    # The first rank of each socket group acts as that socket's
-    # sub-leader for every partition.
-    members = comm.layout.socket_ranks[(st.plan.node, socket)]
-    pos = members.index(comm.rank)
-    base = (st.ctx, st.tag_base, "sock", socket)
-
-    # Level 1a: deposit each partition with the sub-leader (never
-    # crosses a socket).
-    yield from deposit(st, base, pos, (False,) * st.plan.leaders)
-    if pos != 0:
-        return
-
-    # Level 1b: combine the socket's contributions and hand one partial
-    # per partition to the node leader (cross-socket for one socket).
-    for j in range(st.plan.leaders):
-        partial = yield from gather_combine(st, (*base, j), range(len(members)))
-        yield st.machine.shm_copy(st.me, partial.nbytes, cross_socket=st.cross[j])
-        st.region.put(
-            (st.ctx, st.tag_base, "in", j, socket), partial,
-            span=((*base, "fwd"), *st.bounds[j], st.total),
-        )
-
-
-def _socket_reduce(st: PhaseState) -> Generator:
-    """Phase 2 (leaders only): combine the per-socket partials."""
-    sockets = sorted(
-        sock for node, sock in st.comm.layout.socket_ranks if node == st.plan.node
-    )
-    return gather_combine(
-        st, (st.ctx, st.tag_base, "in", st.plan.leader_index), sockets
-    )
+def multilevel_work(plan) -> NodeWork:
+    """Phase 1 through the socket: every rank deposits its partitions
+    with its socket's first rank (never across a socket), which combines
+    the socket's deposits of each partition and forwards one partial
+    per partition to the node leader.  Phase 2: leader ``j`` combines
+    the per-socket partials."""
+    layout, l = plan.layout, plan.leaders
+    socket = layout.socket[plan.rank]
+    members = layout.socket_ranks[(plan.node, socket)]
+    pos = members.index(plan.rank)
+    copy_in = [NodeStep(j, ("sock", j, socket, pos), False) for j in range(l)]
+    if pos == 0:
+        copy_in += [
+            NodeStep(j, ("in", j, socket), plan.cross[j], sources=tuple([
+                ("sock", j, socket, m) for m in range(len(members))
+            ]))
+            for j in range(l)
+        ]
+    j = plan.leader_index
+    reduce = ()
+    if j is not None:
+        sockets = sorted(s for node, s in layout.socket_ranks if node == plan.node)
+        reduce = (NodeStep(j, sources=tuple([("in", j, s) for s in sockets])),)
+    _, _, publish, copy_out = dpml_work(plan)
+    return NodeWork(tuple(copy_in), reduce, publish, copy_out)
 
 
 def allreduce_dpml_multilevel(
@@ -92,8 +75,7 @@ def allreduce_dpml_multilevel(
     """DPML with an extra per-socket reduction level."""
     return run_dpml(
         comm, payload, op, tag_base, leaders, "dpml_multilevel",
-        flat_allreduce(inter_algorithm),
-        copy_in=_socket_copy_in, reduce=_socket_reduce,
+        flat_allreduce(inter_algorithm), multilevel_work,
     )
 
 

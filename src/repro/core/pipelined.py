@@ -16,7 +16,7 @@ pipeline (:func:`~repro.mpi.collectives.base.segment_count` and
 :func:`~repro.mpi.collectives.base.run_segments`).
 
 Everything else is plain DPML: :func:`~repro.core.dpml.run_dpml` runs
-the four phases and this module passes only the pipelined phase-3
+DPML's node steps and this module passes only the pipelined phase-3
 allreduce.
 """
 

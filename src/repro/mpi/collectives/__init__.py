@@ -7,7 +7,10 @@ Every allreduce algorithm has the signature::
 returning (via the generator's return value) the fully reduced payload
 on every rank.  Algorithms are registered by name in
 :mod:`repro.mpi.collectives.registry` and dispatched through
-``comm.allreduce(payload, op, algorithm="name")``.
+``comm.allreduce(payload, op, algorithm="name")``.  This package
+imports nothing itself: the registry imports the DPML designs of
+:mod:`repro.core`, which import :mod:`repro.mpi.collectives.base`, so
+importing the package must not import the registry.
 
 Baselines implemented (the paper's Section 2.1 / Section 3 survey):
 
@@ -21,15 +24,3 @@ Baselines implemented (the paper's Section 2.1 / Section 3 survey):
 * ``mvapich2`` / ``intel_mpi`` — message-size-based selectors emulating
   the tuned production libraries the paper compares against.
 """
-
-from repro.mpi.collectives.registry import (
-    available_algorithms,
-    register_allreduce,
-    resolve_allreduce,
-)
-
-__all__ = [
-    "available_algorithms",
-    "register_allreduce",
-    "resolve_allreduce",
-]

@@ -25,6 +25,7 @@ class Layout(NamedTuple):
     """Node and socket membership of one communicator (immutable)."""
 
     node: tuple[int, ...]  #: node id of each comm rank
+    socket: tuple[int, ...]  #: socket id of each comm rank
     node_ranks: Mapping[int, tuple[int, ...]]  #: node -> comm ranks, placement order
     socket_ranks: Mapping[tuple[int, int], tuple[int, ...]]  #: (node, socket) -> comm ranks
     nodes: tuple[int, ...]  #: sorted node ids
@@ -39,15 +40,18 @@ def build_layout(ranks: Sequence[int], machine) -> Layout:
     a shared fabric reports global fabric nodes.
     """
     node: list[int] = []
+    socket: list[int] = []
     by_node: dict[int, list[int]] = {}
     by_socket: dict[tuple[int, int], list[int]] = {}
     for local, world in enumerate(ranks):
         loc = machine.loc(world)
         node.append(loc.node)
+        socket.append(loc.socket)
         by_node.setdefault(loc.node, []).append(local)
         by_socket.setdefault((loc.node, loc.socket), []).append(local)
     return Layout(
         node=tuple(node),
+        socket=tuple(socket),
         node_ranks=MappingProxyType(
             {n: tuple(members) for n, members in by_node.items()}
         ),

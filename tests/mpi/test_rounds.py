@@ -9,9 +9,12 @@ explicit radices) these tests check that every send meets exactly one
 receive, on the same block window, in the receiver's list, that every
 window stays inside the vector (and, in the allreduces held as one
 vector, inside what the rank holds), and the textbook volumes when the
-count is a multiple of p.  The last test runs the schedules on cluster
-B and checks that the bytes the rounds declare are the bytes the exact
-run hands to the transport.
+count is a multiple of p.  One test runs the schedules on cluster B
+and checks that the bytes the rounds declare are the bytes the exact
+run hands to the transport.  The last two scan the source: point-to-
+point calls stay in ``base.run_rounds`` and a few named modules, and
+shared-memory node primitives stay in ``core.dpml``'s runner and the
+SHArP designs.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core
 import repro.mpi.collectives
 from repro.machine.clusters import cluster_b
 from repro.mpi import run_job
@@ -310,10 +314,35 @@ def test_declared_bytes_are_the_exact_run_bytes(monkeypatch):
             assert Counter(seen) == messages, (name, p)
 
 
+def stray_calls(directory, own, is_primitive):
+    """``module:line function: call`` of every attribute call that
+    ``is_primitive(call.func)`` accepts in the functions of the modules
+    in ``directory``, but for the code ``own`` names: ``(module,
+    function)``, ``"*"`` for every function of the module."""
+    stray = []
+    for path in sorted(directory.glob("*.py")):
+        if (path.name, "*") in own:
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) in own:
+                continue
+            stray += [
+                f"{path.name}:{node.lineno} {fn.name}: {ast.unparse(node.func)}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and is_primitive(node.func)
+            ]
+    return stray
+
+
 #: The code outside ``base.run_rounds`` that may still make
 #: point-to-point calls: ``(module, function)``, ``"*"`` for every
 #: function of the module.
 OWN_P2P_CODE = {
+    ("base.py", "*"),
     ("gather_scatter.py", "*"),
     ("alltoall.py", "*"),
     ("allgather.py", "allgather_bruck"),
@@ -325,20 +354,29 @@ def test_point_to_point_calls_have_one_home():
     """Every schedule with round data runs through ``base.run_rounds``:
     outside ``base.py`` only gather/scatter, alltoall and Bruck's
     allgather call ``comm.send/recv/sendrecv/isend/irecv``."""
-    stray = []
-    for path in sorted(Path(repro.mpi.collectives.__file__).parent.glob("*.py")):
-        if path.name == "base.py" or (path.name, "*") in OWN_P2P_CODE:
-            continue
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if (path.name, fn.name) in OWN_P2P_CODE:
-                continue
-            stray += [
-                f"{path.name}:{node.lineno} {fn.name}: {ast.unparse(node.func)}"
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in P2P_CALLS
-            ]
+    stray = stray_calls(
+        Path(repro.mpi.collectives.__file__).parent, OWN_P2P_CODE,
+        lambda func: func.attr in P2P_CALLS,
+    )
+    assert not stray, stray
+
+
+#: The core modules that run shared-memory node steps themselves: the
+#: DPML runner and the SHArP designs.
+OWN_NODE_CODE = {("dpml.py", "*"), ("sharp_designs.py", "*")}
+NODE_CALLS = {"shm_copy", "gather_sync", "flag_sync"}
+REGION_CALLS = {"put", "take", "read"}
+
+
+def test_node_primitives_have_one_home():
+    """Every DPML design's node work is data run by
+    ``core.dpml.run_dpml``: outside ``dpml.py`` and the SHArP
+    designs no ``repro.core`` module calls ``shm_copy``,
+    ``gather_sync``, ``flag_sync`` or a region's ``put/take/read``."""
+    stray = stray_calls(
+        Path(repro.core.__file__).parent, OWN_NODE_CODE,
+        lambda func: func.attr in NODE_CALLS or (
+            func.attr in REGION_CALLS and "region" in ast.unparse(func.value)
+        ),
+    )
     assert not stray, stray
