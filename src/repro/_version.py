@@ -19,4 +19,4 @@ __version__ = "1.0.0"
 #: prints it); the result store keys every point on it.  The models no
 #: table runs (the compute phases of HPCG and miniAMR, the OSU
 #: throughput study) are not stored, so their changes need no bump.
-MODEL_ID = "51ff98d49070cef60a7cfa977a42f3b39d0ce8e3eb5d10a909a2b921d93d4245"
+MODEL_ID = "0223a4a510b28108633a24f51e63f400324bede7c6fabb4db7757b1d2a65e12e"

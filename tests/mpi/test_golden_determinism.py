@@ -140,6 +140,44 @@ ENGINE_ELAPSED = {
     ("bcast", (32, 8, 4), 5000): 7.350600000000006e-05,
 }
 
+#: The SHArP table's grid: both switch-offload designs on cluster A (the
+#: one preset with a SHArP tree), on the engine layouts plus (6, 2, 3),
+#: whose sockets hold one rank each (a socket leader with no one to
+#: gather).  (3, 1, 3) has one rank per node.
+SHARP_CASES = ("sharp_node_leader", "sharp_socket_leader")
+SHARP_LAYOUTS = ((8, 4, 2), (9, 3, 3), (10, 4, 3), (3, 1, 3), (6, 2, 3), (32, 8, 4))
+SHARP_COUNTS = (13, 5000)
+
+#: Recorded elapsed time of each SHArP case on cluster A.  Keyed
+#: ``(algorithm, layout, count)``; the sanitized rerun must reproduce
+#: the same values.
+SHARP_ELAPSED = {
+    ('sharp_node_leader', (8, 4, 2), 13): 4.010100000000001e-06,
+    ('sharp_node_leader', (8, 4, 2), 5000): 0.00041987999999999997,
+    ('sharp_node_leader', (9, 3, 3), 13): 3.9180000000000004e-06,
+    ('sharp_node_leader', (9, 3, 3), 5000): 0.00041130999999999996,
+    ('sharp_node_leader', (10, 4, 3), 13): 4.010100000000001e-06,
+    ('sharp_node_leader', (10, 4, 3), 5000): 0.00041987999999999997,
+    ('sharp_node_leader', (3, 1, 3), 13): 2.59984e-06,
+    ('sharp_node_leader', (3, 1, 3), 5000): 0.00036849999999999996,
+    ('sharp_node_leader', (6, 2, 3), 13): 3.828500000000001e-06,
+    ('sharp_node_leader', (6, 2, 3), 5000): 0.00040374,
+    ('sharp_node_leader', (32, 8, 4), 13): 4.3733e-06,
+    ('sharp_node_leader', (32, 8, 4), 5000): 0.00045216,
+    ('sharp_socket_leader', (8, 4, 2), 13): 3.22018e-06,
+    ('sharp_socket_leader', (8, 4, 2), 5000): 0.0003999399999999999,
+    ('sharp_socket_leader', (9, 3, 3), 13): 3.21186e-06,
+    ('sharp_socket_leader', (9, 3, 3), 5000): 0.0003967399999999999,
+    ('sharp_socket_leader', (10, 4, 3), 13): 3.22018e-06,
+    ('sharp_socket_leader', (10, 4, 3), 5000): 0.0003999399999999999,
+    ('sharp_socket_leader', (3, 1, 3), 13): 2.59984e-06,
+    ('sharp_socket_leader', (3, 1, 3), 5000): 0.00036849999999999996,
+    ('sharp_socket_leader', (6, 2, 3), 13): 2.61648e-06,
+    ('sharp_socket_leader', (6, 2, 3), 5000): 0.0003748999999999999,
+    ('sharp_socket_leader', (32, 8, 4), 13): 3.4103599999999997e-06,
+    ('sharp_socket_leader', (32, 8, 4), 5000): 0.00042030144,
+}
+
 #: The collective-family table's grid: the reduce, bcast, allgather
 #: and reduce-scatter entries and the allreduces built from the same
 #: schedules (tree, halving, doubling, ring), none of which the grids
@@ -435,6 +473,29 @@ def test_phase_engine_record(key, sanitize):
             assert got is None, f"rank {rank}"
         else:
             np.testing.assert_array_equal(got, total, err_msg=f"rank {rank}")
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+@pytest.mark.parametrize(
+    "key",
+    list(itertools.product(SHARP_CASES, SHARP_LAYOUTS, SHARP_COUNTS)),
+    ids=lambda key: f"{key[0]}-{layout_id(key[1])}-n{key[2]}",
+)
+def test_sharp_record(key, sanitize):
+    """Both SHArP designs reproduce their record: elapsed bit for bit,
+    the numpy sum on every rank and no sanitizer report."""
+    algorithm, layout, count = key
+    nranks, ppn, nodes = layout
+    inputs = _inputs(nranks, count=count)
+    job = run_job(
+        cluster_a(nodes), nranks, _allreduce_fn(inputs, algorithm),
+        ppn=ppn, sanitize=sanitize,
+    )
+    assert job.elapsed == SHARP_ELAPSED[key]
+    assert not job.reports
+    total = np.sum(inputs, axis=0)
+    for rank, got in enumerate(job.values):
+        np.testing.assert_array_equal(got, total, err_msg=f"rank {rank}")
 
 
 def _family_fn(kind, algorithm, inputs, root):

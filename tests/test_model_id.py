@@ -45,6 +45,11 @@ def golden_tables() -> dict:
                 for (case, layout, count), v
                 in determinism.ENGINE_ELAPSED.items()
             ),
+            "sharp": sorted(
+                [[algorithm, list(layout), count], v]
+                for (algorithm, layout, count), v
+                in determinism.SHARP_ELAPSED.items()
+            ),
             "family": sorted(
                 [[kind, algorithm, list(layout), count], v]
                 for (kind, algorithm, layout, count), v
