@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.dpml` — the 4-phase Data Partitioning-based
   Multi-Leader allreduce (Section 4.1): each rank's node work is step
-  lists, and its one runner (``run_dpml``) runs every
-  multi-leader design below;
+  lists, and its one runner (``run_dpml``) runs every host-leader
+  design below, the SHArP designs included;
 * :mod:`repro.core.pipelined` — DPML-Pipelined, whose phase 3 is ``k``
   sub-partition non-blocking inter-node allreduces (Section 4.2);
 * :mod:`repro.core.multilevel`, :mod:`repro.core.dpml_reduce` and
@@ -11,7 +11,8 @@
   and the rooted reduce and bcast (Section 8), each only its step lists
   and phase 3;
 * :mod:`repro.core.sharp_designs` — the SHArP node-level-leader and
-  socket-level-leader designs (Section 4.3);
+  socket-level-leader designs (Section 4.3): only their step lists
+  (DPML's phases 1, 2 and 4 at ``l = 1``) and the switch as phase 3;
 * :mod:`repro.core.model` — the analytical cost model (Section 5);
 * :mod:`repro.core.tuning` — the size-based selection tables, among
   them the per-cluster DPML-tuned one of the Figure 9/10 comparisons;

@@ -20,11 +20,12 @@ The four phases, exactly as in Figure 2:
 Phases 1, 2 and 4 and the publish are data: one rank's
 :class:`NodeWork` is a few :class:`NodeStep` lists, built from its
 :class:`~repro.core.leaders.LeaderPlan` (:func:`dpml_work` for the
-figure; the multilevel variant and the rooted reduce and bcast declare
-their own).  A step names its partition, shm key, cross-socket flag,
-combine sources and read fan-out; its bytes are the partition's
-``split_bounds`` share.  :func:`run_dpml` is the one runner: it
-executes every design's lists around that design's phase 3.  It records
+figure; the multilevel variant, the rooted reduce and bcast and the
+SHArP designs declare their own).  A step names its partition, shm
+key, cross-socket flag, combine sources and read fan-out; its bytes are
+the partition's ``split_bounds`` share.  :func:`run_dpml` is the one
+runner: it executes every design's lists around that design's phase 3
+(the switch operation, for SHArP).  It records
 per-phase simulated-time windows into the runtime's
 :class:`~repro.core.phases.PhaseProbe` (when one is attached) so the
 hybrid-fidelity spot-check oracle can compare the exact phases against
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Generator, NamedTuple, Optional
 
-from repro.core.leaders import check_leader_count, get_leader_plan
+from repro.core.leaders import LeaderPlan, check_leader_count, get_leader_plan
 from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, reduce_payloads, split_bounds
@@ -71,14 +72,15 @@ class NodeStep(NamedTuple):
     vector (``split_bounds(count, l)[part]``).
 
     With ``sources``, the rank first takes the deposit under each source
-    key and combines them into the partition.  With a ``key``, it then
-    either writes the partition there (``readers == 0``) or reads it
-    from there, a value ``readers`` ranks read in all.  ``cross`` is the
-    copy that goes with the write (before it) or the read (after it):
-    over the socket link if true, none if ``None``.  Keys are
-    ``(stage, part, *who)`` under the call's context and tag base; a
-    write's span frame is its key without the partition.  A step with
-    no partition (:data:`FLAG`) is one flag post/wait hop.
+    key (``None``: its own partition, in place) and combines them into
+    the partition.  With a ``key``, it then either writes the partition
+    there (``readers == 0``) or reads it from there, a value ``readers``
+    ranks read in all.  ``cross`` is the copy that goes with the write
+    (before it) or the read (after it): over the socket link if true,
+    none if ``None``.  Keys are ``(stage, part, *who)`` under the call's
+    context and tag base; a write's span frame is its key without the
+    partition.  A step with no partition (:data:`FLAG`) is one flag
+    post/wait hop.
     """
 
     part: Optional[int]
@@ -129,29 +131,33 @@ def _dpml_work(index: int, ppn: int, cross: tuple) -> NodeWork:
 
 
 def run_dpml(
-    comm, payload: Optional[Payload], op, tag_base: int, leaders: int,
+    comm, payload: Optional[Payload], op, tag_base: int, plan,
     name: Optional[str], inter: Callable, work: Callable = dpml_work,
     flat: Optional[Callable] = None,
 ) -> Generator:
-    """Run one DPML design with ``leaders`` leaders per node and return
-    the reassembled vector (``None`` on a rank without a copy-out).
+    """Run one design's node work around its phase 3 and return the
+    reassembled vector (``None`` on a rank without a copy-out).
 
-    ``work(plan)`` is the rank's node work.  Phase 3 is
-    ``inter(leader_comm, part, op)`` on the leader's partition; with one
-    rank per node there is no node work and ``flat(comm, payload, op)``
-    (by default ``inter``) runs on the communicator itself.  ``payload``
-    is ``None`` on a rank with no input (broadcast non-roots).  With a
-    ``name``, every phase window lands in the runtime's phase probe
-    under it.
+    ``plan`` is a DPML design's leader count, whose plan
+    :func:`~repro.core.leaders.get_leader_plan` builds, or a ready
+    :class:`~repro.core.leaders.LeaderPlan` (the SHArP designs' node or
+    socket groups).  ``work(plan)`` is the rank's node work.  Phase 3
+    is ``inter(leader_comm, part, op)`` on the leader's partition.  A
+    DPML design has no node work with one rank per node:
+    ``flat(comm, payload, op)`` (by default ``inter``) runs on the
+    communicator itself.  ``payload`` is ``None`` on a rank with no
+    input (broadcast non-roots).  With a ``name``, every phase window
+    lands in the runtime's phase probe under it.
     """
     sim, machine = comm.sim, comm.machine
     probe = comm.runtime.phase_probe if name else None
-    plan = yield from get_leader_plan(comm, leaders)
-    if plan.n_nodes == comm.size:
-        start = sim.now
-        result = yield from (flat or inter)(comm, payload, op)
-        _record(probe, name, "exchange", start, sim.now)
-        return result
+    if not isinstance(plan, LeaderPlan):
+        plan = yield from get_leader_plan(comm, plan)
+        if plan.n_nodes == comm.size:
+            start = sim.now
+            result = yield from (flat or inter)(comm, payload, op)
+            _record(probe, name, "exchange", start, sim.now)
+            return result
 
     work = work(plan)
     region = comm.runtime.shm_region(plan.node)
@@ -163,63 +169,71 @@ def run_dpml(
     if payload is not None and sim.sanitizer is not None:
         bounds = split_bounds(payload.count, l)
 
-    def run(steps) -> Generator:
-        for part, key, cross, sources, readers in steps:
-            if part is None:
-                yield machine.flag_sync()
-                continue
-            if sources:
-                gathered = []
-                for source in sources:
-                    value = yield region.take(head + source)
-                    gathered.append(value)
-                yield machine.gather_sync(me, len(gathered))
-                if len(gathered) > 1:
-                    yield machine.compute(
-                        me, gathered[0].nbytes, combines=len(gathered) - 1
-                    )
-                parts[part] = reduce_payloads(gathered, op)
-            if key is None:
-                continue
-            full = head + key
-            if readers:
-                parts[part] = yield region.read(full, readers=readers)
-            if cross is not None:
-                yield machine.shm_copy(me, parts[part].nbytes, cross_socket=cross)
-            if not readers:
-                # The span frame is shared by the partitions one writer
-                # (a publish: the node's leaders) writes; they must tile.
-                span = None
-                if bounds is not None:
-                    frame = head + key[:1] + key[2:]
-                    span = (frame, *bounds[part], bounds[-1][1])
-                region.put(full, parts[part], span=span)
-
+    # What every list of steps runs against: a tuple, not a closure,
+    # whose cells would be allocated again on every rank and call.
+    ctx = (machine, region, head, me, parts, op, bounds)
     start = sim.now
-    yield from run(work.copy_in)
+    yield from _run_steps(work.copy_in, *ctx)
     _record(probe, name, "copy_in", start, sim.now)
 
     if plan.is_leader:
         start = sim.now
-        yield from run(work.reduce)
+        yield from _run_steps(work.reduce, *ctx)
         _record(probe, name, "reduce", start, sim.now)
 
         start = sim.now
         j = plan.leader_index
         parts[j] = yield from inter(plan.leader_comm, parts[j], op)
-        yield from run(work.publish)
+        yield from _run_steps(work.publish, *ctx)
         _record(probe, name, "exchange", start, sim.now)
 
     if not work.copy_out:
         return None
     yield machine.flag_sync()
     start = sim.now
-    yield from run(work.copy_out)
+    yield from _run_steps(work.copy_out, *ctx)
     if plan.is_leader:
         _record(probe, name, "copy_out", start, sim.now)
     # Reassembly through the region memo: the co-located readers share
     # one materialization of the result vector.
     return region.concat(parts)
+
+
+def _run_steps(steps, machine, region, head, me, parts, op, bounds) -> Generator:
+    """Run one list of node steps; each step's result lands in ``parts``."""
+    for part, key, cross, sources, readers in steps:
+        if part is None:
+            yield machine.flag_sync()
+            continue
+        if sources:
+            gathered = []
+            for source in sources:
+                if source is None:
+                    gathered.append(parts[part])
+                    continue
+                value = yield region.take(head + source)
+                gathered.append(value)
+            yield machine.gather_sync(me, len(gathered))
+            if len(gathered) > 1:
+                yield machine.compute(
+                    me, gathered[0].nbytes, combines=len(gathered) - 1
+                )
+            parts[part] = reduce_payloads(gathered, op)
+        if key is None:
+            continue
+        full = head + key
+        if readers:
+            parts[part] = yield region.read(full, readers=readers)
+        if cross is not None:
+            yield machine.shm_copy(me, parts[part].nbytes, cross_socket=cross)
+        if not readers:
+            # The span frame is shared by the partitions one writer
+            # (a publish: the node's leaders) writes; they must tile.
+            span = None
+            if bounds is not None:
+                frame = head + key[:1] + key[2:]
+                span = (frame, *bounds[part], bounds[-1][1])
+            region.put(full, parts[part], span=span)
 
 
 def _record(probe, algorithm: str, phase: str, start: float, end: float) -> None:

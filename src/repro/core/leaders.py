@@ -5,6 +5,9 @@ which local ranks act as leaders on each node and provides the
 inter-node leader communicators (leader ``j`` of every node forms one
 communicator).  Plans are built collectively (they call ``comm.split``)
 and cached on the communicator, so repeated collectives pay nothing.
+The SHArP designs read a plan of one leader per node, or per socket,
+straight from :func:`leader_plan`: their phase 3 runs through the
+switch, so they need no leader communicator and no split.
 
 Node membership is not scanned here: it comes from the communicator's
 :class:`~repro.mpi.layout.Layout` (``comm.layout``), which is built
@@ -36,14 +39,19 @@ __all__ = ["LeaderPlan", "check_leader_count", "get_leader_plan", "leader_plan"]
 
 @dataclass
 class LeaderPlan:
-    """Leader layout of one rank's view of a communicator."""
+    """Leader layout of one rank's view of a communicator.
+
+    A plan grouped by socket (``leader_plan(..., per_socket=True)``)
+    reads "node" as "socket" in ``node_ranks``, ``local_index``,
+    ``ppn`` and ``n_nodes``; ``node`` stays the rank's node.
+    """
 
     leaders: int  #: effective leader count l (clamped to min ppn)
     node: int  #: this rank's node id
     node_ranks: tuple[int, ...]  #: comm ranks on this node, local order (shared)
     local_index: int  #: this rank's index within node_ranks
     leader_index: Optional[int]  #: j if this rank is leader j, else None
-    n_nodes: int  #: number of nodes under the communicator
+    n_nodes: int  #: number of nodes (groups) under the communicator
     cross: tuple[bool, ...]  #: whether leader j sits on another socket
     layout: Layout = field(repr=False)  #: the communicator's layout
     leader_comm: Optional[object] = None  #: leader j's comm across nodes (leaders)
@@ -70,24 +78,34 @@ def check_leader_count(leaders: int) -> None:
         raise ConfigError(f"leader count must be >= 1, got {leaders}")
 
 
-def leader_plan(layout: Layout, rank: int, leaders: int) -> LeaderPlan:
+def leader_plan(
+    layout: Layout, rank: int, leaders: int, per_socket: bool = False
+) -> LeaderPlan:
     """Comm rank ``rank``'s plan for ``leaders`` leaders over ``layout``,
-    without its leader communicator (no simulation needed)."""
+    without its leader communicator (no simulation needed).  The ranks
+    are grouped by node, or by socket if ``per_socket``."""
     check_leader_count(leaders)
-    # Every node must field a leader for every partition, otherwise the
-    # inter-node allreduce for that partition would miss contributions.
-    eff_leaders = min(leaders, layout.min_ppn)
     node = layout.node[rank]
-    node_ranks = layout.node_ranks[node]
-    local_index = node_ranks.index(rank)
     socket = layout.socket
+    if per_socket:
+        groups = layout.socket_ranks
+        node_ranks = groups[(node, socket[rank])]
+        min_ppn = min(map(len, groups.values()))
+    else:
+        groups = layout.node_ranks
+        node_ranks = groups[node]
+        min_ppn = layout.min_ppn
+    # Every group must field a leader for every partition, otherwise the
+    # inter-node allreduce for that partition would miss contributions.
+    eff_leaders = min(leaders, min_ppn)
+    local_index = node_ranks.index(rank)
     return LeaderPlan(
         leaders=eff_leaders,
         node=node,
         node_ranks=node_ranks,
         local_index=local_index,
         leader_index=local_index if local_index < eff_leaders else None,
-        n_nodes=len(layout.nodes),
+        n_nodes=len(groups),
         cross=tuple([
             socket[leader] != socket[rank] for leader in node_ranks[:eff_leaders]
         ]),

@@ -17,19 +17,22 @@ supports only a few outstanding operations
 (:class:`~repro.machine.sharp.SharpTree` enforces this), which is the
 paper's argument for not using all DPML leaders here.
 
-The gather groups are not scanned here: a node group is
-``comm.layout.node_ranks[node]`` and a socket group is
-``comm.layout.socket_ranks[(node, socket)]``, read from the
-communicator's :class:`~repro.mpi.layout.Layout`, which is built once
-per group and shared by every rank's view.  Each rank caches only its
-own plan (its group, leader and socket crossing) in ``comm.cache``.
+The gather, combine and read-back are DPML's phases 1, 2 and 4 at
+``l = 1`` over the gather group: :func:`sharp_work` declares them and
+:func:`~repro.core.dpml.run_dpml` runs them, with the switch operation
+as phase 3.  The group is read from the communicator's
+:class:`~repro.mpi.layout.Layout` by
+:func:`~repro.core.leaders.leader_plan`, grouped by node or by socket,
+without a ``comm.split``; each rank caches its plan in ``comm.cache``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+import functools
+from typing import Generator
 
+from repro.core.dpml import NodeStep, NodeWork, run_dpml
+from repro.core.leaders import leader_plan
 from repro.core.phases import AllreduceAlgorithm
 from repro.payload.ops import ReduceOp
 from repro.payload.payload import Payload, reduce_payloads
@@ -39,119 +42,71 @@ __all__ = [
     "SHARP_SOCKET_LEADER",
     "allreduce_sharp_node_leader",
     "allreduce_sharp_socket_leader",
+    "sharp_work",
 ]
 
 
-@dataclass
-class _SharpPlan:
-    """Gather-group layout for one rank (cached per communicator)."""
-
-    group_ranks: tuple[int, ...]  #: comm ranks whose data my leader gathers (incl. me)
-    my_index: int  #: my position within group_ranks
-    leader_rank: int  #: comm rank of my leader
-    is_leader: bool
-    n_leaders: int  #: total leaders across the communicator
-    node: int
-    cross: bool  #: whether my leader sits on another socket
-
-
-def _build_plan(comm, per_socket: bool) -> _SharpPlan:
-    """This rank's gather group, read from the communicator's layout."""
-    layout = comm.layout
-    machine = comm.machine
-    node = layout.node[comm.rank]
-    socket = machine.loc(comm.world_rank).socket
-    if per_socket:
-        groups = layout.socket_ranks
-        group_ranks = groups[(node, socket)]
-    else:
-        groups = layout.node_ranks
-        group_ranks = groups[node]
-    leader_rank = group_ranks[0]
-    return _SharpPlan(
-        group_ranks=group_ranks,
-        my_index=group_ranks.index(comm.rank),
-        leader_rank=leader_rank,
-        is_leader=comm.rank == leader_rank,
-        n_leaders=len(groups),
-        node=node,
-        cross=machine.loc(comm.translate(leader_rank)).socket != socket,
-    )
+def sharp_work(plan) -> NodeWork:
+    """A non-leader deposits its vector with its group's leader and,
+    after the flag hop, reads the result back, each with one copy (over
+    the socket link if the leader sits on the other socket).  The
+    leader combines its own vector in place with the ``g - 1`` deposits
+    in group order, and publishes and reads the switch's result with no
+    copy.  Keys name the group by its leader's socket, so the socket
+    groups of one node never collide."""
+    group = plan.layout.socket[plan.node_ranks[0]]
+    return _sharp_work(group, plan.ppn, plan.local_index, plan.cross[0])
 
 
-def _sharp_allreduce(
-    comm,
-    payload: Payload,
-    op: ReduceOp,
-    tag_base: int,
-    per_socket: bool,
-) -> Generator:
-    machine = comm.machine
-    tree = machine.require_sharp()
-    cache_key = ("sharp-plan", per_socket)
-    plan = comm.cache.get(cache_key)
-    if plan is None:
-        plan = _build_plan(comm, per_socket)
-        comm.cache[cache_key] = plan
-
-    me = comm.world_rank
-    region = comm.runtime.shm_region(plan.node)
-    ctx = comm.group.context
-    nbytes = payload.nbytes
-    group_size = len(plan.group_ranks)
-
-    # --- Gather: deposit the full vector at the leader.
-    if not plan.is_leader:
-        yield machine.shm_copy(me, nbytes, cross_socket=plan.cross)
-        region.put((ctx, tag_base, "gather", plan.leader_rank, plan.my_index), payload)
-    else:
-        gathered = [payload]
-        for i in range(1, group_size):
-            part = yield region.take((ctx, tag_base, "gather", plan.leader_rank, i))
-            gathered.append(part)
-        if group_size > 1:
-            yield machine.gather_sync(me, group_size)
-            yield machine.compute(me, nbytes, combines=group_size - 1)
-        partial = reduce_payloads(gathered, op)
-
-        # --- Switch phase: inject, aggregate in-network, receive.  The
-        # aggregation starts at the adjacent leaf switch, so the link to
-        # it costs one tree hop, not a full end-to-end wire traversal.
-        yield machine.engine[me].submit(machine.injection_service(nbytes))
-        for chunk in machine.nic_chunks(nbytes):
-            yield machine.nic_tx[plan.node].submit(machine.nic_service(chunk))
-        yield comm.sim.timeout(tree.config.hop_latency)
-
-        gate_key = (ctx, tag_base, "sharp-op")
-        event, is_last, items = comm.runtime.gate_exchange(
-            gate_key, plan.n_leaders, partial
+@functools.lru_cache(maxsize=4096)
+def _sharp_work(group: int, g: int, index: int, cross: bool) -> NodeWork:
+    # Shared by the ranks at the same place in every group of a layout,
+    # and by every call: the lists are a function of these four alone.
+    out = ("out", 0, group)
+    if index:
+        return NodeWork(
+            (NodeStep(0, ("in", 0, group, index), cross),),
+            (), (), (NodeStep(0, out, cross, readers=g),),
         )
-        if is_last:
-            comm.sim.process(
-                _coordinator(comm, tree, plan.n_leaders, nbytes, items, op, event),
-                name="sharp-coordinator",
-            )
-        result = yield event
+    reduce = ()
+    if g > 1:
+        sources = (None, *[("in", 0, group, i) for i in range(1, g)])
+        reduce = (NodeStep(0, sources=sources),)
+    return NodeWork((), reduce, (NodeStep(0, out),), (NodeStep(0, out, readers=g),))
 
-        # Result flows back down: leaf-switch link + RX + receive overhead.
-        yield comm.sim.timeout(tree.config.hop_latency)
-        for chunk in machine.nic_chunks(nbytes):
-            yield machine.nic_rx[plan.node].submit(machine.nic_service(chunk))
-        yield machine.engine[me].submit(machine.reception_service(nbytes))
 
-        region.put((ctx, tag_base, "bcast", plan.leader_rank), result)
+def _switch(comm, tree, plan, tag_base, _leader_comm, partial, op) -> Generator:
+    """Phase 3 on a leader, with no leader communicator: inject,
+    aggregate in-network, receive.  The aggregation starts at the
+    adjacent leaf switch, so the link to it costs one tree hop, not a
+    full end-to-end wire traversal."""
+    machine, me = comm.machine, comm.world_rank
+    nbytes = partial.nbytes
+    yield machine.engine[me].submit(machine.injection_service(nbytes))
+    for chunk in machine.nic_chunks(nbytes):
+        yield machine.nic_tx[plan.node].submit(machine.nic_service(chunk))
+    yield comm.sim.timeout(tree.config.hop_latency)
 
-    # --- Broadcast: every group member copies the result out.
-    yield machine.flag_sync()
-    result = yield region.read(
-        (ctx, tag_base, "bcast", plan.leader_rank), readers=group_size
+    gate_key = (comm.group.context, tag_base, "sharp-op")
+    event, is_last, items = comm.runtime.gate_exchange(
+        gate_key, plan.n_nodes, partial
     )
-    if not plan.is_leader:
-        yield machine.shm_copy(me, nbytes, cross_socket=plan.cross)
+    if is_last:
+        comm.sim.process(
+            _coordinator(tree, plan.n_nodes, nbytes, items, op, event),
+            name="sharp-coordinator",
+        )
+    result = yield event
+
+    # Result flows back down: leaf-switch link + RX + receive overhead.
+    yield comm.sim.timeout(tree.config.hop_latency)
+    for chunk in machine.nic_chunks(nbytes):
+        yield machine.nic_rx[plan.node].submit(machine.nic_service(chunk))
+    yield machine.engine[me].submit(machine.reception_service(nbytes))
     return result
 
 
-def _coordinator(comm, tree, leaves, nbytes, items, op, event) -> Generator:
+def _coordinator(tree, leaves, nbytes, items, op, event) -> Generator:
     """Runs the in-network reduction once all leaders' data arrived.
 
     The combine itself happens in the switch ALUs — the host charges no
@@ -161,20 +116,31 @@ def _coordinator(comm, tree, leaves, nbytes, items, op, event) -> Generator:
     event.succeed(reduce_payloads(items, op))
 
 
+def _sharp_allreduce(comm, payload, op, tag_base, per_socket) -> Generator:
+    tree = comm.machine.require_sharp()
+    key = ("sharp-plan", per_socket)
+    plan = comm.cache.get(key)
+    if plan is None:
+        plan = comm.cache[key] = leader_plan(comm.layout, comm.rank, 1, per_socket)
+    return run_dpml(
+        comm, payload, op, tag_base, plan, None,
+        functools.partial(_switch, comm, tree, plan, tag_base),
+        sharp_work,
+    )
+
+
 def allreduce_sharp_node_leader(
     comm, payload: Payload, op: ReduceOp, tag_base: int = 0
 ) -> Generator:
     """SHArP allreduce with one leader per node."""
-    result = yield from _sharp_allreduce(comm, payload, op, tag_base, per_socket=False)
-    return result
+    return _sharp_allreduce(comm, payload, op, tag_base, per_socket=False)
 
 
 def allreduce_sharp_socket_leader(
     comm, payload: Payload, op: ReduceOp, tag_base: int = 0
 ) -> Generator:
     """SHArP allreduce with one leader per socket (HCA/NUMA aware)."""
-    result = yield from _sharp_allreduce(comm, payload, op, tag_base, per_socket=True)
-    return result
+    return _sharp_allreduce(comm, payload, op, tag_base, per_socket=True)
 
 
 _SHARP_EXEMPT = "switch-offload timing is not host alpha-beta"

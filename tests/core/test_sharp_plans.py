@@ -1,28 +1,33 @@
-"""Unit tests for the SHArP design plan construction and behaviour."""
+"""Unit tests for the SHArP design plan construction and behaviour.
+
+The plans are read from a built layout with
+:func:`~repro.core.leaders.leader_plan`, as the SHArP designs read
+them: one leader per node, or per socket, and no simulation.
+"""
 
 import pytest
 
 from repro.bench.harness import allreduce_latency
+from repro.core.leaders import leader_plan
 from repro.machine.clusters import cluster_a
 from repro.machine.machine import Machine
-from repro.mpi.runtime import Runtime, run_job
+from repro.mpi.layout import build_layout
+from repro.mpi.runtime import Runtime
 from repro.payload import SUM, SymbolicPayload
 
 
 def plans(nranks, ppn, nodes, per_socket):
-    from repro.core.sharp_designs import _build_plan
-
-    def fn(comm):
-        yield comm.sim.timeout(0)
-        plan = _build_plan(comm, per_socket)
-        return {
-            "leader": plan.leader_rank,
+    layout = build_layout(range(nranks), Machine(cluster_a(nodes), nranks, ppn))
+    out = []
+    for rank in range(nranks):
+        plan = leader_plan(layout, rank, 1, per_socket)
+        out.append({
+            "leader": plan.node_ranks[0],
             "is_leader": plan.is_leader,
-            "n_leaders": plan.n_leaders,
-            "group": tuple(plan.group_ranks),
-        }
-
-    return run_job(cluster_a(nodes), nranks, fn, ppn=ppn).values
+            "n_leaders": plan.n_nodes,
+            "group": plan.node_ranks,
+        })
+    return out
 
 
 class TestPlanConstruction:

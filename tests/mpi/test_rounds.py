@@ -361,18 +361,18 @@ def test_point_to_point_calls_have_one_home():
     assert not stray, stray
 
 
-#: The core modules that run shared-memory node steps themselves: the
-#: DPML runner and the SHArP designs.
-OWN_NODE_CODE = {("dpml.py", "*"), ("sharp_designs.py", "*")}
+#: The one core module that runs shared-memory node steps: the DPML
+#: runner, which runs the SHArP designs' node work too.
+OWN_NODE_CODE = {("dpml.py", "*")}
 NODE_CALLS = {"shm_copy", "gather_sync", "flag_sync"}
 REGION_CALLS = {"put", "take", "read"}
 
 
 def test_node_primitives_have_one_home():
-    """Every DPML design's node work is data run by
-    ``core.dpml.run_dpml``: outside ``dpml.py`` and the SHArP
-    designs no ``repro.core`` module calls ``shm_copy``,
-    ``gather_sync``, ``flag_sync`` or a region's ``put/take/read``."""
+    """Every host-leader design's node work, SHArP's included, is data
+    run by ``core.dpml.run_dpml``: outside ``dpml.py`` no
+    ``repro.core`` module calls ``shm_copy``, ``gather_sync``,
+    ``flag_sync`` or a region's ``put/take/read``."""
     stray = stray_calls(
         Path(repro.core.__file__).parent, OWN_NODE_CODE,
         lambda func: func.attr in NODE_CALLS or (
